@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-concurrency chaos recovery migrate fuzz vet check bench bench-smoke clean
+.PHONY: all build test race race-concurrency chaos recovery migrate fuzz vet check bench bench-smoke benchmark-quick clean
 
 all: build
 
@@ -79,6 +79,16 @@ bench-smoke: build
 	$(GO) run ./cmd/kfbench -run scale -quick -json /tmp/BENCH_scale_smoke.json
 	$(GO) run ./cmd/kfbench -run recovery -quick -json /tmp/BENCH_recovery_smoke.json
 	$(GO) run ./cmd/kfbench -run migrate -quick -json /tmp/BENCH_migrate_smoke.json
+	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
+
+# The performance gate (benchmark/, a Go module of its own that root
+# `go test ./...` never sees): its oracle/determinism tests, then every
+# workload at 1/10 of the ops and 1 s per run. A smoke test that the
+# gate still builds against this tree and checks out correct — the
+# numbers it prints are not measurements.
+benchmark-quick:
+	cd benchmark && $(GO) test ./...
+	$(GO) run -C benchmark . -quick
 
 # The pre-merge gate: vet, build, the full test suite under the race
 # detector (includes the chaos suite), then the short chaos pass alone to

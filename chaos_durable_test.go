@@ -78,7 +78,7 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 		t.Fatalf("fresh device recovered state: %+v", info0)
 	}
 
-	extPlan := faultinject.NewPlan(seed + 1).SetRate(faultinject.HelperErr, 1.0)
+	extPlan := faultinject.NewPlan(seed+1).SetRate(faultinject.HelperErr, 1.0)
 	cfg := memcached.DefaultConfig(workload.Mix{GetPct: 50})
 	cfg.Seed = seed
 	cfg.Preload = false

@@ -64,7 +64,7 @@ func runMigrateScenario(t *testing.T, seed int64) migrateRun {
 	cfg.Seed = seed
 	cfg.Preload = false
 	cfg.FaultPlan = plan
-	cfg.Slots = 4        // free slots 1..3 are migration targets
+	cfg.Slots = 4          // free slots 1..3 are migration targets
 	cfg.HeapSize = 1 << 21 // small heap: the sweep pays no 64 MiB links
 	mc, err := memcached.NewSupervised(cfg, 1, supervisor.Tuning{JitterSeed: seed + 1})
 	if err != nil {

@@ -61,14 +61,15 @@ type Dir interface {
 
 // --- MemDir: crash-modeling in-memory device -----------------------------------
 
-// memFile models one file with explicit durability state: persisted bytes
-// survive a crash; volatile bytes (appended but not fsynced) are lost —
-// or, when the fault plan fires StoreTorn, torn to a prefix.
+// memFile models one file with explicit durability state: one buffer
+// plus a durable watermark. data[:synced] survives a crash; data[synced:]
+// (appended but not fsynced) is lost — or, when the fault plan fires
+// StoreTorn, torn to a prefix.
 type memFile struct {
-	name      string
-	persisted []byte
-	volatile  []byte
-	id        uint64
+	name   string
+	data   []byte
+	synced int
+	id     uint64
 }
 
 // MemDir is an in-memory Dir with crash semantics: appended bytes become
@@ -175,12 +176,11 @@ func (d *MemDir) Crash() {
 	defer d.mu.Unlock()
 	d.files = make(map[string]*memFile, len(d.synced))
 	for name, f := range d.synced {
-		if len(f.volatile) > 0 {
+		if tail := len(f.data) - f.synced; tail > 0 {
 			if d.fault.Fire(faultinject.StoreTorn, f.id) {
-				keep := len(f.volatile) / 2
-				f.persisted = append(f.persisted, f.volatile[:keep]...)
+				f.synced += tail / 2
 			}
-			f.volatile = nil
+			f.data = f.data[:f.synced]
 		}
 		f.name = name
 		d.files[name] = f
@@ -201,11 +201,10 @@ type memHandle struct {
 func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.dir.mu.Lock()
 	defer h.dir.mu.Unlock()
-	data := append(append([]byte(nil), h.f.persisted...), h.f.volatile...)
-	if off >= int64(len(data)) {
+	if off >= int64(len(h.f.data)) {
 		return 0, io.EOF
 	}
-	n := copy(p, data[off:])
+	n := copy(p, h.f.data[off:])
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -221,15 +220,15 @@ func (h *memHandle) Append(p []byte) (int, error) {
 	}
 	if fault.Fire(faultinject.StoreShort, uint64(len(p))) {
 		n := len(p) / 2
-		h.f.volatile = append(h.f.volatile, p[:n]...)
+		h.f.data = append(h.f.data, p[:n]...)
 		return n, fmt.Errorf("durable: short write %d/%d bytes: %w", n, len(p), faultinject.ErrInjected)
 	}
-	start := len(h.f.volatile)
-	h.f.volatile = append(h.f.volatile, p...)
+	start := len(h.f.data)
+	h.f.data = append(h.f.data, p...)
 	if fault.Fire(faultinject.StoreCorrupt, uint64(len(p))) {
 		// Silent corruption: flip one bit mid-write; the append still
 		// reports success. Recovery must catch this by CRC.
-		h.f.volatile[start+len(p)/2] ^= 0x40
+		h.f.data[start+len(p)/2] ^= 0x40
 	}
 	return len(p), nil
 }
@@ -237,23 +236,18 @@ func (h *memHandle) Append(p []byte) (int, error) {
 func (h *memHandle) Truncate(size int64) error {
 	h.dir.mu.Lock()
 	defer h.dir.mu.Unlock()
-	total := int64(len(h.f.persisted) + len(h.f.volatile))
-	if size >= total {
+	if size >= int64(len(h.f.data)) {
 		return nil
 	}
-	if size <= int64(len(h.f.persisted)) {
-		h.f.persisted = h.f.persisted[:size]
-		h.f.volatile = nil
-		return nil
-	}
-	h.f.volatile = h.f.volatile[:size-int64(len(h.f.persisted))]
+	h.f.data = h.f.data[:size]
+	h.f.synced = min(h.f.synced, int(size))
 	return nil
 }
 
 func (h *memHandle) Size() (int64, error) {
 	h.dir.mu.Lock()
 	defer h.dir.mu.Unlock()
-	return int64(len(h.f.persisted) + len(h.f.volatile)), nil
+	return int64(len(h.f.data)), nil
 }
 
 func (h *memHandle) Sync() error {
@@ -264,8 +258,7 @@ func (h *memHandle) Sync() error {
 		// still readable (page cache) but will not survive a crash.
 		return fmt.Errorf("durable: fsync %s: %w", h.f.name, faultinject.ErrInjected)
 	}
-	h.f.persisted = append(h.f.persisted, h.f.volatile...)
-	h.f.volatile = nil
+	h.f.synced = len(h.f.data)
 	return nil
 }
 

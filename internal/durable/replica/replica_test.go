@@ -278,3 +278,92 @@ func TestFailoverUnderStorageFaultsDeterministic(t *testing.T) {
 		t.Fatal("follower replicated nothing")
 	}
 }
+
+func TestFollowerTailsAcrossRingWraps(t *testing.T) {
+	// The primary's tail is a 16-slot ring that overwrites its oldest
+	// record in place. A follower that polls often enough must never
+	// notice: it ships every record across many laps of the ring. One
+	// that sleeps through more than a lap must be told so (full sync),
+	// not handed slots that have since been reused.
+	const tailRecords = 16
+	primary, _, err := durable.Open(durable.NewMemDir(nil), durable.Options{TailRecords: tailRecords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, _, err := durable.Open(durable.NewMemDir(nil), durable.Options{TailRecords: tailRecords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(primary, local)
+
+	write := func(i int) {
+		if i%5 == 4 {
+			primary.Delete(key(i % 7))
+		} else {
+			primary.Set(key(i%7), value(i))
+		}
+	}
+	converged := func(when string) {
+		t.Helper()
+		if local.Seq() != primary.Seq() || local.Hash() != primary.Hash() {
+			t.Fatalf("%s: follower at seq %d hash %#x, primary at seq %d hash %#x",
+				when, local.Seq(), local.Hash(), primary.Seq(), primary.Hash())
+		}
+	}
+
+	// Five laps of the ring in bursts shorter than the ring.
+	i := 0
+	for burst := 0; i < 5*tailRecords; burst++ {
+		n := 1 + burst%(tailRecords-1)
+		for j := 0; j < n; j++ {
+			write(i)
+			i++
+		}
+		if shipped, err := f.CatchUp(); err != nil || shipped != n {
+			t.Fatalf("burst %d: shipped %d of %d, err=%v", burst, shipped, n, err)
+		}
+		converged(fmt.Sprintf("burst %d", burst))
+	}
+	if m := f.Metrics(); m.FullSyncs != 0 || m.Shipped != uint64(i) {
+		t.Fatalf("incremental phase: %+v, want %d shipped and no full sync", m, i)
+	}
+
+	// Fall behind by more than a lap: the only way back is a full copy.
+	for j := 0; j < tailRecords+3; j++ {
+		write(i)
+		i++
+	}
+	if shipped, err := f.CatchUp(); err != nil || shipped != 0 {
+		t.Fatalf("behind the tail: shipped %d, err=%v, want a full sync", shipped, err)
+	}
+	if m := f.Metrics(); m.FullSyncs != 1 || m.Rejected != 0 {
+		t.Fatalf("after falling behind: %+v, want exactly one full sync", m)
+	}
+	converged("after full sync")
+
+	// And incremental again afterwards, across another lap and a half;
+	// a follower of the follower sees the same ring semantics downstream.
+	second := NewFollower(local, durable.NewMemory())
+	if _, err := second.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < tailRecords+tailRecords/2; j++ {
+		write(i)
+		i++
+		if j%4 == 3 {
+			if shipped, err := f.CatchUp(); err != nil || shipped != 4 {
+				t.Fatalf("post-full-sync delta: shipped %d, err=%v", shipped, err)
+			}
+			if shipped, err := second.CatchUp(); err != nil || shipped != 4 {
+				t.Fatalf("second-hop delta: shipped %d, err=%v", shipped, err)
+			}
+		}
+	}
+	converged("after the second incremental phase")
+	if second.Local().Hash() != primary.Hash() {
+		t.Fatal("second-hop follower diverged")
+	}
+	if m := f.Metrics(); m.FullSyncs != 1 {
+		t.Fatalf("metrics: %+v", m)
+	}
+}

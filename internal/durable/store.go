@@ -2,7 +2,9 @@ package durable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -44,7 +46,9 @@ type Metrics struct {
 	// memory — storage is a fault domain, not a single point of failure —
 	// but the mutation is not crash-durable).
 	Appends, AppendErrs uint64
-	// Syncs / SyncErrs count fsync attempts and failures.
+	// Syncs counts the fsyncs the flush policy (SyncEvery, Sync, Close)
+	// issued; SyncErrs counts the ones that failed, plus failed fsyncs of
+	// a segment a roll was about to close (which put the roll off).
 	Syncs, SyncErrs uint64
 	// Snapshots / SnapshotErrs count snapshot publications and failures;
 	// CompactedSegs counts WAL segments removed by compaction.
@@ -93,10 +97,15 @@ type Store struct {
 	dir Dir  // nil: memory-only (durability off)
 	log *wal // nil iff dir is nil
 
-	// tail holds the most recent encoded records for RecordsSince — the
-	// incremental-resync and replication feed. tailStart is the sequence
-	// of tail[0].
+	// tail is a ring of the most recent encoded records for RecordsSince —
+	// the incremental-resync and replication feed. It grows one slot at a
+	// time to opts.TailRecords and then wraps: tailHead indexes the oldest
+	// record, whose sequence is tailStart, and a new record overwrites it
+	// in place, reusing the slot's buffer. A slot is also where a record
+	// is encoded and what the WAL appends from, so a mutation is encoded
+	// once and copied once (into the device).
 	tail      [][]byte
+	tailHead  int
 	tailStart uint64
 
 	// logBroken is set when an append failed: the lost record leaves a
@@ -107,7 +116,6 @@ type Store struct {
 	sinceSync uint64
 	sinceSnap uint64
 	metrics   Metrics
-	encBuf    []byte
 }
 
 // NewMemory returns a Store with durability off: same surface, no device.
@@ -115,7 +123,7 @@ type Store struct {
 func NewMemory() *Store {
 	var o Options
 	o.defaults()
-	return &Store{kv: make(map[string][]byte), opts: o}
+	return &Store{kv: make(map[string][]byte), opts: o, tailStart: 1}
 }
 
 // Open recovers (or initializes) a Store from dir: it loads the newest
@@ -186,12 +194,12 @@ func (s *Store) apply(r Record) {
 func (s *Store) mutate(op byte, key, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.seq + 1
-	s.encBuf = EncodeRecord(s.encBuf[:0], Record{Seq: seq, Op: op, Key: key, Value: value})
-	s.seq = seq
-	s.apply(Record{Seq: seq, Op: op, Key: key, Value: value})
-	s.pushTail(s.encBuf)
-	s.logRecord(s.encBuf, seq)
+	rec := Record{Seq: s.seq + 1, Op: op, Key: key, Value: value}
+	slot := s.nextSlot()
+	*slot = EncodeRecord((*slot)[:0], rec)
+	s.seq = rec.Seq
+	s.apply(rec)
+	s.logRecord(*slot, rec.Seq)
 	if s.opts.SnapshotEvery > 0 {
 		s.sinceSnap++
 		if s.sinceSnap >= uint64(s.opts.SnapshotEvery) {
@@ -241,16 +249,25 @@ func (s *Store) logRecord(enc []byte, seq uint64) {
 	}
 }
 
-// pushTail appends a copy of one encoded record to the bounded tail.
-func (s *Store) pushTail(enc []byte) {
-	if len(s.tail) == 0 {
-		s.tailStart = s.seq
+// nextSlot makes room in the tail ring for the record with sequence
+// seq+1 and returns the slot to encode it into. Until the ring holds
+// TailRecords records it grows by one slot; from then on the oldest
+// record's slot is handed out again, stale bytes and all (the caller
+// overwrites from [:0]), so the steady state allocates nothing. An empty
+// tail always has tailStart == seq+1, which is what makes the first
+// record land at tailStart.
+func (s *Store) nextSlot() *[]byte {
+	if len(s.tail) < s.opts.TailRecords {
+		s.tail = append(s.tail, nil)
+		return &s.tail[len(s.tail)-1]
 	}
-	s.tail = append(s.tail, append([]byte(nil), enc...))
-	if over := len(s.tail) - s.opts.TailRecords; over > 0 {
-		s.tail = append(s.tail[:0], s.tail[over:]...)
-		s.tailStart += uint64(over)
+	slot := &s.tail[s.tailHead]
+	s.tailHead++
+	if s.tailHead == len(s.tail) {
+		s.tailHead = 0
 	}
+	s.tailStart++
+	return slot
 }
 
 // Set stores value under key, write-ahead logged.
@@ -282,20 +299,27 @@ func (s *Store) Seq() uint64 {
 
 // Range visits every key/value pair in sorted key order (deterministic
 // iteration keeps resync replay — and with it the fault-injection trace —
-// reproducible across runs).
+// reproducible across runs). It iterates over a point-in-time view taken
+// under one lock acquisition and calls fn outside the lock, so fn may
+// call back into the store; stored values are replaced, never mutated,
+// so the view shares them exactly as Get does.
 func (s *Store) Range(fn func(key, value []byte) error) error {
+	type pair struct {
+		key   string
+		value []byte
+	}
 	s.mu.Lock()
-	keys := make([]string, 0, len(s.kv))
-	for k := range s.kv {
-		keys = append(keys, k)
+	pairs := make([]pair, 0, len(s.kv))
+	for k, v := range s.kv {
+		if v != nil { // an empty value reads as a miss, as with Get
+			pairs = append(pairs, pair{k, v})
+		}
 	}
 	s.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		if v := s.Get([]byte(k)); v != nil {
-			if err := fn([]byte(k), v); err != nil {
-				return err
-			}
+	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key, b.key) })
+	for _, p := range pairs {
+		if err := fn([]byte(p.key), p.value); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -315,8 +339,13 @@ func (s *Store) RecordsSince(from uint64) (recs [][]byte, ok bool) {
 	if len(s.tail) == 0 || from+1 < s.tailStart {
 		return nil, false
 	}
-	for _, enc := range s.tail[from+1-s.tailStart:] {
-		recs = append(recs, append([]byte(nil), enc...))
+	// Copies, not the slots themselves: a slot is overwritten in place
+	// TailRecords mutations later, while the consumer may still be
+	// shipping what it was handed.
+	skip := int(from + 1 - s.tailStart)
+	recs = make([][]byte, 0, len(s.tail)-skip)
+	for i := skip; i < len(s.tail); i++ {
+		recs = append(recs, append([]byte(nil), s.tail[(s.tailHead+i)%len(s.tail)]...))
 	}
 	return recs, true
 }
@@ -384,7 +413,11 @@ func (s *Store) Sync() error {
 func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.metrics
+	m := s.metrics
+	if s.log != nil {
+		m.SyncErrs += s.log.rollSyncErrs
+	}
+	return m
 }
 
 // Hash returns a deterministic digest of the full contents and sequence —
@@ -428,10 +461,11 @@ func (s *Store) ApplyReplicated(enc []byte) error {
 	if rec.Seq != s.seq+1 {
 		return fmt.Errorf("durable: replication gap: have seq %d, shipped record is %d", s.seq, rec.Seq)
 	}
+	slot := s.nextSlot()
+	*slot = append((*slot)[:0], enc...)
 	s.seq = rec.Seq
 	s.apply(rec)
-	s.pushTail(enc)
-	s.logRecord(enc, rec.Seq)
+	s.logRecord(*slot, rec.Seq)
 	return nil
 }
 
@@ -450,7 +484,7 @@ func (s *Store) CopyFrom(src *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.kv, s.seq = kv, seq
-	s.tail, s.tailStart = nil, seq+1
+	s.tail, s.tailHead, s.tailStart = s.tail[:0], 0, seq+1
 	return s.snapshotLocked()
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,6 +52,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // EncodeRecord appends the wire encoding of r to dst and returns it.
 func EncodeRecord(dst []byte, r Record) []byte {
 	start := len(dst)
+	dst = slices.Grow(dst, recHeaderSize+len(r.Key)+len(r.Value))
 	var hdr [recHeaderSize]byte
 	binary.LittleEndian.PutUint64(hdr[4:], r.Seq)
 	hdr[12] = r.Op
@@ -129,6 +131,10 @@ type wal struct {
 	curName  string
 	curSize  int64
 	unsynced bool
+
+	// rollSyncErrs counts failed fsyncs of a segment a roll was about to
+	// close; Store.Metrics folds it into SyncErrs.
+	rollSyncErrs uint64
 }
 
 // openWAL binds to dir's newest segment (or none; the first append
@@ -162,6 +168,8 @@ func openWAL(dir Dir, segBytes int64) (*wal, error) {
 
 // append writes one encoded record, rolling to a new segment when the
 // current one is full. firstSeq names the new segment if a roll happens.
+// segBytes is a soft limit: a roll that cannot make the closing segment
+// durable is put off (see roll) and the record lands in the current one.
 func (w *wal) append(enc []byte, firstSeq uint64) error {
 	if w.cur == nil || w.curSize+int64(len(enc)) > w.segBytes {
 		if err := w.roll(firstSeq); err != nil {
@@ -188,9 +196,21 @@ func (w *wal) append(enc []byte, firstSeq uint64) error {
 }
 
 // roll finishes the current segment and starts a new one at firstSeq.
+//
+// The closing segment must be durable before anything is written past
+// it: a record synced into the next segment is only reachable at replay
+// through an unbroken sequence chain, so an unsynced tail left behind in
+// the closed segment would, at a crash, take every later — synced,
+// acknowledged — record with it. When the fsync fails the roll is
+// therefore put off: the failure is counted, the current segment stays
+// open past its soft limit so that the next successful sync covers the
+// whole tail, and the next append tries the roll again.
 func (w *wal) roll(firstSeq uint64) error {
 	if w.cur != nil {
-		w.cur.Sync() // best effort; the segment is already readable
+		if err := w.cur.Sync(); err != nil {
+			w.rollSyncErrs++
+			return nil
+		}
 		w.cur.Close()
 		w.cur = nil
 	}
