@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-concurrency chaos recovery migrate fuzz vet check bench bench-smoke benchmark-quick clean
+.PHONY: all build test race race-concurrency chaos recovery migrate fuzz vet fmt check bench bench-smoke benchmark-quick clean
 
 all: build
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file (benchmark/ included) is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -80,6 +84,7 @@ bench-smoke: build
 	$(GO) run ./cmd/kfbench -run recovery -quick -json /tmp/BENCH_recovery_smoke.json
 	$(GO) run ./cmd/kfbench -run migrate -quick -json /tmp/BENCH_migrate_smoke.json
 	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
+	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8' -benchtime 1000x ./internal/vm/
 
 # The performance gate (benchmark/, a Go module of its own that root
 # `go test ./...` never sees): its oracle/determinism tests, then every
@@ -90,10 +95,10 @@ benchmark-quick:
 	cd benchmark && $(GO) test ./...
 	$(GO) run -C benchmark . -quick
 
-# The pre-merge gate: vet, build, the full test suite under the race
-# detector (includes the chaos suite), then the short chaos pass alone to
-# keep its deadline honest.
-check: vet build race chaos
+# The pre-merge gate: gofmt, vet, build, the full test suite under the
+# race detector (includes the chaos suite), then the short chaos pass alone
+# to keep its deadline honest.
+check: fmt vet build race chaos
 
 clean:
 	$(GO) clean -testcache

@@ -7,6 +7,8 @@
 package kvprog
 
 import (
+	"slices"
+
 	"kflex/asm"
 	"kflex/insn"
 	"kflex/internal/kernel"
@@ -41,6 +43,32 @@ const (
 	OpSet  = 2
 	OpInit = 3
 )
+
+// zeroValue pads a parsed value to ValueSize; it is only ever read.
+var zeroValue [ValueSize]byte
+
+// WriteValue is the value half of a parse helper: it fills the program's
+// ValueSize-byte value buffer at addr with value (cut to ValueSize) and
+// zero padding, without allocating.
+func WriteValue(hc *kernel.HelperCtx, addr uint64, value []byte) error {
+	n := min(len(value), ValueSize)
+	if err := hc.Write(addr, value[:n]); err != nil {
+		return err
+	}
+	return hc.Write(addr+uint64(n), zeroValue[n:])
+}
+
+// AppendValue is the value half of a reply helper: it appends the n-byte
+// value at addr to reply, reading it in place. n is a scalar the extension
+// controls (the program loads it from a heap word a shared-heap user thread
+// can write), so it is clamped to ValueSize as the uint64 it is — converted
+// first, a value with the top bit set is a negative int that passes an
+// upper clamp.
+func AppendValue(hc *kernel.HelperCtx, reply []byte, addr, n uint64) ([]byte, error) {
+	end := len(reply) + int(min(n, ValueSize))
+	out := slices.Grow(reply, end-len(reply))[:end]
+	return out, hc.Read(out[len(reply):], addr)
+}
 
 // Options parameterize the program for its host application.
 type Options struct {

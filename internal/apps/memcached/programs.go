@@ -66,9 +66,7 @@ func RegisterHelpers(rt *kflex.Runtime) {
 			if err := hc.Write(args[1], key); err != nil {
 				return 0, err
 			}
-			val := make([]byte, ValueSize) // zero-padded to the declared size
-			copy(val, value)
-			if err := hc.Write(args[2], val); err != nil {
+			if err := kvprog.WriteValue(hc, args[2], value); err != nil {
 				return 0, err
 			}
 			return uint64(op) | uint64(len(value))<<8, nil
@@ -96,15 +94,11 @@ func RegisterHelpers(rt *kflex.Runtime) {
 				}
 				return 0, nil
 			}
-			n := int(args[2])
-			if n > ValueSize {
-				n = ValueSize
-			}
-			val, err := hc.Read(args[1], n)
+			reply, err := kvprog.AppendValue(hc, append(pkt.Reply[:0], 'V'), args[1], args[2])
 			if err != nil {
 				return 0, err
 			}
-			pkt.Reply = append(append(pkt.Reply[:0], 'V'), val...)
+			pkt.Reply = reply
 			return 0, nil
 		},
 	})

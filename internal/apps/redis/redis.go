@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -61,44 +62,49 @@ func EncodeCommand(args ...[]byte) []byte {
 }
 
 // ParseCommand decodes a RESP array of bulk strings.
-func ParseCommand(frame []byte) ([][]byte, error) {
+func ParseCommand(frame []byte) ([][]byte, error) { return parseCommand(frame, nil) }
+
+// parseCommand is ParseCommand appending the bulk strings to args, so a
+// caller on the request path can supply stack storage and parse without
+// allocating.
+func parseCommand(frame []byte, args [][]byte) ([][]byte, error) {
 	if len(frame) < 4 || frame[0] != '*' {
 		return nil, fmt.Errorf("redis: not a RESP array")
 	}
 	pos := 1
-	readLine := func() (string, error) {
+	readLine := func() ([]byte, error) {
 		start := pos
 		for pos+1 < len(frame) {
 			if frame[pos] == '\r' && frame[pos+1] == '\n' {
-				line := string(frame[start:pos])
+				line := frame[start:pos]
 				pos += 2
 				return line, nil
 			}
 			pos++
 		}
-		return "", fmt.Errorf("redis: unterminated line")
+		return nil, fmt.Errorf("redis: unterminated line")
 	}
-	nStr, err := readLine()
+	nLine, err := readLine()
 	if err != nil {
 		return nil, err
 	}
-	n, err := strconv.Atoi(nStr)
+	n, err := strconv.Atoi(string(nLine))
 	if err != nil || n < 1 || n > 16 {
-		return nil, fmt.Errorf("redis: bad array length %q", nStr)
+		return nil, fmt.Errorf("redis: bad array length %q", nLine)
 	}
-	args := make([][]byte, 0, n)
+	args = slices.Grow(args[:0], n)
 	for i := 0; i < n; i++ {
 		if pos >= len(frame) || frame[pos] != '$' {
 			return nil, fmt.Errorf("redis: expected bulk string")
 		}
 		pos++
-		lStr, err := readLine()
+		lLine, err := readLine()
 		if err != nil {
 			return nil, err
 		}
-		l, err := strconv.Atoi(lStr)
+		l, err := strconv.Atoi(string(lLine))
 		if err != nil || l < 0 || pos+l+2 > len(frame) {
-			return nil, fmt.Errorf("redis: bad bulk length %q", lStr)
+			return nil, fmt.Errorf("redis: bad bulk length %q", lLine)
 		}
 		args = append(args, frame[pos:pos+l])
 		pos += l + 2
@@ -317,7 +323,8 @@ func RegisterHelpers(rt *kflex.Runtime) {
 			if len(pkt.Data) == 1 && pkt.Data[0] == 'i' {
 				return kvprog.OpInit, nil
 			}
-			cmd, err := ParseCommand(pkt.Data)
+			var argv [3][]byte // GET key / SET key value, without allocating
+			cmd, err := parseCommand(pkt.Data, argv[:0])
 			if err != nil || len(cmd) < 2 || len(cmd[1]) != KeySize {
 				return kvprog.OpNone, nil
 			}
@@ -331,9 +338,7 @@ func RegisterHelpers(rt *kflex.Runtime) {
 				if len(cmd) < 3 || len(cmd[2]) > ValueSize {
 					return kvprog.OpNone, nil
 				}
-				val := make([]byte, ValueSize)
-				copy(val, cmd[2])
-				if err := hc.Write(args[2], val); err != nil {
+				if err := kvprog.WriteValue(hc, args[2], cmd[2]); err != nil {
 					return 0, err
 				}
 				return kvprog.OpSet | uint64(len(cmd[2]))<<8, nil
@@ -363,17 +368,14 @@ func RegisterHelpers(rt *kflex.Runtime) {
 				}
 				return 0, nil
 			}
-			n := int(args[2])
-			if n > ValueSize {
-				n = ValueSize
-			}
-			val, err := hc.Read(args[1], n)
+			reply := append(pkt.Reply[:0], '$')
+			reply = strconv.AppendUint(reply, min(args[2], ValueSize), 10)
+			reply = append(reply, '\r', '\n')
+			reply, err := kvprog.AppendValue(hc, reply, args[1], args[2])
 			if err != nil {
 				return 0, err
 			}
-			pkt.Reply = append(pkt.Reply[:0], fmt.Sprintf("$%d\r\n", n)...)
-			pkt.Reply = append(pkt.Reply, val...)
-			pkt.Reply = append(pkt.Reply, '\r', '\n')
+			pkt.Reply = append(reply, '\r', '\n')
 			return 0, nil
 		},
 	})

@@ -14,6 +14,7 @@
 package heap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -524,26 +525,119 @@ func (v View) AtomicCAS(addr uint64, n int, expect, desired uint64) (uint64, err
 	}
 }
 
+// span validates the n-byte span at addr in the mapping based at base once,
+// with the outcome n successive one-byte accesses would have: it returns the
+// span's heap offset, the number of leading bytes that are accessible, and
+// the *Fault the first inaccessible byte raises (nil when avail == n).
+func (h *Heap) span(addr uint64, n int, base uint64) (off uint64, avail int, err error) {
+	if n == 0 {
+		return 0, 0, nil
+	}
+	if h.closed.Load() {
+		return 0, 0, &Fault{Addr: addr, Kind: FaultClosed}
+	}
+	off = addr - base
+	kind := FaultOOB
+	if off < h.size {
+		avail = int(min(uint64(n), h.size-off))
+		for p := off / PageSize; p <= (off+uint64(avail)-1)/PageSize; p++ {
+			if !h.pages[p].Load() {
+				// The span starts in a mapped page or at this one.
+				avail, kind = int(max(p*PageSize, off)-off), FaultUnmapped
+				break
+			}
+		}
+	}
+	if h.fault != nil {
+		// The plan is offered every byte a byte-wise copy would have
+		// reached — the accessible prefix and the byte that stops it —
+		// in address order: it draws from its RNG per call, so the call
+		// sequence is what keeps seeded chaos traces reproducible.
+		reach := min(avail+1, n)
+		for i := 0; i < reach; i++ {
+			if h.fault.Fire(faultinject.HeapGuard, off+uint64(i)) {
+				avail, kind = i, FaultOOB
+				break
+			}
+		}
+	}
+	if avail < n {
+		err = &Fault{Addr: addr + uint64(avail), Kind: kind}
+	}
+	return off, avail, err
+}
+
+// ReadInto fills dst with the len(dst) bytes at addr. The span is validated
+// once (closed, heap end, the mapped flag of each page it touches) and moved
+// a word at a time: one atomic load per aligned word, the ragged head and
+// tail through loadOff. When a byte of the span is inaccessible, the bytes
+// before it are still copied and the returned *Fault names that byte.
+func (v View) ReadInto(addr uint64, dst []byte) error {
+	off, avail, err := v.h.span(addr, len(dst), v.base)
+	dst = dst[:avail]
+	if head := int(-off & 7); head != 0 && len(dst) > 0 {
+		head = min(head, len(dst))
+		putLE(dst[:head], v.h.loadOff(off, head))
+		off, dst = off+uint64(head), dst[head:]
+	}
+	for ; len(dst) >= 8; off, dst = off+8, dst[8:] {
+		binary.LittleEndian.PutUint64(dst, atomic.LoadUint64(&v.h.words[off/8]))
+	}
+	if len(dst) > 0 {
+		putLE(dst, v.h.loadOff(off, len(dst)))
+	}
+	return err
+}
+
+// WriteFrom copies src into the heap at addr, with ReadInto's validation
+// and fault contract: the accessible prefix is stored, the *Fault names the
+// first byte that was not. Aligned words are single atomic stores; the head
+// and tail merge into their words by compare-and-swap (storeOff), so a
+// concurrent writer of the other bytes of those words loses nothing.
+func (v View) WriteFrom(addr uint64, src []byte) error {
+	off, avail, err := v.h.span(addr, len(src), v.base)
+	src = src[:avail]
+	if head := int(-off & 7); head != 0 && len(src) > 0 {
+		head = min(head, len(src))
+		v.h.storeOff(off, head, getLE(src[:head]))
+		off, src = off+uint64(head), src[head:]
+	}
+	for ; len(src) >= 8; off, src = off+8, src[8:] {
+		atomic.StoreUint64(&v.h.words[off/8], binary.LittleEndian.Uint64(src))
+	}
+	if len(src) > 0 {
+		v.h.storeOff(off, len(src), getLE(src))
+	}
+	return err
+}
+
+// putLE writes the low len(b) (< 8) bytes of v into b, little-endian.
+func putLE(b []byte, v uint64) {
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// getLE reads b (shorter than 8 bytes) as a little-endian value.
+func getLE(b []byte) uint64 {
+	var v uint64
+	for i, c := range b {
+		v |= uint64(c) << (8 * i)
+	}
+	return v
+}
+
 // ReadBytes copies n bytes starting at addr into a new slice. It is a
-// convenience for Go-side code (allocator, tests, user applications).
+// convenience for Go-side code (tests, user applications).
 func (v View) ReadBytes(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := v.Load(addr+uint64(i), 1)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = byte(b)
+	if err := v.ReadInto(addr, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // WriteBytes copies p into the heap starting at addr.
 func (v View) WriteBytes(addr uint64, p []byte) error {
-	for i, b := range p {
-		if err := v.Store(addr+uint64(i), 1, uint64(b)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.WriteFrom(addr, p)
 }

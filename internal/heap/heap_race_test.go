@@ -1,6 +1,8 @@
 package heap
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -125,5 +127,72 @@ func TestConcurrentDemandPaging(t *testing.T) {
 	<-done
 	if got := h.PopulatedPages(); got != pages {
 		t.Fatalf("populated pages = %d, want %d (double-counted population?)", got, pages)
+	}
+}
+
+// TestConcurrentSpanWrites has two goroutines WriteFrom adjacent byte
+// ranges that split heap words between them (and between them and bytes
+// nobody writes) while a third ReadIntos the whole region. The ragged ends
+// of a span merge into their words by CAS, so no writer may lose bytes to
+// the other and the untouched bytes must survive — the guarantee
+// TestConcurrentSubWordStores gives for Store.
+func TestConcurrentSpanWrites(t *testing.T) {
+	h, err := New(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Populate(0, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	v := h.ExtView()
+	base := v.Base() + 2048 // four words; bytes 0-2 and 29-31 are never written
+	edge := []byte{0xe0, 0xe1, 0xe2}
+	if err := v.WriteFrom(base, edge); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WriteFrom(base+29, edge); err != nil {
+		t.Fatal(err)
+	}
+	const iters = 5000
+	var wg sync.WaitGroup
+	writer := func(off uint64, n int) {
+		defer wg.Done()
+		buf := make([]byte, n)
+		for i := 0; i < iters; i++ {
+			for j := range buf {
+				buf[j] = byte(i)
+			}
+			if err := v.WriteFrom(base+off, buf); err != nil {
+				t.Errorf("write at +%d: %v", off, err)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go writer(3, 10)  // bytes 3-12: shares word 0 with the edge, word 1 with the other writer
+	go writer(13, 16) // bytes 13-28: the rest of word 1, all of word 2, most of word 3
+	go func() {
+		defer wg.Done()
+		got := make([]byte, 32)
+		for i := 0; i < iters; i++ {
+			if err := v.ReadInto(base, got); err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			if !bytes.Equal(got[:3], edge) || !bytes.Equal(got[29:], edge) {
+				t.Errorf("untouched bytes clobbered mid-run: %x", got)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	got := make([]byte, 32)
+	if err := v.ReadInto(base, got); err != nil {
+		t.Fatal(err)
+	}
+	last := (iters - 1) & 0xff
+	want := slices.Concat(edge, bytes.Repeat([]byte{byte(last)}, 26), edge)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("region = %x, want %x (a span write lost bytes to its neighbor)", got, want)
 	}
 }

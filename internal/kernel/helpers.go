@@ -91,8 +91,8 @@ func registerBaseHelpers(k *Kernel) {
 			if err != nil {
 				return 0, err
 			}
-			val, err := hc.Read(args[2], m.ValueSize())
-			if err != nil {
+			val := make([]byte, m.ValueSize()) // the map may keep it
+			if err := hc.Read(val, args[2]); err != nil {
 				return 0, err
 			}
 			if err := m.Update(key, val); err != nil {
@@ -160,11 +160,11 @@ func registerBaseHelpers(k *Kernel) {
 			if !ok {
 				return 0, nil
 			}
-			tuple, err := hc.Read(args[1], 12)
-			if err != nil {
+			var tuple [12]byte
+			if err := hc.Read(tuple[:], args[1]); err != nil {
 				return 0, err
 			}
-			obj := lk.LookupUDP(tuple)
+			obj := lk.LookupUDP(tuple[:])
 			if obj == nil {
 				return 0, nil
 			}
@@ -327,11 +327,9 @@ func registerBaseHelpers(k *Kernel) {
 			if n > 256 || off > uint64(len(data)) || off+n > uint64(len(data)) {
 				return negErrno(22), nil
 			}
-			src, err := hc.Read(args[2], int(n))
-			if err != nil {
+			if err := hc.Read(data[off:off+n], args[2]); err != nil {
 				return 0, err
 			}
-			copy(data[off:off+n], src)
 			return 0, nil
 		},
 	})
@@ -348,8 +346,8 @@ func mapAndKey(hc *HelperCtx, args [5]uint64) (Map, []byte, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("kernel: no map with ID %d", int32(args[0]))
 	}
-	key, err := hc.Read(args[1], m.KeySize())
-	if err != nil {
+	key := make([]byte, m.KeySize()) // the map may keep it
+	if err := hc.Read(key, args[1]); err != nil {
 		return nil, nil, err
 	}
 	return m, key, nil

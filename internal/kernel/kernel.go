@@ -184,8 +184,12 @@ type HelperCtx struct {
 	ReleaseLock func(addr uint64)
 	// Read and Write access extension-visible memory (stack, heap, map
 	// values) by virtual address; helpers are trusted kernel code, so the
-	// VM dispatches across regions for them.
-	Read  func(addr uint64, n int) ([]byte, error)
+	// VM dispatches across regions for them. Each call resolves the
+	// region once for the whole buffer and copies word-wise: Read fills
+	// the caller's dst, Write copies p in. A heap span that faults
+	// part-way has moved the bytes before the first inaccessible one,
+	// which the returned *heap.Fault names.
+	Read  func(dst []byte, addr uint64) error
 	Write func(addr uint64, p []byte) error
 	// PinValue exposes a kernel-owned byte buffer (e.g. a map value) to
 	// the extension for the remainder of the invocation and returns its
@@ -208,12 +212,7 @@ type HelperCtx struct {
 // HeapView is the subset of heap.View helpers need; declared as an
 // interface to keep package kernel beneath package heap's consumers.
 type HeapView interface {
-	Load(addr uint64, n int) (uint64, error)
-	Store(addr uint64, n int, val uint64) error
-	ReadBytes(addr uint64, n int) ([]byte, error)
-	WriteBytes(addr uint64, p []byte) error
 	Base() uint64
-	Contains(addr uint64) bool
 }
 
 // Allocator is the KFlex memory allocator interface (§4.1).

@@ -161,12 +161,13 @@ func helperEnv(k *Kernel) (*HelperCtx, map[uint64][]byte) {
 	mem := map[uint64][]byte{}
 	hc := &HelperCtx{
 		Kernel: k,
-		Read: func(addr uint64, n int) ([]byte, error) {
+		Read: func(dst []byte, addr uint64) error {
 			b, ok := mem[addr]
-			if !ok || len(b) < n {
-				return nil, fmt.Errorf("bad read %#x+%d", addr, n)
+			if !ok || len(b) < len(dst) {
+				return fmt.Errorf("bad read %#x+%d", addr, len(dst))
 			}
-			return b[:n], nil
+			copy(dst, b)
+			return nil
 		},
 		Write: func(addr uint64, p []byte) error {
 			mem[addr] = append([]byte(nil), p...)

@@ -9,6 +9,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -321,25 +322,8 @@ func (p *Program) NewExec(cpu int) *Exec {
 				}
 			}
 		},
-		Read: func(addr uint64, n int) ([]byte, error) {
-			out := make([]byte, n)
-			for i := 0; i < n; i++ {
-				b, err := e.load(addr+uint64(i), 1)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = byte(b)
-			}
-			return out, nil
-		},
-		Write: func(addr uint64, pbytes []byte) error {
-			for i, b := range pbytes {
-				if err := e.store(addr+uint64(i), 1, uint64(b)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Read:  e.readSpan,
+		Write: e.writeSpan,
 		PinValue: func(val []byte) uint64 {
 			e.pins = append(e.pins, val)
 			return pinVABase + uint64(len(e.pins)-1)*pinStride
@@ -577,6 +561,79 @@ func (e *Exec) store(addr uint64, size int, val uint64) error {
 	return &heap.Fault{Addr: addr, Kind: heap.FaultOOB}
 }
 
+// window resolves the n-byte span at addr against the non-heap regions an
+// extension can address — its stack frame, the hook context, a map value
+// pinned for this invocation — and returns the bytes themselves. ok is false
+// when addr lies in none of them; a span that starts inside a region and
+// runs past its end is an error, as it is for load and store (verified code
+// and helper contracts never produce one). load and store keep their own
+// copy of this dispatch: routed through here, an 8-byte stack load costs
+// 6.1 ns instead of 4.6 (BenchmarkStackLoad8).
+func (e *Exec) window(addr uint64, n int) (b []byte, ok bool, err error) {
+	if off := addr - stackVABase; off < StackSize {
+		if off+uint64(n) > StackSize {
+			return nil, true, fmt.Errorf("stack access out of frame at %#x", addr)
+		}
+		return e.stack[off : off+uint64(n)], true, nil
+	}
+	if off := addr - ctxVABase; off < uint64(len(e.ctx)) {
+		if off+uint64(n) > uint64(len(e.ctx)) {
+			return nil, true, fmt.Errorf("ctx access out of bounds at %#x", addr)
+		}
+		return e.ctx[off : off+uint64(n)], true, nil
+	}
+	if idx := (addr - pinVABase) / pinStride; addr >= pinVABase && int(idx) < len(e.pins) {
+		buf := e.pins[idx]
+		off := (addr - pinVABase) % pinStride
+		if off+uint64(n) > uint64(len(buf)) {
+			return nil, true, fmt.Errorf("map value access out of bounds at %#x", addr)
+		}
+		return buf[off : off+uint64(n)], true, nil
+	}
+	return nil, false, nil
+}
+
+// readSpan fills dst from extension-visible memory at addr: the region is
+// resolved once for the whole buffer, then the bytes are copied (word-wise
+// in the heap). It is HelperCtx.Read. A heap span that faults part-way
+// leaves the accessible prefix in dst and returns the *heap.Fault of the
+// first inaccessible byte, as byte-at-a-time loads would have.
+func (e *Exec) readSpan(dst []byte, addr uint64) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	if e.hasHeap && e.extView.Contains(addr) {
+		return e.extView.ReadInto(addr, dst)
+	}
+	b, ok, err := e.window(addr, len(dst))
+	if ok {
+		copy(dst, b)
+		return err
+	}
+	if addr >= kernel.ObjVABase {
+		clear(dst) // kernel object window reads as zero
+		return nil
+	}
+	return &heap.Fault{Addr: addr, Kind: heap.FaultOOB}
+}
+
+// writeSpan copies src into extension-visible memory at addr, with
+// readSpan's single resolve and fault contract. It is HelperCtx.Write.
+func (e *Exec) writeSpan(addr uint64, src []byte) error {
+	if len(src) == 0 {
+		return nil
+	}
+	if e.hasHeap && e.extView.Contains(addr) {
+		return e.extView.WriteFrom(addr, src)
+	}
+	b, ok, err := e.window(addr, len(src))
+	if ok {
+		copy(b, src)
+		return err
+	}
+	return &heap.Fault{Addr: addr, Kind: heap.FaultOOB}
+}
+
 // RunningSinceNS returns the UnixNano start time of the in-flight
 // invocation, or false when the Exec is idle.
 func (e *Exec) RunningSinceNS() (int64, bool) {
@@ -608,16 +665,29 @@ func (e *Exec) HeldCounts() (refs, locks int) {
 
 func nowNS() int64 { return time.Now().UnixNano() }
 
+// leLoad reads a size-byte (1, 2, 4 or 8) little-endian value from b.
 func leLoad(b []byte, size int) uint64 {
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(b[i]) << (8 * i)
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
 	}
-	return v
+	return uint64(b[0])
 }
 
+// leStore writes the low size bytes (1, 2, 4 or 8) of v to b, little-endian.
 func leStore(b []byte, size int, v uint64) {
-	for i := 0; i < size; i++ {
-		b[i] = byte(v >> (8 * i))
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		b[0] = byte(v)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // load runs the real verify+instrument pipeline (the VM's contract is
 // "verified, instrumented bytecode").
-func load(t *testing.T, prog []insn.Instruction, heapSize uint64, mut func(*Options)) *Program {
+func load(t testing.TB, prog []insn.Instruction, heapSize uint64, mut func(*Options)) *Program {
 	t.Helper()
 	k := kernel.New()
 	mode := verifier.ModeEBPF
