@@ -27,7 +27,8 @@ race:
 race-concurrency:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|Refiller' \
-		. ./internal/alloc/ ./internal/locks/ ./internal/heap/ ./internal/supervisor/
+		. ./internal/alloc/ ./internal/locks/ ./internal/heap/ ./internal/supervisor/ \
+		./internal/apps/offload/
 
 # Short-deadline chaos pass: the seeded fault-injection suite at the repo
 # root with a reduced request stream (-short), bounded by a hard timeout.
@@ -36,20 +37,25 @@ chaos:
 
 # Durability and failover suite under the race detector: the WAL/snapshot
 # engine with storage fault injection, log-shipping replication, the
-# crash-consistency chaos pass, and the failover determinism check.
+# crash-consistency chaos pass, the failover determinism check, and the
+# offload front end's conformance suite (cold/warm resync, recovered-store
+# reports, the value-size rule) for both codecs.
 recovery:
 	$(GO) test -race -count=1 -timeout 300s ./internal/durable/...
-	$(GO) test -race -count=1 -timeout 300s -run 'TestChaosDurable|TestChaosFailover|TestWarmReload|TestColdReload' \
-		. ./internal/supervisor/
+	$(GO) test -race -count=1 -timeout 300s -run 'TestChaosDurable|TestChaosFailover|TestWarmReload|TestColdReload|TestConformance' \
+		. ./internal/supervisor/ ./internal/apps/offload/
 
 # Live-migration suite under the race detector: the supervisor's
 # multi-phase cutover engine (drain, audit, relink, adopt, publish) with
 # per-phase fault injection and rollback, the rebalancer policy hook, and
 # the root-level migration chaos pass (seeded staircase, determinism,
-# migration under live traffic).
+# migration under live traffic), and the offload front end's side of a
+# cutover for both codecs: the conformance suite's migrate row, the
+# acknowledge-ordering regression, and migration under concurrent traffic.
 migrate:
-	$(GO) test -race -count=1 -timeout 300s -run 'TestMigrate|TestRebalancer|TestChaosMigrate' \
-		. ./internal/supervisor/
+	$(GO) test -race -count=1 -timeout 300s \
+		-run 'TestMigrate|TestRebalancer|TestChaosMigrate|TestConformance|TestFallbackSet|TestConcurrentMigrate' \
+		. ./internal/supervisor/ ./internal/apps/offload/
 
 # Brief fuzz sessions for the instruction codec, disassembler, the
 # text-assembler front end, interpreter/lowered-tier equivalence, and the

@@ -23,13 +23,11 @@ package memcached
 
 import (
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"kflex"
-	"kflex/internal/durable"
-	"kflex/internal/faultinject"
+	"kflex/internal/apps/kvprog"
+	"kflex/internal/apps/offload"
 	"kflex/internal/kernel"
 	"kflex/internal/maps"
 	"kflex/internal/netsim"
@@ -40,231 +38,103 @@ import (
 // Sizes used by the evaluation (§5.1): 32 B keys; 64 B values normally,
 // 32 B when BMC participates (BMC cannot store values larger than keys).
 const (
-	KeySize      = 32
-	ValueSize    = 64
+	KeySize      = kvprog.KeySize
+	ValueSize    = kvprog.ValueSize
 	ValueSizeBMC = 32
 )
 
 // --- Wire protocol ---------------------------------------------------------------
 
-// Request ops on the wire.
-const (
-	wireGet = 1
-	wireSet = 2
-)
-
 // EncodeGet builds a GET request frame: 'g' + key bytes.
-func EncodeGet(key []byte) []byte {
-	return append([]byte{'g'}, key...)
-}
+func EncodeGet(key []byte) []byte { return appendGet(make([]byte, 0, 1+len(key)), key) }
 
 // EncodeSet builds a SET request frame: 's' + klen(1) + key + value.
 func EncodeSet(key, value []byte) []byte {
-	out := make([]byte, 0, 2+len(key)+len(value))
-	out = append(out, 's', byte(len(key)))
-	out = append(out, key...)
-	return append(out, value...)
+	return appendSet(make([]byte, 0, 2+len(key)+len(value)), key, value)
 }
 
-// ParseRequest decodes a frame. It returns op (wireGet/wireSet), the key
-// and the value (nil for GETs), or op 0 for malformed frames.
+func appendGet(dst, key []byte) []byte { return append(append(dst, 'g'), key...) }
+
+func appendSet(dst, key, value []byte) []byte {
+	return append(append(append(dst, 's', byte(len(key))), key...), value...)
+}
+
+// ParseRequest decodes a frame. It returns op (kvprog.OpGet/OpSet), the key
+// and the value (nil for GETs), or op 0 (kvprog.OpNone) for malformed
+// frames — a SET whose value exceeds ValueSize among them
+// (offload.Codec.Parse's rule).
 func ParseRequest(frame []byte) (op int, key, value []byte) {
 	if len(frame) < 1+KeySize {
 		return 0, nil, nil
 	}
 	switch frame[0] {
 	case 'g':
-		return wireGet, frame[1 : 1+KeySize], nil
+		return kvprog.OpGet, frame[1 : 1+KeySize], nil
 	case 's':
 		klen := int(frame[1])
-		if klen != KeySize || len(frame) < 2+klen {
+		if klen != KeySize || len(frame) < 2+klen || len(frame) > 2+klen+ValueSize {
 			return 0, nil, nil
 		}
-		return wireSet, frame[2 : 2+klen], frame[2+klen:]
+		return kvprog.OpSet, frame[2 : 2+klen], frame[2+klen:]
 	}
 	return 0, nil, nil
 }
 
+// Codec is Memcached as the shared offload front end sees it: the wire
+// format above at the XDP hook, and BMC's deployment model for path costs
+// (GETs over UDP, SETs over TCP — at the hook, KFlex's TCP fast path).
+var Codec = offload.Codec{
+	Name: "memcached",
+	Hook: kflex.HookXDP,
+	Prog: kvprog.Options{
+		ParseHelper: helperMcParse,
+		ReplyHelper: helperMcReply,
+		RetServed:   kernel.XDPTx,
+		RetPass:     kernel.XDPPass,
+		RetErr:      kernel.XDPDrop,
+	},
+	Parse:     ParseRequest,
+	IsSet:     func(frame []byte) bool { return frame[0] == 's' },
+	AppendGet: appendGet,
+	AppendSet: appendSet,
+	HitHeader: func(dst []byte, n int) []byte { return append(dst, 'V') },
+	Miss:      "M",
+	Stored:    "S",
+	Err:       "E",
+	PathNs: func(c netsim.PathCosts, set, offloaded bool) float64 {
+		switch {
+		case offloaded && set:
+			return c.XDPTCPFast()
+		case offloaded:
+			return c.XDPUDP()
+		case set:
+			return c.UserspaceTCP()
+		}
+		return c.UserspaceUDP()
+	},
+}
+
 // --- Native store (the user-space server and the BMC fallback) --------------------
 
-// KV is the authoritative-store surface the deployments are written
-// against: the in-memory Store and the WAL-backed durable.Store both
-// satisfy it, so a deployment gains crash durability by construction —
-// swap the store, keep the serving logic.
-type KV interface {
-	// Get returns the value bytes or nil.
-	Get(key []byte) []byte
-	// Set stores value under key.
-	Set(key, value []byte)
-	// Range visits every key/value pair in sorted key order
-	// (deterministic resync replay).
-	Range(fn func(key, value []byte) error) error
-}
+// KV and Store are the shared front end's store contract and its sharded
+// in-memory implementation.
+type (
+	KV    = offload.KV
+	Store = offload.Store
+)
 
 // HandleKV processes one request frame against any authoritative store
 // and returns the reply.
-func HandleKV(kv KV, frame []byte, reply []byte) []byte {
-	op, key, value := ParseRequest(frame)
-	switch op {
-	case wireGet:
-		v := kv.Get(key)
-		if v == nil {
-			return append(reply[:0], 'M')
-		}
-		return append(append(reply[:0], 'V'), v...)
-	case wireSet:
-		kv.Set(key, value)
-		return append(reply[:0], 'S')
-	}
-	return append(reply[:0], 'E')
-}
-
-// shards stripes the store's locks, as production Memcached does.
-const shards = 16
-
-type shard struct {
-	mu sync.Mutex
-	kv map[string][]byte
-	// expiry bookkeeping for the §5.3 garbage collector.
-	exp map[string]int64
-}
-
-// Store is the user-space Memcached store.
-type Store struct {
-	shards [shards]shard
-}
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].kv = make(map[string][]byte)
-		s.shards[i].exp = make(map[string]int64)
-	}
-	return s
-}
-
-func (s *Store) shardOf(key []byte) *shard {
-	var h uint64
-	for _, b := range key {
-		h = h*131 + uint64(b)
-	}
-	return &s.shards[h%shards]
-}
-
-// Get returns the value bytes or nil.
-func (s *Store) Get(key []byte) []byte {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.kv[string(key)]
-}
-
-// Set stores value under key.
-func (s *Store) Set(key, value []byte) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.kv[string(key)] = append([]byte(nil), value...)
-}
-
-// Range visits every key/value pair in sorted key order. Deterministic
-// iteration matters to the supervised deployment: a reload resync replays
-// the store into the fresh heap, and a stable order keeps the
-// fault-injection trace reproducible across runs.
-func (s *Store) Range(fn func(key, value []byte) error) error {
-	keys := make([]string, 0, 1024)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.kv {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if v := s.Get([]byte(k)); v != nil {
-			if err := fn([]byte(k), v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Handle processes one request frame natively and returns the reply.
-func (s *Store) Handle(frame []byte, reply []byte) []byte {
-	return HandleKV(s, frame, reply)
-}
+func HandleKV(kv KV, frame []byte, reply []byte) []byte { return Codec.Handle(kv, frame, reply) }
 
 // --- Shared harness pieces ---------------------------------------------------------
 
 // Config parameterizes one Memcached system instance for the simulation.
-type Config struct {
-	Mix       workload.Mix
-	ValueSize int
-	Seed      int64
-	Costs     netsim.PathCosts
-	// Preload fills every key before measuring.
-	Preload bool
-	// FaultPlan attaches deterministic fault injection to the KFlex
-	// variants' runtimes (chaos testing); nil in normal runs.
-	FaultPlan *faultinject.Plan
-	// LocalCancel scopes injected cancellations to single invocations so
-	// the server survives them (§4.3).
-	LocalCancel bool
-	// CancelThreshold auto-unloads the extension after this many
-	// cancellations; Serve then takes the user-space fallback path.
-	CancelThreshold uint64
-	// Interpret runs the KFlex extension on the reference interpreter
-	// instead of the lowered tier (differential testing and the
-	// interpreter side of the pipeline benchmark).
-	Interpret bool
-	// Durable, when non-nil, replaces the supervised deployment's
-	// in-memory authoritative store with a WAL-backed durable store:
-	// every acknowledged SET is write-ahead logged, reload resync replays
-	// from it, and a process restart recovers the full store from disk.
-	Durable *durable.Store
-	// ColdReload disables warm heap adoption across supervisor reloads:
-	// every reload links a fresh heap and re-pushes the full store. The
-	// recovery benchmark uses it as the baseline the O(delta) warm path
-	// is measured against.
-	ColdReload bool
-	// Slots sizes the extension's physical handle-slot table for the
-	// supervised deployment. It defaults to the server count; declaring
-	// more leaves free slots as live-migration targets
-	// (supervisor.Migrate).
-	Slots int
-	// HeapSize overrides the supervised deployment's extension heap size
-	// in bytes (default 64 MiB). Migration and fuzz tests shrink it so a
-	// cutover sweep doesn't pay a 64 MiB allocation per instance.
-	HeapSize uint64
-}
+type Config = offload.Config
 
 // DefaultConfig mirrors §5.1 with 64 B values.
 func DefaultConfig(mix workload.Mix) Config {
 	return Config{Mix: mix, ValueSize: ValueSize, Seed: 7, Costs: netsim.DefaultCosts(), Preload: true}
-}
-
-// reqFactory deterministically produces the request stream all systems see.
-type reqFactory struct {
-	gen *workload.Generator
-	vsz int
-}
-
-func newReqFactory(cfg Config) *reqFactory {
-	return &reqFactory{gen: workload.NewGenerator(cfg.Seed, cfg.Mix), vsz: cfg.ValueSize}
-}
-
-// next builds the next request frame (client-side work, not timed).
-func (f *reqFactory) next() (workload.Request, []byte) {
-	req := f.gen.Next()
-	key := workload.FormatKey(req.Key, KeySize)
-	if req.Op == workload.OpSet {
-		return req, EncodeSet(key, workload.FormatValue(req.Value, f.vsz))
-	}
-	return req, EncodeGet(key)
 }
 
 // --- System 1: user space ------------------------------------------------------------
@@ -273,38 +143,28 @@ func (f *reqFactory) next() (workload.Request, []byte) {
 type UserSpace struct {
 	cfg   Config
 	store *Store
-	fac   *reqFactory
+	fac   *offload.ReqFactory
 	reply []byte
 }
 
 // NewUserSpace builds and optionally preloads the baseline.
 func NewUserSpace(cfg Config) *UserSpace {
-	u := &UserSpace{cfg: cfg, store: NewStore(), fac: newReqFactory(cfg), reply: make([]byte, 0, 128)}
+	u := &UserSpace{cfg: cfg, store: offload.NewStore(), fac: Codec.NewReqFactory(cfg), reply: make([]byte, 0, 128)}
 	if cfg.Preload {
-		preloadStore(u.store, cfg.ValueSize)
+		offload.Preload(u.store, cfg.ValueSize)
 	}
 	return u
-}
-
-func preloadStore(s KV, vsz int) {
-	for k := uint64(1); k <= workload.KeySpace; k++ {
-		s.Set(workload.FormatKey(k, KeySize), workload.FormatValue(k, vsz))
-	}
 }
 
 // Serve implements sim.System: the handler runs natively and is timed; the
 // path cost is the full user-space stack (GETs over UDP, SETs over TCP,
 // matching BMC's deployment model).
 func (u *UserSpace) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	req, frame := u.fac.next()
+	req, frame := u.fac.Next()
 	t0 := time.Now()
-	u.reply = u.store.Handle(frame, u.reply)
+	u.reply = HandleKV(u.store, frame, u.reply)
 	work := float64(time.Since(t0).Nanoseconds())
-	path := u.cfg.Costs.UserspaceUDP()
-	if req.Op == workload.OpSet {
-		path = u.cfg.Costs.UserspaceTCP()
-	}
-	return sim.Service{Ns: work + path}
+	return sim.Service{Ns: work + Codec.PathNs(u.cfg.Costs, req.Op == workload.OpSet, false)}
 }
 
 // Name implements the labeled system.
@@ -319,7 +179,7 @@ type BMC struct {
 	cache   *maps.LRU
 	ext     *kflex.Extension
 	handles []*kflex.Handle
-	fac     *reqFactory
+	fac     *offload.ReqFactory
 	reply   []byte
 	// Hits and Misses count cache outcomes for reporting.
 	Hits, Misses uint64
@@ -335,7 +195,7 @@ const BMCCacheEntries = 16 << 10
 // NewBMC loads the eBPF (ModeEBPF!) extension and builds the fallback path.
 func NewBMC(cfg Config, servers int) (*BMC, error) {
 	rt := kflex.NewRuntime()
-	RegisterHelpers(rt)
+	Codec.RegisterHelpers(rt)
 	cache, err := rt.NewLRUMap(bmcCacheMapID, BMCCacheEntries, KeySize, 8+cfg.ValueSize)
 	if err != nil {
 		return nil, err
@@ -349,12 +209,12 @@ func NewBMC(cfg Config, servers int) (*BMC, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BMC{cfg: cfg, store: NewStore(), cache: cache, ext: ext, fac: newReqFactory(cfg), reply: make([]byte, 0, 128)}
+	b := &BMC{cfg: cfg, store: offload.NewStore(), cache: cache, ext: ext, fac: Codec.NewReqFactory(cfg), reply: make([]byte, 0, 128)}
 	for i := 0; i < servers; i++ {
 		b.handles = append(b.handles, ext.Handle(i))
 	}
 	if cfg.Preload {
-		preloadStore(b.store, cfg.ValueSize)
+		offload.Preload(b.store, cfg.ValueSize)
 	}
 	return b, nil
 }
@@ -364,7 +224,7 @@ func NewBMC(cfg Config, servers int) (*BMC, error) {
 // also fills the cache (BMC's architecture). SETs bypass the cache (BMC
 // cannot offload them) and invalidate the entry.
 func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	req, frame := b.fac.next()
+	req, frame := b.fac.Next()
 	h := b.handles[cpu%len(b.handles)]
 	pkt := &netsim.Packet{Data: frame}
 	if req.Op == workload.OpGet {
@@ -375,7 +235,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 			b.Errors++
 			b.Misses++
 			t0 := time.Now()
-			b.reply = b.store.Handle(frame, b.reply)
+			b.reply = HandleKV(b.store, frame, b.reply)
 			work := float64(time.Since(t0).Nanoseconds())
 			return sim.Service{Ns: work + b.cfg.Costs.UserspaceUDP()}
 		}
@@ -388,7 +248,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 		// the cache fill.
 		b.Misses++
 		t0 := time.Now()
-		b.reply = b.store.Handle(frame, b.reply)
+		b.reply = HandleKV(b.store, frame, b.reply)
 		if len(b.reply) > 1 && b.reply[0] == 'V' {
 			_, key, _ := ParseRequest(frame)
 			b.fillCache(key, b.reply[1:])
@@ -398,7 +258,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 	}
 	// SET: user space only; invalidate the cached entry.
 	t0 := time.Now()
-	b.reply = b.store.Handle(frame, b.reply)
+	b.reply = HandleKV(b.store, frame, b.reply)
 	_, key, _ := ParseRequest(frame)
 	b.cache.Delete(key)
 	work := float64(time.Since(t0).Nanoseconds())

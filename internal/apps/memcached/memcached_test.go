@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"kflex/internal/apps/kvprog"
+	"kflex/internal/apps/offload"
 	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
@@ -12,11 +14,11 @@ func TestProtocolRoundTrip(t *testing.T) {
 	key := workload.FormatKey(42, KeySize)
 	val := workload.FormatValue(42, ValueSize)
 	op, k, v := ParseRequest(EncodeSet(key, val))
-	if op != wireSet || !bytes.Equal(k, key) || !bytes.Equal(v, val) {
+	if op != kvprog.OpSet || !bytes.Equal(k, key) || !bytes.Equal(v, val) {
 		t.Fatalf("set parse: op=%d", op)
 	}
 	op, k, v = ParseRequest(EncodeGet(key))
-	if op != wireGet || !bytes.Equal(k, key) || v != nil {
+	if op != kvprog.OpGet || !bytes.Equal(k, key) || v != nil {
 		t.Fatalf("get parse: op=%d", op)
 	}
 	if op, _, _ := ParseRequest([]byte("junk")); op != 0 {
@@ -25,18 +27,18 @@ func TestProtocolRoundTrip(t *testing.T) {
 }
 
 func TestStoreHandle(t *testing.T) {
-	s := NewStore()
+	s := offload.NewStore()
 	key := workload.FormatKey(1, KeySize)
 	val := workload.FormatValue(1, ValueSize)
-	reply := s.Handle(EncodeGet(key), nil)
+	reply := HandleKV(s, EncodeGet(key), nil)
 	if string(reply) != "M" {
 		t.Fatalf("miss reply = %q", reply)
 	}
-	reply = s.Handle(EncodeSet(key, val), reply)
+	reply = HandleKV(s, EncodeSet(key, val), reply)
 	if string(reply) != "S" {
 		t.Fatalf("set reply = %q", reply)
 	}
-	reply = s.Handle(EncodeGet(key), reply)
+	reply = HandleKV(s, EncodeGet(key), reply)
 	if reply[0] != 'V' || !bytes.Equal(reply[1:], val) {
 		t.Fatalf("get reply = %q", reply)
 	}

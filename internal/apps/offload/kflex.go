@@ -1,0 +1,228 @@
+package offload
+
+import (
+	"errors"
+	"math/rand"
+
+	"kflex"
+	"kflex/internal/apps/kvprog"
+	"kflex/internal/durable"
+	"kflex/internal/faultinject"
+	"kflex/internal/netsim"
+	"kflex/internal/sim"
+	"kflex/internal/workload"
+)
+
+// Config parameterizes one system instance for the simulation.
+type Config struct {
+	Mix workload.Mix
+	// ValueSize is the byte size of the values the instance's own request
+	// stream and preload carry (at most kvprog.ValueSize).
+	ValueSize int
+	Seed      int64
+	Costs     netsim.PathCosts
+	// Preload fills every key before measuring.
+	Preload bool
+	// FaultPlan attaches deterministic fault injection to the KFlex
+	// variants' runtimes (chaos testing); nil in normal runs.
+	FaultPlan *faultinject.Plan
+	// LocalCancel scopes injected cancellations to single invocations so
+	// the server survives them (§4.3).
+	LocalCancel bool
+	// CancelThreshold auto-unloads the extension after this many
+	// cancellations; Serve then takes the user-space fallback path.
+	CancelThreshold uint64
+	// Interpret runs the KFlex extension on the reference interpreter
+	// instead of the lowered tier (differential testing and the
+	// interpreter side of the pipeline benchmark).
+	Interpret bool
+	// Durable, when non-nil, replaces the supervised deployment's
+	// in-memory authoritative store with a WAL-backed durable store:
+	// every acknowledged SET is write-ahead logged, reload resync replays
+	// from it, and a process restart recovers the full store from disk.
+	Durable *durable.Store
+	// ColdReload disables warm heap adoption across supervisor reloads:
+	// every reload links a fresh heap and re-pushes the full store. The
+	// recovery benchmark uses it as the baseline the O(delta) warm path
+	// is measured against.
+	ColdReload bool
+	// Slots sizes the extension's physical handle-slot table for the
+	// supervised deployment. It defaults to the server count; declaring
+	// more leaves free slots as live-migration targets
+	// (supervisor.Migrate).
+	Slots int
+	// HeapSize overrides the supervised deployment's extension heap size
+	// in bytes (default 64 MiB). Migration and fuzz tests shrink it so a
+	// cutover sweep doesn't pay a 64 MiB allocation per instance.
+	HeapSize uint64
+}
+
+const defaultHeapSize = 64 << 20
+
+// ReqFactory deterministically produces the request stream every system of
+// one app sees from the same Config.
+type ReqFactory struct {
+	codec *Codec
+	gen   *workload.Generator
+	vsz   int
+}
+
+// NewReqFactory seeds the stream from cfg.
+func (c *Codec) NewReqFactory(cfg Config) *ReqFactory {
+	return &ReqFactory{codec: c, gen: workload.NewGenerator(cfg.Seed, cfg.Mix), vsz: cfg.ValueSize}
+}
+
+// Next builds the next request frame (client-side work, not timed).
+func (f *ReqFactory) Next() (workload.Request, []byte) {
+	req := f.gen.Next()
+	key := workload.FormatKey(req.Key, kvprog.KeySize)
+	if req.Op == workload.OpSet {
+		return req, f.codec.AppendSet(nil, key, workload.FormatValue(req.Value, f.vsz))
+	}
+	return req, f.codec.AppendGet(nil, key)
+}
+
+// Preload stores every key of the workload's key space in kv.
+func Preload(kv KV, vsz int) {
+	for k := uint64(1); k <= workload.KeySpace; k++ {
+		kv.Set(workload.FormatKey(k, kvprog.KeySize), workload.FormatValue(k, vsz))
+	}
+}
+
+// executor is what one driver of an extension owns: its packet buffer, hook
+// context and counters.
+type executor struct {
+	codec *Codec
+	conn  conn
+	// Errors counts requests the extension failed to serve (cancelled
+	// invocation, hard error, or a return code other than served);
+	// Fallbacks the subset caused by degradation (kflex.ErrFallback).
+	// Work accumulates the VM work counters of every success.
+	Errors    uint64
+	Fallbacks uint64
+	Work      kflex.Stats
+}
+
+func (c *Codec) newExecutor() executor { return executor{codec: c, conn: c.newConn()} }
+
+// execute runs one frame on h and returns the reply and the modeled
+// execution cost. The reply buffer is reused across calls.
+func (e *executor) execute(h *kflex.Handle, frame []byte) ([]byte, float64, error) {
+	res, err := e.codec.run(h, &e.conn, frame)
+	if err != nil {
+		e.Errors++
+		if errors.Is(err, kflex.ErrFallback) {
+			e.Fallbacks++
+		}
+		return nil, 0, err
+	}
+	e.Work.Add(res.Stats)
+	return e.conn.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), nil
+}
+
+// WorkStats returns the accumulated VM work counters.
+func (e *executor) WorkStats() kflex.Stats { return e.Work }
+
+// Worker is a per-goroutine executor bound to one simulated CPU: it owns
+// its packet buffer, hook context, and work counters, so concurrent
+// workers on distinct CPUs share nothing on the per-op path (§3.3's
+// per-CPU exclusivity). Obtain one per serving goroutine with
+// KFlex.Worker; a Worker itself must not be shared across goroutines.
+type Worker struct {
+	executor
+	h *kflex.Handle
+}
+
+// Execute runs one frame on the worker's CPU.
+func (w *Worker) Execute(frame []byte) ([]byte, float64, error) { return w.execute(w.h, frame) }
+
+// KFlex is the bare offloaded deployment (§5.1): GETs and SETs both
+// processed at the codec's hook against the heap hash table, no supervisor
+// and no authoritative store behind it. Like every deployment here it is
+// driven one request at a time; parallel drivers each take a Worker.
+type KFlex struct {
+	executor
+	cfg     Config
+	ext     *kflex.Extension
+	handles []*kflex.Handle
+	fac     *ReqFactory
+}
+
+// NewKFlex loads the codec's extension with one handle per server, sends
+// the init request and, with cfg.Preload, SETs every key. shared enables
+// heap sharing with user space and wraps table operations in the shared
+// spin lock (the co-designed variant, §5.3).
+func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
+	rt := kflex.NewRuntime()
+	c.RegisterHelpers(rt)
+	prog := c.Prog
+	prog.WithLock = shared
+	ext, err := rt.Load(kflex.Spec{
+		Name:            "kflex-" + c.Name,
+		Insns:           kvprog.Build(prog),
+		Hook:            c.Hook,
+		Mode:            kflex.ModeKFlex,
+		HeapSize:        defaultHeapSize,
+		ShareHeap:       shared,
+		NumCPUs:         servers,
+		FaultPlan:       cfg.FaultPlan,
+		LocalCancel:     cfg.LocalCancel,
+		CancelThreshold: cfg.CancelThreshold,
+		Interpret:       cfg.Interpret,
+	})
+	if err != nil {
+		return nil, err
+	}
+	k := &KFlex{executor: c.newExecutor(), cfg: cfg, ext: ext, fac: c.NewReqFactory(cfg)}
+	for i := 0; i < servers; i++ {
+		k.handles = append(k.handles, ext.Handle(i))
+	}
+	// Set-up traffic runs on a worker of its own, outside k's counters.
+	setup := k.Worker(0)
+	if _, _, err := setup.Execute(initFrame); err != nil {
+		ext.Close()
+		return nil, err
+	}
+	if cfg.Preload {
+		var frame []byte
+		for key := uint64(1); key <= workload.KeySpace; key++ {
+			frame = c.AppendSet(frame[:0], workload.FormatKey(key, kvprog.KeySize), workload.FormatValue(key, cfg.ValueSize))
+			if _, _, err := setup.Execute(frame); err != nil {
+				ext.Close()
+				return nil, err
+			}
+		}
+	}
+	return k, nil
+}
+
+// Worker returns a private executor for the given CPU.
+func (k *KFlex) Worker(cpu int) *Worker {
+	return &Worker{executor: k.codec.newExecutor(), h: k.handles[cpu%len(k.handles)]}
+}
+
+// Execute runs one frame through the extension on cpu's handle.
+func (k *KFlex) Execute(cpu int, frame []byte) ([]byte, float64, error) {
+	return k.execute(k.handles[cpu%len(k.handles)], frame)
+}
+
+// Serve implements sim.System. A failed extension invocation (cancelled
+// mid-request, or refused after degradation) is re-served on the user-space
+// path — the paper's offload-miss handling (§5) — and counted in Errors.
+func (k *KFlex) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
+	req, frame := k.fac.Next()
+	_, extNs, err := k.Execute(cpu, frame)
+	return sim.Service{Ns: extNs + k.codec.PathNs(k.cfg.Costs, req.Op == workload.OpSet, err == nil)}
+}
+
+// Name implements the labeled system.
+func (k *KFlex) Name() string { return "KFlex" }
+
+// ResetWork clears the accumulated counters (benchmark warmup).
+func (k *KFlex) ResetWork() { k.Work = kflex.Stats{} }
+
+// Close releases the extension.
+func (k *KFlex) Close() { k.ext.Close() }
+
+// Ext exposes the loaded extension (report inspection, chaos invariants).
+func (k *KFlex) Ext() *kflex.Extension { return k.ext }

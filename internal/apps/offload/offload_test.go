@@ -1,0 +1,577 @@
+package offload_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kflex"
+	"kflex/asm"
+	"kflex/insn"
+	"kflex/internal/apps/kvprog"
+	"kflex/internal/apps/memcached"
+	"kflex/internal/apps/offload"
+	"kflex/internal/apps/redis"
+	"kflex/internal/durable"
+	"kflex/internal/faultinject"
+	"kflex/internal/kernel"
+	"kflex/internal/netsim"
+	"kflex/internal/supervisor"
+	"kflex/internal/workload"
+)
+
+// The front end is tested once, over both codecs: every row below runs for
+// Memcached's and for Redis's wire format.
+var codecs = []*offload.Codec{&memcached.Codec, &redis.Codec}
+
+func key(i int) []byte { return workload.FormatKey(uint64(i+1), kvprog.KeySize) }
+func val(v int) []byte { return workload.FormatValue(uint64(v), kvprog.ValueSize) }
+
+// clock is the supervisor's Tuning.Now: backoff expires when a test says so.
+type clock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *clock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *clock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// deployment is one supervised instance on a durable MemDir store, one
+// server on a two-slot table (slot 1 is the migration target).
+type deployment struct {
+	*offload.Supervised
+	c   *offload.Codec
+	clk *clock
+}
+
+const probeRuns = 2
+
+func testConfig() offload.Config {
+	return offload.Config{Mix: workload.Mix50, ValueSize: kvprog.ValueSize, Seed: 1,
+		Costs: netsim.DefaultCosts(), Slots: 2, HeapSize: 4 << 20}
+}
+
+// deploy opens a store on dir (a fresh one when nil), lets fill write to it,
+// and brings the deployment up cold over it.
+func deploy(t *testing.T, c *offload.Codec, dir *durable.MemDir, cfg offload.Config, fill func(st *durable.Store)) *deployment {
+	t.Helper()
+	if dir == nil {
+		dir = durable.NewMemDir(nil)
+	}
+	st, info, err := durable.Open(dir, durable.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if fill != nil {
+		fill(st)
+	}
+	d := &deployment{c: c, clk: &clock{now: time.Unix(0, 0)}}
+	cfg.Durable = st
+	d.Supervised, err = offload.NewSupervised(c, cfg, 1, supervisor.Tuning{
+		BackoffBase: time.Hour, BackoffMax: time.Hour, ProbeRuns: probeRuns, Now: d.clk.Now,
+		DrainTimeout: 5 * time.Second, // generous: -race slows settlement
+	}, &info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+// set SETs key i to value v through the front end.
+func (d *deployment) set(t *testing.T, i, v int, wantOffloaded bool) {
+	t.Helper()
+	reply, _, off := d.Execute(0, d.c.AppendSet(nil, key(i), val(v)))
+	if string(reply) != d.c.Stored || off != wantOffloaded {
+		t.Fatalf("SET %d: reply %q offloaded=%v, want %q offloaded=%v", i, reply, off, d.c.Stored, wantOffloaded)
+	}
+}
+
+// get GETs key i and requires the reply for want (nil: a miss).
+func (d *deployment) get(t *testing.T, i int, want []byte, wantOffloaded bool) {
+	t.Helper()
+	wantReply := []byte(d.c.Miss)
+	if want != nil {
+		wantReply = d.c.AppendHit(nil, want)
+	}
+	reply, _, off := d.Execute(0, d.c.AppendGet(nil, key(i)))
+	if !bytes.Equal(reply, wantReply) || off != wantOffloaded {
+		t.Fatalf("GET %d: reply %q offloaded=%v, want %q offloaded=%v", i, reply, off, wantReply, wantOffloaded)
+	}
+}
+
+// quarantine opens the circuit; reload lets the backoff expire, so the
+// next request performs the reload and probeRuns requests close the circuit.
+func (d *deployment) quarantine(t *testing.T) {
+	t.Helper()
+	if !d.Supervisor().Quarantine("test") {
+		t.Fatalf("quarantine refused in state %v", d.Supervisor().State())
+	}
+}
+
+func (d *deployment) reload() { d.clk.advance(2 * time.Hour) }
+
+func TestConformance(t *testing.T) {
+	rows := []struct {
+		name string
+		run  func(t *testing.T, c *offload.Codec)
+	}{
+		{"wire-roundtrip", wireRoundTrip},
+		{"cold-init", coldInit},
+		{"recovered-init-report", recoveredInitReport},
+		{"dirty-get-corrected", dirtyGetCorrected},
+		{"warm-reload-delta", warmReloadDelta},
+		{"miss-backfill", missBackfill},
+		{"migrate-delta", migrateDelta},
+		{"oversized-set", oversizedSet},
+		{"get-hit-zero-allocs", getHitZeroAllocs},
+		{"reply-length-clamp", replyLengthClamp},
+	}
+	for _, c := range codecs {
+		for _, row := range rows {
+			t.Run(c.Name+"/"+row.name, func(t *testing.T) { row.run(t, c) })
+		}
+	}
+}
+
+// wireRoundTrip: Parse inverts AppendGet/AppendSet, refuses what the heap
+// cannot hold, and Handle answers with the four reply encoders.
+func wireRoundTrip(t *testing.T, c *offload.Codec) {
+	if op, k, v := c.Parse(c.AppendGet(nil, key(1))); op != kvprog.OpGet || !bytes.Equal(k, key(1)) || v != nil {
+		t.Fatalf("GET parses as op=%d key=%q value=%q", op, k, v)
+	}
+	set := c.AppendSet(nil, key(1), val(1))
+	if op, k, v := c.Parse(set); op != kvprog.OpSet || !bytes.Equal(k, key(1)) || !bytes.Equal(v, val(1)) {
+		t.Fatalf("SET parses as op=%d key=%q value=%q", op, k, v)
+	}
+	if !c.IsSet(set) || c.IsSet(c.AppendGet(nil, key(1))) {
+		t.Fatal("IsSet disagrees with Parse")
+	}
+	for name, frame := range map[string][]byte{
+		"junk":          []byte("junk"),
+		"short key":     c.AppendGet(nil, key(1)[:kvprog.KeySize-1]),
+		"long SET key":  c.AppendSet(nil, append(key(1), 'x'), val(1)),
+		"oversized SET": c.AppendSet(nil, key(1), make([]byte, kvprog.ValueSize+1)),
+	} {
+		if op, _, _ := c.Parse(frame); op != kvprog.OpNone {
+			t.Errorf("%s parses as op %d", name, op)
+		}
+	}
+	kv := offload.NewStore()
+	for _, step := range []struct{ frame, want []byte }{
+		{c.AppendGet(nil, key(1)), []byte(c.Miss)},
+		{set, []byte(c.Stored)},
+		{c.AppendGet(nil, key(1)), c.AppendHit(nil, val(1))},
+		{[]byte("junk"), []byte(c.Err)},
+	} {
+		if got := c.Handle(kv, step.frame, nil); !bytes.Equal(got, step.want) {
+			t.Errorf("Handle(%q) = %q, want %q", step.frame, got, step.want)
+		}
+	}
+}
+
+// coldInit: a fresh heap is initialised and receives every key of the
+// store, and serves them offloaded.
+func coldInit(t *testing.T, c *offload.Codec) {
+	const keys = 48
+	d := deploy(t, c, nil, testConfig(), func(st *durable.Store) {
+		for i := 0; i < keys; i++ {
+			st.Set(key(i), val(i))
+		}
+	})
+	if init := d.Supervisor().Stats().LastInit; !init.FullResync || init.ResyncOps != keys {
+		t.Fatalf("cold init = %+v, want a full resync of %d keys", init, keys)
+	}
+	for i := 0; i < keys; i++ {
+		d.get(t, i, val(i), true)
+	}
+	d.get(t, keys, nil, true)
+	if d.Offloaded != keys+1 || d.Fallbacks != 0 {
+		t.Fatalf("offloaded=%d fallbacks=%d, want %d and 0", d.Offloaded, d.Fallbacks, keys+1)
+	}
+}
+
+// recoveredInitReport: the WAL replay that rebuilt the store is reported
+// through the first generation's InitReport, once.
+func recoveredInitReport(t *testing.T, c *offload.Codec) {
+	const keys = 8
+	dir := durable.NewMemDir(nil)
+	st, _, err := durable.Open(dir, durable.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		st.Set(key(i), val(i))
+	}
+	st.Close()
+	d := deploy(t, c, dir, testConfig(), nil)
+	stats := d.Supervisor().Stats()
+	if init := stats.LastInit; init.ReplayedRecords != keys || init.SnapshotLoaded || init.ResyncOps != keys {
+		t.Fatalf("first init = %+v, want %d replayed records, no snapshot, %d keys", init, keys, keys)
+	}
+	d.quarantine(t)
+	d.reload()
+	d.get(t, 0, val(0), true)
+	if after := d.Supervisor().Stats(); after.ReplayedRecords != stats.ReplayedRecords || after.LastInit.ReplayedRecords != 0 {
+		t.Fatalf("reload reported the recovery again: %+v", after)
+	}
+}
+
+// dirtyGetCorrected: while a fallback SET has not been replayed, the heap's
+// stale copy is never served.
+func dirtyGetCorrected(t *testing.T, c *offload.Codec) {
+	d := deploy(t, c, nil, testConfig(), nil)
+	d.set(t, 0, 1, true)
+	d.get(t, 0, val(1), true)
+	d.FallbackSet(key(0), val(2))
+	if !d.Dirty(key(0)) {
+		t.Fatal("fallback SET left the key clean")
+	}
+	d.get(t, 0, val(2), false)
+	d.set(t, 0, 3, true) // an offloaded SET brings heap and store back together
+	if d.Dirty(key(0)) {
+		t.Fatal("offloaded SET left the key dirty")
+	}
+	d.get(t, 0, val(3), true)
+}
+
+// warmReloadDelta: a warm reload replays exactly the keys acknowledged on
+// the fallback path, through Execute or FallbackSet alike.
+func warmReloadDelta(t *testing.T, c *offload.Codec) {
+	const keys, delta = 32, 5
+	d := deploy(t, c, nil, testConfig(), nil)
+	for i := 0; i < keys; i++ {
+		d.set(t, i, i, true)
+	}
+	d.quarantine(t)
+	d.set(t, 0, 100, false) // open circuit: Execute falls back
+	for i := 1; i < delta; i++ {
+		d.FallbackSet(key(i), val(100+i))
+	}
+	d.get(t, 0, val(100), false)
+	d.reload()
+	for i := 0; i < keys; i++ {
+		want := i
+		if i < delta {
+			want = 100 + i
+		}
+		d.get(t, i, val(want), true)
+	}
+	st := d.Supervisor().Stats()
+	if st.Reloads != 1 || st.WarmReloads != 1 || st.ReloadFailures != 0 || st.LastInit.FullResync || st.LastInit.ResyncOps != delta {
+		t.Fatalf("stats = %+v, want one warm reload replaying %d keys", st, delta)
+	}
+	if d.Supervisor().State() != supervisor.Healthy {
+		t.Fatalf("state = %v after %d probes", d.Supervisor().State(), probeRuns)
+	}
+}
+
+// missBackfill: an entry the heap never saw (it landed in the store while
+// the extension was out of service) is answered from the store.
+func missBackfill(t *testing.T, c *offload.Codec) {
+	d := deploy(t, c, nil, testConfig(), nil)
+	d.get(t, 0, nil, true)
+	d.Store().Set(key(0), val(7))
+	d.get(t, 0, val(7), false)
+	if d.Offloaded != 1 || d.Fallbacks != 1 {
+		t.Fatalf("offloaded=%d fallbacks=%d, want 1 and 1", d.Offloaded, d.Fallbacks)
+	}
+}
+
+// migrateDelta: a live migration's adoption replays exactly the dirty set.
+func migrateDelta(t *testing.T, c *offload.Codec) {
+	const keys, delta = 32, 7
+	d := deploy(t, c, nil, testConfig(), nil)
+	for i := 0; i < keys; i++ {
+		d.set(t, i, i, true)
+	}
+	for i := 0; i < delta; i++ {
+		d.FallbackSet(key(i), val(200+i))
+	}
+	sup := d.Supervisor()
+	rep, err := sup.Migrate(0, sup.FreeSlots()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ResyncOps != delta {
+		t.Fatalf("migration resynced %d keys, want %d", rep.ResyncOps, delta)
+	}
+	for i := 0; i < keys; i++ {
+		want := i
+		if i < delta {
+			want = 200 + i
+		}
+		d.get(t, i, val(want), true)
+	}
+}
+
+// oversizedSet: a SET the heap cannot hold is refused offloaded and on
+// fallback alike and never reaches the store, so the next reload has
+// nothing it cannot replay.
+func oversizedSet(t *testing.T, c *offload.Codec) {
+	d := deploy(t, c, nil, testConfig(), nil)
+	d.set(t, 0, 1, true)
+	big := c.AppendSet(nil, key(0), make([]byte, 100))
+	refused := func(when string) {
+		t.Helper()
+		reply, _, off := d.Execute(0, big)
+		if string(reply) != c.Err || off {
+			t.Fatalf("%s: oversized SET reply %q offloaded=%v, want %q", when, reply, off, c.Err)
+		}
+		if got := d.Store().Get(key(0)); !bytes.Equal(got, val(1)) {
+			t.Fatalf("%s: oversized SET changed the store to %q", when, got)
+		}
+	}
+	refused("offloaded")
+	d.quarantine(t)
+	refused("on fallback")
+	d.reload()
+	d.get(t, 0, val(1), true)
+	if st := d.Supervisor().Stats(); st.Reloads != 1 || st.ReloadFailures != 0 {
+		t.Fatalf("reloads=%d failures=%d, want 1 and 0", st.Reloads, st.ReloadFailures)
+	}
+}
+
+// getHitZeroAllocs: an offloaded GET hit allocates nothing, on the
+// supervised durable deployment (the performance gate's mc-read path), on
+// the bare one and on a Worker — the helpers copy between the packet, the
+// stack and the heap in place, and the parse keeps its arguments on the
+// stack.
+func getHitZeroAllocs(t *testing.T, c *offload.Codec) {
+	const keys = 16
+	var gets [][]byte
+	for i := 0; i < keys; i++ {
+		gets = append(gets, c.AppendGet(nil, key(i)))
+	}
+	want := len(c.AppendHit(nil, val(0)))
+	measure := func(name string, execute func(frame []byte) []byte) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			if reply := execute(c.AppendSet(nil, key(i), val(i))); string(reply) != c.Stored {
+				t.Fatalf("%s: SET reply %q", name, reply)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if reply := execute(gets[i%keys]); len(reply) != want {
+				t.Fatalf("%s: GET hit reply %q", name, reply)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: offloaded GET hit: %.0f allocs, want 0", name, allocs)
+		}
+	}
+	d := deploy(t, c, nil, testConfig(), nil)
+	measure("supervised", func(frame []byte) []byte {
+		reply, _, off := d.Execute(0, frame)
+		if !off {
+			t.Fatal("supervised: request fell back")
+		}
+		return reply
+	})
+	k, err := offload.NewKFlex(c, testConfig(), 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	bare := func(execute func(frame []byte) ([]byte, float64, error)) func([]byte) []byte {
+		return func(frame []byte) []byte {
+			reply, _, err := execute(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reply
+		}
+	}
+	measure("bare", bare(func(frame []byte) ([]byte, float64, error) { return k.Execute(0, frame) }))
+	measure("worker", bare(k.Worker(1).Execute))
+}
+
+// replyLengthClamp: the length the reply helper receives is a scalar the
+// extension controls (the real program loads it from a heap word a
+// shared-heap user thread can write). Values with the top bit set must
+// clamp to ValueSize like any other oversized length, not turn negative
+// and panic the host in make.
+func replyLengthClamp(t *testing.T, c *offload.Codec) {
+	for _, length := range []int64{math.MinInt64 /* 1<<63 */, -1 /* ^uint64(0) */} {
+		for _, interpret := range []bool{false, true} {
+			rt := kflex.NewRuntime()
+			c.RegisterHelpers(rt)
+			prog := asm.New().
+				Mov(insn.R6, insn.R1).
+				Call(kernel.HelperKflexHeapBase).
+				Mov(insn.R1, insn.R6).
+				Mov(insn.R2, insn.R0).
+				MovImm(insn.R3, length).
+				Call(c.Prog.ReplyHelper).
+				Ret(c.Prog.RetServed).
+				MustAssemble()
+			ext, err := rt.Load(kflex.Spec{
+				Name: "huge-reply", Insns: prog, Hook: c.Hook,
+				Mode: kflex.ModeKFlex, HeapSize: 1 << 16, Interpret: interpret,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkt := &netsim.Packet{Data: c.AppendGet(nil, key(0))}
+			ctx := make([]byte, c.Hook.CtxSize)
+			binary.LittleEndian.PutUint32(ctx, uint32(len(pkt.Data)))
+			res, err := ext.Handle(0).Run(pkt, ctx)
+			ext.Close()
+			if err != nil || res.Ret != uint64(c.Prog.RetServed) {
+				t.Fatalf("length %#x interpret=%v: ret=%d cancelled=%v err=%v",
+					uint64(length), interpret, res.Ret, res.Cancelled, err)
+			}
+			header := c.HitHeader(nil, kvprog.ValueSize)
+			if len(pkt.Reply) != len(header)+kvprog.ValueSize+len(c.HitTrailer) || !bytes.HasPrefix(pkt.Reply, header) {
+				t.Fatalf("length %#x interpret=%v: reply = %q, want a %d-byte hit",
+					uint64(length), interpret, pkt.Reply, kvprog.ValueSize)
+			}
+		}
+	}
+}
+
+// hookedStore runs before ahead of every Set.
+type hookedStore struct {
+	offload.KV
+	before func()
+}
+
+func (h hookedStore) Set(key, value []byte) {
+	h.before()
+	h.KV.Set(key, value)
+}
+
+// TestFallbackSetStoresBeforeMarking: a migration's adoption resync may
+// land anywhere inside a fallback acknowledgement. The fake store puts one
+// at the worst point — as the store write begins — for a SET acknowledged
+// by FallbackSet and for one Execute serves on its offload-miss path (a
+// cancelled run). Marking the key before writing the store let that resync
+// snapshot the old value and clear the mark: the key must still be dirty
+// afterwards, be corrected while it is, and be replayed by the next reload.
+func TestFallbackSetStoresBeforeMarking(t *testing.T) {
+	for _, c := range codecs {
+		for _, through := range []string{"FallbackSet", "Execute"} {
+			t.Run(c.Name+"/"+through, func(t *testing.T) {
+				// Armed, every helper call fails, so every run is cancelled.
+				plan := faultinject.NewPlan(1).SetRate(faultinject.HelperErr, 1)
+				cfg := testConfig()
+				cfg.FaultPlan, cfg.LocalCancel = plan, true
+				d := deploy(t, c, nil, cfg, nil)
+				d.set(t, 0, 1, true)
+				sup := d.Supervisor()
+				migrations := 0
+				d.WrapStore(func(kv offload.KV) offload.KV {
+					return hookedStore{kv, func() {
+						plan.Disarm()
+						if _, err := sup.Migrate(0, sup.FreeSlots()[0]); err != nil {
+							t.Errorf("migrate inside Set: %v", err)
+						}
+						migrations++
+					}}
+				})
+				if through == "Execute" {
+					plan.Enable()
+					d.set(t, 0, 2, false)
+				} else {
+					d.FallbackSet(key(0), val(2))
+				}
+				if migrations != 1 {
+					t.Fatalf("%d migrations ran inside the SET, want 1", migrations)
+				}
+				d.WrapStore(func(kv offload.KV) offload.KV { return kv.(hookedStore).KV })
+				if !d.Dirty(key(0)) {
+					t.Fatal("the resync inside the acknowledgement cleared the key's dirty mark")
+				}
+				d.get(t, 0, val(2), false)
+				d.quarantine(t)
+				d.reload()
+				d.get(t, 0, val(2), true)
+				if st := sup.Stats(); st.WarmReloads != 1 || st.LastInit.ResyncOps != 1 {
+					t.Fatalf("stats = %+v, want one warm reload replaying the key", st)
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentMigrateTraffic migrates the serving CPU back and forth
+// while one goroutine drives SETs and GETs: Execute acknowledges fallback
+// SETs on the serving goroutine while each adoption resync snapshots the
+// dirty set on this one. The oracle is single-writer — the serving
+// goroutine knows the value of every SET it acknowledged and checks every
+// later GET against it.
+func TestConcurrentMigrateTraffic(t *testing.T) {
+	for _, c := range codecs {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			const keys, migrations, opsBetween = 32, 6, 300
+			d := deploy(t, c, nil, testConfig(), nil)
+			var served atomic.Uint64
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				latest := make(map[int]int)
+				for op := 1; ; op++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					i := op % keys
+					if op%3 == 0 {
+						reply, _, _ := d.Execute(0, c.AppendSet(nil, key(i), val(op)))
+						if string(reply) != c.Stored {
+							t.Errorf("SET %d: reply %q", i, reply)
+							return
+						}
+						latest[i] = op
+					} else if want, ok := latest[i]; ok {
+						reply, _, _ := d.Execute(0, c.AppendGet(nil, key(i)))
+						if !bytes.Equal(reply, c.AppendHit(nil, val(want))) {
+							t.Errorf("GET %d = %q, want op %d's value (lost or stale ack)", i, reply, want)
+							return
+						}
+					}
+					served.Add(1)
+				}
+			}()
+			sup := d.Supervisor()
+			for m := 0; m < migrations && !t.Failed(); m++ {
+				// Let traffic flow between cutovers.
+				for target := served.Load() + opsBetween; served.Load() < target; {
+					select {
+					case <-done:
+						t.Fatal("traffic stopped early")
+					default:
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
+				if _, err := sup.Migrate(0, sup.FreeSlots()[0]); err != nil {
+					t.Fatalf("migration %d: %v", m, err)
+				}
+			}
+			close(stop)
+			<-done
+			if st := sup.Stats(); st.Migrations != migrations || sup.State() != supervisor.Healthy {
+				t.Fatalf("migrations=%d state=%v, want %d and healthy", st.Migrations, sup.State(), migrations)
+			}
+		})
+	}
+}

@@ -1,0 +1,89 @@
+package offload
+
+import (
+	"sort"
+	"sync"
+)
+
+// KV is the authoritative-store surface the deployments are written
+// against: the in-memory Store and the WAL-backed durable.Store both
+// satisfy it, so a deployment gains crash durability by construction —
+// swap the store, keep the serving logic.
+type KV interface {
+	// Get returns the value bytes or nil.
+	Get(key []byte) []byte
+	// Set stores value under key.
+	Set(key, value []byte)
+	// Range visits every key/value pair in sorted key order
+	// (deterministic resync replay).
+	Range(fn func(key, value []byte) error) error
+}
+
+// shards stripes the store's locks, as production Memcached does.
+const shards = 16
+
+// Store is the user-space server's in-memory store.
+type Store struct {
+	shards [shards]struct {
+		mu sync.Mutex
+		kv map[string][]byte
+	}
+}
+
+// NewStore returns an empty store.
+func NewStore() *Store {
+	s := &Store{}
+	for i := range s.shards {
+		s.shards[i].kv = make(map[string][]byte)
+	}
+	return s
+}
+
+func (s *Store) shardOf(key []byte) int {
+	var h uint64
+	for _, b := range key {
+		h = h*131 + uint64(b)
+	}
+	return int(h % shards)
+}
+
+// Get returns the value bytes or nil.
+func (s *Store) Get(key []byte) []byte {
+	sh := &s.shards[s.shardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.kv[string(key)]
+}
+
+// Set stores a copy of value under key.
+func (s *Store) Set(key, value []byte) {
+	sh := &s.shards[s.shardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.kv[string(key)] = append([]byte(nil), value...)
+}
+
+// Range visits every key/value pair in sorted key order. Deterministic
+// iteration matters to the supervised deployment: a reload resync replays
+// the store into the fresh heap, and a stable order keeps the
+// fault-injection trace reproducible across runs.
+func (s *Store) Range(fn func(key, value []byte) error) error {
+	keys := make([]string, 0, 1024)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for k := range sh.kv {
+			keys = append(keys, k)
+		}
+		sh.mu.Unlock()
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if v := s.Get([]byte(k)); v != nil {
+			if err := fn([]byte(k), v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

@@ -48,7 +48,7 @@ func TestConcurrentDegradation(t *testing.T) {
 			defer wg.Done()
 			// Each worker owns its handle, packet, and ctx buffer: the
 			// per-cpu contract of Extension.Handle.
-			h := k.handles[g]
+			h := k.Ext().Handle(g)
 			ctx := make([]byte, kernel.HookSkSkb.CtxSize)
 			for i := 0; i < requests; i++ {
 				key := workload.FormatKey(uint64(g*requests+i+1), KeySize)
@@ -96,7 +96,7 @@ func TestConcurrentDegradation(t *testing.T) {
 		pkt := &netsim.Packet{Data: frame}
 		ctx := make([]byte, kernel.HookSkSkb.CtxSize)
 		binary.LittleEndian.PutUint32(ctx[0:], uint32(len(frame)))
-		_, err := k.handles[g].Run(pkt, ctx)
+		_, err := k.Ext().Handle(g).Run(pkt, ctx)
 		var de *kflex.DegradedError
 		if !errors.As(err, &de) || de.Ext != "kflex-redis" {
 			t.Fatalf("worker %d post-degradation error = %v, want *DegradedError", g, err)

@@ -16,23 +16,23 @@ package redis
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"kflex"
 	"kflex/internal/apps/kvprog"
+	"kflex/internal/apps/offload"
 	"kflex/internal/ds"
 	"kflex/internal/durable"
 	"kflex/internal/faultinject"
 	"kflex/internal/kernel"
 	"kflex/internal/netsim"
 	"kflex/internal/sim"
+	"kflex/internal/supervisor"
 	"kflex/internal/workload"
 )
 
@@ -42,7 +42,7 @@ const (
 	ValueSize = kvprog.ValueSize
 )
 
-// Helper IDs for the Redis wire format.
+// The IDs the codec's helpers (redis_parse, redis_reply) register under.
 const (
 	helperRespParse int32 = 0x3101
 	helperRespReply int32 = 0x3102
@@ -52,13 +52,31 @@ const (
 
 // EncodeCommand renders a RESP array of bulk strings.
 func EncodeCommand(args ...[]byte) []byte {
-	out := []byte(fmt.Sprintf("*%d\r\n", len(args)))
+	out := append(strconv.AppendInt([]byte{'*'}, int64(len(args)), 10), '\r', '\n')
 	for _, a := range args {
-		out = append(out, fmt.Sprintf("$%d\r\n", len(a))...)
-		out = append(out, a...)
-		out = append(out, '\r', '\n')
+		out = appendBulk(out, a)
 	}
 	return out
+}
+
+// bulkHeader appends the "$<n>\r\n" that precedes an n-byte bulk string;
+// "\r\n" follows the bytes.
+func bulkHeader(dst []byte, n int) []byte {
+	return append(strconv.AppendInt(append(dst, '$'), int64(n), 10), '\r', '\n')
+}
+
+func appendBulk(dst, arg []byte) []byte {
+	return append(append(bulkHeader(dst, len(arg)), arg...), '\r', '\n')
+}
+
+var cmdGet, cmdSet = []byte("GET"), []byte("SET")
+
+func appendGet(dst, key []byte) []byte {
+	return appendBulk(appendBulk(append(dst, "*2\r\n"...), cmdGet), key)
+}
+
+func appendSet(dst, key, value []byte) []byte {
+	return appendBulk(appendBulk(appendBulk(append(dst, "*3\r\n"...), cmdSet), key), value)
 }
 
 // ParseCommand decodes a RESP array of bulk strings.
@@ -112,20 +130,57 @@ func parseCommand(frame []byte, args [][]byte) ([][]byte, error) {
 	return args, nil
 }
 
-// --- KeyDB: the multi-threaded user-space baseline ----------------------------------
-
-const shards = 16
-
-// KeyDB is the user-space server.
-type KeyDB struct {
-	cfg    Config
-	shards [shards]struct {
-		mu sync.Mutex
-		kv map[string][]byte
+// parseKV decodes a GET or SET frame under offload.Codec.Parse's rule:
+// KeySize-byte keys, SET values of at most ValueSize, anything else OpNone.
+func parseKV(frame []byte) (op int, key, value []byte) {
+	var argv [3][]byte // GET key / SET key value, without allocating
+	cmd, err := parseCommand(frame, argv[:0])
+	if err != nil || len(cmd) < 2 || len(cmd[1]) != KeySize {
+		return kvprog.OpNone, nil, nil
 	}
-	fac   *reqFactory
-	reply []byte
+	switch {
+	case len(cmd) == 2 && string(cmd[0]) == "GET":
+		return kvprog.OpGet, cmd[1], nil
+	case len(cmd) == 3 && string(cmd[0]) == "SET" && len(cmd[2]) <= ValueSize:
+		return kvprog.OpSet, cmd[1], cmd[2]
+	}
+	return kvprog.OpNone, nil, nil
 }
+
+// Codec is Redis's GET/SET path as the shared offload front end sees it:
+// RESP at the sk_skb hook. Every request traverses the kernel TCP stack
+// (§5.1 explains this is why Redis's speedup is smaller than Memcached's);
+// served at the hook it skips the socket wakeup, context switch, and reply
+// syscall.
+var Codec = offload.Codec{
+	Name: "redis",
+	Hook: kflex.HookSkSkb,
+	Prog: kvprog.Options{
+		ParseHelper: helperRespParse,
+		ReplyHelper: helperRespReply,
+		RetServed:   Served,
+		RetPass:     kernel.SkPass,
+		RetErr:      kernel.SkDrop,
+	},
+	Parse: parseKV,
+	// A parsed frame is "*2…" (GET key) or "*3…" (SET key value).
+	IsSet:      func(frame []byte) bool { return frame[1] == '3' },
+	AppendGet:  appendGet,
+	AppendSet:  appendSet,
+	HitHeader:  bulkHeader,
+	HitTrailer: "\r\n",
+	Miss:       "$-1\r\n",
+	Stored:     "+OK\r\n",
+	Err:        "-ERR\r\n",
+	PathNs: func(c netsim.PathCosts, set, offloaded bool) float64 {
+		if offloaded {
+			return c.SkSkbTCP()
+		}
+		return c.UserspaceTCP()
+	},
+}
+
+// --- Shared harness pieces and KeyDB, the multi-threaded user-space baseline ---------
 
 // Config parameterizes one Redis system.
 type Config struct {
@@ -166,131 +221,45 @@ func DefaultConfig(mix workload.Mix) Config {
 	return Config{Mix: mix, Seed: 11, Costs: netsim.DefaultCosts(), Preload: true}
 }
 
-type reqFactory struct {
-	gen *workload.Generator
+// offload is cfg as the shared front end takes it: Redis always stores
+// ValueSize values and always reloads warm.
+func (cfg Config) offload() offload.Config {
+	return offload.Config{
+		Mix: cfg.Mix, ValueSize: ValueSize, Seed: cfg.Seed, Costs: cfg.Costs, Preload: cfg.Preload,
+		FaultPlan: cfg.FaultPlan, LocalCancel: cfg.LocalCancel, CancelThreshold: cfg.CancelThreshold,
+		Interpret: cfg.Interpret, Durable: cfg.Durable, Slots: cfg.Slots, HeapSize: cfg.HeapSize,
+	}
 }
 
-func (f *reqFactory) next() (workload.Request, []byte) {
-	req := f.gen.Next()
-	key := workload.FormatKey(req.Key, KeySize)
-	if req.Op == workload.OpSet {
-		return req, EncodeCommand([]byte("SET"), key, workload.FormatValue(req.Value, ValueSize))
-	}
-	return req, EncodeCommand([]byte("GET"), key)
+// KeyDB is the user-space server: the shared sharded store behind RESP.
+type KeyDB struct {
+	*offload.Store
+	cfg   Config
+	fac   *offload.ReqFactory
+	reply []byte
 }
 
 // NewKeyDB builds and optionally preloads the baseline.
 func NewKeyDB(cfg Config) *KeyDB {
-	k := &KeyDB{cfg: cfg, fac: &reqFactory{gen: workload.NewGenerator(cfg.Seed, cfg.Mix)}}
-	for i := range k.shards {
-		k.shards[i].kv = make(map[string][]byte)
-	}
+	k := &KeyDB{Store: offload.NewStore(), cfg: cfg, fac: Codec.NewReqFactory(cfg.offload())}
 	if cfg.Preload {
-		for key := uint64(1); key <= workload.KeySpace; key++ {
-			k.set(workload.FormatKey(key, KeySize), workload.FormatValue(key, ValueSize))
-		}
+		offload.Preload(k, ValueSize)
 	}
 	return k
 }
 
-func (k *KeyDB) shardOf(key []byte) *struct {
-	mu sync.Mutex
-	kv map[string][]byte
-} {
-	var h uint64
-	for _, b := range key {
-		h = h*131 + uint64(b)
-	}
-	return &k.shards[h%shards]
-}
-
-func (k *KeyDB) set(key, value []byte) {
-	sh := k.shardOf(key)
-	sh.mu.Lock()
-	sh.kv[string(key)] = append([]byte(nil), value...)
-	sh.mu.Unlock()
-}
-
-// Set stores a copy of value under key.
-func (k *KeyDB) Set(key, value []byte) { k.set(key, value) }
-
-// Get returns the stored value bytes or nil.
-func (k *KeyDB) Get(key []byte) []byte {
-	sh := k.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.kv[string(key)]
-}
-
-// Range visits every key/value pair in sorted key order. Deterministic
-// iteration matters to the supervised deployment: a reload resync replays
-// the store into the fresh heap, and a stable order keeps the
-// fault-injection trace reproducible across runs.
-func (k *KeyDB) Range(fn func(key, value []byte) error) error {
-	keys := make([]string, 0, 1024)
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.Lock()
-		for key := range sh.kv {
-			keys = append(keys, key)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if v := k.Get([]byte(key)); v != nil {
-			if err := fn([]byte(key), v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // KV is the store contract the supervised deployment serves from: both
-// *KeyDB and the WAL-backed *durable.Store satisfy it. Range must visit
-// keys in sorted order so reload resyncs are deterministic.
-type KV interface {
-	Get(key []byte) []byte
-	Set(key, value []byte)
-	Range(fn func(key, value []byte) error) error
-}
+// *KeyDB and the WAL-backed *durable.Store satisfy it.
+type KV = offload.KV
 
 // HandleRESP processes one RESP GET/SET frame against any KV store.
-func HandleRESP(kv KV, frame []byte, reply []byte) []byte {
-	args, err := ParseCommand(frame)
-	if err != nil || len(args) < 2 {
-		return append(reply[:0], "-ERR\r\n"...)
-	}
-	switch string(args[0]) {
-	case "GET":
-		v := kv.Get(args[1])
-		if v == nil {
-			return append(reply[:0], "$-1\r\n"...)
-		}
-		reply = append(reply[:0], fmt.Sprintf("$%d\r\n", len(v))...)
-		reply = append(reply, v...)
-		return append(reply, '\r', '\n')
-	case "SET":
-		if len(args) < 3 {
-			return append(reply[:0], "-ERR\r\n"...)
-		}
-		kv.Set(args[1], args[2])
-		return append(reply[:0], "+OK\r\n"...)
-	}
-	return append(reply[:0], "-ERR\r\n"...)
-}
-
-// Handle processes one RESP frame natively.
-func (k *KeyDB) Handle(frame []byte, reply []byte) []byte {
-	return HandleRESP(k, frame, reply)
-}
+func HandleRESP(kv KV, frame []byte, reply []byte) []byte { return Codec.Handle(kv, frame, reply) }
 
 // Serve implements sim.System.
 func (k *KeyDB) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	_, frame := k.fac.next()
+	_, frame := k.fac.Next()
 	t0 := time.Now()
-	k.reply = k.Handle(frame, k.reply)
+	k.reply = HandleRESP(k, frame, k.reply)
 	work := float64(time.Since(t0).Nanoseconds())
 	return sim.Service{Ns: work + k.cfg.Costs.UserspaceTCP()}
 }
@@ -300,254 +269,44 @@ func (k *KeyDB) Name() string { return "User space (KeyDB)" }
 
 // --- KFlex Redis at sk_skb -----------------------------------------------------------
 
-// RegisterHelpers installs the RESP parse/reply helpers.
-func RegisterHelpers(rt *kflex.Runtime) {
-	r := rt.Kernel().Helpers
-	if _, dup := r.Lookup(helperRespParse); dup {
-		return
-	}
-	r.MustRegister(&kernel.HelperSpec{
-		ID:   helperRespParse,
-		Name: "redis_parse",
-		Args: []kernel.Arg{
-			{Kind: kernel.ArgCtx},
-			{Kind: kernel.ArgStackBuf, Size: KeySize},
-			{Kind: kernel.ArgStackBuf, Size: ValueSize},
-		},
-		Ret: kernel.Ret{Kind: kernel.RetScalar},
-		Impl: func(hc *kernel.HelperCtx, args [5]uint64) (uint64, error) {
-			pkt, ok := hc.Event.(*netsim.Packet)
-			if !ok {
-				return kvprog.OpNone, nil
-			}
-			if len(pkt.Data) == 1 && pkt.Data[0] == 'i' {
-				return kvprog.OpInit, nil
-			}
-			var argv [3][]byte // GET key / SET key value, without allocating
-			cmd, err := parseCommand(pkt.Data, argv[:0])
-			if err != nil || len(cmd) < 2 || len(cmd[1]) != KeySize {
-				return kvprog.OpNone, nil
-			}
-			if err := hc.Write(args[1], cmd[1]); err != nil {
-				return 0, err
-			}
-			switch string(cmd[0]) {
-			case "GET":
-				return kvprog.OpGet, nil
-			case "SET":
-				if len(cmd) < 3 || len(cmd[2]) > ValueSize {
-					return kvprog.OpNone, nil
-				}
-				if err := kvprog.WriteValue(hc, args[2], cmd[2]); err != nil {
-					return 0, err
-				}
-				return kvprog.OpSet | uint64(len(cmd[2]))<<8, nil
-			}
-			return kvprog.OpNone, nil
-		},
-	})
-	r.MustRegister(&kernel.HelperSpec{
-		ID:   helperRespReply,
-		Name: "redis_reply",
-		Args: []kernel.Arg{
-			{Kind: kernel.ArgCtx},
-			{Kind: kernel.ArgHeapAddr},
-			{Kind: kernel.ArgScalar},
-		},
-		Ret: kernel.Ret{Kind: kernel.RetScalar},
-		Impl: func(hc *kernel.HelperCtx, args [5]uint64) (uint64, error) {
-			pkt, ok := hc.Event.(*netsim.Packet)
-			if !ok {
-				return 0, nil
-			}
-			if args[1] == 0 {
-				if len(pkt.Data) > 3 && pkt.Data[0] == '*' && pkt.Data[1] == '3' {
-					pkt.Reply = append(pkt.Reply[:0], "+OK\r\n"...)
-				} else {
-					pkt.Reply = append(pkt.Reply[:0], "$-1\r\n"...)
-				}
-				return 0, nil
-			}
-			reply := append(pkt.Reply[:0], '$')
-			reply = strconv.AppendUint(reply, min(args[2], ValueSize), 10)
-			reply = append(reply, '\r', '\n')
-			reply, err := kvprog.AppendValue(hc, reply, args[1], args[2])
-			if err != nil {
-				return 0, err
-			}
-			pkt.Reply = append(reply, '\r', '\n')
-			return 0, nil
-		},
-	})
-}
-
 // Served is the sk_skb return code meaning "handled at the hook".
 const Served = 3
 
-// KFlexRedis serves GET/SET at the sk_skb hook.
-type KFlexRedis struct {
-	cfg     Config
-	ext     *kflex.Extension
-	handles []*kflex.Handle
-	fac     *reqFactory
-	pkt     netsim.Packet
-	ctx     []byte
-	// Errors counts requests the extension failed to serve (cancelled
-	// invocation or hard error); they are charged the user-space path.
-	// Fallbacks counts those caused by degradation (kflex.ErrFallback).
-	Errors    uint64
-	Fallbacks uint64
-	// Work accumulates the VM work counters of every successful Execute
-	// (the pipeline benchmark reads insns/guards/dispatches per op).
-	Work kflex.Stats
-}
+// KFlexRedis serves GET/SET at the sk_skb hook; Worker is its per-CPU
+// executor.
+type (
+	KFlexRedis = offload.KFlex
+	Worker     = offload.Worker
+)
 
 // NewKFlex loads the Redis extension (§5.1: ~3100 LoC in the paper's C
 // implementation; the structure is the shared KV program at sk_skb).
 func NewKFlex(cfg Config, servers int) (*KFlexRedis, error) {
-	rt := kflex.NewRuntime()
-	RegisterHelpers(rt)
-	prog := kvprog.Build(kvprog.Options{
-		ParseHelper: helperRespParse,
-		ReplyHelper: helperRespReply,
-		RetServed:   Served,
-		RetPass:     kernel.SkPass,
-		RetErr:      kernel.SkDrop,
-	})
-	ext, err := rt.Load(kflex.Spec{
-		Name:            "kflex-redis",
-		Insns:           prog,
-		Hook:            kflex.HookSkSkb,
-		Mode:            kflex.ModeKFlex,
-		HeapSize:        64 << 20,
-		NumCPUs:         servers,
-		FaultPlan:       cfg.FaultPlan,
-		LocalCancel:     cfg.LocalCancel,
-		CancelThreshold: cfg.CancelThreshold,
-		Interpret:       cfg.Interpret,
-	})
+	return offload.NewKFlex(&Codec, cfg.offload(), servers, false)
+}
+
+// Supervised is the KFlex Redis deployment routed through the lifecycle
+// supervisor.
+type Supervised struct{ *offload.Supervised }
+
+// DB exposes the authoritative user-space store.
+func (r *Supervised) DB() KV { return r.Store() }
+
+// NewSupervised builds the supervised deployment. tuning configures the
+// circuit breaker (zero values take supervisor defaults).
+func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervised, error) {
+	return NewSupervisedRecovered(cfg, servers, tuning, nil)
+}
+
+// NewSupervisedRecovered is NewSupervised for a recovered durable store:
+// info (from durable.Open) surfaces the WAL replay in the supervisor stats.
+func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
+	s, err := offload.NewSupervised(&Codec, cfg.offload(), servers, tuning, info)
 	if err != nil {
 		return nil, err
 	}
-	k := &KFlexRedis{cfg: cfg, ext: ext, fac: &reqFactory{gen: workload.NewGenerator(cfg.Seed, cfg.Mix)}}
-	for i := 0; i < servers; i++ {
-		k.handles = append(k.handles, ext.Handle(i))
-	}
-	// Init, then preload.
-	if _, _, err := k.Execute(0, []byte{'i'}); err != nil {
-		return nil, err
-	}
-	if cfg.Preload {
-		for key := uint64(1); key <= workload.KeySpace; key++ {
-			frame := EncodeCommand([]byte("SET"),
-				workload.FormatKey(key, KeySize), workload.FormatValue(key, ValueSize))
-			if _, _, err := k.Execute(0, frame); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return k, nil
+	return &Supervised{s}, nil
 }
-
-// Execute runs one frame through the extension.
-func (k *KFlexRedis) Execute(cpu int, frame []byte) ([]byte, float64, error) {
-	k.pkt.Data = frame
-	k.pkt.Reply = k.pkt.Reply[:0]
-	if k.ctx == nil {
-		k.ctx = make([]byte, kernel.HookSkSkb.CtxSize)
-	}
-	binary.LittleEndian.PutUint32(k.ctx[0:], uint32(len(frame)))
-	res, err := k.handles[cpu%len(k.handles)].Run(&k.pkt, k.ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	if res.Ret != Served {
-		return nil, 0, fmt.Errorf("redis: extension returned %d", res.Ret)
-	}
-	k.Work.Add(res.Stats)
-	return k.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), nil
-}
-
-// Worker is a per-goroutine executor bound to one simulated CPU: it owns
-// its packet buffer, hook context, and work counters, so concurrent
-// workers on distinct CPUs share nothing on the per-op path (§3.3's
-// per-CPU exclusivity). Obtain one per serving goroutine with
-// KFlexRedis.Worker; a Worker itself must not be shared across goroutines.
-type Worker struct {
-	h   *kflex.Handle
-	pkt netsim.Packet
-	ctx []byte
-	// Errors and Fallbacks count failed invocations (Fallbacks the subset
-	// caused by degradation); Work accumulates VM counters per success.
-	Errors    uint64
-	Fallbacks uint64
-	Work      kflex.Stats
-}
-
-// Worker returns a private executor for the given CPU.
-func (k *KFlexRedis) Worker(cpu int) *Worker {
-	return &Worker{
-		h:   k.handles[cpu%len(k.handles)],
-		ctx: make([]byte, kernel.HookSkSkb.CtxSize),
-	}
-}
-
-// Execute runs one frame on the worker's CPU and returns the reply and the
-// modeled execution cost. The reply buffer is reused across calls.
-func (w *Worker) Execute(frame []byte) ([]byte, float64, error) {
-	w.pkt.Data = frame
-	w.pkt.Reply = w.pkt.Reply[:0]
-	binary.LittleEndian.PutUint32(w.ctx[0:], uint32(len(frame)))
-	res, err := w.h.Run(&w.pkt, w.ctx)
-	if err != nil {
-		w.Errors++
-		if errors.Is(err, kflex.ErrFallback) {
-			w.Fallbacks++
-		}
-		return nil, 0, err
-	}
-	if res.Ret != Served {
-		w.Errors++
-		return nil, 0, fmt.Errorf("redis: extension returned %d", res.Ret)
-	}
-	w.Work.Add(res.Stats)
-	return w.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), nil
-}
-
-// WorkStats returns the worker's accumulated VM work counters.
-func (w *Worker) WorkStats() kflex.Stats { return w.Work }
-
-// Serve implements sim.System: every request pays the TCP stack (§5.1) but
-// skips wakeup, context switch, and the reply syscall. A failed extension
-// invocation is re-served on the user-space path — the paper's offload-miss
-// handling (§5) — and counted in Errors.
-func (k *KFlexRedis) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	_, frame := k.fac.next()
-	_, extNs, err := k.Execute(cpu, frame)
-	if err != nil {
-		k.Errors++
-		if errors.Is(err, kflex.ErrFallback) {
-			k.Fallbacks++
-		}
-		return sim.Service{Ns: k.cfg.Costs.UserspaceTCP()}
-	}
-	return sim.Service{Ns: extNs + k.cfg.Costs.SkSkbTCP()}
-}
-
-// Name labels the system.
-func (k *KFlexRedis) Name() string { return "KFlex" }
-
-// WorkStats returns the accumulated VM work counters.
-func (k *KFlexRedis) WorkStats() kflex.Stats { return k.Work }
-
-// ResetWork clears the accumulated counters (benchmark warmup).
-func (k *KFlexRedis) ResetWork() { k.Work = kflex.Stats{} }
-
-// Close releases the extension.
-func (k *KFlexRedis) Close() { k.ext.Close() }
-
-// Ext exposes the loaded extension (report inspection, chaos invariants).
-func (k *KFlexRedis) Ext() *kflex.Extension { return k.ext }
 
 // --- ZADD (Figure 6) -------------------------------------------------------------------
 

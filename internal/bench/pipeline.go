@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"kflex"
+	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/memcached"
+	"kflex/internal/apps/offload"
 	"kflex/internal/apps/redis"
 	"kflex/internal/workload"
 )
@@ -73,68 +75,29 @@ type PipelineReport struct {
 	Apps  []PipelineApp `json:"apps"`
 }
 
-// pipelineSystem is the slice of the two app offloads the experiment needs.
-type pipelineSystem interface {
-	Execute(cpu int, frame []byte) ([]byte, float64, error)
-	WorkStats() kflex.Stats
-	ResetWork()
-	Ext() *kflex.Extension
-	Close()
+// offloadCodecs are the two offloaded servers the pipeline and scale
+// experiments drive.
+var offloadCodecs = []*offload.Codec{&memcached.Codec, &redis.Codec}
+
+// loadOffload builds c's bare deployment for an experiment that renders its
+// own frames and drives Execute itself.
+func loadOffload(c *offload.Codec, servers int, preload, interpret bool) (*offload.KFlex, error) {
+	cfg := offload.Config{Mix: workload.Mix90, ValueSize: kvprog.ValueSize, Preload: preload, Interpret: interpret}
+	return offload.NewKFlex(c, cfg, servers, false)
 }
 
-// pipelineAppDef describes how to build one app and its request frames.
-type pipelineAppDef struct {
-	name string
-	load func(interpret bool) (pipelineSystem, error)
-	// setFrame and getFrame render wire frames for preload and measurement.
-	setFrame func(key, val uint64) []byte
-	getFrame func(key uint64) []byte
-}
-
-func pipelineApps() []pipelineAppDef {
-	mcCfg := func(interpret bool) memcached.Config {
-		cfg := memcached.DefaultConfig(workload.Mix90)
-		cfg.Preload = false // the experiment preloads a bounded key range itself
-		cfg.Interpret = interpret
-		return cfg
+// offloadFrames renders reqs in c's wire format.
+func offloadFrames(c *offload.Codec, reqs []workload.Request) [][]byte {
+	out := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		key := workload.FormatKey(req.Key, kvprog.KeySize)
+		if req.Op == workload.OpSet {
+			out[i] = c.AppendSet(nil, key, workload.FormatValue(req.Value, kvprog.ValueSize))
+		} else {
+			out[i] = c.AppendGet(nil, key)
+		}
 	}
-	rdCfg := func(interpret bool) redis.Config {
-		cfg := redis.DefaultConfig(workload.Mix90)
-		cfg.Preload = false
-		cfg.Interpret = interpret
-		return cfg
-	}
-	return []pipelineAppDef{
-		{
-			name: "memcached",
-			load: func(interpret bool) (pipelineSystem, error) {
-				return memcached.NewKFlex(mcCfg(interpret), 1, false)
-			},
-			setFrame: func(key, val uint64) []byte {
-				return memcached.EncodeSet(
-					workload.FormatKey(key, memcached.KeySize),
-					workload.FormatValue(val, memcached.ValueSize))
-			},
-			getFrame: func(key uint64) []byte {
-				return memcached.EncodeGet(workload.FormatKey(key, memcached.KeySize))
-			},
-		},
-		{
-			name: "redis",
-			load: func(interpret bool) (pipelineSystem, error) {
-				return redis.NewKFlex(rdCfg(interpret), 1)
-			},
-			setFrame: func(key, val uint64) []byte {
-				return redis.EncodeCommand([]byte("SET"),
-					workload.FormatKey(key, redis.KeySize),
-					workload.FormatValue(val, redis.ValueSize))
-			},
-			getFrame: func(key uint64) []byte {
-				return redis.EncodeCommand([]byte("GET"),
-					workload.FormatKey(key, redis.KeySize))
-			},
-		},
-	}
+	return out
 }
 
 func (o Options) pipelineOps() int {
@@ -156,29 +119,24 @@ func Pipeline(o Options) (*PipelineReport, error) {
 	ops := o.pipelineOps()
 	preN := o.pipelinePreload()
 	rep := &PipelineReport{Quick: o.Quick}
-	for _, app := range pipelineApps() {
+	for _, c := range offloadCodecs {
+		name := c.Name
 		// One deterministic frame stream shared by both tiers.
-		gen := workload.NewGenerator(31, workload.Mix90)
-		frames := make([][]byte, 0, ops)
-		for i := 0; i < ops; i++ {
-			req := gen.Next()
-			if req.Op == workload.OpSet {
-				frames = append(frames, app.setFrame(req.Key, req.Value))
-			} else {
-				frames = append(frames, app.getFrame(req.Key))
-			}
-		}
-		out := PipelineApp{App: app.name, Mix: workload.Mix90.String()}
+		frames := offloadFrames(c, workload.NewStream(31, workload.Mix90, ops).Reqs)
+		out := PipelineApp{App: name, Mix: workload.Mix90.String()}
 		var tiers [2]PipelineTier
 		for i, tier := range []string{kflex.TierInterpreter, kflex.TierLowered} {
-			sys, err := app.load(tier == kflex.TierInterpreter)
+			// The experiment preloads a bounded key range itself.
+			sys, err := loadOffload(c, 1, false, tier == kflex.TierInterpreter)
 			if err != nil {
-				return nil, fmt.Errorf("pipeline: %s/%s: %w", app.name, tier, err)
+				return nil, fmt.Errorf("pipeline: %s/%s: %w", name, tier, err)
 			}
+			var frame []byte
 			for key := uint64(1); key <= preN; key++ {
-				if _, _, err := sys.Execute(0, app.setFrame(key, key)); err != nil {
+				frame = c.AppendSet(frame[:0], workload.FormatKey(key, kvprog.KeySize), workload.FormatValue(key, kvprog.ValueSize))
+				if _, _, err := sys.Execute(0, frame); err != nil {
 					sys.Close()
-					return nil, fmt.Errorf("pipeline: %s/%s: preload: %w", app.name, tier, err)
+					return nil, fmt.Errorf("pipeline: %s/%s: preload: %w", name, tier, err)
 				}
 			}
 			sys.ResetWork()
@@ -186,7 +144,7 @@ func Pipeline(o Options) (*PipelineReport, error) {
 			for _, frame := range frames {
 				if _, _, err := sys.Execute(0, frame); err != nil {
 					sys.Close()
-					return nil, fmt.Errorf("pipeline: %s/%s: %w", app.name, tier, err)
+					return nil, fmt.Errorf("pipeline: %s/%s: %w", name, tier, err)
 				}
 			}
 			wall := time.Since(t0).Seconds()

@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"kflex"
-	"kflex/internal/apps/memcached"
-	"kflex/internal/apps/redis"
+	"kflex/internal/apps/offload"
 	"kflex/internal/hist"
 	"kflex/internal/workload"
 )
@@ -83,68 +82,6 @@ type ScaleReport struct {
 	Apps       []ScaleApp `json:"apps"`
 }
 
-// scaleWorker is the per-goroutine executor slice the experiment needs;
-// both apps' Worker types implement it.
-type scaleWorker interface {
-	Execute(frame []byte) ([]byte, float64, error)
-	WorkStats() kflex.Stats
-}
-
-// scaleAppDef describes how to build one app for the experiment.
-type scaleAppDef struct {
-	name string
-	// load builds the extension with scaleServers CPUs and every key
-	// preloaded; worker hands out per-CPU executors; close releases it.
-	load func() (worker func(cpu int) scaleWorker, close func(), err error)
-	// setFrame and getFrame render wire frames.
-	setFrame func(key, val uint64) []byte
-	getFrame func(key uint64) []byte
-}
-
-func scaleApps() []scaleAppDef {
-	return []scaleAppDef{
-		{
-			name: "memcached",
-			load: func() (func(cpu int) scaleWorker, func(), error) {
-				cfg := memcached.DefaultConfig(workload.Mix90)
-				k, err := memcached.NewKFlex(cfg, scaleServers, false)
-				if err != nil {
-					return nil, nil, err
-				}
-				return func(cpu int) scaleWorker { return k.Worker(cpu) }, k.Close, nil
-			},
-			setFrame: func(key, val uint64) []byte {
-				return memcached.EncodeSet(
-					workload.FormatKey(key, memcached.KeySize),
-					workload.FormatValue(val, memcached.ValueSize))
-			},
-			getFrame: func(key uint64) []byte {
-				return memcached.EncodeGet(workload.FormatKey(key, memcached.KeySize))
-			},
-		},
-		{
-			name: "redis",
-			load: func() (func(cpu int) scaleWorker, func(), error) {
-				cfg := redis.DefaultConfig(workload.Mix90)
-				k, err := redis.NewKFlex(cfg, scaleServers)
-				if err != nil {
-					return nil, nil, err
-				}
-				return func(cpu int) scaleWorker { return k.Worker(cpu) }, k.Close, nil
-			},
-			setFrame: func(key, val uint64) []byte {
-				return redis.EncodeCommand([]byte("SET"),
-					workload.FormatKey(key, redis.KeySize),
-					workload.FormatValue(val, redis.ValueSize))
-			},
-			getFrame: func(key uint64) []byte {
-				return redis.EncodeCommand([]byte("GET"),
-					workload.FormatKey(key, redis.KeySize))
-			},
-		},
-	}
-}
-
 func (o Options) scaleOps() int {
 	if o.Quick {
 		return 2_000
@@ -162,31 +99,25 @@ func Scale(o Options) (*ScaleReport, error) {
 		Note: "closed-loop clients with fixed think time (simulated network RTT); " +
 			"throughput scales by latency hiding, service latency excludes think",
 	}
-	for _, app := range scaleApps() {
+	for _, c := range offloadCodecs {
+		name := c.Name
 		// One deterministic frame stream shared by every level.
-		stream := workload.NewStream(31, workload.Mix90, ops)
-		frames := make([][]byte, ops)
-		for i, req := range stream.Reqs {
-			if req.Op == workload.OpSet {
-				frames[i] = app.setFrame(req.Key, req.Value)
-			} else {
-				frames[i] = app.getFrame(req.Key)
-			}
-		}
-		worker, closeApp, err := app.load()
+		frames := offloadFrames(c, workload.NewStream(31, workload.Mix90, ops).Reqs)
+		// scaleServers CPUs, every key preloaded.
+		sys, err := loadOffload(c, scaleServers, true, false)
 		if err != nil {
-			return nil, fmt.Errorf("scale: %s: %w", app.name, err)
+			return nil, fmt.Errorf("scale: %s: %w", name, err)
 		}
-		out := ScaleApp{App: app.name, Mix: workload.Mix90.String(), Tier: kflex.TierLowered}
+		out := ScaleApp{App: name, Mix: workload.Mix90.String(), Tier: kflex.TierLowered}
 		for _, workers := range scaleWorkerCounts {
-			lvl, err := scaleLevel(worker, frames, workers)
+			lvl, err := scaleLevel(sys, frames, workers)
 			if err != nil {
-				closeApp()
-				return nil, fmt.Errorf("scale: %s/%dw: %w", app.name, workers, err)
+				sys.Close()
+				return nil, fmt.Errorf("scale: %s/%dw: %w", name, workers, err)
 			}
 			out.Levels = append(out.Levels, lvl)
 		}
-		closeApp()
+		sys.Close()
 		base := out.Levels[0]
 		out.InsnsStable = true
 		for i := range out.Levels {
@@ -205,16 +136,16 @@ func Scale(o Options) (*ScaleReport, error) {
 // scaleLevel runs one worker count: `workers` goroutines, each bound to its
 // own simulated CPU via a private executor, serving its strided share of
 // the frame stream with closed-loop think time between requests.
-func scaleLevel(worker func(cpu int) scaleWorker, frames [][]byte, workers int) (ScaleLevel, error) {
+func scaleLevel(sys *offload.KFlex, frames [][]byte, workers int) (ScaleLevel, error) {
 	type lane struct {
-		w      scaleWorker
+		w      *offload.Worker
 		frames [][]byte
 		h      *hist.H
 		err    error
 	}
 	lanes := make([]lane, workers)
 	for i := range lanes {
-		lanes[i].w = worker(i)
+		lanes[i].w = sys.Worker(i)
 		lanes[i].h = hist.New()
 		for j := i; j < len(frames); j += workers {
 			lanes[i].frames = append(lanes[i].frames, frames[j])
