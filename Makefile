@@ -22,13 +22,16 @@ race:
 
 # The multi-core serving concurrency suite alone: parallel Run/RunContext
 # across every CPU, dynamic watchdog registration, cross-CPU allocator
-# frees, contended ticket locks, concurrent sub-word heap stores, and the
-# supervisor lifecycle under parallel traffic.
+# frees, contended ticket locks, concurrent sub-word heap stores, the
+# supervisor lifecycle under parallel traffic, the lock-free admit/drain
+# pairing and dirty-set gate (TestConcurrent*), and the whole watchdog
+# package (its detection rule is what times every invocation now).
 race-concurrency:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|Refiller' \
 		. ./internal/alloc/ ./internal/locks/ ./internal/heap/ ./internal/supervisor/ \
 		./internal/apps/offload/
+	$(GO) test -race -count=1 -timeout 120s ./internal/watchdog/
 
 # Short-deadline chaos pass: the seeded fault-injection suite at the repo
 # root with a reduced request stream (-short), bounded by a hard timeout.
@@ -90,7 +93,8 @@ bench-smoke: build
 	$(GO) run ./cmd/kfbench -run recovery -quick -json /tmp/BENCH_recovery_smoke.json
 	$(GO) run ./cmd/kfbench -run migrate -quick -json /tmp/BENCH_migrate_smoke.json
 	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
-	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8' -benchtime 1000x ./internal/vm/
+	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8|BenchmarkNullRun' -benchtime 1000x ./internal/vm/
+	$(GO) test -run NONE -bench BenchmarkSupervisorRun -benchtime 1000x -cpu 2 ./internal/supervisor/
 
 # The performance gate (benchmark/, a Go module of its own that root
 # `go test ./...` never sees): its oracle/determinism tests, then every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -572,6 +573,55 @@ func TestConcurrentMigrateTraffic(t *testing.T) {
 			if st := sup.Stats(); st.Migrations != migrations || sup.State() != supervisor.Healthy {
 				t.Fatalf("migrations=%d state=%v, want %d and healthy", st.Migrations, sup.State(), migrations)
 			}
+		})
+	}
+}
+
+// TestConcurrentFallbackSetGate races the lock-free gate on the dirty set:
+// Execute reads the set's size without the mutex and locks only when it is
+// non-zero, while FallbackSet, on a second goroutine, takes the set from
+// empty to non-empty. A GET that races the FallbackSet may answer either
+// value; a GET issued after FallbackSet returned must answer the new one.
+// Each round the serving goroutine then SETs through the extension, which
+// unmarks the key and takes the set back to empty for the next round.
+func TestConcurrentFallbackSetGate(t *testing.T) {
+	for _, c := range codecs {
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			const rounds = 200
+			d := deploy(t, c, nil, testConfig(), nil)
+			d.set(t, 0, 0, true)
+			// The setter acknowledges round r's value on receiving r and
+			// publishes r in acked once FallbackSet has returned.
+			var acked atomic.Int64
+			begin := make(chan int)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for r := range begin {
+					d.FallbackSet(key(0), val(r))
+					acked.Store(int64(r))
+				}
+			}()
+			get := c.AppendGet(nil, key(0))
+			for r := 1; r <= rounds && !t.Failed(); r++ {
+				if d.Dirty(key(0)) {
+					t.Fatalf("round %d: the dirty set is not empty before the FallbackSet", r)
+				}
+				older, newer := c.AppendHit(nil, val(r-1)), c.AppendHit(nil, val(r))
+				begin <- r
+				for acked.Load() != int64(r) {
+					if reply, _, _ := d.Execute(0, get); !bytes.Equal(reply, older) && !bytes.Equal(reply, newer) {
+						t.Fatalf("round %d: racing GET = %q, want round %d's or %d's value", r, reply, r-1, r)
+					}
+					runtime.Gosched() // two vCPUs, four goroutines: let the setter on
+				}
+				d.get(t, 0, val(r), false) // acknowledged: the heap copy is stale, the store answers
+				d.set(t, 0, r, true)       // write-through: heap and store agree, the key is unmarked
+				d.get(t, 0, val(r), true)
+			}
+			close(begin)
+			<-done
 		})
 	}
 }

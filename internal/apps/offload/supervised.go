@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"kflex"
 	"kflex/internal/apps/kvprog"
@@ -49,8 +50,15 @@ type Supervised struct {
 	// unmarks under mu, then replays outside it; a key re-dirtied after
 	// its snapshot keeps its fresh mark, so the stale replayed value is
 	// still corrected on the next GET.
-	mu    sync.Mutex
-	dirty map[string]struct{}
+	//
+	// dirtyN is len(dirty), stored under mu with every write of the set.
+	// Execute reads it without the lock and takes mu only when it is
+	// non-zero: an empty set has no key to correct or unmark, so a clean
+	// GET hit and a write-through SET lock nothing. A FallbackSet that has
+	// returned has stored its non-zero size, so a later GET sees it.
+	mu     sync.Mutex
+	dirty  map[string]struct{}
+	dirtyN atomic.Int64
 	// recovery is the durable store's RecoveryInfo, reported through the
 	// first generation's InitReport and then consumed.
 	recovery *durable.RecoveryInfo
@@ -149,6 +157,7 @@ func (s *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, err
 			vals[i] = s.store.Get([]byte(k))
 			delete(s.dirty, k)
 		}
+		s.dirtyN.Store(int64(len(s.dirty)))
 		s.mu.Unlock()
 		for i, k := range keys {
 			if vals[i] == nil {
@@ -169,6 +178,7 @@ func (s *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, err
 	}
 	s.mu.Lock()
 	clear(s.dirty)
+	s.dirtyN.Store(0)
 	s.mu.Unlock()
 	return rep, nil
 }
@@ -186,6 +196,7 @@ func (s *Supervised) FallbackSet(key, value []byte) {
 	s.store.Set(key, value)
 	s.mu.Lock()
 	s.dirty[string(key)] = struct{}{}
+	s.dirtyN.Store(int64(len(s.dirty)))
 	s.mu.Unlock()
 }
 
@@ -218,13 +229,19 @@ func (s *Supervised) Execute(cpu int, frame []byte) (reply []byte, extNs float64
 		// reloaded generation can be resynced from it. The heap now holds
 		// the same value, so the key is no longer dirty.
 		s.store.Set(key, value)
-		s.mu.Lock()
-		delete(s.dirty, string(key))
-		s.mu.Unlock()
+		if s.dirtyN.Load() != 0 {
+			s.mu.Lock()
+			delete(s.dirty, string(key))
+			s.dirtyN.Store(int64(len(s.dirty)))
+			s.mu.Unlock()
+		}
 	case kvprog.OpGet:
-		s.mu.Lock()
-		_, stale := s.dirty[string(key)]
-		s.mu.Unlock()
+		stale := false
+		if s.dirtyN.Load() != 0 {
+			s.mu.Lock()
+			_, stale = s.dirty[string(key)]
+			s.mu.Unlock()
+		}
 		if stale || string(s.conn.pkt.Reply) == c.Miss {
 			// Dirty key (heap copy stale) or extension miss (the entry
 			// may have landed while the circuit was open): the store is

@@ -1,0 +1,5 @@
+package supervisor
+
+// InFlight sums the per-CPU in-flight counters: zero on a quiesced
+// supervisor.
+func (s *Supervisor) InFlight() int64 { return s.inflight() }

@@ -139,11 +139,14 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	plan := s.cfg.Spec.FaultPlan
 	key := uint64(from)<<8 | uint64(to)
 
-	// Phase: admit. Validate and freeze. After this block every new Run
-	// observes Migrating and falls back; in-flight Runs are counted in
-	// s.inflight (raised under the same lock).
+	// Phase: admit. Validate and freeze: the generation is unpublished at
+	// the statement that leaves Healthy. Every Run that loads the pointer
+	// after this store falls back; every Run that loaded it before has
+	// already raised its CPU's in-flight counter (run raises, then loads),
+	// so the drain below — which reads the counters after the store —
+	// cannot miss it.
 	s.mu.Lock()
-	rep := MigrationReport{From: from, To: to, Gen: s.gen, Phase: PhaseAdmit}
+	rep := MigrationReport{From: from, To: to, Gen: s.cur.gen, Phase: PhaseAdmit}
 	if err := s.admitMigrationLocked(&rep, from, to); err != nil {
 		s.stats.MigrationFailures++
 		s.stats.LastMigration = rep
@@ -153,7 +156,8 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	start := s.cfg.Tuning.Now()
 	s.record(Healthy, Migrating, fmt.Sprintf("migrate cpu %d: slot %d -> %d", from, rep.FromSlot, to))
 	s.state = Migrating
-	src, gen := s.ext, s.gen
+	s.live.Store(nil)
+	src, gen := s.cur.ext, s.cur.gen
 	s.mu.Unlock()
 
 	// Phase: drain. Wait for in-flight invocations to settle. The
@@ -162,13 +166,13 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	rep.Phase = PhaseDrain
 	if plan.Fire(faultinject.MigrateDrain, key) {
 		return s.rollbackMigration(rep, start, nil,
-			fmt.Errorf("drain timeout with %d invocations in flight: %w", s.inflight.Load(), faultinject.ErrInjected))
+			fmt.Errorf("drain timeout with %d invocations in flight: %w", s.inflight(), faultinject.ErrInjected))
 	}
 	deadline := time.Now().Add(s.cfg.Tuning.DrainTimeout)
-	for s.inflight.Load() != 0 {
+	for s.inflight() != 0 {
 		if time.Now().After(deadline) {
 			return s.rollbackMigration(rep, start, nil,
-				fmt.Errorf("drain timeout with %d invocations in flight", s.inflight.Load()))
+				fmt.Errorf("drain timeout with %d invocations in flight", s.inflight()))
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
@@ -258,10 +262,9 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 		return s.rollbackMigration(rep, start, target,
 			fmt.Errorf("publish lost: %w", faultinject.ErrInjected))
 	}
-	s.ext, s.handles = target, handles
+	s.cur = &generation{gen: gen + 1, ext: target, handles: handles}
 	s.route[from] = to
-	s.gen++
-	rep.Gen = s.gen
+	rep.Gen = s.cur.gen
 	rep.Pause = s.cfg.Tuning.Now().Sub(start)
 	s.stats.Migrations++
 	s.stats.LastInit = initRep
@@ -273,6 +276,7 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	s.stats.LastMigration = rep
 	s.record(Migrating, Healthy, "migrated")
 	s.state = Healthy
+	s.live.Store(s.cur)
 	s.mu.Unlock()
 
 	// Retire the source only now that the publish has committed. Unload
@@ -289,6 +293,15 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 		a.RetireCPU(rep.FromSlot)
 	}
 	return rep, nil
+}
+
+// inflight sums the per-CPU in-flight counters. No counter is ever negative
+// (a run raises before it lowers), so a zero sum means every slot read zero.
+func (s *Supervisor) inflight() (n int64) {
+	for i := range s.cpus {
+		n += s.cpus[i].inflight.Load()
+	}
+	return n
 }
 
 // admitMigrationLocked validates a migration request against the live
@@ -339,12 +352,13 @@ func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, tar
 	s.mu.Lock()
 	rep.RolledBack = true
 	rep.Err = cause.Error()
-	rep.Gen = s.gen
+	rep.Gen = s.cur.gen
 	rep.Pause = s.cfg.Tuning.Now().Sub(start)
 	s.stats.MigrationFailures++
 	s.stats.LastMigration = rep
 	s.record(Migrating, Healthy, "migration rolled back: "+rep.Phase.String())
 	s.state = Healthy
+	s.live.Store(s.cur)
 	s.mu.Unlock()
 	return rep, &MigrateError{Ext: s.name(), From: rep.From, To: rep.To, Phase: rep.Phase, Err: cause}
 }
@@ -393,7 +407,7 @@ func (s *Supervisor) Loads() []CPULoad {
 	s.mu.Unlock()
 	out := make([]CPULoad, len(route))
 	for cpu, slot := range route {
-		out[cpu] = CPULoad{CPU: cpu, Slot: slot, Insns: s.work[cpu].Load()}
+		out[cpu] = CPULoad{CPU: cpu, Slot: slot, Insns: s.cpus[cpu].work.Load()}
 	}
 	return out
 }

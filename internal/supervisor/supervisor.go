@@ -144,6 +144,19 @@ func (e *OpenError) Is(target error) bool {
 	return target == kflex.ErrFallback || target == kflex.ErrUnloaded
 }
 
+// CPURangeError is returned by Run and RunContext for a cpu index outside
+// [0, Config.NumCPUs). It is a caller bug, not a lifecycle outcome: it does
+// not match ErrFallback, and no shared supervisor state was touched.
+type CPURangeError struct {
+	Ext     string
+	CPU     int
+	NumCPUs int
+}
+
+func (e *CPURangeError) Error() string {
+	return fmt.Sprintf("supervisor: extension %q: cpu %d out of range [0,%d)", e.Ext, e.CPU, e.NumCPUs)
+}
+
 // Tuning sets the circuit-breaker parameters. Zero values take defaults.
 type Tuning struct {
 	// BackoffBase is the first quarantine duration; each further tier
@@ -226,8 +239,9 @@ type Config struct {
 	// lower artifacts and the reload only links a fresh heap.
 	Spec kflex.Spec
 	// NumCPUs is how many handles each generation creates; Run's cpu
-	// argument must stay below it (default 1). Like kflex.Handle, each
-	// cpu index must not be used concurrently with itself.
+	// argument must stay below it (default 1; a *CPURangeError otherwise).
+	// Like kflex.Handle, each cpu index must not be used concurrently with
+	// itself.
 	NumCPUs int
 	// Init re-initialises a freshly loaded generation (e.g. replaying a
 	// durable store into the new heap) before it takes traffic. An Init
@@ -288,11 +302,20 @@ type Stats struct {
 type Supervisor struct {
 	cfg Config
 
-	mu       sync.Mutex
-	state    State
-	gen      uint64
-	ext      *kflex.Extension
-	handles  []*kflex.Handle
+	// live is the generation a healthy invocation runs on: non-nil exactly
+	// while state is Healthy. It is stored only under mu, at the statement
+	// that changes state, and loaded by run without any lock.
+	live atomic.Pointer[generation]
+	// cpus holds each logical CPU's in-flight and work counters, one padded
+	// slot per CPU so the per-invocation writes of different CPUs never
+	// share a cache line.
+	cpus []cpuSlot
+
+	mu    sync.Mutex
+	state State
+	// cur is the loaded generation in every state (nil only inside New,
+	// before the first load); Healthy publishes it as live.
+	cur      *generation
 	tier     int
 	reloadAt time.Time
 	// probeLeft is the number of further probe successes required to
@@ -313,19 +336,34 @@ type Supervisor struct {
 	// after the runtime's defaulting); migration targets must lie below it.
 	slots int
 
-	// inflight counts invocations between handle resolution and outcome
-	// settlement; the migration drain phase waits for it to reach zero.
-	inflight atomic.Int64
-	// work accumulates executed instructions per logical CPU — the PR 5
-	// work counters, aggregated across generations — feeding the
-	// rebalancer's policy hook.
-	work []atomic.Uint64
-
 	// warmHeap/warmAlloc are the previous generation's heap and
 	// allocator, retained across a clean-audit quarantine for adoption by
 	// the next generation (Config.WarmReload).
 	warmHeap  *heap.Heap
 	warmAlloc *alloc.Allocator
+}
+
+// generation is one loaded instance of the extension: immutable once
+// built, so run may use a pointer to it without holding mu.
+type generation struct {
+	// gen is 0 for the initial load and grows by one per successful reload
+	// or committed migration.
+	gen     uint64
+	ext     *kflex.Extension
+	handles []*kflex.Handle
+}
+
+// cpuSlot is one logical CPU's share of the invocation path.
+type cpuSlot struct {
+	// inflight counts this CPU's invocations between "about to resolve the
+	// generation" and "outcome settled". The migration drain waits for
+	// every slot to read zero.
+	inflight atomic.Int64
+	// work accumulates executed instructions — the PR 5 work counters,
+	// aggregated across generations — feeding the rebalancer's policy hook.
+	work atomic.Uint64
+	// Two lines, not one: adjacent-line prefetch pairs 64-byte lines.
+	_ [128 - 16]byte
 }
 
 // New loads the extension and starts it Healthy. The Init callback runs
@@ -390,16 +428,17 @@ func New(cfg Config) (*Supervisor, error) {
 		audits: newRing[AuditReport](cfg.Tuning.AuditDepth),
 		route:  make([]int, cfg.NumCPUs),
 		slots:  slots,
-		work:   make([]atomic.Uint64, cfg.NumCPUs),
+		cpus:   make([]cpuSlot, cfg.NumCPUs),
 	}
 	for cpu := range s.route {
 		s.route[cpu] = cpu
 	}
-	ext, handles, err := s.loadGeneration(0)
+	g, err := s.loadGeneration(0)
 	if err != nil {
 		return nil, err
 	}
-	s.ext, s.handles = ext, handles
+	s.cur = g
+	s.live.Store(g)
 	return s, nil
 }
 
@@ -412,7 +451,7 @@ func New(cfg Config) (*Supervisor, error) {
 // and Init replays only the delta; a warm load or init failure closes the
 // adopted heap — the inherited state is the prime suspect — and retries
 // cold before giving up.
-func (s *Supervisor) loadGeneration(nextGen uint64) (*kflex.Extension, []*kflex.Handle, error) {
+func (s *Supervisor) loadGeneration(nextGen uint64) (*generation, error) {
 	spec := s.cfg.Spec
 	warm := false
 	if s.warmHeap != nil && s.warmAlloc != nil {
@@ -449,14 +488,14 @@ func (s *Supervisor) loadGeneration(nextGen uint64) (*kflex.Extension, []*kflex.
 				if rep.SnapshotLoaded {
 					s.stats.SnapshotLoads++
 				}
-				return ext, handles, nil
+				return &generation{gen: nextGen, ext: ext, handles: handles}, nil
 			}
 			ext.Unload()
 			ext.Close() // on the warm path this closes the adopted heap too
 			err = fmt.Errorf("supervisor: init: %w", err)
 		}
 		if !warm {
-			return nil, nil, err
+			return nil, err
 		}
 		if s.warmHeap != nil && !s.warmHeap.Closed() {
 			s.warmHeap.Close()
@@ -473,71 +512,90 @@ func (s *Supervisor) loadGeneration(nextGen uint64) (*kflex.Extension, []*kflex.
 // matching kflex.ErrFallback (an *OpenError or *kflex.DegradedError) means
 // the caller must serve the request on its user-space path.
 func (s *Supervisor) Run(cpu int, event any, hctx []byte) (kflex.Result, error) {
-	return s.run(cpu, func(h *kflex.Handle) (kflex.Result, error) {
-		return h.Run(event, hctx)
-	})
+	return s.run(nil, cpu, event, hctx)
 }
 
 // RunContext is Run with caller deadline propagation: ctx expiry triggers
 // the same cooperative cancellation/unwinding path as the quantum
 // watchdog (see kflex.Handle.RunContext).
 func (s *Supervisor) RunContext(ctx context.Context, cpu int, event any, hctx []byte) (kflex.Result, error) {
-	return s.run(cpu, func(h *kflex.Handle) (kflex.Result, error) {
-		return h.RunContext(ctx, event, hctx)
-	})
+	return s.run(ctx, cpu, event, hctx)
 }
 
-func (s *Supervisor) run(cpu int, invoke func(*kflex.Handle) (kflex.Result, error)) (kflex.Result, error) {
-	s.mu.Lock()
-	if s.state == Quarantined {
-		if s.cfg.Tuning.Now().Before(s.reloadAt) {
-			err := &OpenError{Ext: s.name(), State: Quarantined}
-			s.mu.Unlock()
-			return kflex.Result{}, err
+// invoke runs one event on h: Run's callers pass a nil ctx, RunContext's
+// the caller's. A direct call, not a closure: the Result comes back through
+// one copy fewer, on a path whose whole budget is a few of them.
+func invoke(ctx context.Context, h *kflex.Handle, event any, hctx []byte) (kflex.Result, error) {
+	if ctx == nil {
+		return h.Run(event, hctx)
+	}
+	return h.RunContext(ctx, event, hctx)
+}
+
+// run is the invocation path. While the extension is Healthy it takes no
+// lock and reads no clock: it raises cpu's in-flight counter, then loads the
+// published generation. The order is half of a Dekker pairing — a migration
+// unpublishes the generation (under mu), then reads the counters — so with
+// sequentially consistent atomics either this run sees nil and steps aside,
+// or the drain sees it counted and waits for it.
+func (s *Supervisor) run(ctx context.Context, cpu int, event any, hctx []byte) (kflex.Result, error) {
+	if cpu < 0 || cpu >= len(s.cpus) {
+		return kflex.Result{}, &CPURangeError{Ext: s.name(), CPU: cpu, NumCPUs: len(s.cpus)}
+	}
+	slot := &s.cpus[cpu]
+	for {
+		slot.inflight.Add(1)
+		if g := s.live.Load(); g != nil {
+			h := g.handles[cpu]
+			res, err := invoke(ctx, h, event, hctx)
+			slot.work.Add(res.Stats.Insns)
+			if degradedOutcome(res, err, h) {
+				s.quarantineOn(g.gen, "cancel threshold")
+			}
+			slot.inflight.Add(-1)
+			return res, err
 		}
+		slot.inflight.Add(-1)
+		if res, settled, err := s.runUnpublished(ctx, cpu, event, hctx); settled {
+			return res, err
+		}
+	}
+}
+
+// runUnpublished serves one invocation while no generation is published:
+// it performs a due reload, admits or rejects a half-open probe, or sends
+// the caller to its fallback. settled is false when it found the state
+// Healthy — the circuit closed between run's load and this lock — and the
+// caller must start over on the published generation.
+func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hctx []byte) (res kflex.Result, settled bool, err error) {
+	s.mu.Lock()
+	if s.state == Healthy {
+		s.mu.Unlock()
+		return kflex.Result{}, false, nil
+	}
+	if s.state == Quarantined && !s.cfg.Tuning.Now().Before(s.reloadAt) {
 		s.reloadLocked()
 	}
-	switch s.state {
-	case Healthy:
-		h, gen := s.handles[cpu], s.gen
-		// inflight is raised under mu, so a migration that observed state
-		// Migrating before we got the lock cannot miss us: by the time its
-		// drain phase reads the counter we are already counted.
-		s.inflight.Add(1)
+	if s.state != Probing || s.probesInFlight >= s.cfg.Tuning.MaxConcurrentProbes {
+		// Quarantined (backoff running, or the reload failed), Migrating
+		// (the source handle is frozen mid-cutover) or the half-open probe
+		// quota is taken: the caller serves on its user-space fallback,
+		// whose writes land in the dirty set a warm generation replays.
+		err = &OpenError{Ext: s.name(), State: s.state}
 		s.mu.Unlock()
-		res, err := invoke(h)
-		s.work[cpu].Add(res.Stats.Insns)
-		if degradedOutcome(res, err, h) {
-			s.quarantineOn(gen, "cancel threshold")
-		}
-		s.inflight.Add(-1)
-		return res, err
-
-	case Probing:
-		if s.probesInFlight >= s.cfg.Tuning.MaxConcurrentProbes {
-			err := &OpenError{Ext: s.name(), State: Probing}
-			s.mu.Unlock()
-			return kflex.Result{}, err
-		}
-		s.probesInFlight++
-		h, gen := s.handles[cpu], s.gen
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		res, err := invoke(h)
-		s.work[cpu].Add(res.Stats.Insns)
-		s.settleProbe(gen, res, err)
-		s.inflight.Add(-1)
-		return res, err
-
-	default:
-		// Quarantined (reload failed, circuit stays open) or Migrating (the
-		// source handle is frozen mid-cutover): the caller serves on its
-		// user-space fallback, whose writes land in the dirty set that the
-		// migration target replays O(delta).
-		err := &OpenError{Ext: s.name(), State: s.state}
-		s.mu.Unlock()
-		return kflex.Result{}, err
+		return kflex.Result{}, true, err
 	}
+	s.probesInFlight++
+	g, slot := s.cur, &s.cpus[cpu]
+	// Raised under mu: a probe still running when the circuit closes must
+	// be visible to the drain of a migration admitted right after.
+	slot.inflight.Add(1)
+	s.mu.Unlock()
+	res, err = invoke(ctx, g.handles[cpu], event, hctx)
+	slot.work.Add(res.Stats.Insns)
+	s.settleProbe(g.gen, res, err)
+	slot.inflight.Add(-1)
+	return res, true, err
 }
 
 // degradedOutcome reports whether an invocation outcome shows the
@@ -557,7 +615,7 @@ func degradedOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
 func (s *Supervisor) quarantineOn(gen uint64, reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if gen != s.gen || s.state != Healthy {
+	if gen != s.cur.gen || s.state != Healthy {
 		return
 	}
 	s.record(Healthy, Degraded, reason)
@@ -570,7 +628,7 @@ func (s *Supervisor) settleProbe(gen uint64, res kflex.Result, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probesInFlight--
-	if gen != s.gen || s.state != Probing {
+	if gen != s.cur.gen || s.state != Probing {
 		return
 	}
 	if !probeOK {
@@ -583,6 +641,7 @@ func (s *Supervisor) settleProbe(gen uint64, res kflex.Result, err error) {
 		s.tier = 0
 		s.record(Probing, Healthy, "probes succeeded")
 		s.state = Healthy
+		s.live.Store(s.cur)
 	}
 }
 
@@ -593,7 +652,11 @@ func (s *Supervisor) settleProbe(gen uint64, res kflex.Result, err error) {
 // jitter. Callers record the edge into Degraded/Quarantined themselves;
 // this records the Degraded→Quarantined edge when coming from Healthy.
 func (s *Supervisor) quarantineLocked(reason string) {
-	s.ext.Unload()
+	// Unpublish first: the generation leaves service here, and a run that
+	// loaded it a moment ago finds it unloaded and takes the fallback.
+	s.live.Store(nil)
+	ext := s.cur.ext
+	ext.Unload()
 	audit := s.auditLocked(reason)
 	s.retainAuditLocked(audit)
 	if s.cfg.WarmReload && audit.Clean {
@@ -602,11 +665,11 @@ func (s *Supervisor) quarantineLocked(reason string) {
 		// generation instead of detaching its pages, so recovery replays
 		// only the delta. A dirty audit never reaches here — a heap that
 		// failed its invariants is exactly what a reload must shed.
-		if h, a := s.ext.CloseKeepHeap(); h != nil && a != nil {
+		if h, a := ext.CloseKeepHeap(); h != nil && a != nil {
 			s.warmHeap, s.warmAlloc = h, a
 		}
 	} else {
-		s.ext.Close() // detach heap pages (§3.2 teardown)
+		ext.Close() // detach heap pages (§3.2 teardown)
 	}
 	if s.state == Degraded || s.state == Healthy {
 		s.record(Degraded, Quarantined, reason)
@@ -622,7 +685,7 @@ func (s *Supervisor) quarantineLocked(reason string) {
 // the next backoff tier.
 func (s *Supervisor) reloadLocked() {
 	start := s.cfg.Tuning.Now()
-	ext, handles, err := s.loadGeneration(s.gen + 1)
+	g, err := s.loadGeneration(s.cur.gen + 1)
 	if err != nil {
 		s.stats.ReloadFailures++
 		s.record(Quarantined, Quarantined, "reload failed")
@@ -630,8 +693,7 @@ func (s *Supervisor) reloadLocked() {
 		s.tier++
 		return
 	}
-	s.ext, s.handles = ext, handles
-	s.gen++
+	s.cur = g
 	s.stats.Reloads++
 	s.stats.LastRecovery = s.cfg.Tuning.Now().Sub(start)
 	s.probeLeft = s.cfg.Tuning.ProbeRuns
@@ -657,13 +719,14 @@ func (s *Supervisor) auditLocked(reason string) AuditReport {
 		plan.Disarm()
 		defer plan.Enable()
 	}
-	rep := AuditReport{Ext: s.name(), Gen: s.gen, Reason: reason}
-	rep.HeldRefs, rep.HeldLocks = s.ext.AuditHeld()
-	if h := s.ext.Heap(); h != nil {
+	ext := s.cur.ext
+	rep := AuditReport{Ext: s.name(), Gen: s.cur.gen, Reason: reason}
+	rep.HeldRefs, rep.HeldLocks = ext.AuditHeld()
+	if h := ext.Heap(); h != nil {
 		rep.PopulatedPages = h.PopulatedPages()
 		rep.MappedPages = h.MappedPages()
 	}
-	if a := s.ext.Alloc(); a != nil {
+	if a := ext.Alloc(); a != nil {
 		rep.ExpectedPages = a.ExpectedPopulatedPages()
 		if err := a.CheckConsistency(); err != nil {
 			rep.ConsistencyErr = err.Error()
@@ -677,7 +740,7 @@ func (s *Supervisor) auditLocked(reason string) AuditReport {
 }
 
 func (s *Supervisor) record(from, to State, reason string) {
-	s.trace.push(Transition{From: from, To: to, Reason: reason, Gen: s.gen, Tier: s.tier})
+	s.trace.push(Transition{From: from, To: to, Reason: reason, Gen: s.cur.gen, Tier: s.tier})
 	s.stats.Transitions++
 }
 
@@ -688,12 +751,7 @@ func (s *Supervisor) retainAuditLocked(rep AuditReport) {
 	s.stats.AuditsTotal++
 }
 
-func (s *Supervisor) name() string {
-	if s.ext != nil {
-		return s.ext.Name()
-	}
-	return s.cfg.Spec.Name
-}
+func (s *Supervisor) name() string { return s.cfg.Spec.Name }
 
 // State returns the current lifecycle state.
 func (s *Supervisor) State() State {
@@ -707,14 +765,14 @@ func (s *Supervisor) State() State {
 func (s *Supervisor) Extension() *kflex.Extension {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ext
+	return s.cur.ext
 }
 
 // Gen returns the live generation number (0 for the initial load).
 func (s *Supervisor) Gen() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	return s.cur.gen
 }
 
 // Reloads returns how many successful reloads have happened.
@@ -769,8 +827,6 @@ func (s *Supervisor) Audits() []AuditReport {
 func (s *Supervisor) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ext != nil {
-		s.ext.Unload()
-		s.ext.Close()
-	}
+	s.cur.ext.Unload()
+	s.cur.ext.Close()
 }

@@ -1,6 +1,7 @@
 package supervisor_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -369,5 +370,69 @@ func TestColdReloadWithoutWarmOptIn(t *testing.T) {
 	}
 	if st := sup.Stats(); st.WarmReloads != 0 || st.Reloads != 1 {
 		t.Fatalf("stats = %+v, want cold reload only", st)
+	}
+}
+
+// TestRunCPUOutOfRange: a cpu index outside [0, NumCPUs) is a caller bug
+// that must cost only that call. The parent panicked on the handle index
+// while holding the supervisor mutex, so a server that recovers per request
+// found every later Run, State and Close blocked forever.
+func TestRunCPUOutOfRange(t *testing.T) {
+	sup, err := supervisor.New(supervisor.Config{
+		Runtime: kflex.NewRuntime(), Spec: trivialSpec(), NumCPUs: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := make([]byte, kflex.HookXDP.CtxSize)
+	// try recovers like a per-request server would; after a panic it stops
+	// issuing bad calls and goes straight to the liveness probe.
+	try := func(cpu int) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("Run(%d) panicked: %v", cpu, r)
+				ok = false
+			}
+		}()
+		_, err := sup.Run(cpu, nil, ctx)
+		var re *supervisor.CPURangeError
+		if !errors.As(err, &re) || re.CPU != cpu || re.NumCPUs != 2 {
+			t.Errorf("Run(%d) = %v, want a CPURangeError naming cpu %d of 2", cpu, err, cpu)
+		}
+		if errors.Is(err, kflex.ErrFallback) {
+			t.Errorf("Run(%d): %v matches ErrFallback; a bad index is not a lifecycle outcome", cpu, err)
+		}
+		if _, err := sup.RunContext(context.Background(), cpu, nil, ctx); !errors.As(err, &re) {
+			t.Errorf("RunContext(%d) = %v, want a CPURangeError", cpu, err)
+		}
+		return true
+	}
+	for _, cpu := range []int{2, -1, 1 << 20} {
+		if !try(cpu) {
+			break
+		}
+	}
+	// The supervisor still answers: nothing was left locked.
+	alive := make(chan error, 1)
+	go func() {
+		if s := sup.State(); s != supervisor.Healthy {
+			alive <- fmt.Errorf("state = %v, want healthy", s)
+			return
+		}
+		res, err := sup.Run(0, nil, ctx)
+		if err != nil || res.Ret != kernel.XDPPass {
+			alive <- fmt.Errorf("Run(0) after the bad index = (%v, %v)", res.Ret, err)
+			return
+		}
+		sup.Close()
+		alive <- nil
+	}()
+	select {
+	case err := <-alive:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("State/Run/Close blocked after an out-of-range cpu: the supervisor is wedged")
 	}
 }

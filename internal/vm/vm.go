@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"kflex/insn"
 	"kflex/internal/compile"
@@ -253,7 +252,8 @@ type Exec struct {
 	// HeldCounts can be polled from other goroutines (the supervisor's
 	// quarantine audit runs while sibling CPUs are still unwinding)
 	// without racing the owner's slice operations. Only the owning
-	// goroutine writes them.
+	// goroutine writes them; every change of a slice's length is published,
+	// except that a gauge already at zero is not stored to again (zeroGauge).
 	heldN      atomic.Int32
 	heldLocksN atomic.Int32
 
@@ -262,9 +262,12 @@ type Exec struct {
 	xlatVal   uint64
 	xlatArmed bool
 
-	// startNS is the wall-clock start of the in-flight invocation
-	// (0 when idle); the watchdog polls it (§4.3).
-	startNS atomic.Int64
+	// seq is the invocation-sequence word: Run adds one on entry and one
+	// on exit, so it is odd exactly while an invocation is in flight and
+	// every invocation is in flight under a different value. The watchdog
+	// polls it and keeps the time itself (§4.3: monitoring is passive —
+	// nothing is stamped per invocation).
+	seq atomic.Uint64
 
 	// cancelReq is a per-invocation cancellation request (caller deadline
 	// or context cancellation, §4.3's cooperative termination scoped to
@@ -376,16 +379,19 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 	e.hc.Event = event
 	e.held = e.held[:0]
 	e.heldLocks = e.heldLocks[:0]
-	e.heldN.Store(0)
-	e.heldLocksN.Store(0)
+	zeroGauge(&e.heldN)
+	zeroGauge(&e.heldLocksN)
 	e.pins = e.pins[:0]
 	e.xlatArmed = false
 	e.stats = Stats{}
 	e.regs[insn.R1] = ctxVABase
 	e.regs[insn.R10] = stackVABase + StackSize
 
-	e.startNS.Store(nowNS())
-	defer e.startNS.Store(0)
+	// In flight from here to the second add. There is deliberately no
+	// defer: a panic out of a helper leaves the word odd, and the watchdog
+	// then cancels the program a quantum later — the right outcome for an
+	// execution context that never came back.
+	e.seq.Add(1)
 	var ret uint64
 	var err error
 	if p.opts.Lowered != nil {
@@ -393,6 +399,7 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 	} else {
 		ret, err = e.loop()
 	}
+	e.seq.Add(1)
 	if err == nil {
 		if len(e.held) != 0 || len(e.heldLocks) != 0 {
 			// Verified programs release everything; reaching this
@@ -455,8 +462,8 @@ func (e *Exec) doCancel(c *ExtensionAbort) (Result, error) {
 func (e *Exec) runCallback(code uint64) (uint64, error) {
 	e.held = e.held[:0]
 	e.heldLocks = e.heldLocks[:0]
-	e.heldN.Store(0)
-	e.heldLocksN.Store(0)
+	zeroGauge(&e.heldN)
+	zeroGauge(&e.heldLocksN)
 	e.pins = e.pins[:0]
 	e.stats = Stats{}
 	e.regs[insn.R1] = code
@@ -470,7 +477,7 @@ func (e *Exec) releaseHeld() {
 		e.held[i].obj.Put()
 	}
 	e.held = e.held[:0]
-	e.heldN.Store(0)
+	zeroGauge(&e.heldN)
 }
 
 // releaseLocks unlocks spin locks still held at cancellation, LIFO. A lock
@@ -485,7 +492,17 @@ func (e *Exec) releaseLocks() {
 		}
 	}
 	e.heldLocks = e.heldLocks[:0]
-	e.heldLocksN.Store(0)
+	zeroGauge(&e.heldLocksN)
+}
+
+// zeroGauge clears a held-count mirror. The gauges are zero on every normal
+// exit, so the locked store (an XCHG) is skipped when there is nothing to
+// clear; a non-zero value was published by Hold/HoldLock and is cleared by
+// a store, so HeldCounts never misses a value the owner published.
+func zeroGauge(g *atomic.Int32) {
+	if g.Load() != 0 {
+		g.Store(0)
+	}
 }
 
 // fault converts a heap fault into a cancellation (class-2 CPs) and any
@@ -634,11 +651,13 @@ func (e *Exec) writeSpan(addr uint64, src []byte) error {
 	return &heap.Fault{Addr: addr, Kind: heap.FaultOOB}
 }
 
-// RunningSinceNS returns the UnixNano start time of the in-flight
-// invocation, or false when the Exec is idle.
-func (e *Exec) RunningSinceNS() (int64, bool) {
-	t := e.startNS.Load()
-	return t, t != 0
+// Invocation returns the invocation-sequence word and whether an
+// invocation is in flight (the word is odd). Two polls that return the same
+// odd word observed the same invocation; the watchdog times a stall by how
+// long it keeps seeing one.
+func (e *Exec) Invocation() (seq uint64, inFlight bool) {
+	seq = e.seq.Load()
+	return seq, seq&1 == 1
 }
 
 // RequestCancel asks the in-flight invocation on this Exec to cancel
@@ -662,8 +681,6 @@ func (e *Exec) ClearCancel() { e.cancelReq.Store(false) }
 func (e *Exec) HeldCounts() (refs, locks int) {
 	return int(e.heldN.Load()), int(e.heldLocksN.Load())
 }
-
-func nowNS() int64 { return time.Now().UnixNano() }
 
 // leLoad reads a size-byte (1, 2, 4 or 8) little-endian value from b.
 func leLoad(b []byte, size int) uint64 {

@@ -278,3 +278,20 @@ func TestCtxSizeValidation(t *testing.T) {
 		t.Fatal("wrong ctx size accepted")
 	}
 }
+
+var sinkResult Result
+
+// BenchmarkNullRun times Exec.Run on a Ret-only program: pure entry and
+// exit, the fixed cost every invocation pays before its first instruction.
+func BenchmarkNullRun(b *testing.B) {
+	e := load(b, asm.New().Ret(0).MustAssemble(), 0, nil).NewExec(0)
+	ctx := make([]byte, kernel.HookBench.CtxSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Run(nil, ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkResult = res
+	}
+}

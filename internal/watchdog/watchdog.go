@@ -5,6 +5,17 @@
 // here a single background goroutine polls in-flight invocations and
 // invalidates the program's terminate word when one exceeds its quantum, so
 // the extension faults at its next cancellation point.
+//
+// The watchdog keeps the time; an invocation does not. Each execution
+// context publishes only an invocation-sequence word (vm.Exec.Invocation,
+// odd while in flight). A scan remembers, per context, the word it saw and
+// when it first saw it, and fires once the same odd word has been in flight
+// for longer than the quantum. An invocation is first seen at most one
+// interval after it starts and is checked once per interval after that, so
+// a stall is cancelled within quantum + 2·interval of its start (the
+// kernel's lockup detectors have the same sampled shape, §4.3); back-to-back
+// short invocations show a different word at every scan and are never
+// mistaken for one long one.
 package watchdog
 
 import (
@@ -24,6 +35,20 @@ type Target struct {
 	Execs []*vm.Exec
 }
 
+// watched is one monitored execution context and the scan's memory of it:
+// the in-flight sequence word last seen and when it was first seen.
+type watched struct {
+	exec  *vm.Exec
+	seq   uint64
+	since time.Time
+}
+
+// target is a registered Target plus per-context scan state.
+type target struct {
+	prog  *vm.Program
+	execs []watched
+}
+
 // Watchdog monitors extensions for stalls. Watch, Start, and Stop are safe
 // to call concurrently with each other and with the poller; Stop is
 // idempotent.
@@ -31,8 +56,8 @@ type Watchdog struct {
 	quantum  time.Duration
 	interval time.Duration
 
-	mu      sync.Mutex
-	targets []Target
+	mu      sync.Mutex // guards targets (scan state included), stop, done
+	targets []target
 	stop    chan struct{} // non-nil while a poller is running
 	done    chan struct{} // closed by that poller on exit
 
@@ -60,7 +85,11 @@ func (w *Watchdog) SetFaultPlan(p *faultinject.Plan) { w.fault = p }
 func (w *Watchdog) Watch(t Target) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.targets = append(w.targets, t)
+	nt := target{prog: t.Prog, execs: make([]watched, len(t.Execs))}
+	for i, e := range t.Execs {
+		nt.execs[i].exec = e
+	}
+	w.targets = append(w.targets, nt)
 }
 
 // WatchExec registers a single execution context, creating or extending
@@ -74,18 +103,18 @@ func (w *Watchdog) WatchExec(p *vm.Program, e *vm.Exec) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for i := range w.targets {
-		if w.targets[i].Prog != p {
+		if w.targets[i].prog != p {
 			continue
 		}
-		for _, have := range w.targets[i].Execs {
-			if have == e {
+		for _, have := range w.targets[i].execs {
+			if have.exec == e {
 				return
 			}
 		}
-		w.targets[i].Execs = append(w.targets[i].Execs, e)
+		w.targets[i].execs = append(w.targets[i].execs, watched{exec: e})
 		return
 	}
-	w.targets = append(w.targets, Target{Prog: p, Execs: []*vm.Exec{e}})
+	w.targets = append(w.targets, target{prog: p, execs: []watched{{exec: e}}})
 }
 
 // Fired returns how many cancellations the watchdog initiated.
@@ -110,8 +139,8 @@ func (w *Watchdog) Start() {
 			select {
 			case <-stop:
 				return
-			case <-tick.C:
-				w.scan()
+			case now := <-tick.C:
+				w.scan(now)
 			}
 		}
 	}()
@@ -169,28 +198,38 @@ func (o *OneShot) Stop() {
 	<-o.done
 }
 
-func (w *Watchdog) scan() {
-	now := time.Now().UnixNano()
+// scan is one poll, at time now. It runs under mu: the per-context memory
+// lives in targets, and a Stop/Start churn can briefly overlap two pollers.
+func (w *Watchdog) scan(now time.Time) {
 	w.mu.Lock()
-	targets := append([]Target(nil), w.targets...)
-	w.mu.Unlock()
-	for i, t := range targets {
+	defer w.mu.Unlock()
+	for i := range w.targets {
+		t := &w.targets[i]
 		// Forced firing treats the target as stalled regardless of its
 		// elapsed quantum, but still only cancels in-flight invocations.
 		forced := w.fault != nil && w.fault.Fire(faultinject.WatchdogFire, uint64(i))
-		for _, e := range t.Execs {
-			start, running := e.RunningSinceNS()
-			if !running {
+		fire := false
+		for j := range t.execs {
+			e := &t.execs[j]
+			seq, inFlight := e.exec.Invocation()
+			if !inFlight {
 				continue
 			}
-			if forced || time.Duration(now-start) > w.quantum {
-				// Stall detected: invalidate the terminate word.
-				// The extension faults at its next C1 probe (or
-				// abandons a lock spin) and unwinds (§3.3).
-				t.Prog.Cancel()
-				w.fired.Add(1)
-				break
+			if seq != e.seq {
+				// First sight of this invocation: its clock starts here.
+				// (No reset when idle: sequence words never repeat, and
+				// the zero value is even, so a remembered word can only
+				// ever match the invocation it was read from.)
+				e.seq, e.since = seq, now
 			}
+			fire = fire || forced || now.Sub(e.since) > w.quantum
+		}
+		if fire {
+			// Stall detected: invalidate the terminate word. The
+			// extension faults at its next C1 probe (or abandons a lock
+			// spin) and unwinds (§3.3).
+			t.prog.Cancel()
+			w.fired.Add(1)
 		}
 	}
 }

@@ -711,6 +711,11 @@ func (h *Handle) Run(event any, ctx []byte) (Result, error) {
 		// so retire it and direct callers to the user-space path.
 		e.Unload()
 	}
+	if err == ErrUnloaded && e.degraded.Load() {
+		// Retired between the gate above and the VM's own unloaded check:
+		// the caller gets the same typed fallback either way.
+		err = &DegradedError{Ext: e.name, Cancellations: e.prog.Cancels()}
+	}
 	return res, err
 }
 

@@ -228,4 +228,4 @@ func TestUnloadDuringRun(t *testing.T) {
 }
 
 // runningProbe reports whether the handle's invocation is in flight.
-func runningProbe(h *Handle) (int64, bool) { return h.exec.RunningSinceNS() }
+func runningProbe(h *Handle) (uint64, bool) { return h.exec.Invocation() }
