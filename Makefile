@@ -24,8 +24,10 @@ race:
 # across every CPU, dynamic watchdog registration, cross-CPU allocator
 # frees, contended ticket locks, concurrent sub-word heap stores, the
 # supervisor lifecycle under parallel traffic, the lock-free admit/drain
-# pairing and dirty-set gate (TestConcurrent*), and the whole watchdog
-# package (its detection rule is what times every invocation now).
+# pairing, the two transition rules — a reload never stalls its siblings,
+# a quarantine drains before it audits — and the dirty-set gate
+# (TestConcurrent*), and the whole watchdog package (its detection rule is
+# what times every invocation now).
 race-concurrency:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|Refiller' \
@@ -42,15 +44,17 @@ chaos:
 # engine with storage fault injection, log-shipping replication, the
 # crash-consistency chaos pass, the failover determinism check, and the
 # offload front end's conformance suite (cold/warm resync, recovered-store
-# reports, the value-size rule) for both codecs.
+# reports, the value-size rule) and its cold-resync dirty-mark regression
+# (TestColdReload*) for both codecs.
 recovery:
 	$(GO) test -race -count=1 -timeout 300s ./internal/durable/...
 	$(GO) test -race -count=1 -timeout 300s -run 'TestChaosDurable|TestChaosFailover|TestWarmReload|TestColdReload|TestConformance' \
 		. ./internal/supervisor/ ./internal/apps/offload/
 
-# Live-migration suite under the race detector: the supervisor's
-# multi-phase cutover engine (drain, audit, relink, adopt, publish) with
-# per-phase fault injection and rollback, the rebalancer policy hook, and
+# Live-migration suite under the race detector: the migrate sequence of
+# the supervisor's one transition engine (drain, audit, load, init,
+# install — the functions every reload also runs) with per-phase fault
+# injection and rollback, the rebalancer policy hook, and
 # the root-level migration chaos pass (seeded staircase, determinism,
 # migration under live traffic), and the offload front end's side of a
 # cutover for both codecs: the conformance suite's migrate row, the

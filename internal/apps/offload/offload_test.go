@@ -511,6 +511,55 @@ func TestFallbackSetStoresBeforeMarking(t *testing.T) {
 	}
 }
 
+// rangeHookedStore runs afterFirst once, when Range's callback has returned
+// from its first pair.
+type rangeHookedStore struct {
+	offload.KV
+	afterFirst func()
+}
+
+func (h rangeHookedStore) Range(fn func(key, value []byte) error) error {
+	fired := false
+	return h.KV.Range(func(key, value []byte) error {
+		err := fn(key, value)
+		if !fired {
+			fired = true
+			h.afterFirst()
+		}
+		return err
+	})
+}
+
+// TestColdReloadKeepsMarkOfSetDuringResync: FallbackSet may run beside a
+// resync, and the cold replay walks a snapshot of the store. A SET
+// acknowledged after its key was passed over is in the store but not in the
+// heap, and its dirty mark is all that routes the next GET to the store; the
+// parent cleared every mark after the replay and answered the old value.
+func TestColdReloadKeepsMarkOfSetDuringResync(t *testing.T) {
+	for _, c := range codecs {
+		t.Run(c.Name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.ColdReload = true
+			d := deploy(t, c, nil, cfg, nil)
+			d.set(t, 0, 1, true)
+			d.quarantine(t)
+			d.WrapStore(func(kv offload.KV) offload.KV {
+				return rangeHookedStore{kv, func() { d.FallbackSet(key(0), val(2)) }}
+			})
+			d.reload()
+			d.get(t, 0, val(2), false) // performs the reload; corrected against the store
+			if st := d.Supervisor().Stats(); st.Reloads != 1 || !st.LastInit.FullResync {
+				t.Fatalf("stats = %+v, want one cold reload", st)
+			}
+			if !d.Dirty(key(0)) {
+				t.Fatal("the cold resync erased the mark of a SET acknowledged while it ran")
+			}
+			d.set(t, 0, 3, true) // an offloaded SET brings heap and store back together
+			d.get(t, 0, val(3), true)
+		})
+	}
+}
+
 // TestConcurrentMigrateTraffic migrates the serving CPU back and forth
 // while one goroutine drives SETs and GETs: Execute acknowledges fallback
 // SETs on the serving goroutine while each adoption resync snapshots the

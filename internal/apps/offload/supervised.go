@@ -101,9 +101,8 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning, 
 		},
 		NumCPUs: servers,
 		Init:    s.resync,
-		// The deployment is single-driver (one request at a time per cpu
-		// slot), so the next generation can safely adopt a cleanly
-		// audited heap and resync only the dirty set.
+		// resync honours Generation.Warm — it replays only the dirty set —
+		// so a heap that drained and audited clean is adopted.
 		WarmReload: !cfg.ColdReload,
 		Tuning:     tuning,
 	})
@@ -170,17 +169,17 @@ func (s *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, err
 		return rep, nil
 	}
 	rep.FullResync = true
-	if _, err := s.codec.run(g.Handles[0], &cn, initFrame); err != nil {
-		return rep, err
-	}
-	if err := s.store.Range(push); err != nil {
-		return rep, err
-	}
+	// Unmark before the replay, as the warm branch does per key: Range may
+	// walk a snapshot, so a FallbackSet that lands once its key was passed
+	// over is in the store but not in the heap, and must keep its mark.
 	s.mu.Lock()
 	clear(s.dirty)
 	s.dirtyN.Store(0)
 	s.mu.Unlock()
-	return rep, nil
+	if _, err := s.codec.run(g.Handles[0], &cn, initFrame); err != nil {
+		return rep, err
+	}
+	return rep, s.store.Range(push)
 }
 
 // FallbackSet acknowledges one SET on the authoritative store, as the

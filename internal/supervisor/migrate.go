@@ -18,12 +18,13 @@ package supervisor
 //     the caller's dirty set, so the target resyncs O(delta), exactly like
 //     a warm reload.
 //
-// The protocol is a phase machine — admit → drain → audit → relink →
-// adopt → publish — and every phase after admit is covered by a dedicated
-// fault-injection kind (faultinject.Migrate*). Any failure, injected or
-// organic, rolls back: the source extension was never unpublished or
-// detached, so rollback is "discard the half-built target and reopen the
-// circuit" — a half-moved heap cannot exist.
+// The protocol is the third sequence of transition.go's five functions —
+// admit → drain → audit → relink (load) → adopt (init) → publish (install),
+// then discard the source — and every phase after admit is covered by a
+// dedicated fault-injection kind (faultinject.Migrate*). Any failure,
+// injected or organic, rolls back: the source extension was never unloaded
+// or detached, so rollback is "discard the half-built target and republish
+// the source" — a half-moved heap cannot exist.
 //
 // An invariant worth stating: the source is not torn down until after the
 // publish commits. The target generation is built while the source still
@@ -32,9 +33,9 @@ package supervisor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"kflex"
 	"kflex/internal/faultinject"
 )
 
@@ -156,25 +157,22 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	start := s.cfg.Tuning.Now()
 	s.record(Healthy, Migrating, fmt.Sprintf("migrate cpu %d: slot %d -> %d", from, rep.FromSlot, to))
 	s.state = Migrating
+	s.busy = true
 	s.live.Store(nil)
-	src, gen := s.cur.ext, s.cur.gen
+	src := s.cur
+	route := slices.Clone(s.route)
+	route[from] = to
 	s.mu.Unlock()
 
-	// Phase: drain. Wait for in-flight invocations to settle. The
-	// deadline is wall clock, not Tuning.Now: a fake clock must not turn
-	// a healthy drain into a spurious timeout (or mask a real stall).
+	// Phase: drain. Wait for in-flight invocations to settle.
 	rep.Phase = PhaseDrain
 	if plan.Fire(faultinject.MigrateDrain, key) {
 		return s.rollbackMigration(rep, start, nil,
 			fmt.Errorf("drain timeout with %d invocations in flight: %w", s.inflight(), faultinject.ErrInjected))
 	}
-	deadline := time.Now().Add(s.cfg.Tuning.DrainTimeout)
-	for s.inflight() != 0 {
-		if time.Now().After(deadline) {
-			return s.rollbackMigration(rep, start, nil,
-				fmt.Errorf("drain timeout with %d invocations in flight", s.inflight()))
-		}
-		time.Sleep(20 * time.Microsecond)
+	if !s.drain() {
+		return s.rollbackMigration(rep, start, nil,
+			fmt.Errorf("drain timeout with %d invocations in flight", s.inflight()))
 	}
 
 	// Phase: audit. The frozen heap must pass the same invariant checks a
@@ -189,7 +187,6 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	}
 	s.mu.Lock()
 	audit := s.auditLocked(fmt.Sprintf("migration cpu %d: slot %d -> %d", from, rep.FromSlot, to))
-	s.retainAuditLocked(audit)
 	s.mu.Unlock()
 	if !audit.Clean {
 		return s.rollbackMigration(rep, start, nil,
@@ -198,39 +195,21 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 				audit.PopulatedPages, audit.MappedPages, audit.ExpectedPages))
 	}
 
-	// Phase: relink. Build the target generation around the source's heap
-	// and allocator while the source still owns them — adoption mutates
-	// nothing the source depends on, so a failure here (or later) leaves
-	// the source exactly as the drain found it. With an unchanged spec
-	// this is a compile-cache hit: the cached position-independent Unit is
-	// re-linked against the adopted heap, never re-verified or re-lowered.
+	// Phase: relink. Build the target generation, on the rewritten route,
+	// around the source's heap and allocator while the source still owns
+	// them — adoption mutates nothing the source depends on, so a failure
+	// here (or later) leaves the source exactly as the drain found it.
 	rep.Phase = PhaseRelink
 	if plan.Fire(faultinject.MigrateRelink, key) {
 		return s.rollbackMigration(rep, start, nil,
 			fmt.Errorf("relink failed: %w", faultinject.ErrInjected))
 	}
-	spec := s.cfg.Spec
-	spec.AdoptHeap, spec.AdoptAlloc = src.Heap(), src.Alloc()
-	if spec.AdoptHeap == nil || spec.AdoptAlloc == nil {
+	if src.ext.Heap() == nil {
 		return s.rollbackMigration(rep, start, nil, fmt.Errorf("extension has no heap to migrate"))
 	}
-	target, err := s.cfg.Runtime.Load(spec)
+	target, err := s.load(src.gen+1, route, src.ext)
 	if err != nil {
 		return s.rollbackMigration(rep, start, nil, fmt.Errorf("relink: %w", err))
-	}
-	if q := s.cfg.Tuning.WatchdogQuantum; q > 0 {
-		// Arm the target's watchdog before its handles exist: each handle
-		// published below registers itself via WatchExec, so the migrated
-		// slot is stall-monitored from its first invocation.
-		target.StartWatchdog(q, s.cfg.Tuning.WatchdogPoll)
-	}
-	handles := make([]*kflex.Handle, s.cfg.NumCPUs)
-	for cpu := range handles {
-		slot := s.route[cpu] // stable: only publish rewrites it
-		if cpu == from {
-			slot = to
-		}
-		handles[cpu] = target.Handle(slot)
 	}
 
 	// Phase: adopt. Replay the dirty-set delta into the moved heap
@@ -243,12 +222,9 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 		return s.rollbackMigration(rep, start, target,
 			fmt.Errorf("target adoption failed: %w", faultinject.ErrInjected))
 	}
-	var initRep InitReport
-	if s.cfg.Init != nil {
-		initRep, err = s.cfg.Init(Generation{Ext: target, Handles: handles, Gen: gen + 1, Warm: true})
-		if err != nil {
-			return s.rollbackMigration(rep, start, target, fmt.Errorf("target adoption: %w", err))
-		}
+	initRep, err := s.init(target, true)
+	if err != nil {
+		return s.rollbackMigration(rep, start, target, fmt.Errorf("target adoption: %w", err))
 	}
 	rep.ResyncOps = initRep.ResyncOps
 
@@ -262,46 +238,27 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 		return s.rollbackMigration(rep, start, target,
 			fmt.Errorf("publish lost: %w", faultinject.ErrInjected))
 	}
-	s.cur = &generation{gen: gen + 1, ext: target, handles: handles}
-	s.route[from] = to
-	rep.Gen = s.cur.gen
+	s.installLocked(target, initRep)
+	s.route = route
+	rep.Gen = target.gen
 	rep.Pause = s.cfg.Tuning.Now().Sub(start)
 	s.stats.Migrations++
-	s.stats.LastInit = initRep
-	s.stats.ResyncOps += uint64(initRep.ResyncOps)
-	s.stats.ReplayedRecords += initRep.ReplayedRecords
-	if initRep.SnapshotLoaded {
-		s.stats.SnapshotLoads++
-	}
 	s.stats.LastMigration = rep
 	s.record(Migrating, Healthy, "migrated")
 	s.state = Healthy
-	s.live.Store(s.cur)
+	s.busy = false
+	s.live.Store(target)
 	s.mu.Unlock()
 
-	// Retire the source only now that the publish has committed. Unload
-	// invalidates its terminate word (nothing is in flight — the drain
-	// proved that) and stops its watchdog; its heap and allocator live on
-	// in the target, so the source must NOT close them, and the shared
-	// allocator's refiller keeps running for the target.
-	src.Unload()
-	src.StopWatchdog()
+	// Retire the source only now that the publish has committed: nothing is
+	// in flight on it — the drain proved that — and its heap and allocator
+	// live on in the target.
+	s.discard(src, true)
 	// The vacated slot's private magazines would be stranded — no handle
 	// routes to it, so no Malloc can ever pop them again. Spill them back
 	// to the depot where any CPU can refill from them.
-	if a := target.Alloc(); a != nil {
-		a.RetireCPU(rep.FromSlot)
-	}
+	target.ext.Alloc().RetireCPU(rep.FromSlot)
 	return rep, nil
-}
-
-// inflight sums the per-CPU in-flight counters. No counter is ever negative
-// (a run raises before it lowers), so a zero sum means every slot read zero.
-func (s *Supervisor) inflight() (n int64) {
-	for i := range s.cpus {
-		n += s.cpus[i].inflight.Load()
-	}
-	return n
 }
 
 // admitMigrationLocked validates a migration request against the live
@@ -335,19 +292,13 @@ func (s *Supervisor) admitMigrationLocked(rep *MigrationReport, from, to int) er
 // un-moved source, and the typed error reports the failing phase. The
 // source generation was never unpublished, so there is nothing to
 // restore — rollback is discard-and-resume.
-func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, target *kflex.Extension, cause error) (MigrationReport, error) {
+func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, target *generation, cause error) (MigrationReport, error) {
 	if target != nil {
-		// Retire the discarded target. Close/CloseKeepHeap must not run:
-		// they would close (or strand the refiller of) the heap and
-		// allocator the source still owns.
-		target.Unload()
-		target.StopWatchdog()
-		if a := target.Alloc(); a != nil {
-			// The adoption resync may have populated magazines at the
-			// target slot; nothing routes there after rollback, so spill
-			// them back to the depot.
-			a.RetireCPU(rep.To)
-		}
+		s.discard(target, true) // the source still owns the heap
+		// The adoption resync may have populated magazines at the target
+		// slot; nothing routes there after rollback, so spill them back to
+		// the depot.
+		target.ext.Alloc().RetireCPU(rep.To)
 	}
 	s.mu.Lock()
 	rep.RolledBack = true
@@ -358,6 +309,7 @@ func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, tar
 	s.stats.LastMigration = rep
 	s.record(Migrating, Healthy, "migration rolled back: "+rep.Phase.String())
 	s.state = Healthy
+	s.busy = false
 	s.live.Store(s.cur)
 	s.mu.Unlock()
 	return rep, &MigrateError{Ext: s.name(), From: rep.From, To: rep.To, Phase: rep.Phase, Err: cause}

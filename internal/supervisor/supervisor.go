@@ -32,7 +32,11 @@
 // passes) rather than performed by a background goroutine, and the clock
 // and jitter source are injectable, so a fixed seed reproduces the same
 // lifecycle transition trace — the same property the fault-injection plan
-// gives the chaos suite.
+// gives the chaos suite. The Run that finds the reload due performs it with
+// the supervisor's mutex released, so sibling CPUs keep getting their
+// fallback answer for as long as the resync takes. Every transition —
+// initial load, cold reload, warm reload, migration — is a sequence of the
+// same five functions; see transition.go.
 package supervisor
 
 import (
@@ -45,8 +49,6 @@ import (
 	"time"
 
 	"kflex"
-	"kflex/internal/alloc"
-	"kflex/internal/heap"
 )
 
 // State is a lifecycle state of a supervised extension.
@@ -176,10 +178,11 @@ type Tuning struct {
 	// with it the whole transition trace — is independent of wall time.
 	// Defaults to time.Now.
 	Now func() time.Time
-	// DrainTimeout bounds how long a migration's drain phase waits for
-	// in-flight invocations to quiesce before rolling back (default 1s).
-	// It is measured against the wall clock, not Now: a fake clock must
-	// not turn a healthy drain into a spurious timeout.
+	// DrainTimeout bounds how long a transition waits for in-flight
+	// invocations to quiesce before it judges the heap (default 1s): a
+	// migration that times out rolls back, a quarantine audits anyway and
+	// its reload goes cold. It is measured against the wall clock, not Now:
+	// a fake clock must not turn a healthy drain into a spurious timeout.
 	DrainTimeout time.Duration
 	// WatchdogQuantum, when positive, makes the supervisor arm a
 	// wall-clock stall watchdog on every generation it loads — including
@@ -254,13 +257,10 @@ type Config struct {
 	// alive when its teardown audit comes back clean, and hands them to
 	// the next generation via Spec.AdoptHeap (see Generation.Warm). A
 	// dirty audit always falls back to a cold load — a heap that failed
-	// its consistency audit is exactly the state a reload exists to shed.
-	//
-	// Off by default: adoption requires that no in-flight Run of the old
-	// generation can still touch the heap once the new generation takes
-	// traffic. Single-driver callers (one goroutine per cpu slot, like
-	// the supervised app stores) satisfy this; arbitrary concurrent
-	// callers may not.
+	// its consistency audit is exactly the state a reload exists to shed —
+	// and so does a quarantine whose drain timed out (Tuning.DrainTimeout):
+	// an invocation that may still touch the heap rules out handing it on.
+	// Off by default: Init must then honour Generation.Warm.
 	WarmReload bool
 	// Tuning sets circuit-breaker parameters.
 	Tuning Tuning
@@ -311,8 +311,16 @@ type Supervisor struct {
 	// share a cache line.
 	cpus []cpuSlot
 
+	// mu guards the bookkeeping below and is never held across
+	// Runtime.Load, Config.Init or a drain (see transition.go).
 	mu    sync.Mutex
 	state State
+	// busy marks a transition in flight with mu released — a quarantine's
+	// drain, a reload's load and Init, a migration — and keeps every other
+	// transition out until its owner clears it.
+	busy bool
+	// closed is set by Close: no reload is ever due again.
+	closed bool
 	// cur is the loaded generation in every state (nil only inside New,
 	// before the first load); Healthy publishes it as live.
 	cur      *generation
@@ -335,12 +343,6 @@ type Supervisor struct {
 	// slots is the extension's physical handle-slot count (Spec.NumCPUs
 	// after the runtime's defaulting); migration targets must lie below it.
 	slots int
-
-	// warmHeap/warmAlloc are the previous generation's heap and
-	// allocator, retained across a clean-audit quarantine for adoption by
-	// the next generation (Config.WarmReload).
-	warmHeap  *heap.Heap
-	warmAlloc *alloc.Allocator
 }
 
 // generation is one loaded instance of the extension: immutable once
@@ -356,8 +358,8 @@ type generation struct {
 // cpuSlot is one logical CPU's share of the invocation path.
 type cpuSlot struct {
 	// inflight counts this CPU's invocations between "about to resolve the
-	// generation" and "outcome settled". The migration drain waits for
-	// every slot to read zero.
+	// generation" and "invocation returned". Every transition's drain
+	// waits for every slot to read zero.
 	inflight atomic.Int64
 	// work accumulates executed instructions — the PR 5 work counters,
 	// aggregated across generations — feeding the rebalancer's policy hook.
@@ -433,77 +435,13 @@ func New(cfg Config) (*Supervisor, error) {
 	for cpu := range s.route {
 		s.route[cpu] = cpu
 	}
-	g, err := s.loadGeneration(0)
+	g, rep, err := s.build(0, nil)
 	if err != nil {
 		return nil, err
 	}
-	s.cur = g
+	s.installLocked(g, rep) // nothing else can reach s yet
 	s.live.Store(g)
 	return s, nil
-}
-
-// loadGeneration loads extension instance nextGen and runs Init. The load
-// goes through Runtime.Load's staged pipeline: with an unchanged spec the
-// verify/instrument/lower artifacts come from the compile cache and only
-// the per-instance state (heap, allocator, link) is rebuilt, so reload
-// latency is the link stage, not a full recompile. When a warm heap was
-// retained (Config.WarmReload, clean audit), the new generation adopts it
-// and Init replays only the delta; a warm load or init failure closes the
-// adopted heap — the inherited state is the prime suspect — and retries
-// cold before giving up.
-func (s *Supervisor) loadGeneration(nextGen uint64) (*generation, error) {
-	spec := s.cfg.Spec
-	warm := false
-	if s.warmHeap != nil && s.warmAlloc != nil {
-		spec.AdoptHeap, spec.AdoptAlloc = s.warmHeap, s.warmAlloc
-		warm = true
-	}
-	for {
-		ext, err := s.cfg.Runtime.Load(spec)
-		if err != nil {
-			err = fmt.Errorf("supervisor: reload: %w", err)
-		} else {
-			handles := make([]*kflex.Handle, s.cfg.NumCPUs)
-			for cpu := range handles {
-				// Handles live at the routed physical slot, so a logical
-				// CPU that was migrated keeps its migrated home across
-				// quarantine/reload cycles.
-				handles[cpu] = ext.Handle(s.route[cpu])
-			}
-			if q := s.cfg.Tuning.WatchdogQuantum; q > 0 {
-				ext.StartWatchdog(q, s.cfg.Tuning.WatchdogPoll)
-			}
-			var rep InitReport
-			if s.cfg.Init != nil {
-				rep, err = s.cfg.Init(Generation{Ext: ext, Handles: handles, Gen: nextGen, Warm: warm})
-			}
-			if err == nil {
-				if warm {
-					s.warmHeap, s.warmAlloc = nil, nil
-					s.stats.WarmReloads++
-				}
-				s.stats.LastInit = rep
-				s.stats.ResyncOps += uint64(rep.ResyncOps)
-				s.stats.ReplayedRecords += rep.ReplayedRecords
-				if rep.SnapshotLoaded {
-					s.stats.SnapshotLoads++
-				}
-				return &generation{gen: nextGen, ext: ext, handles: handles}, nil
-			}
-			ext.Unload()
-			ext.Close() // on the warm path this closes the adopted heap too
-			err = fmt.Errorf("supervisor: init: %w", err)
-		}
-		if !warm {
-			return nil, err
-		}
-		if s.warmHeap != nil && !s.warmHeap.Closed() {
-			s.warmHeap.Close()
-		}
-		s.warmHeap, s.warmAlloc = nil, nil
-		spec.AdoptHeap, spec.AdoptAlloc = nil, nil
-		warm = false
-	}
 }
 
 // Run invokes the supervised extension for one event on the given cpu,
@@ -534,7 +472,7 @@ func invoke(ctx context.Context, h *kflex.Handle, event any, hctx []byte) (kflex
 
 // run is the invocation path. While the extension is Healthy it takes no
 // lock and reads no clock: it raises cpu's in-flight counter, then loads the
-// published generation. The order is half of a Dekker pairing — a migration
+// published generation. The order is half of a Dekker pairing — a transition
 // unpublishes the generation (under mu), then reads the counters — so with
 // sequentially consistent atomics either this run sees nil and steps aside,
 // or the drain sees it counted and waits for it.
@@ -550,7 +488,11 @@ func (s *Supervisor) run(ctx context.Context, cpu int, event any, hctx []byte) (
 			res, err := invoke(ctx, h, event, hctx)
 			slot.work.Add(res.Stats.Insns)
 			if degradedOutcome(res, err, h) {
+				// Lowered around the quarantine, which drains these counters
+				// and must not wait on its own caller.
+				slot.inflight.Add(-1)
 				s.quarantineOn(g.gen, "cancel threshold")
+				slot.inflight.Add(1)
 			}
 			slot.inflight.Add(-1)
 			return res, err
@@ -573,14 +515,15 @@ func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hct
 		s.mu.Unlock()
 		return kflex.Result{}, false, nil
 	}
-	if s.state == Quarantined && !s.cfg.Tuning.Now().Before(s.reloadAt) {
+	if s.state == Quarantined && !s.busy && !s.closed && !s.cfg.Tuning.Now().Before(s.reloadAt) {
 		s.reloadLocked()
 	}
 	if s.state != Probing || s.probesInFlight >= s.cfg.Tuning.MaxConcurrentProbes {
-		// Quarantined (backoff running, or the reload failed), Migrating
-		// (the source handle is frozen mid-cutover) or the half-open probe
-		// quota is taken: the caller serves on its user-space fallback,
-		// whose writes land in the dirty set a warm generation replays.
+		// Quarantined (backoff running, a sibling's reload in flight, or the
+		// reload failed), Migrating (the source handle is frozen mid-cutover)
+		// or the half-open probe quota is taken: the caller serves on its
+		// user-space fallback, whose writes land in the dirty set a warm
+		// generation replays.
 		err = &OpenError{Ext: s.name(), State: s.state}
 		s.mu.Unlock()
 		return kflex.Result{}, true, err
@@ -593,8 +536,8 @@ func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hct
 	s.mu.Unlock()
 	res, err = invoke(ctx, g.handles[cpu], event, hctx)
 	slot.work.Add(res.Stats.Insns)
+	slot.inflight.Add(-1) // before settling, as in run: a failed probe drains
 	s.settleProbe(g.gen, res, err)
-	slot.inflight.Add(-1)
 	return res, true, err
 }
 
@@ -614,26 +557,26 @@ func degradedOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
 // supervisor already cycled.
 func (s *Supervisor) quarantineOn(gen uint64, reason string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if gen != s.cur.gen || s.state != Healthy {
+		s.mu.Unlock()
 		return
 	}
 	s.record(Healthy, Degraded, reason)
-	s.quarantineLocked("heap quarantined after " + reason)
+	s.quarantineUnlock("heap quarantined after " + reason)
 }
 
 // settleProbe accounts the outcome of one half-open probe.
 func (s *Supervisor) settleProbe(gen uint64, res kflex.Result, err error) {
 	probeOK := err == nil && res.Cancelled == kflex.CancelNone
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.probesInFlight--
 	if gen != s.cur.gen || s.state != Probing {
+		s.mu.Unlock()
 		return
 	}
 	if !probeOK {
 		s.record(Probing, Quarantined, "probe failed")
-		s.quarantineLocked("probe failed")
+		s.quarantineUnlock("probe failed")
 		return
 	}
 	s.probeLeft--
@@ -643,112 +586,24 @@ func (s *Supervisor) settleProbe(gen uint64, res kflex.Result, err error) {
 		s.state = Healthy
 		s.live.Store(s.cur)
 	}
+	s.mu.Unlock()
 }
 
-// quarantineLocked retires the current generation: the runtime unload
-// stops further execution, the teardown audit runs (fault injection
-// disarmed) and is retained, the heap's pages are detached, and the
-// reload deadline is set by capped exponential backoff with deterministic
-// jitter. Callers record the edge into Degraded/Quarantined themselves;
-// this records the Degraded→Quarantined edge when coming from Healthy.
-func (s *Supervisor) quarantineLocked(reason string) {
-	// Unpublish first: the generation leaves service here, and a run that
-	// loaded it a moment ago finds it unloaded and takes the fallback.
-	s.live.Store(nil)
-	ext := s.cur.ext
-	ext.Unload()
-	audit := s.auditLocked(reason)
-	s.retainAuditLocked(audit)
-	if s.cfg.WarmReload && audit.Clean {
-		// The teardown audit proved the heap consistent: retain it (and
-		// the allocator that owns its carving) for adoption by the next
-		// generation instead of detaching its pages, so recovery replays
-		// only the delta. A dirty audit never reaches here — a heap that
-		// failed its invariants is exactly what a reload must shed.
-		if h, a := ext.CloseKeepHeap(); h != nil && a != nil {
-			s.warmHeap, s.warmAlloc = h, a
-		}
-	} else {
-		ext.Close() // detach heap pages (§3.2 teardown)
-	}
-	if s.state == Degraded || s.state == Healthy {
-		s.record(Degraded, Quarantined, reason)
-	}
-	s.state = Quarantined
-	s.stats.Quarantines++
-	s.reloadAt = s.cfg.Tuning.Now().Add(s.backoffLocked())
-	s.tier++
-}
-
-// reloadLocked performs the due reload: a fresh generation is loaded and
-// initialised; success half-opens the circuit, failure re-quarantines at
-// the next backoff tier.
-func (s *Supervisor) reloadLocked() {
-	start := s.cfg.Tuning.Now()
-	g, err := s.loadGeneration(s.cur.gen + 1)
-	if err != nil {
-		s.stats.ReloadFailures++
-		s.record(Quarantined, Quarantined, "reload failed")
-		s.reloadAt = s.cfg.Tuning.Now().Add(s.backoffLocked())
-		s.tier++
-		return
-	}
-	s.cur = g
-	s.stats.Reloads++
-	s.stats.LastRecovery = s.cfg.Tuning.Now().Sub(start)
-	s.probeLeft = s.cfg.Tuning.ProbeRuns
-	s.probesInFlight = 0
-	s.record(Quarantined, Probing, "reloaded")
-	s.state = Probing
-}
-
-// backoffLocked returns min(Base<<tier, Max) with deterministic jitter in
-// [d/2, d], drawn from the seeded source.
-func (s *Supervisor) backoffLocked() time.Duration {
+// backoffLocked schedules the next reload min(Base<<tier, Max) from now, with
+// deterministic jitter in [d/2, d] drawn from the seeded source, and moves to
+// the next tier.
+func (s *Supervisor) backoffLocked() {
 	d := s.cfg.Tuning.BackoffBase << s.tier
 	if d <= 0 || d > s.cfg.Tuning.BackoffMax {
 		d = s.cfg.Tuning.BackoffMax
 	}
-	return d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
-}
-
-// auditLocked checks the teardown invariants of the current generation
-// with fault injection disarmed, so observation can't itself inject.
-func (s *Supervisor) auditLocked(reason string) AuditReport {
-	if plan := s.cfg.Spec.FaultPlan; plan.Enabled() {
-		plan.Disarm()
-		defer plan.Enable()
-	}
-	ext := s.cur.ext
-	rep := AuditReport{Ext: s.name(), Gen: s.cur.gen, Reason: reason}
-	rep.HeldRefs, rep.HeldLocks = ext.AuditHeld()
-	if h := ext.Heap(); h != nil {
-		rep.PopulatedPages = h.PopulatedPages()
-		rep.MappedPages = h.MappedPages()
-	}
-	if a := ext.Alloc(); a != nil {
-		rep.ExpectedPages = a.ExpectedPopulatedPages()
-		if err := a.CheckConsistency(); err != nil {
-			rep.ConsistencyErr = err.Error()
-		}
-	}
-	rep.Clean = rep.ConsistencyErr == "" &&
-		rep.HeldRefs == 0 && rep.HeldLocks == 0 &&
-		rep.PopulatedPages == rep.MappedPages &&
-		rep.PopulatedPages == rep.ExpectedPages
-	return rep
+	s.reloadAt = s.cfg.Tuning.Now().Add(d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1)))
+	s.tier++
 }
 
 func (s *Supervisor) record(from, to State, reason string) {
 	s.trace.push(Transition{From: from, To: to, Reason: reason, Gen: s.cur.gen, Tier: s.tier})
 	s.stats.Transitions++
-}
-
-// retainAuditLocked retains an audit report in the bounded history window
-// and bumps the lifetime total.
-func (s *Supervisor) retainAuditLocked(rep AuditReport) {
-	s.audits.push(rep)
-	s.stats.AuditsTotal++
 }
 
 func (s *Supervisor) name() string { return s.cfg.Spec.Name }
@@ -793,15 +648,16 @@ func (s *Supervisor) Stats() Stats {
 // the recovery benchmark's) way to force a full audit/teardown/reload
 // cycle without waiting for organic degradation. It reports whether the
 // extension was Healthy and is now Quarantined; in any other state it
-// does nothing.
+// does nothing. Like every quarantine it returns once the generation's
+// in-flight invocations have unwound and its heap has been audited.
 func (s *Supervisor) Quarantine(reason string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.state != Healthy {
+		s.mu.Unlock()
 		return false
 	}
 	s.record(Healthy, Degraded, reason)
-	s.quarantineLocked(reason)
+	s.quarantineUnlock(reason)
 	return true
 }
 
@@ -823,10 +679,26 @@ func (s *Supervisor) Audits() []AuditReport {
 	return s.audits.snapshot()
 }
 
-// Close retires the live generation and releases its resources.
+// Close is the terminal transition: it waits out a transition in flight,
+// unpublishes and retires the current generation and releases its
+// resources. The state stays Quarantined with no reload ever due, so every
+// later Run gets an *OpenError. Idempotent.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cur.ext.Unload()
-	s.cur.ext.Close()
+	for s.busy { // polled at the drain's period: Close is rare
+		s.mu.Unlock()
+		time.Sleep(20 * time.Microsecond)
+		s.mu.Lock()
+	}
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.state != Quarantined {
+		s.live.Store(nil)
+		s.record(s.state, Quarantined, "closed")
+		s.state = Quarantined
+	}
+	s.discard(s.cur, false)
 }

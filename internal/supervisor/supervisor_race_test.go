@@ -17,9 +17,9 @@ import (
 // TestParallelRunDuringLifecycle hammers the supervisor from one goroutine
 // per CPU while the extension degrades, quarantines, reloads, and fails
 // its probes — the mid-traffic lifecycle. Under -race this proves the
-// quarantine audit (held-object counts, allocator consistency) can run
-// concurrently with sibling CPUs mid-invocation, and that generation
-// swaps never hand a worker a torn handle. Every outcome must be one of:
+// quarantine drains sibling CPUs mid-invocation before it audits
+// (held-object counts, allocator consistency), so every retained audit is
+// clean, and that generation swaps never hand a worker a torn handle. Every outcome must be one of:
 // a cancelled run (the spinning extension's only successful result), a
 // fallback refusal while the circuit is open, or a stale-generation
 // refusal during a swap.
@@ -103,8 +103,12 @@ func TestParallelRunDuringLifecycle(t *testing.T) {
 	}
 	t.Cleanup(sup.Close)
 
+	// Each worker stops once the extension has served it iters runs:
+	// siblings fall back while one of them reloads, so a count of attempts
+	// would let cpu 0 finish before its eighth park.
 	const workers = 4
 	const iters = 150
+	deadline := time.Now().Add(60 * time.Second)
 	var wg sync.WaitGroup
 	stopAudit := make(chan struct{})
 	auditDone := make(chan struct{})
@@ -138,11 +142,16 @@ func TestParallelRunDuringLifecycle(t *testing.T) {
 		go func(cpu int) {
 			defer wg.Done()
 			ctx := make([]byte, kflex.HookXDP.CtxSize)
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters; {
+				if time.Now().After(deadline) {
+					t.Errorf("cpu %d served %d of %d runs before the deadline", cpu, i, iters)
+					return
+				}
 				res, err := sup.Run(cpu, sockEvent{sock}, ctx)
 				switch {
 				case err == nil && res.Cancelled != kflex.CancelNone:
 					// Quantum-cancelled run: the expected "service".
+					i++
 				case errors.Is(err, kflex.ErrFallback) || errors.Is(err, kflex.ErrUnloaded):
 					// Circuit open or mid-swap refusal: the caller's
 					// user-space fallback path. Yield so the backoff
@@ -180,11 +189,9 @@ func TestParallelRunDuringLifecycle(t *testing.T) {
 		t.Fatal("no quarantine audits ran")
 	}
 	for i, a := range sup.Audits() {
-		// A sibling still unwinding when the audit reads its gauge shows
-		// as a held reference — in flight, not leaked (the end-of-traffic
-		// checks above) — so only the heap's own invariants must hold.
-		if a.ConsistencyErr != "" || a.HeldLocks != 0 || a.HeldRefs >= workers ||
-			a.PopulatedPages != a.MappedPages || a.PopulatedPages != a.ExpectedPages {
+		// Every quarantine drained its siblings first, so a held reference
+		// here would be a leak, not an invocation still unwinding.
+		if !a.Clean {
 			t.Fatalf("audit %d reported corruption: %+v", i, a)
 		}
 	}
@@ -357,5 +364,165 @@ func TestConcurrentAdmitDrain(t *testing.T) {
 		if want := insns[l.CPU].Load(); l.Insns != want {
 			t.Fatalf("Loads()[%d] = %d instructions, runners were handed back %d", l.CPU, l.Insns, want)
 		}
+	}
+}
+
+// TestConcurrentReloadDoesNotStallSiblings pins the locking rule: a reload
+// runs Runtime.Load and Init with the supervisor's mutex released. While
+// cpu 0's Run is inside a parked Init, cpu 1 must get its fallback answer and
+// State must answer — and having arrived with the reload due, cpu 1 must not
+// start a second one.
+func TestConcurrentReloadDoesNotStallSiblings(t *testing.T) {
+	var inits atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	sup, err := supervisor.New(supervisor.Config{
+		Runtime: kflex.NewRuntime(), Spec: trivialSpec(), NumCPUs: 2,
+		Init: func(g supervisor.Generation) (supervisor.InitReport, error) {
+			if inits.Add(1) == 2 { // generation 1, first attempt
+				entered <- struct{}{}
+				<-release
+			}
+			return supervisor.InitReport{}, nil
+		},
+		Tuning: supervisor.Tuning{BackoffBase: time.Microsecond, BackoffMax: time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Close)
+	if !sup.Quarantine("operator") {
+		t.Fatal("quarantine refused")
+	}
+	time.Sleep(time.Millisecond) // the 1 µs backoff has passed: the reload is due
+	ctx := [2][]byte{make([]byte, kflex.HookXDP.CtxSize), make([]byte, kflex.HookXDP.CtxSize)}
+	reloaded := make(chan error, 1)
+	go func() {
+		_, err := sup.Run(0, nil, ctx[0]) // performs the reload, then probes
+		reloaded <- err
+	}()
+	<-entered
+
+	sibling := make(chan error, 1)
+	go func() {
+		_, err := sup.Run(1, nil, ctx[1])
+		if s := sup.State(); s != supervisor.Quarantined {
+			err = errors.Join(err, errors.New("state during the reload = "+s.String()))
+		}
+		sibling <- err
+	}()
+	select {
+	case err := <-sibling:
+		var open *supervisor.OpenError
+		if !errors.As(err, &open) || open.State != supervisor.Quarantined {
+			t.Errorf("sibling Run during the reload = %v, want an OpenError{quarantined} and nothing else", err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Error("sibling Run and State blocked behind the reload's Init")
+	}
+	close(release)
+	if err := <-reloaded; err != nil {
+		t.Fatalf("reloading Run = %v, want a served probe", err)
+	}
+	if st := sup.Stats(); st.Reloads != 1 || st.ReloadFailures != 0 || inits.Load() != 2 {
+		t.Fatalf("reloads=%d failures=%d inits=%d, want exactly one generation built", st.Reloads, st.ReloadFailures, inits.Load())
+	}
+}
+
+// TestConcurrentQuarantineDrainsBeforeAudit pins the judging rule: a
+// quarantine unloads at once but audits only after in-flight invocations have
+// unwound. cpu 1 is parked inside a helper holding a socket reference when
+// the operator quarantines; nothing leaked, so the one retained audit must be
+// clean and the heap must survive for a warm reload.
+func TestConcurrentQuarantineDrainsBeforeAudit(t *testing.T) {
+	rt := kflex.NewRuntime()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var park atomic.Bool
+	rt.Kernel().Helpers.MustRegister(&kernel.HelperSpec{
+		ID: helperPark, Name: "test_park",
+		Ret: kernel.Ret{Kind: kernel.RetScalar},
+		Impl: func(hc *kernel.HelperCtx, _ [5]uint64) (uint64, error) {
+			if park.CompareAndSwap(true, false) {
+				parked <- struct{}{}
+				<-release
+			}
+			return 0, nil
+		},
+	})
+	spec := trivialSpec()
+	spec.Insns = asm.New().
+		StoreImm(insn.R10, -16, 0, 8).
+		StoreImm(insn.R10, -8, 0, 8).
+		Mov(insn.R2, insn.R10).
+		Add(insn.R2, -16).
+		MovImm(insn.R3, 12).
+		MovImm(insn.R4, 0).
+		MovImm(insn.R5, 0).
+		Call(kernel.HelperSkLookup).
+		JmpImm(insn.JmpEq, insn.R0, 0, "nosock").
+		Mov(insn.R6, insn.R0). // hold the socket across the park
+		Call(helperPark).
+		Mov(insn.R1, insn.R6).
+		Call(kernel.HelperSkRelease).
+		Label("nosock").
+		Ret(kernel.XDPPass).
+		MustAssemble()
+	sup, err := supervisor.New(supervisor.Config{
+		Runtime: rt, Spec: spec, NumCPUs: 2, WarmReload: true,
+		Init: func(g supervisor.Generation) (supervisor.InitReport, error) {
+			return supervisor.InitReport{FullResync: !g.Warm}, nil
+		},
+		Tuning: supervisor.Tuning{BackoffBase: time.Microsecond, BackoffMax: time.Microsecond, DrainTimeout: 10 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Close)
+	sock := kernel.NewObject("sock", nil)
+	ctx := [2][]byte{make([]byte, kflex.HookXDP.CtxSize), make([]byte, kflex.HookXDP.CtxSize)}
+
+	park.Store(true)
+	ran := make(chan error, 1)
+	go func() {
+		_, err := sup.Run(1, sockEvent{sock}, ctx[1])
+		ran <- err
+	}()
+	<-parked
+	if sock.Refs() != 2 {
+		t.Fatalf("socket refs = %d with cpu 1 parked, want 2 (the scenario holds none)", sock.Refs())
+	}
+	quarantined := make(chan bool, 1)
+	go func() { quarantined <- sup.Quarantine("operator") }()
+	// The generation is out of service at once, before the drain ends.
+	for deadline := time.Now().Add(5 * time.Second); sup.State() != supervisor.Quarantined; {
+		if time.Now().After(deadline) {
+			t.Fatal("operator quarantine did not unpublish while a sibling was in flight")
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	if n := len(sup.Audits()); n != 0 {
+		t.Errorf("%d audits retained while cpu 1 is still executing on the heap, want none yet", n)
+	}
+	close(release)
+	if !<-quarantined {
+		t.Fatal("quarantine refused")
+	}
+	if err := <-ran; err != nil {
+		t.Fatalf("parked run = %v, want it to unwind or finish without error", err)
+	}
+	if audits := sup.Audits(); len(audits) != 1 || !audits[0].Clean {
+		t.Fatalf("audits = %+v, want one clean report: nothing leaked", audits)
+	}
+	if sock.Refs() != 1 {
+		t.Fatalf("socket refs = %d after the run, want 1", sock.Refs())
+	}
+	time.Sleep(time.Millisecond) // past the 1 µs backoff
+	if _, err := sup.Run(0, sockEvent{sock}, ctx[0]); err != nil {
+		t.Fatalf("probe after the reload: %v", err)
+	}
+	if st := sup.Stats(); st.Reloads != 1 || st.WarmReloads != 1 || st.LastInit.FullResync {
+		t.Fatalf("stats = %+v, want one warm reload: the drained heap audited clean", st)
+	}
+	if sock.Refs() != 1 {
+		t.Fatalf("socket refs = %d at the end, want 1", sock.Refs())
 	}
 }
