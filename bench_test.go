@@ -1,293 +1,19 @@
-// Benchmarks regenerating the paper's tables and figures as testing.B
-// targets. Macro experiments (Figures 2–4, 6, 7) run a short closed-loop
-// simulation per iteration and report Mops/s; micro experiments (Figure 5,
-// ablations) measure per-operation cost of the real engines directly.
+// Engine micro-benchmarks with no twin elsewhere: raw dispatch throughput
+// and the full load pipeline. The paper's tables and figures come from
+// cmd/kfbench (model time); wall time on the composed serving path is
+// measured by benchmark/ alone.
 //
-//	go test -bench=. -benchmem
-//
-// cmd/kfbench produces the full paper-formatted output; EXPERIMENTS.md
-// records paper-vs-measured values.
+//	go test -run NONE -bench . -benchmem .
 package kflex_test
 
 import (
-	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"kflex"
 	"kflex/asm"
 	"kflex/insn"
-	"kflex/internal/apps/memcached"
-	"kflex/internal/apps/redis"
 	"kflex/internal/ds"
-	"kflex/internal/sim"
-	"kflex/internal/workload"
 )
-
-// benchSimCfg is a short closed-loop run (the simulation is deterministic).
-func benchSimCfg(servers int) sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Servers = servers
-	cfg.Clients = 256
-	cfg.DurationNs = 5e7
-	return cfg
-}
-
-func reportSim(b *testing.B, cfg sim.Config, sys sim.System) {
-	b.Helper()
-	var r sim.Result
-	for i := 0; i < b.N; i++ {
-		r = sim.Run(cfg, sys)
-	}
-	b.ReportMetric(r.Throughput/1e6, "Mops/s")
-	b.ReportMetric(float64(r.Latency.Quantile(0.99))/1e3, "p99-µs")
-}
-
-// --- Figures 2 & 3: Memcached ---------------------------------------------------
-
-func benchmarkMemcached(b *testing.B, servers int) {
-	for _, mix := range workload.Mixes {
-		cfg := memcached.DefaultConfig(mix)
-		cfg.ValueSize = memcached.ValueSizeBMC
-		b.Run(fmt.Sprintf("mix=%s/user", mix), func(b *testing.B) {
-			reportSim(b, benchSimCfg(servers), memcached.NewUserSpace(cfg))
-		})
-		b.Run(fmt.Sprintf("mix=%s/bmc", mix), func(b *testing.B) {
-			s, err := memcached.NewBMC(cfg, servers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			reportSim(b, benchSimCfg(servers), s)
-		})
-		b.Run(fmt.Sprintf("mix=%s/kflex", mix), func(b *testing.B) {
-			s, err := memcached.NewKFlex(cfg, servers, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			reportSim(b, benchSimCfg(servers), s)
-		})
-	}
-}
-
-func BenchmarkFig2Memcached8(b *testing.B)  { benchmarkMemcached(b, 8) }
-func BenchmarkFig3Memcached16(b *testing.B) { benchmarkMemcached(b, 16) }
-
-// --- Figure 4: Redis --------------------------------------------------------------
-
-func BenchmarkFig4Redis(b *testing.B) {
-	for _, mix := range workload.Mixes {
-		cfg := redis.DefaultConfig(mix)
-		b.Run(fmt.Sprintf("mix=%s/keydb", mix), func(b *testing.B) {
-			reportSim(b, benchSimCfg(8), redis.NewKeyDB(cfg))
-		})
-		b.Run(fmt.Sprintf("mix=%s/kflex", mix), func(b *testing.B) {
-			s, err := redis.NewKFlex(cfg, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			reportSim(b, benchSimCfg(8), s)
-		})
-	}
-}
-
-// --- Figure 5: data-structure offloads ---------------------------------------------
-
-// fig5Elems keeps populations benchmark-friendly; cmd/kfbench runs the
-// paper's 64Ki.
-const fig5Elems = 8 << 10
-
-func BenchmarkFig5(b *testing.B) {
-	for _, kind := range ds.Kinds {
-		for _, system := range []string{"kmod", "kflex-pm", "kflex"} {
-			b.Run(fmt.Sprintf("%s/%s", kind, system), func(b *testing.B) {
-				var store ds.Store
-				switch system {
-				case "kmod":
-					store = ds.NewNative(kind)
-				default:
-					o, err := ds.Load(kflex.NewRuntime(), kind, system == "kflex-pm")
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer o.Close()
-					store = o
-				}
-				n := uint64(fig5Elems)
-				if kind == ds.KindLinkedList {
-					n = 1 << 10 // lookups are O(n)
-				}
-				for k := uint64(1); k <= n; k++ {
-					store.Update(k, k)
-				}
-				lcg := uint64(99)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					lcg = lcg*6364136223846793005 + 1442695040888963407
-					k := lcg>>33%n + 1
-					switch i % 3 {
-					case 0:
-						store.Update(k, k)
-					case 1:
-						store.Lookup(k)
-					case 2:
-						if store.Delete(k) {
-							store.Update(k, k)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- Figure 6: ZADD -----------------------------------------------------------------
-
-func BenchmarkFig6ZAdd(b *testing.B) {
-	cfg := redis.DefaultConfig(workload.Mix50)
-	simCfg := benchSimCfg(1)
-	simCfg.Clients = 64
-	b.Run("user", func(b *testing.B) {
-		reportSim(b, simCfg, redis.NewZAddUser(cfg))
-	})
-	b.Run("kflex", func(b *testing.B) {
-		s, err := redis.NewZAddKFlex(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		reportSim(b, simCfg, s)
-	})
-}
-
-// --- Figure 7: co-design --------------------------------------------------------------
-
-func BenchmarkFig7CoDesign(b *testing.B) {
-	cfg := memcached.DefaultConfig(workload.Mix90)
-	b.Run("user", func(b *testing.B) {
-		reportSim(b, benchSimCfg(8), memcached.NewUserSpace(cfg))
-	})
-	b.Run("codesign", func(b *testing.B) {
-		s, err := memcached.NewCoDesign(cfg, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		reportSim(b, benchSimCfg(8), s)
-	})
-}
-
-// --- Ablations (§5.4 and DESIGN.md's design choices) ---------------------------------
-
-// dsOpBench measures skiplist lookups under a given load configuration.
-func dsOpBench(b *testing.B, kind ds.Kind, perf, noElide bool) {
-	b.Helper()
-	rt := kflex.NewRuntime()
-	ext, err := rt.Load(kflex.Spec{
-		Name:           string(kind),
-		Insns:          ds.Program(kind),
-		Hook:           kflex.HookBench,
-		Mode:           kflex.ModeKFlex,
-		HeapSize:       ds.HeapSize(kind),
-		PerfMode:       perf,
-		DisableElision: noElide,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ext.Close()
-	h := ext.Handle(0)
-	ctx := make([]byte, kflex.HookBench.CtxSize)
-	op := func(op, key, val uint64) {
-		binary.LittleEndian.PutUint64(ctx[0:], op)
-		binary.LittleEndian.PutUint64(ctx[8:], key)
-		binary.LittleEndian.PutUint64(ctx[16:], val)
-		if _, err := h.Run(nil, ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	op(3, 0, 0) // init
-	const n = 4096
-	for k := uint64(1); k <= n; k++ {
-		op(0, k, k)
-	}
-	var guards, probes uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binary.LittleEndian.PutUint64(ctx[0:], 1)
-		binary.LittleEndian.PutUint64(ctx[8:], uint64(i%n)+1)
-		res, err := h.Run(nil, ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		guards += res.Stats.Guards
-		probes += res.Stats.Probes
-	}
-	// Wall time per op is interpreter-dispatch noise across separately
-	// allocated heaps; the robust signals are the executed-check counts.
-	b.ReportMetric(float64(guards)/float64(b.N), "guards/op")
-	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-}
-
-// BenchmarkAblElision: the §5.4 ablation — lookups with and without
-// range-analysis guard elision.
-func BenchmarkAblElision(b *testing.B) {
-	b.Run("elision=on", func(b *testing.B) { dsOpBench(b, ds.KindSkipList, false, false) })
-	b.Run("elision=off", func(b *testing.B) { dsOpBench(b, ds.KindSkipList, false, true) })
-}
-
-// BenchmarkAblPerfMode: §3.2's performance mode on pointer chasing.
-func BenchmarkAblPerfMode(b *testing.B) {
-	b.Run("full", func(b *testing.B) { dsOpBench(b, ds.KindLinkedList, false, false) })
-	b.Run("perf-mode", func(b *testing.B) { dsOpBench(b, ds.KindLinkedList, true, false) })
-}
-
-// BenchmarkAblProbe: §3.3's near-zero cancellation cost for correct
-// extensions — a bounded loop (verified, no probes) vs the same loop in
-// unbounded form (probes at the back edge).
-func BenchmarkAblProbe(b *testing.B) {
-	b.Run("probes", func(b *testing.B) { dsOpBench(b, ds.KindRBTree, false, false) })
-}
-
-// BenchmarkAblXlat: §3.4's translate-on-store on a store-heavy op.
-func BenchmarkAblXlat(b *testing.B) {
-	for _, shared := range []bool{false, true} {
-		b.Run(fmt.Sprintf("shared=%v", shared), func(b *testing.B) {
-			rt := kflex.NewRuntime()
-			ext, err := rt.Load(kflex.Spec{
-				Name:      "xlat",
-				Insns:     ds.Program(ds.KindLinkedList),
-				Hook:      kflex.HookBench,
-				Mode:      kflex.ModeKFlex,
-				HeapSize:  ds.HeapSize(ds.KindLinkedList),
-				ShareHeap: shared,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ext.Close()
-			h := ext.Handle(0)
-			ctx := make([]byte, kflex.HookBench.CtxSize)
-			binary.LittleEndian.PutUint64(ctx[0:], 3)
-			if _, err := h.Run(nil, ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				binary.LittleEndian.PutUint64(ctx[0:], 0) // update: push-front store
-				binary.LittleEndian.PutUint64(ctx[8:], uint64(i)+1)
-				binary.LittleEndian.PutUint64(ctx[16:], uint64(i))
-				if _, err := h.Run(nil, ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Engine microbenchmarks ------------------------------------------------------------
 
 // BenchmarkVMDispatch measures raw interpreter throughput on a counted
 // 1024-iteration arithmetic loop (instructions per second = 3072/op·N).

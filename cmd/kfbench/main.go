@@ -1,5 +1,7 @@
 // Command kfbench regenerates the paper's evaluation: every table and
-// figure of §5 plus the design-choice ablations DESIGN.md calls out.
+// figure of §5 plus the design-choice ablations DESIGN.md calls out. Its
+// numbers are model time; wall time on the composed serving path is
+// measured by benchmark/ alone.
 //
 // Usage:
 //
@@ -21,14 +23,13 @@ func main() {
 	run := flag.String("run", "all", "experiment ID (see -list) or 'all'")
 	quick := flag.Bool("quick", false, "reduced populations and durations")
 	list := flag.Bool("list", false, "list experiment IDs")
-	jsonPath := flag.String("json", "", "write machine-readable report here (pipeline experiment)")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(bench.Experiments, "\n"))
 		return
 	}
-	opts := bench.Options{Quick: *quick, Out: os.Stdout, JSONPath: *jsonPath}
+	opts := bench.Options{Quick: *quick, Out: os.Stdout}
 	ids := bench.Experiments
 	if *run != "all" {
 		ids = strings.Split(*run, ",")

@@ -33,8 +33,7 @@ type Config struct {
 	// cancellations; Serve then takes the user-space fallback path.
 	CancelThreshold uint64
 	// Interpret runs the KFlex extension on the reference interpreter
-	// instead of the lowered tier (differential testing and the
-	// interpreter side of the pipeline benchmark).
+	// instead of the lowered tier (differential testing).
 	Interpret bool
 	// Durable, when non-nil, replaces the supervised deployment's
 	// in-memory authoritative store with a WAL-backed durable store:
@@ -42,9 +41,7 @@ type Config struct {
 	// from it, and a process restart recovers the full store from disk.
 	Durable *durable.Store
 	// ColdReload disables warm heap adoption across supervisor reloads:
-	// every reload links a fresh heap and re-pushes the full store. The
-	// recovery benchmark uses it as the baseline the O(delta) warm path
-	// is measured against.
+	// every reload links a fresh heap and re-pushes the full store.
 	ColdReload bool
 	// Slots sizes the extension's physical handle-slot table for the
 	// supervised deployment. It defaults to the server count; declaring
@@ -217,9 +214,6 @@ func (k *KFlex) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Serv
 
 // Name implements the labeled system.
 func (k *KFlex) Name() string { return "KFlex" }
-
-// ResetWork clears the accumulated counters (benchmark warmup).
-func (k *KFlex) ResetWork() { k.Work = kflex.Stats{} }
 
 // Close releases the extension.
 func (k *KFlex) Close() { k.ext.Close() }

@@ -141,6 +141,7 @@ func TestConformance(t *testing.T) {
 		{"oversized-set", oversizedSet},
 		{"get-hit-zero-allocs", getHitZeroAllocs},
 		{"reply-length-clamp", replyLengthClamp},
+		{"worker-count-insns", workerCountInsns},
 	}
 	for _, c := range codecs {
 		for _, row := range rows {
@@ -186,10 +187,13 @@ func wireRoundTrip(t *testing.T, c *offload.Codec) {
 }
 
 // coldInit: a fresh heap is initialised and receives every key of the
-// store, and serves them offloaded.
+// store, and serves them offloaded — at first load and at every reload of a
+// ColdReload deployment.
 func coldInit(t *testing.T, c *offload.Codec) {
 	const keys = 48
-	d := deploy(t, c, nil, testConfig(), func(st *durable.Store) {
+	cfg := testConfig()
+	cfg.ColdReload = true
+	d := deploy(t, c, nil, cfg, func(st *durable.Store) {
 		for i := 0; i < keys; i++ {
 			st.Set(key(i), val(i))
 		}
@@ -203,6 +207,14 @@ func coldInit(t *testing.T, c *offload.Codec) {
 	d.get(t, keys, nil, true)
 	if d.Offloaded != keys+1 || d.Fallbacks != 0 {
 		t.Fatalf("offloaded=%d fallbacks=%d, want %d and 0", d.Offloaded, d.Fallbacks, keys+1)
+	}
+	// A cold reload pays the same price again, however small the delta.
+	d.quarantine(t)
+	d.FallbackSet(key(0), val(100))
+	d.reload()
+	d.get(t, 0, val(100), true)
+	if st := d.Supervisor().Stats(); st.Reloads != 1 || st.WarmReloads != 0 || !st.LastInit.FullResync || st.LastInit.ResyncOps < keys {
+		t.Fatalf("stats = %+v, want one cold reload re-pushing all %d keys", st, keys)
 	}
 }
 
@@ -444,6 +456,59 @@ func replyLengthClamp(t *testing.T, c *offload.Codec) {
 					uint64(length), interpret, pkt.Reply, kvprog.ValueSize)
 			}
 		}
+	}
+}
+
+// workerCountInsns: workers on distinct CPUs share nothing that changes
+// what an op executes. Every key is preloaded, so SETs overwrite in place
+// and the table is frozen: the same frames retire the same instructions
+// through one Worker and split stride-wise across two concurrent ones.
+func workerCountInsns(t *testing.T, c *offload.Codec) {
+	const keys, ops = 64, 2000
+	k, err := offload.NewKFlex(c, testConfig(), 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer k.Close()
+	setup := k.Worker(0)
+	for i := 0; i < keys; i++ {
+		if reply, _, err := setup.Execute(c.AppendSet(nil, key(i), val(i))); err != nil || string(reply) != c.Stored {
+			t.Fatalf("preload SET %d: reply %q err %v", i, reply, err)
+		}
+	}
+	frames := make([][]byte, ops)
+	for i := range frames {
+		if i%10 == 9 {
+			frames[i] = c.AppendSet(nil, key(i%keys), val(i))
+		} else {
+			frames[i] = c.AppendGet(nil, key(i*7%keys))
+		}
+	}
+	insns := func(workers int) uint64 {
+		ws := make([]*offload.Worker, workers)
+		var wg sync.WaitGroup
+		for w := range ws {
+			ws[w] = k.Worker(w)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(frames); i += workers {
+					if _, _, err := ws[w].Execute(frames[i]); err != nil {
+						t.Errorf("%d workers: frame %d: %v", workers, i, err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		var sum uint64
+		for _, w := range ws {
+			sum += w.WorkStats().Insns
+		}
+		return sum
+	}
+	if one, two := insns(1), insns(2); one == 0 || one != two {
+		t.Fatalf("%d frames retired %d insns through one worker, %d across two: workers share state on the per-op path", ops, one, two)
 	}
 }
 

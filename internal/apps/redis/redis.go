@@ -28,7 +28,6 @@ import (
 	"kflex/internal/apps/offload"
 	"kflex/internal/ds"
 	"kflex/internal/durable"
-	"kflex/internal/faultinject"
 	"kflex/internal/kernel"
 	"kflex/internal/netsim"
 	"kflex/internal/sim"
@@ -183,52 +182,11 @@ var Codec = offload.Codec{
 // --- Shared harness pieces and KeyDB, the multi-threaded user-space baseline ---------
 
 // Config parameterizes one Redis system.
-type Config struct {
-	Mix   workload.Mix
-	Seed  int64
-	Costs netsim.PathCosts
-	// Preload fills every key before measuring.
-	Preload bool
-	// FaultPlan attaches deterministic fault injection to the KFlex
-	// variants' runtimes (chaos testing); nil in normal runs.
-	FaultPlan *faultinject.Plan
-	// LocalCancel scopes injected cancellations to single invocations so
-	// the server survives them (§4.3).
-	LocalCancel bool
-	// CancelThreshold auto-unloads the extension after this many
-	// cancellations; Serve then takes the user-space fallback path.
-	CancelThreshold uint64
-	// Interpret runs the KFlex extension on the reference interpreter
-	// instead of the lowered tier (differential testing and the
-	// interpreter side of the pipeline benchmark).
-	Interpret bool
-	// Durable, when set, replaces KeyDB as the supervised deployment's
-	// authoritative store with a WAL-backed durable store: acknowledged
-	// writes survive process crashes and are replayed on reopen.
-	Durable *durable.Store
-	// Slots sizes the extension's physical handle-slot table for the
-	// supervised deployment. It defaults to the server count; declaring
-	// more leaves free slots as live-migration targets
-	// (supervisor.Migrate).
-	Slots int
-	// HeapSize overrides the supervised deployment's extension heap size
-	// in bytes (default 64 MiB).
-	HeapSize uint64
-}
+type Config = offload.Config
 
 // DefaultConfig mirrors §5.1.
 func DefaultConfig(mix workload.Mix) Config {
-	return Config{Mix: mix, Seed: 11, Costs: netsim.DefaultCosts(), Preload: true}
-}
-
-// offload is cfg as the shared front end takes it: Redis always stores
-// ValueSize values and always reloads warm.
-func (cfg Config) offload() offload.Config {
-	return offload.Config{
-		Mix: cfg.Mix, ValueSize: ValueSize, Seed: cfg.Seed, Costs: cfg.Costs, Preload: cfg.Preload,
-		FaultPlan: cfg.FaultPlan, LocalCancel: cfg.LocalCancel, CancelThreshold: cfg.CancelThreshold,
-		Interpret: cfg.Interpret, Durable: cfg.Durable, Slots: cfg.Slots, HeapSize: cfg.HeapSize,
-	}
+	return Config{Mix: mix, ValueSize: ValueSize, Seed: 11, Costs: netsim.DefaultCosts(), Preload: true}
 }
 
 // KeyDB is the user-space server: the shared sharded store behind RESP.
@@ -241,9 +199,9 @@ type KeyDB struct {
 
 // NewKeyDB builds and optionally preloads the baseline.
 func NewKeyDB(cfg Config) *KeyDB {
-	k := &KeyDB{Store: offload.NewStore(), cfg: cfg, fac: Codec.NewReqFactory(cfg.offload())}
+	k := &KeyDB{Store: offload.NewStore(), cfg: cfg, fac: Codec.NewReqFactory(cfg)}
 	if cfg.Preload {
-		offload.Preload(k, ValueSize)
+		offload.Preload(k, cfg.ValueSize)
 	}
 	return k
 }
@@ -282,7 +240,7 @@ type (
 // NewKFlex loads the Redis extension (§5.1: ~3100 LoC in the paper's C
 // implementation; the structure is the shared KV program at sk_skb).
 func NewKFlex(cfg Config, servers int) (*KFlexRedis, error) {
-	return offload.NewKFlex(&Codec, cfg.offload(), servers, false)
+	return offload.NewKFlex(&Codec, cfg, servers, false)
 }
 
 // Supervised is the KFlex Redis deployment routed through the lifecycle
@@ -301,7 +259,7 @@ func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervis
 // NewSupervisedRecovered is NewSupervised for a recovered durable store:
 // info (from durable.Open) surfaces the WAL replay in the supervisor stats.
 func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
-	s, err := offload.NewSupervised(&Codec, cfg.offload(), servers, tuning, info)
+	s, err := offload.NewSupervised(&Codec, cfg, servers, tuning, info)
 	if err != nil {
 		return nil, err
 	}

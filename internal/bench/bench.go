@@ -27,9 +27,6 @@ type Options struct {
 	// Quick shrinks populations and simulated durations (CI-friendly).
 	Quick bool
 	Out   io.Writer
-	// JSONPath, when set, makes JSON-emitting experiments (pipeline) write
-	// their machine-readable report there.
-	JSONPath string
 }
 
 func (o Options) duration() float64 {
@@ -60,48 +57,41 @@ func (o Options) dsOps() int {
 	return 20_000
 }
 
-// Experiments lists every runnable experiment ID.
-var Experiments = []string{
-	"tab1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "tab3",
-	"abl-elision", "abl-probe", "abl-perfmode", "abl-xlat", "pipeline",
-	"scale", "recovery", "migrate",
+// experiments is the one table of runnable experiments, in the paper's
+// order; Experiments, Run and kfbench -list are all read from it.
+var experiments = []struct {
+	ID  string
+	Run func(Options) error
+}{
+	{"tab1", Tab1},
+	{"fig2", func(o Options) error { return Fig23(o, 8) }},
+	{"fig3", func(o Options) error { return Fig23(o, 16) }},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"tab3", Tab3},
+	{"abl-elision", AblElision},
+	{"abl-probe", AblProbe},
+	{"abl-perfmode", AblPerfMode},
+	{"abl-xlat", AblXlat},
 }
+
+// Experiments lists every runnable experiment ID.
+var Experiments = func() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.ID
+	}
+	return ids
+}()
 
 // Run executes the experiment named id.
 func Run(id string, o Options) error {
-	switch id {
-	case "tab1":
-		return Tab1(o)
-	case "fig2":
-		return Fig23(o, 8)
-	case "fig3":
-		return Fig23(o, 16)
-	case "fig4":
-		return Fig4(o)
-	case "fig5":
-		return Fig5(o)
-	case "fig6":
-		return Fig6(o)
-	case "fig7":
-		return Fig7(o)
-	case "tab3":
-		return Tab3(o)
-	case "abl-elision":
-		return AblElision(o)
-	case "abl-probe":
-		return AblProbe(o)
-	case "abl-perfmode":
-		return AblPerfMode(o)
-	case "abl-xlat":
-		return AblXlat(o)
-	case "pipeline":
-		return RunPipeline(o)
-	case "scale":
-		return RunScale(o)
-	case "recovery":
-		return RunRecovery(o)
-	case "migrate":
-		return RunMigrate(o)
+	for _, e := range experiments {
+		if e.ID == id {
+			return e.Run(o)
+		}
 	}
 	return fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
 }
@@ -142,6 +132,7 @@ func Fig23(o Options, servers int) error {
 		}
 		kf, err := memcached.NewKFlex(cfg, servers, false)
 		if err != nil {
+			bmc.Close()
 			return err
 		}
 		for _, s := range []struct {
@@ -587,6 +578,7 @@ func AblXlat(o Options) error {
 			putU64(ctx[16:], k)
 			res, err := h.Run(nil, ctx)
 			if err != nil {
+				ext.Close()
 				return err
 			}
 			insns += res.Stats.Insns

@@ -233,6 +233,17 @@ func TestSnapshotPlusDeltaReplay(t *testing.T) {
 		t.Fatalf("seq %d, want 55", s2.Seq())
 	}
 	assertMatchesOracle(t, s2, &o)
+
+	// A snapshot taken at the log head leaves nothing to replay.
+	if err := s2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, info := mustOpen(t, dir, Options{})
+	if info.SnapshotSeq != 55 || info.Replayed != 0 {
+		t.Fatalf("snapshot at the log head still replayed: %+v", info)
+	}
+	assertMatchesOracle(t, s3, &o)
 }
 
 func TestCorruptSnapshotFallsBackToLog(t *testing.T) {

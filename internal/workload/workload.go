@@ -143,37 +143,6 @@ func (g *Generator) Next() Request {
 	return req
 }
 
-// Stream is a pre-generated, immutable request sequence. The scalability
-// benchmark generates one Stream up front and partitions it across closed-
-// loop workers: pre-generation keeps the measured loop free of generator
-// work, and partitioning one fixed sequence guarantees the union of
-// requests served is identical at every worker count (so per-op instruction
-// counts are directly comparable across the scaling curve).
-type Stream struct {
-	Reqs []Request
-}
-
-// NewStream draws n requests from a fresh Generator.
-func NewStream(seed int64, mix Mix, n int) *Stream {
-	g := NewGenerator(seed, mix)
-	s := &Stream{Reqs: make([]Request, n)}
-	for i := range s.Reqs {
-		s.Reqs[i] = g.Next()
-	}
-	return s
-}
-
-// Slice returns worker w's strided share of the stream (every workers-th
-// request starting at w). Striding — rather than contiguous chunks — keeps
-// each worker's key popularity distribution representative of the whole.
-func (s *Stream) Slice(w, workers int) []Request {
-	out := make([]Request, 0, (len(s.Reqs)+workers-1)/workers)
-	for i := w; i < len(s.Reqs); i += workers {
-		out = append(out, s.Reqs[i])
-	}
-	return out
-}
-
 // Sizes carries the key/value byte sizes of the experiment (§5: 32 B keys;
 // 64 B values by default, 32 B when comparing against BMC).
 type Sizes struct {
