@@ -25,7 +25,8 @@ race:
 
 # The multi-core serving concurrency suite alone: parallel Run/RunContext
 # across every CPU, dynamic watchdog registration, cross-CPU allocator
-# frees, contended ticket locks, concurrent sub-word heap stores, the
+# frees, contended ticket locks and their per-heap abandoned-ticket record
+# (TestAbandonedTicketsPerHeap), concurrent sub-word heap stores, the
 # supervisor lifecycle under parallel traffic, the lock-free admit/drain
 # pairing, the two transition rules — a reload never stalls its siblings,
 # a quarantine drains before it audits — and the dirty-set gate
@@ -33,7 +34,7 @@ race:
 # what times every invocation now).
 race-concurrency:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|Refiller' \
+		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|AbandonedTicketsPerHeap' \
 		. ./internal/alloc/ ./internal/locks/ ./internal/heap/ ./internal/supervisor/ \
 		./internal/apps/offload/
 	$(GO) test -race -count=1 -timeout 120s ./internal/watchdog/

@@ -4,15 +4,15 @@
 // populated on demand as runs are carved. The paper backs the global pool
 // with jemalloc in user space and refills per-CPU caches from a background
 // thread; here the pool is implemented directly on the heap, with the same
-// architecture (per-CPU magazine → global list → fresh run) and an optional
-// background refiller.
+// three levels (per-CPU magazine → global list → fresh run) and no thread:
+// a magazine is refilled by its owner, on its own miss, so which block a
+// Malloc returns depends on the call sequence alone and never on timing.
 //
 // Concurrency discipline (§3.3): each per-CPU cache is private to the one
 // goroutine driving that simulated CPU — the same exclusivity per-CPU data
 // enjoys in the kernel — so the Malloc/Free fast path takes no lock at all.
-// The global depot mutex is touched only on magazine refill, spill, and
-// run carving; the background refiller communicates through a per-CPU
-// inbox that the owner drains only on a cache miss. Cache contents are
+// The global depot mutex is the only lock in the package's slow path,
+// touched on magazine refill, spill, and run carving. Cache contents are
 // stored as single-writer atomics purely so that audits (CheckConsistency,
 // the supervisor's quarantine report) can observe them from another
 // goroutine without a data race.
@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kflex/internal/faultinject"
 	"kflex/internal/heap"
@@ -43,9 +42,6 @@ const (
 	// cacheCap bounds a per-CPU cache per class; half is flushed to the
 	// global list on overflow.
 	cacheCap = 64
-	// refillLow is the watermark below which the background refiller
-	// tops up a per-CPU cache (§4.1).
-	refillLow = 8
 
 	headerMagic = 0x6b666c78 // "kflx"
 	hugeClass   = 0xff
@@ -88,9 +84,6 @@ type Allocator struct {
 
 	cpus []cpuCache
 
-	refillStop chan struct{}
-	refillWG   sync.WaitGroup
-
 	// fault, when non-nil, injects allocation failures (chaos testing);
 	// nil in production, so the hot path costs one nil check.
 	fault *faultinject.Plan
@@ -106,8 +99,8 @@ type Allocator struct {
 
 // classCache is one per-CPU, per-class magazine. Exactly one goroutine —
 // the owner of the simulated CPU — pushes and pops; the entries and the
-// length gauge are single-writer atomics only so the refiller (length
-// gauge) and audits (entries) may read them concurrently without a race.
+// length gauge are single-writer atomics only so audits may read them
+// concurrently without a race.
 type classCache struct {
 	n     atomic.Int32
 	slots [cacheCap + 1]atomic.Uint64
@@ -129,18 +122,13 @@ func (c *classCache) push(off uint64) {
 	c.n.Store(n + 1)
 }
 
-// cpuCache is the private state of one simulated CPU: its magazines, its
-// share of the allocator statistics (merged on Stats), and the inbox the
-// background refiller feeds. The inbox mutex is taken by the owner only on
-// a cache miss — the slow path — so refilling never perturbs the hot path.
+// cpuCache is the private state of one simulated CPU: its magazines and
+// its share of the allocator statistics (merged on Stats).
 type cpuCache struct {
 	free [numClasses]classCache
 
 	allocs, frees   atomic.Uint64
 	refills, spills atomic.Uint64
-
-	inboxMu sync.Mutex
-	inbox   [numClasses][]uint64
 }
 
 // Stats reports allocator activity.
@@ -262,12 +250,7 @@ func (a *Allocator) Malloc(cpu int, size uint64) uint64 {
 		a.trackAlloc(off, class)
 		return a.h.ExtBase() + off + headerSize
 	}
-	// Miss: drain the refiller's inbox first, then the global depot.
-	if off, ok := a.drainInbox(c, class); ok {
-		c.allocs.Add(1)
-		a.trackAlloc(off, class)
-		return a.h.ExtBase() + off + headerSize
-	}
+	// Miss: a batch from the global depot, or a freshly carved run.
 	blocks := a.refill(class)
 	if blocks == nil {
 		return 0
@@ -280,23 +263,6 @@ func (a *Allocator) Malloc(cpu int, size uint64) uint64 {
 	c.refills.Add(1)
 	a.trackAlloc(off, class)
 	return a.h.ExtBase() + off + headerSize
-}
-
-// drainInbox moves whatever the background refiller parked for this CPU
-// and class into the private cache and pops one block. Slow path only.
-func (a *Allocator) drainInbox(c *cpuCache, class int) (uint64, bool) {
-	c.inboxMu.Lock()
-	batch := c.inbox[class]
-	c.inbox[class] = nil
-	c.inboxMu.Unlock()
-	if len(batch) == 0 {
-		return 0, false
-	}
-	off := batch[len(batch)-1]
-	for _, b := range batch[:len(batch)-1] {
-		c.free[class].push(b)
-	}
-	return off, true
 }
 
 // refill obtains a batch of blocks of the class, from the global pool or by
@@ -436,10 +402,10 @@ func (a *Allocator) Free(cpu int, addr uint64) error {
 	return nil
 }
 
-// RetireCPU spills cpu's private per-class magazines and its refill inbox
-// back to the global depot. Call it when the handle slot for cpu is being
-// retired — a cross-CPU heap migration moving the shard off the slot, or a
-// successor generation adopting the allocator with a smaller CPU table —
+// RetireCPU spills cpu's private per-class magazines back to the global
+// depot. Call it when the handle slot for cpu is being retired — a
+// cross-CPU heap migration moving the shard off the slot, or a successor
+// generation adopting the allocator with a smaller CPU table —
 // so cached blocks are not stranded on a dead CPU where no Malloc will
 // ever pop them again. The caller must guarantee the goroutine that owned
 // the slot has quiesced: the magazines are single-writer and RetireCPU
@@ -461,12 +427,6 @@ func (a *Allocator) RetireCPU(cpu int) {
 			batch[class] = append(batch[class], b)
 		}
 	}
-	c.inboxMu.Lock()
-	for class := 0; class < numClasses; class++ {
-		batch[class] = append(batch[class], c.inbox[class]...)
-		c.inbox[class] = nil
-	}
-	c.inboxMu.Unlock()
 	a.mu.Lock()
 	for class := 0; class < numClasses; class++ {
 		if len(batch[class]) > 0 {
@@ -509,7 +469,7 @@ func (a *Allocator) CheckConsistency() error {
 		a.fault.Disarm()
 		defer a.fault.Enable()
 	}
-	// Snapshot free lists per class: depot, per-CPU magazines, inboxes.
+	// Snapshot free lists per class: depot and per-CPU magazines.
 	free := make([][]uint64, numClasses)
 	a.mu.Lock()
 	for class := 0; class < numClasses; class++ {
@@ -527,11 +487,6 @@ func (a *Allocator) CheckConsistency() error {
 				free[class] = append(free[class], cc.slots[j].Load())
 			}
 		}
-		c.inboxMu.Lock()
-		for class := 0; class < numClasses; class++ {
-			free[class] = append(free[class], c.inbox[class]...)
-		}
-		c.inboxMu.Unlock()
 	}
 
 	a.trackMu.Lock()
@@ -589,76 +544,4 @@ func (a *Allocator) CheckConsistency() error {
 		}
 	}
 	return nil
-}
-
-// StartRefiller launches the background thread that tops up per-CPU caches
-// from the global pool (§4.1). Stop it with StopRefiller.
-func (a *Allocator) StartRefiller(interval time.Duration) {
-	if a.refillStop != nil {
-		return
-	}
-	a.refillStop = make(chan struct{})
-	a.refillWG.Add(1)
-	go func() {
-		defer a.refillWG.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-a.refillStop:
-				return
-			case <-tick.C:
-				a.topUp()
-			}
-		}
-	}()
-}
-
-// StopRefiller stops the background refiller.
-func (a *Allocator) StopRefiller() {
-	if a.refillStop == nil {
-		return
-	}
-	close(a.refillStop)
-	a.refillWG.Wait()
-	a.refillStop = nil
-}
-
-// topUp parks depot blocks in the inbox of every CPU whose magazine has
-// run low (§4.1's background refill). The refiller never writes a private
-// magazine — it only reads the length gauges and fills the lock-guarded
-// inboxes, which owners drain on their next miss — so it cannot race the
-// lock-free fast path.
-func (a *Allocator) topUp() {
-	for i := range a.cpus {
-		c := &a.cpus[i]
-		for class := 0; class < numClasses; class++ {
-			n := int(c.free[class].n.Load())
-			if n == 0 || n >= refillLow {
-				continue
-			}
-			c.inboxMu.Lock()
-			pending := len(c.inbox[class])
-			c.inboxMu.Unlock()
-			if pending > 0 {
-				continue // previous top-up not yet drained
-			}
-			a.mu.Lock()
-			g := len(a.global[class])
-			take := refillLow
-			if take > g {
-				take = g
-			}
-			batch := append([]uint64(nil), a.global[class][g-take:]...)
-			a.global[class] = a.global[class][:g-take]
-			a.mu.Unlock()
-			if len(batch) == 0 {
-				continue
-			}
-			c.inboxMu.Lock()
-			c.inbox[class] = append(c.inbox[class], batch...)
-			c.inboxMu.Unlock()
-			c.refills.Add(1)
-		}
-	}
 }

@@ -3,7 +3,6 @@ package alloc
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"kflex/internal/heap"
 )
@@ -112,46 +111,4 @@ func TestConcurrentAuditDuringTraffic(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestRefillerConcurrentWithTraffic runs the background refiller against
-// live single-CPU traffic that repeatedly drains its magazine, proving the
-// inbox handoff is race-free and that refilled blocks are eventually
-// consumed by the owner.
-func TestRefillerConcurrentWithTraffic(t *testing.T) {
-	h, err := heap.New(1 << 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(h, 1)
-	// Build a depot surplus so top-ups come from the global list.
-	var warm []uint64
-	for i := 0; i < 200; i++ {
-		warm = append(warm, a.Malloc(0, 64))
-	}
-	for _, addr := range warm {
-		if err := a.Free(0, addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.StartRefiller(100 * time.Microsecond)
-	defer a.StopRefiller()
-	for round := 0; round < 50; round++ {
-		var held []uint64
-		for i := 0; i < 60; i++ {
-			addr := a.Malloc(0, 64)
-			if addr == 0 {
-				t.Fatal("exhausted")
-			}
-			held = append(held, addr)
-		}
-		for _, addr := range held {
-			if err := a.Free(0, addr); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"kflex/internal/faultinject"
 	"kflex/internal/heap"
@@ -193,30 +192,6 @@ func TestConcurrentMalloc(t *testing.T) {
 	wg.Wait()
 }
 
-func TestBackgroundRefiller(t *testing.T) {
-	a, _ := newAlloc(t, 1<<22, 1)
-	// Build a global surplus by spilling a per-CPU cache.
-	var addrs []uint64
-	for i := 0; i < 200; i++ {
-		addrs = append(addrs, a.Malloc(0, 64))
-	}
-	for _, addr := range addrs {
-		if err := a.Free(0, addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.StartRefiller(time.Millisecond)
-	defer a.StopRefiller()
-	// Drain the cache low and give the refiller a chance to top up.
-	for i := 0; i < 60; i++ {
-		a.Malloc(0, 64)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if a.Stats().Refills == 0 {
-		t.Error("refiller never ran")
-	}
-}
-
 // --- Fault-injection failure paths -------------------------------------------
 
 func TestInjectedAllocFailure(t *testing.T) {
@@ -307,7 +282,7 @@ func TestInjectedPopulateFailureDuringRefill(t *testing.T) {
 }
 
 // TestRetireCPUSpillsMagazines proves retiring a handle slot returns every
-// block cached in its magazines (and inbox) to the global depot, where a
+// block cached in its magazines to the global depot, where a
 // different CPU's refill can reach them — no block is stranded on a dead
 // CPU, and the accounting audit still balances.
 func TestRetireCPUSpillsMagazines(t *testing.T) {
@@ -376,52 +351,4 @@ func TestRetireCPUsFromSpillsTail(t *testing.T) {
 	a.RetireCPU(-1)
 	a.RetireCPU(99)
 	a.RetireCPUsFrom(-3)
-}
-
-// TestRetireCPUDrainsInbox parks refiller blocks in a slot's inbox and
-// proves retirement moves them to the depot rather than leaking them.
-func TestRetireCPUDrainsInbox(t *testing.T) {
-	a, _ := newAlloc(t, 1<<20, 2)
-	a.EnableTracking()
-	// Run the magazine down to below the refill watermark, with the depot
-	// stocked, then let one top-up pass park blocks in the inbox.
-	addr := a.Malloc(1, 64)
-	if addr == 0 {
-		t.Fatal("exhausted")
-	}
-	if err := a.Free(1, addr); err != nil {
-		t.Fatal(err)
-	}
-	// Stock the depot by spilling another CPU's magazine.
-	var bulk []uint64
-	for i := 0; i < cacheCap+8; i++ {
-		b := a.Malloc(0, 64)
-		if b == 0 {
-			t.Fatal("exhausted")
-		}
-		bulk = append(bulk, b)
-	}
-	for _, b := range bulk {
-		if err := a.Free(0, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.topUp()
-	a.cpus[1].inboxMu.Lock()
-	class, _ := classFor(64)
-	parked := len(a.cpus[1].inbox[class])
-	a.cpus[1].inboxMu.Unlock()
-	if parked == 0 {
-		t.Skip("refiller parked nothing; watermark premise not met")
-	}
-	a.RetireCPU(1)
-	a.cpus[1].inboxMu.Lock()
-	left := len(a.cpus[1].inbox[class])
-	a.cpus[1].inboxMu.Unlock()
-	if left != 0 {
-		t.Fatalf("inbox still holds %d blocks after retirement", left)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatalf("accounting broken after inbox retirement: %v", err)
-	}
 }

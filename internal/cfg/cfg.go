@@ -1,13 +1,13 @@
 // Package cfg builds instruction-level control-flow graphs over KFlex
 // bytecode and computes the structural facts the verifier and the Kie
-// instrumentation engine need: reachability, dominators, and natural loops
-// with their back edges. Back edges of loops whose termination cannot be
-// proven become class-1 cancellation points (§3.3 of the paper).
+// instrumentation engine need: reachability, a reverse postorder, and the
+// retreating edges that close every cycle. Retreating edges of loops whose
+// termination cannot be proven become class-1 cancellation points (§3.3 of
+// the paper).
 package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"kflex/insn"
 )
@@ -20,8 +20,9 @@ type Graph struct {
 	Succ  [][]int
 	Pred  [][]int
 
-	rpo  []int // reverse postorder of reachable nodes
-	idom []int // immediate dominator per node, -1 if entry/unreachable
+	// rpoIdx is each node's position in a reverse postorder of the nodes
+	// reachable from entry, -1 if unreachable.
+	rpoIdx []int
 }
 
 // Build constructs and validates the CFG. It rejects empty programs,
@@ -67,12 +68,11 @@ func Build(prog []insn.Instruction) (*Graph, error) {
 		}
 	}
 	g.computeRPO()
-	g.computeDominators()
 	return g, nil
 }
 
-// computeRPO performs an iterative DFS from the entry and records the
-// reverse postorder of reachable nodes.
+// computeRPO performs an iterative DFS from the entry and numbers the
+// reachable nodes in reverse postorder.
 func (g *Graph) computeRPO() {
 	n := len(g.Insns)
 	visited := make([]bool, n)
@@ -95,173 +95,49 @@ func (g *Graph) computeRPO() {
 		post = append(post, f.node)
 		stack = stack[:len(stack)-1]
 	}
-	g.rpo = make([]int, len(post))
+	g.rpoIdx = make([]int, n)
+	for i := range g.rpoIdx {
+		g.rpoIdx[i] = -1
+	}
 	for i, node := range post {
-		g.rpo[len(post)-1-i] = node
+		g.rpoIdx[node] = len(post) - 1 - i
 	}
 }
 
-// Reachable reports, per instruction, whether it is reachable from entry.
-func (g *Graph) Reachable() []bool {
-	r := make([]bool, len(g.Insns))
-	for _, n := range g.rpo {
-		r[n] = true
-	}
-	return r
-}
-
-// RPO returns the reverse postorder of reachable instructions.
-func (g *Graph) RPO() []int { return g.rpo }
-
-// computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm.
-func (g *Graph) computeDominators() {
-	n := len(g.Insns)
-	g.idom = make([]int, n)
-	for i := range g.idom {
-		g.idom[i] = -1
-	}
-	rpoIndex := make([]int, n)
-	for i := range rpoIndex {
-		rpoIndex[i] = -1
-	}
-	for i, node := range g.rpo {
-		rpoIndex[node] = i
-	}
-	g.idom[0] = 0
-	for changed := true; changed; {
-		changed = false
-		for _, node := range g.rpo {
-			if node == 0 {
-				continue
-			}
-			newIdom := -1
-			for _, p := range g.Pred[node] {
-				if rpoIndex[p] < 0 || g.idom[p] == -1 {
-					continue // unreachable or not yet processed
-				}
-				if newIdom == -1 {
-					newIdom = p
-					continue
-				}
-				newIdom = g.intersect(p, newIdom, rpoIndex)
-			}
-			if newIdom != -1 && g.idom[node] != newIdom {
-				g.idom[node] = newIdom
-				changed = true
-			}
-		}
-	}
-}
-
-func (g *Graph) intersect(a, b int, rpoIndex []int) int {
-	for a != b {
-		for rpoIndex[a] > rpoIndex[b] {
-			a = g.idom[a]
-		}
-		for rpoIndex[b] > rpoIndex[a] {
-			b = g.idom[b]
-		}
-	}
-	return a
-}
-
-// Dominates reports whether instruction a dominates instruction b.
-func (g *Graph) Dominates(a, b int) bool {
-	if g.idom[b] == -1 && b != 0 {
-		return false // unreachable
-	}
-	for {
-		if a == b {
-			return true
-		}
-		if b == 0 {
-			return false
-		}
-		b = g.idom[b]
-	}
-}
-
-// Idom returns the immediate dominator of node (node 0 maps to itself;
-// unreachable nodes map to -1).
-func (g *Graph) Idom(node int) int { return g.idom[node] }
-
-// BackEdge is a CFG edge tail→head where head dominates tail, i.e. the
-// closing edge of a natural loop.
+// BackEdge is a CFG edge tail→head that closes a cycle.
 type BackEdge struct {
 	Tail, Head int
 }
 
-// BackEdges returns all natural-loop back edges in deterministic order.
-func (g *Graph) BackEdges() []BackEdge {
-	var edges []BackEdge
-	for _, tail := range g.rpo {
+// Retreating reports whether the CFG edge tail→head goes backward (or
+// stays in place) in reverse postorder. Every cycle, reducible or not,
+// contains at least one such edge, so cutting all of them cuts every loop;
+// a dominator-based back-edge test misses the cycles with two entries.
+func (g *Graph) Retreating(tail, head int) bool {
+	return g.rpoIdx[tail] >= 0 && g.rpoIdx[head] <= g.rpoIdx[tail]
+}
+
+// RetreatingEdges returns every retreating edge between reachable
+// instructions, ordered by tail and then by successor order. It is the one
+// loop analysis: the verifier widens at the heads and, where it cannot
+// bound the loop, Kie plants a *terminate probe before each tail.
+func (g *Graph) RetreatingEdges() []BackEdge {
+	var out []BackEdge
+	for tail := range g.Insns {
 		for _, head := range g.Succ[tail] {
-			if g.Dominates(head, tail) {
-				edges = append(edges, BackEdge{Tail: tail, Head: head})
+			if g.Retreating(tail, head) {
+				out = append(out, BackEdge{Tail: tail, Head: head})
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Head != edges[j].Head {
-			return edges[i].Head < edges[j].Head
-		}
-		return edges[i].Tail < edges[j].Tail
-	})
-	return edges
-}
-
-// Loop is one natural loop: every node from which the back edge's tail is
-// reachable without passing through the head.
-type Loop struct {
-	Head  int
-	Tails []int
-	Body  map[int]bool // includes Head and all Tails
-}
-
-// Loops identifies natural loops, merging loops that share a head.
-func (g *Graph) Loops() []Loop {
-	byHead := map[int]*Loop{}
-	for _, e := range g.BackEdges() {
-		l, ok := byHead[e.Head]
-		if !ok {
-			l = &Loop{Head: e.Head, Body: map[int]bool{e.Head: true}}
-			byHead[e.Head] = l
-		}
-		l.Tails = append(l.Tails, e.Tail)
-		// Walk predecessors backward from the tail until the head.
-		stack := []int{e.Tail}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if l.Body[n] {
-				continue
-			}
-			l.Body[n] = true
-			for _, p := range g.Pred[n] {
-				if !l.Body[p] {
-					stack = append(stack, p)
-				}
-			}
-		}
-	}
-	heads := make([]int, 0, len(byHead))
-	for h := range byHead {
-		heads = append(heads, h)
-	}
-	sort.Ints(heads)
-	loops := make([]Loop, 0, len(heads))
-	for _, h := range heads {
-		loops = append(loops, *byHead[h])
-	}
-	return loops
+	return out
 }
 
 // HasUnreachable reports whether any instruction is unreachable; the eBPF
 // verifier rejects programs containing dead code.
 func (g *Graph) HasUnreachable() (int, bool) {
-	r := g.Reachable()
-	for i, ok := range r {
-		if !ok {
+	for i, pos := range g.rpoIdx {
+		if pos < 0 {
 			return i, true
 		}
 	}

@@ -16,6 +16,20 @@ func mustBuild(t *testing.T, prog []insn.Instruction) *Graph {
 	return g
 }
 
+// wantEdges asserts RetreatingEdges returns exactly want, in order.
+func wantEdges(t *testing.T, g *Graph, want ...BackEdge) {
+	t.Helper()
+	got := g.RetreatingEdges()
+	if len(got) != len(want) {
+		t.Fatalf("retreating edges = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("retreating edges = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestStraightLine(t *testing.T) {
 	g := mustBuild(t, asm.New().
 		MovImm(insn.R0, 1).
@@ -28,8 +42,8 @@ func TestStraightLine(t *testing.T) {
 	if len(g.Succ[2]) != 0 {
 		t.Errorf("exit has successors: %v", g.Succ[2])
 	}
-	if len(g.BackEdges()) != 0 {
-		t.Error("straight-line code has back edges")
+	if len(g.RetreatingEdges()) != 0 {
+		t.Error("straight-line code has retreating edges")
 	}
 	if _, bad := g.HasUnreachable(); bad {
 		t.Error("reported unreachable code")
@@ -74,21 +88,6 @@ func diamond(t *testing.T) *Graph {
 		MustAssemble())
 }
 
-func TestDiamondDominators(t *testing.T) {
-	g := diamond(t)
-	for _, n := range []int{1, 2, 3, 4} {
-		if !g.Dominates(0, n) {
-			t.Errorf("entry should dominate %d", n)
-		}
-	}
-	if g.Dominates(1, 4) || g.Dominates(3, 4) {
-		t.Error("neither branch arm dominates the join")
-	}
-	if g.Idom(4) != 0 {
-		t.Errorf("idom(join) = %d, want 0", g.Idom(4))
-	}
-}
-
 // loop builds a counted loop:
 //
 //	0: r1 = 10
@@ -111,25 +110,9 @@ func loopGraph(t *testing.T) *Graph {
 
 func TestLoopDetection(t *testing.T) {
 	g := loopGraph(t)
-	edges := g.BackEdges()
-	if len(edges) != 1 {
-		t.Fatalf("back edges = %v, want 1", edges)
-	}
-	if edges[0].Head != 1 || edges[0].Tail != 3 {
-		t.Errorf("back edge = %+v, want 3->1", edges[0])
-	}
-	loops := g.Loops()
-	if len(loops) != 1 {
-		t.Fatalf("loops = %d, want 1", len(loops))
-	}
-	l := loops[0]
-	for _, n := range []int{1, 2, 3} {
-		if !l.Body[n] {
-			t.Errorf("loop body missing %d", n)
-		}
-	}
-	if l.Body[0] || l.Body[4] {
-		t.Errorf("loop body too large: %v", l.Body)
+	wantEdges(t, g, BackEdge{Tail: 3, Head: 1})
+	if !g.Retreating(3, 1) || g.Retreating(1, 2) || g.Retreating(1, 4) {
+		t.Error("Retreating disagrees with RetreatingEdges on the loop's own edges")
 	}
 }
 
@@ -146,22 +129,8 @@ func TestNestedLoops(t *testing.T) {
 		JmpImm(insn.JmpNe, insn.R1, 0, "outer").
 		Exit().
 		MustAssemble())
-	loops := g.Loops()
-	if len(loops) != 2 {
-		t.Fatalf("loops = %d, want 2", len(loops))
-	}
-	inner, outer := loops[1], loops[0]
-	if outer.Head > inner.Head {
-		inner, outer = outer, inner
-	}
-	if len(inner.Body) >= len(outer.Body) {
-		t.Errorf("inner body (%d) should be smaller than outer (%d)", len(inner.Body), len(outer.Body))
-	}
-	for n := range inner.Body {
-		if !outer.Body[n] {
-			t.Errorf("inner node %d not inside outer loop", n)
-		}
-	}
+	// One edge per loop, ordered by tail: inner 3->2, then outer 5->1.
+	wantEdges(t, g, BackEdge{Tail: 3, Head: 2}, BackEdge{Tail: 5, Head: 1})
 }
 
 func TestSelfLoop(t *testing.T) {
@@ -171,10 +140,7 @@ func TestSelfLoop(t *testing.T) {
 		insn.JmpImm(insn.JmpNe, insn.R1, 0, -1),
 		insn.Exit(),
 	})
-	edges := g.BackEdges()
-	if len(edges) != 1 || edges[0].Head != 1 || edges[0].Tail != 1 {
-		t.Fatalf("self back edge = %v", edges)
-	}
+	wantEdges(t, g, BackEdge{Tail: 1, Head: 1})
 }
 
 func TestUnreachableDetection(t *testing.T) {
@@ -191,21 +157,47 @@ func TestUnreachableDetection(t *testing.T) {
 }
 
 func TestIrreducibleEntryNotLoop(t *testing.T) {
-	// Two exits, no loop: make sure multiple preds at join don't create
-	// spurious back edges.
-	g := diamond(t)
-	if len(g.BackEdges()) != 0 {
-		t.Error("diamond has back edges")
-	}
+	// Two arms, no loop: multiple preds at the join must not create a
+	// spurious retreating edge.
+	wantEdges(t, diamond(t))
+}
+
+// TestIrreducibleCycle: a cycle entered at two points has no node that
+// dominates the rest, so a natural-loop analysis reports nothing and the
+// loop would run without a probe; reverse postorder still has to step
+// backward somewhere on it.
+//
+//	0: r3 = 0
+//	1: if r1 == 0 goto 3     (second entry)
+//	2: r3 += 1
+//	3: r3 += 1
+//	4: if r3 != r1 goto 2
+//	5: exit
+func TestIrreducibleCycle(t *testing.T) {
+	g := mustBuild(t, asm.New().
+		MovImm(insn.R3, 0).
+		JmpImm(insn.JmpEq, insn.R1, 0, "b").
+		Label("a").
+		I(insn.Alu64Imm(insn.AluAdd, insn.R3, 1)).
+		Label("b").
+		I(insn.Alu64Imm(insn.AluAdd, insn.R3, 1)).
+		JmpReg(insn.JmpNe, insn.R3, insn.R1, "a").
+		Exit().
+		MustAssemble())
+	wantEdges(t, g, BackEdge{Tail: 2, Head: 3})
 }
 
 func TestRPOStartsAtEntry(t *testing.T) {
 	g := loopGraph(t)
-	if g.RPO()[0] != 0 {
-		t.Errorf("RPO[0] = %d", g.RPO()[0])
+	if g.rpoIdx[0] != 0 {
+		t.Errorf("entry numbered %d in reverse postorder", g.rpoIdx[0])
 	}
-	if len(g.RPO()) != len(g.Insns) {
-		t.Errorf("RPO covers %d of %d", len(g.RPO()), len(g.Insns))
+	seen := make([]bool, len(g.Insns))
+	for node, pos := range g.rpoIdx {
+		if pos < 0 || seen[pos] {
+			t.Fatalf("rpoIdx = %v: node %d unnumbered or numbered twice", g.rpoIdx, node)
+		}
+		seen[pos] = true
 	}
 }
 

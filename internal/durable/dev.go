@@ -266,9 +266,10 @@ func (h *memHandle) Close() error { return nil }
 
 // --- OSDir: real directory ------------------------------------------------------
 
-// OSDir is a Dir over a real directory — the production device (and what
-// the recovery benchmark replays from). Fault injection lives in MemDir;
-// OSDir is a plain pass-through.
+// OSDir is a Dir over a real directory — the production device. No
+// deployment or benchmark workload in this repository opens one yet; the
+// store tests that need only the Dir interface run on it beside MemDir.
+// Fault injection lives in MemDir; OSDir is a plain pass-through.
 type OSDir struct {
 	path string
 }

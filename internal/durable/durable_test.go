@@ -64,8 +64,24 @@ func assertMatchesOracle(t *testing.T, s *Store, o *oracle) {
 	}
 }
 
-func TestRoundTripRecovery(t *testing.T) {
-	dir := NewMemDir(nil)
+// eachDevice runs fn once per Dir implementation: the crash-modelling
+// MemDir every other test uses, and OSDir over a real (temporary)
+// directory — the device a deployment would open. Only tests that need
+// nothing beyond the Dir interface (no Crash, no fault plan) take both.
+func eachDevice(t *testing.T, fn func(t *testing.T, dir Dir)) {
+	t.Run("MemDir", func(t *testing.T) { fn(t, NewMemDir(nil)) })
+	t.Run("OSDir", func(t *testing.T) {
+		dir, err := NewOSDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, dir)
+	})
+}
+
+func TestRoundTripRecovery(t *testing.T) { eachDevice(t, testRoundTripRecovery) }
+
+func testRoundTripRecovery(t *testing.T, dir Dir) {
 	s, info := mustOpen(t, dir, Options{})
 	if info.SnapshotLoaded != "" || info.Replayed != 0 {
 		t.Fatalf("fresh dir recovered state: %+v", info)
@@ -97,6 +113,100 @@ func TestRoundTripRecovery(t *testing.T) {
 	if s.Hash() != s2.Hash() {
 		t.Fatal("recovered store hash differs from original")
 	}
+}
+
+// TestDeviceRollSnapshotAndGarbageTail is the one path that touches every
+// Dir and File method (Create, Open, List, Remove, Rename, SyncDir; Append,
+// ReadAt, Size, Sync, Truncate, Close) on each device: writes that roll
+// the segment several times, a snapshot (temp file, rename, compaction),
+// a clean close, a recovery that must find every key and no tear — then
+// garbage appended to the newest segment, which the next recovery has to
+// cut off the file, not merely skip.
+func TestDeviceRollSnapshotAndGarbageTail(t *testing.T) {
+	eachDevice(t, func(t *testing.T, dir Dir) {
+		opts := Options{SegmentBytes: 1 << 10}
+		s, _ := mustOpen(t, dir, opts)
+		var o oracle
+		put := func(from, to int) {
+			for i := from; i < to; i++ {
+				s.Set(key(i), value(i))
+				o.set(key(i), value(i))
+			}
+		}
+		put(0, 120)
+		if segs, err := listSegments(dir); err != nil || len(segs) < 3 {
+			t.Fatalf("120 records in 1 KiB segments left %d segments (err %v), want several rolls", len(segs), err)
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if m := s.Metrics(); m.Snapshots != 1 || m.CompactedSegs == 0 || m.AppendErrs+m.SyncErrs+m.SnapshotErrs != 0 {
+			t.Fatalf("after snapshot: %+v", m)
+		}
+		put(120, 150)
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+
+		s2, info := mustOpen(t, dir, opts)
+		if info.SnapshotSeq != 120 || info.Replayed != 30 || info.TornBytes != 0 || info.Keys != 150 {
+			t.Fatalf("clean recovery: %+v", info)
+		}
+		assertMatchesOracle(t, s2, &o)
+		if err := s2.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+
+		segs, err := listSegments(dir)
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("listSegments: %v, %d segments", err, len(segs))
+		}
+		newest := segs[len(segs)-1].name
+		garbage := []byte("not a record: a write the crash cut short")
+		f, err := dir.Open(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Append(garbage); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s3, info := mustOpen(t, dir, opts)
+		if info.TornBytes != int64(len(garbage)) || s3.Seq() != 150 {
+			t.Fatalf("recovery over a garbage tail: seq %d, %+v", s3.Seq(), info)
+		}
+		assertMatchesOracle(t, s3, &o)
+		f, err = dir.Open(newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size, err := f.Size(); err != nil || size != clean {
+			t.Fatalf("newest segment is %d bytes after recovery (err %v), want the tear cut back to %d", size, err, clean)
+		}
+		f.Close()
+		// The repaired log takes appends again and recovers them.
+		s3.Set(key(150), value(150))
+		o.set(key(150), value(150))
+		if err := s3.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		s4, info := mustOpen(t, dir, opts)
+		if info.TornBytes != 0 || s4.Seq() != 151 {
+			t.Fatalf("recovery after repair: seq %d, %+v", s4.Seq(), info)
+		}
+		assertMatchesOracle(t, s4, &o)
+		s4.Close()
+	})
 }
 
 func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {

@@ -119,7 +119,9 @@ type Store struct {
 }
 
 // NewMemory returns a Store with durability off: same surface, no device.
-// The supervised deployments use it when no WAL directory is configured.
+// The replication tests use it for a primary or follower whose device is
+// beside the point (a supervised deployment with no WAL directory runs on
+// offload.NewStore, not on this).
 func NewMemory() *Store {
 	var o Options
 	o.defaults()

@@ -151,6 +151,47 @@ type Heap struct {
 	// fault, when non-nil, injects guard-zone and demand-paging failures
 	// (chaos testing); nil in production, so sites cost one nil check.
 	fault *faultinject.Plan
+
+	abandoned AbandonedTickets
+}
+
+// AbandonedTickets is the queue-repair record of the ticket locks that
+// live in one heap (internal/locks): per lock-word offset, the tickets
+// whose waiters were cancelled while spinning, which the unlock path must
+// step over. It belongs to the heap, not to a mapping of it and not to the
+// process: the extension and user views of a lock have to agree on it, a
+// lock at the same offset of another heap must not, and it has to die with
+// the heap rather than be replayed against the next generation's.
+type AbandonedTickets struct {
+	mu sync.Mutex
+	m  map[abandonedTicket]struct{}
+}
+
+type abandonedTicket struct {
+	off    uint64
+	ticket uint32
+}
+
+// Add records that ticket of the lock at heap offset off will never be
+// claimed.
+func (a *AbandonedTickets) Add(off uint64, ticket uint32) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.m == nil {
+		a.m = make(map[abandonedTicket]struct{})
+	}
+	a.m[abandonedTicket{off, ticket}] = struct{}{}
+}
+
+// Remove reports whether ticket of the lock at off was abandoned, and
+// forgets it.
+func (a *AbandonedTickets) Remove(off uint64, ticket uint32) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	k := abandonedTicket{off, ticket}
+	_, ok := a.m[k]
+	delete(a.m, k)
+	return ok
 }
 
 var (
@@ -197,6 +238,9 @@ func (h *Heap) Size() uint64 { return h.size }
 
 // Mask returns size-1, the sanitization mask.
 func (h *Heap) Mask() uint64 { return h.mask }
+
+// Abandoned returns the heap's abandoned-ticket record.
+func (h *Heap) Abandoned() *AbandonedTickets { return &h.abandoned }
 
 // ExtBase returns the heap's base address in the extension address space.
 func (h *Heap) ExtBase() uint64 { return h.extBase }

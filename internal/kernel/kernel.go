@@ -204,9 +204,6 @@ type HelperCtx struct {
 	Lock Locker
 	// Site is the instruction index of the CALL being executed.
 	Site int
-	// Steps lets long-running helpers charge synthetic work to the
-	// instruction budget (nil outside metered runs).
-	Steps func(n int)
 }
 
 // HeapView is the subset of heap.View helpers need; declared as an

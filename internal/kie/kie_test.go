@@ -181,6 +181,43 @@ func TestProbePlacementAndBranchFixup(t *testing.T) {
 	}
 }
 
+// TestIrreducibleCycleGetsProbe: a cycle with two entries has no natural-
+// loop back edge, yet it must not run unprobed. The verifier reports the
+// cycle's one retreating edge (old insn 4 -> 5) and Kie plants the
+// *terminate probe before its tail, with an object table to unwind by.
+func TestIrreducibleCycleGetsProbe(t *testing.T) {
+	prog := asm.New().
+		Mov(insn.R6, insn.R1).
+		Load(insn.R4, insn.R6, 8, 8). // unknown bound
+		MovImm(insn.R3, 0).
+		JmpImm(insn.JmpEq, insn.R4, 0, "b"). // second entry into the cycle
+		Label("a").
+		Add(insn.R3, 1). // 4: tail of the retreating edge
+		Label("b").
+		Add(insn.R3, 1).
+		JmpReg(insn.JmpNe, insn.R3, insn.R4, "a").
+		Ret(0).
+		MustAssemble()
+	// The counter never converges, so the DFS only ends at its budget; a
+	// small one reaches the fixpoint fallback without 400 000 steps.
+	an := analyze(t, prog, func(c *verifier.Config) { c.InsnBudget = 4096 })
+	rep, err := Instrument(an)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Probes != 1 {
+		t.Fatalf("probes = %d, want 1", rep.Probes)
+	}
+	at := rep.OldToNew[4]
+	if rep.Prog[at].Op != insn.OpProbe || rep.Prog[at+1] != prog[4] {
+		t.Errorf("new insns %d,%d = %v, %v; want the probe, then old insn 4",
+			at, at+1, rep.Prog[at], rep.Prog[at+1])
+	}
+	if len(rep.CPs) != 1 || rep.CPs[0].Kind != CPLoop {
+		t.Errorf("CPs = %+v, want one C1 cancellation point", rep.CPs)
+	}
+}
+
 func TestXlatInsertion(t *testing.T) {
 	prog := asm.New().
 		Call(kernel.HelperKflexHeapBase).

@@ -13,7 +13,6 @@ package locks
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,7 +69,7 @@ func (l *Locks) Lock(addr uint64, cancelled func() bool) bool {
 		}
 		spins++
 		if spins == 1 && l.fault != nil {
-			key := lockKey(l.view, addr)
+			key := l.lockOff(addr)
 			// LockTimeout abandons the acquisition as if cancelled while
 			// spinning; the unlock path repairs the FIFO hole (§3.4).
 			if l.fault.Fire(faultinject.LockTimeout, key) {
@@ -102,14 +101,23 @@ func (l *Locks) Lock(addr uint64, cancelled func() bool) bool {
 	}
 }
 
-// abandoned tickets per lock word VA; the unlock path skips them. This is
-// runtime-side bookkeeping (the real runtime repairs its queue likewise
-// when cancelling a waiter).
-var abandoned atomicMap
-
-// abandon records that ticket my at lock addr will never be claimed.
+// abandon records that ticket my at lock addr will never be claimed; the
+// unlock path skips it. This is runtime-side bookkeeping (the real runtime
+// repairs its queue likewise when cancelling a waiter), kept on the heap
+// the lock lives in so that both mappings of it — and nothing else — see
+// the same record.
 func (l *Locks) abandon(addr uint64, my uint32) {
-	abandoned.add(lockKey(l.view, addr), my)
+	l.view.Heap().Abandoned().Add(l.lockOff(addr), my)
+}
+
+// skipAbandoned returns the first ticket at or after owner that still has
+// a waiter behind it, consuming the abandoned ones on the way.
+func (l *Locks) skipAbandoned(addr uint64, owner uint32) uint32 {
+	ab, off := l.view.Heap().Abandoned(), l.lockOff(addr)
+	for ab.Remove(off, owner) {
+		owner++
+	}
+	return owner
 }
 
 // recoverTicket repairs the queue after an acquisition aborted on a heap
@@ -131,12 +139,7 @@ func (l *Locks) recoverTicket(addr uint64, my uint32) {
 		l.abandon(addr, my)
 		return
 	}
-	owner := my + 1
-	key := lockKey(l.view, addr)
-	for abandoned.remove(key, owner) {
-		owner++
-	}
-	_ = l.view.AtomicStore(addr, 4, uint64(owner))
+	_ = l.view.AtomicStore(addr, 4, uint64(l.skipAbandoned(addr, my+1)))
 }
 
 // Unlock releases the lock at addr.
@@ -153,12 +156,7 @@ func (l *Locks) Unlock(addr uint64) error {
 		return fmt.Errorf("locks: unlock of lock %#x that is not held", addr)
 	}
 	// Advance owner, skipping abandoned tickets.
-	owner := uint32(cur) + 1
-	key := lockKey(l.view, addr)
-	for abandoned.remove(key, owner) {
-		owner++
-	}
-	return l.view.AtomicStore(addr, 4, uint64(owner))
+	return l.view.AtomicStore(addr, 4, uint64(l.skipAbandoned(addr, uint32(cur)+1)))
 }
 
 // Held reports whether the lock at addr is currently held. Like every
@@ -174,41 +172,10 @@ func (l *Locks) Held(addr uint64) bool {
 	return err1 == nil && err2 == nil && uint32(cur) != uint32(next)
 }
 
-// lockKey identifies a lock by its heap offset so the extension and user
-// views of the same lock share abandonment state.
-func lockKey(v heap.View, addr uint64) uint64 {
-	return (addr - v.Base()) & v.Heap().Mask()
-}
-
-// atomicMap is a small synchronized multiset keyed by lock offset.
-type atomicMap struct {
-	mu sync.Mutex
-	m  map[uint64]map[uint32]bool
-}
-
-func (a *atomicMap) add(key uint64, ticket uint32) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.m == nil {
-		a.m = make(map[uint64]map[uint32]bool)
-	}
-	set := a.m[key]
-	if set == nil {
-		set = make(map[uint32]bool)
-		a.m[key] = set
-	}
-	set[ticket] = true
-}
-
-func (a *atomicMap) remove(key uint64, ticket uint32) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	set := a.m[key]
-	if set == nil || !set[ticket] {
-		return false
-	}
-	delete(set, ticket)
-	return true
+// lockOff identifies a lock by its heap offset, the name the extension
+// and user views of it have in common.
+func (l *Locks) lockOff(addr uint64) uint64 {
+	return (addr - l.view.Base()) & l.view.Heap().Mask()
 }
 
 // --- Time-slice extension (§3.4, §4.4) ---------------------------------------

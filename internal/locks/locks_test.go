@@ -1,7 +1,9 @@
 package locks
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,6 +146,91 @@ func TestCancelledWaiterAbandons(t *testing.T) {
 	}
 	if err := ext.Unlock(addr); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAbandonedTicketsPerHeap: abandonment is a fact about one lock in one
+// heap. Heap A's lock (offset 64) has a holder and a waiter that gave up —
+// through the user mapping, while the holder unlocks through the extension
+// mapping, so the two views must share the record. Heap B has a lock at the
+// same offset with a live waiter behind the holder. When the record was one
+// process-wide table keyed by offset, B's unlock consumed A's entry, stepped
+// over its own live ticket — B's waiter spun forever — and left A wedged
+// behind a ticket nobody would skip any more. The second case closes A
+// first: a record must not outlive its heap and meet the fresh heap of the
+// next generation, which lays its locks out at the same offsets.
+func TestAbandonedTicketsPerHeap(t *testing.T) {
+	giveUp := func() bool { return true }
+	for _, tc := range []struct {
+		name   string
+		closeA bool
+	}{
+		{"sibling heap", false},
+		{"closed predecessor", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			extA, userA, off, vA := lockFixture(t)
+			addrA := vA.Base() + off
+			if !extA.Lock(addrA, nil) {
+				t.Fatal("A: lock failed")
+			}
+			if userA.Lock(vA.Heap().UserBase()+off, giveUp) {
+				t.Fatal("A: cancelled waiter acquired a held lock")
+			}
+			if tc.closeA {
+				vA.Heap().Close()
+			}
+
+			extB, _, _, vB := lockFixture(t)
+			addrB := vB.Base() + off
+			if !extB.Lock(addrB, nil) {
+				t.Fatal("B: lock failed")
+			}
+			var stop atomic.Bool
+			acquired := make(chan bool, 1)
+			go func() { acquired <- extB.Lock(addrB, stop.Load) }()
+			// Unlock only once the waiter holds ticket 1.
+			for {
+				next, err := vB.AtomicLoad(addrB+4, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next == 2 {
+					break
+				}
+				runtime.Gosched()
+			}
+			if err := extB.Unlock(addrB); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case ok := <-acquired:
+				if !ok {
+					t.Fatal("B: live waiter reported cancelled")
+				}
+			case <-time.After(2 * time.Second):
+				stop.Store(true)
+				<-acquired
+				t.Fatal("B: live waiter skipped — heap A's abandoned ticket was applied to heap B")
+			}
+			if err := extB.Unlock(addrB); err != nil {
+				t.Fatal(err)
+			}
+			if tc.closeA {
+				return
+			}
+			// A's record is still A's: its unlock steps over the ticket
+			// abandoned through the user view and the lock is free.
+			if err := extA.Unlock(addrA); err != nil {
+				t.Fatal(err)
+			}
+			if !extA.Lock(addrA, giveUp) {
+				t.Fatal("A: wedged behind its own abandoned ticket")
+			}
+			if err := extA.Unlock(addrA); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -74,8 +74,8 @@ func (s *Supervisor) init(g *generation, warm bool) (InitReport, error) {
 // discard retires g. A generation that owns its heap closes it (detaching
 // its pages, §3.2 teardown). One whose heap lives on in another generation —
 // a migration's source after the publish, its half-built target on rollback
-// — only stops its own watchdog: the heap and the allocator's refiller
-// belong to the survivor.
+// — only stops its own watchdog: the heap and its allocator belong to the
+// survivor.
 func (s *Supervisor) discard(g *generation, heapLivesOn bool) {
 	g.ext.Unload()
 	if heapLivesOn {

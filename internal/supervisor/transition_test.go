@@ -119,7 +119,7 @@ func TestDiscardDispositions(t *testing.T) {
 			}
 			e.sup, e.h0 = sup, sup.Extension().Heap()
 			// live is the goroutine count with exactly one generation loaded:
-			// its watchdog (and allocator refiller).
+			// its watchdog.
 			live := runtime.NumGoroutine()
 			row.attempt(t, e)
 			if !failedOnce {

@@ -162,7 +162,6 @@ type verifier struct {
 	facts  []AccessFact
 	tables map[int]map[int]*ObjTableEntry // cp insn -> site -> entry
 	cps    map[int]bool
-	rpoIdx []int
 	budget int
 	steps  int
 	// unboundedMode is true in the fixpoint fallback: every retreating
@@ -209,10 +208,6 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 		cps:    make(map[int]bool),
 		budget: budget,
 	}
-	v.rpoIdx = make([]int, len(prog))
-	for i, n := range g.RPO() {
-		v.rpoIdx[n] = i
-	}
 
 	// First attempt: path-sensitive DFS. Success proves every loop
 	// terminates, so no cancellation probes are needed (§3.3).
@@ -242,9 +237,7 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 	if err := v.runFixpoint(); err != nil {
 		return nil, err
 	}
-	for _, e := range v.retreatingEdges() {
-		an.UnboundedEdges = append(an.UnboundedEdges, e)
-	}
+	an.UnboundedEdges = g.RetreatingEdges()
 	v.finish(an)
 	return an, nil
 }
@@ -269,20 +262,6 @@ func (v *verifier) finish(an *Analysis) {
 	}
 }
 
-// retreatingEdges returns CFG edges that go backward in reverse postorder;
-// this covers natural-loop back edges and irreducible cycles.
-func (v *verifier) retreatingEdges() []cfg.BackEdge {
-	var out []cfg.BackEdge
-	for i := range v.prog {
-		for _, s := range v.g.Succ[i] {
-			if v.rpoIdx[s] <= v.rpoIdx[i] {
-				out = append(out, cfg.BackEdge{Tail: i, Head: s})
-			}
-		}
-	}
-	return out
-}
-
 // --- DFS engine (eBPF-style path exploration) --------------------------------
 
 type dfsFrame struct {
@@ -305,6 +284,33 @@ type visitedState struct {
 	inProgress bool
 }
 
+// maxVisited caps the states kept per merge point, in-progress ones
+// included — the kernel keeps its per-instruction lists short for the same
+// reason: every arrival is compared against the whole list.
+const maxVisited = 24
+
+// remember appends vs to a merge point's list, evicting one entry once the
+// list is full: the oldest completed state if there is one, else the
+// oldest ancestor. Losing a completed state only costs a missed prune;
+// losing an ancestor means a loop that returns to it is no longer caught
+// there, and a loop never caught runs into the instruction budget —
+// ErrTooComplex, the same verdict by the slower road. The evicted state is
+// dropped at once (its frame still points at the entry).
+func remember(list []*visitedState, vs *visitedState) []*visitedState {
+	if len(list) >= maxVisited {
+		evict := 0
+		for i, old := range list {
+			if !old.inProgress {
+				evict = i
+				break
+			}
+		}
+		list[evict].st = nil
+		list = append(list[:evict], list[evict+1:]...)
+	}
+	return append(list, vs)
+}
+
 type succState struct {
 	idx int
 	st  *state
@@ -316,7 +322,6 @@ func (v *verifier) runDFS() error {
 		entry.Regs[insn.R1] = unknownScalar()
 	}
 	visited := make([][]*visitedState, len(v.prog))
-	const maxVisited = 24
 
 	stack := []*dfsFrame{{idx: 0, st: entry}}
 	for len(stack) > 0 {
@@ -340,31 +345,23 @@ func (v *verifier) runDFS() error {
 				continue
 			}
 			if v.isMergePoint(f.idx) {
-				// Evict only completed entries; in-progress ones
-				// are needed for loop detection.
-				if len(visited[f.idx]) >= maxVisited {
-					for i, old := range visited[f.idx] {
-						if !old.inProgress {
-							visited[f.idx] = append(visited[f.idx][:i], visited[f.idx][i+1:]...)
-							break
-						}
-					}
-				}
 				f.visit = &visitedState{st: f.st.clone(), inProgress: true}
-				visited[f.idx] = append(visited[f.idx], f.visit)
+				visited[f.idx] = remember(visited[f.idx], f.visit)
 			}
 			v.steps++
 			if v.steps > v.budget {
 				return &Error{Insn: f.idx, Err: ErrTooComplex, Msg: fmt.Sprintf(
 					"instruction budget exceeded (%d): %v", v.budget, ErrTooComplex)}
 			}
-			// step may mutate its input, and the fallthrough successor
-			// shares it; hand over a clone so this frame's state stays
-			// immutable for comparisons.
-			succs, err := v.step(f.idx, f.st.clone())
+			// The checks above were the last readers of this frame's
+			// state (later arrivals compare against the visit's clone),
+			// so step may consume it: a frame deep in an unrolled loop
+			// must not keep a state alive.
+			succs, err := v.step(f.idx, f.st)
 			if err != nil {
 				return err
 			}
+			f.st = nil
 			f.succs = succs
 			if len(succs) == 0 {
 				f.succs = []succState{} // exit path complete
@@ -372,6 +369,7 @@ func (v *verifier) runDFS() error {
 		}
 		if f.next < len(f.succs) {
 			s := f.succs[f.next]
+			f.succs[f.next].st = nil // the child frame owns it now
 			f.next++
 			stack = append(stack, &dfsFrame{idx: s.idx, st: s.st})
 			continue
@@ -402,7 +400,7 @@ func (v *verifier) runFixpoint() error {
 	widenPoint := make([]bool, len(v.prog))
 	for i := range v.prog {
 		for _, p := range v.g.Pred[i] {
-			if v.rpoIdx[p] >= v.rpoIdx[i] {
+			if v.g.Retreating(p, i) {
 				widenPoint[i] = true // target of a retreating edge
 			}
 		}
@@ -584,7 +582,7 @@ func (v *verifier) step(idx int, st *state) ([]succState, error) {
 	// retreating-edge tail gets an object table.
 	if v.unboundedMode {
 		for _, s := range v.g.Succ[idx] {
-			if v.rpoIdx[s] <= v.rpoIdx[idx] {
+			if v.g.Retreating(idx, s) {
 				if err := v.recordCP(idx, st); err != nil {
 					return nil, err
 				}

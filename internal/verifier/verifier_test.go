@@ -1,11 +1,13 @@
 package verifier
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"kflex/asm"
 	"kflex/insn"
+	"kflex/internal/cfg"
 	"kflex/internal/kernel"
 )
 
@@ -837,5 +839,101 @@ func TestDivModByZeroAccepted(t *testing.T) {
 		MustAssemble()
 	if _, err := Verify(prog, ebpfCfg(k)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nonConvergingLoop is a two-entry (irreducible) cycle whose counter is
+// compared against an unknown bound, so no unrolled iteration ever refines
+// an earlier one:
+//
+//	0: r6 = r1
+//	1: r4 = ctx->a            (unknown)
+//	2: r3 = 0
+//	3: if r4 == 0 goto 5      (second entry into the cycle)
+//	4: r3 += 1
+//	5: r3 += 1
+//	6: if r3 != r4 goto 4
+//	7: r0 = 0
+//	8: exit
+//
+// The only retreating edge is 4→5: no node of the cycle dominates the
+// others, so a dominator-based back-edge test finds no loop here at all.
+func nonConvergingLoop() []insn.Instruction {
+	return asm.New().
+		Mov(insn.R6, insn.R1).
+		Load(insn.R4, insn.R6, 8, 8).
+		MovImm(insn.R3, 0).
+		JmpImm(insn.JmpEq, insn.R4, 0, "b").
+		Label("a").
+		I(insn.Alu64Imm(insn.AluAdd, insn.R3, 1)).
+		Label("b").
+		I(insn.Alu64Imm(insn.AluAdd, insn.R3, 1)).
+		JmpReg(insn.JmpNe, insn.R3, insn.R4, "a").
+		Ret(0).
+		MustAssemble()
+}
+
+// TestNonConvergingLoopFallsBackInBoundedSpace: the DFS unrolls the loop
+// above until the instruction budget, one new ancestor state per iteration.
+// Those used to pile up without limit (every arrival compared against all
+// of them — minutes and hundreds of MB before the fallback ran); now the
+// budget is reached with at most maxVisited states kept per merge point,
+// and the verdicts are the documented ones.
+func TestNonConvergingLoopFallsBackInBoundedSpace(t *testing.T) {
+	k := kernel.New()
+	prog := nonConvergingLoop()
+
+	_, err := Verify(prog, ebpfCfg(k))
+	if !errors.Is(err, ErrTooComplex) && !errors.Is(err, ErrUnboundedLoop) {
+		t.Fatalf("eBPF mode: err = %v, want ErrTooComplex or ErrUnboundedLoop", err)
+	}
+
+	an, err := Verify(prog, kflexCfg(k))
+	if err != nil {
+		t.Fatalf("KFlex mode: %v", err)
+	}
+	if an.LoopsBounded {
+		t.Error("loop reported bounded")
+	}
+	if len(an.UnboundedEdges) != 1 || an.UnboundedEdges[0] != (cfg.BackEdge{Tail: 4, Head: 5}) {
+		t.Errorf("unbounded edges = %v, want [4->5]", an.UnboundedEdges)
+	}
+}
+
+// TestRememberKeepsListBounded pins the retention rule the test above
+// relies on: a merge point's list never exceeds maxVisited, completed
+// states are evicted before ancestors, and an evicted entry lets go of its
+// state although its frame still references the entry.
+func TestRememberKeepsListBounded(t *testing.T) {
+	var list []*visitedState
+	var all []*visitedState
+	for i := 0; i < 10*maxVisited; i++ {
+		vs := &visitedState{st: newEntryState(true), inProgress: true}
+		all = append(all, vs)
+		list = remember(list, vs)
+		if len(list) > maxVisited {
+			t.Fatalf("list grew to %d after %d in-progress arrivals", len(list), i+1)
+		}
+	}
+	kept := 0
+	for i, vs := range all {
+		if vs.st != nil {
+			kept++
+			if i < len(all)-maxVisited {
+				t.Errorf("arrival %d kept; only the newest %d ancestors should be", i, maxVisited)
+			}
+		}
+	}
+	if kept != maxVisited {
+		t.Errorf("%d states retained, want %d", kept, maxVisited)
+	}
+
+	// A completed entry goes before any ancestor, wherever it sits.
+	done := list[maxVisited/2]
+	done.inProgress = false
+	oldest := list[0]
+	list = remember(list, &visitedState{st: newEntryState(true), inProgress: true})
+	if done.st != nil || oldest.st == nil {
+		t.Error("eviction took an ancestor while a completed state was listed")
 	}
 }

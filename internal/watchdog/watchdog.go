@@ -28,13 +28,6 @@ import (
 	"kflex/internal/vm"
 )
 
-// Target is one monitored extension: the program and the execution
-// contexts running it.
-type Target struct {
-	Prog  *vm.Program
-	Execs []*vm.Exec
-}
-
 // watched is one monitored execution context and the scan's memory of it:
 // the in-flight sequence word last seen and when it was first seen.
 type watched struct {
@@ -43,14 +36,15 @@ type watched struct {
 	since time.Time
 }
 
-// target is a registered Target plus per-context scan state.
+// target is one monitored extension: the program and the execution
+// contexts running it, with their scan state.
 type target struct {
 	prog  *vm.Program
 	execs []watched
 }
 
-// Watchdog monitors extensions for stalls. Watch, Start, and Stop are safe
-// to call concurrently with each other and with the poller; Stop is
+// Watchdog monitors extensions for stalls. WatchExec, Start, and Stop are
+// safe to call concurrently with each other and with the poller; Stop is
 // idempotent.
 type Watchdog struct {
 	quantum  time.Duration
@@ -80,20 +74,8 @@ func New(quantum, interval time.Duration) *Watchdog {
 // before Start.
 func (w *Watchdog) SetFaultPlan(p *faultinject.Plan) { w.fault = p }
 
-// Watch registers an extension for monitoring. Safe to call while the
-// poller is running.
-func (w *Watchdog) Watch(t Target) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	nt := target{prog: t.Prog, execs: make([]watched, len(t.Execs))}
-	for i, e := range t.Execs {
-		nt.execs[i].exec = e
-	}
-	w.targets = append(w.targets, nt)
-}
-
-// WatchExec registers a single execution context, creating or extending
-// the program's target. It exists for dynamic registration: per-CPU
+// WatchExec registers one execution context for monitoring, creating or
+// extending the program's target. It is the only registration: per-CPU
 // contexts are created lazily, and one that appears after monitoring
 // started must still be watched (a handle resolved mid-flight could
 // otherwise spin unbounded). Safe to call while the poller is running;

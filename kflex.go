@@ -862,9 +862,6 @@ func (e *Extension) StopWatchdog() {
 // mappings keep working until the owner closes it (§3.4).
 func (e *Extension) Close() {
 	e.StopWatchdog()
-	if e.alloc != nil {
-		e.alloc.StopRefiller()
-	}
 	if e.heap != nil {
 		e.heap.Close()
 	}
@@ -877,9 +874,6 @@ func (e *Extension) Close() {
 // extension, or close the heap. Returns nils for heapless extensions.
 func (e *Extension) CloseKeepHeap() (*heap.Heap, *alloc.Allocator) {
 	e.StopWatchdog()
-	if e.alloc != nil {
-		e.alloc.StopRefiller()
-	}
 	return e.heap, e.alloc
 }
 
