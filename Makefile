@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-concurrency chaos recovery migrate fuzz vet fmt check bench-smoke benchmark-quick clean
+.PHONY: all build test race race-concurrency chaos recovery migrate fuzz vet fmt tcb check bench-smoke benchmark-quick clean
 
 all: build
 
@@ -17,6 +17,23 @@ fmt:
 	test -z "$$(gofmt -l .)"
 	test -z "$$(git ls-files 'BENCH_*.json')"
 
+# The trusted computing base of DESIGN.md §2, counted as its table is:
+# non-blank, non-comment, non-test Go per package. TCB_BUDGET is the total
+# as of the last change to it (PR 19); a change that pushes the total past
+# it says in DESIGN.md what the lines buy and raises the figure here.
+TCB_PKGS = internal/verifier internal/cfg internal/kie internal/compile \
+	internal/vm internal/heap internal/alloc internal/locks
+TCB_BUDGET = 4936
+
+tcb:
+	@total=0; for d in $(TCB_PKGS); do \
+		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | \
+			grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
+		printf '%-20s %5d\n' $$d $$n; total=$$((total + n)); \
+	done; \
+	printf '%-20s %5d (budget $(TCB_BUDGET))\n' total $$total; \
+	test $$total -le $(TCB_BUDGET)
+
 test:
 	$(GO) test ./...
 
@@ -24,7 +41,10 @@ race:
 	$(GO) test -race ./...
 
 # The multi-core serving concurrency suite alone: parallel Run/RunContext
-# across every CPU, dynamic watchdog registration, cross-CPU allocator
+# across every CPU, dynamic watchdog registration and the one scope rule of
+# a cancel request (TestWatchdogWatchesLateHandles,
+# TestWatchdogCancelIsPerInvocation), the cancellation policy table
+# (TestCancelPolicy), cross-CPU allocator
 # frees, contended ticket locks and their per-heap abandoned-ticket record
 # (TestAbandonedTicketsPerHeap), concurrent sub-word heap stores, the
 # supervisor lifecycle under parallel traffic, the lock-free admit/drain
@@ -34,7 +54,7 @@ race:
 # what times every invocation now).
 race-concurrency:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|AbandonedTicketsPerHeap' \
+		-run 'Parallel|Concurrent|Contended|CrossCPU|LateHandles|CancelIsPerInvocation|CancelPolicy|AbandonedTicketsPerHeap' \
 		. ./internal/alloc/ ./internal/locks/ ./internal/heap/ ./internal/supervisor/ \
 		./internal/apps/offload/
 	$(GO) test -race -count=1 -timeout 120s ./internal/watchdog/
@@ -100,10 +120,10 @@ benchmark-quick:
 	cd benchmark && $(GO) test ./...
 	$(GO) run -C benchmark . -quick
 
-# The pre-merge gate: gofmt, vet, build, the full test suite under the
-# race detector (includes the chaos suite), then the short chaos pass alone
-# to keep its deadline honest.
-check: fmt vet build race chaos
+# The pre-merge gate: gofmt, vet, build, the TCB line budget, the full test
+# suite under the race detector (includes the chaos suite), then the short
+# chaos pass alone to keep its deadline honest.
+check: fmt vet build tcb race chaos
 
 clean:
 	$(GO) clean -testcache

@@ -83,7 +83,6 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 	cfg.Seed = seed
 	cfg.Preload = false
 	cfg.FaultPlan = extPlan
-	cfg.LocalCancel = true
 	cfg.CancelThreshold = 3
 	cfg.Durable = st
 	clk := &fakeClock{now: time.Unix(0, 0)}

@@ -44,7 +44,6 @@ func runSupervisorScenario(t *testing.T, seed int64) supervisorRun {
 	cfg.Seed = seed
 	cfg.Preload = false
 	cfg.FaultPlan = plan
-	cfg.LocalCancel = true
 	cfg.CancelThreshold = 3
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	mc, err := memcached.NewSupervised(cfg, 1, supervisor.Tuning{

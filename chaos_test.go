@@ -81,7 +81,7 @@ func runChaosMemcached(t *testing.T, seed int64, n int) (*memcached.KFlexMC, *fa
 	cfg.Seed = seed
 	cfg.Preload = false // keep setup traffic out of the tracked window
 	cfg.FaultPlan = plan
-	cfg.LocalCancel = true // cancellations stay per-invocation (§4.3)
+	cfg.CancelThreshold = kflex.CancelNever // cancellations stay per-invocation (§4.3)
 	mc, err := memcached.NewKFlex(cfg, 1, true)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestChaosMemcached(t *testing.T) {
 			}
 			checkInvariants(t, mc.Ext(), mc.Ext().Heap().ExtBase()+kvprog.GlobLock)
 			if mc.Ext().Unloaded() {
-				t.Fatal("LocalCancel run unloaded the extension")
+				t.Fatal("a CancelNever run unloaded the extension")
 			}
 		})
 	}
@@ -142,7 +142,7 @@ func TestChaosRedis(t *testing.T) {
 			cfg.Seed = seed
 			cfg.Preload = false
 			cfg.FaultPlan = plan
-			cfg.LocalCancel = true
+			cfg.CancelThreshold = kflex.CancelNever
 			r, err := redis.NewKFlex(cfg, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -193,7 +193,7 @@ func TestChaosDeterminism(t *testing.T) {
 }
 
 // TestChaosDegradation exercises the graceful-degradation path (§5): once
-// cancellations cross Spec.CancelThreshold the runtime auto-unloads the
+// cancellations reach Spec.CancelThreshold the runtime unloads the
 // extension and Handle.Run refuses with ErrFallback, which the server
 // turns into user-space serving (the offload-miss path).
 func TestChaosDegradation(t *testing.T) {
@@ -202,7 +202,6 @@ func TestChaosDegradation(t *testing.T) {
 	cfg := memcached.DefaultConfig(workload.Mix{GetPct: 50})
 	cfg.Preload = false
 	cfg.FaultPlan = plan
-	cfg.LocalCancel = true
 	cfg.CancelThreshold = 3
 	mc, err := memcached.NewKFlex(cfg, 1, false)
 	if err != nil {
@@ -215,24 +214,21 @@ func TestChaosDegradation(t *testing.T) {
 		mc.Serve(0, 0, uint64(i), rng)
 	}
 	ext := mc.Ext()
-	if !ext.Degraded() {
-		t.Fatalf("extension not degraded after %d cancellations (threshold %d)",
-			ext.Cancels(), cfg.CancelThreshold)
+	if !ext.Unloaded() || ext.Cancels() != cfg.CancelThreshold {
+		t.Fatalf("unloaded=%v after %d cancellations, want retired at exactly %d",
+			ext.Unloaded(), ext.Cancels(), cfg.CancelThreshold)
 	}
-	if !ext.Unloaded() {
-		t.Fatal("degraded extension was not auto-unloaded")
+	if ext.Unload() {
+		t.Fatal("Unload transitioned an extension its threshold had already retired")
 	}
 	if mc.Errors == 0 || mc.Fallbacks == 0 {
 		t.Fatalf("server saw errors=%d fallbacks=%d; want both > 0", mc.Errors, mc.Fallbacks)
 	}
-	// Direct invocations now refuse with the fallback sentinel, which still
-	// satisfies existing ErrUnloaded checks.
+	// Direct invocations now refuse with the typed fallback error.
 	pkt := &netsim.Packet{Data: memcached.EncodeGet(workload.FormatKey(1, memcached.KeySize))}
 	_, err = ext.Handle(0).Run(pkt, pkt.XDPCtx(0))
-	if !errors.Is(err, kflex.ErrFallback) {
-		t.Fatalf("Handle.Run after degradation = %v, want ErrFallback", err)
-	}
-	if !errors.Is(err, kflex.ErrUnloaded) {
-		t.Fatal("ErrFallback does not wrap ErrUnloaded")
+	var de *kflex.DegradedError
+	if !errors.Is(err, kflex.ErrFallback) || !errors.As(err, &de) || de.Cancellations != cfg.CancelThreshold {
+		t.Fatalf("Handle.Run after degradation = %v, want a *DegradedError matching ErrFallback", err)
 	}
 }

@@ -2,6 +2,8 @@ package kflex
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -126,8 +128,11 @@ func TestHandleStableAcrossLookups(t *testing.T) {
 // bug: StartWatchdog used to capture the execution contexts that existed
 // at start, so a handle created afterwards was never monitored and a stall
 // on it spun unbounded. Registration is dynamic now — the late handle must
-// be cancelled.
+// be cancelled, and by the watchdog: each run must have outlived its quantum
+// (the first firing used to poison the program's terminate word, and the
+// runs on cpus 1 and 2 "passed" by faulting at their first probe).
 func TestWatchdogWatchesLateHandles(t *testing.T) {
+	const quantum = 20 * time.Millisecond
 	rt := NewRuntime()
 	ext, err := rt.Load(Spec{
 		Name:     "spin-late",
@@ -136,32 +141,132 @@ func TestWatchdogWatchesLateHandles(t *testing.T) {
 		Mode:     ModeKFlex,
 		HeapSize: 1 << 16,
 		NumCPUs:  4,
-		// Local cancellation with a high threshold: each cancelled run
-		// stays scoped to its invocation and the extension survives.
-		LocalCancel:     true,
+		// A high threshold: each cancelled run stays scoped to its
+		// invocation and the extension survives.
 		CancelThreshold: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ext.Close()
-	ext.StartWatchdog(20*time.Millisecond, 5*time.Millisecond)
+	ext.StartWatchdog(quantum, 5*time.Millisecond)
 	defer ext.StopWatchdog()
 	// No handle existed when the watchdog started; create them now.
 	for cpu := 0; cpu < 3; cpu++ {
 		start := time.Now()
 		res, err := ext.Handle(cpu).Run(nil, make([]byte, HookXDP.CtxSize))
+		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("cpu %d: %v", cpu, err)
 		}
 		if res.Cancelled != CancelTerminate {
 			t.Fatalf("cpu %d: cancelled = %v, want terminate (late handle unwatched?)", cpu, res.Cancelled)
 		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
+		if elapsed <= quantum || res.Stats.Insns < 1000 {
+			t.Fatalf("cpu %d: cancelled after %v and %d instructions, inside its %v quantum: not the watchdog's doing",
+				cpu, elapsed, res.Stats.Insns, quantum)
+		}
+		if elapsed > 5*time.Second {
 			t.Fatalf("cpu %d: watchdog took %v", cpu, elapsed)
 		}
 	}
-	if ext.Cancels() != 3 {
-		t.Fatalf("cancels = %d, want 3", ext.Cancels())
+	if ext.Cancels() != 3 || ext.Unloaded() {
+		t.Fatalf("cancels = %d, unloaded = %v, want 3 and loaded", ext.Cancels(), ext.Unloaded())
+	}
+}
+
+// countedLoop counts ctx.a down to zero (2^64 iterations for 0: a stall).
+// The verifier cannot bound it, so every iteration crosses a terminate probe.
+func countedLoop() []insn.Instruction {
+	return asm.New().
+		Load(insn.R4, insn.R1, 8, 8).
+		Label("loop").
+		Add(insn.R4, -1).
+		JmpImm(insn.JmpNe, insn.R4, 0, "loop").
+		Ret(0).
+		MustAssemble()
+}
+
+// TestWatchdogCancelIsPerInvocation: a cancel request reaches the
+// invocation it names and nothing else. Below the threshold, the watchdog
+// cancelling a stall leaves the next invocations — same CPU and sibling —
+// to run to completion through their probes; a request that lands after
+// its invocation returned, or for a Run that never started, matches no
+// later invocation.
+func TestWatchdogCancelIsPerInvocation(t *testing.T) {
+	ext, err := NewRuntime().Load(Spec{
+		Name:            "counted",
+		Insns:           countedLoop(),
+		Hook:            HookBench,
+		Mode:            ModeKFlex,
+		HeapSize:        1 << 16,
+		NumCPUs:         2,
+		CancelThreshold: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	run := func(h *Handle, iters uint64) Result {
+		t.Helper()
+		hctx := make([]byte, HookBench.CtxSize)
+		binary.LittleEndian.PutUint64(hctx[8:], iters)
+		res, err := h.Run(nil, hctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	healthy := func(h *Handle, when string) {
+		t.Helper()
+		if res := run(h, 100); res.Cancelled != CancelNone || res.Stats.Probes < 100 {
+			t.Fatalf("%s: bounded loop cancelled = %v after %d probes, want none after >= 100",
+				when, res.Cancelled, res.Stats.Probes)
+		}
+	}
+	h0, h1 := ext.Handle(0), ext.Handle(1)
+
+	ext.StartWatchdog(20*time.Millisecond, 5*time.Millisecond)
+	if res := run(h0, 0); res.Cancelled != CancelTerminate {
+		t.Fatalf("stall: cancelled = %v, want terminate", res.Cancelled)
+	}
+	ext.StopWatchdog()
+	healthy(h0, "cpu 0 after its stall was cancelled")
+	healthy(h1, "cpu 1 after cpu 0's stall was cancelled")
+
+	// A request aimed at an invocation that already returned.
+	seq, inFlight := h0.exec.Invocation()
+	if inFlight {
+		t.Fatal("idle handle reports an invocation in flight")
+	}
+	h0.exec.RequestCancel(seq - 1)
+	healthy(h0, "after a request for the previous invocation")
+
+	// A request aimed at a Run that returns before starting (wrong ctx
+	// size): what RunContext leaves behind when its ctx expires meanwhile.
+	h0.exec.RequestCancel(seq + 3)
+	if _, err := h0.Run(nil, make([]byte, 1)); err == nil {
+		t.Fatal("Run accepted a 1-byte ctx")
+	}
+	healthy(h0, "after a request for a Run that never started")
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go cancel()
+		if _, err := h0.RunContext(ctx, nil, make([]byte, 1)); err == nil {
+			t.Fatal("RunContext accepted a 1-byte ctx")
+		}
+		healthy(h0, "after a RunContext that expired around a Run that never started")
+	}
+	if ext.Cancels() != 1 || ext.Unloaded() {
+		t.Fatalf("cancels = %d, unloaded = %v, want the one stall and loaded", ext.Cancels(), ext.Unloaded())
+	}
+
+	// Retired: RunContext refuses like Run.
+	ext.Unload()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	var de *DegradedError
+	if _, err := h0.RunContext(ctx, nil, make([]byte, HookBench.CtxSize)); !errors.As(err, &de) {
+		t.Fatalf("RunContext on a retired extension = %v, want *DegradedError", err)
 	}
 }

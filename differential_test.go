@@ -143,13 +143,13 @@ func TestDifferentialCorpus(t *testing.T) {
 				// tier divergence). The probe turns that into a
 				// deterministic cancellation the tiers must still agree on.
 				spec := kflex.Spec{
-					Name:         string(kind) + "-" + v.name,
-					Insns:        ds.Program(kind),
-					Hook:         kflex.HookBench,
-					Mode:         kflex.ModeKFlex,
-					HeapSize:     ds.HeapSize(kind),
-					QuantumInsns: 100_000,
-					LocalCancel:  true,
+					Name:            string(kind) + "-" + v.name,
+					Insns:           ds.Program(kind),
+					Hook:            kflex.HookBench,
+					Mode:            kflex.ModeKFlex,
+					HeapSize:        ds.HeapSize(kind),
+					QuantumInsns:    100_000,
+					CancelThreshold: kflex.CancelNever,
 				}
 				v.mut(&spec)
 				p := loadPair(t, spec)
@@ -162,16 +162,16 @@ func TestDifferentialCorpus(t *testing.T) {
 // TestDifferentialQuantumCancel forces terminate-probe cancellations (a
 // traversal that blows a small instruction quantum) and checks both tiers
 // cancel at the same probe with the same counters, invocation after
-// invocation (LocalCancel keeps the extension loaded).
+// invocation (CancelNever keeps the extension loaded).
 func TestDifferentialQuantumCancel(t *testing.T) {
 	spec := kflex.Spec{
-		Name:         "diff-quantum",
-		Insns:        ds.Program(ds.KindLinkedList),
-		Hook:         kflex.HookBench,
-		Mode:         kflex.ModeKFlex,
-		HeapSize:     ds.HeapSize(ds.KindLinkedList),
-		QuantumInsns: 2_000,
-		LocalCancel:  true,
+		Name:            "diff-quantum",
+		Insns:           ds.Program(ds.KindLinkedList),
+		Hook:            kflex.HookBench,
+		Mode:            kflex.ModeKFlex,
+		HeapSize:        ds.HeapSize(ds.KindLinkedList),
+		QuantumInsns:    2_000,
+		CancelThreshold: kflex.CancelNever,
 	}
 	p := loadPair(t, spec)
 	p.step(t, ds.OpInit, 0, 0)

@@ -30,13 +30,13 @@ func FuzzLoweredEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		spec := kflex.Spec{
-			Name:         "fuzz",
-			Insns:        prog,
-			Hook:         kflex.HookBench,
-			Mode:         kflex.ModeKFlex,
-			HeapSize:     1 << 16,
-			QuantumInsns: 50_000,
-			LocalCancel:  true,
+			Name:            "fuzz",
+			Insns:           prog,
+			Hook:            kflex.HookBench,
+			Mode:            kflex.ModeKFlex,
+			HeapSize:        1 << 16,
+			QuantumInsns:    50_000,
+			CancelThreshold: kflex.CancelNever,
 		}
 		spec.Interpret = true
 		ei, errI := kflex.NewRuntime().Load(spec)

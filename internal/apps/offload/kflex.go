@@ -26,11 +26,10 @@ type Config struct {
 	// FaultPlan attaches deterministic fault injection to the KFlex
 	// variants' runtimes (chaos testing); nil in normal runs.
 	FaultPlan *faultinject.Plan
-	// LocalCancel scopes injected cancellations to single invocations so
-	// the server survives them (§4.3).
-	LocalCancel bool
-	// CancelThreshold auto-unloads the extension after this many
-	// cancellations; Serve then takes the user-space fallback path.
+	// CancelThreshold is kflex.Spec.CancelThreshold: the extension is
+	// retired at this many cancellations (0: at the first) and Serve then
+	// takes the user-space fallback path; the supervised deployment
+	// quarantines and reloads it.
 	CancelThreshold uint64
 	// Interpret runs the KFlex extension on the reference interpreter
 	// instead of the lowered tier (differential testing).
@@ -163,7 +162,6 @@ func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
 		ShareHeap:       shared,
 		NumCPUs:         servers,
 		FaultPlan:       cfg.FaultPlan,
-		LocalCancel:     cfg.LocalCancel,
 		CancelThreshold: cfg.CancelThreshold,
 		Interpret:       cfg.Interpret,
 	})

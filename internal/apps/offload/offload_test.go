@@ -136,6 +136,7 @@ func TestConformance(t *testing.T) {
 		{"recovered-init-report", recoveredInitReport},
 		{"dirty-get-corrected", dirtyGetCorrected},
 		{"warm-reload-delta", warmReloadDelta},
+		{"default-policy-recovers", defaultPolicyRecovers},
 		{"miss-backfill", missBackfill},
 		{"migrate-delta", migrateDelta},
 		{"oversized-set", oversizedSet},
@@ -290,6 +291,53 @@ func warmReloadDelta(t *testing.T, c *offload.Codec) {
 	}
 	if d.Supervisor().State() != supervisor.Healthy {
 		t.Fatalf("state = %v after %d probes", d.Supervisor().State(), probeRuns)
+	}
+}
+
+// defaultPolicyRecovers: under the default policy (CancelThreshold 0, the
+// paper's) one cancelled invocation retires the extension, and the
+// deployment reacts to that as to any retirement: it quarantines, serves on
+// the fallback path meanwhile, reloads warm replaying exactly the keys
+// acknowledged there, and goes back to offloading with a clean dirty set.
+func defaultPolicyRecovers(t *testing.T, c *offload.Codec) {
+	const keys, delta = 32, 5
+	// Armed, every helper call fails, so the run is cancelled.
+	plan := faultinject.NewPlan(1).SetRate(faultinject.HelperErr, 1)
+	cfg := testConfig()
+	cfg.FaultPlan = plan
+	d := deploy(t, c, nil, cfg, nil)
+	for i := 0; i < keys; i++ {
+		d.set(t, i, i, true)
+	}
+	plan.Enable()
+	d.set(t, 0, 100, false) // the one fault: cancelled, acknowledged on fallback
+	plan.Disarm()
+	sup := d.Supervisor()
+	if st := sup.Stats(); sup.State() != supervisor.Quarantined || st.Quarantines != 1 {
+		t.Fatalf("after one cancellation: state %v, stats %+v, want quarantined once", sup.State(), st)
+	}
+	for i := 1; i < delta; i++ {
+		d.set(t, i, 100+i, false)
+	}
+	offloaded := d.Offloaded
+	d.reload()
+	for i := 0; i < keys; i++ {
+		want := i
+		if i < delta {
+			want = 100 + i
+		}
+		d.get(t, i, val(want), true)
+		if d.Dirty(key(i)) {
+			t.Fatalf("key %d still dirty after the reload", i)
+		}
+	}
+	st := sup.Stats()
+	if sup.State() != supervisor.Healthy || st.Reloads != 1 || st.WarmReloads != 1 || st.ReloadFailures != 0 ||
+		st.LastInit.FullResync || st.LastInit.ResyncOps != delta {
+		t.Fatalf("state %v, stats %+v, want healthy after one warm reload replaying %d keys", sup.State(), st, delta)
+	}
+	if d.Offloaded != offloaded+keys {
+		t.Fatalf("offloaded grew by %d over %d GETs after the reload", d.Offloaded-offloaded, keys)
 	}
 }
 
@@ -537,7 +585,7 @@ func TestFallbackSetStoresBeforeMarking(t *testing.T) {
 				// Armed, every helper call fails, so every run is cancelled.
 				plan := faultinject.NewPlan(1).SetRate(faultinject.HelperErr, 1)
 				cfg := testConfig()
-				cfg.FaultPlan, cfg.LocalCancel = plan, true
+				cfg.FaultPlan, cfg.CancelThreshold = plan, kflex.CancelNever
 				d := deploy(t, c, nil, cfg, nil)
 				d.set(t, 0, 1, true)
 				sup := d.Supervisor()

@@ -96,7 +96,6 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning, 
 			HeapSize:        cmp.Or(cfg.HeapSize, defaultHeapSize),
 			NumCPUs:         max(cfg.Slots, servers),
 			FaultPlan:       cfg.FaultPlan,
-			LocalCancel:     cfg.LocalCancel,
 			CancelThreshold: cfg.CancelThreshold,
 		},
 		NumCPUs: servers,

@@ -336,7 +336,6 @@ func NewZAddKFlex(cfg Config) (*ZAddKFlex, error) {
 		Mode:            kflex.ModeKFlex,
 		HeapSize:        128 << 20,
 		FaultPlan:       cfg.FaultPlan,
-		LocalCancel:     cfg.LocalCancel,
 		CancelThreshold: cfg.CancelThreshold,
 	})
 	if err != nil {

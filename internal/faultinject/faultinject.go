@@ -57,7 +57,7 @@ const (
 	// LockTimeout abandons a lock acquisition as if the extension was
 	// cancelled while spinning (§3.4).
 	LockTimeout
-	// WatchdogFire makes the watchdog treat a target as stalled
+	// WatchdogFire makes the watchdog treat in-flight invocations as stalled
 	// regardless of its elapsed quantum (§4.3).
 	WatchdogFire
 

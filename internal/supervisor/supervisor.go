@@ -1,13 +1,12 @@
 // Package supervisor implements a self-healing lifecycle for KFlex
 // extensions. The paper makes extension *termination* cheap and safe
-// (§3.4, §4.3); the runtime's graceful-degradation policy
-// (Spec.CancelThreshold) builds on that to retire an extension that keeps
-// getting cancelled — but a retired extension forfeits the offload speedup
-// the evaluation (§5) exists to measure, forever. The supervisor turns
-// that fail-stop policy into fail-operational behaviour with a per-
-// extension state machine:
+// (§3.4, §4.3); the runtime's cancellation policy (Spec.CancelThreshold:
+// by default the first cancellation) retires the extension — but a retired
+// extension forfeits the offload speedup the evaluation (§5) exists to
+// measure, forever. The supervisor turns that fail-stop policy into
+// fail-operational behaviour with a per-extension state machine:
 //
-//	Healthy ──cancel threshold──▶ Degraded ──audit+teardown──▶ Quarantined
+//	Healthy ─────retired──────▶ Degraded ──audit+teardown──▶ Quarantined
 //	   ▲                                                            │
 //	   │ probe successes                                            │ backoff
 //	   └──────────────── Probing ◀──reload (fresh heap + Kie)───────┘
@@ -57,8 +56,8 @@ type State int
 const (
 	// Healthy: the circuit is closed; all traffic runs on the extension.
 	Healthy State = iota
-	// Degraded: the extension tripped its cancel threshold and was
-	// retired by the runtime. Transient — the supervisor immediately
+	// Degraded: the extension was retired — by the runtime's cancellation
+	// policy, whatever its threshold, or by the operator. Transient — the supervisor immediately
 	// audits and quarantines, so Degraded appears in traces but is never
 	// a resting state.
 	Degraded
@@ -129,8 +128,8 @@ type AuditReport struct {
 
 // OpenError is returned while the circuit is open (Quarantined) or the
 // half-open probe quota is exhausted (Probing): the caller should serve
-// the request on its user-space path. It matches ErrFallback and
-// ErrUnloaded via errors.Is, so existing fallback checks keep working.
+// the request on its user-space path. It matches kflex.ErrFallback via
+// errors.Is.
 type OpenError struct {
 	Ext   string
 	State State
@@ -140,11 +139,8 @@ func (e *OpenError) Error() string {
 	return fmt.Sprintf("supervisor: extension %q circuit %s, serve via user-space fallback", e.Ext, e.State)
 }
 
-// Is makes errors.Is(err, kflex.ErrFallback) and errors.Is(err,
-// kflex.ErrUnloaded) hold for every OpenError.
-func (e *OpenError) Is(target error) bool {
-	return target == kflex.ErrFallback || target == kflex.ErrUnloaded
-}
+// Is makes errors.Is(err, kflex.ErrFallback) hold for every OpenError.
+func (e *OpenError) Is(target error) bool { return target == kflex.ErrFallback }
 
 // CPURangeError is returned by Run and RunContext for a cpu index outside
 // [0, Config.NumCPUs). It is a caller bug, not a lifecycle outcome: it does
@@ -446,7 +442,7 @@ func New(cfg Config) (*Supervisor, error) {
 
 // Run invokes the supervised extension for one event on the given cpu,
 // driving the lifecycle state machine: it performs due reloads, admits or
-// rejects half-open probes, and quarantines on degradation. An error
+// rejects half-open probes, and quarantines a retired generation. An error
 // matching kflex.ErrFallback (an *OpenError or *kflex.DegradedError) means
 // the caller must serve the request on its user-space path.
 func (s *Supervisor) Run(cpu int, event any, hctx []byte) (kflex.Result, error) {
@@ -487,7 +483,7 @@ func (s *Supervisor) run(ctx context.Context, cpu int, event any, hctx []byte) (
 			h := g.handles[cpu]
 			res, err := invoke(ctx, h, event, hctx)
 			slot.work.Add(res.Stats.Insns)
-			if degradedOutcome(res, err, h) {
+			if retiredOutcome(res, err, h) {
 				// Lowered around the quarantine, which drains these counters
 				// and must not wait on its own caller.
 				slot.inflight.Add(-1)
@@ -541,14 +537,16 @@ func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hct
 	return res, true, err
 }
 
-// degradedOutcome reports whether an invocation outcome shows the
-// extension has been retired: either the runtime already returns the
-// typed fallback error, or this very run tripped the cancel threshold.
-func degradedOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
+// retiredOutcome reports whether an invocation outcome shows that this
+// generation's extension is retired, whatever policy retired it: the runtime
+// already returns the fallback error, or this run was cancelled and the
+// extension is unloaded (its own cancellation reached the threshold, or a
+// sibling's did and the terminate word reached this one).
+func retiredOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
 	if err != nil {
 		return errors.Is(err, kflex.ErrFallback)
 	}
-	return res.Cancelled != kflex.CancelNone && h.Extension().Degraded()
+	return res.Cancelled != kflex.CancelNone && h.Extension().Unloaded()
 }
 
 // quarantineOn quarantines generation gen if it is still the live,

@@ -152,7 +152,7 @@ func TestParallelRunDuringLifecycle(t *testing.T) {
 				case err == nil && res.Cancelled != kflex.CancelNone:
 					// Quantum-cancelled run: the expected "service".
 					i++
-				case errors.Is(err, kflex.ErrFallback) || errors.Is(err, kflex.ErrUnloaded):
+				case errors.Is(err, kflex.ErrFallback):
 					// Circuit open or mid-swap refusal: the caller's
 					// user-space fallback path. Yield so the backoff
 					// clock can make progress.

@@ -26,8 +26,8 @@ func trivialSpec() kflex.Spec {
 }
 
 // spinningSpec returns an extension whose every run is quantum-cancelled:
-// with CancelThreshold 1 it degrades deterministically on first use, with
-// no fault plan involved.
+// with CancelThreshold 1 it is retired deterministically on first use,
+// with no fault plan involved.
 func spinningSpec() kflex.Spec {
 	prog := asm.New().
 		Call(kernel.HelperKflexHeapBase).
@@ -43,7 +43,6 @@ func spinningSpec() kflex.Spec {
 		Mode:            kflex.ModeKFlex,
 		HeapSize:        1 << 16,
 		QuantumInsns:    2000,
-		LocalCancel:     true,
 		CancelThreshold: 1,
 	}
 }
@@ -57,9 +56,6 @@ func TestOpenErrorMatchesSentinels(t *testing.T) {
 	err := error(&supervisor.OpenError{Ext: "x", State: supervisor.Quarantined})
 	if !errors.Is(err, kflex.ErrFallback) {
 		t.Error("OpenError does not match ErrFallback")
-	}
-	if !errors.Is(err, kflex.ErrUnloaded) {
-		t.Error("OpenError does not match ErrUnloaded")
 	}
 }
 

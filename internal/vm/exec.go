@@ -54,26 +54,8 @@ func (e *Exec) loop() (uint64, error) {
 			pc++
 			continue
 		case insn.OpProbe:
-			e.stats.Probes++
-			term := p.terminate.Load()
-			quantum := p.opts.QuantumInsns
-			if quantum > 0 && e.stats.Insns > quantum {
-				return 0, &ExtensionAbort{Kind: CancelTerminate, PC: pc}
-			}
-			// Caller-propagated deadline/cancellation (Handle.RunContext):
-			// observed at probes only, like the terminate word, so the
-			// unwinding path is identical to watchdog cancellation.
-			if e.cancelReq.Load() {
-				return 0, &ExtensionAbort{Kind: CancelTerminate, PC: pc}
-			}
-			// Injected terminate-word invalidation, observed only at this
-			// probe (keyed by its CP id) so the program is not poisoned
-			// for future invocations.
-			if e.inject != nil && e.inject.Fire(faultinject.Terminate, uint64(uint32(ins.Imm))) {
-				return 0, &ExtensionAbort{Kind: CancelTerminate, PC: pc}
-			}
-			if _, err := e.extView.Load(term, 8); err != nil {
-				return 0, &ExtensionAbort{Kind: CancelTerminate, PC: pc}
+			if abort := e.probeCheck(pc, uint64(uint32(ins.Imm))); abort != nil {
+				return 0, abort
 			}
 			pc++
 			continue
@@ -328,16 +310,22 @@ func bswap(v uint64, width int32) uint64 {
 	}
 }
 
-// call dispatches a helper.
+// call dispatches a helper by ID: the registry lookup the lowered tier did
+// once at link time, then the one call sequence both tiers share.
 func (e *Exec) call(pc int, ins insn.Instruction) error {
 	spec, ok := e.prog.opts.Kernel.Helpers.Lookup(ins.Imm)
 	if !ok {
 		return fmt.Errorf("vm: insn %d: unknown helper %d", pc, ins.Imm)
 	}
+	return e.callResolved(pc, spec, uint64(uint32(ins.Imm)))
+}
+
+// callResolved dispatches a helper through its resolved spec.
+func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) error {
 	e.stats.HelperCalls++
 	// Injected helper failure: the call never runs, and the invocation
 	// unwinds through the same path as a heap fault.
-	if e.inject != nil && e.inject.Fire(faultinject.HelperErr, uint64(uint32(ins.Imm))) {
+	if e.inject != nil && e.inject.Fire(faultinject.HelperErr, helperID) {
 		return &ExtensionAbort{Kind: CancelHelper, PC: pc}
 	}
 	e.hc.Site = pc
@@ -353,6 +341,32 @@ func (e *Exec) call(pc int, ins insn.Instruction) error {
 		return e.fault(pc, err)
 	}
 	e.regs[insn.R0] = ret
+	return nil
+}
+
+// probeCheck is the terminate-probe sequence of both tiers (a standalone
+// probe, or the probe half of a fused probe+branch): count the probe, then
+// observe — in order — quantum expiry, a cancel request naming this
+// invocation, an injected terminate fault keyed by the CP id, and finally
+// the terminate word itself, which only Program.Unload invalidates. A
+// non-nil return is the abort, attributed to the probe's instrumented PC.
+func (e *Exec) probeCheck(pc int, cpID uint64) *ExtensionAbort {
+	p := e.prog
+	e.stats.Probes++
+	term := p.terminate.Load()
+	quantum := p.opts.QuantumInsns
+	if quantum > 0 && e.stats.Insns > quantum {
+		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
+	}
+	if e.cancelReq.Load() == e.cur {
+		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
+	}
+	if e.inject != nil && e.inject.Fire(faultinject.Terminate, cpID) {
+		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
+	}
+	if _, err := e.extView.Load(term, 8); err != nil {
+		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
+	}
 	return nil
 }
 

@@ -1,13 +1,10 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
 
 	"kflex/insn"
 	"kflex/internal/compile"
-	"kflex/internal/faultinject"
-	"kflex/internal/kernel"
 )
 
 // loopLowered is the lowered-tier dispatch core: the pre-decoded program
@@ -397,7 +394,7 @@ func (e *Exec) loopLowered() (uint64, error) {
 			pc++
 		case compile.OpProbe:
 			e.stats.Insns++
-			if abort := e.probeCheck(ins); abort != nil {
+			if abort := e.probeCheck(int(ins.OrigPC), uint64(uint32(ins.Off))); abort != nil {
 				return 0, abort
 			}
 			pc++
@@ -451,7 +448,7 @@ func (e *Exec) loopLowered() (uint64, error) {
 			// compared against the probe-time Insns count, as on the
 			// interpreter); the branch half only retires after it passes.
 			e.stats.Insns++
-			if abort := e.probeCheck(ins); abort != nil {
+			if abort := e.probeCheck(int(ins.OrigPC), uint64(uint32(ins.Off))); abort != nil {
 				return 0, abort
 			}
 			e.stats.Insns++
@@ -460,7 +457,7 @@ func (e *Exec) loopLowered() (uint64, error) {
 
 		case compile.OpProbeJcc:
 			e.stats.Insns++
-			if abort := e.probeCheck(ins); abort != nil {
+			if abort := e.probeCheck(int(ins.OrigPC), uint64(uint32(ins.Off))); abort != nil {
 				return 0, abort
 			}
 			e.stats.Insns++
@@ -489,55 +486,4 @@ func (e *Exec) loopLowered() (uint64, error) {
 			return 0, fmt.Errorf("vm: lowered pc %d: unknown opcode %d", pc, uint8(ins.Op))
 		}
 	}
-}
-
-// probeCheck performs the terminate-probe sequence for a lowered probe
-// (standalone or the probe half of a fused probe+branch). It mirrors the
-// interpreter's OpProbe case exactly: count the probe, then observe — in
-// order — quantum expiry, the caller's cancellation request, injected
-// terminate faults keyed by the CP id (Insn.Off), and finally the
-// terminate word itself. A non-nil return is the abort, attributed to the
-// probe's instrumented PC.
-func (e *Exec) probeCheck(ins *compile.Insn) *ExtensionAbort {
-	p := e.prog
-	e.stats.Probes++
-	term := p.terminate.Load()
-	quantum := p.opts.QuantumInsns
-	if quantum > 0 && e.stats.Insns > quantum {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: int(ins.OrigPC)}
-	}
-	if e.cancelReq.Load() {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: int(ins.OrigPC)}
-	}
-	if e.inject != nil && e.inject.Fire(faultinject.Terminate, uint64(uint32(ins.Off))) {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: int(ins.OrigPC)}
-	}
-	if _, err := e.extView.Load(term, 8); err != nil {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: int(ins.OrigPC)}
-	}
-	return nil
-}
-
-// callResolved dispatches a helper through a link-time-resolved spec: the
-// registry lookup the interpreter performs per call happened once in
-// compile.Link. Identical to Exec.call in every observable respect.
-func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) error {
-	e.stats.HelperCalls++
-	if e.inject != nil && e.inject.Fire(faultinject.HelperErr, helperID) {
-		return &ExtensionAbort{Kind: CancelHelper, PC: pc}
-	}
-	e.hc.Site = pc
-	args := [5]uint64{
-		e.regs[insn.R1], e.regs[insn.R2], e.regs[insn.R3],
-		e.regs[insn.R4], e.regs[insn.R5],
-	}
-	ret, err := spec.Impl(&e.hc, args)
-	if err != nil {
-		if errors.Is(err, kernel.ErrCancelledInLock) {
-			return &ExtensionAbort{Kind: CancelLock, PC: pc}
-		}
-		return e.fault(pc, err)
-	}
-	e.regs[insn.R0] = ret
-	return nil
 }

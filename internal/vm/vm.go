@@ -4,8 +4,14 @@
 // them to one or two hardware instructions), heap accesses go through the
 // extension heap with demand paging, faults become extension cancellations
 // that release held kernel objects and return the hook's default code, and
-// the *terminate word drives watchdog-initiated termination of unbounded
-// loops.
+// terminate probes bound every loop.
+//
+// Cancellation has one scope rule and one policy number. A cancel request
+// always names one invocation of one Exec (RequestCancel, by sequence word):
+// the watchdog's stall firing and a caller's deadline are both that. The
+// program-wide *terminate word is invalidated only by retirement
+// (Program.Unload), which stops every CPU for good. Options.CancelThreshold
+// decides when a completed cancellation retires the program.
 package vm
 
 import (
@@ -39,8 +45,8 @@ type CancelKind int
 const (
 	// CancelNone: the invocation completed normally.
 	CancelNone CancelKind = iota
-	// CancelTerminate: a *terminate probe faulted (watchdog/quantum
-	// expiry or explicit Cancel; class-1, §3.3).
+	// CancelTerminate: a *terminate probe faulted (quantum expiry, a
+	// cancel request for this invocation, or retirement; class-1, §3.3).
 	CancelTerminate
 	// CancelFault: a heap access faulted (unmapped page, guard zone, or
 	// a performance-mode wild read; class-2, §3.3/§4.2).
@@ -131,17 +137,19 @@ type Options struct {
 	// QuantumInsns bounds one invocation's instruction count; exceeding
 	// it makes the next terminate probe fault. Zero disables the
 	// deterministic quantum (the wall-clock watchdog remains available
-	// via Cancel).
+	// via Exec.RequestCancel).
 	QuantumInsns uint64
 	// Callback optionally adjusts the return code of a cancelled
 	// invocation (§4.3). It must have been verified with ScalarR1 and
 	// without cancellation points.
 	Callback *Program
-	// LocalCancel scopes cancellations to the faulting invocation
-	// instead of unloading the extension on every CPU — §4.3 notes this
-	// as future work; the default matches the paper's policy of not
-	// re-running buggy extensions.
-	LocalCancel bool
+	// CancelThreshold is the completed-cancellation count at which the
+	// program is unloaded on every CPU. 0 and 1 are the paper's policy of
+	// not re-running a buggy extension (§4.3: the first cancellation
+	// unloads); N > 1 keeps the first N-1 cancellations scoped to their
+	// invocation (the paper's future work); a count no run reaches never
+	// unloads.
+	CancelThreshold uint64
 	// Fault, when non-nil, injects faults at the VM's cancellation
 	// points (chaos testing): terminate-probe invalidation keyed by CP
 	// id, and helper-call errors keyed by helper ID.
@@ -161,8 +169,8 @@ type Program struct {
 	cps   []kie.CP
 
 	// terminate is the address the probe dereferences. While valid it
-	// points at the heap's reserved word; cancellation swaps in an
-	// unmapped address so the next probe faults (§3.3).
+	// points at the heap's reserved word; Unload swaps in an unmapped
+	// address so the next probe on every CPU faults (§3.3).
 	terminate atomic.Uint64
 	unloaded  atomic.Bool
 	cancels   atomic.Uint64
@@ -171,10 +179,10 @@ type Program struct {
 // TerminateWordOff is the heap offset reserved for the terminate word.
 const TerminateWordOff = 0
 
-// ErrUnloaded is returned when running a program that was unloaded after a
-// cancellation (§4.3: a cancellation on one CPU terminates the extension on
-// all CPUs and unloads it).
-var ErrUnloaded = errors.New("vm: extension was cancelled and unloaded")
+// ErrUnloaded is returned when running a program that was unloaded — by
+// its cancellation policy (§4.3: a cancellation on one CPU terminates the
+// extension on all CPUs and unloads it) or by its owner.
+var ErrUnloaded = errors.New("vm: extension unloaded, serve via user-space fallback")
 
 // New loads an instrumented program.
 func New(rep *kie.Report, opts Options) (*Program, error) {
@@ -202,16 +210,10 @@ func (p *Program) CPs() []kie.CP { return p.cps }
 // Heap returns the program's extension heap (nil for eBPF programs).
 func (p *Program) Heap() *heap.Heap { return p.opts.Heap }
 
-// Cancel invalidates the terminate word: every CPU currently executing the
-// program faults at its next probe, and future invocations fail with
-// ErrUnloaded once a cancellation has completed.
-func (p *Program) Cancel() {
-	p.terminate.Store(0)
-}
-
-// Unload marks the program unloaded: future invocations fail with
-// ErrUnloaded, and in-flight ones fault at their next probe. The runtime
-// uses it to retire extensions that exceed their cancellation budget.
+// Unload retires the program: future invocations fail with ErrUnloaded, and
+// in-flight ones on every CPU fault at their next probe — the only writer
+// of the terminate word. doCancel calls it when the cancellation count
+// reaches Options.CancelThreshold; owners call it to retire an extension.
 // Unload is idempotent and safe to call concurrently with Run; it reports
 // whether this call performed the transition (false when the program was
 // already unloaded).
@@ -221,7 +223,7 @@ func (p *Program) Unload() bool {
 	return first
 }
 
-// Unloaded reports whether a cancellation has unloaded the program.
+// Unloaded reports whether the program has been retired.
 func (p *Program) Unloaded() bool { return p.unloaded.Load() }
 
 // Cancels returns the number of cancellations that occurred.
@@ -266,17 +268,21 @@ type Exec struct {
 	// on exit, so it is odd exactly while an invocation is in flight and
 	// every invocation is in flight under a different value. The watchdog
 	// polls it and keeps the time itself (§4.3: monitoring is passive —
-	// nothing is stamped per invocation).
+	// nothing is stamped per invocation). A Run that returns before starting
+	// (unloaded program, wrong ctx size) adds two: the call consumes its word
+	// without ever being in flight. cur is the owner's plain copy of the
+	// in-flight value, so a probe compares without a second atomic load.
 	seq atomic.Uint64
+	cur uint64
 
-	// cancelReq is a per-invocation cancellation request (caller deadline
-	// or context cancellation, §4.3's cooperative termination scoped to
-	// one invocation). Probes and lock spins observe it exactly like a
-	// terminate-word invalidation. It is armed/cleared by the caller
-	// (Handle.RunContext) around one Run, never by Run itself, so a
-	// request that lands after the invocation ends cannot leak into the
-	// next one.
-	cancelReq atomic.Bool
+	// cancelReq is the sequence word of the invocation asked to cancel
+	// (watchdog stall, caller deadline: §4.3's cooperative termination).
+	// Probes and lock spins compare it with cur and unwind on a match,
+	// exactly as on a terminate-word fault. Sequence words never repeat and
+	// the zero value is even, so a request that lands late — after its
+	// invocation returned, or for a Run that never started — matches
+	// nothing and needs no clearing.
+	cancelReq atomic.Uint64
 
 	stats Stats
 	hc    kernel.HelperCtx
@@ -332,7 +338,7 @@ func (p *Program) NewExec(cpu int) *Exec {
 			return pinVABase + uint64(len(e.pins)-1)*pinStride
 		},
 		Cancelled: func() bool {
-			return p.terminate.Load() == 0 || e.cancelReq.Load() ||
+			return p.terminate.Load() == 0 || e.cancelReq.Load() == e.cur ||
 				(p.opts.QuantumInsns > 0 && e.stats.Insns > p.opts.QuantumInsns)
 		},
 	}
@@ -368,9 +374,11 @@ func (c *ExtensionAbort) Is(target error) bool { return target == ErrExtensionAb
 func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 	p := e.prog
 	if p.unloaded.Load() {
+		e.seq.Add(2)
 		return Result{}, ErrUnloaded
 	}
 	if len(ctxBytes) != p.opts.Hook.CtxSize {
+		e.seq.Add(2)
 		return Result{}, fmt.Errorf("vm: ctx size %d, hook %s wants %d",
 			len(ctxBytes), p.opts.Hook.Name, p.opts.Hook.CtxSize)
 	}
@@ -389,9 +397,9 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 
 	// In flight from here to the second add. There is deliberately no
 	// defer: a panic out of a helper leaves the word odd, and the watchdog
-	// then cancels the program a quantum later — the right outcome for an
+	// then asks it to cancel a quantum later — the right outcome for an
 	// execution context that never came back.
-	e.seq.Add(1)
+	e.cur = e.seq.Add(1)
 	var ret uint64
 	var err error
 	if p.opts.Lowered != nil {
@@ -435,15 +443,14 @@ func (e *Exec) unwind() {
 
 // doCancel implements extension cancellation (§3.3): release acquired
 // spin locks and kernel objects in LIFO order (the object-table walk),
-// compute the default return code (optionally adjusted by the callback),
-// and unload the extension (§4.3 cancellation scope).
+// count the cancellation and, once the count reaches the threshold, unload
+// the extension on all CPUs (§4.3 cancellation scope), then compute the
+// default return code (optionally adjusted by the callback).
 func (e *Exec) doCancel(c *ExtensionAbort) (Result, error) {
 	p := e.prog
 	e.unwind()
-	p.cancels.Add(1)
-	if !p.opts.LocalCancel {
-		p.unloaded.Store(true)
-		p.terminate.Store(0) // terminate the extension on all CPUs
+	if p.cancels.Add(1) >= p.opts.CancelThreshold {
+		p.Unload()
 	}
 	ret := p.opts.Hook.DefaultRet
 	if cb := p.opts.Callback; cb != nil {
@@ -660,16 +667,13 @@ func (e *Exec) Invocation() (seq uint64, inFlight bool) {
 	return seq, seq&1 == 1
 }
 
-// RequestCancel asks the in-flight invocation on this Exec to cancel
-// cooperatively: the next terminate probe (or lock-spin poll) observes the
-// request and unwinds through the same object-table walk as a watchdog
-// cancellation (§3.3, §4.3). Safe to call from any goroutine. The request
-// stays pending until ClearCancel, so callers must bracket one invocation
-// with ClearCancel → arm → Run → ClearCancel (Handle.RunContext does).
-func (e *Exec) RequestCancel() { e.cancelReq.Store(true) }
-
-// ClearCancel withdraws a pending per-invocation cancellation request.
-func (e *Exec) ClearCancel() { e.cancelReq.Store(false) }
+// RequestCancel asks invocation seq of this Exec — a word Invocation
+// returned while it was in flight, or that word plus one read while idle,
+// which names the Exec's next Run call — to cancel cooperatively: its next
+// terminate probe (or lock-spin poll) observes the request and unwinds
+// through its object table (§3.3, §4.3). No other invocation can observe
+// it. Safe to call from any goroutine.
+func (e *Exec) RequestCancel(seq uint64) { e.cancelReq.Store(seq) }
 
 // HeldCounts reports the kernel objects (object-table entries) and spin
 // locks this Exec currently holds. It is a diagnostic snapshot for

@@ -2,9 +2,12 @@
 // (§4.3 of the paper). The kernel implementation piggybacks on Linux's
 // softlockup and hardlockup watchdogs to detect stalled interruptible and
 // non-interruptible extensions, plus a background task for sleepable ones;
-// here a single background goroutine polls in-flight invocations and
-// invalidates the program's terminate word when one exceeds its quantum, so
-// the extension faults at its next cancellation point.
+// here a single background goroutine polls in-flight invocations and, when
+// one exceeds its quantum, asks that invocation — by execution context and
+// sequence word, never the program — to cancel, so it unwinds at its next
+// cancellation point. Whether a completed cancellation also retires the
+// extension is the program's policy (vm.Options.CancelThreshold), not the
+// watchdog's.
 //
 // The watchdog keeps the time; an invocation does not. Each execution
 // context publishes only an invocation-sequence word (vm.Exec.Invocation,
@@ -19,7 +22,6 @@
 package watchdog
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,24 +38,17 @@ type watched struct {
 	since time.Time
 }
 
-// target is one monitored extension: the program and the execution
-// contexts running it, with their scan state.
-type target struct {
-	prog  *vm.Program
-	execs []watched
-}
-
-// Watchdog monitors extensions for stalls. WatchExec, Start, and Stop are
+// Watchdog monitors one extension's execution contexts for stalls. WatchExec, Start, and Stop are
 // safe to call concurrently with each other and with the poller; Stop is
 // idempotent.
 type Watchdog struct {
 	quantum  time.Duration
 	interval time.Duration
 
-	mu      sync.Mutex // guards targets (scan state included), stop, done
-	targets []target
-	stop    chan struct{} // non-nil while a poller is running
-	done    chan struct{} // closed by that poller on exit
+	mu    sync.Mutex // guards execs (scan state included), stop, done
+	execs []watched
+	stop  chan struct{} // non-nil while a poller is running
+	done  chan struct{} // closed by that poller on exit
 
 	fired atomic.Uint64
 
@@ -62,7 +57,7 @@ type Watchdog struct {
 	fault *faultinject.Plan
 }
 
-// New creates a watchdog that cancels extensions running longer than
+// New creates a watchdog that cancels invocations running longer than
 // quantum, polling every interval. The paper's watchdogs operate at
 // second granularity (§4.3, with sub-second sampling left as future work);
 // tests use shorter quanta.
@@ -74,32 +69,24 @@ func New(quantum, interval time.Duration) *Watchdog {
 // before Start.
 func (w *Watchdog) SetFaultPlan(p *faultinject.Plan) { w.fault = p }
 
-// WatchExec registers one execution context for monitoring, creating or
-// extending the program's target. It is the only registration: per-CPU
-// contexts are created lazily, and one that appears after monitoring
-// started must still be watched (a handle resolved mid-flight could
-// otherwise spin unbounded). Safe to call while the poller is running;
-// duplicate registrations — possible when registration races watchdog
-// start — are ignored.
-func (w *Watchdog) WatchExec(p *vm.Program, e *vm.Exec) {
+// WatchExec registers one execution context for monitoring. It is the only
+// registration: per-CPU contexts are created lazily, and one that appears
+// after monitoring started must still be watched (a handle resolved
+// mid-flight could otherwise spin unbounded). Safe to call while the poller
+// is running; duplicate registrations — possible when registration races
+// watchdog start — are ignored.
+func (w *Watchdog) WatchExec(e *vm.Exec) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := range w.targets {
-		if w.targets[i].prog != p {
-			continue
+	for _, have := range w.execs {
+		if have.exec == e {
+			return
 		}
-		for _, have := range w.targets[i].execs {
-			if have.exec == e {
-				return
-			}
-		}
-		w.targets[i].execs = append(w.targets[i].execs, watched{exec: e})
-		return
 	}
-	w.targets = append(w.targets, target{prog: p, execs: []watched{{exec: e}}})
+	w.execs = append(w.execs, watched{exec: e})
 }
 
-// Fired returns how many cancellations the watchdog initiated.
+// Fired returns how many cancel requests the watchdog made.
 func (w *Watchdog) Fired() int { return int(w.fired.Load()) }
 
 // Start launches the monitoring goroutine; a second Start while one is
@@ -143,74 +130,34 @@ func (w *Watchdog) Stop() {
 	<-done
 }
 
-// OneShot is a single-invocation watchdog: it arms once, fires at most
-// once, and is then discarded. It carries caller deadlines into the
-// runtime (§4.3): where the periodic watchdog polls for stalls at second
-// granularity, a OneShot reacts to an externally supplied expiry — a
-// context deadline or explicit caller cancellation — and triggers the same
-// cooperative cancellation path (terminate-probe fault, object-table
-// unwinding).
-type OneShot struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// ArmContext arms a one-shot watchdog for one invocation: when ctx is
-// cancelled or its deadline expires, fire runs (exactly once). Stop
-// disarms it and waits for the watcher to exit, so after Stop returns no
-// late fire can occur.
-func ArmContext(ctx context.Context, fire func()) *OneShot {
-	o := &OneShot{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(o.done)
-		select {
-		case <-ctx.Done():
-			fire()
-		case <-o.stop:
-		}
-	}()
-	return o
-}
-
-// Stop disarms the one-shot and blocks until its watcher has exited.
-// Idempotent.
-func (o *OneShot) Stop() {
-	o.once.Do(func() { close(o.stop) })
-	<-o.done
-}
-
 // scan is one poll, at time now. It runs under mu: the per-context memory
-// lives in targets, and a Stop/Start churn can briefly overlap two pollers.
+// lives in execs, and a Stop/Start churn can briefly overlap two pollers.
 func (w *Watchdog) scan(now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := range w.targets {
-		t := &w.targets[i]
-		// Forced firing treats the target as stalled regardless of its
-		// elapsed quantum, but still only cancels in-flight invocations.
-		forced := w.fault != nil && w.fault.Fire(faultinject.WatchdogFire, uint64(i))
-		fire := false
-		for j := range t.execs {
-			e := &t.execs[j]
-			seq, inFlight := e.exec.Invocation()
-			if !inFlight {
-				continue
-			}
-			if seq != e.seq {
-				// First sight of this invocation: its clock starts here.
-				// (No reset when idle: sequence words never repeat, and
-				// the zero value is even, so a remembered word can only
-				// ever match the invocation it was read from.)
-				e.seq, e.since = seq, now
-			}
-			fire = fire || forced || now.Sub(e.since) > w.quantum
+	// Forced firing (one draw per scan, none while nothing is registered)
+	// treats every in-flight invocation as stalled regardless of its elapsed
+	// quantum; an idle context is never cancelled.
+	forced := w.fault != nil && len(w.execs) > 0 && w.fault.Fire(faultinject.WatchdogFire, 0)
+	for i := range w.execs {
+		e := &w.execs[i]
+		seq, inFlight := e.exec.Invocation()
+		if !inFlight {
+			continue
 		}
-		if fire {
-			// Stall detected: invalidate the terminate word. The
-			// extension faults at its next C1 probe (or abandons a lock
-			// spin) and unwinds (§3.3).
-			t.prog.Cancel()
+		if seq != e.seq {
+			// First sight of this invocation: its clock starts here.
+			// (No reset when idle: sequence words never repeat, and
+			// the zero value is even, so a remembered word can only
+			// ever match the invocation it was read from.)
+			e.seq, e.since = seq, now
+		}
+		if forced || now.Sub(e.since) > w.quantum {
+			// Stall detected: ask this invocation, and no other, to cancel.
+			// It faults at its next C1 probe (or abandons a lock spin) and
+			// unwinds (§3.3); had it returned meanwhile, the request names
+			// a word no later invocation runs under.
+			e.exec.RequestCancel(seq)
 			w.fired.Add(1)
 		}
 	}

@@ -70,7 +70,7 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	p := spinningProgram(t)
 	e := p.NewExec(0)
 	w := New(quantum, interval)
-	w.WatchExec(p, e)
+	w.WatchExec(e)
 	w.Start()
 	defer w.Stop()
 
@@ -146,7 +146,7 @@ func TestDetectionRule(t *testing.T) {
 	p, entered, release := parkingProgram(t)
 	e := p.NewExec(0)
 	w := New(quantum, interval)
-	w.WatchExec(p, e)
+	w.WatchExec(e)
 	t0 := time.Now()
 
 	w.scan(t0)
@@ -182,7 +182,7 @@ func TestBackToBackInvocationsNeverFire(t *testing.T) {
 	p, entered, release := parkingProgram(t)
 	e := p.NewExec(0)
 	w := New(quantum, interval)
-	w.WatchExec(p, e)
+	w.WatchExec(e)
 	t0 := time.Now()
 	for now := t0; now.Sub(t0) <= 5*quantum; now = now.Add(interval) {
 		finish := invoke(t, e, entered, release)
@@ -202,8 +202,8 @@ func TestWatchExecAfterStart(t *testing.T) {
 	w.Start()
 	defer w.Stop()
 	e := p.NewExec(3)
-	w.WatchExec(p, e)
-	w.WatchExec(p, e) // a duplicate registration is ignored
+	w.WatchExec(e)
+	w.WatchExec(e) // a duplicate registration is ignored
 	res, err := e.Run(nil, make([]byte, kernel.HookBench.CtxSize))
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestWatchdogIgnoresIdleAndFast(t *testing.T) {
 	p := loadProgram(t, kernel.New(), asm.New().Ret(0).MustAssemble(), 0)
 	e := p.NewExec(0)
 	w := New(5*time.Millisecond, time.Millisecond)
-	w.WatchExec(p, e)
+	w.WatchExec(e)
 	w.Start()
 	defer w.Stop()
 	for i := 0; i < 100; i++ {
@@ -248,7 +248,7 @@ func TestStartStopIdempotent(t *testing.T) {
 func TestLifecycleRace(t *testing.T) {
 	p := spinningProgram(t)
 	w := New(time.Nanosecond, 100*time.Microsecond) // fire on every scan
-	w.WatchExec(p, p.NewExec(0))
+	w.WatchExec(p.NewExec(0))
 	w.Start()
 
 	var wg sync.WaitGroup
@@ -263,7 +263,7 @@ func TestLifecycleRace(t *testing.T) {
 					return
 				default:
 				}
-				w.WatchExec(p, p.NewExec(cpu))
+				w.WatchExec(p.NewExec(cpu))
 				w.Start()
 				w.Stop()
 			}
@@ -287,7 +287,7 @@ func TestForcedFiring(t *testing.T) {
 	// the test's runtime: only the injected firing can cancel it.
 	w := New(time.Hour, time.Millisecond)
 	w.SetFaultPlan(plan)
-	w.WatchExec(p, e)
+	w.WatchExec(e)
 	w.Start()
 	defer w.Stop()
 
@@ -316,7 +316,7 @@ func TestForcedFiringOnlyInFlight(t *testing.T) {
 	plan.Enable()
 	w := New(time.Hour, time.Millisecond)
 	w.SetFaultPlan(plan)
-	w.WatchExec(p, e)
+	w.WatchExec(e)
 	now := time.Now()
 	w.scan(now)
 	if w.Fired() != 0 {

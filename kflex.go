@@ -34,6 +34,7 @@ package kflex
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,46 +92,41 @@ const (
 	CancelHelper    = vm.CancelHelper
 )
 
-// ErrUnloaded is returned when invoking an extension that was cancelled and
-// unloaded (§4.3).
-var ErrUnloaded = vm.ErrUnloaded
-
 // ErrExtensionAbort matches (via errors.Is) the typed aborts the VM raises
 // at cancellation points; Result.Abort carries the fault kind and PC.
 var ErrExtensionAbort = vm.ErrExtensionAbort
 
-// ErrFallback is the sentinel matched (via errors.Is) by the errors
-// Handle.Run returns once an extension has been degraded (cancelled more
-// often than Spec.CancelThreshold and auto-unloaded): the caller should
-// serve the request on its user-space path instead — the paper's
-// offload-miss path (§5). It wraps ErrUnloaded, so existing
-// errors.Is(err, ErrUnloaded) checks keep working. The concrete error is a
-// *DegradedError identifying which extension degraded.
-var ErrFallback = fmt.Errorf("kflex: extension degraded, serve via user-space fallback: %w", ErrUnloaded)
+// ErrFallback is the one sentinel for a retired extension — unloaded by its
+// cancellation policy (Spec.CancelThreshold, §4.3) or by its owner
+// (Extension.Unload): the caller should serve the request on its user-space
+// path instead, the paper's offload-miss path (§5). Handle.Run returns it
+// as a *DegradedError, the supervisor's open circuit as an *OpenError; both
+// match it via errors.Is.
+var ErrFallback = vm.ErrUnloaded
 
-// DegradedError is the error Handle.Run returns for a degraded (retired)
-// extension. It names the extension and its completed-cancellation count
-// at retirement, so callers multiplexing several extensions can tell which
-// one to fall back for. It matches both ErrFallback and ErrUnloaded via
-// errors.Is, preserving every pre-existing check.
+// DegradedError is the error Handle.Run returns for a retired extension. It
+// names the extension and its completed-cancellation count, so callers
+// multiplexing several extensions can tell which one to fall back for. It
+// matches ErrFallback via errors.Is.
 type DegradedError struct {
-	// Ext is the Spec.Name of the degraded extension.
+	// Ext is the Spec.Name of the retired extension.
 	Ext string
-	// Cancellations is the completed-cancellation count when the
-	// extension was retired.
+	// Cancellations is the extension's completed-cancellation count.
 	Cancellations uint64
 }
 
 func (e *DegradedError) Error() string {
-	return fmt.Sprintf("kflex: extension %q degraded after %d cancellations, serve via user-space fallback",
+	return fmt.Sprintf("kflex: extension %q retired after %d cancellations, serve via user-space fallback",
 		e.Ext, e.Cancellations)
 }
 
-// Is makes errors.Is(err, ErrFallback) and errors.Is(err, ErrUnloaded)
-// hold for every DegradedError.
-func (e *DegradedError) Is(target error) bool {
-	return target == ErrFallback || target == ErrUnloaded
-}
+// Is makes errors.Is(err, ErrFallback) hold for every DegradedError.
+func (e *DegradedError) Is(target error) bool { return target == ErrFallback }
+
+// CancelNever is the Spec.CancelThreshold no run reaches: every
+// cancellation stays scoped to its invocation and the extension is never
+// retired by policy.
+const CancelNever = math.MaxUint64
 
 // Spec describes an extension to load.
 type Spec struct {
@@ -171,15 +167,13 @@ type Spec struct {
 	// DisableElision forces an SFI guard on every heap access, ignoring
 	// the range analysis — the §5.4 ablation baseline.
 	DisableElision bool
-	// LocalCancel scopes a cancellation to the faulting invocation
-	// rather than unloading the extension on every CPU (§4.3 lists this
-	// as future work; the paper's default policy unloads).
-	LocalCancel bool
-	// CancelThreshold auto-unloads the extension once its completed
-	// cancellations reach this count; Handle.Run then returns ErrFallback
-	// so callers take their user-space path (§5's offload miss). Zero
-	// disables degradation. Only meaningful with LocalCancel, whose
-	// cancellations would otherwise retry the extension indefinitely.
+	// CancelThreshold is the cancellation policy in one number: the
+	// extension is retired — unloaded on every CPU, Handle.Run returning
+	// ErrFallback from then on (§5's offload miss) — when its completed
+	// cancellations reach this count. 0 and 1 are the paper's policy (§4.3:
+	// the first cancellation unloads); N > 1 keeps the first N-1
+	// cancellations scoped to the invocation that faulted (the paper's
+	// future work); CancelNever never retires.
 	CancelThreshold uint64
 	// FaultPlan attaches a deterministic fault-injection plan to every
 	// layer of this extension's runtime (chaos testing); nil — the
@@ -260,7 +254,7 @@ type compiled struct {
 // specFingerprint hashes everything the cached artifacts depend on: the
 // program text plus every spec knob that changes verification,
 // instrumentation, or lowering. Runtime-only knobs (QuantumInsns, NumCPUs,
-// LocalCancel, CancelThreshold, FaultPlan, Callback, AdoptHeap/AdoptAlloc)
+// CancelThreshold, FaultPlan, Callback, AdoptHeap/AdoptAlloc)
 // are deliberately excluded — they bind at link time and must not defeat
 // the cache.
 func specFingerprint(spec Spec) uint64 {
@@ -376,10 +370,7 @@ type Extension struct {
 	// started earlier — see newHandle for the publication ordering.
 	wd atomic.Pointer[watchdog.Watchdog]
 
-	fault           *faultinject.Plan
-	cancelThreshold uint64
-	degraded        atomic.Bool
-	unloads         atomic.Uint64
+	fault *faultinject.Plan
 }
 
 // execSlot is one entry of the per-CPU handle table.
@@ -506,22 +497,21 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 	// table, callback, resolved helper table, VM program.
 	t0 = time.Now()
 	ext := &Extension{
-		name:            spec.Name,
-		rt:              r,
-		report:          art.report,
-		analysis:        art.analysis,
-		numCPUs:         spec.NumCPUs,
-		execs:           make([]execSlot, spec.NumCPUs),
-		fault:           spec.FaultPlan,
-		cancelThreshold: spec.CancelThreshold,
+		name:     spec.Name,
+		rt:       r,
+		report:   art.report,
+		analysis: art.analysis,
+		numCPUs:  spec.NumCPUs,
+		execs:    make([]execSlot, spec.NumCPUs),
+		fault:    spec.FaultPlan,
 	}
 	opts := vm.Options{
-		Hook:         spec.Hook,
-		Kernel:       r.kern,
-		PerfMode:     spec.PerfMode,
-		QuantumInsns: spec.QuantumInsns,
-		LocalCancel:  spec.LocalCancel,
-		Fault:        spec.FaultPlan,
+		Hook:            spec.Hook,
+		Kernel:          r.kern,
+		PerfMode:        spec.PerfMode,
+		QuantumInsns:    spec.QuantumInsns,
+		CancelThreshold: spec.CancelThreshold,
+		Fault:           spec.FaultPlan,
 	}
 	lk := compile.Linkage{Helpers: r.kern.Helpers}
 	if spec.HeapSize > 0 {
@@ -676,7 +666,7 @@ func (e *Extension) newHandle(idx int) *Handle {
 	// concurrently with watchdog start is never left unwatched. Both
 	// sides observing each other is harmless: WatchExec deduplicates.
 	if wd := e.wd.Load(); wd != nil {
-		wd.WatchExec(e.prog, h.exec)
+		wd.WatchExec(h.exec)
 	}
 	return h
 }
@@ -685,8 +675,8 @@ func (e *Extension) newHandle(idx int) *Handle {
 // single-goroutine: drive it from exactly one worker at a time (the
 // per-CPU exclusivity contract documented on Extension.Handle). Handles
 // for distinct CPUs share no mutable state and run fully in parallel;
-// the cross-CPU facts they touch — degradation, cancellation and unload
-// counters — are all atomics.
+// the cross-CPU facts they touch — the retirement flag and the cancellation
+// counter — are atomics.
 type Handle struct {
 	exec *vm.Exec
 	ext  *Extension
@@ -697,40 +687,26 @@ func (h *Handle) Extension() *Extension { return h.ext }
 
 // Run invokes the extension for one event. ctx must match the hook's
 // context size; event is the hook-specific payload (e.g. a packet). Once
-// the extension is degraded (see Spec.CancelThreshold), Run returns
-// ErrFallback without executing.
+// the extension is retired (see Spec.CancelThreshold, Extension.Unload),
+// Run returns a *DegradedError, matching ErrFallback, without executing.
 func (h *Handle) Run(event any, ctx []byte) (Result, error) {
-	e := h.ext
-	if e.degraded.Load() {
-		return Result{}, &DegradedError{Ext: e.name, Cancellations: e.prog.Cancels()}
-	}
 	res, err := h.exec.Run(event, ctx)
-	if err == nil && res.Cancelled != CancelNone &&
-		e.cancelThreshold > 0 && e.prog.Cancels() >= e.cancelThreshold {
-		// Graceful degradation: the extension keeps getting cancelled,
-		// so retire it and direct callers to the user-space path.
-		e.Unload()
-	}
-	if err == ErrUnloaded && e.degraded.Load() {
-		// Retired between the gate above and the VM's own unloaded check:
-		// the caller gets the same typed fallback either way.
-		err = &DegradedError{Ext: e.name, Cancellations: e.prog.Cancels()}
+	if err == ErrFallback {
+		err = &DegradedError{Ext: h.ext.name, Cancellations: h.ext.prog.Cancels()}
 	}
 	return res, err
 }
 
-// RunContext is Run with caller deadline propagation (§4.3): it arms a
-// one-shot watchdog on ctx so a caller timeout or cancellation triggers the
-// same cooperative cancellation path as the quantum watchdog — the
-// invocation faults at its next terminate probe, releases held kernel
-// objects via its object table, and unwinds — instead of blocking the
-// caller. The cancellation follows the extension's configured policy,
-// exactly like a watchdog firing: with Spec.LocalCancel it is scoped to
-// this invocation, otherwise the extension unloads.
+// RunContext is Run with caller deadline propagation (§4.3): when ctx is
+// cancelled or its deadline expires mid-run, this invocation — and no
+// other — is asked to cancel, exactly as the watchdog asks a stalled one:
+// it faults at its next terminate probe, releases held kernel objects via
+// its object table, and unwinds instead of blocking the caller. The
+// completed cancellation counts toward Spec.CancelThreshold like any other.
 //
 // An already-expired ctx returns ctx.Err() without executing. A mid-run
 // expiry surfaces as a cancelled Result (Cancelled == CancelTerminate) with
-// the hook's default return code, exactly like a watchdog firing.
+// the hook's default return code.
 func (h *Handle) RunContext(ctx context.Context, event any, hctx []byte) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -739,13 +715,12 @@ func (h *Handle) RunContext(ctx context.Context, event any, hctx []byte) (Result
 		// No deadline or cancellation to propagate.
 		return h.Run(event, hctx)
 	}
-	// Bracketing discipline: clear any stale request, arm the one-shot,
-	// run, then disarm (Stop waits for the watcher goroutine to exit, so
-	// no fire can race past it) and clear again for the next Run.
-	h.exec.ClearCancel()
-	os := watchdog.ArmContext(ctx, h.exec.RequestCancel)
-	defer h.exec.ClearCancel()
-	defer os.Stop()
+	// The handle is idle and ours, so the Run below is its next invocation.
+	// A request that fires after that Run returned names a word no later
+	// invocation runs under: nothing to clear, nothing to wait for.
+	seq, _ := h.exec.Invocation()
+	stop := context.AfterFunc(ctx, func() { h.exec.RequestCancel(seq + 1) })
+	defer stop()
 	return h.Run(event, hctx)
 }
 
@@ -762,38 +737,17 @@ func (e *Extension) Heap() *heap.Heap { return e.heap }
 // Alloc returns the KFlex memory allocator (nil without a heap).
 func (e *Extension) Alloc() *alloc.Allocator { return e.alloc }
 
-// Cancel requests cancellation: running invocations fault at their next
-// cancellation point, release held kernel objects, and the extension
-// unloads (§3.3, §4.3).
-func (e *Extension) Cancel() { e.prog.Cancel() }
-
-// Unloaded reports whether the extension was cancelled and unloaded.
+// Unloaded reports whether the extension has been retired, by its
+// cancellation policy or by Unload.
 func (e *Extension) Unloaded() bool { return e.prog.Unloaded() }
 
-// Degraded reports whether the extension exceeded its cancellation
-// threshold and was auto-unloaded.
-func (e *Extension) Degraded() bool { return e.degraded.Load() }
-
-// Unload retires the extension: it is marked degraded (subsequent Runs
-// return a *DegradedError) and the program's terminate word is invalidated
-// so in-flight invocations unwind at their next cancellation point.
-// Idempotent and race-free: concurrent calls — including the threshold
-// auto-unload racing a manual Unload, or Unload during Run — retire the
-// extension exactly once; Unload reports whether this call performed the
-// transition.
-func (e *Extension) Unload() bool {
-	if !e.degraded.CompareAndSwap(false, true) {
-		return false
-	}
-	e.prog.Unload()
-	e.unloads.Add(1)
-	return true
-}
-
-// Unloads returns how many degraded transitions the extension performed;
-// it is 1 after any number of Unload calls and threshold trips (regression
-// hook for double-unload races).
-func (e *Extension) Unloads() uint64 { return e.unloads.Load() }
+// Unload retires the extension: subsequent Runs return a *DegradedError,
+// and the terminate word is invalidated so in-flight invocations on every
+// CPU unwind at their next cancellation point. Idempotent and race-free:
+// concurrent calls — including the threshold's unload racing a manual one,
+// or Unload during Run — retire the extension exactly once; Unload reports
+// whether this call performed the transition.
+func (e *Extension) Unload() bool { return e.prog.Unload() }
 
 // Name returns the Spec.Name the extension was loaded under.
 func (e *Extension) Name() string { return e.name }
@@ -844,7 +798,7 @@ func (e *Extension) StartWatchdog(quantum, poll time.Duration) {
 	// overlap.
 	for i := range e.execs {
 		if h := e.execs[i].h.Load(); h != nil {
-			wd.WatchExec(e.prog, h.exec)
+			wd.WatchExec(h.exec)
 		}
 	}
 	wd.Start()

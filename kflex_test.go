@@ -166,8 +166,8 @@ func TestQuantumCancellation(t *testing.T) {
 		t.Error("extension should be unloaded after cancellation")
 	}
 	// Further invocations are refused (§4.3 cancellation scope).
-	if _, err := ext.Handle(1).Run(nil, make([]byte, HookXDP.CtxSize)); !errors.Is(err, ErrUnloaded) {
-		t.Fatalf("second run err = %v, want ErrUnloaded", err)
+	if _, err := ext.Handle(1).Run(nil, make([]byte, HookXDP.CtxSize)); !errors.Is(err, ErrFallback) {
+		t.Fatalf("second run err = %v, want ErrFallback", err)
 	}
 }
 
@@ -602,19 +602,19 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestLocalCancelScope covers the §4.3 future-work extension: with
-// LocalCancel, a quantum cancellation terminates only the faulting
+// TestCancelScopeBelowThreshold covers the §4.3 future-work extension: below the
+// cancel threshold, a quantum cancellation terminates only the faulting
 // invocation; other CPUs keep running the extension.
-func TestLocalCancelScope(t *testing.T) {
+func TestCancelScopeBelowThreshold(t *testing.T) {
 	rt := NewRuntime()
 	ext, err := rt.Load(Spec{
-		Name:         "spin-local",
-		Insns:        spinningProg(),
-		Hook:         HookXDP,
-		Mode:         ModeKFlex,
-		HeapSize:     1 << 16,
-		QuantumInsns: 5_000,
-		LocalCancel:  true,
+		Name:            "spin-local",
+		Insns:           spinningProg(),
+		Hook:            HookXDP,
+		Mode:            ModeKFlex,
+		HeapSize:        1 << 16,
+		QuantumInsns:    5_000,
+		CancelThreshold: CancelNever,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -628,7 +628,7 @@ func TestLocalCancelScope(t *testing.T) {
 		t.Fatalf("cancelled = %v", res.Cancelled)
 	}
 	if ext.Unloaded() {
-		t.Fatal("LocalCancel unloaded the extension")
+		t.Fatal("a cancellation below the threshold unloaded the extension")
 	}
 	// Another invocation runs (and is cancelled again, independently).
 	res, err = ext.Handle(1).Run(nil, make([]byte, HookXDP.CtxSize))

@@ -74,12 +74,12 @@ func TestRunContextNoDeadline(t *testing.T) {
 func TestRunContextDeadlineMidRun(t *testing.T) {
 	rt := NewRuntime()
 	ext, err := rt.Load(Spec{
-		Name:        "ctx-deadline",
-		Insns:       spinWithSock(),
-		Hook:        HookXDP,
-		Mode:        ModeKFlex,
-		HeapSize:    1 << 16,
-		LocalCancel: true, // the cancellation stays per-invocation
+		Name:            "ctx-deadline",
+		Insns:           spinWithSock(),
+		Hook:            HookXDP,
+		Mode:            ModeKFlex,
+		HeapSize:        1 << 16,
+		CancelThreshold: CancelNever, // the cancellation stays per-invocation
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 	}
 	// Identical unwinding to watchdog cancellation: the acquired socket
 	// reference was released via the object-table walk (§3.3), no lock or
-	// reference is left held, and with LocalCancel the extension survives.
+	// reference is left held, and below its threshold the extension survives.
 	if sock.Refs() != 1 {
 		t.Fatalf("socket refs = %d after deadline cancellation, want 1", sock.Refs())
 	}
@@ -159,22 +159,22 @@ func TestUnloadIdempotent(t *testing.T) {
 			won++
 		}
 	}
-	if won != 1 || ext.Unloads() != 1 {
-		t.Fatalf("unload transitions = %d (counter %d), want exactly 1", won, ext.Unloads())
+	if won != 1 || !ext.Unloaded() {
+		t.Fatalf("unload transitions = %d (unloaded %v), want exactly 1", won, ext.Unloaded())
 	}
 	// Further Unloads stay no-ops.
-	if ext.Unload() || ext.Unloads() != 1 {
-		t.Fatalf("repeated Unload transitioned again (counter %d)", ext.Unloads())
+	if ext.Unload() {
+		t.Fatal("repeated Unload transitioned again")
 	}
-	// Runs now refuse with the typed degradation error, which satisfies
-	// both pre-existing sentinels.
+	// Runs now refuse with the typed retirement error, which matches the
+	// fallback sentinel.
 	_, err = ext.Handle(0).Run(nil, make([]byte, HookXDP.CtxSize))
 	var de *DegradedError
 	if !errors.As(err, &de) || de.Ext != "unload-race" {
 		t.Fatalf("Run after Unload = %v, want *DegradedError for unload-race", err)
 	}
-	if !errors.Is(err, ErrFallback) || !errors.Is(err, ErrUnloaded) {
-		t.Fatalf("DegradedError does not match ErrFallback/ErrUnloaded: %v", err)
+	if !errors.Is(err, ErrFallback) {
+		t.Fatalf("DegradedError does not match ErrFallback: %v", err)
 	}
 }
 
@@ -183,12 +183,12 @@ func TestUnloadIdempotent(t *testing.T) {
 func TestUnloadDuringRun(t *testing.T) {
 	rt := NewRuntime()
 	ext, err := rt.Load(Spec{
-		Name:        "unload-midrun",
-		Insns:       spinningProg(),
-		Hook:        HookXDP,
-		Mode:        ModeKFlex,
-		HeapSize:    1 << 16,
-		LocalCancel: true,
+		Name:            "unload-midrun",
+		Insns:           spinningProg(),
+		Hook:            HookXDP,
+		Mode:            ModeKFlex,
+		HeapSize:        1 << 16,
+		CancelThreshold: CancelNever,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +222,8 @@ func TestUnloadDuringRun(t *testing.T) {
 	if out.res.Cancelled != CancelTerminate {
 		t.Fatalf("in-flight run cancelled = %v, want terminate", out.res.Cancelled)
 	}
-	if ext.Unloads() != 1 || !ext.Degraded() {
-		t.Fatalf("unloads=%d degraded=%v after mid-run unload", ext.Unloads(), ext.Degraded())
+	if ext.Unload() || !ext.Unloaded() {
+		t.Fatalf("unloaded=%v after mid-run unload, and a second Unload must not transition", ext.Unloaded())
 	}
 }
 
