@@ -127,8 +127,8 @@ func TestHandleStableAcrossLookups(t *testing.T) {
 // TestWatchdogWatchesLateHandles is the regression test for the snapshot
 // bug: StartWatchdog used to capture the execution contexts that existed
 // at start, so a handle created afterwards was never monitored and a stall
-// on it spun unbounded. Registration is dynamic now — the late handle must
-// be cancelled, and by the watchdog: each run must have outlived its quantum
+// on it spun unbounded. Every context exists from Load now — the late handle
+// must be cancelled, and by the watchdog: each run must have outlived its quantum
 // (the first firing used to poison the program's terminate word, and the
 // runs on cpus 1 and 2 "passed" by faulting at their first probe).
 func TestWatchdogWatchesLateHandles(t *testing.T) {
@@ -172,6 +172,58 @@ func TestWatchdogWatchesLateHandles(t *testing.T) {
 	}
 	if ext.Cancels() != 3 || ext.Unloaded() {
 		t.Fatalf("cancels = %d, unloaded = %v, want 3 and loaded", ext.Cancels(), ext.Unloaded())
+	}
+}
+
+// TestUnresolvedSlotIsCovered: the per-CPU table is whole from Load, so a
+// slot no caller ever resolved through Handle is audited and stall-monitored
+// like the rest. The invocation reaches slot 3 through the table itself; it
+// takes a spin lock and stalls holding it.
+func TestUnresolvedSlotIsCovered(t *testing.T) {
+	prog := asm.New().
+		Call(kernel.HelperKflexHeapBase).
+		Mov(insn.R6, insn.R0).
+		Add(insn.R6, GlobalsOff). // r6 = &lock
+		Mov(insn.R1, insn.R6).
+		Call(kernel.HelperKflexSpinLock).
+		Label("loop").
+		Load(insn.R2, insn.R6, 8, 8).
+		Ja("loop").
+		MustAssemble()
+	ext, err := NewRuntime().Load(Spec{
+		Name: "spin-locked", Insns: prog, Hook: HookBench, Mode: ModeKFlex,
+		HeapSize: 1 << 16, NumCPUs: 4, CancelThreshold: CancelNever,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	ext.StartWatchdog(20*time.Millisecond, 2*time.Millisecond)
+
+	held := make(chan int, 1)
+	go func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			if _, locks := ext.AuditHeld(); locks != 0 {
+				held <- locks
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		held <- 0
+	}()
+	res, err := ext.execs[3].Run(nil, benchCtx(0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cancelled != CancelTerminate {
+		t.Fatalf("cancelled = %v, want terminate: slot 3 unwatched?", res.Cancelled)
+	}
+	if n := <-held; n != 1 {
+		t.Fatalf("AuditHeld saw %d locks held on slot 3 mid-stall, want 1", n)
+	}
+	if refs, locks := ext.AuditHeld(); refs != 0 || locks != 0 {
+		t.Fatalf("after unwinding: %d refs, %d locks held", refs, locks)
 	}
 }
 

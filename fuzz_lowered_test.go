@@ -2,11 +2,13 @@ package kflex_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"kflex"
 	"kflex/insn"
 	"kflex/internal/ds"
+	"kflex/internal/verifier"
 )
 
 // FuzzLoweredEquivalence feeds arbitrary byte strings through the decoder
@@ -90,4 +92,63 @@ func ctxBytes(v uint64) []byte {
 		b[i] = byte(v >> (8 * i))
 	}
 	return b
+}
+
+// TestMalformedOpcodeRefusedByBothTiers: a malformed instruction on a branch
+// the verifier's walk folds away — here an LD-class opcode that is not LDDW
+// — used to load on the interpreter (nothing ever looked at it) and be
+// refused by the lowering. The verifier's structural check sees every
+// instruction, so both tiers refuse, with the same *verifier.Error. The
+// program is also a committed FuzzLoweredEquivalence seed.
+func TestMalformedOpcodeRefusedByBothTiers(t *testing.T) {
+	prog := []insn.Instruction{
+		insn.Mov64Imm(insn.R0, 0),
+		insn.JmpImm(insn.JmpEq, insn.R0, 0, 1),
+		{Op: insn.ClassLD | 0x30},
+		insn.Exit(),
+	}
+	var errs [2]*verifier.Error
+	for i, interpret := range []bool{true, false} {
+		_, err := kflex.NewRuntime().Load(kflex.Spec{
+			Name: "malformed", Insns: prog, Hook: kflex.HookBench,
+			Mode: kflex.ModeKFlex, HeapSize: 1 << 16, Interpret: interpret,
+		})
+		if !errors.As(err, &errs[i]) {
+			t.Fatalf("interpret=%v: Load err = %v, want a *verifier.Error", interpret, err)
+		}
+	}
+	if *errs[0] != *errs[1] || errs[0].Insn != 2 {
+		t.Fatalf("tiers refuse differently: interpreter %v, lowered %v; want insn 2 on both", errs[0], errs[1])
+	}
+}
+
+// TestTiersAgreeOnLoadForEveryOpcode sweeps all 256 opcode bytes through
+// both positions — stepped by the verifier's walk, and hidden from it behind
+// a folded branch — and requires the tiers to agree on whether the program
+// loads. It is the exhaustive form of the fuzz target's first assertion.
+func TestTiersAgreeOnLoadForEveryOpcode(t *testing.T) {
+	for op := 0; op < 256; op++ {
+		ins := insn.Instruction{Op: insn.Opcode(op), Dst: insn.R2, Src: insn.R3, Imm: 16}
+		for _, prog := range [][]insn.Instruction{
+			{insn.Mov64Imm(insn.R0, 0), insn.Mov64Imm(insn.R2, 0), insn.Mov64Imm(insn.R3, 0), ins, insn.Exit()},
+			{insn.Mov64Imm(insn.R0, 0), insn.JmpImm(insn.JmpEq, insn.R0, 0, 1), ins, insn.Exit()},
+		} {
+			spec := kflex.Spec{
+				Name: "sweep", Insns: prog, Hook: kflex.HookBench,
+				Mode: kflex.ModeKFlex, HeapSize: 1 << 16, Interpret: true,
+			}
+			ei, errI := kflex.NewRuntime().Load(spec)
+			spec.Interpret = false
+			el, errL := kflex.NewRuntime().Load(spec)
+			if (errI == nil) != (errL == nil) {
+				t.Errorf("opcode %#02x in a %d-instruction program: interpreter err=%v, lowered err=%v",
+					op, len(prog), errI, errL)
+			}
+			for _, ext := range []*kflex.Extension{ei, el} {
+				if ext != nil {
+					ext.Close()
+				}
+			}
+		}
+	}
 }

@@ -130,10 +130,10 @@ type Opcode uint8
 const (
 	// OpGuard sanitizes the heap address in Dst:
 	// dst = (dst & heap_mask) + heap_base. Emitted before writes (and
-	// before reads unless performance mode elides them).
+	// before the reads of a shared heap).
 	OpGuard Opcode = ClassALU64 | 0xe0 | SrcK
-	// OpGuardRd is the read-access variant of OpGuard; it is skipped when
-	// the program runs in performance mode (§3.2).
+	// OpGuardRd is the read-access variant of OpGuard; Kie does not emit it
+	// for a program loaded in performance mode (§3.2).
 	OpGuardRd Opcode = ClassALU64 | 0xe0 | SrcX
 	// OpProbe performs the *terminate heap access inserted at the back
 	// edge of unbounded loops (§3.3). Imm carries the cancellation-point

@@ -442,7 +442,7 @@ func (a *Allocator) RetireCPU(cpu int) {
 
 // RetireCPUsFrom retires every per-CPU cache at index n and above — the
 // slots a successor generation with a smaller CPU table can no longer
-// reach (Spec.AdoptHeap with a reduced Spec.NumCPUs). Without the spill,
+// reach (Spec.Adopt with a reduced Spec.NumCPUs). Without the spill,
 // every block parked in those magazines would leak for the lifetime of the
 // heap.
 func (a *Allocator) RetireCPUsFrom(n int) {

@@ -22,6 +22,7 @@
 package memcached
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"time"
 
@@ -267,7 +268,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 
 func (b *BMC) fillCache(key, value []byte) {
 	entry := make([]byte, 8+b.cfg.ValueSize)
-	putU64(entry, uint64(len(value)))
+	binary.LittleEndian.PutUint64(entry, uint64(len(value)))
 	copy(entry[8:], value)
 	_ = b.cache.Update(key, entry)
 }
@@ -277,9 +278,3 @@ func (b *BMC) Name() string { return "BMC" }
 
 // Close releases the extension.
 func (b *BMC) Close() { b.ext.Close() }
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}

@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -441,9 +442,9 @@ func guardsPerOp(kind ds.Kind, disableElision bool) (float64, error) {
 	h := ext.Handle(0)
 	runOp := func(op, key, val uint64) (kflex.Result, error) {
 		ctx := make([]byte, kflex.HookBench.CtxSize)
-		putU64(ctx[0:], op)
-		putU64(ctx[8:], key)
-		putU64(ctx[16:], val)
+		binary.LittleEndian.PutUint64(ctx[0:], op)
+		binary.LittleEndian.PutUint64(ctx[8:], key)
+		binary.LittleEndian.PutUint64(ctx[16:], val)
 		return h.Run(nil, ctx)
 	}
 	if _, err := runOp(3, 0, 0); err != nil { // init
@@ -468,12 +469,6 @@ func guardsPerOp(kind ds.Kind, disableElision bool) (float64, error) {
 	return float64(guards) / (2 * n), nil
 }
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
 // AblProbe quantifies §3.3's claim that cancellation probes cost almost
 // nothing for correct extensions: the same traversal with probes (unbounded
 // loop form) vs provably bounded form (no probes).
@@ -491,9 +486,9 @@ func AblProbe(o Options) error {
 	h := ext.Handle(0)
 	ctx := make([]byte, kflex.HookBench.CtxSize)
 	run := func(op, key, val uint64) kflex.Result {
-		putU64(ctx[0:], op)
-		putU64(ctx[8:], key)
-		putU64(ctx[16:], val)
+		binary.LittleEndian.PutUint64(ctx[0:], op)
+		binary.LittleEndian.PutUint64(ctx[8:], key)
+		binary.LittleEndian.PutUint64(ctx[16:], val)
 		res, err := h.Run(nil, ctx)
 		if err != nil {
 			// Internal invariant: this drives a static, verified program
@@ -573,9 +568,9 @@ func AblXlat(o Options) error {
 		var insns uint64
 		const n = 2048
 		for k := uint64(1); k <= n; k++ {
-			putU64(ctx[0:], 0)
-			putU64(ctx[8:], k)
-			putU64(ctx[16:], k)
+			binary.LittleEndian.PutUint64(ctx[0:], 0)
+			binary.LittleEndian.PutUint64(ctx[8:], k)
+			binary.LittleEndian.PutUint64(ctx[16:], k)
 			res, err := h.Run(nil, ctx)
 			if err != nil {
 				ext.Close()

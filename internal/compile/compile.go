@@ -7,12 +7,10 @@
 // execution loop never re-decodes an instruction and never branches on
 // load-time configuration.
 //
-// Lowering performs three transformations beyond pre-decoding:
+// Lowering performs two transformations beyond pre-decoding (performance
+// mode is not one of them: Kie never emits the read guards it omits, so the
+// stream arriving here is already the one to run, §3.2/§4.2):
 //
-//   - Performance mode is resolved by *omitting* read guards from the
-//     lowered stream (§3.2/§4.2: the paper's JIT simply does not emit the
-//     sanitization sequence), instead of branching on the mode at every
-//     guard dispatch.
 //   - The dominant instruction pairs Kie emits are fused into
 //     superinstructions executed in one dispatch: guard+load, guard+store
 //     (the SFI sanitize-then-access sequence of §3.2, which the JIT lowers
@@ -29,9 +27,8 @@
 // mapping base, resolved helper table) without copying or patching code.
 //
 // Translation validation: lowering is a local, structure-preserving map —
-// every architectural instruction either lowers 1:1, is deleted because the
-// paper's JIT would not emit it (perf-mode read guards), or is fused with
-// its unique successor when no control flow can enter between the two. The
+// every architectural instruction either lowers 1:1 or is fused with its
+// unique successor when no control flow can enter between the two. The
 // differential harness at the repository root replays the full test corpus
 // on both tiers and requires byte-identical results and work counters (see
 // DESIGN.md §9).
@@ -145,7 +142,7 @@ const (
 	// instructions (§4.2: Kie opcodes lower to one or two hardware
 	// instructions adjacent to the access they protect).
 	OpGuardLoad     // guard src, then dst = *(Size*)(src + Imm)
-	OpGuardRdLoad   // read-guard variant (absent in performance mode)
+	OpGuardRdLoad   // read-guard variant
 	OpGuardStoreReg // guard dst, then *(Size*)(dst + Imm) = src
 	OpGuardStoreImm // guard dst, then *(Size*)(dst + Off) = Imm
 	OpProbeJa       // probe (CP in Off), then pc = Target
@@ -190,22 +187,11 @@ type Insn struct {
 // Metrics describes one lowering in the pipeline's terms.
 type Metrics struct {
 	// SrcInsns is the instrumented-stream length, LoweredInsns the
-	// lowered-stream length; the difference is deleted read guards plus
-	// one slot per fused pair.
+	// lowered-stream length; the difference is one slot per fused pair.
 	SrcInsns, LoweredInsns int
 	// FusedGuardLoad/FusedGuardStore/FusedProbeBranch count fused
 	// superinstructions by kind.
 	FusedGuardLoad, FusedGuardStore, FusedProbeBranch int
-	// ReadGuardsDropped counts read guards deleted outright because the
-	// program compiles in performance mode (§3.2): the per-dispatch mode
-	// branch the interpreter pays does not exist on this tier.
-	ReadGuardsDropped int
-}
-
-// Config selects compile-time-resolved execution options.
-type Config struct {
-	// PerfMode deletes read guards during lowering (§3.2, §4.2).
-	PerfMode bool
 }
 
 // Unit is the cacheable, position-independent lowered program: it embeds
@@ -272,14 +258,13 @@ const (
 	roleNormal uint8 = iota
 	roleFusedHead
 	roleFusedTail
-	roleDropped
 )
 
 // Lower translates an instrumented program into the lowered ISA. The
 // input must be Kie output over verified bytecode; malformed streams —
 // unknown opcodes, out-of-range branches — are rejected here rather than
 // at execution time.
-func Lower(rep *kie.Report, cfg Config) (*Unit, error) {
+func Lower(rep *kie.Report) (*Unit, error) {
 	src := rep.Prog
 	n := len(src)
 	if n == 0 {
@@ -310,10 +295,6 @@ func Lower(rep *kie.Report, cfg Config) (*Unit, error) {
 			continue
 		}
 		ins := src[i]
-		if ins.Op == insn.OpGuardRd && cfg.PerfMode {
-			role[i] = roleDropped
-			continue
-		}
 		if isTarget[i+1] {
 			continue
 		}
@@ -345,11 +326,7 @@ func Lower(rep *kie.Report, cfg Config) (*Unit, error) {
 	srcToLow := make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		srcToLow[i] = int32(len(u.Code))
-		switch role[i] {
-		case roleDropped:
-			u.Metrics.ReadGuardsDropped++
-			continue
-		case roleFusedTail:
+		if role[i] == roleFusedTail {
 			continue // emitted with its head
 		}
 		ins := src[i]

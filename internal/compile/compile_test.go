@@ -13,9 +13,9 @@ import (
 )
 
 // lower is a shorthand over a raw instrumented stream.
-func lower(t *testing.T, prog []insn.Instruction, cfg compile.Config) *compile.Unit {
+func lower(t *testing.T, prog []insn.Instruction) *compile.Unit {
 	t.Helper()
-	u, err := compile.Lower(&kie.Report{Prog: prog}, cfg)
+	u, err := compile.Lower(&kie.Report{Prog: prog})
 	if err != nil {
 		t.Fatalf("Lower: %v", err)
 	}
@@ -36,7 +36,6 @@ func TestFusion(t *testing.T) {
 	cases := []struct {
 		name string
 		prog []insn.Instruction
-		cfg  compile.Config
 		want []compile.Op
 		m    compile.Metrics
 	}{
@@ -59,17 +58,6 @@ func TestFusion(t *testing.T) {
 			},
 			want: []compile.Op{compile.OpGuardRdLoad, compile.OpExit},
 			m:    compile.Metrics{FusedGuardLoad: 1},
-		},
-		{
-			name: "perf mode deletes the read guard instead of fusing",
-			prog: []insn.Instruction{
-				insn.GuardRd(insn.R1),
-				insn.LoadMem(insn.R2, insn.R1, 8, 4),
-				insn.Exit(),
-			},
-			cfg:  compile.Config{PerfMode: true},
-			want: []compile.Op{compile.OpLoad, compile.OpExit},
-			m:    compile.Metrics{ReadGuardsDropped: 1},
 		},
 		{
 			name: "guard+store-reg fuses",
@@ -161,7 +149,7 @@ func TestFusion(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			u := lower(t, tc.prog, tc.cfg)
+			u := lower(t, tc.prog)
 			got := ops(u)
 			if len(got) != len(tc.want) {
 				t.Fatalf("lowered ops = %v, want %v", got, tc.want)
@@ -188,7 +176,7 @@ func TestPreResolvedOperands(t *testing.T) {
 		insn.Alu32Imm(insn.AluRsh, insn.R2, 35), // 35 & 31 = 3
 		insn.LoadImm(insn.R3, 0xdeadbeefcafe),
 		insn.Exit(),
-	}, compile.Config{})
+	})
 	if u.Code[0].Op != compile.OpLsh64Imm || u.Code[0].Imm != 3 {
 		t.Fatalf("lsh64: %+v, want pre-masked Imm 3", u.Code[0])
 	}
@@ -214,7 +202,7 @@ func TestLowerRejectsOutOfRangeBranch(t *testing.T) {
 	_, err := compile.Lower(&kie.Report{Prog: []insn.Instruction{
 		insn.Ja(5),
 		insn.Exit(),
-	}}, compile.Config{})
+	}})
 	if err == nil || !strings.Contains(err.Error(), "branch target") {
 		t.Fatalf("Lower err = %v, want branch-target error", err)
 	}
@@ -233,7 +221,7 @@ func runBoth(t *testing.T, prog []insn.Instruction, cps []kie.CP, quantum uint64
 		rep := &kie.Report{Prog: prog, CPs: cps}
 		opts := vm.Options{Hook: kernel.HookBench, Kernel: kernel.New(), Heap: h, QuantumInsns: quantum}
 		if lower {
-			u, err := compile.Lower(rep, compile.Config{})
+			u, err := compile.Lower(rep)
 			if err != nil {
 				t.Fatalf("Lower: %v", err)
 			}

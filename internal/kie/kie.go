@@ -3,9 +3,10 @@
 // it rewrites the instruction stream to:
 //
 //   - sanitize heap accesses with SFI guards (mask + base add, §3.2),
-//     eliding guards the range analysis proved unnecessary and emitting
-//     read-path guards as a distinct opcode so performance mode can skip
-//     them (§4.2);
+//     eliding guards the range analysis proved unnecessary and, in
+//     performance mode, not emitting read-path guards at all (§4.2) —
+//     the one place the mode is resolved, so every execution tier runs
+//     the same stream;
 //   - plant *terminate probes at the back edges of loops whose termination
 //     could not be proven, turning them into class-1 cancellation points
 //     (§3.3);
@@ -82,8 +83,8 @@ type Report struct {
 	FormationGuards int // emitted on forming a new heap pointer
 	StaticSafe      int // accesses needing no guard consideration at all
 
-	ReadGuards  int // guards emitted as skippable-in-performance-mode
-	WriteGuards int // guards that are always executed
+	ReadGuards  int // read-path guards: emitted as OpGuardRd, or not at all in performance mode
+	WriteGuards int // guards that are always emitted
 	Probes      int // *terminate probes planted
 	XlatStores  int // translate-on-store sites
 
@@ -103,12 +104,13 @@ func Instrument(an *verifier.Analysis) (*Report, error) {
 	if len(an.Facts) != n {
 		return nil, fmt.Errorf("kie: analysis facts (%d) do not match program length (%d)", len(an.Facts), n)
 	}
-	shared := an.Config.ShareHeap
-	perfSkippable := func(f verifier.AccessFact) bool {
-		// Read guards are skippable in performance mode only when they
-		// do no translation work: with a shared, translated heap the
-		// stored pointers are user VAs and reads must re-base them.
-		return f.Read && !shared
+	// A read guard is a distinct opcode, and the one performance mode omits
+	// (§3.2, §4.2), only when it does no translation work: with a shared,
+	// translated heap the stored pointers are user VAs and reads must
+	// re-base them, so those guards are ordinary ones in either mode.
+	readGuard := func(f verifier.AccessFact) bool { return f.Read && !an.Config.ShareHeap }
+	emitted := func(f verifier.AccessFact) bool {
+		return f.HeapAccess && f.Guard && !(an.Config.PerfMode && readGuard(f))
 	}
 
 	// Tails of unbounded retreating edges receive a probe.
@@ -123,7 +125,7 @@ func Instrument(an *verifier.Analysis) (*Report, error) {
 		if probeAt[i] {
 			inserted[i]++
 		}
-		if f.HeapAccess && f.Guard {
+		if emitted(f) {
 			inserted[i]++
 		}
 		if f.StoresHeapPtr {
@@ -164,8 +166,10 @@ func Instrument(an *verifier.Analysis) (*Report, error) {
 			base := heapBaseReg(ins)
 			switch {
 			case f.Guard:
-				if perfSkippable(f) {
-					out = append(out, insn.GuardRd(base))
+				if readGuard(f) {
+					if emitted(f) {
+						out = append(out, insn.GuardRd(base))
+					}
 					rep.ReadGuards++
 				} else {
 					out = append(out, insn.Guard(base))

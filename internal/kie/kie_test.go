@@ -126,6 +126,78 @@ func TestSharedHeapReadGuardsNotSkippable(t *testing.T) {
 	}
 }
 
+// TestPerfModeOmitsReadGuards: performance mode is resolved here and
+// nowhere else — the read guards Instrument counts are not in the stream, so
+// no tier has one to skip. The stream is shorter by exactly ReadGuards, write
+// guards and probes stay, and every branch still lands on a cluster start.
+// A shared heap has no read guards to omit: its reads re-base user VAs.
+func TestPerfModeOmitsReadGuards(t *testing.T) {
+	prog := asm.New().
+		Load(insn.R7, insn.R1, 8, 8).
+		Call(kernel.HelperKflexHeapBase).
+		Mov(insn.R6, insn.R0).
+		Label("loop").
+		Load(insn.R6, insn.R6, 0, 8). // read through the heap base, then through what it read
+		Mov(insn.R8, insn.R6).
+		Store(insn.R8, 8, insn.R7, 8). // write through a copy: r6 stays unsanitized
+		JmpImm(insn.JmpNe, insn.R6, 0, "loop").
+		Ret(0).
+		MustAssemble()
+	count := func(rep *Report, op insn.Opcode) (n int) {
+		for _, ins := range rep.Prog {
+			if ins.Op == op {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name         string
+		perf, shared bool
+		wantReadOps  bool // OpGuardRd present in the stream
+	}{
+		{name: "full mode emits them", wantReadOps: true},
+		{name: "perf mode omits them", perf: true},
+		{name: "perf mode, shared heap: guards kept", perf: true, shared: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := Instrument(analyze(t, prog, func(c *verifier.Config) {
+				c.PerfMode, c.ShareHeap = tc.perf, tc.shared
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.shared {
+				if rep.ReadGuards != 0 || rep.WriteGuards < 2 {
+					t.Fatalf("read/write guards = %d/%d, want 0 and the load's and the store's", rep.ReadGuards, rep.WriteGuards)
+				}
+			} else if rep.ReadGuards == 0 || rep.WriteGuards == 0 {
+				t.Fatalf("read/write guards = %d/%d, want both counted", rep.ReadGuards, rep.WriteGuards)
+			}
+			wantRd := 0
+			if tc.wantReadOps {
+				wantRd = rep.ReadGuards
+			}
+			rd, wr := count(rep, insn.OpGuardRd), count(rep, insn.OpGuard)
+			if rd != wantRd || wr != rep.WriteGuards {
+				t.Fatalf("stream holds %d read / %d write guards, want %d / %d", rd, wr, wantRd, rep.WriteGuards)
+			}
+			if want := len(prog) + rep.Probes + rep.XlatStores + rd + wr; len(rep.Prog) != want || rep.Probes != 1 {
+				t.Fatalf("len(Prog) = %d with %d probes, want %d with 1", len(rep.Prog), rep.Probes, want)
+			}
+			starts := make(map[int]bool)
+			for _, at := range rep.OldToNew {
+				starts[at] = true
+			}
+			for i, ins := range rep.Prog {
+				if ins.IsJump() && !starts[i+1+int(ins.Off)] {
+					t.Fatalf("branch at %d lands on %d, inside a cluster", i, i+1+int(ins.Off))
+				}
+			}
+		})
+	}
+}
+
 func TestProbePlacementAndBranchFixup(t *testing.T) {
 	prog := asm.New().
 		Call(kernel.HelperKflexHeapBase).

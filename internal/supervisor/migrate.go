@@ -6,14 +6,13 @@ package supervisor
 // flowing, without losing or duplicating a single acknowledged operation.
 // The cutover leans on machinery the runtime already proves out elsewhere:
 //
-//   - warm adoption (Spec.AdoptHeap/AdoptAlloc, PR 6) moves the heap
-//     between generations without copying it;
+//   - adoption (Spec.Adopt) moves the heap, and the allocator that carved
+//     it, between generations without copying it;
 //   - the per-Runtime compile cache makes the target generation a
 //     decode+relink of the cached position-independent Unit, never a
 //     recompile;
-//   - the per-CPU handle table's CAS publication (Extension.Handle)
-//     installs the target handle lock-free, and a running watchdog adopts
-//     it dynamically via WatchExec;
+//   - every per-CPU context of the target exists, stall-monitored, from
+//     its Load, so routing a CPU to a free slot builds nothing;
 //   - the supervisor's fallback path absorbs mid-migration traffic into
 //     the caller's dirty set, so the target resyncs O(delta), exactly like
 //     a warm reload.

@@ -181,10 +181,9 @@ type Tuning struct {
 	// a fake clock must not turn a healthy drain into a spurious timeout.
 	DrainTimeout time.Duration
 	// WatchdogQuantum, when positive, makes the supervisor arm a
-	// wall-clock stall watchdog on every generation it loads — including
-	// migration targets, whose freshly published handles register via
-	// WatchExec — and restore it on migration rollback. WatchdogPoll is
-	// the scan interval (default quantum/2).
+	// wall-clock stall watchdog on every generation it loads, migration
+	// targets included, over every slot of its handle table. WatchdogPoll
+	// is the scan interval (default quantum/2).
 	WatchdogQuantum time.Duration
 	WatchdogPoll    time.Duration
 	// TraceDepth bounds the retained transition history (default 256) and
@@ -251,7 +250,7 @@ type Config struct {
 	Init func(g Generation) (InitReport, error)
 	// WarmReload keeps the quarantined generation's heap and allocator
 	// alive when its teardown audit comes back clean, and hands them to
-	// the next generation via Spec.AdoptHeap (see Generation.Warm). A
+	// the next generation via Spec.Adopt (see Generation.Warm). A
 	// dirty audit always falls back to a cold load — a heap that failed
 	// its consistency audit is exactly the state a reload exists to shed —
 	// and so does a quarantine whose drain timed out (Tuning.DrainTimeout):

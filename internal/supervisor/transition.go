@@ -36,23 +36,19 @@ import (
 
 // load builds generation gen with one handle per logical CPU at its routed
 // physical slot, so a migrated CPU keeps its migrated home across reloads.
-// Given a donor the generation adopts its heap and allocator (Runtime.Load
-// validates the pair) instead of linking a fresh heap. With an unchanged spec
-// the verify/instrument/lower artifacts come from the compile cache, so the
-// cost is the link stage, not a recompile.
+// Given a donor the generation adopts its heap and allocator (Spec.Adopt,
+// validated by Runtime.Load) instead of linking a fresh heap. With an
+// unchanged spec the verify/instrument/lower artifacts come from the compile
+// cache, so the cost is the link stage, not a recompile.
 func (s *Supervisor) load(gen uint64, route []int, donor *kflex.Extension) (*generation, error) {
 	spec := s.cfg.Spec
-	if donor != nil {
-		spec.AdoptHeap, spec.AdoptAlloc = donor.Heap(), donor.Alloc()
-	}
+	spec.Adopt = donor
 	ext, err := s.cfg.Runtime.Load(spec)
 	if err != nil {
 		return nil, err
 	}
 	if q := s.cfg.Tuning.WatchdogQuantum; q > 0 {
-		// Armed before the handles exist: each handle created below
-		// registers itself via WatchExec, so every slot is stall-monitored
-		// from its first invocation.
+		// Covers every slot of the extension, routed to or not.
 		ext.StartWatchdog(q, s.cfg.Tuning.WatchdogPoll)
 	}
 	handles := make([]*kflex.Handle, len(route))
@@ -73,9 +69,9 @@ func (s *Supervisor) init(g *generation, warm bool) (InitReport, error) {
 
 // discard retires g. A generation that owns its heap closes it (detaching
 // its pages, §3.2 teardown). One whose heap lives on in another generation —
-// a migration's source after the publish, its half-built target on rollback
-// — only stops its own watchdog: the heap and its allocator belong to the
-// survivor.
+// a migration's source after the publish, its half-built target on rollback,
+// a quarantined generation whose heap the next one will adopt — only stops
+// its own watchdog: the heap and its allocator belong to the survivor.
 func (s *Supervisor) discard(g *generation, heapLivesOn bool) {
 	g.ext.Unload()
 	if heapLivesOn {
@@ -193,16 +189,13 @@ func (s *Supervisor) quarantineUnlock(reason string) {
 	drained := s.drain()
 
 	s.mu.Lock()
-	if audit := s.auditLocked(reason); s.cfg.WarmReload && drained && audit.Clean {
-		// The heap proved itself consistent with nothing running on it:
-		// keep it (and the allocator that owns its carving) open in g for
-		// the next generation to adopt, so recovery replays only the delta.
-		g.ext.CloseKeepHeap()
-	} else {
-		// A heap that failed its invariants is exactly what a reload must
-		// shed, and one an invocation may still touch cannot be handed on.
-		s.discard(g, false)
-	}
+	// A heap that proved itself consistent with nothing running on it stays
+	// open in g (with the allocator that owns its carving) for the next
+	// generation to adopt, so recovery replays only the delta. One that
+	// failed its invariants is exactly what a reload must shed, and one an
+	// invocation may still touch cannot be handed on.
+	audit := s.auditLocked(reason)
+	s.discard(g, s.cfg.WarmReload && drained && audit.Clean)
 	s.busy = false
 	s.mu.Unlock()
 }

@@ -72,21 +72,21 @@ func aluScalar(op uint8, is64 bool, dst, src RegState) RegState {
 			case src.UMax == 0: // always mod-by-zero
 				out.UMax = dst.UMax
 			case src.UMin > 0: // divisor provably nonzero
-				out.UMax = minU64(dst.UMax, src.UMax-1)
+				out.UMax = min(dst.UMax, src.UMax-1)
 			default:
-				out.UMax = maxU64(dst.UMax, src.UMax-1)
+				out.UMax = max(dst.UMax, src.UMax-1)
 			}
 		}
 	case insn.AluAnd:
 		out.Tnum = tnum.And(dst.Tnum, src.Tnum)
 		if is64 {
 			out.UMin = 0
-			out.UMax = minU64(dst.UMax, src.UMax)
+			out.UMax = min(dst.UMax, src.UMax)
 		}
 	case insn.AluOr:
 		out.Tnum = tnum.Or(dst.Tnum, src.Tnum)
 		if is64 {
-			out.UMin = maxU64(dst.UMin, src.UMin)
+			out.UMin = max(dst.UMin, src.UMin)
 		}
 	case insn.AluXor:
 		out.Tnum = tnum.Xor(dst.Tnum, src.Tnum)
@@ -215,10 +215,10 @@ func refineCompare(op uint8, a, b *RegState) {
 	}
 	switch op {
 	case insn.JmpEq:
-		a.UMin = maxU64(a.UMin, b.UMin)
-		a.UMax = minU64(a.UMax, b.UMax)
-		a.SMin = max64(a.SMin, b.SMin)
-		a.SMax = min64(a.SMax, b.SMax)
+		a.UMin = max(a.UMin, b.UMin)
+		a.UMax = min(a.UMax, b.UMax)
+		a.SMin = max(a.SMin, b.SMin)
+		a.SMax = min(a.SMax, b.SMax)
 		a.Tnum = tnum.Intersect(a.Tnum, b.Tnum)
 		*b = *a
 	case insn.JmpNe:
@@ -239,44 +239,44 @@ func refineCompare(op uint8, a, b *RegState) {
 		}
 	case insn.JmpGt: // a > b
 		if b.UMin != math.MaxUint64 {
-			a.UMin = maxU64(a.UMin, b.UMin+1)
+			a.UMin = max(a.UMin, b.UMin+1)
 		}
 		if a.UMax != 0 {
-			b.UMax = minU64(b.UMax, a.UMax-1)
+			b.UMax = min(b.UMax, a.UMax-1)
 		}
 	case insn.JmpGe: // a >= b
-		a.UMin = maxU64(a.UMin, b.UMin)
-		b.UMax = minU64(b.UMax, a.UMax)
+		a.UMin = max(a.UMin, b.UMin)
+		b.UMax = min(b.UMax, a.UMax)
 	case insn.JmpLt: // a < b
 		if b.UMax != 0 {
-			a.UMax = minU64(a.UMax, b.UMax-1)
+			a.UMax = min(a.UMax, b.UMax-1)
 		}
 		if a.UMin != math.MaxUint64 {
-			b.UMin = maxU64(b.UMin, a.UMin+1)
+			b.UMin = max(b.UMin, a.UMin+1)
 		}
 	case insn.JmpLe: // a <= b
-		a.UMax = minU64(a.UMax, b.UMax)
-		b.UMin = maxU64(b.UMin, a.UMin)
+		a.UMax = min(a.UMax, b.UMax)
+		b.UMin = max(b.UMin, a.UMin)
 	case insn.JmpSgt:
 		if b.SMin != math.MaxInt64 {
-			a.SMin = max64(a.SMin, b.SMin+1)
+			a.SMin = max(a.SMin, b.SMin+1)
 		}
 		if a.SMax != math.MinInt64 {
-			b.SMax = min64(b.SMax, a.SMax-1)
+			b.SMax = min(b.SMax, a.SMax-1)
 		}
 	case insn.JmpSge:
-		a.SMin = max64(a.SMin, b.SMin)
-		b.SMax = min64(b.SMax, a.SMax)
+		a.SMin = max(a.SMin, b.SMin)
+		b.SMax = min(b.SMax, a.SMax)
 	case insn.JmpSlt:
 		if b.SMax != math.MinInt64 {
-			a.SMax = min64(a.SMax, b.SMax-1)
+			a.SMax = min(a.SMax, b.SMax-1)
 		}
 		if a.SMin != math.MaxInt64 {
-			b.SMin = max64(b.SMin, a.SMin+1)
+			b.SMin = max(b.SMin, a.SMin+1)
 		}
 	case insn.JmpSle:
-		a.SMax = min64(a.SMax, b.SMax)
-		b.SMin = max64(b.SMin, a.SMin)
+		a.SMax = min(a.SMax, b.SMax)
+		b.SMin = max(b.SMin, a.SMin)
 	}
 	a.deduceBounds()
 	b.deduceBounds()

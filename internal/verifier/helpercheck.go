@@ -14,10 +14,7 @@ func (v *verifier) stepCall(idx int, ins insn.Instruction, st *state) error {
 	if ins.Src != 0 {
 		return &Error{Insn: idx, Msg: "bpf-to-bpf calls are not supported"}
 	}
-	spec, ok := v.cfg.Kernel.Helpers.Lookup(ins.Imm)
-	if !ok {
-		return &Error{Insn: idx, Msg: fmt.Sprintf("unknown helper %d", ins.Imm)}
-	}
+	spec, _ := v.cfg.Kernel.Helpers.Lookup(ins.Imm) // known: Verify's structural check
 	if spec.KFlexOnly && (v.cfg.Mode != ModeKFlex || v.cfg.HeapSize == 0) {
 		return &Error{Insn: idx, Msg: fmt.Sprintf(
 			"helper %s requires a KFlex extension with a declared heap", spec.Name)}

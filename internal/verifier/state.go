@@ -128,18 +128,18 @@ func (r *RegState) deduceBounds() {
 	if r.Type != TypeScalar {
 		return
 	}
-	r.UMin = maxU64(r.UMin, r.Tnum.Min())
-	r.UMax = minU64(r.UMax, r.Tnum.Max())
+	r.UMin = max(r.UMin, r.Tnum.Min())
+	r.UMax = min(r.UMax, r.Tnum.Max())
 	// When the whole unsigned range fits in the non-negative signed half,
 	// unsigned bounds refine signed ones.
 	if r.UMax <= math.MaxInt64 {
-		r.SMax = min64(r.SMax, int64(r.UMax))
-		r.SMin = max64(r.SMin, int64(r.UMin))
+		r.SMax = min(r.SMax, int64(r.UMax))
+		r.SMin = max(r.SMin, int64(r.UMin))
 	}
 	// A provably non-negative signed range refines the unsigned one.
 	if r.SMin >= 0 {
-		r.UMin = maxU64(r.UMin, uint64(r.SMin))
-		r.UMax = minU64(r.UMax, uint64(r.SMax))
+		r.UMin = max(r.UMin, uint64(r.SMin))
+		r.UMax = min(r.UMax, uint64(r.SMax))
 	}
 	// A degenerate interval signals an upstream contradiction (e.g. an
 	// infeasible branch refinement); fall back to the sound top element.
@@ -219,10 +219,10 @@ func regJoin(a, b RegState) RegState {
 	switch a.Type {
 	case TypeScalar:
 		out := RegState{Type: TypeScalar, Tnum: tnum.Union(a.Tnum, b.Tnum)}
-		out.SMin = min64(a.SMin, b.SMin)
-		out.SMax = max64(a.SMax, b.SMax)
-		out.UMin = minU64(a.UMin, b.UMin)
-		out.UMax = maxU64(a.UMax, b.UMax)
+		out.SMin = min(a.SMin, b.SMin)
+		out.SMax = max(a.SMax, b.SMax)
+		out.UMin = min(a.UMin, b.UMin)
+		out.UMax = max(a.UMax, b.UMax)
 		out.deduceBounds()
 		return out
 	case TypeCtx:
@@ -233,8 +233,8 @@ func regJoin(a, b RegState) RegState {
 		}
 		return a
 	case TypeHeap:
-		a.DMin = min64(a.DMin, b.DMin)
-		a.DMax = max64(a.DMax, b.DMax)
+		a.DMin = min(a.DMin, b.DMin)
+		a.DMax = max(a.DMax, b.DMax)
 		a.MaybeNull = a.MaybeNull || b.MaybeNull
 		a.Adjusted = a.Adjusted || b.Adjusted
 		return a
@@ -576,29 +576,4 @@ func refsString(refs map[int]ref) string {
 // progress can ever be proven).
 func (s *state) equal(o *state) bool {
 	return s.le(o) && o.le(s)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

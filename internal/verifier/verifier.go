@@ -41,10 +41,10 @@ type Config struct {
 	// ScalarR1 makes R1 an unknown scalar instead of the hook context
 	// (used for cancellation callbacks, §4.3).
 	ScalarR1 bool
-	// PerfMode analyzes for a program whose read guards will be skipped
-	// at runtime (§3.2): read sanitization then cannot be relied upon, so
-	// a read guard does not mark the base register sanitized. This keeps
-	// write elision sound (writes are always sanitized).
+	// PerfMode analyzes for a program whose read guards Kie will not emit
+	// (§3.2): read sanitization then cannot be relied upon, so a read guard
+	// does not mark the base register sanitized. This keeps write elision
+	// sound (writes are always sanitized).
 	PerfMode bool
 }
 
@@ -190,9 +190,12 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 	if idx, dead := g.HasUnreachable(); dead {
 		return nil, &Error{Insn: idx, Msg: "unreachable instruction"}
 	}
+	// Structural checks over the whole program, before the walk: the walk is
+	// path-sensitive and never steps an instruction behind a branch it
+	// folded, but Kie, the lowering and the loader see every instruction.
 	for i, ins := range prog {
-		if ins.Op.IsInternal() {
-			return nil, &Error{Insn: i, Msg: "internal opcode in input program"}
+		if msg := malformed(ins, vc.Kernel); msg != "" {
+			return nil, &Error{Insn: i, Msg: msg}
 		}
 	}
 	budget := vc.InsnBudget
@@ -645,6 +648,41 @@ func (v *verifier) step(idx int, st *state) ([]succState, error) {
 	return nil, &Error{Insn: idx, Msg: fmt.Sprintf("unknown opcode %#02x", uint8(ins.Op))}
 }
 
+// malformed names what makes ins no instruction of the input ISA — an opcode
+// the eBPF encoding leaves unassigned or Kie reserves, a memory mode or jump
+// form no tier executes as the walk models it, a call no helper answers — or
+// returns "" for a well-formed one.
+func malformed(ins insn.Instruction, k *kernel.Kernel) string {
+	op := ins.Op
+	ok := true
+	switch op.Class() {
+	case insn.ClassLD:
+		ok = ins.IsLoadImm64()
+	case insn.ClassLDX, insn.ClassST:
+		ok = op.Mode() == insn.ModeMEM
+	case insn.ClassSTX:
+		ok = op.Mode() == insn.ModeMEM || op.Mode() == insn.ModeATOMIC
+	case insn.ClassALU, insn.ClassALU64:
+		if op.IsInternal() {
+			return "internal opcode in input program"
+		}
+		ok = op.AluOp() <= insn.AluEnd
+	case insn.ClassJMP:
+		if ins.IsCall() {
+			if _, known := k.Helpers.Lookup(ins.Imm); !known {
+				return fmt.Sprintf("unknown helper %d", ins.Imm)
+			}
+		}
+		ok = op.JmpOp() <= insn.JmpSle
+	case insn.ClassJMP32: // conditional compares only
+		ok = ins.IsCond() && op.JmpOp() <= insn.JmpSle
+	}
+	if !ok {
+		return fmt.Sprintf("unknown opcode %#02x", uint8(op))
+	}
+	return ""
+}
+
 func (v *verifier) fallthroughSucc(idx int, st *state) ([]succState, error) {
 	return []succState{{idx: idx + 1, st: st}}, nil
 }
@@ -827,9 +865,6 @@ func heapWindowSafe(dmin, dmax int64, off int16, size int) bool {
 
 // stepLoad handles LDX.
 func (v *verifier) stepLoad(idx int, ins insn.Instruction, st *state) error {
-	if ins.Op.Mode() != insn.ModeMEM {
-		return &Error{Insn: idx, Msg: "unsupported load mode"}
-	}
 	if err := v.checkWritable(idx, ins.Dst); err != nil {
 		return err
 	}
@@ -908,7 +943,7 @@ func (v *verifier) heapAccess(idx int, ins insn.Instruction, st *state, reg insn
 	}
 	if guard {
 		// The guard re-sanitizes the register in place — except that in
-		// performance mode read guards are skipped at runtime, so their
+		// performance mode Kie does not emit read guards, so their
 		// sanitization cannot be relied upon by later accesses.
 		if !(read && v.cfg.PerfMode) {
 			st.Regs[reg] = RegState{Type: TypeHeap}
@@ -923,10 +958,7 @@ func (v *verifier) stepStore(idx int, ins insn.Instruction, st *state) error {
 	if err := v.checkReadable(idx, st, ins.Dst); err != nil {
 		return err
 	}
-	isAtomic := ins.Op.Class() == insn.ClassSTX && ins.Op.Mode() == insn.ModeATOMIC
-	if !isAtomic && ins.Op.Mode() != insn.ModeMEM {
-		return &Error{Insn: idx, Msg: "unsupported store mode"}
-	}
+	isAtomic := ins.Op.Mode() == insn.ModeATOMIC
 	var val RegState
 	if ins.Op.Class() == insn.ClassSTX {
 		if err := v.checkReadable(idx, st, ins.Src); err != nil {

@@ -95,6 +95,45 @@ func TestInternalOpcodeRejected(t *testing.T) {
 	wantErr(t, err, "internal opcode")
 }
 
+// TestStructuralOpcodeCheck: the walk folds `if r0 == 0` and never steps
+// the instruction behind it, so only the check over the whole program can
+// refuse it — as it must, since Kie and the lowering see every instruction.
+// JMP32 has compares only: the walk would model a JA, CALL or EXIT sub-op
+// as a jump, a call or an exit, and the VM run it as a never-taken compare.
+func TestStructuralOpcodeCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ins  insn.Instruction
+		want string
+	}{
+		{"LD class other than LDDW", insn.Instruction{Op: insn.ClassLD | 0x30}, "unknown opcode 0x30"},
+		{"LDX in a non-MEM mode", insn.Instruction{Op: insn.ClassLDX | insn.SizeDW}, "unknown opcode 0x19"},
+		{"ST in ATOMIC mode", insn.Instruction{Op: insn.ClassST | insn.ModeATOMIC}, "unknown opcode 0xc2"},
+		{"unassigned 32-bit ALU op", insn.Instruction{Op: insn.ClassALU | 0xe0}, "unknown opcode 0xe4"},
+		{"unassigned jump op", insn.Instruction{Op: insn.ClassJMP | 0xf0}, "unknown opcode 0xf5"},
+		{"JMP32 ja", insn.Instruction{Op: insn.ClassJMP32 | insn.JmpA}, "unknown opcode 0x06"},
+		{"JMP32 call", insn.Instruction{Op: insn.ClassJMP32 | insn.JmpCall}, "unknown opcode 0x86"},
+		{"JMP32 exit", insn.Instruction{Op: insn.ClassJMP32 | insn.JmpExit}, "unknown opcode 0x96"},
+		{"call to a helper nobody registered", insn.Call(9999), "unknown helper 9999"},
+		{"Kie's own opcode", insn.GuardRd(insn.R1), "internal opcode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := kernel.New()
+			_, err := Verify([]insn.Instruction{
+				insn.Mov64Imm(insn.R0, 0),
+				insn.JmpImm(insn.JmpEq, insn.R0, 0, 1),
+				tc.ins,
+				insn.Exit(),
+			}, kflexCfg(k))
+			wantErr(t, err, "insn 2: "+tc.want)
+			var verr *Error
+			if !errors.As(err, &verr) {
+				t.Fatalf("err = %T, want a *verifier.Error", err)
+			}
+		})
+	}
+}
+
 func TestCountedLoopUnrolls(t *testing.T) {
 	k := kernel.New()
 	prog := asm.New().

@@ -23,7 +23,6 @@ func (e *Exec) loop() (uint64, error) {
 		heapBase = p.opts.Heap.ExtBase()
 		heapMask = p.opts.Heap.Mask()
 	}
-	perf := p.opts.PerfMode
 	pc := 0
 	for {
 		if pc < 0 || pc >= len(prog) {
@@ -41,16 +40,9 @@ func (e *Exec) loop() (uint64, error) {
 			pc++
 			continue
 		case insn.OpGuardRd:
-			if !perf {
-				regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
-				e.stats.Guards++
-				e.stats.GuardsRead++
-			} else {
-				// Performance mode compiles without read guards;
-				// this dispatch step would not exist in JITed code,
-				// so it is excluded from the executed-work counters.
-				e.stats.Insns--
-			}
+			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
+			e.stats.Guards++
+			e.stats.GuardsRead++
 			pc++
 			continue
 		case insn.OpProbe:

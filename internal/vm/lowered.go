@@ -8,10 +8,9 @@ import (
 )
 
 // loopLowered is the lowered-tier dispatch core: the pre-decoded program
-// produced by internal/compile is executed without re-decoding operands,
-// without the interpreter's per-dispatch PerfMode branch (read guards were
-// deleted at lowering time), and with fused superinstructions retiring two
-// architectural instructions per dispatch (§4.2).
+// produced by internal/compile is executed without re-decoding operands
+// and with fused superinstructions retiring two architectural instructions
+// per dispatch (§4.2).
 //
 // Semantic contract with loop(): for any instrumented program and input,
 // Result and Stats are identical across the two tiers except for
@@ -380,8 +379,6 @@ func (e *Exec) loopLowered() (uint64, error) {
 			e.stats.Guards++
 			pc++
 		case compile.OpGuardRd:
-			// Only reached outside performance mode: perf-mode lowering
-			// deleted read guards, so there is no mode branch here.
 			e.stats.Insns++
 			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
 			e.stats.Guards++

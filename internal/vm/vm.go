@@ -87,7 +87,7 @@ func (k CancelKind) String() string {
 type Stats struct {
 	Insns       uint64
 	Guards      uint64 // guard instructions executed
-	GuardsRead  uint64 // of which read guards (skipped in perf mode)
+	GuardsRead  uint64 // of which read guards (none are emitted in perf mode)
 	Probes      uint64 // terminate probes executed
 	HelperCalls uint64
 
@@ -131,9 +131,6 @@ type Options struct {
 	Alloc kernel.Allocator
 	// Lock backs the spin-lock helpers.
 	Lock kernel.Locker
-	// PerfMode skips read guards (§3.2). Wild reads then fault on
-	// non-heap addresses (the SMAP analogue, §4.2) and cancel.
-	PerfMode bool
 	// QuantumInsns bounds one invocation's instruction count; exceeding
 	// it makes the next terminate probe fault. Zero disables the
 	// deterministic quantum (the wall-clock watchdog remains available

@@ -38,14 +38,15 @@ type watched struct {
 	since time.Time
 }
 
-// Watchdog monitors one extension's execution contexts for stalls. WatchExec, Start, and Stop are
-// safe to call concurrently with each other and with the poller; Stop is
-// idempotent.
+// Watchdog monitors one extension's execution contexts — a set fixed at
+// construction, as the extension's per-CPU table is fixed at Load — for
+// stalls. Start and Stop are safe to call concurrently with each other and
+// with the poller; Stop is idempotent.
 type Watchdog struct {
 	quantum  time.Duration
 	interval time.Duration
 
-	mu    sync.Mutex // guards execs (scan state included), stop, done
+	mu    sync.Mutex // guards the scan state in execs, stop, done
 	execs []watched
 	stop  chan struct{} // non-nil while a poller is running
 	done  chan struct{} // closed by that poller on exit
@@ -57,34 +58,21 @@ type Watchdog struct {
 	fault *faultinject.Plan
 }
 
-// New creates a watchdog that cancels invocations running longer than
-// quantum, polling every interval. The paper's watchdogs operate at
+// New creates a watchdog over execs that cancels invocations running longer
+// than quantum, polling every interval. The paper's watchdogs operate at
 // second granularity (§4.3, with sub-second sampling left as future work);
 // tests use shorter quanta.
-func New(quantum, interval time.Duration) *Watchdog {
-	return &Watchdog{quantum: quantum, interval: interval}
+func New(quantum, interval time.Duration, execs []*vm.Exec) *Watchdog {
+	w := &Watchdog{quantum: quantum, interval: interval, execs: make([]watched, len(execs))}
+	for i, e := range execs {
+		w.execs[i].exec = e
+	}
+	return w
 }
 
 // SetFaultPlan attaches a fault-injection plan; nil detaches it. Call
 // before Start.
 func (w *Watchdog) SetFaultPlan(p *faultinject.Plan) { w.fault = p }
-
-// WatchExec registers one execution context for monitoring. It is the only
-// registration: per-CPU contexts are created lazily, and one that appears
-// after monitoring started must still be watched (a handle resolved
-// mid-flight could otherwise spin unbounded). Safe to call while the poller
-// is running; duplicate registrations — possible when registration races
-// watchdog start — are ignored.
-func (w *Watchdog) WatchExec(e *vm.Exec) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, have := range w.execs {
-		if have.exec == e {
-			return
-		}
-	}
-	w.execs = append(w.execs, watched{exec: e})
-}
 
 // Fired returns how many cancel requests the watchdog made.
 func (w *Watchdog) Fired() int { return int(w.fired.Load()) }
@@ -135,10 +123,10 @@ func (w *Watchdog) Stop() {
 func (w *Watchdog) scan(now time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// Forced firing (one draw per scan, none while nothing is registered)
-	// treats every in-flight invocation as stalled regardless of its elapsed
-	// quantum; an idle context is never cancelled.
-	forced := w.fault != nil && len(w.execs) > 0 && w.fault.Fire(faultinject.WatchdogFire, 0)
+	// Forced firing (one draw per scan) treats every in-flight invocation as
+	// stalled regardless of its elapsed quantum; an idle context is never
+	// cancelled.
+	forced := w.fault != nil && w.fault.Fire(faultinject.WatchdogFire, 0)
 	for i := range w.execs {
 		e := &w.execs[i]
 		seq, inFlight := e.exec.Invocation()

@@ -69,8 +69,7 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	const quantum, interval = 40 * time.Millisecond, 5 * time.Millisecond
 	p := spinningProgram(t)
 	e := p.NewExec(0)
-	w := New(quantum, interval)
-	w.WatchExec(e)
+	w := New(quantum, interval, []*vm.Exec{e})
 	w.Start()
 	defer w.Stop()
 
@@ -145,8 +144,7 @@ func TestDetectionRule(t *testing.T) {
 	const quantum, interval = time.Second, 100 * time.Millisecond
 	p, entered, release := parkingProgram(t)
 	e := p.NewExec(0)
-	w := New(quantum, interval)
-	w.WatchExec(e)
+	w := New(quantum, interval, []*vm.Exec{e})
 	t0 := time.Now()
 
 	w.scan(t0)
@@ -181,8 +179,7 @@ func TestBackToBackInvocationsNeverFire(t *testing.T) {
 	const quantum, interval = time.Second, 250 * time.Millisecond
 	p, entered, release := parkingProgram(t)
 	e := p.NewExec(0)
-	w := New(quantum, interval)
-	w.WatchExec(e)
+	w := New(quantum, interval, []*vm.Exec{e})
 	t0 := time.Now()
 	for now := t0; now.Sub(t0) <= 5*quantum; now = now.Add(interval) {
 		finish := invoke(t, e, entered, release)
@@ -194,30 +191,28 @@ func TestBackToBackInvocationsNeverFire(t *testing.T) {
 	}
 }
 
-// TestWatchExecAfterStart: a context registered with a watchdog that is
-// already polling is covered like one registered before Start.
+// TestWatchExecAfterStart: a context that has never run when polling
+// starts — any slot but the first of a constructor set — is covered like
+// one already busy.
 func TestWatchExecAfterStart(t *testing.T) {
 	p := spinningProgram(t)
-	w := New(10*time.Millisecond, 2*time.Millisecond)
+	execs := []*vm.Exec{p.NewExec(0), p.NewExec(1), p.NewExec(2), p.NewExec(3)}
+	w := New(10*time.Millisecond, 2*time.Millisecond, execs)
 	w.Start()
 	defer w.Stop()
-	e := p.NewExec(3)
-	w.WatchExec(e)
-	w.WatchExec(e) // a duplicate registration is ignored
-	res, err := e.Run(nil, make([]byte, kernel.HookBench.CtxSize))
+	res, err := execs[3].Run(nil, make([]byte, kernel.HookBench.CtxSize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cancelled != vm.CancelTerminate || w.Fired() == 0 {
-		t.Fatalf("late-registered spin: cancelled=%v fired=%d", res.Cancelled, w.Fired())
+		t.Fatalf("first run after Start: cancelled=%v fired=%d", res.Cancelled, w.Fired())
 	}
 }
 
 func TestWatchdogIgnoresIdleAndFast(t *testing.T) {
 	p := loadProgram(t, kernel.New(), asm.New().Ret(0).MustAssemble(), 0)
 	e := p.NewExec(0)
-	w := New(5*time.Millisecond, time.Millisecond)
-	w.WatchExec(e)
+	w := New(5*time.Millisecond, time.Millisecond, []*vm.Exec{e})
 	w.Start()
 	defer w.Stop()
 	for i := 0; i < 100; i++ {
@@ -235,27 +230,26 @@ func TestWatchdogIgnoresIdleAndFast(t *testing.T) {
 }
 
 func TestStartStopIdempotent(t *testing.T) {
-	w := New(time.Second, time.Millisecond)
+	w := New(time.Second, time.Millisecond, nil)
 	w.Start()
 	w.Start()
 	w.Stop()
 	w.Stop()
 }
 
-// TestLifecycleRace registers targets and churns Start/Stop while the
-// poller is firing; run under -race it regresses the Stop/Start WaitGroup
-// misuse (Stop used to Wait outside the lock while Start could Add).
+// TestLifecycleRace churns Start/Stop while the poller is scanning; run
+// under -race it regresses the Stop/Start WaitGroup misuse (Stop used to
+// Wait outside the lock while Start could Add).
 func TestLifecycleRace(t *testing.T) {
 	p := spinningProgram(t)
-	w := New(time.Nanosecond, 100*time.Microsecond) // fire on every scan
-	w.WatchExec(p.NewExec(0))
+	w := New(time.Nanosecond, 100*time.Microsecond, []*vm.Exec{p.NewExec(0)}) // fire on every scan
 	w.Start()
 
 	var wg sync.WaitGroup
 	stopAll := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(cpu int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -263,11 +257,10 @@ func TestLifecycleRace(t *testing.T) {
 					return
 				default:
 				}
-				w.WatchExec(p.NewExec(cpu))
 				w.Start()
 				w.Stop()
 			}
-		}(i + 1)
+		}()
 	}
 	time.Sleep(20 * time.Millisecond)
 	close(stopAll)
@@ -285,9 +278,8 @@ func TestForcedFiring(t *testing.T) {
 	plan.Enable()
 	// A generous quantum the spin loop never legitimately exceeds within
 	// the test's runtime: only the injected firing can cancel it.
-	w := New(time.Hour, time.Millisecond)
+	w := New(time.Hour, time.Millisecond, []*vm.Exec{e})
 	w.SetFaultPlan(plan)
-	w.WatchExec(e)
 	w.Start()
 	defer w.Stop()
 
@@ -314,9 +306,8 @@ func TestForcedFiringOnlyInFlight(t *testing.T) {
 	e := p.NewExec(0)
 	plan := faultinject.NewPlan(1).SetRate(faultinject.WatchdogFire, 1.0)
 	plan.Enable()
-	w := New(time.Hour, time.Millisecond)
+	w := New(time.Hour, time.Millisecond, []*vm.Exec{e})
 	w.SetFaultPlan(plan)
-	w.WatchExec(e)
 	now := time.Now()
 	w.scan(now)
 	if w.Fired() != 0 {

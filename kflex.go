@@ -182,22 +182,21 @@ type Spec struct {
 	FaultPlan *faultinject.Plan
 	// Interpret selects the reference interpreter instead of the lowered
 	// execution tier. The interpreter re-decodes every instruction per
-	// dispatch and resolves PerfMode inside the hot loop (the historical
-	// behaviour); it exists as the differential-testing baseline the
-	// lowered tier is validated against, not as a production path.
+	// dispatch over the same instrumented stream (the historical behaviour);
+	// it exists as the differential-testing baseline the lowered tier is
+	// validated against, not as a production path.
 	Interpret bool
-	// AdoptHeap hands an existing extension heap — typically retained from
-	// a previous generation via Extension.CloseKeepHeap — to the new
-	// extension instead of allocating a fresh one. The heap's size must
-	// equal HeapSize and AdoptAlloc must carry the allocator that owns the
-	// heap's live allocations (re-carving a populated heap would corrupt
-	// them). Adoption is the supervisor's warm-reload path: the data a
-	// healthy extension accumulated survives the generation swap, so
+	// Adopt names a donor — a retired previous generation, or a live one
+	// being migrated away from — whose heap the new extension takes over
+	// instead of allocating a fresh one, together with the allocator that
+	// owns the heap's live allocations (re-carving a populated heap would
+	// corrupt them). The donor's heap must be open and HeapSize bytes; the
+	// donor must run nothing on it once the new extension takes traffic.
+	// Adoption is the supervisor's warm-reload and migration path: the data
+	// a healthy extension accumulated survives the generation swap, so
 	// recovery replays only the delta. Runtime-only: like FaultPlan, it
 	// does not participate in the compile-cache fingerprint.
-	AdoptHeap *heap.Heap
-	// AdoptAlloc is the allocator adopted together with AdoptHeap.
-	AdoptAlloc *alloc.Allocator
+	Adopt *Extension
 }
 
 // Execution tier names reported by PipelineInfo.
@@ -254,9 +253,8 @@ type compiled struct {
 // specFingerprint hashes everything the cached artifacts depend on: the
 // program text plus every spec knob that changes verification,
 // instrumentation, or lowering. Runtime-only knobs (QuantumInsns, NumCPUs,
-// CancelThreshold, FaultPlan, Callback, AdoptHeap/AdoptAlloc)
-// are deliberately excluded — they bind at link time and must not defeat
-// the cache.
+// CancelThreshold, FaultPlan, Callback, Adopt) are deliberately excluded —
+// they bind at link time and must not defeat the cache.
 func specFingerprint(spec Spec) uint64 {
 	const prime64 = 1099511628211
 	h := insn.Fingerprint(spec.Insns)
@@ -354,28 +352,17 @@ type Extension struct {
 	analysis *verifier.Analysis
 	lowered  *compile.Linked // nil on the interpreter tier
 	pipeline PipelineInfo
-	numCPUs  int
 
-	// execs is the fixed per-CPU execution-slot table, sized NumCPUs at
-	// Load. Each slot publishes at most one Handle (and with it one
-	// vm.Exec) for its simulated CPU; Handle(cpu) resolves a slot with a
-	// single atomic load, so the per-op path of a parallel serving loop
-	// — one goroutine per CPU, each re-resolving its handle — takes no
-	// lock and performs no allocation. Slot creation races are settled by
-	// compare-and-swap; the loser adopts the winner's handle.
-	execs []execSlot
-	// wd is the active wall-clock watchdog (nil when not monitoring).
-	// It is an atomic pointer because Handle() reads it on the slot-miss
-	// path to register a freshly created exec with a watchdog that was
-	// started earlier — see newHandle for the publication ordering.
+	// execs is the per-CPU handle table: one Handle, and with it one
+	// vm.Exec, per simulated CPU (§3.3), all built by Load and never
+	// changed after, so Handle(cpu) is an index and whatever walks the
+	// table — the watchdog, AuditHeld — sees every context there will be.
+	execs []*Handle
+	// wd is the active wall-clock watchdog (nil when not monitoring);
+	// atomic so concurrent Start/StopWatchdog calls settle on one.
 	wd atomic.Pointer[watchdog.Watchdog]
 
 	fault *faultinject.Plan
-}
-
-// execSlot is one entry of the per-CPU handle table.
-type execSlot struct {
-	h atomic.Pointer[Handle]
 }
 
 // Load builds an extension through the staged pipeline
@@ -387,8 +374,9 @@ type execSlot struct {
 // kernel-interface compliance; instrument runs the Kie engine; lower
 // pre-decodes the instrumented program into the fused lowered ISA
 // (skipped when Spec.Interpret selects the reference interpreter); link
-// binds the heap-independent artifacts to a fresh heap, allocator, lock
-// table, and resolved helper table. The first three artifacts are cached
+// binds the heap-independent artifacts to a heap (fresh, or Spec.Adopt's),
+// allocator, lock table and resolved helper table, and builds every per-CPU
+// execution context. The first three artifacts are cached
 // per Runtime keyed by the spec fingerprint, so reloading an unchanged
 // spec — the supervisor's recovery path — only re-runs decode and link.
 func (r *Runtime) Load(spec Spec) (*Extension, error) {
@@ -466,7 +454,7 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		// Stage: lower (skipped on the interpreter tier).
 		if !spec.Interpret {
 			t0 = time.Now()
-			unit, err := compile.Lower(rep, compile.Config{PerfMode: spec.PerfMode})
+			unit, err := compile.Lower(rep)
 			if err != nil {
 				return nil, fmt.Errorf("kflex: %s: lower: %w", spec.Name, err)
 			}
@@ -493,63 +481,57 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		}
 	}
 
-	// Stage: link — per-instance state only: fresh heap, allocator, lock
-	// table, callback, resolved helper table, VM program.
+	// Stage: link — per-instance state only: heap, allocator, lock table,
+	// callback, resolved helper table, VM program, per-CPU contexts.
 	t0 = time.Now()
 	ext := &Extension{
 		name:     spec.Name,
 		rt:       r,
 		report:   art.report,
 		analysis: art.analysis,
-		numCPUs:  spec.NumCPUs,
-		execs:    make([]execSlot, spec.NumCPUs),
+		execs:    make([]*Handle, spec.NumCPUs),
 		fault:    spec.FaultPlan,
 	}
 	opts := vm.Options{
 		Hook:            spec.Hook,
 		Kernel:          r.kern,
-		PerfMode:        spec.PerfMode,
 		QuantumInsns:    spec.QuantumInsns,
 		CancelThreshold: spec.CancelThreshold,
 		Fault:           spec.FaultPlan,
 	}
 	lk := compile.Linkage{Helpers: r.kern.Helpers}
-	if spec.HeapSize > 0 {
-		var h *heap.Heap
-		if spec.AdoptHeap != nil {
-			// Warm reload: inherit the previous generation's heap and its
-			// allocator. The pair is validated, not trusted — a size
-			// mismatch would break SFI masking, a closed heap would fault
-			// on first touch, and a fresh allocator over a populated heap
-			// would re-carve live data.
-			if spec.AdoptHeap.Size() != spec.HeapSize {
-				return nil, fmt.Errorf("kflex: %s: adopted heap is %d bytes, spec declares %d",
-					spec.Name, spec.AdoptHeap.Size(), spec.HeapSize)
-			}
-			if spec.AdoptHeap.Closed() {
-				return nil, fmt.Errorf("kflex: %s: adopted heap is closed", spec.Name)
-			}
-			if spec.AdoptAlloc == nil {
-				return nil, fmt.Errorf("kflex: %s: adopted heap without its allocator", spec.Name)
-			}
-			h = spec.AdoptHeap
-			ext.alloc = spec.AdoptAlloc
-			// The adopting generation may declare fewer CPUs than the
-			// allocator was built for; magazines of slots beyond the new
-			// table (plus its user-space slot at index NumCPUs) would be
-			// stranded — no Malloc can ever pop them again — so spill them
-			// back to the depot before the new generation takes traffic.
-			ext.alloc.RetireCPUsFrom(spec.NumCPUs + 1)
-		} else {
-			var err error
-			h, err = heap.New(spec.HeapSize)
-			if err != nil {
-				return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
-			}
-			// One extra allocator CPU slot serves user-space allocations
-			// for co-designed applications (§5.3).
-			ext.alloc = alloc.New(h, spec.NumCPUs+1)
+	var h *heap.Heap
+	if donor := spec.Adopt; donor != nil {
+		// Inherit the donor's heap and the allocator that carved it. The
+		// donor is validated, not trusted — a size mismatch would break SFI
+		// masking and a closed heap would fault on first touch.
+		switch {
+		case donor.heap == nil:
+			return nil, fmt.Errorf("kflex: %s: adopted extension %q has no heap", spec.Name, donor.name)
+		case donor.heap.Size() != spec.HeapSize:
+			return nil, fmt.Errorf("kflex: %s: adopted heap is %d bytes, spec declares %d",
+				spec.Name, donor.heap.Size(), spec.HeapSize)
+		case donor.heap.Closed():
+			return nil, fmt.Errorf("kflex: %s: adopted heap is closed", spec.Name)
 		}
+		h, ext.alloc = donor.heap, donor.alloc
+		// The adopting generation may declare fewer CPUs than the
+		// allocator was built for; magazines of slots beyond the new
+		// table (plus its user-space slot at index NumCPUs) would be
+		// stranded — no Malloc can ever pop them again — so spill them
+		// back to the depot before the new generation takes traffic.
+		ext.alloc.RetireCPUsFrom(spec.NumCPUs + 1)
+	} else if spec.HeapSize > 0 {
+		var err error
+		h, err = heap.New(spec.HeapSize)
+		if err != nil {
+			return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
+		}
+		// One extra allocator CPU slot serves user-space allocations
+		// for co-designed applications (§5.3).
+		ext.alloc = alloc.New(h, spec.NumCPUs+1)
+	}
+	if h != nil {
 		h.SetFaultPlan(spec.FaultPlan)
 		ext.heap = h
 		ext.alloc.SetFaultPlan(spec.FaultPlan)
@@ -582,6 +564,9 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
 	}
 	ext.prog = prog
+	for cpu := range ext.execs {
+		ext.execs[cpu] = &Handle{exec: prog.NewExec(cpu), ext: ext}
+	}
 	pl.Stages = append(pl.Stages, Stage{
 		Name: "link", Duration: time.Since(t0), Out: len(art.report.Prog),
 	})
@@ -594,8 +579,8 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 // compile cache was hit, and the execution tier.
 func (e *Extension) Pipeline() PipelineInfo { return e.pipeline }
 
-// LoweredMetrics returns the lowering metrics (fused superinstruction and
-// deleted-read-guard counts); ok is false on the interpreter tier.
+// LoweredMetrics returns the lowering metrics (stream lengths and fused
+// superinstruction counts); ok is false on the interpreter tier.
 func (e *Extension) LoweredMetrics() (m compile.Metrics, ok bool) {
 	if e.lowered == nil {
 		return compile.Metrics{}, false
@@ -629,46 +614,14 @@ func (r *Runtime) loadCallback(spec Spec) (*vm.Program, error) {
 // independent: one goroutine per CPU each calling Run is the intended
 // parallel serving loop.
 //
-// Repeated Handle(cpu) calls return the same *Handle with one atomic load
-// — no lock and no allocation — so per-op re-resolution in a hot serving
-// loop is free. Only the first call for a CPU takes the slow path that
-// builds and publishes the context.
+// Every Handle was built by Load; resolving one is an index — no lock, no
+// allocation — so per-op re-resolution in a hot serving loop is free.
 func (e *Extension) Handle(cpu int) *Handle {
-	idx := e.cpuIndex(cpu)
-	if h := e.execs[idx].h.Load(); h != nil {
-		return h
-	}
-	return e.newHandle(idx)
-}
-
-// cpuIndex maps an arbitrary CPU number onto the per-CPU slot table.
-func (e *Extension) cpuIndex(cpu int) int {
 	idx := cpu % len(e.execs)
 	if idx < 0 {
 		idx += len(e.execs)
 	}
-	return idx
-}
-
-// newHandle builds and publishes the handle for slot idx. Concurrent
-// creations for one slot settle by compare-and-swap: the loser discards
-// its context and adopts the winner's, preserving the one-exec-per-CPU
-// invariant.
-func (e *Extension) newHandle(idx int) *Handle {
-	h := &Handle{exec: e.prog.NewExec(idx), ext: e}
-	if !e.execs[idx].h.CompareAndSwap(nil, h) {
-		return e.execs[idx].h.Load()
-	}
-	// Register the new exec with a running watchdog. The ordering —
-	// publish the handle, then load wd — pairs with StartWatchdog, which
-	// stores wd before snapshotting the slots: whichever write lands
-	// second, at least one side observes the other, so an exec created
-	// concurrently with watchdog start is never left unwatched. Both
-	// sides observing each other is harmless: WatchExec deduplicates.
-	if wd := e.wd.Load(); wd != nil {
-		wd.WatchExec(h.exec)
-	}
-	return h
+	return e.execs[idx]
 }
 
 // Handle runs extension invocations on one simulated CPU. A Handle is
@@ -755,18 +708,14 @@ func (e *Extension) Name() string { return e.name }
 // NumCPUs returns the size of the per-CPU handle slot table — the number
 // of simulated CPUs the extension can be driven on. The supervisor's
 // cross-CPU migration uses it to validate target slots.
-func (e *Extension) NumCPUs() int { return e.numCPUs }
+func (e *Extension) NumCPUs() int { return len(e.execs) }
 
 // AuditHeld sums kernel-object references and extension locks currently
 // held across the extension's handles. Both must be zero when no
 // invocation is in flight — the object-table unwinding guarantee (§3.4);
 // the supervisor audits this before quarantining a heap.
 func (e *Extension) AuditHeld() (refs, locksHeld int) {
-	for i := range e.execs {
-		h := e.execs[i].h.Load()
-		if h == nil {
-			continue
-		}
+	for _, h := range e.execs {
 		r, l := h.exec.HeldCounts()
 		refs += r
 		locksHeld += l
@@ -782,29 +731,24 @@ func (e *Extension) ExtLocks() *locks.Locks { return e.extLocks }
 func (e *Extension) Cancels() uint64 { return e.prog.Cancels() }
 
 // StartWatchdog begins wall-clock stall monitoring with the given quantum
-// (§4.3; the paper's lockup watchdogs operate at second granularity).
-// Execution contexts created after this call are registered with the
-// watchdog dynamically, so a Handle first resolved mid-flight is watched
-// exactly like one that existed at start.
+// (§4.3; the paper's lockup watchdogs operate at second granularity) of
+// every per-CPU execution context. A second call while monitoring is a
+// no-op.
 func (e *Extension) StartWatchdog(quantum, poll time.Duration) {
-	wd := watchdog.New(quantum, poll)
+	execs := make([]*vm.Exec, len(e.execs))
+	for i, h := range e.execs {
+		execs[i] = h.exec
+	}
+	wd := watchdog.New(quantum, poll, execs)
 	wd.SetFaultPlan(e.fault)
-	if !e.wd.CompareAndSwap(nil, wd) {
-		return // already monitoring
+	if e.wd.CompareAndSwap(nil, wd) {
+		wd.Start()
 	}
-	// Snapshot existing slots only after wd is published: a concurrent
-	// newHandle either lands in this snapshot or observes wd and
-	// registers itself (see newHandle); WatchExec deduplicates the
-	// overlap.
-	for i := range e.execs {
-		if h := e.execs[i].h.Load(); h != nil {
-			wd.WatchExec(h.exec)
-		}
-	}
-	wd.Start()
 }
 
-// StopWatchdog halts stall monitoring.
+// StopWatchdog halts stall monitoring. It is all a generation whose heap
+// lives on in a successor (Spec.Adopt) has to release: the heap and its
+// allocator belong to the survivor, which closes them.
 func (e *Extension) StopWatchdog() {
 	if wd := e.wd.Swap(nil); wd != nil {
 		wd.Stop()
@@ -819,16 +763,6 @@ func (e *Extension) Close() {
 	if e.heap != nil {
 		e.heap.Close()
 	}
-}
-
-// CloseKeepHeap releases the extension's execution resources but leaves
-// the heap open, returning the heap/allocator pair for adoption by a
-// successor generation (Spec.AdoptHeap/AdoptAlloc — the supervisor's
-// warm-reload path). The caller owns the pair: hand it to exactly one new
-// extension, or close the heap. Returns nils for heapless extensions.
-func (e *Extension) CloseKeepHeap() (*heap.Heap, *alloc.Allocator) {
-	e.StopWatchdog()
-	return e.heap, e.alloc
 }
 
 // --- User-space co-design surface (§3.4, §5.3) --------------------------------
@@ -860,7 +794,7 @@ func (e *Extension) UserMalloc(size uint64) (uint64, error) {
 	if e.alloc == nil {
 		return 0, fmt.Errorf("kflex: %s has no heap", e.name)
 	}
-	addr := e.alloc.Malloc(e.numCPUs, size)
+	addr := e.alloc.Malloc(e.NumCPUs(), size)
 	if addr == 0 {
 		return 0, fmt.Errorf("kflex: %s: heap exhausted", e.name)
 	}
@@ -872,7 +806,7 @@ func (e *Extension) UserFree(userAddr uint64) error {
 	if e.alloc == nil {
 		return fmt.Errorf("kflex: %s has no heap", e.name)
 	}
-	return e.alloc.Free(e.numCPUs, e.heap.TranslateToExt(userAddr))
+	return e.alloc.Free(e.NumCPUs(), e.heap.TranslateToExt(userAddr))
 }
 
 // GlobalsBase returns the extension VA of the reserved globals area in the
