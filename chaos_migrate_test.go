@@ -6,7 +6,7 @@
 // acknowledged operations — plus the determinism contract: two
 // identically seeded runs produce bit-identical traces, audits, fault
 // events, and reports. A separate mid-traffic scenario (run under -race
-// by `make migrate`) overlaps migrations and injected rollbacks with a
+// by `make check`) overlaps migrations and injected rollbacks with a
 // live serving goroutine.
 package kflex_test
 
@@ -250,7 +250,7 @@ func TestChaosMigrateDeterminism(t *testing.T) {
 
 // TestChaosMigrateMidTraffic overlaps live migrations — including an
 // injected mid-cutover rollback — with a serving goroutine, the scenario
-// the drain/freeze protocol exists for. Run under -race (make migrate)
+// the drain/freeze protocol exists for. Run under -race (make check)
 // it also proves the dirty-set locking: the adoption resync walks the
 // dirty map on the migrator's goroutine while the server keeps
 // acknowledging fallback SETs. The oracle is single-writer: the serving

@@ -124,14 +124,13 @@ func TestHandleStableAcrossLookups(t *testing.T) {
 	}
 }
 
-// TestWatchdogWatchesLateHandles is the regression test for the snapshot
-// bug: StartWatchdog used to capture the execution contexts that existed
-// at start, so a handle created afterwards was never monitored and a stall
-// on it spun unbounded. Every context exists from Load now — the late handle
-// must be cancelled, and by the watchdog: each run must have outlived its quantum
-// (the first firing used to poison the program's terminate word, and the
-// runs on cpus 1 and 2 "passed" by faulting at their first probe).
-func TestWatchdogWatchesLateHandles(t *testing.T) {
+// TestWatchdogCancelsEachStalledCPU: a stall on any CPU is cancelled, and by
+// the watchdog — each run must have outlived its quantum — without touching
+// the next CPU's run (the first firing used to poison the program's
+// terminate word, and the runs on cpus 1 and 2 "passed" by faulting at their
+// first probe). The handles are first resolved after StartWatchdog, which
+// once left them unmonitored; every context exists from Load now.
+func TestWatchdogCancelsEachStalledCPU(t *testing.T) {
 	const quantum = 20 * time.Millisecond
 	rt := NewRuntime()
 	ext, err := rt.Load(Spec{
@@ -151,7 +150,6 @@ func TestWatchdogWatchesLateHandles(t *testing.T) {
 	defer ext.Close()
 	ext.StartWatchdog(quantum, 5*time.Millisecond)
 	defer ext.StopWatchdog()
-	// No handle existed when the watchdog started; create them now.
 	for cpu := 0; cpu < 3; cpu++ {
 		start := time.Now()
 		res, err := ext.Handle(cpu).Run(nil, make([]byte, HookXDP.CtxSize))
@@ -160,7 +158,7 @@ func TestWatchdogWatchesLateHandles(t *testing.T) {
 			t.Fatalf("cpu %d: %v", cpu, err)
 		}
 		if res.Cancelled != CancelTerminate {
-			t.Fatalf("cpu %d: cancelled = %v, want terminate (late handle unwatched?)", cpu, res.Cancelled)
+			t.Fatalf("cpu %d: cancelled = %v, want terminate (context unwatched?)", cpu, res.Cancelled)
 		}
 		if elapsed <= quantum || res.Stats.Insns < 1000 {
 			t.Fatalf("cpu %d: cancelled after %v and %d instructions, inside its %v quantum: not the watchdog's doing",
@@ -175,11 +173,11 @@ func TestWatchdogWatchesLateHandles(t *testing.T) {
 	}
 }
 
-// TestUnresolvedSlotIsCovered: the per-CPU table is whole from Load, so a
-// slot no caller ever resolved through Handle is audited and stall-monitored
+// TestEverySlotIsAuditedAndWatched: the per-CPU table is whole from Load, so
+// a slot no caller ever resolved through Handle is audited and stall-monitored
 // like the rest. The invocation reaches slot 3 through the table itself; it
 // takes a spin lock and stalls holding it.
-func TestUnresolvedSlotIsCovered(t *testing.T) {
+func TestEverySlotIsAuditedAndWatched(t *testing.T) {
 	prog := asm.New().
 		Call(kernel.HelperKflexHeapBase).
 		Mov(insn.R6, insn.R0).

@@ -3,6 +3,7 @@ package kflex_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"kflex"
@@ -12,7 +13,7 @@ import (
 )
 
 // The differential harness is the lowering's translation-validation
-// evidence (DESIGN.md §9): every corpus program, run on the reference
+// evidence (DESIGN.md §3.5): every corpus program, run on the reference
 // interpreter and the lowered tier with identical inputs, must produce
 // byte-identical results, context writes, abort attribution, and work
 // counters — Dispatches and Fused excepted, the two documented
@@ -239,8 +240,8 @@ func TestDifferentialMemcached(t *testing.T) {
 }
 
 // TestPipelineStages checks the staged-pipeline record of a Load on both
-// tiers: stage presence, order-independent lookup, and the lower stage's
-// absence on the interpreter.
+// tiers, cold and from the compile cache: the stage names in order, which of
+// them the cache served, and the lower stage's absence on the interpreter.
 func TestPipelineStages(t *testing.T) {
 	spec := kflex.Spec{
 		Name:     "stages",
@@ -249,25 +250,57 @@ func TestPipelineStages(t *testing.T) {
 		Mode:     kflex.ModeKFlex,
 		HeapSize: ds.HeapSize(ds.KindHashMap),
 	}
-	p := loadPair(t, spec)
-
-	pl := p.lowered.Pipeline()
-	for _, name := range []string{"decode", "verify", "instrument", "lower", "link"} {
-		if pl.Stage(name).Out == 0 {
-			t.Fatalf("lowered pipeline missing stage %q: %+v", name, pl.Stages)
-		}
+	for _, tc := range []struct {
+		name      string
+		interpret bool
+		want      []string // stage names; a leading '*' marks one served from the cache on a reload
+	}{
+		{"lowered", false, []string{"decode", "*verify", "*instrument", "*lower", "heap", "link"}},
+		{"interpreter", true, []string{"decode", "*verify", "*instrument", "heap", "link"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := spec
+			spec.Interpret = tc.interpret
+			rt := kflex.NewRuntime()
+			var cold kflex.PipelineInfo
+			for load, wantHit := range []bool{false, true} {
+				ext, err := rt.Load(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ext.Close()
+				pl := ext.Pipeline()
+				if pl.CacheHit != wantHit {
+					t.Fatalf("load %d: CacheHit = %v", load, pl.CacheHit)
+				}
+				if len(pl.Stages) != len(tc.want) {
+					t.Fatalf("load %d: stages = %+v, want %v", load, pl.Stages, tc.want)
+				}
+				for i, st := range pl.Stages {
+					name, cacheable := strings.CutPrefix(tc.want[i], "*")
+					if st.Name != name || st.Cached != (cacheable && wantHit) || st.Cached && st.Duration != 0 {
+						t.Fatalf("load %d: stage %d = %+v, want %q (cached: %v)", load, i, st, name, cacheable && wantHit)
+					}
+					if st.Out == 0 {
+						t.Fatalf("load %d: stage %q reports no artifact size", load, name)
+					}
+					if wantHit && st.Out != cold.Stages[i].Out {
+						t.Fatalf("reloaded %s artifact size %d != original %d", name, st.Out, cold.Stages[i].Out)
+					}
+				}
+				cold = pl
+			}
+		})
 	}
+
+	p := loadPair(t, spec)
+	pl, ip := p.lowered.Pipeline(), p.interp.Pipeline()
 	if pl.Stage("lower").Out >= pl.Stage("instrument").Out {
 		t.Fatalf("lowering did not shrink the stream: instrument %d -> lower %d",
 			pl.Stage("instrument").Out, pl.Stage("lower").Out)
 	}
 	if m, ok := p.lowered.LoweredMetrics(); !ok || m.FusedGuardLoad+m.FusedGuardStore+m.FusedProbeBranch == 0 {
 		t.Fatalf("lowered metrics = %+v ok=%v, want fused superinstructions", m, ok)
-	}
-
-	ip := p.interp.Pipeline()
-	if ip.Stage("lower").Out != 0 {
-		t.Fatalf("interpreter pipeline ran lower: %+v", ip.Stages)
 	}
 	if _, ok := p.interp.LoweredMetrics(); ok {
 		t.Fatal("interpreter tier reported lowered metrics")

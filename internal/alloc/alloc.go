@@ -458,9 +458,19 @@ func (a *Allocator) RetireCPUsFrom(n int) {
 // size class must be exactly once on a free list or (when tracking is on)
 // in the live set, with no duplicate offsets and a valid header. Chaos
 // tests call it after injected faults to prove no allocator blocks were
-// lost or double-listed during recovery. The allocator must be quiescent
-// for an exact answer; a concurrent audit (the supervisor's mid-traffic
-// quarantine) is race-free but may observe a transient imbalance.
+// lost or double-listed during recovery.
+//
+// The answer is exact only on a quiescent allocator. A concurrent audit —
+// the supervisor's quarantine whose drain timed out "audits anyway" — is
+// race-free, and reads the lock-free magazines before it takes the depot,
+// bump and carved counts under mu. bump only grows, so every block seen in
+// a magazine lies below the bump read after it: the carved-region bound and
+// the header checks hold under traffic. What a concurrent audit cannot
+// check is membership: a block that moves between the two reads is listed
+// twice (magazine → depot: a Free's spill, RetireCPU) or not at all (depot →
+// magazine: a refill), and one allocated or freed meanwhile may be on a
+// free list and in the live set, or in neither. "Listed twice" and the
+// tracked count balance are findings only when nothing else is running.
 func (a *Allocator) CheckConsistency() error {
 	// Observation must not itself be an injection site: header reads go
 	// through the heap view, and an injected guard fault there would
@@ -469,15 +479,8 @@ func (a *Allocator) CheckConsistency() error {
 		a.fault.Disarm()
 		defer a.fault.Enable()
 	}
-	// Snapshot free lists per class: depot and per-CPU magazines.
+	// Snapshot free lists per class: per-CPU magazines, then the depot.
 	free := make([][]uint64, numClasses)
-	a.mu.Lock()
-	for class := 0; class < numClasses; class++ {
-		free[class] = append(free[class], a.global[class]...)
-	}
-	bump := a.bump
-	carved := a.carved
-	a.mu.Unlock()
 	for i := range a.cpus {
 		c := &a.cpus[i]
 		for class := 0; class < numClasses; class++ {
@@ -488,6 +491,13 @@ func (a *Allocator) CheckConsistency() error {
 			}
 		}
 	}
+	a.mu.Lock()
+	for class := 0; class < numClasses; class++ {
+		free[class] = append(free[class], a.global[class]...)
+	}
+	bump := a.bump
+	carved := a.carved
+	a.mu.Unlock()
 
 	a.trackMu.Lock()
 	live := make(map[uint64]int, len(a.live))

@@ -15,7 +15,6 @@
 package redis
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -245,10 +244,7 @@ func NewKFlex(cfg Config, servers int) (*KFlexRedis, error) {
 
 // Supervised is the KFlex Redis deployment routed through the lifecycle
 // supervisor.
-type Supervised struct{ *offload.Supervised }
-
-// DB exposes the authoritative user-space store.
-func (r *Supervised) DB() KV { return r.Store() }
+type Supervised = offload.Supervised
 
 // NewSupervised builds the supervised deployment. tuning configures the
 // circuit breaker (zero values take supervisor defaults).
@@ -259,11 +255,7 @@ func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervis
 // NewSupervisedRecovered is NewSupervised for a recovered durable store:
 // info (from durable.Open) surfaces the WAL replay in the supervisor stats.
 func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
-	s, err := offload.NewSupervised(&Codec, cfg, servers, tuning, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Supervised{s}, nil
+	return offload.NewSupervised(&Codec, cfg, servers, tuning, info)
 }
 
 // --- ZADD (Figure 6) -------------------------------------------------------------------
@@ -314,13 +306,11 @@ func (z *ZAddUser) Name() string { return "Redis (user space)" }
 
 // ZAddKFlex is the offloaded ZADD of §5.2.
 type ZAddKFlex struct {
-	cfg    Config
-	ext    *kflex.Extension
-	handle *kflex.Handle
-	gen    *workload.Generator
-	r      *rand.Rand
-	ctx    []byte
-	zset   *ds.NativeZSet // user-space fallback store
+	cfg  Config
+	off  *ds.Offloaded
+	gen  *workload.Generator
+	r    *rand.Rand
+	zset *ds.NativeZSet // user-space fallback store
 	// Errors counts ZADDs the extension failed to serve; they are
 	// applied to the user-space zset and charged that path instead.
 	Errors uint64
@@ -328,43 +318,21 @@ type ZAddKFlex struct {
 
 // NewZAddKFlex loads the ZADD extension (hash map + heap skip list).
 func NewZAddKFlex(cfg Config) (*ZAddKFlex, error) {
-	rt := kflex.NewRuntime()
-	ext, err := rt.Load(kflex.Spec{
-		Name:            "kflex-zadd",
-		Insns:           ds.ZAddProgram(),
-		Hook:            kflex.HookBench,
-		Mode:            kflex.ModeKFlex,
-		HeapSize:        128 << 20,
-		FaultPlan:       cfg.FaultPlan,
-		CancelThreshold: cfg.CancelThreshold,
+	off, err := ds.LoadSpec(kflex.NewRuntime(), ds.KindZAdd, func(s *kflex.Spec) {
+		s.Name = "kflex-zadd"
+		s.FaultPlan = cfg.FaultPlan
+		s.CancelThreshold = cfg.CancelThreshold
 	})
 	if err != nil {
 		return nil, err
 	}
-	z := &ZAddKFlex{
-		cfg:    cfg,
-		ext:    ext,
-		handle: ext.Handle(0),
-		gen:    workload.NewGenerator(cfg.Seed, workload.Mix{GetPct: 0}),
-		r:      rand.New(rand.NewSource(cfg.Seed + 1)),
-		ctx:    make([]byte, kflex.HookBench.CtxSize),
-		zset:   ds.NewNativeZSet(),
-	}
-	if _, err := z.op(3, 0, 0); err != nil { // init
-		return nil, err
-	}
-	return z, nil
-}
-
-func (z *ZAddKFlex) op(op, member, score uint64) (*kflex.Result, error) {
-	binary.LittleEndian.PutUint64(z.ctx[0:], op)
-	binary.LittleEndian.PutUint64(z.ctx[8:], member)
-	binary.LittleEndian.PutUint64(z.ctx[16:], score)
-	res, err := z.handle.Run(nil, z.ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return &ZAddKFlex{
+		cfg:  cfg,
+		off:  off,
+		gen:  workload.NewGenerator(cfg.Seed, workload.Mix{GetPct: 0}),
+		r:    rand.New(rand.NewSource(cfg.Seed + 1)),
+		zset: ds.NewNativeZSet(),
+	}, nil
 }
 
 // Serve implements sim.System: ZADDs run over TCP at sk_skb, like the rest
@@ -373,8 +341,8 @@ func (z *ZAddKFlex) op(op, member, score uint64) (*kflex.Result, error) {
 func (z *ZAddKFlex) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
 	req := z.gen.Next()
 	score := z.r.Uint64() % (1 << 16)
-	res, err := z.op(0, req.Key, score)
-	if err != nil || res.Cancelled != kflex.CancelNone {
+	res, err := z.off.Op(ds.OpUpdate, req.Key, score)
+	if err != nil {
 		z.Errors++
 		z.zset.ZAdd(req.Key, score)
 		return sim.Service{Ns: z.cfg.Costs.UserspaceTCP()}
@@ -387,16 +355,13 @@ func (z *ZAddKFlex) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.
 func (z *ZAddKFlex) Name() string { return "KFlex ZADD" }
 
 // Close releases the extension.
-func (z *ZAddKFlex) Close() { z.ext.Close() }
+func (z *ZAddKFlex) Close() { z.off.Close() }
 
 // Score reads back a member's score (verification helper).
 func (z *ZAddKFlex) Score(member uint64) (uint64, bool, error) {
-	res, err := z.op(1, member, 0)
-	if err != nil {
+	res, err := z.off.Op(ds.OpLookup, member, 0)
+	if err != nil || res.Ret != ds.RetFound {
 		return 0, false, err
 	}
-	if res.Ret != 1 {
-		return 0, false, nil
-	}
-	return binary.LittleEndian.Uint64(z.ctx[24:]), true, nil
+	return z.off.Out(), true, nil
 }

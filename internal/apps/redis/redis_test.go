@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"kflex/internal/ds"
 	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
@@ -84,7 +85,7 @@ func TestZAddSystems(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer z.Close()
-	if _, err := z.op(0, 42, 777); err != nil {
+	if _, err := z.off.Op(ds.OpUpdate, 42, 777); err != nil {
 		t.Fatal(err)
 	}
 	score, ok, err := z.Score(42)

@@ -7,7 +7,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -426,47 +425,24 @@ func AblElision(o Options) error {
 }
 
 func guardsPerOp(kind ds.Kind, disableElision bool) (float64, error) {
-	rt := kflex.NewRuntime()
-	ext, err := rt.Load(kflex.Spec{
-		Name:           string(kind),
-		Insns:          ds.Program(kind),
-		Hook:           kflex.HookBench,
-		Mode:           kflex.ModeKFlex,
-		HeapSize:       ds.HeapSize(kind),
-		DisableElision: disableElision,
-	})
+	off, err := ds.LoadSpec(kflex.NewRuntime(), kind, func(s *kflex.Spec) { s.DisableElision = disableElision })
 	if err != nil {
 		return 0, err
 	}
-	defer ext.Close()
-	h := ext.Handle(0)
-	runOp := func(op, key, val uint64) (kflex.Result, error) {
-		ctx := make([]byte, kflex.HookBench.CtxSize)
-		binary.LittleEndian.PutUint64(ctx[0:], op)
-		binary.LittleEndian.PutUint64(ctx[8:], key)
-		binary.LittleEndian.PutUint64(ctx[16:], val)
-		return h.Run(nil, ctx)
-	}
-	if _, err := runOp(3, 0, 0); err != nil { // init
-		return 0, err
-	}
+	defer off.Close()
 	const n = 256
-	var guards uint64
+	before := off.Guards()
 	for k := uint64(1); k <= n; k++ {
-		res, err := runOp(0, k, k)
-		if err != nil {
+		if _, err := off.Op(ds.OpUpdate, k, k); err != nil {
 			return 0, err
 		}
-		guards += res.Stats.Guards
 	}
 	for k := uint64(1); k <= n; k++ {
-		res, err := runOp(1, k, 0)
-		if err != nil {
+		if _, err := off.Op(ds.OpLookup, k, 0); err != nil {
 			return 0, err
 		}
-		guards += res.Stats.Guards
 	}
-	return float64(guards) / (2 * n), nil
+	return float64(off.Guards()-before) / (2 * n), nil
 }
 
 // AblProbe quantifies §3.3's claim that cancellation probes cost almost
@@ -474,35 +450,19 @@ func guardsPerOp(kind ds.Kind, disableElision bool) (float64, error) {
 // loop form) vs provably bounded form (no probes).
 func AblProbe(o Options) error {
 	fmt.Fprintln(o.Out, "Ablation: *terminate probe overhead for correct extensions")
-	rt := kflex.NewRuntime()
-	ext, err := rt.Load(kflex.Spec{
-		Name: "probe-abl", Insns: ds.Program(ds.KindLinkedList),
-		Hook: kflex.HookBench, Mode: kflex.ModeKFlex, HeapSize: ds.HeapSize(ds.KindLinkedList),
-	})
+	off, err := ds.LoadSpec(kflex.NewRuntime(), ds.KindLinkedList, nil)
 	if err != nil {
 		return err
 	}
-	defer ext.Close()
-	h := ext.Handle(0)
-	ctx := make([]byte, kflex.HookBench.CtxSize)
-	run := func(op, key, val uint64) kflex.Result {
-		binary.LittleEndian.PutUint64(ctx[0:], op)
-		binary.LittleEndian.PutUint64(ctx[8:], key)
-		binary.LittleEndian.PutUint64(ctx[16:], val)
-		res, err := h.Run(nil, ctx)
-		if err != nil {
-			// Internal invariant: this drives a static, verified program
-			// from this repo; a hard error is a bug, not a runtime state.
-			panic(err)
-		}
-		return res
-	}
-	run(3, 0, 0)
+	defer off.Close()
 	const n = 4096
 	for k := uint64(1); k <= n; k++ {
-		run(0, k, k)
+		off.Update(k, k)
 	}
-	res := run(1, 1, 0) // deepest traversal
+	res, err := off.Op(ds.OpLookup, 1, 0) // deepest traversal
+	if err != nil {
+		return err
+	}
 	total := res.Stats.Insns
 	probes := res.Stats.Probes
 	fmt.Fprintf(o.Out, "full-list lookup: %d instructions, %d probe accesses (%.2f%% of executed work)\n",
@@ -542,11 +502,11 @@ func perfModeGuards(kind ds.Kind, perf bool) (float64, error) {
 	for k := uint64(1); k <= n; k++ {
 		off.Update(k, k)
 	}
-	before := dsGuards(off)
+	before := off.Guards()
 	for k := uint64(1); k <= n; k++ {
 		off.Lookup(k)
 	}
-	return float64(dsGuards(off)-before) / n, nil
+	return float64(off.Guards()-before) / n, nil
 }
 
 // AblXlat quantifies §3.4's translate-on-store: instructions per op with
@@ -554,37 +514,22 @@ func perfModeGuards(kind ds.Kind, perf bool) (float64, error) {
 func AblXlat(o Options) error {
 	fmt.Fprintln(o.Out, "Ablation: translate-on-store (shared heaps) on a store-heavy workload")
 	for _, shared := range []bool{false, true} {
-		rt := kflex.NewRuntime()
-		ext, err := rt.Load(kflex.Spec{
-			Name: "xlat-abl", Insns: ds.Program(ds.KindLinkedList),
-			Hook: kflex.HookBench, Mode: kflex.ModeKFlex,
-			HeapSize: ds.HeapSize(ds.KindLinkedList), ShareHeap: shared,
-		})
+		off, err := ds.LoadSpec(kflex.NewRuntime(), ds.KindLinkedList, func(s *kflex.Spec) { s.ShareHeap = shared })
 		if err != nil {
 			return err
 		}
-		h := ext.Handle(0)
-		ctx := make([]byte, kflex.HookBench.CtxSize)
-		var insns uint64
 		const n = 2048
+		before := off.Insns()
 		for k := uint64(1); k <= n; k++ {
-			binary.LittleEndian.PutUint64(ctx[0:], 0)
-			binary.LittleEndian.PutUint64(ctx[8:], k)
-			binary.LittleEndian.PutUint64(ctx[16:], k)
-			res, err := h.Run(nil, ctx)
-			if err != nil {
-				ext.Close()
+			if err := off.TryUpdate(k, k); err != nil {
+				off.Close()
 				return err
 			}
-			insns += res.Stats.Insns
 		}
-		rep := ext.Report()
+		insns := off.Insns() - before
 		fmt.Fprintf(o.Out, "shared=%v: %.1f insns/op (%d xlat sites), modeled %.1f ns/op\n",
-			shared, float64(insns)/n, rep.XlatStores, netsim.ModelExtNs(insns/n, 3))
-		ext.Close()
+			shared, float64(insns)/n, off.Ext.Report().XlatStores, netsim.ModelExtNs(insns/n, 3))
+		off.Close()
 	}
 	return nil
 }
-
-// dsGuards returns cumulative guard executions of an offloaded structure.
-func dsGuards(o *ds.Offloaded) uint64 { return o.Guards() }

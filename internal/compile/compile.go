@@ -31,7 +31,7 @@
 // unique successor when no control flow can enter between the two. The
 // differential harness at the repository root replays the full test corpus
 // on both tiers and requires byte-identical results and work counters (see
-// DESIGN.md §9).
+// DESIGN.md §3.5).
 package compile
 
 import (
@@ -229,7 +229,6 @@ type Linked struct {
 	// Helpers holds each call site's resolved spec, indexed by the
 	// OpCall Target.
 	Helpers []*kernel.HelperSpec
-	Metrics Metrics
 }
 
 // Link resolves the Unit's call sites against the registry and binds the
@@ -249,7 +248,6 @@ func (u *Unit) Link(lk Linkage) (*Linked, error) {
 		HeapMask: lk.HeapMask,
 		UserBase: lk.UserBase,
 		Helpers:  helpers,
-		Metrics:  u.Metrics,
 	}, nil
 }
 

@@ -77,6 +77,8 @@ func builderFor(kind Kind) *asm.Builder {
 		return sketchProgram(false)
 	case KindCountSketch:
 		return sketchProgram(true)
+	case KindZAdd:
+		return zaddProgram()
 	}
 	// Internal invariant: Kind values are package constants; an unknown one
 	// cannot arrive from extension or workload input.
@@ -101,6 +103,8 @@ func HeapSize(kind Kind) uint64 {
 	switch kind {
 	case KindCountMin, KindCountSketch:
 		return 1 << 20
+	case KindZAdd:
+		return 1 << 27 // the member table beside the skip list
 	default:
 		return 1 << 26 // 64 MiB: room for Figure 5's 64Ki-element structures
 	}
@@ -117,17 +121,27 @@ type Offloaded struct {
 	guards uint64
 }
 
-// Load verifies, instruments, and loads the kind's extension into rt and
-// runs its init operation. perfMode enables §3.2's performance mode.
+// Load loads kind's extension into rt and runs its init operation. perfMode
+// enables §3.2's performance mode.
 func Load(rt *kflex.Runtime, kind Kind, perfMode bool) (*Offloaded, error) {
-	ext, err := rt.Load(kflex.Spec{
+	return LoadSpec(rt, kind, func(s *kflex.Spec) { s.PerfMode = perfMode })
+}
+
+// LoadSpec verifies, instruments, and loads kind's extension into rt and
+// runs its init operation. edit, if not nil, adjusts the spec before the
+// load: the ablation knobs, a fault plan, a cancellation policy.
+func LoadSpec(rt *kflex.Runtime, kind Kind, edit func(*kflex.Spec)) (*Offloaded, error) {
+	spec := kflex.Spec{
 		Name:     string(kind),
 		Insns:    Program(kind),
 		Hook:     kflex.HookBench,
 		Mode:     kflex.ModeKFlex,
 		HeapSize: HeapSize(kind),
-		PerfMode: perfMode,
-	})
+	}
+	if edit != nil {
+		edit(&spec)
+	}
+	ext, err := rt.Load(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -136,40 +150,46 @@ func Load(rt *kflex.Runtime, kind Kind, perfMode bool) (*Offloaded, error) {
 		handle: ext.Handle(0),
 		ctx:    make([]byte, kflex.HookBench.CtxSize),
 	}
-	if ret, err := o.op(OpInit, 0, 0); err != nil {
+	if res, err := o.Op(OpInit, 0, 0); err != nil {
 		return nil, err
-	} else if ret == RetOOM {
+	} else if res.Ret == RetOOM {
 		return nil, fmt.Errorf("ds: %s: init ran out of heap", kind)
 	}
 	return o, nil
 }
 
-func (o *Offloaded) op(op, key, val uint64) (uint64, error) {
+// Op runs one operation — the one place the bench hook's context is encoded:
+// op, key and val in, the out word (Out) cleared. A cancelled invocation is
+// an error, returned with the Result that names the cause.
+func (o *Offloaded) Op(op, key, val uint64) (res kflex.Result, err error) {
 	binary.LittleEndian.PutUint64(o.ctx[ctxOp:], op)
 	binary.LittleEndian.PutUint64(o.ctx[ctxKey:], key)
 	binary.LittleEndian.PutUint64(o.ctx[ctxVal:], val)
 	binary.LittleEndian.PutUint64(o.ctx[ctxOut:], 0)
-	res, err := o.handle.Run(nil, o.ctx)
-	if err != nil {
-		return 0, err
+	if res, err = o.handle.Run(nil, o.ctx); err != nil {
+		return res, err
 	}
 	o.insns += res.Stats.Insns
 	o.guards += res.Stats.Guards
 	if res.Cancelled != kflex.CancelNone {
-		return 0, fmt.Errorf("ds: operation cancelled (%v)", res.Cancelled)
+		err = fmt.Errorf("ds: operation cancelled (%v)", res.Cancelled)
 	}
-	return res.Ret, nil
+	return res, err
 }
+
+// Out returns the context's out word as the last Op left it: the value a
+// lookup found.
+func (o *Offloaded) Out() uint64 { return binary.LittleEndian.Uint64(o.ctx[ctxOut:]) }
 
 // TryUpdate inserts or updates a key, surfacing runtime failures — heap
 // exhaustion, cancellation — as errors for callers that can degrade
 // gracefully (chaos tests, fallback paths).
 func (o *Offloaded) TryUpdate(key, val uint64) error {
-	ret, err := o.op(OpUpdate, key, val)
+	res, err := o.Op(OpUpdate, key, val)
 	if err != nil {
 		return err
 	}
-	if ret == RetOOM {
+	if res.Ret == RetOOM {
 		return fmt.Errorf("ds: heap exhausted updating key %d", key)
 	}
 	return nil
@@ -187,23 +207,23 @@ func (o *Offloaded) Update(key, val uint64) {
 
 // Lookup implements Store.
 func (o *Offloaded) Lookup(key uint64) (uint64, bool) {
-	ret, err := o.op(OpLookup, key, 0)
+	res, err := o.Op(OpLookup, key, 0)
 	if err != nil {
 		panic(err)
 	}
-	if ret != RetFound {
+	if res.Ret != RetFound {
 		return 0, false
 	}
-	return binary.LittleEndian.Uint64(o.ctx[ctxOut:]), true
+	return o.Out(), true
 }
 
 // Delete implements Store.
 func (o *Offloaded) Delete(key uint64) bool {
-	ret, err := o.op(OpDelete, key, 0)
+	res, err := o.Op(OpDelete, key, 0)
 	if err != nil {
 		panic(err)
 	}
-	return ret == RetFound
+	return res.Ret == RetFound
 }
 
 // Insns returns the cumulative instructions executed across operations.

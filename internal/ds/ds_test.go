@@ -1,7 +1,6 @@
 package ds
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -62,6 +61,51 @@ func runEquivalence(t *testing.T, kind Kind, ops int, seed int64, perf bool) {
 		if gok != wok || (gok && gv != wv) {
 			t.Fatalf("%s final: lookup(%d) = (%d,%v), native (%d,%v)", kind, key, gv, gok, wv, wok)
 		}
+	}
+}
+
+// TestOpRoundTripsEveryOpCode drives the encoder directly, one call per op
+// code: what Op puts in the context is what the program's prologue dispatches
+// on, the out word is cleared before each run and carries a lookup's value
+// after it, and the counters advance by what the Result reports.
+func TestOpRoundTripsEveryOpCode(t *testing.T) {
+	o, err := LoadSpec(kflex.NewRuntime(), KindHashMap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	var insns uint64
+	for i, step := range []struct {
+		op, key, val uint64
+		ret, out     uint64
+	}{
+		{OpLookup, 7, 0, RetMiss, 0},
+		{OpUpdate, 7, 41, RetMiss, 0},
+		{OpLookup, 7, 0, RetFound, 41},
+		{OpLookup, 8, 0, RetMiss, 0}, // the 41 of the run before is gone
+		{OpUpdate, 7, 42, RetMiss, 0},
+		{OpLookup, 7, 0, RetFound, 42},
+		{OpDelete, 7, 0, RetFound, 0},
+		{OpDelete, 7, 0, RetMiss, 0},
+		{OpInit, 0, 0, RetMiss, 0},
+		{17, 7, 0, RetMiss, 0}, // no such op: the prologue falls through
+	} {
+		before := o.Insns()
+		res, err := o.Op(step.op, step.key, step.val)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if res.Ret != step.ret || o.Out() != step.out {
+			t.Fatalf("step %d: op %d key %d: ret = %d, out = %d, want %d and %d",
+				i, step.op, step.key, res.Ret, o.Out(), step.ret, step.out)
+		}
+		if res.Stats.Insns == 0 || o.Insns()-before != res.Stats.Insns {
+			t.Fatalf("step %d: Insns advanced by %d, the run executed %d", i, o.Insns()-before, res.Stats.Insns)
+		}
+		insns += res.Stats.Insns
+	}
+	if insns == 0 || o.Guards() == 0 {
+		t.Fatalf("counters: %d insns, %d guards", insns, o.Guards())
 	}
 }
 
@@ -232,42 +276,28 @@ type zaddHarness struct {
 
 func loadZAdd(t *testing.T) *zaddHarness {
 	t.Helper()
-	rt := kflex.NewRuntime()
-	ext, err := rt.Load(kflex.Spec{
-		Name:     "zadd",
-		Insns:    ZAddProgram(),
-		Hook:     kflex.HookBench,
-		Mode:     kflex.ModeKFlex,
-		HeapSize: 64 << 20,
-	})
+	o, err := LoadSpec(kflex.NewRuntime(), KindZAdd, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	o := &Offloaded{Ext: ext, handle: ext.Handle(0), ctx: make([]byte, kflex.HookBench.CtxSize)}
-	if ret, err := o.op(OpInit, 0, 0); err != nil || ret == RetOOM {
-		t.Fatalf("zadd init: ret=%d err=%v", ret, err)
 	}
 	t.Cleanup(o.Close)
 	return &zaddHarness{o: o}
 }
 
 func (z *zaddHarness) ZAdd(t *testing.T, member, score uint64) bool {
-	ret, err := z.o.op(OpUpdate, member, score)
+	res, err := z.o.Op(OpUpdate, member, score)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ret == RetFound
+	return res.Ret == RetFound
 }
 
 func (z *zaddHarness) Score(t *testing.T, member uint64) (uint64, bool) {
-	ret, err := z.o.op(OpLookup, member, 0)
+	res, err := z.o.Op(OpLookup, member, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ret != RetFound {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(z.o.ctx[ctxOut:]), true
+	return z.o.Out(), res.Ret == RetFound
 }
 
 func TestZAddEquivalence(t *testing.T) {

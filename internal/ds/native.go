@@ -40,6 +40,11 @@ const (
 	KindCountSketch Kind = "countsketch"
 )
 
+// KindZAdd is §5.2's sorted-set offload (zadd.go): the same hook and
+// operation codes, but its native twin is a NativeZSet, not a Store, and it
+// is not one of Figure 5's structures.
+const KindZAdd Kind = "zadd"
+
 // Kinds lists every structure in Figure 5's order.
 var Kinds = []Kind{KindHashMap, KindRBTree, KindLinkedList, KindSkipList, KindCountMin, KindCountSketch}
 

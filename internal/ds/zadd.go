@@ -34,11 +34,11 @@ func zaddCompose(member, score uint64) uint64 {
 	return score<<zaddMemberBits | member&(1<<zaddMemberBits-1)
 }
 
-// ZAddProgram builds the ZADD extension. Ops: OpUpdate = ZADD(member=key,
-// score=val) returning 1 when the member was newly added and 0 on a score
-// update; OpLookup returns the member's score; OpInit allocates the table
-// and skip-list head.
-func ZAddProgram() []insn.Instruction {
+// zaddProgram builds the ZADD extension (KindZAdd). Ops: OpUpdate =
+// ZADD(member=key, score=val) returning 1 when the member was newly added
+// and 0 on a score update; OpLookup returns the member's score; OpInit
+// allocates the table and skip-list head.
+func zaddProgram() *asm.Builder {
 	b := asm.New()
 	prologue(b)
 
@@ -148,7 +148,7 @@ func ZAddProgram() []insn.Instruction {
 	b.Label("delete")
 	b.Ret(RetMiss)
 
-	return b.MustAssemble()
+	return b
 }
 
 // emitZaddComposite sets R7 = compose(*(fp-56), *(fp-48)). Clobbers R0–R2.
@@ -199,21 +199,3 @@ func (z *NativeZSet) Score(member uint64) (uint64, bool) {
 
 // Len returns the member count.
 func (z *NativeZSet) Len() int { return len(z.scores) }
-
-// Rank walks the skip list and returns the member's 0-based rank by score
-// (reference-model helper for tests).
-func (z *NativeZSet) Rank(member uint64) (int, bool) {
-	score, ok := z.scores[member]
-	if !ok {
-		return 0, false
-	}
-	target := zaddCompose(member, score)
-	rank := 0
-	for n := z.skip.head.next[0]; n != nil; n = n.next[0] {
-		if n.key == target {
-			return rank, true
-		}
-		rank++
-	}
-	return 0, false
-}

@@ -80,7 +80,7 @@ func TestRingTailMatchesModel(t *testing.T) {
 			dir := NewMemDir(nil)
 			s, _ := mustOpen(t, dir, Options{TailRecords: bound, SegmentBytes: 2048})
 			m := &tailModel{bound: bound, start: 1}
-			src := NewMemory()
+			src := newStore(t)
 			for step := 0; step < 40+8*bound; step++ {
 				k := key(rng.Intn(12))
 				// Values of varying length, so a reused slot both grows
@@ -169,7 +169,7 @@ func TestRollKeepsSegmentUntilSynced(t *testing.T) {
 // TestRangeSortedSnapshot pins Range's contract: sorted key order, one
 // consistent view, and fn free to call back into the store.
 func TestRangeSortedSnapshot(t *testing.T) {
-	s := NewMemory()
+	s := newStore(t)
 	for _, i := range []int{5, 1, 4, 2, 3} {
 		s.Set(key(i), value(i))
 	}

@@ -4,7 +4,7 @@
 //
 // The paper's practicality claim rests on extensions that can crash, be
 // quarantined, and come back without losing the service they front. The
-// supervisor (DESIGN.md §8) restores a reloaded extension from its
+// supervisor (DESIGN.md §5) restores a reloaded extension from its
 // write-through store; this package makes that store itself survive
 // process death, and makes reload recovery O(delta): replay the records
 // appended since the latest snapshot instead of re-pushing every key.

@@ -20,6 +20,14 @@ func mustOpen(t *testing.T, dir Dir, opts Options) (*Store, RecoveryInfo) {
 	return s, info
 }
 
+// newStore opens an empty store on a device of its own, for tests that never
+// look at the device.
+func newStore(t *testing.T) *Store {
+	t.Helper()
+	s, _ := mustOpen(t, NewMemDir(nil), Options{})
+	return s
+}
+
 // oracle replays a mutation history up to seq — the ground truth a
 // recovered store must exactly match (the verified-prefix contract).
 type oracle struct {
@@ -636,8 +644,8 @@ func TestRecordsSinceAndTailPruning(t *testing.T) {
 }
 
 func TestApplyReplicated(t *testing.T) {
-	primary := NewMemory()
-	follower := NewMemory()
+	primary := newStore(t)
+	follower := newStore(t)
 	for i := 0; i < 20; i++ {
 		primary.Set(key(i), value(i))
 	}

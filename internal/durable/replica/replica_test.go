@@ -11,9 +11,20 @@ import (
 func key(i int) []byte   { return []byte(fmt.Sprintf("key-%04d", i)) }
 func value(i int) []byte { return []byte(fmt.Sprintf("value-%04d", i)) }
 
+// newStore opens an empty store on a device of its own, for a primary or a
+// follower whose device the test never looks at.
+func newStore(t *testing.T) *durable.Store {
+	t.Helper()
+	s, _, err := durable.Open(durable.NewMemDir(nil), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestIncrementalCatchUp(t *testing.T) {
-	primary := durable.NewMemory()
-	local := durable.NewMemory()
+	primary := newStore(t)
+	local := newStore(t)
 	f := NewFollower(primary, local)
 
 	for i := 0; i < 50; i++ {
@@ -50,7 +61,7 @@ func TestFullSyncWhenBehindTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := durable.NewMemory()
+	local := newStore(t)
 	f := NewFollower(primary, local)
 
 	// Far more writes than the tail holds: incremental shipping cannot
@@ -75,7 +86,7 @@ func TestFullSyncWhenBehindTail(t *testing.T) {
 }
 
 func TestPromoteServesReplicatedPrefixDurably(t *testing.T) {
-	primary := durable.NewMemory()
+	primary := newStore(t)
 	followerDir := durable.NewMemDir(nil)
 	local, _, err := durable.Open(followerDir, durable.Options{})
 	if err != nil {
@@ -118,8 +129,8 @@ func TestDivergedReplicaForcesFullSync(t *testing.T) {
 	// A rogue local write keeps the follower's sequence in lockstep with
 	// the primary while the contents diverge — invisible to per-record
 	// verification, caught by the anti-entropy digest check.
-	primary := durable.NewMemory()
-	local := durable.NewMemory()
+	primary := newStore(t)
+	local := newStore(t)
 	f := NewFollower(primary, local)
 	primary.Set(key(0), value(0))
 	if _, err := f.CatchUp(); err != nil {
@@ -149,8 +160,8 @@ func TestRepeatedDigestMismatchConvergesByFullSync(t *testing.T) {
 	// mismatched (the replica was re-poisoned after the first recovery),
 	// and each recovers by full copy. After the second, the follower is
 	// clean and replication returns to incremental shipping.
-	primary := durable.NewMemory()
-	local := durable.NewMemory()
+	primary := newStore(t)
+	local := newStore(t)
 	f := NewFollower(primary, local)
 	for i := 0; i < 20; i++ {
 		primary.Set(key(i), value(i))
@@ -200,8 +211,8 @@ func TestCorruptShippedRecordRejectedThenConverges(t *testing.T) {
 	// A shipped record corrupted in transit must be rejected by the CRC
 	// check without mutating the follower, and the next catch-up must
 	// converge by re-shipping the clean records — repeatedly.
-	primary := durable.NewMemory()
-	local := durable.NewMemory()
+	primary := newStore(t)
+	local := newStore(t)
 	f := NewFollower(primary, local)
 	primary.Set(key(0), value(0))
 	if _, err := f.CatchUp(); err != nil {
@@ -343,7 +354,7 @@ func TestFollowerTailsAcrossRingWraps(t *testing.T) {
 
 	// And incremental again afterwards, across another lap and a half;
 	// a follower of the follower sees the same ring semantics downstream.
-	second := NewFollower(local, durable.NewMemory())
+	second := NewFollower(local, newStore(t))
 	if _, err := second.CatchUp(); err != nil {
 		t.Fatal(err)
 	}

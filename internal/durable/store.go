@@ -94,8 +94,8 @@ type Store struct {
 	seq  uint64
 	opts Options
 
-	dir Dir  // nil: memory-only (durability off)
-	log *wal // nil iff dir is nil
+	dir Dir
+	log *wal
 
 	// tail is a ring of the most recent encoded records for RecordsSince —
 	// the incremental-resync and replication feed. It grows one slot at a
@@ -116,16 +116,6 @@ type Store struct {
 	sinceSync uint64
 	sinceSnap uint64
 	metrics   Metrics
-}
-
-// NewMemory returns a Store with durability off: same surface, no device.
-// The replication tests use it for a primary or follower whose device is
-// beside the point (a supervised deployment with no WAL directory runs on
-// offload.NewStore, not on this).
-func NewMemory() *Store {
-	var o Options
-	o.defaults()
-	return &Store{kv: make(map[string][]byte), opts: o, tailStart: 1}
 }
 
 // Open recovers (or initializes) a Store from dir: it loads the newest
@@ -225,9 +215,6 @@ func (s *Store) mutate(op byte, key, value []byte) {
 //   - A failed fsync leaves a valid prefix — no gap — so logging
 //     continues; the unsynced tail is simply what a crash may lose.
 func (s *Store) logRecord(enc []byte, seq uint64) {
-	if s.log == nil {
-		return
-	}
 	if !s.logBroken {
 		s.metrics.Appends++
 		if err := s.log.append(enc, seq); err != nil {
@@ -353,7 +340,7 @@ func (s *Store) RecordsSince(from uint64) (recs [][]byte, ok bool) {
 }
 
 // Snapshot publishes a snapshot at the current sequence and compacts
-// fully-covered WAL segments. No-op for memory-only stores.
+// fully-covered WAL segments.
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,9 +348,6 @@ func (s *Store) Snapshot() error {
 }
 
 func (s *Store) snapshotLocked() error {
-	if s.dir == nil {
-		return nil
-	}
 	// The snapshot covers every mutation up to seq; sync the log first so
 	// the no-lost-prefix invariant survives a crash between the two.
 	s.log.sync()
@@ -400,9 +384,6 @@ func (s *Store) snapshotLocked() error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
 	s.metrics.Syncs++
 	if err := s.log.sync(); err != nil {
 		s.metrics.SyncErrs++
@@ -416,9 +397,7 @@ func (s *Store) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.metrics
-	if s.log != nil {
-		m.SyncErrs += s.log.rollSyncErrs
-	}
+	m.SyncErrs += s.log.rollSyncErrs
 	return m
 }
 
@@ -494,12 +473,10 @@ func (s *Store) CopyFrom(src *Store) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log != nil {
-		s.metrics.Syncs++
-		if err := s.log.sync(); err != nil {
-			s.metrics.SyncErrs++
-		}
-		s.log.close()
+	s.metrics.Syncs++
+	if err := s.log.sync(); err != nil {
+		s.metrics.SyncErrs++
 	}
+	s.log.close()
 	return nil
 }

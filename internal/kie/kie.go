@@ -3,10 +3,10 @@
 // it rewrites the instruction stream to:
 //
 //   - sanitize heap accesses with SFI guards (mask + base add, §3.2),
-//     eliding guards the range analysis proved unnecessary and, in
-//     performance mode, not emitting read-path guards at all (§4.2) —
-//     the one place the mode is resolved, so every execution tier runs
-//     the same stream;
+//     eliding guards the range analysis proved unnecessary (unless the
+//     §5.4 ablation disables elision) and, in performance mode, not
+//     emitting read-path guards at all (§4.2) — the one place either knob
+//     is resolved, so every execution tier runs the same stream;
 //   - plant *terminate probes at the back edges of loops whose termination
 //     could not be proven, turning them into class-1 cancellation points
 //     (§3.3);
@@ -104,13 +104,18 @@ func Instrument(an *verifier.Analysis) (*Report, error) {
 	if len(an.Facts) != n {
 		return nil, fmt.Errorf("kie: analysis facts (%d) do not match program length (%d)", len(an.Facts), n)
 	}
-	// A read guard is a distinct opcode, and the one performance mode omits
-	// (§3.2, §4.2), only when it does no translation work: with a shared,
-	// translated heap the stored pointers are user VAs and reads must
-	// re-base them, so those guards are ordinary ones in either mode.
+	// Kie owns three decisions about a heap access, each read from
+	// an.Config. Whether it is guarded: where the verifier asked for one,
+	// or everywhere under DisableElision (the §5.4 ablation; the Facts keep
+	// the verifier's verdicts). Whether the guard is a read guard: a
+	// distinct opcode, and the one performance mode omits (§3.2, §4.2), only
+	// when it does no translation work — with a shared, translated heap the
+	// stored pointers are user VAs and reads must re-base them, so those
+	// guards are ordinary ones in either mode. And whether it is emitted.
+	guarded := func(f verifier.AccessFact) bool { return f.Guard || an.Config.DisableElision }
 	readGuard := func(f verifier.AccessFact) bool { return f.Read && !an.Config.ShareHeap }
 	emitted := func(f verifier.AccessFact) bool {
-		return f.HeapAccess && f.Guard && !(an.Config.PerfMode && readGuard(f))
+		return f.HeapAccess && guarded(f) && !(an.Config.PerfMode && readGuard(f))
 	}
 
 	// Tails of unbounded retreating edges receive a probe.
@@ -165,7 +170,7 @@ func Instrument(an *verifier.Analysis) (*Report, error) {
 		if f.HeapAccess {
 			base := heapBaseReg(ins)
 			switch {
-			case f.Guard:
+			case guarded(f):
 				if readGuard(f) {
 					if emitted(f) {
 						out = append(out, insn.GuardRd(base))

@@ -146,7 +146,7 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	// so the drain below — which reads the counters after the store —
 	// cannot miss it.
 	s.mu.Lock()
-	rep := MigrationReport{From: from, To: to, Gen: s.cur.gen, Phase: PhaseAdmit}
+	rep := MigrationReport{From: from, To: to, Gen: s.cur.Gen, Phase: PhaseAdmit}
 	if err := s.admitMigrationLocked(&rep, from, to); err != nil {
 		s.stats.MigrationFailures++
 		s.stats.LastMigration = rep
@@ -203,10 +203,10 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 		return s.rollbackMigration(rep, start, nil,
 			fmt.Errorf("relink failed: %w", faultinject.ErrInjected))
 	}
-	if src.ext.Heap() == nil {
+	if src.Ext.Heap() == nil {
 		return s.rollbackMigration(rep, start, nil, fmt.Errorf("extension has no heap to migrate"))
 	}
-	target, err := s.load(src.gen+1, route, src.ext)
+	target, err := s.load(src.Gen+1, route, src.Ext)
 	if err != nil {
 		return s.rollbackMigration(rep, start, nil, fmt.Errorf("relink: %w", err))
 	}
@@ -221,7 +221,7 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 		return s.rollbackMigration(rep, start, target,
 			fmt.Errorf("target adoption failed: %w", faultinject.ErrInjected))
 	}
-	initRep, err := s.init(target, true)
+	initRep, err := s.init(target)
 	if err != nil {
 		return s.rollbackMigration(rep, start, target, fmt.Errorf("target adoption: %w", err))
 	}
@@ -239,7 +239,7 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	}
 	s.installLocked(target, initRep)
 	s.route = route
-	rep.Gen = target.gen
+	rep.Gen = target.Gen
 	rep.Pause = s.cfg.Tuning.Now().Sub(start)
 	s.stats.Migrations++
 	s.stats.LastMigration = rep
@@ -256,7 +256,7 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	// The vacated slot's private magazines would be stranded — no handle
 	// routes to it, so no Malloc can ever pop them again. Spill them back
 	// to the depot where any CPU can refill from them.
-	target.ext.Alloc().RetireCPU(rep.FromSlot)
+	target.Ext.Alloc().RetireCPU(rep.FromSlot)
 	return rep, nil
 }
 
@@ -291,18 +291,18 @@ func (s *Supervisor) admitMigrationLocked(rep *MigrationReport, from, to int) er
 // un-moved source, and the typed error reports the failing phase. The
 // source generation was never unpublished, so there is nothing to
 // restore — rollback is discard-and-resume.
-func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, target *generation, cause error) (MigrationReport, error) {
+func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, target *Generation, cause error) (MigrationReport, error) {
 	if target != nil {
 		s.discard(target, true) // the source still owns the heap
 		// The adoption resync may have populated magazines at the target
 		// slot; nothing routes there after rollback, so spill them back to
 		// the depot.
-		target.ext.Alloc().RetireCPU(rep.To)
+		target.Ext.Alloc().RetireCPU(rep.To)
 	}
 	s.mu.Lock()
 	rep.RolledBack = true
 	rep.Err = cause.Error()
-	rep.Gen = s.cur.gen
+	rep.Gen = s.cur.Gen
 	rep.Pause = s.cfg.Tuning.Now().Sub(start)
 	s.stats.MigrationFailures++
 	s.stats.LastMigration = rep

@@ -70,10 +70,8 @@ func TestCancelPolicy(t *testing.T) {
 			kind: kflex.CancelHelper,
 		},
 		{
-			name: "watchdog",
-			tuning: func(tu *supervisor.Tuning) {
-				tu.WatchdogQuantum, tu.WatchdogPoll = 10*time.Millisecond, 2*time.Millisecond
-			},
+			name:   "watchdog",
+			tuning: func(tu *supervisor.Tuning) { tu.WatchdogQuantum = 10 * time.Millisecond },
 			cancel: func(sup *supervisor.Supervisor, plan *faultinject.Plan, hctx []byte) (kflex.Result, error) {
 				return sup.Run(0, nil, hctx)
 			},

@@ -182,10 +182,9 @@ type Tuning struct {
 	DrainTimeout time.Duration
 	// WatchdogQuantum, when positive, makes the supervisor arm a
 	// wall-clock stall watchdog on every generation it loads, migration
-	// targets included, over every slot of its handle table. WatchdogPoll
-	// is the scan interval (default quantum/2).
+	// targets included, over every slot of its handle table, scanning
+	// twice a quantum.
 	WatchdogQuantum time.Duration
-	WatchdogPoll    time.Duration
 	// TraceDepth bounds the retained transition history (default 256) and
 	// AuditDepth the retained audit reports (default 64); older entries
 	// are evicted oldest-first while Stats keeps lifetime totals, so soak
@@ -194,18 +193,21 @@ type Tuning struct {
 	AuditDepth int
 }
 
-// Generation hands a freshly loaded extension instance to the Init
-// callback.
+// Generation is one loaded instance of the extension: what the supervisor
+// runs on and what it hands the Init callback. It is immutable once built,
+// so run may use a pointer to it without holding mu.
 type Generation struct {
-	Ext     *kflex.Extension
+	Ext *kflex.Extension
+	// Handles holds each logical CPU's handle, at its routed physical slot.
 	Handles []*kflex.Handle
-	// Gen is the generation number Init is initialising.
+	// Gen is 0 for the initial load and grows by one per successful reload
+	// or committed migration.
 	Gen uint64
-	// Warm reports that this generation adopted the previous generation's
-	// heap (Config.WarmReload and a clean quarantine audit): the data the
-	// old generation accumulated is already in place, so Init should
-	// replay only the delta its store tracked as dirty — not re-push
-	// every key.
+	// Warm reports that this generation was loaded onto a donor's heap — the
+	// previous generation's (Config.WarmReload and a clean quarantine audit)
+	// or a migration source's: the data the donor accumulated is already in
+	// place, so Init should replay only the delta its store tracked as
+	// dirty — not re-push every key.
 	Warm bool
 }
 
@@ -300,7 +302,7 @@ type Supervisor struct {
 	// live is the generation a healthy invocation runs on: non-nil exactly
 	// while state is Healthy. It is stored only under mu, at the statement
 	// that changes state, and loaded by run without any lock.
-	live atomic.Pointer[generation]
+	live atomic.Pointer[Generation]
 	// cpus holds each logical CPU's in-flight and work counters, one padded
 	// slot per CPU so the per-invocation writes of different CPUs never
 	// share a cache line.
@@ -318,7 +320,7 @@ type Supervisor struct {
 	closed bool
 	// cur is the loaded generation in every state (nil only inside New,
 	// before the first load); Healthy publishes it as live.
-	cur      *generation
+	cur      *Generation
 	tier     int
 	reloadAt time.Time
 	// probeLeft is the number of further probe successes required to
@@ -338,16 +340,6 @@ type Supervisor struct {
 	// slots is the extension's physical handle-slot count (Spec.NumCPUs
 	// after the runtime's defaulting); migration targets must lie below it.
 	slots int
-}
-
-// generation is one loaded instance of the extension: immutable once
-// built, so run may use a pointer to it without holding mu.
-type generation struct {
-	// gen is 0 for the initial load and grows by one per successful reload
-	// or committed migration.
-	gen     uint64
-	ext     *kflex.Extension
-	handles []*kflex.Handle
 }
 
 // cpuSlot is one logical CPU's share of the invocation path.
@@ -397,22 +389,19 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Tuning.DrainTimeout <= 0 {
 		cfg.Tuning.DrainTimeout = time.Second
 	}
-	if cfg.Tuning.WatchdogQuantum > 0 && cfg.Tuning.WatchdogPoll <= 0 {
-		cfg.Tuning.WatchdogPoll = cfg.Tuning.WatchdogQuantum / 2
-	}
 	if cfg.Tuning.TraceDepth <= 0 {
 		cfg.Tuning.TraceDepth = 256
 	}
 	if cfg.Tuning.AuditDepth <= 0 {
 		cfg.Tuning.AuditDepth = 64
 	}
-	// slots mirrors the runtime's Spec.NumCPUs defaulting: the extension's
-	// physical handle-slot table. Migration needs headroom, so a spec may
+	// slots is the extension's physical handle-slot table, defaulted as
+	// Runtime.Load defaults it. Migration needs headroom, so a spec may
 	// declare more slots than the supervisor's logical CPUs — but never
 	// fewer.
 	slots := cfg.Spec.NumCPUs
 	if slots <= 0 {
-		slots = 8
+		slots = kflex.DefaultNumCPUs
 	}
 	if cfg.NumCPUs > slots {
 		return nil, fmt.Errorf("supervisor: NumCPUs %d exceeds the extension's %d handle slots", cfg.NumCPUs, slots)
@@ -479,14 +468,14 @@ func (s *Supervisor) run(ctx context.Context, cpu int, event any, hctx []byte) (
 	for {
 		slot.inflight.Add(1)
 		if g := s.live.Load(); g != nil {
-			h := g.handles[cpu]
+			h := g.Handles[cpu]
 			res, err := invoke(ctx, h, event, hctx)
 			slot.work.Add(res.Stats.Insns)
 			if retiredOutcome(res, err, h) {
 				// Lowered around the quarantine, which drains these counters
 				// and must not wait on its own caller.
 				slot.inflight.Add(-1)
-				s.quarantineOn(g.gen, "cancel threshold")
+				s.quarantineOn(g.Gen, "cancel threshold")
 				slot.inflight.Add(1)
 			}
 			slot.inflight.Add(-1)
@@ -529,10 +518,10 @@ func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hct
 	// be visible to the drain of a migration admitted right after.
 	slot.inflight.Add(1)
 	s.mu.Unlock()
-	res, err = invoke(ctx, g.handles[cpu], event, hctx)
+	res, err = invoke(ctx, g.Handles[cpu], event, hctx)
 	slot.work.Add(res.Stats.Insns)
 	slot.inflight.Add(-1) // before settling, as in run: a failed probe drains
-	s.settleProbe(g.gen, res, err)
+	s.settleProbe(g.Gen, res, err)
 	return res, true, err
 }
 
@@ -554,7 +543,7 @@ func retiredOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
 // supervisor already cycled.
 func (s *Supervisor) quarantineOn(gen uint64, reason string) {
 	s.mu.Lock()
-	if gen != s.cur.gen || s.state != Healthy {
+	if gen != s.cur.Gen || s.state != Healthy {
 		s.mu.Unlock()
 		return
 	}
@@ -567,7 +556,7 @@ func (s *Supervisor) settleProbe(gen uint64, res kflex.Result, err error) {
 	probeOK := err == nil && res.Cancelled == kflex.CancelNone
 	s.mu.Lock()
 	s.probesInFlight--
-	if gen != s.cur.gen || s.state != Probing {
+	if gen != s.cur.Gen || s.state != Probing {
 		s.mu.Unlock()
 		return
 	}
@@ -599,7 +588,7 @@ func (s *Supervisor) backoffLocked() {
 }
 
 func (s *Supervisor) record(from, to State, reason string) {
-	s.trace.push(Transition{From: from, To: to, Reason: reason, Gen: s.cur.gen, Tier: s.tier})
+	s.trace.push(Transition{From: from, To: to, Reason: reason, Gen: s.cur.Gen, Tier: s.tier})
 	s.stats.Transitions++
 }
 
@@ -617,14 +606,14 @@ func (s *Supervisor) State() State {
 func (s *Supervisor) Extension() *kflex.Extension {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur.ext
+	return s.cur.Ext
 }
 
 // Gen returns the live generation number (0 for the initial load).
 func (s *Supervisor) Gen() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur.gen
+	return s.cur.Gen
 }
 
 // Reloads returns how many successful reloads have happened.

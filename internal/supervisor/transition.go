@@ -36,11 +36,11 @@ import (
 
 // load builds generation gen with one handle per logical CPU at its routed
 // physical slot, so a migrated CPU keeps its migrated home across reloads.
-// Given a donor the generation adopts its heap and allocator (Spec.Adopt,
-// validated by Runtime.Load) instead of linking a fresh heap. With an
-// unchanged spec the verify/instrument/lower artifacts come from the compile
-// cache, so the cost is the link stage, not a recompile.
-func (s *Supervisor) load(gen uint64, route []int, donor *kflex.Extension) (*generation, error) {
+// Given a donor the generation is Warm: it adopts the donor's heap and
+// allocator (Spec.Adopt, validated by Runtime.Load) instead of building a
+// fresh heap. With an unchanged spec the compiled artifacts come from the
+// compile cache, so the cost is the heap and link stages, not a recompile.
+func (s *Supervisor) load(gen uint64, route []int, donor *kflex.Extension) (*Generation, error) {
 	spec := s.cfg.Spec
 	spec.Adopt = donor
 	ext, err := s.cfg.Runtime.Load(spec)
@@ -49,22 +49,22 @@ func (s *Supervisor) load(gen uint64, route []int, donor *kflex.Extension) (*gen
 	}
 	if q := s.cfg.Tuning.WatchdogQuantum; q > 0 {
 		// Covers every slot of the extension, routed to or not.
-		ext.StartWatchdog(q, s.cfg.Tuning.WatchdogPoll)
+		ext.StartWatchdog(q, q/2)
 	}
 	handles := make([]*kflex.Handle, len(route))
 	for cpu, slot := range route {
 		handles[cpu] = ext.Handle(slot)
 	}
-	return &generation{gen: gen, ext: ext, handles: handles}, nil
+	return &Generation{Ext: ext, Handles: handles, Gen: gen, Warm: donor != nil}, nil
 }
 
-// init runs Config.Init on g. warm tells Init that g adopted a populated
+// init runs Config.Init on g; g.Warm tells it that g adopted a populated
 // heap and only the delta needs replaying.
-func (s *Supervisor) init(g *generation, warm bool) (InitReport, error) {
+func (s *Supervisor) init(g *Generation) (InitReport, error) {
 	if s.cfg.Init == nil {
 		return InitReport{}, nil
 	}
-	return s.cfg.Init(Generation{Ext: g.ext, Handles: g.handles, Gen: g.gen, Warm: warm})
+	return s.cfg.Init(*g)
 }
 
 // discard retires g. A generation that owns its heap closes it (detaching
@@ -72,17 +72,17 @@ func (s *Supervisor) init(g *generation, warm bool) (InitReport, error) {
 // a migration's source after the publish, its half-built target on rollback,
 // a quarantined generation whose heap the next one will adopt — only stops
 // its own watchdog: the heap and its allocator belong to the survivor.
-func (s *Supervisor) discard(g *generation, heapLivesOn bool) {
-	g.ext.Unload()
+func (s *Supervisor) discard(g *Generation, heapLivesOn bool) {
+	g.Ext.Unload()
 	if heapLivesOn {
-		g.ext.StopWatchdog()
+		g.Ext.StopWatchdog()
 	} else {
-		g.ext.Close()
+		g.Ext.Close()
 	}
 }
 
 // installLocked makes g the current generation and accounts its InitReport.
-func (s *Supervisor) installLocked(g *generation, rep InitReport) {
+func (s *Supervisor) installLocked(g *Generation, rep InitReport) {
 	s.cur = g
 	s.stats.LastInit = rep
 	s.stats.ResyncOps += uint64(rep.ResyncOps)
@@ -125,8 +125,8 @@ func (s *Supervisor) auditLocked(reason string) AuditReport {
 		plan.Disarm()
 		defer plan.Enable()
 	}
-	ext := s.cur.ext
-	rep := AuditReport{Ext: s.name(), Gen: s.cur.gen, Reason: reason}
+	ext := s.cur.Ext
+	rep := AuditReport{Ext: s.name(), Gen: s.cur.Gen, Reason: reason}
 	rep.HeldRefs, rep.HeldLocks = ext.AuditHeld()
 	if h := ext.Heap(); h != nil {
 		rep.PopulatedPages = h.PopulatedPages()
@@ -150,12 +150,12 @@ func (s *Supervisor) auditLocked(reason string) AuditReport {
 // build is load + init for a generation that owns its heap (fresh, or
 // adopted from a donor already retired): an Init failure discards it, heap
 // included.
-func (s *Supervisor) build(gen uint64, donor *kflex.Extension) (*generation, InitReport, error) {
+func (s *Supervisor) build(gen uint64, donor *kflex.Extension) (*Generation, InitReport, error) {
 	g, err := s.load(gen, s.route, donor)
 	if err != nil {
 		return nil, InitReport{}, fmt.Errorf("supervisor: reload: %w", err)
 	}
-	rep, err := s.init(g, donor != nil)
+	rep, err := s.init(g)
 	if err != nil {
 		s.discard(g, false)
 		return nil, rep, fmt.Errorf("supervisor: init: %w", err)
@@ -176,7 +176,7 @@ func (s *Supervisor) quarantineUnlock(reason string) {
 	// it unloaded and takes the fallback.
 	s.live.Store(nil)
 	g := s.cur
-	g.ext.Unload()
+	g.Ext.Unload()
 	if s.state == Healthy {
 		s.record(Degraded, Quarantined, reason)
 	}
@@ -210,10 +210,10 @@ func (s *Supervisor) quarantineUnlock(reason string) {
 // before giving up.
 func (s *Supervisor) reloadLocked() {
 	start := s.cfg.Tuning.Now()
-	gen := s.cur.gen + 1
+	gen := s.cur.Gen + 1
 	var donor *kflex.Extension
-	if h := s.cur.ext.Heap(); h != nil && !h.Closed() {
-		donor = s.cur.ext // its quarantine kept the heap: drained and clean
+	if h := s.cur.Ext.Heap(); h != nil && !h.Closed() {
+		donor = s.cur.Ext // its quarantine kept the heap: drained and clean
 	}
 	s.busy = true
 	s.mu.Unlock()

@@ -55,9 +55,6 @@ func (t T) In(u T) bool {
 	return t.Value&^u.Mask == u.Value
 }
 
-// Eq reports whether two tnums are identical abstract values.
-func (t T) Eq(u T) bool { return t == u }
-
 // Min returns the smallest unsigned member.
 func (t T) Min() uint64 { return t.Value }
 

@@ -570,10 +570,3 @@ func refsString(refs map[int]ref) string {
 	sb.WriteByte('}')
 	return sb.String()
 }
-
-// equal reports exact abstract equality (used for infinite-loop detection in
-// eBPF-compat mode: identical state at the same loop point means no
-// progress can ever be proven).
-func (s *state) equal(o *state) bool {
-	return s.le(o) && o.le(s)
-}

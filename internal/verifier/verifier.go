@@ -46,6 +46,11 @@ type Config struct {
 	// does not mark the base register sanitized. This keeps write elision
 	// sound (writes are always sanitized).
 	PerfMode bool
+	// DisableElision is the §5.4 ablation baseline: Kie guards every heap
+	// access whatever the range analysis proved. The verifier itself ignores
+	// it — Facts stay its true verdicts — and carries it to Kie in Config
+	// beside PerfMode and ShareHeap, the other two knobs Kie reads.
+	DisableElision bool
 }
 
 // DefaultInsnBudget caps states processed during symbolic execution.

@@ -191,10 +191,10 @@ func TestBackToBackInvocationsNeverFire(t *testing.T) {
 	}
 }
 
-// TestWatchExecAfterStart: a context that has never run when polling
+// TestWatchdogCoversIdleExec: a context that has never run when polling
 // starts — any slot but the first of a constructor set — is covered like
 // one already busy.
-func TestWatchExecAfterStart(t *testing.T) {
+func TestWatchdogCoversIdleExec(t *testing.T) {
 	p := spinningProgram(t)
 	execs := []*vm.Exec{p.NewExec(0), p.NewExec(1), p.NewExec(2), p.NewExec(3)}
 	w := New(10*time.Millisecond, 2*time.Millisecond, execs)

@@ -123,6 +123,10 @@ func (e *DegradedError) Error() string {
 // Is makes errors.Is(err, ErrFallback) hold for every DegradedError.
 func (e *DegradedError) Is(target error) bool { return target == ErrFallback }
 
+// DefaultNumCPUs is the Spec.NumCPUs a spec that leaves it zero is loaded
+// with: the size of the extension's per-CPU handle-slot table.
+const DefaultNumCPUs = 8
+
 // CancelNever is the Spec.CancelThreshold no run reaches: every
 // cancellation stays scoped to its invocation and the extension is never
 // retired by policy.
@@ -159,11 +163,10 @@ type Spec struct {
 	// invocation (§4.3). It is verified under callback restrictions: no
 	// heap access, no unbounded loops.
 	Callback []insn.Instruction
-	// NumCPUs sizes per-CPU allocator caches (default 8). Handle CPU
-	// indices should stay below it.
+	// NumCPUs is the number of per-CPU execution contexts, and allocator
+	// caches, Load builds (default DefaultNumCPUs). Handle CPU indices
+	// should stay below it.
 	NumCPUs int
-	// InsnBudget overrides the verifier's work budget (0 = default).
-	InsnBudget int
 	// DisableElision forces an SFI guard on every heap access, ignoring
 	// the range analysis — the §5.4 ablation baseline.
 	DisableElision bool
@@ -194,7 +197,7 @@ type Spec struct {
 	// donor must run nothing on it once the new extension takes traffic.
 	// Adoption is the supervisor's warm-reload and migration path: the data
 	// a healthy extension accumulated survives the generation swap, so
-	// recovery replays only the delta. Runtime-only: like FaultPlan, it
+	// recovery replays only the delta. It binds at link, like FaultPlan: it
 	// does not participate in the compile-cache fingerprint.
 	Adopt *Extension
 }
@@ -208,7 +211,7 @@ const (
 // Stage describes one pipeline stage of a Load: how long it ran, whether
 // its artifact came from the Runtime's compile cache, and the artifact's
 // size in stage-specific units (instructions for decode/verify/instrument/
-// lower, resolved call sites for link).
+// lower/link, 4 KiB pages for heap).
 type Stage struct {
 	Name     string
 	Duration time.Duration
@@ -217,13 +220,13 @@ type Stage struct {
 }
 
 // PipelineInfo describes how an extension was built: the staged pipeline
-// decode → verify → instrument → lower → link, the spec fingerprint the
-// compile cache is keyed by, and the execution tier selected.
+// decode → verify → instrument → lower → heap → link, the spec fingerprint
+// the compile cache is keyed by, and the execution tier selected.
 type PipelineInfo struct {
 	SpecHash uint64
 	// CacheHit reports that verify/instrument/lower artifacts were reused
 	// from a previous Load of an identical spec (the supervisor's reload
-	// path: fresh heap, re-link only).
+	// path: fresh or adopted heap, re-link only).
 	CacheHit bool
 	Tier     string
 	Stages   []Stage
@@ -239,22 +242,39 @@ func (p PipelineInfo) Stage(name string) Stage {
 	return Stage{}
 }
 
-// compiled bundles the heap-independent pipeline artifacts cached per
-// Runtime: the verifier analysis, the Kie instrumentation report, and the
-// position-independent lowered unit (nil when the spec selects the
-// reference interpreter). None of them embed heap addresses or helper
-// pointers, so a reload re-links them against a fresh heap unchanged.
+// record appends the Stage named name — the one place a Stage record is
+// made. A stage that ran passes the time it started; one whose artifact came
+// from the compile cache ran nothing, passes the zero time, and is recorded
+// as Cached with no duration.
+func (p *PipelineInfo) record(name string, start time.Time, out int) {
+	st := Stage{Name: name, Cached: start.IsZero(), Out: out}
+	if !st.Cached {
+		st.Duration = time.Since(start)
+	}
+	p.Stages = append(p.Stages, st)
+}
+
+// fromCache is the start time of a stage that did not run.
+var fromCache time.Time
+
+// compiled is what compile produces and the compile cache holds: every
+// artifact of a spec that does not depend on a heap — the verifier analysis,
+// the Kie instrumentation report, the position-independent lowered unit (nil
+// when the spec selects the reference interpreter) and the instrumented
+// cancellation callback (nil without one). None of them embed heap
+// addresses or helper pointers, so link binds them to any heap unchanged.
 type compiled struct {
 	analysis *verifier.Analysis
 	report   *kie.Report
 	unit     *compile.Unit
+	callback *kie.Report
 }
 
-// specFingerprint hashes everything the cached artifacts depend on: the
-// program text plus every spec knob that changes verification,
-// instrumentation, or lowering. Runtime-only knobs (QuantumInsns, NumCPUs,
-// CancelThreshold, FaultPlan, Callback, Adopt) are deliberately excluded —
-// they bind at link time and must not defeat the cache.
+// specFingerprint hashes everything the compiled artifacts depend on: the
+// program and callback text plus every spec knob that changes verification,
+// instrumentation, or lowering. The knobs that bind at link (QuantumInsns,
+// NumCPUs, CancelThreshold, FaultPlan, Adopt) are deliberately excluded —
+// they must not defeat the cache.
 func specFingerprint(spec Spec) uint64 {
 	const prime64 = 1099511628211
 	h := insn.Fingerprint(spec.Insns)
@@ -283,7 +303,7 @@ func specFingerprint(spec Spec) uint64 {
 	}
 	mix(cfg)
 	mix(spec.HeapSize)
-	mix(uint64(spec.InsnBudget))
+	mix(insn.Fingerprint(spec.Callback))
 	if spec.Hook != nil {
 		for _, b := range []byte(spec.Hook.Name) {
 			h ^= uint64(b)
@@ -348,9 +368,9 @@ type Extension struct {
 	heap     *heap.Heap
 	alloc    *alloc.Allocator
 	extLocks *locks.Locks
-	report   *kie.Report
-	analysis *verifier.Analysis
-	lowered  *compile.Linked // nil on the interpreter tier
+	// art is what compile made of the spec — shared, through the Runtime's
+	// compile cache, with every other extension loaded from the same spec.
+	art      *compiled
 	pipeline PipelineInfo
 
 	// execs is the per-CPU handle table: one Handle, and with it one
@@ -367,18 +387,19 @@ type Extension struct {
 
 // Load builds an extension through the staged pipeline
 //
-//	decode → verify → instrument → lower → link
+//	decode → verify → instrument → lower → heap → link
 //
 // (Figure 1's three steps, with the paper's JIT lowering, §4.2, made an
-// explicit stage). Decode fingerprints the spec; verify proves
-// kernel-interface compliance; instrument runs the Kie engine; lower
-// pre-decodes the instrumented program into the fused lowered ISA
-// (skipped when Spec.Interpret selects the reference interpreter); link
-// binds the heap-independent artifacts to a heap (fresh, or Spec.Adopt's),
-// allocator, lock table and resolved helper table, and builds every per-CPU
-// execution context. The first three artifacts are cached
-// per Runtime keyed by the spec fingerprint, so reloading an unchanged
-// spec — the supervisor's recovery path — only re-runs decode and link.
+// explicit stage) in two halves. compile runs the first four: decode
+// fingerprints the spec; verify proves kernel-interface compliance; instrument
+// runs the Kie engine; lower pre-decodes the instrumented program into the
+// fused lowered ISA (skipped when Spec.Interpret selects the reference
+// interpreter). Its artifacts depend on no heap and are cached per Runtime
+// keyed by the spec fingerprint, so reloading an unchanged spec — the
+// supervisor's recovery path — compiles nothing. link runs the last two:
+// heap builds the heap, its allocator and lock table (or takes Spec.Adopt's);
+// link binds the artifacts to them and to the resolved helper table and
+// builds every per-CPU execution context.
 func (r *Runtime) Load(spec Spec) (*Extension, error) {
 	if spec.Hook == nil {
 		return nil, fmt.Errorf("kflex: %s: Spec.Hook is required", spec.Name)
@@ -387,110 +408,122 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		return nil, fmt.Errorf("kflex: %s: heaps require ModeKFlex", spec.Name)
 	}
 	if spec.NumCPUs <= 0 {
-		spec.NumCPUs = 8
+		spec.NumCPUs = DefaultNumCPUs
 	}
-
 	pl := PipelineInfo{Tier: TierLowered}
 	if spec.Interpret {
 		pl.Tier = TierInterpreter
 	}
+	art, err := r.compile(spec, &pl)
+	if err != nil {
+		return nil, err
+	}
+	return r.link(art, spec, pl)
+}
 
-	// Stage: decode. The spec fingerprint is the compile-cache key; it
-	// covers the program text and every knob that changes verification,
-	// instrumentation, or lowering.
-	t0 := time.Now()
+// compile returns the heap-independent artifacts of spec, from the compile
+// cache when an identical spec (by fingerprint: program, callback and every
+// knob the verifier, Kie or the lowering reads) was compiled on this Runtime
+// before, and records the decode, verify, instrument and lower stages in pl.
+func (r *Runtime) compile(spec Spec, pl *PipelineInfo) (*compiled, error) {
+	start := time.Now()
 	pl.SpecHash = specFingerprint(spec)
-	pl.Stages = append(pl.Stages, Stage{
-		Name: "decode", Duration: time.Since(t0), Out: len(spec.Insns),
-	})
+	pl.record("decode", start, len(spec.Insns))
 
 	r.cacheMu.Lock()
 	art := r.cache[pl.SpecHash]
 	r.cacheMu.Unlock()
-	pl.CacheHit = art != nil
-
-	if art == nil {
-		// Stage: verify.
-		vmode := verifier.ModeEBPF
-		if spec.Mode == ModeKFlex {
-			vmode = verifier.ModeKFlex
-		}
-		t0 = time.Now()
-		an, err := verifier.Verify(spec.Insns, verifier.Config{
-			Mode:       vmode,
-			Hook:       spec.Hook,
-			Kernel:     r.kern,
-			HeapSize:   spec.HeapSize,
-			ShareHeap:  spec.ShareHeap,
-			PerfMode:   spec.PerfMode,
-			InsnBudget: spec.InsnBudget,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
-		}
-		if spec.DisableElision {
-			for i := range an.Facts {
-				if an.Facts[i].HeapAccess {
-					an.Facts[i].Guard = true
-				}
-			}
-		}
-		pl.Stages = append(pl.Stages, Stage{
-			Name: "verify", Duration: time.Since(t0), Out: len(spec.Insns),
-		})
-
-		// Stage: instrument.
-		t0 = time.Now()
-		rep, err := kie.Instrument(an)
-		if err != nil {
-			return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
-		}
-		pl.Stages = append(pl.Stages, Stage{
-			Name: "instrument", Duration: time.Since(t0), Out: len(rep.Prog),
-		})
-
-		art = &compiled{analysis: an, report: rep}
-
-		// Stage: lower (skipped on the interpreter tier).
-		if !spec.Interpret {
-			t0 = time.Now()
-			unit, err := compile.Lower(rep)
-			if err != nil {
-				return nil, fmt.Errorf("kflex: %s: lower: %w", spec.Name, err)
-			}
-			art.unit = unit
-			pl.Stages = append(pl.Stages, Stage{
-				Name: "lower", Duration: time.Since(t0), Out: len(unit.Code),
-			})
-		}
-
-		r.cacheMu.Lock()
-		r.cache[pl.SpecHash] = art
-		r.cacheMu.Unlock()
-	} else {
-		// Cache hit: verify/instrument/lower artifacts are reused as-is;
-		// only decode and link run. The stage records carry the cached
-		// artifact sizes so callers can still see the pipeline shape.
-		pl.Stages = append(pl.Stages,
-			Stage{Name: "verify", Cached: true, Out: len(spec.Insns)},
-			Stage{Name: "instrument", Cached: true, Out: len(art.report.Prog)},
-		)
+	if art != nil {
+		// The records carry the cached artifacts' sizes, so callers still
+		// see the pipeline's shape.
+		pl.CacheHit = true
+		pl.record("verify", fromCache, len(spec.Insns))
+		pl.record("instrument", fromCache, len(art.report.Prog))
 		if art.unit != nil {
-			pl.Stages = append(pl.Stages,
-				Stage{Name: "lower", Cached: true, Out: len(art.unit.Code)})
+			pl.record("lower", fromCache, len(art.unit.Code))
 		}
+		return art, nil
 	}
 
-	// Stage: link — per-instance state only: heap, allocator, lock table,
-	// callback, resolved helper table, VM program, per-CPU contexts.
-	t0 = time.Now()
+	// Stage: verify — the program and, under its own restrictions, the
+	// cancellation callback.
+	vmode := verifier.ModeEBPF
+	if spec.Mode == ModeKFlex {
+		vmode = verifier.ModeKFlex
+	}
+	art = &compiled{}
+	var err error
+	start = time.Now()
+	art.analysis, err = verifier.Verify(spec.Insns, verifier.Config{
+		Mode:           vmode,
+		Hook:           spec.Hook,
+		Kernel:         r.kern,
+		HeapSize:       spec.HeapSize,
+		ShareHeap:      spec.ShareHeap,
+		PerfMode:       spec.PerfMode,
+		DisableElision: spec.DisableElision,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
+	}
+	if len(spec.Callback) > 0 {
+		if art.callback, err = r.loadCallback(spec); err != nil {
+			return nil, fmt.Errorf("kflex: %s: callback: %w", spec.Name, err)
+		}
+	}
+	pl.record("verify", start, len(spec.Insns))
+
+	// Stage: instrument.
+	start = time.Now()
+	if art.report, err = kie.Instrument(art.analysis); err != nil {
+		return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
+	}
+	pl.record("instrument", start, len(art.report.Prog))
+
+	// Stage: lower (skipped on the interpreter tier).
+	if !spec.Interpret {
+		start = time.Now()
+		if art.unit, err = compile.Lower(art.report); err != nil {
+			return nil, fmt.Errorf("kflex: %s: lower: %w", spec.Name, err)
+		}
+		pl.record("lower", start, len(art.unit.Code))
+	}
+
+	r.cacheMu.Lock()
+	r.cache[pl.SpecHash] = art
+	r.cacheMu.Unlock()
+	return art, nil
+}
+
+// loadCallback verifies a cancellation callback under its restrictions
+// (§4.3: no cancellation points, no unbounded loops) and instruments it —
+// a formality, since a program with no heap and no unbounded loop gets no
+// guard and no probe. Only compile calls it, on a cache miss.
+func (r *Runtime) loadCallback(spec Spec) (*kie.Report, error) {
+	an, err := verifier.Verify(spec.Callback, verifier.Config{
+		Mode:     verifier.ModeEBPF,
+		Kernel:   r.kern,
+		ScalarR1: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return kie.Instrument(an)
+}
+
+// link binds compiled artifacts to one extension instance — everything a
+// Spec says that the compile cache is not keyed by — and records the heap and
+// link stages. Stage heap: the heap (fresh, or Spec.Adopt's with the
+// allocator that carved it), the allocator and the lock table. Stage link:
+// the lowered unit resolved against the heap constants and the helper table,
+// the VM program with its callback, and every per-CPU execution context.
+func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, error) {
 	ext := &Extension{
-		name:     spec.Name,
-		rt:       r,
-		report:   art.report,
-		analysis: art.analysis,
-		execs:    make([]*Handle, spec.NumCPUs),
-		fault:    spec.FaultPlan,
+		name:  spec.Name,
+		rt:    r,
+		art:   art,
+		execs: make([]*Handle, spec.NumCPUs),
+		fault: spec.FaultPlan,
 	}
 	opts := vm.Options{
 		Hook:            spec.Hook,
@@ -500,7 +533,8 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		Fault:           spec.FaultPlan,
 	}
 	lk := compile.Linkage{Helpers: r.kern.Helpers}
-	var h *heap.Heap
+
+	start := time.Now()
 	if donor := spec.Adopt; donor != nil {
 		// Inherit the donor's heap and the allocator that carved it. The
 		// donor is validated, not trusted — a size mismatch would break SFI
@@ -514,7 +548,7 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		case donor.heap.Closed():
 			return nil, fmt.Errorf("kflex: %s: adopted heap is closed", spec.Name)
 		}
-		h, ext.alloc = donor.heap, donor.alloc
+		ext.heap, ext.alloc = donor.heap, donor.alloc
 		// The adopting generation may declare fewer CPUs than the
 		// allocator was built for; magazines of slots beyond the new
 		// table (plus its user-space slot at index NumCPUs) would be
@@ -522,18 +556,16 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		// back to the depot before the new generation takes traffic.
 		ext.alloc.RetireCPUsFrom(spec.NumCPUs + 1)
 	} else if spec.HeapSize > 0 {
-		var err error
-		h, err = heap.New(spec.HeapSize)
+		h, err := heap.New(spec.HeapSize)
 		if err != nil {
 			return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
 		}
 		// One extra allocator CPU slot serves user-space allocations
 		// for co-designed applications (§5.3).
-		ext.alloc = alloc.New(h, spec.NumCPUs+1)
+		ext.heap, ext.alloc = h, alloc.New(h, spec.NumCPUs+1)
 	}
-	if h != nil {
+	if h := ext.heap; h != nil {
 		h.SetFaultPlan(spec.FaultPlan)
-		ext.heap = h
 		ext.alloc.SetFaultPlan(spec.FaultPlan)
 		ext.extLocks = locks.New(h.ExtView())
 		ext.extLocks.SetFaultPlan(spec.FaultPlan)
@@ -544,32 +576,27 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 		lk.HeapMask = h.Mask()
 		lk.UserBase = h.UserBase()
 	}
+	pl.record("heap", start, int(spec.HeapSize/heap.PageSize))
+
+	start = time.Now()
+	var err error
 	if art.unit != nil {
-		linked, err := art.unit.Link(lk)
-		if err != nil {
+		if opts.Lowered, err = art.unit.Link(lk); err != nil {
 			return nil, fmt.Errorf("kflex: %s: link: %w", spec.Name, err)
 		}
-		ext.lowered = linked
-		opts.Lowered = linked
 	}
-	if len(spec.Callback) > 0 {
-		cb, err := r.loadCallback(spec)
-		if err != nil {
-			return nil, err
+	if art.callback != nil {
+		if opts.Callback, err = vm.New(art.callback, vm.Options{Hook: spec.Hook, Kernel: r.kern}); err != nil {
+			return nil, fmt.Errorf("kflex: %s: callback: %w", spec.Name, err)
 		}
-		opts.Callback = cb
 	}
-	prog, err := vm.New(art.report, opts)
-	if err != nil {
+	if ext.prog, err = vm.New(art.report, opts); err != nil {
 		return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
 	}
-	ext.prog = prog
 	for cpu := range ext.execs {
-		ext.execs[cpu] = &Handle{exec: prog.NewExec(cpu), ext: ext}
+		ext.execs[cpu] = &Handle{exec: ext.prog.NewExec(cpu), ext: ext}
 	}
-	pl.Stages = append(pl.Stages, Stage{
-		Name: "link", Duration: time.Since(t0), Out: len(art.report.Prog),
-	})
+	pl.record("link", start, len(art.report.Prog))
 	ext.pipeline = pl
 	return ext, nil
 }
@@ -582,28 +609,10 @@ func (e *Extension) Pipeline() PipelineInfo { return e.pipeline }
 // LoweredMetrics returns the lowering metrics (stream lengths and fused
 // superinstruction counts); ok is false on the interpreter tier.
 func (e *Extension) LoweredMetrics() (m compile.Metrics, ok bool) {
-	if e.lowered == nil {
+	if e.art.unit == nil {
 		return compile.Metrics{}, false
 	}
-	return e.lowered.Metrics, true
-}
-
-// loadCallback verifies a cancellation callback under its restrictions
-// (§4.3: no cancellation points, no unbounded loops) and compiles it.
-func (r *Runtime) loadCallback(spec Spec) (*vm.Program, error) {
-	an, err := verifier.Verify(spec.Callback, verifier.Config{
-		Mode:     verifier.ModeEBPF,
-		Kernel:   r.kern,
-		ScalarR1: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kflex: %s: callback: %w", spec.Name, err)
-	}
-	rep, err := kie.Instrument(an)
-	if err != nil {
-		return nil, fmt.Errorf("kflex: %s: callback: %w", spec.Name, err)
-	}
-	return vm.New(rep, vm.Options{Hook: spec.Hook, Kernel: r.kern})
+	return e.art.unit.Metrics, true
 }
 
 // Handle returns the execution handle bound to simulated CPU cpu (indices
@@ -679,10 +688,10 @@ func (h *Handle) RunContext(ctx context.Context, event any, hctx []byte) (Result
 
 // Report returns the Kie instrumentation report (guard/elision statistics,
 // cancellation points, object tables).
-func (e *Extension) Report() *kie.Report { return e.report }
+func (e *Extension) Report() *kie.Report { return e.art.report }
 
 // Analysis returns the verifier's analysis.
-func (e *Extension) Analysis() *verifier.Analysis { return e.analysis }
+func (e *Extension) Analysis() *verifier.Analysis { return e.art.analysis }
 
 // Heap returns the extension heap (nil without one).
 func (e *Extension) Heap() *heap.Heap { return e.heap }

@@ -302,6 +302,46 @@ func TestCancellationCallback(t *testing.T) {
 	}
 }
 
+// TestCallbackCompiledOnce: the callback is part of what compile produces,
+// so a second Load of the spec takes it from the compile cache with the
+// rest — and a spec that differs only in its callback is a different spec.
+func TestCallbackCompiledOnce(t *testing.T) {
+	rt := NewRuntime()
+	spec := Spec{
+		Name: "spin-cb", Insns: spinningProg(), Hook: HookXDP, Mode: ModeKFlex,
+		HeapSize: 1 << 16, QuantumInsns: 5_000,
+		Callback: asm.New().Mov(insn.R0, insn.R1).Add(insn.R0, 100).Exit().MustAssemble(),
+	}
+	load := func(spec Spec) *Extension {
+		ext, err := rt.Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ext.Close)
+		return ext
+	}
+	first, second := load(spec), load(spec)
+	if first.art.callback == nil || second.art != first.art || !second.Pipeline().CacheHit {
+		t.Fatalf("second load compiled its callback again: artifacts %p and %p, callback %p",
+			first.art, second.art, first.art.callback)
+	}
+	// The cached callback still runs, on an extension of its own.
+	res, err := second.Handle(0).Run(nil, make([]byte, HookXDP.CtxSize))
+	if err != nil || res.Ret != kernel.XDPPass+100 {
+		t.Fatalf("reloaded extension: ret = %d, err = %v, want %d", res.Ret, err, kernel.XDPPass+100)
+	}
+
+	other := spec
+	other.Callback = asm.New().Mov(insn.R0, insn.R1).Add(insn.R0, 7).Exit().MustAssemble()
+	third := load(other)
+	if third.Pipeline().CacheHit || third.art.callback == first.art.callback {
+		t.Fatal("a spec with a different callback was served the cached one")
+	}
+	if res, err := third.Handle(0).Run(nil, make([]byte, HookXDP.CtxSize)); err != nil || res.Ret != kernel.XDPPass+7 {
+		t.Fatalf("other callback: ret = %d, err = %v, want %d", res.Ret, err, kernel.XDPPass+7)
+	}
+}
+
 func TestCallbackRestrictions(t *testing.T) {
 	rt := NewRuntime()
 	// A callback with an unbounded loop must be rejected (§4.3).
