@@ -1,7 +1,13 @@
 package verifier
 
 import (
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"kflex/insn"
@@ -44,7 +50,13 @@ func randomProgram(r *rand.Rand) []insn.Instruction {
 	return append(prog, insn.Exit())
 }
 
-// TestVerifierNeverPanics fuzzes both rulesets with arbitrary bytecode.
+// TestVerifierNeverPanics fuzzes both rulesets with arbitrary bytecode, and
+// pins their verdicts: testdata/verdicts_golden.txt holds a digest of
+// (accepted?, Error.Insn) over the seeds run so far, taken after seed 299
+// (all that -short runs) and after the last one. It was captured at PR 21
+// (c90a6e2); a digest that differs means some program is now accepted,
+// refused, or refused at another instruction — if that is intended, replace
+// the file with the text the failure prints.
 func TestVerifierNeverPanics(t *testing.T) {
 	k := kernel.New()
 	configs := []Config{
@@ -55,6 +67,8 @@ func TestVerifierNeverPanics(t *testing.T) {
 	if testing.Short() {
 		iters = 300
 	}
+	verdicts, accepted := fnv.New64a(), 0
+	var got strings.Builder
 	for seed := 0; seed < iters; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		prog := randomProgram(r)
@@ -65,9 +79,27 @@ func TestVerifierNeverPanics(t *testing.T) {
 						t.Fatalf("seed %d panicked: %v\n%s", seed, p, mustDisasm(prog))
 					}
 				}()
-				_, _ = Verify(prog, cfg) // errors are expected; panics are bugs
+				_, err := Verify(prog, cfg) // errors are expected; panics are bugs
+				at := -1                    // accepted, or refused before the walk (cfg.Build)
+				var verr *Error
+				if errors.As(err, &verr) {
+					at = verr.Insn
+				} else if err == nil {
+					accepted++
+				}
+				fmt.Fprintf(verdicts, "%d %v %v %d\n", seed, cfg.Mode, err == nil, at)
 			}()
 		}
+		if seed == 299 || seed == iters-1 {
+			fmt.Fprintf(&got, "seeds=%d accepted=%d verdicts=%016x\n", seed+1, accepted, verdicts.Sum64())
+		}
+	}
+	want, err := os.ReadFile("testdata/verdicts_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(want), got.String()) {
+		t.Errorf("verdicts differ from testdata/verdicts_golden.txt; got:\n%s", got.String())
 	}
 }
 
@@ -94,4 +126,47 @@ func TestFuzzCorpusAcceptsSome(t *testing.T) {
 		t.Skip("fuzz corpus accepted no programs at these seeds (informational)")
 	}
 	t.Logf("fuzz corpus: %d/4000 programs accepted", accepted)
+}
+
+// FuzzVerify feeds the verifier whatever decodes: it must not panic under
+// either ruleset, and a second Verify of the same program must reach the same
+// verdict — a deep-equal Analysis, or a refusal at the same instruction.
+func FuzzVerify(f *testing.F) {
+	for _, prog := range [][]insn.Instruction{
+		nonConvergingLoop(), // PR 18: the DFS that kept every in-progress state
+		{insn.Mov64Imm(insn.R0, 0), insn.JmpImm(insn.JmpEq, insn.R0, 0, 1), insn.Call(9999), insn.Exit()}, // PR 20: malformed behind a folded branch
+		twoSocketProgram(),
+	} {
+		raw, err := insn.Encode(prog)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	k := kernel.New()
+	configs := []Config{
+		{Mode: ModeEBPF, Hook: kernel.HookXDP, Kernel: k, InsnBudget: 2_000},
+		{Mode: ModeKFlex, Hook: kernel.HookXDP, Kernel: k, HeapSize: 1 << 16, InsnBudget: 2_000},
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		prog, err := insn.Decode(raw)
+		if err != nil {
+			return
+		}
+		for _, cfg := range configs {
+			an1, err1 := Verify(prog, cfg)
+			an2, err2 := Verify(prog, cfg)
+			var v1, v2 *Error
+			switch {
+			case err1 == nil && err2 == nil:
+				if !reflect.DeepEqual(an1, an2) {
+					t.Fatalf("mode %v: two analyses of one program differ\n%s", cfg.Mode, mustDisasm(prog))
+				}
+			case errors.As(err1, &v1) && errors.As(err2, &v2) && v1.Insn == v2.Insn:
+			case err1 != nil && err2 != nil && err1.Error() == err2.Error(): // refused before the walk
+			default:
+				t.Fatalf("mode %v: verdicts differ: %v, then %v\n%s", cfg.Mode, err1, err2, mustDisasm(prog))
+			}
+		}
+	})
 }

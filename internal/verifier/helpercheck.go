@@ -133,7 +133,7 @@ func (v *verifier) stepCall(idx int, ins insn.Instruction, st *state) error {
 			if r.ObjKind != a.ObjKind {
 				return argErr("expected %s object, have %s", a.ObjKind, r.ObjKind)
 			}
-			if _, held := st.Refs[r.RefSite]; !held {
+			if _, held := st.refIndex(r.RefSite); !held {
 				return argErr("reference from insn %d is not held (already released?)", r.RefSite)
 			}
 		default:
@@ -145,7 +145,7 @@ func (v *verifier) stepCall(idx int, ins insn.Instruction, st *state) error {
 	if spec.Releases > 0 {
 		argReg := insn.Reg(insn.R1 + insn.Reg(spec.Releases-1))
 		site := st.Regs[argReg].RefSite
-		delete(st.Refs, site)
+		st.release(site)
 		invalidateRefCopies(st, site)
 	}
 
@@ -178,11 +178,11 @@ func (v *verifier) stepCall(idx int, ins insn.Instruction, st *state) error {
 	case kernel.RetScalar:
 		st.Regs[insn.R0] = unknownScalar()
 	case kernel.RetAcquiredObj:
-		if _, dup := st.Refs[idx]; dup {
+		if _, dup := st.refIndex(idx); dup {
 			return &Error{Insn: idx, Msg: fmt.Sprintf(
 				"%s acquires a kernel resource monotonically: reference from this call site is still held (release it before the next iteration, §3.1)", spec.Name)}
 		}
-		st.Refs[idx] = ref{Site: idx, Kind: spec.Ret.ObjKind}
+		st.acquire(ref{Site: idx, Kind: spec.Ret.ObjKind})
 		st.Regs[insn.R0] = RegState{
 			Type:      TypeObj,
 			ObjKind:   spec.Ret.ObjKind,
@@ -215,14 +215,5 @@ func invalidateRefCopies(st *state, site int) {
 			st.Regs[i] = RegState{Type: TypeInvalid}
 		}
 	}
-	for off, r := range st.Stack.spills {
-		if r.Type == TypeObj && r.RefSite == site {
-			delete(st.Stack.spills, off)
-			if idx, ok := stackIdx(int64(off)); ok {
-				for i := 0; i < 8; i++ {
-					st.Stack.slots[idx+i] = slotMisc
-				}
-			}
-		}
-	}
+	st.Stack.dropSpills(func(sp *spill) bool { return sp.reg.Type == TypeObj && sp.reg.RefSite == site })
 }

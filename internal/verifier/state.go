@@ -9,9 +9,10 @@
 package verifier
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"kflex/insn"
@@ -278,162 +279,180 @@ func widenReg(old, new RegState) RegState {
 
 // --- Stack -------------------------------------------------------------------
 
-// Slot classification per stack byte.
-const (
-	slotNone  = 0 // never written
-	slotMisc  = 1 // scalar bytes written
-	slotSpill = 2 // part of an 8-byte register spill
-)
-
+// stackState is the abstract stack frame, kept the way the kernel's verifier
+// keeps it — one structure: per aligned 8-byte slot the bytes written, and
+// for a slot holding a whole spilled register, that register's value.
 type stackState struct {
-	slots  [StackSize]uint8
-	spills map[int16]RegState // key: offset from frame top (e.g. -8)
+	// written[i] has bit b set once byte 8*i+b of the frame, counted from
+	// its bottom (fp-512), has been written.
+	written [StackSize / 8]uint8
+	// spills holds the registers stored by aligned 8-byte writes, ascending
+	// by offset; every byte of such a slot is written. Cloned states share
+	// the array, so it is never updated in place: a change builds a new one.
+	spills []spill
 }
 
-func newStack() *stackState {
-	return &stackState{spills: make(map[int16]RegState)}
+type spill struct {
+	off int16 // from the frame top, e.g. -8
+	reg RegState
 }
 
-func (s *stackState) clone() *stackState {
-	c := &stackState{slots: s.slots, spills: make(map[int16]RegState, len(s.spills))}
-	for k, v := range s.spills {
-		c.spills[k] = v
-	}
-	return c
-}
-
-// stackIdx maps a frame offset (negative) to a slot array index.
-func stackIdx(off int64) (int, bool) {
-	if off < -StackSize || off >= 0 {
+// frameIdx maps the frame range [off, off+size), off negative, to the index
+// of its first byte in the written bits.
+func frameIdx(off int64, size int) (int, bool) {
+	if off < -StackSize || off+int64(size) > 0 {
 		return 0, false
 	}
 	return int(StackSize + off), true
 }
 
+// spillAt returns the register spilled at off, or nil.
+func (s *stackState) spillAt(off int64) *RegState {
+	for i := range s.spills {
+		if int64(s.spills[i].off) == off {
+			return &s.spills[i].reg
+		}
+	}
+	return nil
+}
+
+// dropSpills forgets the spilled values drop selects; their bytes stay
+// written.
+func (s *stackState) dropSpills(drop func(*spill) bool) {
+	n := 0
+	for i := range s.spills {
+		if drop(&s.spills[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	kept := make([]spill, 0, len(s.spills)-n)
+	for i := range s.spills {
+		if !drop(&s.spills[i]) {
+			kept = append(kept, s.spills[i])
+		}
+	}
+	s.spills = kept
+}
+
 // write marks [off, off+size) written. If full is a valid reg state and the
 // write is an aligned 8-byte spill, precision is retained.
 func (s *stackState) write(off int64, size int, full *RegState) error {
-	idx, ok := stackIdx(off)
-	if !ok || off+int64(size) > 0 {
+	idx, ok := frameIdx(off, size)
+	if !ok {
 		return fmt.Errorf("invalid stack write at off %d size %d", off, size)
 	}
-	// Any overlapping spill is invalidated to misc.
-	s.invalidateSpills(off, size)
 	if full != nil && size == 8 && off%8 == 0 {
-		s.spills[int16(off)] = *full
-		for i := 0; i < 8; i++ {
-			s.slots[idx+i] = slotSpill
+		i, replaces := slices.BinarySearchFunc(s.spills, off,
+			func(sp spill, off int64) int { return cmp.Compare(int64(sp.off), off) })
+		rest := s.spills[i:]
+		if replaces {
+			rest = rest[1:]
 		}
+		s.spills = slices.Concat(s.spills[:i], []spill{{int16(off), *full}}, rest)
+		s.written[idx/8] = 0xff
 		return nil
 	}
 	if full != nil && full.Type != TypeScalar && full.Type != TypeInvalid && size != 8 {
 		return fmt.Errorf("partial spill of pointer at off %d", off)
 	}
-	for i := 0; i < size; i++ {
-		s.slots[idx+i] = slotMisc
-	}
+	s.markWritten(off, size)
 	return nil
 }
 
-func (s *stackState) invalidateSpills(off int64, size int) {
-	for spillOff := range s.spills {
-		if int64(spillOff) < off+int64(size) && off < int64(spillOff)+8 {
-			delete(s.spills, spillOff)
-			idx, _ := stackIdx(int64(spillOff))
-			for i := 0; i < 8; i++ {
-				if s.slots[idx+i] == slotSpill {
-					s.slots[idx+i] = slotMisc
-				}
-			}
-		}
+// markWritten marks [off, off+size) written with bytes of no known value
+// (scalar stores, helper out-buffers); a spill they overlap loses its value.
+func (s *stackState) markWritten(off int64, size int) {
+	idx, ok := frameIdx(off, size)
+	if !ok {
+		return
+	}
+	s.dropSpills(func(sp *spill) bool {
+		return int64(sp.off) < off+int64(size) && off < int64(sp.off)+8
+	})
+	for i := idx; i < idx+size; i++ {
+		s.written[i/8] |= 1 << (i % 8)
 	}
 }
 
-// read returns the abstract value of a [off, off+size) stack load.
-func (s *stackState) read(off int64, size int) (RegState, error) {
-	idx, ok := stackIdx(off)
-	if !ok || off+int64(size) > 0 {
-		return RegState{}, fmt.Errorf("invalid stack read at off %d size %d", off, size)
-	}
-	if size == 8 && off%8 == 0 {
-		if r, ok := s.spills[int16(off)]; ok {
-			return r, nil
-		}
-	}
+// unwritten returns the first of the size bytes from frame index idx that was
+// never written, counted from idx, or -1 when all were.
+func (s *stackState) unwritten(idx, size int) int {
 	for i := 0; i < size; i++ {
-		if s.slots[idx+i] == slotNone {
-			return RegState{}, fmt.Errorf("read of uninitialized stack at off %d", off+int64(i))
+		if s.written[(idx+i)/8]>>((idx+i)%8)&1 == 0 {
+			return i
 		}
 	}
-	return unknownScalar(), nil
+	return -1
 }
 
 // initialized reports whether [off, off+size) has been fully written.
 func (s *stackState) initialized(off int64, size int) bool {
-	idx, ok := stackIdx(off)
-	if !ok || off+int64(size) > 0 {
-		return false
-	}
-	for i := 0; i < size; i++ {
-		if s.slots[idx+i] == slotNone {
-			return false
-		}
-	}
-	return true
+	idx, ok := frameIdx(off, size)
+	return ok && s.unwritten(idx, size) < 0
 }
 
-// markWritable marks [off, off+size) as written (helper out-buffers).
-func (s *stackState) markWritten(off int64, size int) {
-	idx, ok := stackIdx(off)
+// read returns the abstract value of a [off, off+size) stack load.
+func (s *stackState) read(off int64, size int) (RegState, error) {
+	idx, ok := frameIdx(off, size)
 	if !ok {
-		return
+		return RegState{}, fmt.Errorf("invalid stack read at off %d size %d", off, size)
 	}
-	s.invalidateSpills(off, size)
-	for i := 0; i < size && idx+i < StackSize; i++ {
-		s.slots[idx+i] = slotMisc
+	if size == 8 {
+		if r := s.spillAt(off); r != nil {
+			return *r, nil
+		}
 	}
+	if i := s.unwritten(idx, size); i >= 0 {
+		return RegState{}, fmt.Errorf("read of uninitialized stack at off %d", off+int64(i))
+	}
+	return unknownScalar(), nil
 }
 
+// stackLE reports whether a refines b: a is written wherever b is, and holds
+// a refining spill wherever b holds one.
 func stackLE(a, b *stackState) bool {
-	// a refines b if everywhere a is at least as initialized and spills
-	// refine.
-	for i := 0; i < StackSize; i++ {
-		if b.slots[i] != slotNone && a.slots[i] == slotNone {
+	for i := range b.written {
+		if b.written[i]&^a.written[i] != 0 {
 			return false
 		}
 	}
-	for off, bs := range b.spills {
-		as, ok := a.spills[off]
-		if !ok {
-			return false
-		}
-		if !regLE(&as, &bs) {
+	for i := range b.spills {
+		as := a.spillAt(int64(b.spills[i].off))
+		if as == nil || !regLE(as, &b.spills[i].reg) {
 			return false
 		}
 	}
 	return true
 }
 
-func stackJoin(a, b *stackState) *stackState {
-	out := newStack()
-	for i := 0; i < StackSize; i++ {
-		if a.slots[i] == slotNone || b.slots[i] == slotNone {
-			out.slots[i] = slotNone
-		} else {
-			out.slots[i] = slotMisc
-		}
+// mergeStack is the stack half of state.merge: a byte is written where both
+// frames wrote it, and a slot keeps a spilled value where both hold one and
+// the two join to a usable register.
+func mergeStack(a, b *stackState, widen bool) stackState {
+	var out stackState
+	for i := range out.written {
+		out.written[i] = a.written[i] & b.written[i]
 	}
-	for off, as := range a.spills {
-		if bs, ok := b.spills[off]; ok {
-			j := regJoin(as, bs)
-			if j.Type != TypeInvalid {
-				out.spills[off] = j
-				idx, _ := stackIdx(int64(off))
-				for i := 0; i < 8; i++ {
-					out.slots[idx+i] = slotSpill
-				}
-			}
+	if len(a.spills) > 0 && len(b.spills) > 0 {
+		out.spills = make([]spill, 0, min(len(a.spills), len(b.spills)))
+	}
+	for i := range a.spills {
+		as := &a.spills[i]
+		bs := b.spillAt(int64(as.off))
+		if bs == nil {
+			continue
 		}
+		j := regJoin(as.reg, *bs)
+		if j.Type == TypeInvalid {
+			continue
+		}
+		if widen && j != as.reg {
+			j = widenReg(as.reg, j)
+		}
+		out.spills = append(out.spills, spill{as.off, j})
 	}
 	return out
 }
@@ -446,59 +465,60 @@ type ref struct {
 	Kind kernel.ObjKind
 }
 
-// state is the abstract machine state at one program point.
+// state is the abstract machine state at one program point: a plain value,
+// cloned by copying it. The two slices in it are shared between clones and
+// rebuilt by whatever changes them, never updated in place.
 type state struct {
 	Regs  [insn.NumRegs]RegState
-	Stack *stackState
-	// Refs holds acquired, unreleased kernel resources keyed by
+	Stack stackState
+	// Refs holds acquired, unreleased kernel resources, ascending by
 	// acquisition site.
-	Refs map[int]ref
+	Refs []ref
 	// LockDepth counts held KFlex spin locks (§3.1: eBPF allows one,
 	// KFlex allows many).
 	LockDepth int
 }
 
-func newEntryState(hasCtx bool) *state {
-	s := &state{Stack: newStack(), Refs: make(map[int]ref)}
-	for i := range s.Regs {
-		s.Regs[i] = RegState{Type: TypeInvalid}
+// newEntryState is the state at instruction 0: nothing usable but the frame
+// pointer and R1 — the hook context or, for a cancellation callback (§4.3),
+// an unknown scalar.
+func newEntryState(scalarR1 bool) *state {
+	s := &state{}
+	s.Regs[insn.R1] = RegState{Type: TypeCtx}
+	if scalarR1 {
+		s.Regs[insn.R1] = unknownScalar()
 	}
-	if hasCtx {
-		s.Regs[insn.R1] = RegState{Type: TypeCtx}
-	}
-	s.Regs[insn.R10] = RegState{Type: TypeStack, Off: 0}
+	s.Regs[insn.R10] = RegState{Type: TypeStack}
 	return s
 }
 
 func (s *state) clone() *state {
-	c := &state{
-		Regs:      s.Regs,
-		Stack:     s.Stack.clone(),
-		Refs:      make(map[int]ref, len(s.Refs)),
-		LockDepth: s.LockDepth,
-	}
-	for k, v := range s.Refs {
-		c.Refs[k] = v
-	}
-	return c
+	c := *s
+	return &c
 }
 
-// refsEqual reports whether two states hold exactly the same resources.
-func refsEqual(a, b map[int]ref) bool {
-	if len(a) != len(b) {
-		return false
+// refIndex returns where the reference acquired at site sits in Refs, or
+// would be inserted, and whether it is held.
+func (s *state) refIndex(site int) (int, bool) {
+	return slices.BinarySearchFunc(s.Refs, site, func(r ref, site int) int { return r.Site - site })
+}
+
+// acquire adds r, which is not held, to Refs.
+func (s *state) acquire(r ref) {
+	i, _ := s.refIndex(r.Site)
+	s.Refs = slices.Concat(s.Refs[:i], []ref{r}, s.Refs[i:])
+}
+
+// release drops the reference acquired at site, if it is held.
+func (s *state) release(site int) {
+	if i, held := s.refIndex(site); held {
+		s.Refs = slices.Concat(s.Refs[:i], s.Refs[i+1:])
 	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
 }
 
 // le reports whether s refines o.
 func (s *state) le(o *state) bool {
-	if s.LockDepth != o.LockDepth || !refsEqual(s.Refs, o.Refs) {
+	if s.LockDepth != o.LockDepth || !slices.Equal(s.Refs, o.Refs) {
 		return false
 	}
 	for i := range s.Regs {
@@ -506,66 +526,44 @@ func (s *state) le(o *state) bool {
 			return false
 		}
 	}
-	return stackLE(s.Stack, o.Stack)
+	return stackLE(&s.Stack, &o.Stack)
 }
 
-// join merges s with o. It returns an error when resource or lock state
-// disagrees — the paper's convergence requirement (§3.1).
-func (s *state) join(o *state) (*state, error) {
+// merge is the least upper bound of s and o, the state a merge point holds
+// once both have arrived. With widen set — a loop head that keeps changing —
+// whatever the join moved goes to its most general form, so the fixpoint
+// terminates. It returns an error when resource or lock state disagrees:
+// the paper's convergence requirement (§3.1).
+func (s *state) merge(o *state, widen bool) (*state, error) {
+	join := regJoin
+	lockMsg := "lock depth mismatch at merge point (%d vs %d)"
+	refsMsg := "kernel resources do not converge at merge point: %s vs %s"
+	if widen {
+		join = widenReg
+		lockMsg = "lock depth mismatch at loop head (%d vs %d)"
+		refsMsg = "loop does not converge for kernel resources: %s vs %s"
+	}
 	if s.LockDepth != o.LockDepth {
-		return nil, fmt.Errorf("lock depth mismatch at merge point (%d vs %d)", s.LockDepth, o.LockDepth)
+		return nil, fmt.Errorf(lockMsg, s.LockDepth, o.LockDepth)
 	}
-	if !refsEqual(s.Refs, o.Refs) {
-		return nil, fmt.Errorf("kernel resources do not converge at merge point: %s vs %s",
-			refsString(s.Refs), refsString(o.Refs))
+	if !slices.Equal(s.Refs, o.Refs) {
+		return nil, fmt.Errorf(refsMsg, refsString(s.Refs), refsString(o.Refs))
 	}
-	out := s.clone()
+	out := &state{Stack: mergeStack(&s.Stack, &o.Stack, widen), Refs: s.Refs, LockDepth: s.LockDepth}
 	for i := range out.Regs {
-		out.Regs[i] = regJoin(s.Regs[i], o.Regs[i])
-	}
-	out.Stack = stackJoin(s.Stack, o.Stack)
-	return out, nil
-}
-
-// widen joins with widening for loop heads.
-func (s *state) widen(o *state) (*state, error) {
-	if s.LockDepth != o.LockDepth {
-		return nil, fmt.Errorf("lock depth mismatch at loop head (%d vs %d)", s.LockDepth, o.LockDepth)
-	}
-	if !refsEqual(s.Refs, o.Refs) {
-		return nil, fmt.Errorf("loop does not converge for kernel resources: %s vs %s",
-			refsString(s.Refs), refsString(o.Refs))
-	}
-	out := s.clone()
-	for i := range out.Regs {
-		out.Regs[i] = widenReg(s.Regs[i], o.Regs[i])
-	}
-	out.Stack = stackJoin(s.Stack, o.Stack)
-	// Widen any still-changing spill slots.
-	for off, sv := range out.Stack.spills {
-		if ov, ok := s.Stack.spills[off]; ok && sv != ov {
-			out.Stack.spills[off] = widenReg(ov, sv)
-		}
+		out.Regs[i] = join(s.Regs[i], o.Regs[i])
 	}
 	return out, nil
 }
 
-func refsString(refs map[int]ref) string {
-	if len(refs) == 0 {
-		return "{}"
-	}
-	sites := make([]int, 0, len(refs))
-	for s := range refs {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
+func refsString(refs []ref) string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, site := range sites {
+	for i, r := range refs {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%s@%d", refs[site].Kind, site)
+		fmt.Fprintf(&sb, "%s@%d", r.Kind, r.Site)
 	}
 	sb.WriteByte('}')
 	return sb.String()

@@ -1,9 +1,11 @@
 package verifier
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"kflex/insn"
 	"kflex/internal/cfg"
@@ -117,6 +119,18 @@ type ObjLocation struct {
 	StackOff int16
 }
 
+// compare orders locations the way an object table lists them: registers by
+// number, then stack slots by offset.
+func (l ObjLocation) compare(m ObjLocation) int {
+	if l.InReg != m.InReg {
+		if l.InReg {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(l.Reg, m.Reg), cmp.Compare(l.StackOff, m.StackOff))
+}
+
 func (l ObjLocation) String() string {
 	if l.InReg {
 		return l.Reg.String()
@@ -131,10 +145,13 @@ type ObjTableEntry struct {
 	Site       int
 	Kind       kernel.ObjKind
 	Destructor string
-	Locs       []ObjLocation
-	// Conflict marks the §4.3 corner case: different paths leave the
-	// resource in different locations, so Kie must spill it to a unique
-	// stack slot at acquisition.
+	// Locs lists every place the pointer may live, in ObjLocation.compare
+	// order.
+	Locs []ObjLocation
+	// Conflict reports the §4.3 corner case: different paths reach the
+	// point with the resource in different locations, and Locs is their
+	// union. Nothing acts on it — the runtime unwinds from its own list of
+	// held objects, not from a location.
 	Conflict bool
 }
 
@@ -148,7 +165,9 @@ type Analysis struct {
 	// tail (§3.3).
 	UnboundedEdges []cfg.BackEdge
 	// ObjTables maps a cancellation-point instruction index (heap access
-	// or unbounded back-edge tail) to the resources held there.
+	// or unbounded back-edge tail) to the resources held there, ascending
+	// by Site. The same program and Config give the same tables, rows and
+	// locations every time.
 	ObjTables map[int][]ObjTableEntry
 	// LoopsBounded reports whether every loop was proven terminating
 	// (DFS converged).
@@ -161,12 +180,14 @@ type Analysis struct {
 
 // verifier carries the mutable analysis context.
 type verifier struct {
-	cfg    Config
-	prog   []insn.Instruction
-	g      *cfg.Graph
-	facts  []AccessFact
-	tables map[int]map[int]*ObjTableEntry // cp insn -> site -> entry
-	cps    map[int]bool
+	cfg   Config
+	prog  []insn.Instruction
+	g     *cfg.Graph
+	facts []AccessFact
+	// isCP marks the instructions that are cancellation points; tables
+	// holds each one's object table, rows ascending by Site.
+	isCP   []bool
+	tables [][]ObjTableEntry
 	budget int
 	steps  int
 	// unboundedMode is true in the fixpoint fallback: every retreating
@@ -207,15 +228,8 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 	if budget <= 0 {
 		budget = DefaultInsnBudget
 	}
-	v := &verifier{
-		cfg:    vc,
-		prog:   prog,
-		g:      g,
-		facts:  make([]AccessFact, len(prog)),
-		tables: make(map[int]map[int]*ObjTableEntry),
-		cps:    make(map[int]bool),
-		budget: budget,
-	}
+	v := &verifier{cfg: vc, prog: prog, g: g, budget: budget}
+	v.resetFacts()
 
 	// First attempt: path-sensitive DFS. Success proves every loop
 	// terminates, so no cancellation probes are needed (§3.3).
@@ -252,21 +266,19 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 
 func (v *verifier) resetFacts() {
 	v.facts = make([]AccessFact, len(v.prog))
-	v.tables = make(map[int]map[int]*ObjTableEntry)
-	v.cps = make(map[int]bool)
+	v.isCP = make([]bool, len(v.prog))
+	v.tables = make([][]ObjTableEntry, len(v.prog))
 	v.steps = 0
 }
 
 func (v *verifier) finish(an *Analysis) {
 	an.Facts = v.facts
 	an.StatesExplored = v.steps
-	an.ObjTables = make(map[int][]ObjTableEntry, len(v.cps))
-	for cp := range v.cps {
-		var rows []ObjTableEntry
-		for _, e := range v.tables[cp] {
-			rows = append(rows, *e)
+	an.ObjTables = make(map[int][]ObjTableEntry)
+	for i, cp := range v.isCP {
+		if cp {
+			an.ObjTables[i] = v.tables[i]
 		}
-		an.ObjTables[cp] = rows
 	}
 }
 
@@ -325,13 +337,9 @@ type succState struct {
 }
 
 func (v *verifier) runDFS() error {
-	entry := newEntryState(!v.cfg.ScalarR1)
-	if v.cfg.ScalarR1 {
-		entry.Regs[insn.R1] = unknownScalar()
-	}
 	visited := make([][]*visitedState, len(v.prog))
 
-	stack := []*dfsFrame{{idx: 0, st: entry}}
+	stack := []*dfsFrame{{idx: 0, st: newEntryState(v.cfg.ScalarR1)}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		if f.succs == nil {
@@ -399,10 +407,6 @@ func (v *verifier) isMergePoint(idx int) bool {
 // --- Fixpoint engine (KFlex abstract interpretation) -------------------------
 
 func (v *verifier) runFixpoint() error {
-	entry := newEntryState(!v.cfg.ScalarR1)
-	if v.cfg.ScalarR1 {
-		entry.Regs[insn.R1] = unknownScalar()
-	}
 	in := make([]*state, len(v.prog))
 	visits := make([]int, len(v.prog))
 	widenPoint := make([]bool, len(v.prog))
@@ -413,7 +417,7 @@ func (v *verifier) runFixpoint() error {
 			}
 		}
 	}
-	in[0] = entry
+	in[0] = newEntryState(v.cfg.ScalarR1)
 	work := []int{0}
 	inWork := make([]bool, len(v.prog))
 	inWork[0] = true
@@ -437,11 +441,7 @@ func (v *verifier) runFixpoint() error {
 				merged = s.st
 			} else {
 				var jerr error
-				if widenPoint[s.idx] && visits[s.idx] >= widenThreshold {
-					merged, jerr = in[s.idx].widen(s.st)
-				} else {
-					merged, jerr = in[s.idx].join(s.st)
-				}
+				merged, jerr = in[s.idx].merge(s.st, widenPoint[s.idx] && visits[s.idx] >= widenThreshold)
 				if jerr != nil {
 					return &Error{Insn: s.idx, Msg: jerr.Error()}
 				}
@@ -473,36 +473,30 @@ func (v *verifier) recordHeapAccess(idx int, read, guard, formation, manip bool)
 
 // recordCP snapshots the object table for a cancellation point at idx.
 func (v *verifier) recordCP(idx int, st *state) error {
-	v.cps[idx] = true
-	if len(st.Refs) == 0 {
-		return nil
-	}
-	tab := v.tables[idx]
-	if tab == nil {
-		tab = make(map[int]*ObjTableEntry)
-		v.tables[idx] = tab
-	}
-	for site, r := range st.Refs {
-		locs := findRefLocations(st, site)
+	v.isCP[idx] = true
+	for _, r := range st.Refs {
+		locs := findRefLocations(st, r.Site)
 		if len(locs) == 0 {
 			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"reference to %s acquired at insn %d has no live location", r.Kind, site)}
+				"reference to %s acquired at insn %d has no live location", r.Kind, r.Site)}
 		}
-		entry, ok := tab[site]
-		if !ok {
-			tab[site] = &ObjTableEntry{
-				Site:       site,
+		rows := v.tables[idx]
+		i, found := slices.BinarySearchFunc(rows, r.Site,
+			func(row ObjTableEntry, site int) int { return row.Site - site })
+		if !found {
+			v.tables[idx] = slices.Insert(rows, i, ObjTableEntry{
+				Site:       r.Site,
 				Kind:       r.Kind,
 				Destructor: v.destructorFor(r.Kind),
 				Locs:       locs,
-			}
+			})
 			continue
 		}
 		// Union locations; differing location sets across paths are the
-		// §4.3 conflict requiring an acquisition-time spill.
-		if !sameLocs(entry.Locs, locs) {
-			entry.Conflict = true
-			entry.Locs = unionLocs(entry.Locs, locs)
+		// §4.3 conflict.
+		if !slices.Equal(rows[i].Locs, locs) {
+			rows[i].Conflict = true
+			rows[i].Locs = unionLocs(rows[i].Locs, locs)
 		}
 	}
 	return nil
@@ -519,6 +513,8 @@ func (v *verifier) destructorFor(kind kernel.ObjKind) string {
 	return fmt.Sprintf("put_%s", kind)
 }
 
+// findRefLocations lists where the pointer acquired at site lives in st, in
+// ObjLocation.compare order.
 func findRefLocations(st *state, site int) []ObjLocation {
 	var locs []ObjLocation
 	for i := range st.Regs {
@@ -527,52 +523,29 @@ func findRefLocations(st *state, site int) []ObjLocation {
 			locs = append(locs, ObjLocation{InReg: true, Reg: insn.Reg(i)})
 		}
 	}
-	for off, r := range st.Stack.spills {
-		if r.Type == TypeObj && r.RefSite == site {
-			locs = append(locs, ObjLocation{StackOff: off})
+	for i := range st.Stack.spills {
+		sp := &st.Stack.spills[i]
+		if sp.reg.Type == TypeObj && sp.reg.RefSite == site {
+			locs = append(locs, ObjLocation{StackOff: sp.off})
 		}
 	}
 	return locs
 }
 
-func sameLocs(a, b []ObjLocation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[ObjLocation]bool, len(a))
-	for _, l := range a {
-		set[l] = true
-	}
-	for _, l := range b {
-		if !set[l] {
-			return false
-		}
-	}
-	return true
-}
-
+// unionLocs merges two location lists, keeping ObjLocation.compare order.
 func unionLocs(a, b []ObjLocation) []ObjLocation {
-	set := make(map[ObjLocation]bool, len(a)+len(b))
-	out := a
-	for _, l := range a {
-		set[l] = true
-	}
-	for _, l := range b {
-		if !set[l] {
-			set[l] = true
-			out = append(out, l)
-		}
-	}
-	return out
+	out := slices.Concat(a, b)
+	slices.SortFunc(out, ObjLocation.compare)
+	return slices.Compact(out)
 }
 
 // checkRefsAlive verifies every held reference still has a live location
 // (clobbering the last copy of an acquired pointer makes release impossible).
 func checkRefsAlive(idx int, st *state) error {
-	for site, r := range st.Refs {
-		if len(findRefLocations(st, site)) == 0 {
+	for _, r := range st.Refs {
+		if len(findRefLocations(st, r.Site)) == 0 {
 			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"last copy of %s reference (acquired at insn %d) was lost", r.Kind, site)}
+				"last copy of %s reference (acquired at insn %d) was lost", r.Kind, r.Site)}
 		}
 	}
 	return nil
@@ -880,12 +853,9 @@ func (v *verifier) stepLoad(idx int, ins insn.Instruction, st *state) error {
 	base := st.Regs[ins.Src]
 	switch base.Type {
 	case TypeCtx:
-		f, ok := v.cfg.Hook.Field(int(ins.Off), size)
-		if !ok {
-			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"invalid ctx read at off %d size %d for hook %s", ins.Off, size, v.cfg.Hook.Name)}
+		if err := v.ctxAccess(idx, ins, size); err != nil {
+			return err
 		}
-		_ = f
 		st.Regs[ins.Dst] = boundedScalar(size)
 	case TypeStack:
 		r, err := st.Stack.read(base.Off+int64(ins.Off), size)
@@ -894,13 +864,8 @@ func (v *verifier) stepLoad(idx int, ins insn.Instruction, st *state) error {
 		}
 		st.Regs[ins.Dst] = r
 	case TypeMapValue:
-		if base.MaybeNull {
-			return &Error{Insn: idx, Msg: "possible NULL map-value dereference"}
-		}
-		off := base.Off + int64(ins.Off)
-		if off < 0 || off+int64(size) > base.ValSize {
-			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"map value access out of bounds: off %d size %d val %d", off, size, base.ValSize)}
+		if err := mapValueAccess(idx, ins, base, size); err != nil {
+			return err
 		}
 		st.Regs[ins.Dst] = boundedScalar(size)
 	case TypeObj:
@@ -920,6 +885,38 @@ func (v *verifier) stepLoad(idx int, ins insn.Instruction, st *state) error {
 		return &Error{Insn: idx, Msg: "load through invalid register"}
 	}
 	return nil
+}
+
+// ctxAccess is the rule for touching the hook context: the access is one
+// declared field, whole, and a store needs a writable one.
+func (v *verifier) ctxAccess(idx int, ins insn.Instruction, size int) error {
+	f, ok := v.cfg.Hook.Field(int(ins.Off), size)
+	verb := "read"
+	if ins.Op.Class() != insn.ClassLDX {
+		verb, ok = "write", ok && f.Writable
+	}
+	if !ok {
+		return &Error{Insn: idx, Msg: fmt.Sprintf(
+			"invalid ctx %s at off %d size %d for hook %s", verb, ins.Off, size, v.cfg.Hook.Name)}
+	}
+	return nil
+}
+
+// mapValueAccess is the rule for touching a map value through base: the
+// pointer has been NULL-checked and the bytes lie inside the value.
+func mapValueAccess(idx int, ins insn.Instruction, base RegState, size int) error {
+	if base.MaybeNull {
+		return &Error{Insn: idx, Msg: "possible NULL map-value dereference"}
+	}
+	off := base.Off + int64(ins.Off)
+	if off >= 0 && off+int64(size) <= base.ValSize {
+		return nil
+	}
+	if ins.Op.Mode() == insn.ModeATOMIC {
+		return &Error{Insn: idx, Msg: "atomic access out of map value bounds"}
+	}
+	return &Error{Insn: idx, Msg: fmt.Sprintf(
+		"map value access out of bounds: off %d size %d val %d", off, size, base.ValSize)}
 }
 
 // boundedScalar is an unknown scalar limited to size bytes.
@@ -980,10 +977,8 @@ func (v *verifier) stepStore(idx int, ins insn.Instruction, st *state) error {
 	base := st.Regs[ins.Dst]
 	switch base.Type {
 	case TypeCtx:
-		f, ok := v.cfg.Hook.Field(int(ins.Off), size)
-		if !ok || !f.Writable {
-			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"invalid ctx write at off %d size %d for hook %s", ins.Off, size, v.cfg.Hook.Name)}
+		if err := v.ctxAccess(idx, ins, size); err != nil {
+			return err
 		}
 		if val.Type != TypeScalar {
 			return &Error{Insn: idx, Msg: "storing pointer into ctx"}
@@ -1000,13 +995,8 @@ func (v *verifier) stepStore(idx int, ins insn.Instruction, st *state) error {
 			return err
 		}
 	case TypeMapValue:
-		if base.MaybeNull {
-			return &Error{Insn: idx, Msg: "possible NULL map-value dereference"}
-		}
-		off := base.Off + int64(ins.Off)
-		if off < 0 || off+int64(size) > base.ValSize {
-			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"map value access out of bounds: off %d size %d val %d", off, size, base.ValSize)}
+		if err := mapValueAccess(idx, ins, base, size); err != nil {
+			return err
 		}
 		if val.Type != TypeScalar {
 			return &Error{Insn: idx, Msg: "storing pointer into map value"}
@@ -1064,14 +1054,7 @@ func (v *verifier) stepAtomic(idx int, ins insn.Instruction, st *state, val RegS
 	base := st.Regs[ins.Dst]
 	switch base.Type {
 	case TypeMapValue:
-		if base.MaybeNull {
-			return &Error{Insn: idx, Msg: "possible NULL map-value dereference"}
-		}
-		off := base.Off + int64(ins.Off)
-		if off < 0 || off+int64(size) > base.ValSize {
-			return &Error{Insn: idx, Msg: "atomic access out of map value bounds"}
-		}
-		return nil
+		return mapValueAccess(idx, ins, base, size)
 	case TypeHeap, TypeScalar:
 		return v.heapAccess(idx, ins, st, ins.Dst, false, size)
 	default:
@@ -1217,7 +1200,7 @@ func evalConstBranch(op uint8, a, b RegState) (bool, bool) {
 func markNull(st *state, r insn.Reg) {
 	reg := &st.Regs[r]
 	if reg.Type == TypeObj {
-		delete(st.Refs, reg.RefSite)
+		st.release(reg.RefSite)
 	}
 	st.Regs[r] = constScalar(0)
 }

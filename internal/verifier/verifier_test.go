@@ -733,6 +733,95 @@ func TestObjectTableAtCancellationPoints(t *testing.T) {
 	}
 }
 
+// twoLookups starts a program that looks a socket up twice, at insns 9 and
+// 20: the context saved in r9 and a zeroed tuple at fp-16, then lookup(b)
+// for each call.
+func twoLookups() (b *asm.Builder, lookup func(*asm.Builder) *asm.Builder) {
+	b = asm.New().
+		Mov(insn.R9, insn.R1).
+		StoreImm(insn.R10, -16, 0, 8).
+		StoreImm(insn.R10, -8, 0, 8)
+	return b, func(b *asm.Builder) *asm.Builder {
+		return b.Mov(insn.R1, insn.R9).
+			Mov(insn.R2, insn.R10).
+			Add(insn.R2, -16).
+			MovImm(insn.R3, 12).
+			MovImm(insn.R4, 0).
+			MovImm(insn.R5, 0).
+			Call(kernel.HelperSkLookup)
+	}
+}
+
+// twoSocketProgram holds two sockets at one heap access, each in a register
+// and in stack slots besides: site 9 in r6, fp-32, fp-24 and site 20 in r7,
+// fp-56, fp-48, fp-40 at the load at insn 27.
+func twoSocketProgram() []insn.Instruction {
+	b, lookup := twoLookups()
+	lookup(b). // insn 9: first socket
+			JmpImm(insn.JmpEq, insn.R0, 0, "out").
+			Mov(insn.R6, insn.R0).
+			Store(insn.R10, -24, insn.R6, 8).
+			Store(insn.R10, -32, insn.R6, 8)
+	lookup(b). // insn 20: second socket
+			JmpImm(insn.JmpEq, insn.R0, 0, "put1").
+			Mov(insn.R7, insn.R0).
+			Store(insn.R10, -40, insn.R7, 8).
+			Store(insn.R10, -56, insn.R7, 8).
+			Store(insn.R10, -48, insn.R7, 8).
+			Call(kernel.HelperKflexHeapBase).
+			Load(insn.R0, insn.R0, 0, 8). // insn 27: the cancellation point
+			Mov(insn.R1, insn.R7).
+			Call(kernel.HelperSkRelease).
+			Label("put1").
+			Mov(insn.R1, insn.R6).
+			Call(kernel.HelperSkRelease).
+			Label("out")
+	return b.Ret(0).MustAssemble()
+}
+
+// twoLostRefsProgram holds two sockets, each last in a caller-saved register:
+// the call at insn 24 clobbers both.
+func twoLostRefsProgram() []insn.Instruction {
+	b, lookup := twoLookups()
+	lookup(b).JmpImm(insn.JmpEq, insn.R0, 0, "out").Mov(insn.R6, insn.R0)
+	lookup(b).JmpImm(insn.JmpEq, insn.R0, 0, "put").
+		Mov(insn.R2, insn.R0).
+		Mov(insn.R1, insn.R6).
+		MovImm(insn.R6, 0).
+		MovImm(insn.R0, 0).
+		Call(kernel.HelperKtimeGetNS).
+		Label("put").
+		Mov(insn.R1, insn.R6).
+		Call(kernel.HelperSkRelease).
+		Label("out")
+	return b.Ret(0).MustAssemble()
+}
+
+// TestCloneAllocatesOnce: a state is one plain value — cloning it copies
+// the struct and shares the spill and reference lists, whatever they hold.
+func TestCloneAllocatesOnce(t *testing.T) {
+	st := newEntryState(false)
+	sock := RegState{Type: TypeObj, ObjKind: "sock", RefSite: 8}
+	st.acquire(ref{Site: 8, Kind: "sock"})
+	st.acquire(ref{Site: 3, Kind: "sock"})
+	for off := int64(-64); off < 0; off += 8 {
+		if err := st.Stack.write(off, 8, &sock); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var c *state
+	if n := testing.AllocsPerRun(100, func() { c = st.clone() }); n != 1 {
+		t.Errorf("clone made %v allocations, want 1", n)
+	}
+	// What a clone changes, it changes for itself alone.
+	c.release(3)
+	c.Stack.markWritten(-12, 8)
+	if len(st.Refs) != 2 || st.Refs[0].Site != 3 || len(st.Stack.spills) != 8 || len(c.Stack.spills) != 6 {
+		t.Errorf("after the clone changed: original refs %v, %d spills; clone %d spills",
+			st.Refs, len(st.Stack.spills), len(c.Stack.spills))
+	}
+}
+
 func TestMonotonicAcquisitionInLoopRejected(t *testing.T) {
 	k := kernel.New()
 	// Acquire inside an unbounded loop without releasing: violates the
@@ -947,7 +1036,7 @@ func TestRememberKeepsListBounded(t *testing.T) {
 	var list []*visitedState
 	var all []*visitedState
 	for i := 0; i < 10*maxVisited; i++ {
-		vs := &visitedState{st: newEntryState(true), inProgress: true}
+		vs := &visitedState{st: newEntryState(false), inProgress: true}
 		all = append(all, vs)
 		list = remember(list, vs)
 		if len(list) > maxVisited {
@@ -971,7 +1060,7 @@ func TestRememberKeepsListBounded(t *testing.T) {
 	done := list[maxVisited/2]
 	done.inProgress = false
 	oldest := list[0]
-	list = remember(list, &visitedState{st: newEntryState(true), inProgress: true})
+	list = remember(list, &visitedState{st: newEntryState(false), inProgress: true})
 	if done.st != nil || oldest.st == nil {
 		t.Error("eviction took an ancestor while a completed state was listed")
 	}

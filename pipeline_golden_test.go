@@ -2,6 +2,8 @@ package kflex_test
 
 import (
 	"fmt"
+	"hash/fnv"
+	"maps"
 	"os"
 	"reflect"
 	"slices"
@@ -15,6 +17,7 @@ import (
 	"kflex/internal/apps/offload"
 	"kflex/internal/apps/redis"
 	"kflex/internal/ds"
+	"kflex/internal/verifier"
 )
 
 // goldenPrograms are the programs the repository ships: the shared KV
@@ -35,12 +38,43 @@ func goldenPrograms(t *testing.T) []kflex.Spec {
 	return append(specs, kflex.Spec{Name: "listing1", Insns: listing1(t), Hook: kflex.HookXDP, HeapSize: 1 << 20})
 }
 
+// analysisDigest hashes everything the verifier concluded about one program:
+// every AccessFact, the unbounded edges, LoopsBounded, StatesExplored and the
+// object tables, with rows sorted by site and locations by name so that the
+// digest does not depend on the order the walk met them.
+func analysisDigest(an *verifier.Analysis) (rows int, digest uint64) {
+	h := fnv.New64a()
+	for i, f := range an.Facts {
+		fmt.Fprintf(h, "%d %v\n", i, f)
+	}
+	fmt.Fprintf(h, "edges %v bounded %v states %d\n", an.UnboundedEdges, an.LoopsBounded, an.StatesExplored)
+	for _, cp := range slices.Sorted(maps.Keys(an.ObjTables)) {
+		table := slices.Clone(an.ObjTables[cp])
+		slices.SortFunc(table, func(a, b verifier.ObjTableEntry) int { return a.Site - b.Site })
+		fmt.Fprintf(h, "cp %d", cp)
+		for _, row := range table {
+			locs := make([]string, len(row.Locs))
+			for i, l := range row.Locs {
+				locs[i] = l.String()
+			}
+			slices.Sort(locs)
+			fmt.Fprintf(h, " [%d %s %s %v %v]", row.Site, row.Kind, row.Destructor, locs, row.Conflict)
+		}
+		fmt.Fprintln(h)
+		rows += len(table)
+	}
+	return rows, h.Sum64()
+}
+
 // TestPipelineGolden pins what verify → instrument emits for every shipped
-// program under each knob Kie reads: the instrumented stream's fingerprint
-// and the kie.Report counters, captured at PR 20 (ff0ba6f), before Load was
-// split into compile and link and DisableElision moved into Kie. A line
-// that differs means the instrumentation changed: if that is intended,
-// replace testdata/pipeline_golden.txt with the text the failure prints.
+// program under each knob Kie reads. testdata/pipeline_golden.txt holds the
+// instrumented stream's fingerprint and the kie.Report counters, captured at
+// PR 20 (ff0ba6f), before Load was split into compile and link and
+// DisableElision moved into Kie; testdata/analysis_golden.txt holds a digest
+// of the whole verifier.Analysis, captured at PR 21 (c90a6e2), before the
+// verifier's state stopped being built from Go maps. A line that differs
+// means the verifier or the instrumentation changed: if that is intended,
+// replace the file with the text the failure prints.
 func TestPipelineGolden(t *testing.T) {
 	variants := []struct {
 		name string
@@ -51,7 +85,7 @@ func TestPipelineGolden(t *testing.T) {
 		{"perfmode", func(s *kflex.Spec) { s.PerfMode = true }},
 		{"shareheap", func(s *kflex.Spec) { s.ShareHeap = true }},
 	}
-	var got strings.Builder
+	var got, gotAnalysis strings.Builder
 	for _, base := range goldenPrograms(t) {
 		rt := kflex.NewRuntime()
 		memcached.Codec.RegisterHelpers(rt)
@@ -71,6 +105,10 @@ func TestPipelineGolden(t *testing.T) {
 				r.ManipGuards, r.ElidedGuards, r.FormationGuards, r.StaticSafe,
 				r.ReadGuards, r.WriteGuards, r.Probes, r.XlatStores, len(r.CPs),
 				ext.Analysis().StatesExplored)
+			an := ext.Analysis()
+			rows, digest := analysisDigest(an)
+			fmt.Fprintf(&gotAnalysis, "%s/%s facts=%d edges=%d bounded=%v tables=%d rows=%d analysis=%016x\n",
+				base.Name, v.name, len(an.Facts), len(an.UnboundedEdges), an.LoopsBounded, len(an.ObjTables), rows, digest)
 			switch v.name {
 			case "default":
 				defaultFacts = ext.Analysis().Facts
@@ -84,11 +122,16 @@ func TestPipelineGolden(t *testing.T) {
 			ext.Close()
 		}
 	}
-	want, err := os.ReadFile("testdata/pipeline_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("instrumentation differs from testdata/pipeline_golden.txt; got:\n%s", got.String())
+	for _, g := range []struct{ file, got string }{
+		{"testdata/pipeline_golden.txt", got.String()},
+		{"testdata/analysis_golden.txt", gotAnalysis.String()},
+	} {
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.got != string(want) {
+			t.Errorf("output differs from %s; got:\n%s", g.file, g.got)
+		}
 	}
 }
