@@ -22,11 +22,11 @@ fmt:
 
 # The trusted computing base of DESIGN.md §8, counted as its table is:
 # non-blank, non-comment, non-test Go per package. TCB_BUDGET is the total
-# as of the last change to it (PR 22); a change that pushes the total past
+# as of the last change to it (PR 23); a change that pushes the total past
 # it says in DESIGN.md what the lines buy and raises the figure here.
 TCB_PKGS = internal/verifier internal/cfg internal/kie internal/compile \
 	internal/vm internal/heap internal/alloc internal/locks
-TCB_BUDGET = 4841
+TCB_BUDGET = 4805
 
 tcb:
 	@total=0; for d in $(TCB_PKGS); do \

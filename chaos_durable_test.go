@@ -86,14 +86,14 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 	cfg.CancelThreshold = 3
 	cfg.Durable = st
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	mc, err := memcached.NewSupervisedRecovered(cfg, 1, supervisor.Tuning{
+	mc, err := memcached.NewSupervised(cfg, 1, supervisor.Tuning{
 		BackoffBase:         time.Millisecond,
 		BackoffMax:          8 * time.Millisecond,
 		ProbeRuns:           4,
 		MaxConcurrentProbes: 1,
 		JitterSeed:          seed + 2,
 		Now:                 clk.Now,
-	}, &info0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

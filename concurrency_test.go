@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kflex/asm"
 	"kflex/insn"
+	"kflex/internal/faultinject"
 	"kflex/internal/kernel"
 )
 
@@ -318,5 +320,100 @@ func TestWatchdogCancelIsPerInvocation(t *testing.T) {
 	var de *DegradedError
 	if _, err := h0.RunContext(ctx, nil, make([]byte, HookBench.CtxSize)); !errors.As(err, &de) {
 		t.Fatalf("RunContext on a retired extension = %v, want *DegradedError", err)
+	}
+}
+
+// helperArrive is the rendezvous lockAndSpin calls with its lock held.
+const helperArrive int32 = 0x4001
+
+// lockAndSpin takes the spin lock at GlobalsOff+64+8·ctx.a (a is 0 or 1, the
+// caller's CPU), reports in, and spins on a heap word that stays zero: it
+// holds its lock until it is cancelled.
+func lockAndSpin() []insn.Instruction {
+	return asm.New().
+		Load(insn.R7, insn.R1, 8, 8).
+		I(insn.Alu64Imm(insn.AluAnd, insn.R7, 1)).
+		I(insn.Alu64Imm(insn.AluLsh, insn.R7, 3)).
+		Call(kernel.HelperKflexHeapBase).
+		Mov(insn.R6, insn.R0).
+		AddReg(insn.R7, insn.R6).
+		Add(insn.R7, GlobalsOff+64).
+		Mov(insn.R1, insn.R7).
+		Call(kernel.HelperKflexSpinLock).
+		Call(helperArrive).
+		Label("spin").
+		Load(insn.R2, insn.R6, 512, 8).
+		JmpImm(insn.JmpEq, insn.R2, 0, "spin").
+		Mov(insn.R1, insn.R7).
+		Call(kernel.HelperKflexSpinUnlock).
+		Ret(0).
+		MustAssemble()
+}
+
+// TestConcurrentCancelLeavesNoLock: two CPUs, each holding its own lock,
+// are cancelled at the same moment — the second to report in arms the plan,
+// and from that instant every heap access on either faults — and both
+// unwinds release their lock. An unwind
+// is shielded from injection by Plan.Suspend, which nests; as a disarm/
+// re-arm pair around each unwind, the one that finished first re-armed the
+// plan under the other, whose unlock then took the injected fault, dropped
+// the error and left the lock held for good.
+func TestConcurrentCancelLeavesNoLock(t *testing.T) {
+	rounds := 1000
+	if testing.Short() {
+		rounds = 200
+	}
+	plan := faultinject.NewPlan(1).SetRate(faultinject.HeapGuard, 1)
+	rt := NewRuntime()
+	var arrived atomic.Uint64
+	rt.Kernel().Helpers.MustRegister(&kernel.HelperSpec{
+		ID:   helperArrive,
+		Name: "test_arrive",
+		Ret:  kernel.Ret{Kind: kernel.RetScalar},
+		Impl: func(*kernel.HelperCtx, [5]uint64) (uint64, error) {
+			if arrived.Add(1)%2 == 0 {
+				plan.Enable() // both invocations are in flight, locks held
+			}
+			return 0, nil
+		},
+	})
+	ext, err := rt.Load(Spec{
+		Name:            "lock-and-spin",
+		Insns:           lockAndSpin(),
+		Hook:            HookBench,
+		Mode:            ModeKFlex,
+		HeapSize:        1 << 16,
+		NumCPUs:         2,
+		FaultPlan:       plan,
+		CancelThreshold: CancelNever,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for cpu := 0; cpu < 2; cpu++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hctx := make([]byte, HookBench.CtxSize)
+				binary.LittleEndian.PutUint64(hctx[8:], uint64(cpu))
+				if res, err := ext.Handle(cpu).Run(nil, hctx); err != nil || res.Cancelled == CancelNone {
+					t.Errorf("round %d cpu %d: cancelled = %v, err = %v, want a cancellation", round, cpu, res.Cancelled, err)
+				}
+			}()
+		}
+		wg.Wait()
+		plan.Disarm()
+		base := ext.Heap().ExtBase() + GlobalsOff + 64
+		for cpu := uint64(0); cpu < 2; cpu++ {
+			if ext.ExtLocks().Held(base + 8*cpu) {
+				t.Fatalf("round %d: cpu %d's lock is still held after its invocation was cancelled", round, cpu)
+			}
+		}
+		if refs, held := ext.AuditHeld(); refs != 0 || held != 0 {
+			t.Fatalf("round %d: audit = %d refs, %d locks, want 0, 0", round, refs, held)
+		}
 	}
 }

@@ -14,146 +14,20 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 
 	"kflex"
 	"kflex/asm"
 	"kflex/insn"
-	"kflex/internal/netsim"
+	"kflex/internal/apps/listing1"
 )
-
-// Packet layout: op u8 @0, key u32 @1, value u32 @5 (9 bytes).
-const (
-	opUpdate = 0
-	opDelete = 1
-)
-
-// Node layout in the extension heap (struct elem of Listing 1).
-const (
-	nKey  = 0
-	nVal  = 8
-	nNext = 16
-	nPrev = 24
-	nSize = 32
-)
-
-// Heap globals: head pointer and the spin lock.
-const (
-	gHead = kflex.GlobalsOff
-	gLock = kflex.GlobalsOff + 8
-)
-
-// program builds Listing 1. The flow mirrors the paper line by line:
-// parse the packet, take the lock, walk the list, look up the UDP socket
-// for existing connections, update or delete, release, unlock.
-func program() []insn.Instruction {
-	b := asm.New()
-	b.Mov(insn.R9, insn.R1) // ctx
-	b.Call(kflex.HelperKflexHeapBase)
-	b.Mov(insn.R8, insn.R0) // heap base
-
-	// if (!check_ipv4_udp(ctx)) return XDP_DROP;  -- length check here.
-	b.Load(insn.R2, insn.R9, 0, 4) // ctx->data_len
-	b.JmpImm(insn.JmpLt, insn.R2, 9, "drop")
-
-	// Parse op/key/value from the packet into the stack (the packet
-	// helpers play the role of Listing 1's get_key/get_value).
-	b.Mov(insn.R1, insn.R9)
-	b.MovImm(insn.R2, 0)
-	b.Mov(insn.R3, insn.R10)
-	b.Add(insn.R3, -16)
-	b.MovImm(insn.R4, 9)
-	b.Call(kflex.HelperPktLoadBytes)
-	b.JmpImm(insn.JmpNe, insn.R0, 0, "drop")
-	b.Load(insn.R7, insn.R10, -15, 4) // key (u32 at packet offset 1)
-
-	// init_sock_tuple(ctx, &tup): zero 12 bytes at fp-32.
-	b.StoreImm(insn.R10, -32, 0, 8)
-	b.StoreImm(insn.R10, -24, 0, 4)
-
-	// kflex_spin_lock(&lock);
-	b.Mov(insn.R1, insn.R8)
-	b.Add(insn.R1, gLock)
-	b.Call(kflex.HelperKflexSpinLock)
-
-	// struct elem *e = head; while (e != NULL) { ... }
-	b.Load(insn.R6, insn.R8, gHead, 8)
-	b.Label("loop")
-	b.JmpImm(insn.JmpEq, insn.R6, 0, "miss")
-	b.Load(insn.R0, insn.R6, nKey, 8)
-	b.JmpReg(insn.JmpEq, insn.R0, insn.R7, "found")
-	b.Load(insn.R6, insn.R6, nNext, 8) // e = e->next
-	b.Ja("loop")
-
-	// Key present: only handle packets for existing UDP sockets
-	// (Listing 1 line 33: sk = bpf_sk_lookup_udp(...)).
-	b.Label("found")
-	b.Mov(insn.R1, insn.R9)
-	b.Mov(insn.R2, insn.R10)
-	b.Add(insn.R2, -32)
-	b.MovImm(insn.R3, 12)
-	b.MovImm(insn.R4, 0)
-	b.MovImm(insn.R5, 0)
-	b.Call(kflex.HelperSkLookup)
-	b.JmpImm(insn.JmpEq, insn.R0, 0, "miss") // if (!sk) break;
-	b.Store(insn.R10, -40, insn.R0, 8)       // keep sk for release
-
-	// switch (get_request_type(ctx)): op at packet byte 0 -> stack -16.
-	b.Load(insn.R1, insn.R10, -16, 1)
-	b.JmpImm(insn.JmpEq, insn.R1, opDelete, "delete")
-
-	// case 0: e->value = get_value(ctx);
-	b.Load(insn.R2, insn.R10, -11, 4) // value (u32 at packet offset 5)
-	b.Store(insn.R6, nVal, insn.R2, 8)
-	b.Ja("release")
-
-	// case 1: list_delete(head, e); kflex_free(e);
-	b.Label("delete")
-	b.Load(insn.R3, insn.R6, nNext, 8)
-	b.Load(insn.R4, insn.R6, nPrev, 8)
-	b.JmpImm(insn.JmpEq, insn.R4, 0, "del-head")
-	b.Store(insn.R4, nNext, insn.R3, 8)
-	b.Ja("del-fix")
-	b.Label("del-head")
-	b.Store(insn.R8, gHead, insn.R3, 8)
-	b.Label("del-fix")
-	b.JmpImm(insn.JmpEq, insn.R3, 0, "del-free")
-	b.Store(insn.R3, nPrev, insn.R4, 8)
-	b.Label("del-free")
-	b.Mov(insn.R1, insn.R6)
-	b.Call(kflex.HelperKflexFree)
-
-	// bpf_sk_release(sk);
-	b.Label("release")
-	b.Load(insn.R1, insn.R10, -40, 8)
-	b.Call(kflex.HelperSkRelease)
-
-	// kflex_spin_unlock(&lock); return XDP_DROP;
-	b.Label("miss")
-	b.Mov(insn.R1, insn.R8)
-	b.Add(insn.R1, gLock)
-	b.Call(kflex.HelperKflexSpinUnlock)
-	b.Ret(kflex.XDPDrop)
-	b.Label("drop")
-	b.Ret(kflex.XDPDrop)
-	return b.MustAssemble()
-}
-
-func packet(op byte, key, value uint32, sock *kflex.KernelObject) *netsim.Packet {
-	data := make([]byte, 9)
-	data[0] = op
-	binary.LittleEndian.PutUint32(data[1:], key)
-	binary.LittleEndian.PutUint32(data[5:], value)
-	return &netsim.Packet{Data: data, Sock: sock}
-}
 
 func main() {
 	rt := kflex.NewRuntime()
 	ext, err := rt.Load(kflex.Spec{
 		Name:     "kvstore",
-		Insns:    program(),
+		Insns:    listing1.Program(),
 		Hook:     kflex.HookXDP,
 		Mode:     kflex.ModeKFlex,
 		HeapSize: 16 << 20, // kflex_heap(...) of Listing 1, scaled down
@@ -167,7 +41,7 @@ func main() {
 	// Plain eBPF rejects this program: the while(e) walk has no provable
 	// bound. Demonstrate by loading the same bytecode in eBPF mode.
 	if _, err := rt.Load(kflex.Spec{
-		Name: "kvstore-ebpf", Insns: program(), Hook: kflex.HookXDP, Mode: kflex.ModeEBPF,
+		Name: "kvstore-ebpf", Insns: listing1.Program(), Hook: kflex.HookXDP, Mode: kflex.ModeEBPF,
 	}); err != nil {
 		fmt.Println("as expected, eBPF mode rejects it:", err)
 	}
@@ -178,24 +52,24 @@ func main() {
 	uv, _ := ext.UserView()
 	var prev uint64
 	for key := uint32(1); key <= 3; key++ {
-		nodeUser, err := ext.UserMalloc(nSize)
+		nodeUser, err := ext.UserMalloc(listing1.NodeSize)
 		if err != nil {
 			log.Fatal(err)
 		}
-		must(uv.Store(nodeUser+nKey, 8, uint64(key)))
-		must(uv.Store(nodeUser+nVal, 8, 0))
-		must(uv.Store(nodeUser+nNext, 8, prev))
-		must(uv.Store(nodeUser+nPrev, 8, 0))
+		must(uv.Store(nodeUser+listing1.NodeKey, 8, uint64(key)))
+		must(uv.Store(nodeUser+listing1.NodeVal, 8, 0))
+		must(uv.Store(nodeUser+listing1.NodeNext, 8, prev))
+		must(uv.Store(nodeUser+listing1.NodePrev, 8, 0))
 		prev = nodeUser
 	}
 	// Head is stored as an extension VA (translate-on-store is off here).
-	must(uv.Store(uv.Base()+gHead, 8, ext.Heap().TranslateToExt(prev)))
+	must(uv.Store(uv.Base()+listing1.GlobHead, 8, ext.Heap().TranslateToExt(prev)))
 
 	sock := kflex.NewKernelObject("sock", nil)
 	h := ext.Handle(0)
 
 	// Update key 2 to value 42.
-	pkt := packet(opUpdate, 2, 42, sock)
+	pkt := listing1.Packet(listing1.OpUpdate, 2, 42, sock)
 	res, err := h.Run(pkt, pkt.XDPCtx(0))
 	if err != nil {
 		log.Fatal(err)
@@ -204,7 +78,7 @@ func main() {
 		res.Ret, sock.Refs())
 
 	// Delete key 1 (frees the node with kflex_free).
-	pkt = packet(opDelete, 1, 0, sock)
+	pkt = listing1.Packet(listing1.OpDelete, 1, 0, sock)
 	if _, err := h.Run(pkt, pkt.XDPCtx(0)); err != nil {
 		log.Fatal(err)
 	}
@@ -250,7 +124,7 @@ func demoCancellation(sock *kflex.KernelObject) {
 		log.Fatal(err)
 	}
 	defer ext.Close()
-	pkt := packet(opUpdate, 1, 0, sock)
+	pkt := listing1.Packet(listing1.OpUpdate, 1, 0, sock)
 	res, err := ext.Handle(0).Run(pkt, pkt.XDPCtx(0))
 	if err != nil {
 		log.Fatal(err)

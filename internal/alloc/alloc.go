@@ -475,10 +475,7 @@ func (a *Allocator) CheckConsistency() error {
 	// Observation must not itself be an injection site: header reads go
 	// through the heap view, and an injected guard fault there would
 	// report a phantom inconsistency.
-	if a.fault.Enabled() {
-		a.fault.Disarm()
-		defer a.fault.Enable()
-	}
+	defer a.fault.Suspend()()
 	// Snapshot free lists per class: per-CPU magazines, then the depot.
 	free := make([][]uint64, numClasses)
 	for i := range a.cpus {

@@ -115,19 +115,6 @@ var Codec = offload.Codec{
 	},
 }
 
-// --- Native store (the user-space server and the BMC fallback) --------------------
-
-// KV and Store are the shared front end's store contract and its sharded
-// in-memory implementation.
-type (
-	KV    = offload.KV
-	Store = offload.Store
-)
-
-// HandleKV processes one request frame against any authoritative store
-// and returns the reply.
-func HandleKV(kv KV, frame []byte, reply []byte) []byte { return Codec.Handle(kv, frame, reply) }
-
 // --- Shared harness pieces ---------------------------------------------------------
 
 // Config parameterizes one Memcached system instance for the simulation.
@@ -143,7 +130,7 @@ func DefaultConfig(mix workload.Mix) Config {
 // UserSpace is the baseline server.
 type UserSpace struct {
 	cfg   Config
-	store *Store
+	store *offload.Store
 	fac   *offload.ReqFactory
 	reply []byte
 }
@@ -163,7 +150,7 @@ func NewUserSpace(cfg Config) *UserSpace {
 func (u *UserSpace) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
 	req, frame := u.fac.Next()
 	t0 := time.Now()
-	u.reply = HandleKV(u.store, frame, u.reply)
+	u.reply = Codec.Handle(u.store, frame, u.reply)
 	work := float64(time.Since(t0).Nanoseconds())
 	return sim.Service{Ns: work + Codec.PathNs(u.cfg.Costs, req.Op == workload.OpSet, false)}
 }
@@ -175,13 +162,12 @@ func (u *UserSpace) Name() string { return "User space" }
 
 // BMC runs the eBPF look-aside cache in front of the user-space server.
 type BMC struct {
-	cfg     Config
-	store   *Store
-	cache   *maps.LRU
-	ext     *kflex.Extension
-	handles []*kflex.Handle
-	fac     *offload.ReqFactory
-	reply   []byte
+	cfg   Config
+	store *offload.Store
+	cache *maps.LRU
+	ext   *kflex.Extension
+	fac   *offload.ReqFactory
+	reply []byte
 	// Hits and Misses count cache outcomes for reporting.
 	Hits, Misses uint64
 	// Errors counts extension invocations that failed outright; the
@@ -202,18 +188,16 @@ func NewBMC(cfg Config, servers int) (*BMC, error) {
 		return nil, err
 	}
 	ext, err := rt.Load(kflex.Spec{
-		Name:  "bmc",
-		Insns: bmcProgram(),
-		Hook:  kflex.HookXDP,
-		Mode:  kflex.ModeEBPF, // BMC is plain eBPF: no heap, no KFlex runtime
+		Name:    "bmc",
+		Insns:   bmcProgram(),
+		Hook:    kflex.HookXDP,
+		Mode:    kflex.ModeEBPF, // BMC is plain eBPF: no heap, no KFlex runtime
+		NumCPUs: servers,
 	})
 	if err != nil {
 		return nil, err
 	}
 	b := &BMC{cfg: cfg, store: offload.NewStore(), cache: cache, ext: ext, fac: Codec.NewReqFactory(cfg), reply: make([]byte, 0, 128)}
-	for i := 0; i < servers; i++ {
-		b.handles = append(b.handles, ext.Handle(i))
-	}
 	if cfg.Preload {
 		offload.Preload(b.store, cfg.ValueSize)
 	}
@@ -226,7 +210,7 @@ func NewBMC(cfg Config, servers int) (*BMC, error) {
 // cannot offload them) and invalidate the entry.
 func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
 	req, frame := b.fac.Next()
-	h := b.handles[cpu%len(b.handles)]
+	h := b.ext.Handle(cpu)
 	pkt := &netsim.Packet{Data: frame}
 	if req.Op == workload.OpGet {
 		res, err := h.Run(pkt, pkt.XDPCtx(0))
@@ -236,7 +220,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 			b.Errors++
 			b.Misses++
 			t0 := time.Now()
-			b.reply = HandleKV(b.store, frame, b.reply)
+			b.reply = Codec.Handle(b.store, frame, b.reply)
 			work := float64(time.Since(t0).Nanoseconds())
 			return sim.Service{Ns: work + b.cfg.Costs.UserspaceUDP()}
 		}
@@ -249,7 +233,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 		// the cache fill.
 		b.Misses++
 		t0 := time.Now()
-		b.reply = HandleKV(b.store, frame, b.reply)
+		b.reply = Codec.Handle(b.store, frame, b.reply)
 		if len(b.reply) > 1 && b.reply[0] == 'V' {
 			_, key, _ := ParseRequest(frame)
 			b.fillCache(key, b.reply[1:])
@@ -259,7 +243,7 @@ func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Servic
 	}
 	// SET: user space only; invalidate the cached entry.
 	t0 := time.Now()
-	b.reply = HandleKV(b.store, frame, b.reply)
+	b.reply = Codec.Handle(b.store, frame, b.reply)
 	_, key, _ := ParseRequest(frame)
 	b.cache.Delete(key)
 	work := float64(time.Since(t0).Nanoseconds())

@@ -30,15 +30,15 @@ func TestStoreHandle(t *testing.T) {
 	s := offload.NewStore()
 	key := workload.FormatKey(1, KeySize)
 	val := workload.FormatValue(1, ValueSize)
-	reply := HandleKV(s, EncodeGet(key), nil)
+	reply := Codec.Handle(s, EncodeGet(key), nil)
 	if string(reply) != "M" {
 		t.Fatalf("miss reply = %q", reply)
 	}
-	reply = HandleKV(s, EncodeSet(key, val), reply)
+	reply = Codec.Handle(s, EncodeSet(key, val), reply)
 	if string(reply) != "S" {
 		t.Fatalf("set reply = %q", reply)
 	}
-	reply = HandleKV(s, EncodeGet(key), reply)
+	reply = Codec.Handle(s, EncodeGet(key), reply)
 	if reply[0] != 'V' || !bytes.Equal(reply[1:], val) {
 		t.Fatalf("get reply = %q", reply)
 	}
@@ -109,7 +109,7 @@ func TestBMCHitAndMiss(t *testing.T) {
 
 	// A direct extension run on a cached key is served at the hook.
 	pkt := pktFor(EncodeGet(key))
-	res, err := b.handles[0].Run(pkt, pkt.XDPCtx(0))
+	res, err := b.ext.Handle(0).Run(pkt, pkt.XDPCtx(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBMCHitAndMiss(t *testing.T) {
 	}
 	// Uncached key passes to the stack.
 	pkt = pktFor(EncodeGet(workload.FormatKey(10, KeySize)))
-	res, err = b.handles[0].Run(pkt, pkt.XDPCtx(0))
+	res, err = b.ext.Handle(0).Run(pkt, pkt.XDPCtx(0))
 	if err != nil {
 		t.Fatal(err)
 	}

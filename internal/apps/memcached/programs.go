@@ -8,7 +8,6 @@ import (
 	"kflex/insn"
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/offload"
-	"kflex/internal/durable"
 	"kflex/internal/kernel"
 	"kflex/internal/sim"
 	"kflex/internal/supervisor"
@@ -54,14 +53,6 @@ func bmcProgram() []insn.Instruction {
 	return b.MustAssemble()
 }
 
-// KFlex Memcached hash-table geometry comes from the shared kvprog builder;
-// local aliases keep the co-design GC walker readable.
-const (
-	mcBuckets   = kvprog.Buckets
-	mnNext      = kvprog.NodeNext
-	mcGlobTable = kvprog.GlobTable
-)
-
 // --- System 3: KFlex ------------------------------------------------------------------
 
 // KFlexMC serves the full workload at the XDP hook (§5.1): GETs and SETs
@@ -86,13 +77,7 @@ type Supervised = offload.Supervised
 // NewSupervised builds the supervised deployment. tuning configures the
 // circuit breaker (zero values take supervisor defaults).
 func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervised, error) {
-	return NewSupervisedRecovered(cfg, servers, tuning, nil)
-}
-
-// NewSupervisedRecovered is NewSupervised for a recovered durable store:
-// info (from durable.Open) surfaces the WAL replay in the supervisor stats.
-func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
-	return offload.NewSupervised(&Codec, cfg, servers, tuning, info)
+	return offload.NewSupervised(&Codec, cfg, servers, tuning)
 }
 
 // --- System 4: co-design (§5.3) -----------------------------------------------------
@@ -143,11 +128,11 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	tableOff, err := uv.Load(uv.Base()+mcGlobTable, 8)
+	tableOff, err := uv.Load(uv.Base()+kvprog.GlobTable, 8)
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < mcBuckets; i++ {
+	for i := 0; i < kvprog.Buckets; i++ {
 		// Bucket entries were stored by the extension with
 		// translate-on-store, so they are valid user VAs already.
 		ptr, err := uv.Load(uv.Base()+tableOff+uint64(i*8), 8)
@@ -156,7 +141,7 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 		}
 		for ptr != 0 {
 			entries++
-			ptr, err = uv.Load(ptr+mnNext, 8)
+			ptr, err = uv.Load(ptr+kvprog.NodeNext, 8)
 			if err != nil {
 				return entries, err
 			}

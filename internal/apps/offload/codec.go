@@ -3,14 +3,13 @@
 // structure and the same offload-miss fallback (§5.1); kvprog builds the
 // one program, and this package owns everything around it: the KV store
 // contract and the sharded in-memory Store, the per-CPU Worker, the bare
-// deployment (KFlex: load, init, preload, Serve) and the supervised one
+// deployment (KFlex: load, populate, Serve) and the supervised one
 // (Supervised: write-through, dirty set, resync, fallback). An application
 // contributes a Codec — its wire format, helpers, hook and path costs —
 // and nothing else.
 package offload
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -83,14 +82,18 @@ func (c *Codec) RegisterHelpers(rt *kflex.Runtime) {
 			{Kind: kernel.ArgStackBuf, Size: kvprog.ValueSize}, // value out
 		},
 		Ret: kernel.Ret{Kind: kernel.RetScalar},
-		// Returns op | valLen<<8.
+		// Returns op | valLen<<8. What the hook was invoked for is the
+		// event's type: packet bytes are a client's and only ever parse to a
+		// GET, a SET or nothing.
 		Impl: func(hc *kernel.HelperCtx, args [5]uint64) (uint64, error) {
-			pkt, ok := hc.Event.(*netsim.Packet)
-			if !ok {
-				return kvprog.OpNone, nil
-			}
-			if bytes.Equal(pkt.Data, initFrame) {
+			var pkt *netsim.Packet
+			switch ev := hc.Event.(type) {
+			case *netsim.Packet:
+				pkt = ev
+			case initEvent:
 				return kvprog.OpInit, nil
+			default:
+				return kvprog.OpNone, nil
 			}
 			op, key, value := c.Parse(pkt.Data)
 			if op == kvprog.OpNone {
@@ -164,10 +167,10 @@ func (c *Codec) answer(kv KV, op int, key, reply []byte) []byte {
 	return append(reply[:0], c.Err...)
 }
 
-// initFrame is the out-of-band request a deployment sends a fresh heap
-// once: the parse helper answers it with kvprog.OpInit and the program
-// allocates its bucket array.
-var initFrame = []byte{'i'}
+// initEvent is the event a deployment runs a fresh heap's hook with, once:
+// the parse helper answers it with kvprog.OpInit and the program allocates
+// its bucket array. No packet carries it.
+type initEvent struct{}
 
 // conn is one driver's packet and hook context, reused across requests.
 type conn struct {
@@ -182,15 +185,43 @@ func (cn *conn) arm(frame []byte) {
 	binary.LittleEndian.PutUint32(cn.ctx, uint32(len(frame)))
 }
 
-// run executes one frame on h and requires the served code; the reply is
-// in cn.pkt.Reply.
-func (c *Codec) run(h *kflex.Handle, cn *conn, frame []byte) (kflex.Result, error) {
-	cn.arm(frame)
-	res, err := h.Run(&cn.pkt, cn.ctx)
+// invoke runs the hook on h for event and requires the served code.
+func (c *Codec) invoke(h *kflex.Handle, event any, ctx []byte) (kflex.Result, error) {
+	res, err := h.Run(event, ctx)
 	if err == nil && !c.served(res) {
 		err = fmt.Errorf("%s: extension returned %d", c.Name, res.Ret)
 	}
 	return res, err
 }
 
+// run executes one frame on h; the reply is in cn.pkt.Reply.
+func (c *Codec) run(h *kflex.Handle, cn *conn, frame []byte) (kflex.Result, error) {
+	cn.arm(frame)
+	return c.invoke(h, &cn.pkt, cn.ctx)
+}
+
 func (c *Codec) served(res kflex.Result) bool { return res.Ret == uint64(c.Prog.RetServed) }
+
+// push SETs every pair each yields (KV.Range's shape) through h and reports
+// how many the extension stored.
+func (c *Codec) push(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (n int, err error) {
+	var frame []byte
+	err = each(func(key, value []byte) error {
+		frame = c.AppendSet(frame[:0], key, value)
+		_, err := c.run(h, cn, frame)
+		if err == nil {
+			n++
+		}
+		return err
+	})
+	return n, err
+}
+
+// populate brings a fresh heap into service through h: the init event, then
+// every pair of each.
+func (c *Codec) populate(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (int, error) {
+	if _, err := c.invoke(h, initEvent{}, cn.ctx); err != nil {
+		return 0, err
+	}
+	return c.push(h, cn, each)
+}

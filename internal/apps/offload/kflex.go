@@ -78,11 +78,25 @@ func (f *ReqFactory) Next() (workload.Request, []byte) {
 	return req, f.codec.AppendGet(nil, key)
 }
 
+// keySpace yields the first n keys of the workload's key space with their
+// vsz-byte values, in KV.Range's shape.
+func keySpace(n uint64, vsz int) func(func(key, value []byte) error) error {
+	return func(fn func(key, value []byte) error) error {
+		for k := uint64(1); k <= n; k++ {
+			if err := fn(workload.FormatKey(k, kvprog.KeySize), workload.FormatValue(k, vsz)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // Preload stores every key of the workload's key space in kv.
 func Preload(kv KV, vsz int) {
-	for k := uint64(1); k <= workload.KeySpace; k++ {
-		kv.Set(workload.FormatKey(k, kvprog.KeySize), workload.FormatValue(k, vsz))
-	}
+	_ = keySpace(workload.KeySpace, vsz)(func(key, value []byte) error {
+		kv.Set(key, value)
+		return nil
+	})
 }
 
 // executor is what one driver of an extension owns: its packet buffer, hook
@@ -138,14 +152,13 @@ func (w *Worker) Execute(frame []byte) ([]byte, float64, error) { return w.execu
 // driven one request at a time; parallel drivers each take a Worker.
 type KFlex struct {
 	executor
-	cfg     Config
-	ext     *kflex.Extension
-	handles []*kflex.Handle
-	fac     *ReqFactory
+	cfg Config
+	ext *kflex.Extension
+	fac *ReqFactory
 }
 
-// NewKFlex loads the codec's extension with one handle per server, sends
-// the init request and, with cfg.Preload, SETs every key. shared enables
+// NewKFlex loads the codec's extension with one handle per server and
+// populates its heap, with cfg.Preload with every key. shared enables
 // heap sharing with user space and wraps table operations in the shared
 // spin lock (the co-designed variant, §5.3).
 func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
@@ -169,36 +182,27 @@ func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
 		return nil, err
 	}
 	k := &KFlex{executor: c.newExecutor(), cfg: cfg, ext: ext, fac: c.NewReqFactory(cfg)}
-	for i := 0; i < servers; i++ {
-		k.handles = append(k.handles, ext.Handle(i))
+	// Set-up traffic runs on a conn of its own, outside k's counters.
+	var preload uint64
+	if cfg.Preload {
+		preload = workload.KeySpace
 	}
-	// Set-up traffic runs on a worker of its own, outside k's counters.
-	setup := k.Worker(0)
-	if _, _, err := setup.Execute(initFrame); err != nil {
+	setup := c.newConn()
+	if _, err := c.populate(ext.Handle(0), &setup, keySpace(preload, cfg.ValueSize)); err != nil {
 		ext.Close()
 		return nil, err
-	}
-	if cfg.Preload {
-		var frame []byte
-		for key := uint64(1); key <= workload.KeySpace; key++ {
-			frame = c.AppendSet(frame[:0], workload.FormatKey(key, kvprog.KeySize), workload.FormatValue(key, cfg.ValueSize))
-			if _, _, err := setup.Execute(frame); err != nil {
-				ext.Close()
-				return nil, err
-			}
-		}
 	}
 	return k, nil
 }
 
 // Worker returns a private executor for the given CPU.
 func (k *KFlex) Worker(cpu int) *Worker {
-	return &Worker{executor: k.codec.newExecutor(), h: k.handles[cpu%len(k.handles)]}
+	return &Worker{executor: k.codec.newExecutor(), h: k.ext.Handle(cpu)}
 }
 
 // Execute runs one frame through the extension on cpu's handle.
 func (k *KFlex) Execute(cpu int, frame []byte) ([]byte, float64, error) {
-	return k.execute(k.handles[cpu%len(k.handles)], frame)
+	return k.execute(k.ext.Handle(cpu), frame)
 }
 
 // Serve implements sim.System. A failed extension invocation (cancelled

@@ -56,6 +56,8 @@ type deployment struct {
 	*offload.Supervised
 	c   *offload.Codec
 	clk *clock
+	// recovered is what durable.Open reported of the store underneath.
+	recovered durable.RecoveryInfo
 }
 
 const probeRuns = 2
@@ -80,12 +82,12 @@ func deploy(t *testing.T, c *offload.Codec, dir *durable.MemDir, cfg offload.Con
 	if fill != nil {
 		fill(st)
 	}
-	d := &deployment{c: c, clk: &clock{now: time.Unix(0, 0)}}
+	d := &deployment{c: c, clk: &clock{now: time.Unix(0, 0)}, recovered: info}
 	cfg.Durable = st
 	d.Supervised, err = offload.NewSupervised(c, cfg, 1, supervisor.Tuning{
 		BackoffBase: time.Hour, BackoffMax: time.Hour, ProbeRuns: probeRuns, Now: d.clk.Now,
 		DrainTimeout: 5 * time.Second, // generous: -race slows settlement
-	}, &info)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +135,7 @@ func TestConformance(t *testing.T) {
 	}{
 		{"wire-roundtrip", wireRoundTrip},
 		{"cold-init", coldInit},
+		{"client-frame-cannot-init", clientFrameCannotInit},
 		{"recovered-init-report", recoveredInitReport},
 		{"dirty-get-corrected", dirtyGetCorrected},
 		{"warm-reload-delta", warmReloadDelta},
@@ -219,8 +222,78 @@ func coldInit(t *testing.T, c *offload.Codec) {
 	}
 }
 
-// recoveredInitReport: the WAL replay that rebuilt the store is reported
-// through the first generation's InitReport, once.
+// clientFrameCannotInit (ISSUE 23's TestClientFrameCannotInit): initialising
+// the table is the deployment's request, made by event type, and no packet
+// can make it. The one-byte frame 'i' was that request once, compared
+// against every raw packet ahead of either codec's parse: from a client it
+// re-allocated the bucket array (+33 pages a packet), orphaned every entry
+// and was counted as offloaded. It is a malformed frame like any other —
+// passed up by the extension, so an Err reply from the fallback on the
+// supervised deployment and an error on the bare one, with the heap and
+// every preloaded key as they were.
+func clientFrameCannotInit(t *testing.T, c *offload.Codec) {
+	const keys = 100
+	frame := []byte{'i'}
+	hits := func(t *testing.T, get func(frame []byte) []byte) {
+		t.Helper()
+		for i := 0; i < keys; i++ {
+			if reply, want := get(c.AppendGet(nil, key(i))), c.AppendHit(nil, val(i)); !bytes.Equal(reply, want) {
+				t.Fatalf("GET %d after the client frame: reply %q, want %q", i, reply, want)
+			}
+		}
+	}
+	t.Run("Supervised", func(t *testing.T) {
+		d := deploy(t, c, nil, testConfig(), func(st *durable.Store) {
+			for i := 0; i < keys; i++ {
+				st.Set(key(i), val(i))
+			}
+		})
+		h := d.Supervisor().Extension().Heap()
+		pages := h.PopulatedPages()
+		reply, _, off := d.Execute(0, frame)
+		if string(reply) != c.Err || off || d.Fallbacks != 1 || d.Offloaded != 0 {
+			t.Fatalf("client frame: reply %q offloaded=%v (fallbacks=%d offloaded=%d), want %q from the fallback",
+				reply, off, d.Fallbacks, d.Offloaded, c.Err)
+		}
+		hits(t, func(get []byte) []byte {
+			reply, _, _ := d.Execute(0, get)
+			return reply
+		})
+		if d.Offloaded != keys || d.Fallbacks != 1 || h.PopulatedPages() != pages {
+			t.Fatalf("offloaded=%d fallbacks=%d pages %d -> %d, want %d hook-served hits and an untouched heap",
+				d.Offloaded, d.Fallbacks, pages, h.PopulatedPages(), keys)
+		}
+	})
+	t.Run("KFlex", func(t *testing.T) {
+		k, err := offload.NewKFlex(c, testConfig(), 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer k.Close()
+		for i := 0; i < keys; i++ {
+			if reply, _, err := k.Execute(0, c.AppendSet(nil, key(i), val(i))); err != nil || string(reply) != c.Stored {
+				t.Fatalf("preload SET %d: reply %q err %v", i, reply, err)
+			}
+		}
+		pages := k.Ext().Heap().PopulatedPages()
+		if reply, _, err := k.Execute(0, frame); err == nil || k.Errors != 1 {
+			t.Fatalf("client frame: reply %q err %v errors=%d, want an offload miss", reply, err, k.Errors)
+		}
+		hits(t, func(get []byte) []byte {
+			reply, _, err := k.Execute(0, get)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reply
+		})
+		if got := k.Ext().Heap().PopulatedPages(); k.Errors != 1 || got != pages {
+			t.Fatalf("errors=%d pages %d -> %d, want one miss and an untouched heap", k.Errors, pages, got)
+		}
+	})
+}
+
+// recoveredInitReport: a store rebuilt by WAL replay is pushed whole into
+// the first generation's heap, and a warm reload over it replays nothing.
 func recoveredInitReport(t *testing.T, c *offload.Codec) {
 	const keys = 8
 	dir := durable.NewMemDir(nil)
@@ -233,15 +306,17 @@ func recoveredInitReport(t *testing.T, c *offload.Codec) {
 	}
 	st.Close()
 	d := deploy(t, c, dir, testConfig(), nil)
-	stats := d.Supervisor().Stats()
-	if init := stats.LastInit; init.ReplayedRecords != keys || init.SnapshotLoaded || init.ResyncOps != keys {
-		t.Fatalf("first init = %+v, want %d replayed records, no snapshot, %d keys", init, keys, keys)
+	if d.recovered.Replayed != keys || d.recovered.Keys != keys {
+		t.Fatalf("recovery = %+v, want %d keys from %d replayed records", d.recovered, keys, keys)
+	}
+	if init := d.Supervisor().Stats().LastInit; !init.FullResync || init.ResyncOps != keys {
+		t.Fatalf("first init = %+v, want a full resync of the %d recovered keys", init, keys)
 	}
 	d.quarantine(t)
 	d.reload()
 	d.get(t, 0, val(0), true)
-	if after := d.Supervisor().Stats(); after.ReplayedRecords != stats.ReplayedRecords || after.LastInit.ReplayedRecords != 0 {
-		t.Fatalf("reload reported the recovery again: %+v", after)
+	if after := d.Supervisor().Stats(); after.ResyncOps != keys || after.LastInit.ResyncOps != 0 {
+		t.Fatalf("the warm reload pushed recovered keys again: %+v", after)
 	}
 }
 

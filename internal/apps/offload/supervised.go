@@ -9,7 +9,6 @@ import (
 
 	"kflex"
 	"kflex/internal/apps/kvprog"
-	"kflex/internal/durable"
 	"kflex/internal/netsim"
 	"kflex/internal/sim"
 	"kflex/internal/supervisor"
@@ -59,9 +58,6 @@ type Supervised struct {
 	mu     sync.Mutex
 	dirty  map[string]struct{}
 	dirtyN atomic.Int64
-	// recovery is the durable store's RecoveryInfo, reported through the
-	// first generation's InitReport and then consumed.
-	recovery *durable.RecoveryInfo
 	// Offloaded counts requests served by the extension; Fallbacks counts
 	// requests served by the user-space store (open circuit, probe quota,
 	// cancelled run, store GET backfill, or dirty-key correction).
@@ -71,10 +67,8 @@ type Supervised struct {
 // NewSupervised builds the supervised deployment of the codec's extension.
 // tuning configures the circuit breaker (zero values take supervisor
 // defaults). With cfg.Durable set, the authoritative store is the
-// WAL-backed durable store; info, when non-nil, is its RecoveryInfo (from
-// durable.Open), folded into the initial generation's InitReport so
-// Supervisor.Stats reports the WAL replay that rebuilt the store.
-func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
+// WAL-backed durable store.
+func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning) (*Supervised, error) {
 	rt := kflex.NewRuntime()
 	c.RegisterHelpers(rt)
 	var store KV = cfg.Durable
@@ -85,7 +79,7 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning, 
 		Preload(store, cfg.ValueSize)
 	}
 	s := &Supervised{codec: c, cfg: cfg, store: store, fac: c.NewReqFactory(cfg), conn: c.newConn(),
-		dirty: make(map[string]struct{}), recovery: info}
+		dirty: make(map[string]struct{})}
 	sup, err := supervisor.New(supervisor.Config{
 		Runtime: rt,
 		Spec: kflex.Spec{
@@ -117,25 +111,10 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning, 
 // (fresh heap) is initialised and receives every key; a warm generation
 // adopted the previous heap, so only the dirty set — keys acknowledged on
 // the fallback path while the heap was out of service — is replayed.
-func (s *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, error) {
-	var rep supervisor.InitReport
-	if s.recovery != nil {
-		rep.ReplayedRecords = s.recovery.Replayed
-		rep.SnapshotLoaded = s.recovery.SnapshotLoaded != ""
-		s.recovery = nil
-	}
-	// One packet, ctx and frame buffer for the whole replay. They are the
-	// resync's own: a migration resyncs beside a serving Execute.
+func (s *Supervised) resync(g supervisor.Generation) (rep supervisor.InitReport, err error) {
+	// One packet and ctx for the whole replay. They are the resync's own: a
+	// migration resyncs beside a serving Execute.
 	cn := s.codec.newConn()
-	var frame []byte
-	push := func(key, value []byte) error {
-		frame = s.codec.AppendSet(frame[:0], key, value)
-		_, err := s.codec.run(g.Handles[0], &cn, frame)
-		if err == nil {
-			rep.ResyncOps++
-		}
-		return err
-	}
 	if g.Warm {
 		// The adopted heap already holds every key the old generation
 		// served; push only the delta, sorted for determinism. Snapshot
@@ -157,15 +136,18 @@ func (s *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, err
 		}
 		s.dirtyN.Store(int64(len(s.dirty)))
 		s.mu.Unlock()
-		for i, k := range keys {
-			if vals[i] == nil {
-				continue
+		rep.ResyncOps, err = s.codec.push(g.Handles[0], &cn, func(push func(key, value []byte) error) error {
+			for i, k := range keys {
+				if vals[i] == nil {
+					continue
+				}
+				if err := push([]byte(k), vals[i]); err != nil {
+					return err
+				}
 			}
-			if err := push([]byte(k), vals[i]); err != nil {
-				return rep, err
-			}
-		}
-		return rep, nil
+			return nil
+		})
+		return rep, err
 	}
 	rep.FullResync = true
 	// Unmark before the replay, as the warm branch does per key: Range may
@@ -175,10 +157,8 @@ func (s *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, err
 	clear(s.dirty)
 	s.dirtyN.Store(0)
 	s.mu.Unlock()
-	if _, err := s.codec.run(g.Handles[0], &cn, initFrame); err != nil {
-		return rep, err
-	}
-	return rep, s.store.Range(push)
+	rep.ResyncOps, err = s.codec.populate(g.Handles[0], &cn, s.store.Range)
+	return rep, err
 }
 
 // FallbackSet acknowledges one SET on the authoritative store, as the

@@ -26,11 +26,9 @@ import (
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/offload"
 	"kflex/internal/ds"
-	"kflex/internal/durable"
 	"kflex/internal/kernel"
 	"kflex/internal/netsim"
 	"kflex/internal/sim"
-	"kflex/internal/supervisor"
 	"kflex/internal/workload"
 )
 
@@ -205,18 +203,11 @@ func NewKeyDB(cfg Config) *KeyDB {
 	return k
 }
 
-// KV is the store contract the supervised deployment serves from: both
-// *KeyDB and the WAL-backed *durable.Store satisfy it.
-type KV = offload.KV
-
-// HandleRESP processes one RESP GET/SET frame against any KV store.
-func HandleRESP(kv KV, frame []byte, reply []byte) []byte { return Codec.Handle(kv, frame, reply) }
-
 // Serve implements sim.System.
 func (k *KeyDB) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
 	_, frame := k.fac.Next()
 	t0 := time.Now()
-	k.reply = HandleRESP(k, frame, k.reply)
+	k.reply = Codec.Handle(k, frame, k.reply)
 	work := float64(time.Since(t0).Nanoseconds())
 	return sim.Service{Ns: work + k.cfg.Costs.UserspaceTCP()}
 }
@@ -229,33 +220,12 @@ func (k *KeyDB) Name() string { return "User space (KeyDB)" }
 // Served is the sk_skb return code meaning "handled at the hook".
 const Served = 3
 
-// KFlexRedis serves GET/SET at the sk_skb hook; Worker is its per-CPU
-// executor.
-type (
-	KFlexRedis = offload.KFlex
-	Worker     = offload.Worker
-)
-
-// NewKFlex loads the Redis extension (§5.1: ~3100 LoC in the paper's C
-// implementation; the structure is the shared KV program at sk_skb).
-func NewKFlex(cfg Config, servers int) (*KFlexRedis, error) {
+// NewKFlex loads the Redis extension, serving GET/SET at the sk_skb hook
+// (§5.1: ~3100 LoC in the paper's C implementation; the structure is the
+// shared KV program at sk_skb). The supervised deployment is
+// offload.NewSupervised over Codec.
+func NewKFlex(cfg Config, servers int) (*offload.KFlex, error) {
 	return offload.NewKFlex(&Codec, cfg, servers, false)
-}
-
-// Supervised is the KFlex Redis deployment routed through the lifecycle
-// supervisor.
-type Supervised = offload.Supervised
-
-// NewSupervised builds the supervised deployment. tuning configures the
-// circuit breaker (zero values take supervisor defaults).
-func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervised, error) {
-	return NewSupervisedRecovered(cfg, servers, tuning, nil)
-}
-
-// NewSupervisedRecovered is NewSupervised for a recovered durable store:
-// info (from durable.Open) surfaces the WAL replay in the supervisor stats.
-func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
-	return offload.NewSupervised(&Codec, cfg, servers, tuning, info)
 }
 
 // --- ZADD (Figure 6) -------------------------------------------------------------------

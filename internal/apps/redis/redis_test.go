@@ -32,15 +32,15 @@ func TestKeyDBHandle(t *testing.T) {
 	k := NewKeyDB(cfg)
 	key := workload.FormatKey(3, KeySize)
 	val := workload.FormatValue(3, ValueSize)
-	reply := HandleRESP(k, EncodeCommand([]byte("GET"), key), nil)
+	reply := Codec.Handle(k, EncodeCommand([]byte("GET"), key), nil)
 	if string(reply) != "$-1\r\n" {
 		t.Fatalf("miss = %q", reply)
 	}
-	reply = HandleRESP(k, EncodeCommand([]byte("SET"), key, val), reply)
+	reply = Codec.Handle(k, EncodeCommand([]byte("SET"), key, val), reply)
 	if string(reply) != "+OK\r\n" {
 		t.Fatalf("set = %q", reply)
 	}
-	reply = HandleRESP(k, EncodeCommand([]byte("GET"), key), reply)
+	reply = Codec.Handle(k, EncodeCommand([]byte("GET"), key), reply)
 	if !bytes.Contains(reply, val) {
 		t.Fatalf("get = %q", reply)
 	}

@@ -98,7 +98,7 @@ type Store struct {
 	log *wal
 
 	// tail is a ring of the most recent encoded records for RecordsSince —
-	// the incremental-resync and replication feed. It grows one slot at a
+	// the replication feed. It grows one slot at a
 	// time to opts.TailRecords and then wraps: tailHead indexes the oldest
 	// record, whose sequence is tailStart, and a new record overwrites it
 	// in place, reusing the slot's buffer. A slot is also where a record
@@ -316,9 +316,9 @@ func (s *Store) Range(fn func(key, value []byte) error) error {
 
 // RecordsSince returns copies of the encoded records with sequence
 // numbers in (from, Seq], oldest first — the log-shipping feed a replica
-// follower tails and the delta an incremental resync replays. ok is
-// false when from has already been pruned from the tail: the consumer
-// is too far behind and must take a full copy instead.
+// follower tails, its only consumer. ok is false when from has already been
+// pruned from the tail: the follower is too far behind and must take a full
+// copy instead.
 func (s *Store) RecordsSince(from uint64) (recs [][]byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -189,6 +189,9 @@ type nthKey struct {
 type Plan struct {
 	seed    int64
 	enabled atomic.Bool
+	// suspended counts the open Suspend brackets; Fire is false while it
+	// is non-zero.
+	suspended atomic.Int32
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -250,17 +253,32 @@ func (p *Plan) Limit(n uint64) *Plan {
 // traffic (preloads, control frames) runs fault-free.
 func (p *Plan) Enable() { p.enabled.Store(true) }
 
-// Disable disarms the plan without losing its trace.
+// Disarm disarms the plan without losing its trace. Enable and Disarm are
+// the test's switch: runtime code never touches it, and shields what must
+// not be injected into with Suspend.
 func (p *Plan) Disarm() { p.enabled.Store(false) }
 
-// Enabled reports whether the plan is armed.
-func (p *Plan) Enabled() bool { return p != nil && p.enabled.Load() }
+// Suspend shields recovery and observation from injection: until the
+// returned resume runs, Fire reports false and consumes no occurrence, so
+// the seeded trace is the one the unshielded sites alone would produce.
+// Brackets nest and overlap — two CPUs unwinding together, an audit that
+// calls a shielded observer — and injection resumes when the last one
+// closes. A nil plan is safe.
+func (p *Plan) Suspend() (resume func()) {
+	if p == nil {
+		return func() {}
+	}
+	p.suspended.Add(1)
+	return p.resume
+}
+
+func (p *Plan) resume() { p.suspended.Add(-1) }
 
 // Fire is called at an injection site each time the fault of the given
 // kind could occur; key discriminates the site (size class, CP id, helper
 // ID...). It reports whether the site must fail. Nil plans never fire.
 func (p *Plan) Fire(kind Kind, key uint64) bool {
-	if p == nil || !p.enabled.Load() {
+	if p == nil || !p.enabled.Load() || p.suspended.Load() != 0 {
 		return false
 	}
 	p.mu.Lock()

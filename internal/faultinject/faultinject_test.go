@@ -10,9 +10,6 @@ func TestNilAndDisabledNeverFire(t *testing.T) {
 	if p.Fire(HeapGuard, 0) {
 		t.Fatal("nil plan fired")
 	}
-	if p.Enabled() {
-		t.Fatal("nil plan enabled")
-	}
 	q := NewPlan(1).SetRate(HeapGuard, 1.0)
 	if q.Fire(HeapGuard, 0) {
 		t.Fatal("disabled plan fired")
@@ -91,5 +88,41 @@ func TestKindStrings(t *testing.T) {
 		if k.String() == "" {
 			t.Fatalf("kind %d has empty name", k)
 		}
+	}
+}
+
+// TestSuspendNests: two overlapping Suspend brackets — two CPUs unwinding
+// together — keep injection off until both have closed, whichever closes
+// first, and a suspended Fire consumes no occurrence: the trace afterwards is
+// the one the unsuspended calls alone produce. With an arm/disarm pair per
+// bracket, the first to finish re-armed the plan under the second.
+func TestSuspendNests(t *testing.T) {
+	var none *Plan
+	none.Suspend()() // nil plan: a no-op
+
+	p := NewPlan(1).SetRate(HeapGuard, 1.0)
+	p.Enable()
+	if !p.Fire(HeapGuard, 0) {
+		t.Fatal("armed rate-1 plan did not fire")
+	}
+	before := p.Events()
+	first := p.Suspend()
+	second := p.Suspend()
+	first()
+	if p.Fire(HeapGuard, 0) {
+		t.Fatal("fired inside the second bracket once the first had closed")
+	}
+	if got := p.Events(); !reflect.DeepEqual(got, before) || p.seq != 1 {
+		t.Fatalf("suspended Fire left a trace: events %v, seq %d", got, p.seq)
+	}
+	if !p.enabled.Load() {
+		t.Fatal("Suspend moved the test's arming switch")
+	}
+	second()
+	if !p.Fire(HeapGuard, 0) {
+		t.Fatal("plan stayed suspended after the last bracket closed")
+	}
+	if ev := p.Events(); len(ev) != 2 || ev[1].Seq != 2 {
+		t.Fatalf("events %v, want the second firing at seq 2", ev)
 	}
 }

@@ -274,11 +274,6 @@ func (h *Heap) Close() { h.closed.Store(true) }
 // Closed reports whether Close has been called.
 func (h *Heap) Closed() bool { return h.closed.Load() }
 
-// Sanitize applies the SFI transformation to an arbitrary 64-bit value:
-// keep the offset bits, add the base (§3.2). The result always lies within
-// [ExtBase, ExtBase+Size).
-func (h *Heap) Sanitize(addr uint64) uint64 { return (addr & h.mask) + h.extBase }
-
 // TranslateToUser rewrites an extension-VA heap pointer into the user
 // mapping (translate-on-store, §3.4). Values outside the heap translate by
 // offset anyway; the next dereference re-sanitizes, which the paper notes
@@ -288,6 +283,9 @@ func (h *Heap) TranslateToUser(addr uint64) uint64 {
 }
 
 // TranslateToExt rewrites a user-VA heap pointer into the extension mapping.
+// It is the SFI transformation applied to an arbitrary 64-bit value — keep
+// the offset bits, add the base (§3.2) — so the result always lies within
+// [ExtBase, ExtBase+Size).
 func (h *Heap) TranslateToExt(addr uint64) uint64 {
 	return (addr & h.mask) + h.extBase
 }
@@ -669,19 +667,4 @@ func getLE(b []byte) uint64 {
 		v |= uint64(c) << (8 * i)
 	}
 	return v
-}
-
-// ReadBytes copies n bytes starting at addr into a new slice. It is a
-// convenience for Go-side code (tests, user applications).
-func (v View) ReadBytes(addr uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := v.ReadInto(addr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WriteBytes copies p into the heap starting at addr.
-func (v View) WriteBytes(addr uint64, p []byte) error {
-	return v.WriteFrom(addr, p)
 }

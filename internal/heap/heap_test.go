@@ -79,15 +79,15 @@ func TestArenaExhaustion(t *testing.T) {
 func TestSanitizeInBounds(t *testing.T) {
 	h := newHeap(t, 1<<16)
 	for _, addr := range []uint64{0, 12, h.ExtBase() + 5, h.ExtBase() + h.Size() + 99, ^uint64(0)} {
-		s := h.Sanitize(addr)
+		s := h.TranslateToExt(addr)
 		if s < h.ExtBase() || s >= h.ExtBase()+h.Size() {
-			t.Errorf("Sanitize(%#x) = %#x outside heap", addr, s)
+			t.Errorf("TranslateToExt(%#x) = %#x outside heap", addr, s)
 		}
 	}
 	// Sanitizing an already-valid heap address must not change it (§3.2).
 	in := h.ExtBase() + 260
-	if got := h.Sanitize(in); got != in {
-		t.Errorf("Sanitize(valid) = %#x, want %#x", got, in)
+	if got := h.TranslateToExt(in); got != in {
+		t.Errorf("TranslateToExt(valid) = %#x, want %#x", got, in)
 	}
 }
 
@@ -149,8 +149,8 @@ func TestStraddlingWordAccess(t *testing.T) {
 		t.Fatalf("straddling load = %#x", got)
 	}
 	// Byte-wise readback agrees (little-endian).
-	b, err := v.ReadBytes(addr, 8)
-	if err != nil {
+	b := make([]byte, 8)
+	if err := v.ReadInto(addr, b); err != nil {
 		t.Fatal(err)
 	}
 	if b[0] != 0x18 || b[7] != 0xa1 {
@@ -368,12 +368,12 @@ func TestConcurrentAtomicAdds(t *testing.T) {
 func TestSanitizeQuick(t *testing.T) {
 	h := newHeap(t, 1<<20)
 	f := func(addr uint64) bool {
-		s := h.Sanitize(addr)
+		s := h.TranslateToExt(addr)
 		if s < h.ExtBase() || s >= h.ExtBase()+h.Size() {
 			return false
 		}
 		// Idempotence.
-		return h.Sanitize(s) == s
+		return h.TranslateToExt(s) == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -418,17 +418,17 @@ func TestWriteReadBytes(t *testing.T) {
 	v := h.UserView()
 	data := []byte("the quick brown fox")
 	addr := h.UserBase() + 1000
-	if err := v.WriteBytes(addr, data); err != nil {
+	if err := v.WriteFrom(addr, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.ReadBytes(addr, len(data))
-	if err != nil {
+	got := make([]byte, len(data))
+	if err := v.ReadInto(addr, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(data) {
 		t.Fatalf("got %q", got)
 	}
-	if err := v.WriteBytes(h.UserBase()+h.Size()-2, data); err == nil {
+	if err := v.WriteFrom(h.UserBase()+h.Size()-2, data); err == nil {
 		t.Error("write past end accepted")
 	}
 }

@@ -168,7 +168,7 @@ func registerBaseHelpers(k *Kernel) {
 			if obj == nil {
 				return 0, nil
 			}
-			ptr := objPtr(obj)
+			ptr := ObjPtr(obj)
 			hc.Hold(hc.Site, obj, ptr)
 			return ptr, nil
 		},
@@ -234,12 +234,10 @@ func registerBaseHelpers(k *Kernel) {
 			if hc.Lock == nil {
 				return 0, ErrNoHeap
 			}
-			if !hc.Lock.Lock(args[0], hc.cancelledFn()) {
+			if !hc.Lock.Lock(args[0], hc.Env) {
 				return 0, ErrCancelledInLock
 			}
-			if hc.HoldLock != nil {
-				hc.HoldLock(args[0])
-			}
+			hc.HoldLock(args[0])
 			return 0, nil
 		},
 	})
@@ -258,9 +256,7 @@ func registerBaseHelpers(k *Kernel) {
 			if err := hc.Lock.Unlock(args[0]); err != nil {
 				return 0, err
 			}
-			if hc.ReleaseLock != nil {
-				hc.ReleaseLock(args[0])
-			}
+			hc.ReleaseLock(args[0])
 			return 0, nil
 		},
 	})
@@ -355,10 +351,3 @@ func mapAndKey(hc *HelperCtx, args [5]uint64) (Map, []byte, error) {
 
 // negErrno encodes -errno as the uint64 the eBPF calling convention uses.
 func negErrno(errno int64) uint64 { return uint64(-errno) }
-
-func (hc *HelperCtx) cancelledFn() func() bool {
-	if hc.Cancelled == nil {
-		return func() bool { return false }
-	}
-	return hc.Cancelled
-}

@@ -24,8 +24,6 @@ const ObjVABase = 0xffff888000000000
 // ObjPtr returns the synthetic extension-visible pointer for obj.
 func ObjPtr(o *Object) uint64 { return ObjVABase | o.id<<4 }
 
-func objPtr(o *Object) uint64 { return ObjPtr(o) }
-
 // Object is a refcounted kernel resource handed to extensions by acquiring
 // helpers. Destructors run either at the matching release helper or during
 // extension cancellation via the object table (§3.3).
@@ -161,7 +159,7 @@ const (
 )
 
 // HelperCtx is the execution environment a helper implementation receives.
-// The VM populates it per program invocation.
+// The VM builds one per execution context and sets Event and Site per call.
 type HelperCtx struct {
 	// Kernel is the owning kernel instance.
 	Kernel *Kernel
@@ -172,16 +170,31 @@ type HelperCtx struct {
 	CPU int
 	// Event is the hook-specific event payload (e.g. a packet).
 	Event any
+	// Alloc provides kflex_malloc/kflex_free; nil without a heap.
+	Alloc Allocator
+	// Lock provides the queue spin-lock operations; nil without a heap.
+	Lock Locker
+	// Site is the instruction index of the CALL being executed.
+	Site int
+	// Env is the invocation the helper runs in.
+	Env
+}
+
+// Env is what a helper reaches of the invocation that called it: its
+// held-object and held-lock records, its memory, and whether it has been
+// cancelled. The VM's execution context implements it.
+type Env interface {
 	// Hold records an acquired object so cancellation can release it;
-	// Unhold removes it at explicit release. Site is the call site
-	// instruction index, matching the verifier's reference IDs.
-	Hold   func(site int, obj *Object, ptr uint64)
-	Unhold func(ptr uint64) *Object
+	// Unhold removes it at explicit release. site is the call site
+	// instruction index (HelperCtx.Site), matching the verifier's
+	// reference IDs.
+	Hold(site int, obj *Object, ptr uint64)
+	Unhold(ptr uint64) *Object
 	// HoldLock records a spin lock acquired at ext VA addr so cancellation
 	// can release it (the object-table entry for locks, §3.3); ReleaseLock
-	// removes the record at explicit unlock. Nil outside the VM.
-	HoldLock    func(addr uint64)
-	ReleaseLock func(addr uint64)
+	// removes the record at explicit unlock.
+	HoldLock(addr uint64)
+	ReleaseLock(addr uint64)
 	// Read and Write access extension-visible memory (stack, heap, map
 	// values) by virtual address; helpers are trusted kernel code, so the
 	// VM dispatches across regions for them. Each call resolves the
@@ -189,21 +202,15 @@ type HelperCtx struct {
 	// the caller's dst, Write copies p in. A heap span that faults
 	// part-way has moved the bytes before the first inaccessible one,
 	// which the returned *heap.Fault names.
-	Read  func(dst []byte, addr uint64) error
-	Write func(addr uint64, p []byte) error
+	Read(dst []byte, addr uint64) error
+	Write(addr uint64, p []byte) error
 	// PinValue exposes a kernel-owned byte buffer (e.g. a map value) to
 	// the extension for the remainder of the invocation and returns its
 	// synthetic virtual address.
-	PinValue func(val []byte) uint64
+	PinValue(val []byte) uint64
 	// Cancelled reports whether the invocation has been cancelled;
 	// spinning helpers poll it (§3.4).
-	Cancelled func() bool
-	// Alloc provides kflex_malloc/kflex_free; nil without a heap.
-	Alloc Allocator
-	// Lock provides the queue spin-lock operations; nil without a heap.
-	Lock Locker
-	// Site is the instruction index of the CALL being executed.
-	Site int
+	Cancelled() bool
 }
 
 // HeapView is the subset of heap.View helpers need; declared as an
@@ -224,8 +231,9 @@ type Allocator interface {
 // Locker provides queue-based spin locks on heap words (§3.1).
 type Locker interface {
 	// Lock acquires the lock at ext VA addr. It returns false if the
-	// acquisition was abandoned because the extension was cancelled.
-	Lock(addr uint64, cancelled func() bool) bool
+	// acquisition was abandoned because inv — the invocation spinning, an
+	// Env — was cancelled meanwhile.
+	Lock(addr uint64, inv interface{ Cancelled() bool }) bool
 	// Unlock releases the lock at ext VA addr.
 	Unlock(addr uint64) error
 }

@@ -156,30 +156,46 @@ func TestKernelMaps(t *testing.T) {
 	}
 }
 
-// helperEnv builds a minimal HelperCtx with in-memory Read/Write windows.
-func helperEnv(k *Kernel) (*HelperCtx, map[uint64][]byte) {
-	mem := map[uint64][]byte{}
-	hc := &HelperCtx{
-		Kernel: k,
-		Read: func(dst []byte, addr uint64) error {
-			b, ok := mem[addr]
-			if !ok || len(b) < len(dst) {
-				return fmt.Errorf("bad read %#x+%d", addr, len(dst))
-			}
-			copy(dst, b)
-			return nil
-		},
-		Write: func(addr uint64, p []byte) error {
-			mem[addr] = append([]byte(nil), p...)
-			return nil
-		},
-		PinValue: func(val []byte) uint64 {
-			addr := uint64(0x9000_0000)
-			mem[addr] = val
-			return addr
-		},
+// fakeEnv is an Env over in-memory Read/Write windows and a held-object
+// map; the lock records and Cancelled are not reached by these tests.
+type fakeEnv struct {
+	Env
+	mem  map[uint64][]byte
+	held map[uint64]*Object
+}
+
+func (e *fakeEnv) Read(dst []byte, addr uint64) error {
+	b, ok := e.mem[addr]
+	if !ok || len(b) < len(dst) {
+		return fmt.Errorf("bad read %#x+%d", addr, len(dst))
 	}
-	return hc, mem
+	copy(dst, b)
+	return nil
+}
+
+func (e *fakeEnv) Write(addr uint64, p []byte) error {
+	e.mem[addr] = append([]byte(nil), p...)
+	return nil
+}
+
+func (e *fakeEnv) PinValue(val []byte) uint64 {
+	addr := uint64(0x9000_0000)
+	e.mem[addr] = val
+	return addr
+}
+
+func (e *fakeEnv) Hold(site int, obj *Object, ptr uint64) { e.held[ptr] = obj }
+
+func (e *fakeEnv) Unhold(ptr uint64) *Object {
+	o := e.held[ptr]
+	delete(e.held, ptr)
+	return o
+}
+
+// helperEnv builds a minimal HelperCtx over a fakeEnv and returns its memory.
+func helperEnv(k *Kernel) (*HelperCtx, map[uint64][]byte) {
+	env := &fakeEnv{mem: map[uint64][]byte{}, held: map[uint64]*Object{}}
+	return &HelperCtx{Kernel: k, Env: env}, env.mem
 }
 
 func TestMapHelpersEndToEnd(t *testing.T) {
@@ -238,13 +254,6 @@ func (e *fakeEvent) LookupUDP(tuple []byte) *Object {
 func TestSkLookupAndRelease(t *testing.T) {
 	k := New()
 	hc, mem := helperEnv(k)
-	held := map[uint64]*Object{}
-	hc.Hold = func(site int, obj *Object, ptr uint64) { held[ptr] = obj }
-	hc.Unhold = func(ptr uint64) *Object {
-		o := held[ptr]
-		delete(held, ptr)
-		return o
-	}
 	sock := NewObject("sock", nil)
 	hc.Event = &fakeEvent{sock: sock}
 	mem[0x300] = make([]byte, 12)

@@ -44,10 +44,11 @@ func (l *Locks) SetFaultPlan(p *faultinject.Plan) { l.fault = p }
 const cancelPollInterval = 64
 
 // Lock acquires the ticket lock at addr (a VA in this view). It returns
-// false when cancelled() became true while spinning — the §3.4 path where
-// an extension waiting on a lock held by a preempted user thread stalls and
-// is cancelled.
-func (l *Locks) Lock(addr uint64, cancelled func() bool) bool {
+// false when inv, the invocation spinning (nil for a user-space thread,
+// which nothing cancels), was cancelled meanwhile — the §3.4 path where an
+// extension waiting on a lock held by a preempted user thread stalls and is
+// cancelled.
+func (l *Locks) Lock(addr uint64, inv interface{ Cancelled() bool }) bool {
 	// my ticket = fetch-add on the high 32 bits.
 	old, err := l.view.AtomicRMW(addr+4, 4, heap.RMWAdd, 1)
 	if err != nil {
@@ -85,7 +86,7 @@ func (l *Locks) Lock(addr uint64, cancelled func() bool) bool {
 			}
 		}
 		if spins%cancelPollInterval == 0 {
-			if cancelled != nil && cancelled() {
+			if inv != nil && inv.Cancelled() {
 				// Abandon the ticket: bump owner past us when our
 				// turn comes is not possible without holding it, so
 				// mark abandonment by waiting for our turn and
@@ -121,16 +122,13 @@ func (l *Locks) skipAbandoned(addr uint64, owner uint32) uint32 {
 }
 
 // recoverTicket repairs the queue after an acquisition aborted on a heap
-// fault mid-spin. Injection is disarmed for the duration — recovery must
+// fault mid-spin. Injection is suspended for the duration — recovery must
 // complete, or no acquisition failure could ever leave the lock usable. If
 // ticket my had already become the owner (the lock was free when the
 // fetch-add queued it), ownership is passed straight on; otherwise the
 // ticket is recorded as abandoned so the unlock path skips the FIFO hole.
 func (l *Locks) recoverTicket(addr uint64, my uint32) {
-	if l.fault.Enabled() {
-		l.fault.Disarm()
-		defer l.fault.Enable()
-	}
+	defer l.fault.Suspend()()
 	cur, err := l.view.AtomicLoad(addr, 4)
 	if err != nil {
 		return // heap genuinely gone; nothing left to repair
@@ -160,13 +158,10 @@ func (l *Locks) Unlock(addr uint64) error {
 }
 
 // Held reports whether the lock at addr is currently held. Like every
-// observer, it runs with fault injection disarmed: an injected guard fault
+// observer, it runs with fault injection suspended: an injected guard fault
 // on the lock-word reads would misreport the lock state.
 func (l *Locks) Held(addr uint64) bool {
-	if l.fault.Enabled() {
-		l.fault.Disarm()
-		defer l.fault.Enable()
-	}
+	defer l.fault.Suspend()()
 	next, err1 := l.view.AtomicLoad(addr+4, 4)
 	cur, err2 := l.view.AtomicLoad(addr, 4)
 	return err1 == nil && err2 == nil && uint32(cur) != uint32(next)

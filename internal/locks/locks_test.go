@@ -3,7 +3,6 @@ package locks
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,6 +103,18 @@ func TestCrossMappingLock(t *testing.T) {
 	}
 }
 
+// cancelChan is a waiter's invocation: cancelled once the channel is closed.
+type cancelChan chan struct{}
+
+func (c cancelChan) Cancelled() bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
 // TestCancelledWaiterAbandons is the §3.4 stall path: a waiter whose
 // extension is cancelled abandons the queue, and the FIFO repairs itself.
 func TestCancelledWaiterAbandons(t *testing.T) {
@@ -112,18 +123,9 @@ func TestCancelledWaiterAbandons(t *testing.T) {
 	if !ext.Lock(addr, nil) {
 		t.Fatal("initial lock failed")
 	}
-	cancelled := make(chan struct{})
+	cancelled := make(cancelChan)
 	result := make(chan bool)
-	go func() {
-		result <- ext.Lock(addr, func() bool {
-			select {
-			case <-cancelled:
-				return true
-			default:
-				return false
-			}
-		})
-	}()
+	go func() { result <- ext.Lock(addr, cancelled) }()
 	time.Sleep(10 * time.Millisecond)
 	close(cancelled)
 	if got := <-result; got {
@@ -160,7 +162,8 @@ func TestCancelledWaiterAbandons(t *testing.T) {
 // first: a record must not outlive its heap and meet the fresh heap of the
 // next generation, which lays its locks out at the same offsets.
 func TestAbandonedTicketsPerHeap(t *testing.T) {
-	giveUp := func() bool { return true }
+	giveUp := make(cancelChan)
+	close(giveUp)
 	for _, tc := range []struct {
 		name   string
 		closeA bool
@@ -186,9 +189,9 @@ func TestAbandonedTicketsPerHeap(t *testing.T) {
 			if !extB.Lock(addrB, nil) {
 				t.Fatal("B: lock failed")
 			}
-			var stop atomic.Bool
+			stop := make(cancelChan)
 			acquired := make(chan bool, 1)
-			go func() { acquired <- extB.Lock(addrB, stop.Load) }()
+			go func() { acquired <- extB.Lock(addrB, stop) }()
 			// Unlock only once the waiter holds ticket 1.
 			for {
 				next, err := vB.AtomicLoad(addrB+4, 4)
@@ -209,7 +212,7 @@ func TestAbandonedTicketsPerHeap(t *testing.T) {
 					t.Fatal("B: live waiter reported cancelled")
 				}
 			case <-time.After(2 * time.Second):
-				stop.Store(true)
+				close(stop)
 				<-acquired
 				t.Fatal("B: live waiter skipped — heap A's abandoned ticket was applied to heap B")
 			}

@@ -15,7 +15,7 @@
 //
 // On degradation the extension's heap is quarantined: a consistency audit
 // (allocator accounting vs. populated pages, dangling object-table
-// entries, held locks) runs with fault injection disarmed and its report
+// entries, held locks) runs with fault injection suspended and its report
 // is retained for post-mortem, then the heap's pages are detached (§3.2
 // teardown). A reload is scheduled with capped exponential backoff plus
 // deterministic jitter; the reload goes back through the runtime's staged
@@ -218,13 +218,6 @@ type InitReport struct {
 	// ResyncOps is the number of store entries Init pushed into the
 	// generation's heap.
 	ResyncOps int
-	// ReplayedRecords is the number of WAL records the backing durable
-	// store replayed to reach its recovered state (0 when the store was
-	// already live in memory).
-	ReplayedRecords uint64
-	// SnapshotLoaded reports that the durable store recovered from a
-	// snapshot (plus delta replay) rather than a full log scan.
-	SnapshotLoaded bool
 	// FullResync reports that Init re-pushed the entire store — the cold
 	// path. Warm generations with a tracked dirty set report false.
 	FullResync bool
@@ -271,11 +264,8 @@ type Stats struct {
 	Reloads, ReloadFailures, Quarantines uint64
 	// WarmReloads counts reloads that adopted the previous heap.
 	WarmReloads uint64
-	// ResyncOps, ReplayedRecords, and SnapshotLoads accumulate the
-	// InitReports of every generation.
-	ResyncOps       uint64
-	ReplayedRecords uint64
-	SnapshotLoads   uint64
+	// ResyncOps accumulates the InitReports of every generation.
+	ResyncOps uint64
 	// LastInit is the most recent generation's InitReport verbatim.
 	LastInit InitReport
 	// LastRecovery is the duration of the most recent successful reload

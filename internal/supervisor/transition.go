@@ -86,10 +86,6 @@ func (s *Supervisor) installLocked(g *Generation, rep InitReport) {
 	s.cur = g
 	s.stats.LastInit = rep
 	s.stats.ResyncOps += uint64(rep.ResyncOps)
-	s.stats.ReplayedRecords += rep.ReplayedRecords
-	if rep.SnapshotLoaded {
-		s.stats.SnapshotLoads++
-	}
 }
 
 // drain waits for the invocations that were in flight when the generation
@@ -118,13 +114,10 @@ func (s *Supervisor) inflight() (n int64) {
 }
 
 // auditLocked checks the teardown invariants of the current generation and
-// retains the report. Fault injection is disarmed meanwhile, so observation
+// retains the report. Fault injection is suspended meanwhile, so observation
 // can't itself inject.
 func (s *Supervisor) auditLocked(reason string) AuditReport {
-	if plan := s.cfg.Spec.FaultPlan; plan.Enabled() {
-		plan.Disarm()
-		defer plan.Enable()
-	}
+	defer s.cfg.Spec.FaultPlan.Suspend()()
 	ext := s.cur.Ext
 	rep := AuditReport{Ext: s.name(), Gen: s.cur.Gen, Reason: reason}
 	rep.HeldRefs, rep.HeldLocks = ext.AuditHeld()

@@ -31,7 +31,7 @@ func pattern(n int) []byte {
 	return b
 }
 
-// TestSpanRegionDispatch: readSpan/writeSpan resolve the region of the
+// TestSpanRegionDispatch: Read/Write resolve the region of the
 // buffer's first byte once and move the whole buffer there; a buffer that
 // runs past the end of a non-heap region is refused whole, exactly like a
 // multi-byte load or store that does.
@@ -53,14 +53,14 @@ func TestSpanRegionDispatch(t *testing.T) {
 	for _, r := range regions {
 		t.Run(r.name, func(t *testing.T) {
 			want := pattern(r.n)
-			if err := e.writeSpan(r.addr, want); err != nil {
+			if err := e.Write(r.addr, want); err != nil {
 				t.Fatal(err)
 			}
 			if r.back != nil && !bytes.Equal(r.back(), want) {
 				t.Fatalf("backing bytes = %x", r.back())
 			}
 			got := make([]byte, r.n)
-			if err := e.readSpan(got, r.addr); err != nil {
+			if err := e.Read(got, r.addr); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -78,35 +78,35 @@ func TestSpanRegionDispatch(t *testing.T) {
 
 	t.Run("object-window-reads-zero", func(t *testing.T) {
 		got := pattern(24)
-		if err := e.readSpan(got, kernel.ObjVABase|0x40); err != nil {
+		if err := e.Read(got, kernel.ObjVABase|0x40); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, make([]byte, 24)) {
 			t.Fatalf("object window read %x", got)
 		}
-		wantFault(t, e.writeSpan(kernel.ObjVABase|0x40, got), kernel.ObjVABase|0x40, heap.FaultOOB)
+		wantFault(t, e.Write(kernel.ObjVABase|0x40, got), kernel.ObjVABase|0x40, heap.FaultOOB)
 	})
 	t.Run("wild-address-faults", func(t *testing.T) {
-		wantFault(t, e.readSpan(make([]byte, 8), 0x1000), 0x1000, heap.FaultOOB)
-		wantFault(t, e.writeSpan(0x1000, make([]byte, 8)), 0x1000, heap.FaultOOB)
+		wantFault(t, e.Read(make([]byte, 8), 0x1000), 0x1000, heap.FaultOOB)
+		wantFault(t, e.Write(0x1000, make([]byte, 8)), 0x1000, heap.FaultOOB)
 	})
 	t.Run("empty-span", func(t *testing.T) {
 		// Zero bytes touch nothing, wherever they point.
-		if err := e.readSpan(nil, 0x1000); err != nil {
+		if err := e.Read(nil, 0x1000); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.writeSpan(stackVABase+StackSize, nil); err != nil {
+		if err := e.Write(stackVABase+StackSize, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("heap-fault-keeps-prefix", func(t *testing.T) {
 		// Pages 0-1 are mapped, page 2 is not: the span stops there.
 		addr := base + 2*heap.PageSize - 5
-		if err := e.writeSpan(addr, pattern(5)); err != nil {
+		if err := e.Write(addr, pattern(5)); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 12)
-		wantFault(t, e.readSpan(got, addr), base+2*heap.PageSize, heap.FaultUnmapped)
+		wantFault(t, e.Read(got, addr), base+2*heap.PageSize, heap.FaultUnmapped)
 		if !bytes.Equal(got[:5], pattern(5)) || !bytes.Equal(got[5:], make([]byte, 7)) {
 			t.Fatalf("prefix = %x", got)
 		}
@@ -129,11 +129,11 @@ func TestSpanRegionDispatch(t *testing.T) {
 			}
 			got := make([]byte, o.n)
 			var hf *heap.Fault
-			if err := e.readSpan(got, o.addr); err == nil || errors.As(err, &hf) {
-				t.Fatalf("readSpan err = %v, want a non-fault error", err)
+			if err := e.Read(got, o.addr); err == nil || errors.As(err, &hf) {
+				t.Fatalf("Read err = %v, want a non-fault error", err)
 			}
-			if err := e.writeSpan(o.addr, pattern(o.n)); err == nil || errors.As(err, &hf) {
-				t.Fatalf("writeSpan err = %v, want a non-fault error", err)
+			if err := e.Write(o.addr, pattern(o.n)); err == nil || errors.As(err, &hf) {
+				t.Fatalf("Write err = %v, want a non-fault error", err)
 			}
 			// Refused whole: the in-region bytes were not written.
 			if first, err := e.load(o.addr, 1); err != nil || first != before {

@@ -163,7 +163,6 @@ type Options struct {
 type Program struct {
 	insns []insn.Instruction
 	opts  Options
-	cps   []kie.CP
 
 	// terminate is the address the probe dereferences. While valid it
 	// points at the heap's reserved word; Unload swaps in an unmapped
@@ -186,7 +185,7 @@ func New(rep *kie.Report, opts Options) (*Program, error) {
 	if opts.Kernel == nil || opts.Hook == nil {
 		return nil, fmt.Errorf("vm: Kernel and Hook are required")
 	}
-	p := &Program{insns: rep.Prog, opts: opts, cps: rep.CPs}
+	p := &Program{insns: rep.Prog, opts: opts}
 	if opts.Heap != nil {
 		// Reserve and back the terminate word so probes are valid
 		// loads until cancellation invalidates the address.
@@ -197,15 +196,6 @@ func New(rep *kie.Report, opts Options) (*Program, error) {
 	}
 	return p, nil
 }
-
-// Insns returns the instrumented instruction stream.
-func (p *Program) Insns() []insn.Instruction { return p.insns }
-
-// CPs returns the program's cancellation points.
-func (p *Program) CPs() []kie.CP { return p.cps }
-
-// Heap returns the program's extension heap (nil for eBPF programs).
-func (p *Program) Heap() *heap.Heap { return p.opts.Heap }
 
 // Unload retires the program: future invocations fail with ErrUnloaded, and
 // in-flight ones on every CPU fault at their next probe — the only writer
@@ -234,14 +224,16 @@ type heldRef struct {
 }
 
 // Exec is a per-CPU execution context; reuse one per worker and call Run
-// per event. An Exec must not be used concurrently.
+// per event. An Exec must not be used concurrently. It is the kernel.Env of
+// the helpers it calls.
 type Exec struct {
-	prog  *Program
-	cpu   int
+	prog *Program
+	// cb runs Options.Callback for this context's cancelled invocations;
+	// nil without one.
+	cb    *Exec
 	regs  [insn.NumRegs]uint64
 	stack [StackSize]byte
 	ctx   []byte
-	event any
 
 	held      []heldRef
 	heldLocks []uint64 // ext VAs of spin locks acquired and not released
@@ -288,61 +280,70 @@ type Exec struct {
 	hasHeap bool
 }
 
-// NewExec creates an execution context bound to simulated CPU cpu.
+// NewExec creates an execution context bound to simulated CPU cpu, and with
+// it the context its callback runs in.
 func (p *Program) NewExec(cpu int) *Exec {
-	e := &Exec{prog: p, cpu: cpu, inject: p.opts.Fault}
+	e := &Exec{prog: p, inject: p.opts.Fault}
+	e.hc = kernel.HelperCtx{Kernel: p.opts.Kernel, CPU: cpu, Alloc: p.opts.Alloc, Lock: p.opts.Lock, Env: e}
 	if p.opts.Heap != nil {
 		e.extView = p.opts.Heap.ExtView()
 		e.hasHeap = true
-	}
-	e.hc = kernel.HelperCtx{
-		Kernel: p.opts.Kernel,
-		CPU:    cpu,
-		Alloc:  p.opts.Alloc,
-		Lock:   p.opts.Lock,
-		Hold: func(site int, obj *kernel.Object, ptr uint64) {
-			e.held = append(e.held, heldRef{site: site, obj: obj, ptr: ptr})
-			e.heldN.Store(int32(len(e.held)))
-		},
-		Unhold: func(ptr uint64) *kernel.Object {
-			for i := len(e.held) - 1; i >= 0; i-- {
-				if e.held[i].ptr == ptr {
-					obj := e.held[i].obj
-					e.held = append(e.held[:i], e.held[i+1:]...)
-					e.heldN.Store(int32(len(e.held)))
-					return obj
-				}
-			}
-			return nil
-		},
-		HoldLock: func(addr uint64) {
-			e.heldLocks = append(e.heldLocks, addr)
-			e.heldLocksN.Store(int32(len(e.heldLocks)))
-		},
-		ReleaseLock: func(addr uint64) {
-			for i := len(e.heldLocks) - 1; i >= 0; i-- {
-				if e.heldLocks[i] == addr {
-					e.heldLocks = append(e.heldLocks[:i], e.heldLocks[i+1:]...)
-					e.heldLocksN.Store(int32(len(e.heldLocks)))
-					return
-				}
-			}
-		},
-		Read:  e.readSpan,
-		Write: e.writeSpan,
-		PinValue: func(val []byte) uint64 {
-			e.pins = append(e.pins, val)
-			return pinVABase + uint64(len(e.pins)-1)*pinStride
-		},
-		Cancelled: func() bool {
-			return p.terminate.Load() == 0 || e.cancelReq.Load() == e.cur ||
-				(p.opts.QuantumInsns > 0 && e.stats.Insns > p.opts.QuantumInsns)
-		},
-	}
-	if p.opts.Heap != nil {
 		e.hc.Heap = &e.extView
 	}
+	if p.opts.Callback != nil {
+		e.cb = p.opts.Callback.NewExec(cpu)
+	}
 	return e
+}
+
+// Hold implements kernel.Env.
+func (e *Exec) Hold(site int, obj *kernel.Object, ptr uint64) {
+	e.held = append(e.held, heldRef{site: site, obj: obj, ptr: ptr})
+	e.heldN.Store(int32(len(e.held)))
+}
+
+// Unhold implements kernel.Env.
+func (e *Exec) Unhold(ptr uint64) *kernel.Object {
+	for i := len(e.held) - 1; i >= 0; i-- {
+		if e.held[i].ptr == ptr {
+			obj := e.held[i].obj
+			e.held = append(e.held[:i], e.held[i+1:]...)
+			e.heldN.Store(int32(len(e.held)))
+			return obj
+		}
+	}
+	return nil
+}
+
+// HoldLock implements kernel.Env.
+func (e *Exec) HoldLock(addr uint64) {
+	e.heldLocks = append(e.heldLocks, addr)
+	e.heldLocksN.Store(int32(len(e.heldLocks)))
+}
+
+// ReleaseLock implements kernel.Env.
+func (e *Exec) ReleaseLock(addr uint64) {
+	for i := len(e.heldLocks) - 1; i >= 0; i-- {
+		if e.heldLocks[i] == addr {
+			e.heldLocks = append(e.heldLocks[:i], e.heldLocks[i+1:]...)
+			e.heldLocksN.Store(int32(len(e.heldLocks)))
+			return
+		}
+	}
+}
+
+// PinValue implements kernel.Env.
+func (e *Exec) PinValue(val []byte) uint64 {
+	e.pins = append(e.pins, val)
+	return pinVABase + uint64(len(e.pins)-1)*pinStride
+}
+
+// Cancelled implements kernel.Env: what a probe would observe, for a helper
+// that spins between probes.
+func (e *Exec) Cancelled() bool {
+	p := e.prog
+	return p.terminate.Load() == 0 || e.cancelReq.Load() == e.cur ||
+		(p.opts.QuantumInsns > 0 && e.stats.Insns > p.opts.QuantumInsns)
 }
 
 // ErrExtensionAbort is the sentinel every typed extension abort matches
@@ -380,7 +381,6 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 			len(ctxBytes), p.opts.Hook.Name, p.opts.Hook.CtxSize)
 	}
 	e.ctx = ctxBytes
-	e.event = event
 	e.hc.Event = event
 	e.held = e.held[:0]
 	e.heldLocks = e.heldLocks[:0]
@@ -424,16 +424,13 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 }
 
 // unwind releases the spin locks and kernel objects this invocation still
-// holds. Fault injection is disarmed for the duration: recovery must run
+// holds. Fault injection is suspended for the duration: recovery must run
 // to completion unconditionally — a harness that faulted the unwind itself
 // could never establish the no-leak invariants cancellation guarantees
 // (the kernel's object-table walk is likewise not preemptible by further
 // faults, §3.3).
 func (e *Exec) unwind() {
-	if e.inject != nil && e.inject.Enabled() {
-		e.inject.Disarm()
-		defer e.inject.Enable()
-	}
+	defer e.inject.Suspend()()
 	e.releaseLocks()
 	e.releaseHeld()
 }
@@ -450,12 +447,10 @@ func (e *Exec) doCancel(c *ExtensionAbort) (Result, error) {
 		p.Unload()
 	}
 	ret := p.opts.Hook.DefaultRet
-	if cb := p.opts.Callback; cb != nil {
-		cbExec := cb.NewExec(e.cpu)
+	if e.cb != nil {
 		// The callback receives the default code in R1 (ScalarR1
 		// verification) and returns the adjusted code.
-		res, err := cbExec.runCallback(ret)
-		if err == nil {
+		if res, err := e.cb.runCallback(ret); err == nil {
 			ret = res
 		}
 	}
@@ -614,12 +609,12 @@ func (e *Exec) window(addr uint64, n int) (b []byte, ok bool, err error) {
 	return nil, false, nil
 }
 
-// readSpan fills dst from extension-visible memory at addr: the region is
-// resolved once for the whole buffer, then the bytes are copied (word-wise
-// in the heap). It is HelperCtx.Read. A heap span that faults part-way
+// Read implements kernel.Env: it fills dst from extension-visible memory at
+// addr. The region is resolved once for the whole buffer, then the bytes
+// are copied (word-wise in the heap). A heap span that faults part-way
 // leaves the accessible prefix in dst and returns the *heap.Fault of the
 // first inaccessible byte, as byte-at-a-time loads would have.
-func (e *Exec) readSpan(dst []byte, addr uint64) error {
+func (e *Exec) Read(dst []byte, addr uint64) error {
 	if len(dst) == 0 {
 		return nil
 	}
@@ -638,9 +633,9 @@ func (e *Exec) readSpan(dst []byte, addr uint64) error {
 	return &heap.Fault{Addr: addr, Kind: heap.FaultOOB}
 }
 
-// writeSpan copies src into extension-visible memory at addr, with
-// readSpan's single resolve and fault contract. It is HelperCtx.Write.
-func (e *Exec) writeSpan(addr uint64, src []byte) error {
+// Write implements kernel.Env: it copies src into extension-visible memory
+// at addr, with Read's single resolve and fault contract.
+func (e *Exec) Write(addr uint64, src []byte) error {
 	if len(src) == 0 {
 		return nil
 	}

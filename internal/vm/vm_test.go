@@ -250,9 +250,10 @@ func TestGuardSanitizesWildPointer(t *testing.T) {
 		t.Fatal("no guard executed")
 	}
 	// The byte landed inside the heap at the masked offset.
-	off := uint64(0xdededededededede) & p.Heap().Mask()
-	v := p.Heap().ExtView()
-	got, err := v.Load(p.Heap().ExtBase()+off, 1)
+	h := p.opts.Heap
+	off := uint64(0xdededededededede) & h.Mask()
+	v := h.ExtView()
+	got, err := v.Load(h.ExtBase()+off, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,11 +264,42 @@ var fromCache time.Time
 // when the spec selects the reference interpreter) and the instrumented
 // cancellation callback (nil without one). None of them embed heap
 // addresses or helper pointers, so link binds them to any heap unchanged.
+//
+// from is the part of the spec they were compiled from — what
+// specFingerprint hashes. A cache hit skips the verifier, so it is decided
+// by comparing from, never by the 64-bit fingerprint alone.
 type compiled struct {
 	analysis *verifier.Analysis
 	report   *kie.Report
 	unit     *compile.Unit
 	callback *kie.Report
+	from     compileInput
+}
+
+// compileInput is every part of a Spec that verification, instrumentation
+// or lowering reads.
+type compileInput struct {
+	insns, callback []insn.Instruction
+	hook            string
+	// heapSize is Spec.HeapSize; flags packs Mode == ModeKFlex, ShareHeap,
+	// PerfMode, DisableElision and Interpret into bits 0-4.
+	heapSize, flags uint64
+}
+
+// compileInputOf reads spec, whose Hook Load has checked.
+func compileInputOf(spec Spec) compileInput {
+	in := compileInput{insns: spec.Insns, callback: spec.Callback, hook: spec.Hook.Name, heapSize: spec.HeapSize}
+	for i, set := range []bool{spec.Mode == ModeKFlex, spec.ShareHeap, spec.PerfMode, spec.DisableElision, spec.Interpret} {
+		if set {
+			in.flags |= 1 << i
+		}
+	}
+	return in
+}
+
+func (a compileInput) equal(b compileInput) bool {
+	return a.flags == b.flags && a.heapSize == b.heapSize && a.hook == b.hook &&
+		slices.Equal(a.insns, b.insns) && slices.Equal(a.callback, b.callback)
 }
 
 // specFingerprint hashes everything the compiled artifacts depend on: the
@@ -275,9 +307,9 @@ type compiled struct {
 // instrumentation, or lowering. The knobs that bind at link (QuantumInsns,
 // NumCPUs, CancelThreshold, FaultPlan, Adopt) are deliberately excluded —
 // they must not defeat the cache.
-func specFingerprint(spec Spec) uint64 {
+func specFingerprint(in compileInput) uint64 {
 	const prime64 = 1099511628211
-	h := insn.Fingerprint(spec.Insns)
+	h := insn.Fingerprint(in.insns)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
 			h ^= v & 0xff
@@ -285,30 +317,12 @@ func specFingerprint(spec Spec) uint64 {
 			v >>= 8
 		}
 	}
-	var cfg uint64
-	if spec.Mode == ModeKFlex {
-		cfg |= 1 << 0
-	}
-	if spec.ShareHeap {
-		cfg |= 1 << 1
-	}
-	if spec.PerfMode {
-		cfg |= 1 << 2
-	}
-	if spec.DisableElision {
-		cfg |= 1 << 3
-	}
-	if spec.Interpret {
-		cfg |= 1 << 4
-	}
-	mix(cfg)
-	mix(spec.HeapSize)
-	mix(insn.Fingerprint(spec.Callback))
-	if spec.Hook != nil {
-		for _, b := range []byte(spec.Hook.Name) {
-			h ^= uint64(b)
-			h *= prime64
-		}
+	mix(in.flags)
+	mix(in.heapSize)
+	mix(insn.Fingerprint(in.callback))
+	for _, b := range []byte(in.hook) {
+		h ^= uint64(b)
+		h *= prime64
 	}
 	return h
 }
@@ -427,13 +441,17 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 // before, and records the decode, verify, instrument and lower stages in pl.
 func (r *Runtime) compile(spec Spec, pl *PipelineInfo) (*compiled, error) {
 	start := time.Now()
-	pl.SpecHash = specFingerprint(spec)
+	in := compileInputOf(spec)
+	pl.SpecHash = specFingerprint(in)
 	pl.record("decode", start, len(spec.Insns))
 
 	r.cacheMu.Lock()
 	art := r.cache[pl.SpecHash]
 	r.cacheMu.Unlock()
-	if art != nil {
+	// An entry compiled from something else collided on the fingerprint: a
+	// miss. What is compiled below replaces it in the cache; extensions
+	// already linked to it keep their own pointer.
+	if art != nil && art.from.equal(in) {
 		// The records carry the cached artifacts' sizes, so callers still
 		// see the pipeline's shape.
 		pl.CacheHit = true
@@ -451,7 +469,7 @@ func (r *Runtime) compile(spec Spec, pl *PipelineInfo) (*compiled, error) {
 	if spec.Mode == ModeKFlex {
 		vmode = verifier.ModeKFlex
 	}
-	art = &compiled{}
+	art = &compiled{from: in}
 	var err error
 	start = time.Now()
 	art.analysis, err = verifier.Verify(spec.Insns, verifier.Config{

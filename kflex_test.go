@@ -342,6 +342,38 @@ func TestCallbackCompiledOnce(t *testing.T) {
 	}
 }
 
+// TestCompileCacheCollision: a cache hit skips the verifier, so a 64-bit
+// fingerprint alone must not decide one. With a verified spec's artifacts
+// filed under the fingerprint of a program the verifier rejects, loading
+// that program is a miss and is rejected; decided by the fingerprint, it
+// loaded and ran the other spec's code unverified.
+func TestCompileCacheCollision(t *testing.T) {
+	rt := NewRuntime()
+	good := Spec{Name: "good", Insns: asm.New().Ret(kernel.XDPPass).MustAssemble(), Hook: HookXDP, Mode: ModeKFlex, HeapSize: 1 << 16}
+	bad := good
+	bad.Name = "bad"
+	bad.Insns = asm.New().Mov(insn.R0, insn.R5).Exit().MustAssemble() // reads an uninitialised register
+	ext, err := rt.Load(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	rt.PlantCompiled(good, bad)
+	if loaded, err := rt.Load(bad); err == nil {
+		loaded.Close()
+		t.Fatalf("an unverifiable program loaded on a colliding cache entry (cache hit: %v)", loaded.Pipeline().CacheHit)
+	}
+	// The entry the collision displaced nothing of: good still hits.
+	again, err := rt.Load(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if !again.Pipeline().CacheHit || again.art != ext.art {
+		t.Fatal("the rejected load disturbed the cached artifacts of the spec it collided with")
+	}
+}
+
 func TestCallbackRestrictions(t *testing.T) {
 	rt := NewRuntime()
 	// A callback with an unbounded loop must be rejected (§4.3).

@@ -1,99 +1,12 @@
 package kflex_test
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"kflex"
-	"kflex/asm"
 	"kflex/insn"
-	"kflex/internal/netsim"
+	"kflex/internal/apps/listing1"
 )
-
-// listing1 builds the paper's Listing 1 (see examples/kvstore for the
-// annotated version): an XDP key-value store over a heap linked list with a
-// spin lock and per-hit socket lookup/release.
-func listing1(t *testing.T) []insn.Instruction {
-	t.Helper()
-	const (
-		nKey, nVal, nNext, nPrev = 0, 8, 16, 24
-		gHead, gLock             = kflex.GlobalsOff, kflex.GlobalsOff + 8
-	)
-	b := asm.New()
-	b.Mov(insn.R9, insn.R1)
-	b.Call(kflex.HelperKflexHeapBase)
-	b.Mov(insn.R8, insn.R0)
-	b.Load(insn.R2, insn.R9, 0, 4)
-	b.JmpImm(insn.JmpLt, insn.R2, 9, "drop")
-	b.Mov(insn.R1, insn.R9)
-	b.MovImm(insn.R2, 0)
-	b.Mov(insn.R3, insn.R10)
-	b.Add(insn.R3, -16)
-	b.MovImm(insn.R4, 9)
-	b.Call(kflex.HelperPktLoadBytes)
-	b.JmpImm(insn.JmpNe, insn.R0, 0, "drop")
-	b.Load(insn.R7, insn.R10, -15, 4)
-	b.StoreImm(insn.R10, -32, 0, 8)
-	b.StoreImm(insn.R10, -24, 0, 4)
-	b.Mov(insn.R1, insn.R8)
-	b.Add(insn.R1, gLock)
-	b.Call(kflex.HelperKflexSpinLock)
-	b.Load(insn.R6, insn.R8, gHead, 8)
-	b.Label("loop")
-	b.JmpImm(insn.JmpEq, insn.R6, 0, "miss")
-	b.Load(insn.R0, insn.R6, nKey, 8)
-	b.JmpReg(insn.JmpEq, insn.R0, insn.R7, "found")
-	b.Load(insn.R6, insn.R6, nNext, 8)
-	b.Ja("loop")
-	b.Label("found")
-	b.Mov(insn.R1, insn.R9)
-	b.Mov(insn.R2, insn.R10)
-	b.Add(insn.R2, -32)
-	b.MovImm(insn.R3, 12)
-	b.MovImm(insn.R4, 0)
-	b.MovImm(insn.R5, 0)
-	b.Call(kflex.HelperSkLookup)
-	b.JmpImm(insn.JmpEq, insn.R0, 0, "miss")
-	b.Store(insn.R10, -40, insn.R0, 8)
-	b.Load(insn.R1, insn.R10, -16, 1)
-	b.JmpImm(insn.JmpEq, insn.R1, 1, "delete")
-	b.Load(insn.R2, insn.R10, -11, 4)
-	b.Store(insn.R6, nVal, insn.R2, 8)
-	b.Ja("release")
-	b.Label("delete")
-	b.Load(insn.R3, insn.R6, nNext, 8)
-	b.Load(insn.R4, insn.R6, nPrev, 8)
-	b.JmpImm(insn.JmpEq, insn.R4, 0, "del-head")
-	b.Store(insn.R4, nNext, insn.R3, 8)
-	b.Ja("del-fix")
-	b.Label("del-head")
-	b.Store(insn.R8, gHead, insn.R3, 8)
-	b.Label("del-fix")
-	b.JmpImm(insn.JmpEq, insn.R3, 0, "del-free")
-	b.Store(insn.R3, nPrev, insn.R4, 8)
-	b.Label("del-free")
-	b.Mov(insn.R1, insn.R6)
-	b.Call(kflex.HelperKflexFree)
-	b.Label("release")
-	b.Load(insn.R1, insn.R10, -40, 8)
-	b.Call(kflex.HelperSkRelease)
-	b.Label("miss")
-	b.Mov(insn.R1, insn.R8)
-	b.Add(insn.R1, gLock)
-	b.Call(kflex.HelperKflexSpinUnlock)
-	b.Ret(int32(kflex.XDPDrop))
-	b.Label("drop")
-	b.Ret(int32(kflex.XDPDrop))
-	return b.MustAssemble()
-}
-
-func listing1Packet(op byte, key, value uint32, sock *kflex.KernelObject) *netsim.Packet {
-	data := make([]byte, 9)
-	data[0] = op
-	binary.LittleEndian.PutUint32(data[1:], key)
-	binary.LittleEndian.PutUint32(data[5:], value)
-	return &netsim.Packet{Data: data, Sock: sock}
-}
 
 // TestListing1EndToEnd runs the paper's flagship example through the whole
 // pipeline: eBPF-mode rejection, KFlex load, user-side seeding through the
@@ -101,7 +14,7 @@ func listing1Packet(op byte, key, value uint32, sock *kflex.KernelObject) *netsi
 // paper's wire-format compatibility (the bytecode round-trips through the
 // eBPF encoding before loading).
 func TestListing1EndToEnd(t *testing.T) {
-	prog := listing1(t)
+	prog := listing1.Program()
 
 	// Wire-format fidelity: encode to eBPF bytes and decode back.
 	raw, err := insn.Encode(prog)
@@ -157,7 +70,7 @@ func TestListing1EndToEnd(t *testing.T) {
 	h := ext.Handle(0)
 
 	// Update key 1 -> 42; the socket is acquired and released.
-	pkt := listing1Packet(0, 1, 42, sock)
+	pkt := listing1.Packet(listing1.OpUpdate, 1, 42, sock)
 	res, err := h.Run(pkt, pkt.XDPCtx(0))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +101,7 @@ func TestListing1EndToEnd(t *testing.T) {
 	}
 
 	// Delete key 2, then updating it misses (socket still balanced).
-	pkt = listing1Packet(1, 2, 0, sock)
+	pkt = listing1.Packet(listing1.OpDelete, 2, 0, sock)
 	if _, err := h.Run(pkt, pkt.XDPCtx(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +109,7 @@ func TestListing1EndToEnd(t *testing.T) {
 	if frees != 1 {
 		t.Fatalf("kflex_free not called: frees=%d", frees)
 	}
-	pkt = listing1Packet(0, 2, 9, sock)
+	pkt = listing1.Packet(listing1.OpUpdate, 2, 9, sock)
 	if _, err := h.Run(pkt, pkt.XDPCtx(0)); err != nil {
 		t.Fatal(err)
 	}

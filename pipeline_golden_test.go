@@ -13,6 +13,7 @@ import (
 	"kflex"
 	"kflex/insn"
 	"kflex/internal/apps/kvprog"
+	"kflex/internal/apps/listing1"
 	"kflex/internal/apps/memcached"
 	"kflex/internal/apps/offload"
 	"kflex/internal/apps/redis"
@@ -23,7 +24,7 @@ import (
 // goldenPrograms are the programs the repository ships: the shared KV
 // program under both codecs, the six data-structure offloads, ZADD and the
 // paper's Listing 1.
-func goldenPrograms(t *testing.T) []kflex.Spec {
+func goldenPrograms() []kflex.Spec {
 	specs := []kflex.Spec{}
 	for _, c := range []*offload.Codec{&memcached.Codec, &redis.Codec} {
 		specs = append(specs, kflex.Spec{
@@ -35,7 +36,7 @@ func goldenPrograms(t *testing.T) []kflex.Spec {
 			Name: string(kind), Insns: ds.Program(kind), Hook: kflex.HookBench, HeapSize: ds.HeapSize(kind),
 		})
 	}
-	return append(specs, kflex.Spec{Name: "listing1", Insns: listing1(t), Hook: kflex.HookXDP, HeapSize: 1 << 20})
+	return append(specs, kflex.Spec{Name: "listing1", Insns: listing1.Program(), Hook: kflex.HookXDP, HeapSize: 1 << 20})
 }
 
 // analysisDigest hashes everything the verifier concluded about one program:
@@ -86,7 +87,7 @@ func TestPipelineGolden(t *testing.T) {
 		{"shareheap", func(s *kflex.Spec) { s.ShareHeap = true }},
 	}
 	var got, gotAnalysis strings.Builder
-	for _, base := range goldenPrograms(t) {
+	for _, base := range goldenPrograms() {
 		rt := kflex.NewRuntime()
 		memcached.Codec.RegisterHelpers(rt)
 		redis.Codec.RegisterHelpers(rt)
