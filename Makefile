@@ -22,11 +22,11 @@ fmt:
 
 # The trusted computing base of DESIGN.md §8, counted as its table is:
 # non-blank, non-comment, non-test Go per package. TCB_BUDGET is the total
-# as of the last change to it (PR 23); a change that pushes the total past
-# it says in DESIGN.md what the lines buy and raises the figure here.
+# as of the last change to it; a change that pushes the total past it says
+# in DESIGN.md what the lines buy and raises the figure here.
 TCB_PKGS = internal/verifier internal/cfg internal/kie internal/compile \
 	internal/vm internal/heap internal/alloc internal/locks
-TCB_BUDGET = 4805
+TCB_BUDGET = 4833
 
 tcb:
 	@total=0; for d in $(TCB_PKGS); do \
@@ -76,6 +76,7 @@ bench-smoke: build
 	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
 	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8|BenchmarkNullRun' -benchtime 1000x ./internal/vm/
 	$(GO) test -run NONE -bench BenchmarkSupervisorRun -benchtime 1000x -cpu 2 ./internal/supervisor/
+	$(GO) test -run NONE -bench BenchmarkColdLoad -benchtime 20x -benchmem ./internal/apps/offload/
 
 # The performance gate (benchmark/, a Go module of its own that root
 # `go test ./...` never sees): its oracle/determinism tests, then every

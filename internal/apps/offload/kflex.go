@@ -56,20 +56,27 @@ type Config struct {
 const defaultHeapSize = 64 << 20
 
 // ReqFactory deterministically produces the request stream every system of
-// one app sees from the same Config.
+// one app sees from the same Config. The stream's generator is built on the
+// first draw: its Zipf set-up is milliseconds, and a deployment that is
+// driven through Execute never draws.
 type ReqFactory struct {
 	codec *Codec
+	seed  int64
+	mix   workload.Mix
 	gen   *workload.Generator
 	vsz   int
 }
 
 // NewReqFactory seeds the stream from cfg.
 func (c *Codec) NewReqFactory(cfg Config) *ReqFactory {
-	return &ReqFactory{codec: c, gen: workload.NewGenerator(cfg.Seed, cfg.Mix), vsz: cfg.ValueSize}
+	return &ReqFactory{codec: c, seed: cfg.Seed, mix: cfg.Mix, vsz: cfg.ValueSize}
 }
 
 // Next builds the next request frame (client-side work, not timed).
 func (f *ReqFactory) Next() (workload.Request, []byte) {
+	if f.gen == nil {
+		f.gen = workload.NewGenerator(f.seed, f.mix)
+	}
 	req := f.gen.Next()
 	key := workload.FormatKey(req.Key, kvprog.KeySize)
 	if req.Op == workload.OpSet {

@@ -16,6 +16,7 @@ package heap
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -219,14 +220,55 @@ func NewInArena(size uint64, kernel, user *Arena) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Heap{
-		size:     size,
-		mask:     size - 1,
-		extBase:  extBase,
-		userBase: userBase,
-		words:    make([]uint64, size/8),
-		pages:    make([]atomic.Bool, size/PageSize),
-	}, nil
+	var b backing
+	free.Lock()
+	if l := free.m[size/8]; len(l) > 0 {
+		b, free.m[size/8] = l[len(l)-1], l[:len(l)-1]
+	}
+	free.Unlock()
+	if b.words == nil {
+		b = backing{make([]uint64, size/8), make([]atomic.Bool, size/PageSize)}
+	}
+	h := &Heap{size: size, mask: size - 1, extBase: extBase, userBase: userBase, words: b.words, pages: b.pages}
+	runtime.AddCleanup(h, recycle, b)
+	return h, nil
+}
+
+// backing is a heap's memory. It is recycled once the heap is unreachable,
+// not at Close: a View that passed its closed check may still store. So
+// Populate and every View accessor keep the heap alive (runtime.KeepAlive)
+// past their last touch of the backing.
+type backing struct {
+	words []uint64
+	pages []atomic.Bool
+}
+
+// maxFreeBackings bounds the backings parked per heap size: two covers a
+// generation's heap and its migration target's.
+const maxFreeBackings = 2
+
+// free parks recycled backings by word count.
+var free = struct {
+	sync.Mutex
+	m map[uint64][]backing
+}{m: make(map[uint64][]backing)}
+
+// recycle zeroes the populated pages of an unreachable heap's backing, the
+// only ones an access can have written, and parks it for the next heap of
+// its size: a load then pays for the pages the last heap touched, not for a
+// zeroed allocation of all of it.
+func recycle(b backing) {
+	for p := range b.pages {
+		if b.pages[p].Swap(false) {
+			clear(b.words[p*PageSize/8 : (p+1)*PageSize/8])
+		}
+	}
+	n := uint64(len(b.words))
+	free.Lock()
+	if len(free.m[n]) < maxFreeBackings {
+		free.m[n] = append(free.m[n], b)
+	}
+	free.Unlock()
 }
 
 // SetFaultPlan attaches a fault-injection plan; nil detaches it. Call
@@ -307,6 +349,7 @@ func (h *Heap) Populate(off, n uint64) error {
 			h.populated.Add(1)
 		}
 	}
+	runtime.KeepAlive(h)
 	return nil
 }
 
@@ -428,7 +471,9 @@ func (v View) Load(addr uint64, n int) (uint64, error) {
 	if f != nil {
 		return 0, f
 	}
-	return v.h.loadOff(off, n), nil
+	val := v.h.loadOff(off, n)
+	runtime.KeepAlive(v.h)
+	return val, nil
 }
 
 // Store writes the low n bytes of val at addr.
@@ -438,6 +483,7 @@ func (v View) Store(addr uint64, n int, val uint64) error {
 		return f
 	}
 	v.h.storeOff(off, n, val)
+	runtime.KeepAlive(v.h)
 	return nil
 }
 
@@ -464,6 +510,7 @@ func (v View) AtomicLoad(addr uint64, n int) (uint64, error) {
 		return 0, f
 	}
 	val := atomic.LoadUint64(&v.h.words[w]) >> shift
+	runtime.KeepAlive(v.h)
 	if n == 4 {
 		val &= 0xffffffff
 	}
@@ -478,16 +525,11 @@ func (v View) AtomicStore(addr uint64, n int, val uint64) error {
 	}
 	if n == 8 {
 		atomic.StoreUint64(&v.h.words[w], val)
-		return nil
+	} else {
+		casMerge(&v.h.words[w], uint64(0xffffffff)<<shift, (val&0xffffffff)<<shift)
 	}
-	mask := uint64(0xffffffff) << shift
-	for {
-		old := atomic.LoadUint64(&v.h.words[w])
-		nw := old&^mask | (val&0xffffffff)<<shift
-		if atomic.CompareAndSwapUint64(&v.h.words[w], old, nw) {
-			return nil
-		}
-	}
+	runtime.KeepAlive(v.h)
+	return nil
 }
 
 // AtomicRMWOp selects the modify function of an atomic read-modify-write.
@@ -536,6 +578,7 @@ func (v View) AtomicRMW(addr uint64, n int, op AtomicRMWOp, operand uint64) (uin
 		field := (old >> shift) & mask
 		nw := old&^(mask<<shift) | (op.apply(field, operand)&mask)<<shift
 		if atomic.CompareAndSwapUint64(&v.h.words[w], old, nw) {
+			runtime.KeepAlive(v.h)
 			return field, nil
 		}
 	}
@@ -557,11 +600,9 @@ func (v View) AtomicCAS(addr uint64, n int, expect, desired uint64) (uint64, err
 	for {
 		old := atomic.LoadUint64(&v.h.words[w])
 		field := (old >> shift) & mask
-		if field != expect {
-			return field, nil
-		}
 		nw := old&^(mask<<shift) | (desired&mask)<<shift
-		if atomic.CompareAndSwapUint64(&v.h.words[w], old, nw) {
+		if field != expect || atomic.CompareAndSwapUint64(&v.h.words[w], old, nw) {
+			runtime.KeepAlive(v.h)
 			return field, nil
 		}
 	}
@@ -628,6 +669,7 @@ func (v View) ReadInto(addr uint64, dst []byte) error {
 	if len(dst) > 0 {
 		putLE(dst, v.h.loadOff(off, len(dst)))
 	}
+	runtime.KeepAlive(v.h)
 	return err
 }
 
@@ -650,6 +692,7 @@ func (v View) WriteFrom(addr uint64, src []byte) error {
 	if len(src) > 0 {
 		v.h.storeOff(off, len(src), getLE(src))
 	}
+	runtime.KeepAlive(v.h)
 	return err
 }
 

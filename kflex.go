@@ -782,9 +782,11 @@ func (e *Extension) StopWatchdog() {
 	}
 }
 
-// Close releases the extension's resources. The heap is destroyed here —
-// after cancellation it intentionally outlives the extension so user-space
-// mappings keep working until the owner closes it (§3.4).
+// Close releases the extension's resources. The heap is closed here — after
+// cancellation it intentionally outlives the extension so user-space
+// mappings keep working until the owner closes it (§3.4) — and every access
+// through any view of it faults from then on. Its backing memory returns
+// for reuse only when the last view is gone.
 func (e *Extension) Close() {
 	e.StopWatchdog()
 	if e.heap != nil {
