@@ -26,7 +26,7 @@ fmt:
 # in DESIGN.md what the lines buy and raises the figure here.
 TCB_PKGS = internal/verifier internal/cfg internal/kie internal/compile \
 	internal/vm internal/heap internal/alloc internal/locks
-TCB_BUDGET = 4833
+TCB_BUDGET = 4802
 
 tcb:
 	@total=0; for d in $(TCB_PKGS); do \

@@ -270,9 +270,7 @@ func TestIrreducibleCycleGetsProbe(t *testing.T) {
 		JmpReg(insn.JmpNe, insn.R3, insn.R4, "a").
 		Ret(0).
 		MustAssemble()
-	// The counter never converges, so the DFS only ends at its budget; a
-	// small one reaches the fixpoint fallback without 400 000 steps.
-	an := analyze(t, prog, func(c *verifier.Config) { c.InsnBudget = 4096 })
+	an := analyze(t, prog, nil)
 	rep, err := Instrument(an)
 	if err != nil {
 		t.Fatal(err)

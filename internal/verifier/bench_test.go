@@ -12,10 +12,9 @@ import (
 	"kflex/internal/verifier"
 )
 
-// BenchmarkVerify times one whole Verify — DFS attempt, then the fixpoint
-// where the program has an unbounded loop — of the KV program and the three
-// data structures of the ds-mix workload, as Runtime.Load configures it.
-// allocs/op is the figure ROADMAP item 2(c) tracks.
+// BenchmarkVerify times one whole Verify — one walk, widening from the point
+// where it finds an unbounded loop — of the KV program and the three data
+// structures of the ds-mix workload, as Runtime.Load configures it.
 func BenchmarkVerify(b *testing.B) {
 	rt := kflex.NewRuntime()
 	memcached.Codec.RegisterHelpers(rt)

@@ -129,13 +129,19 @@ func TestFuzzCorpusAcceptsSome(t *testing.T) {
 }
 
 // FuzzVerify feeds the verifier whatever decodes: it must not panic under
-// either ruleset, and a second Verify of the same program must reach the same
-// verdict — a deep-equal Analysis, or a refusal at the same instruction.
+// either ruleset, a second Verify of the same program must reach the same
+// verdict — a deep-equal Analysis, or a refusal at the same instruction. And
+// what the eBPF ruleset accepts in at most maxUnroll steps, the KFlex ruleset
+// accepts too: both configs use one hook, KFlex allows all that eBPF does, and
+// its walk is eBPF's until one path has passed a point maxUnroll times. Past
+// that, KFlex widens the loop where eBPF keeps unrolling it, and refuses an
+// access that needed the counter's constant.
 func FuzzVerify(f *testing.F) {
 	for _, prog := range [][]insn.Instruction{
 		nonConvergingLoop(), // PR 18: the DFS that kept every in-progress state
 		{insn.Mov64Imm(insn.R0, 0), insn.JmpImm(insn.JmpEq, insn.R0, 0, 1), insn.Call(9999), insn.Exit()}, // PR 20: malformed behind a folded branch
 		twoSocketProgram(),
+		countedLoop(64), // bounded in both modes, unrolled to the end
 	} {
 		raw, err := insn.Encode(prog)
 		if err != nil {
@@ -153,6 +159,7 @@ func FuzzVerify(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var ebpf *Analysis
 		for _, cfg := range configs {
 			an1, err1 := Verify(prog, cfg)
 			an2, err2 := Verify(prog, cfg)
@@ -166,6 +173,11 @@ func FuzzVerify(f *testing.F) {
 			case err1 != nil && err2 != nil && err1.Error() == err2.Error(): // refused before the walk
 			default:
 				t.Fatalf("mode %v: verdicts differ: %v, then %v\n%s", cfg.Mode, err1, err2, mustDisasm(prog))
+			}
+			if cfg.Mode == ModeEBPF {
+				ebpf = an1
+			} else if ebpf != nil && ebpf.StatesExplored <= maxUnroll && err1 != nil {
+				t.Fatalf("eBPF mode accepts what KFlex mode refuses: %v\n%s", err1, mustDisasm(prog))
 			}
 		}
 	})

@@ -150,7 +150,7 @@ func (r *RegState) deduceBounds() {
 }
 
 // regLE reports whether a is a refinement of b (every concrete state
-// described by a is also described by b). Used for DFS state pruning.
+// described by a is also described by b). Used for the walk's state pruning.
 func regLE(a, b *RegState) bool {
 	if b.Type == TypeInvalid {
 		return true // an unusable register accepts anything
@@ -182,8 +182,8 @@ func regLE(a, b *RegState) bool {
 	return false
 }
 
-// regJoin computes the least upper bound of two register states for the
-// KFlex fixpoint engine. Incompatible pointer types degrade to TypeInvalid
+// regJoin computes the least upper bound of two register states, which
+// widenReg widens. Incompatible pointer types degrade to TypeInvalid
 // (unusable but sound: any later use is rejected or re-guarded).
 func regJoin(a, b RegState) RegState {
 	if a.Type == TypeInvalid || b.Type == TypeInvalid {
@@ -259,8 +259,8 @@ func nullable(t RegType) bool {
 	return t == TypeHeap || t == TypeMapValue || t == TypeObj
 }
 
-// widenReg forces a still-changing register to its most general form so the
-// fixpoint terminates (range widening, §3.2's loop analysis).
+// widenReg forces a still-changing register to its most general form so an
+// unbounded loop converges (range widening, §3.2's loop analysis).
 func widenReg(old, new RegState) RegState {
 	j := regJoin(old, new)
 	switch j.Type {
@@ -428,10 +428,10 @@ func stackLE(a, b *stackState) bool {
 	return true
 }
 
-// mergeStack is the stack half of state.merge: a byte is written where both
+// widenStack is the stack half of state.widen: a byte is written where both
 // frames wrote it, and a slot keeps a spilled value where both hold one and
-// the two join to a usable register.
-func mergeStack(a, b *stackState, widen bool) stackState {
+// the two widen to a usable register.
+func widenStack(a, b *stackState) stackState {
 	var out stackState
 	for i := range out.written {
 		out.written[i] = a.written[i] & b.written[i]
@@ -445,12 +445,9 @@ func mergeStack(a, b *stackState, widen bool) stackState {
 		if bs == nil {
 			continue
 		}
-		j := regJoin(as.reg, *bs)
+		j := widenReg(as.reg, *bs)
 		if j.Type == TypeInvalid {
 			continue
-		}
-		if widen && j != as.reg {
-			j = widenReg(as.reg, j)
 		}
 		out.spills = append(out.spills, spill{as.off, j})
 	}
@@ -529,29 +526,22 @@ func (s *state) le(o *state) bool {
 	return stackLE(&s.Stack, &o.Stack)
 }
 
-// merge is the least upper bound of s and o, the state a merge point holds
-// once both have arrived. With widen set — a loop head that keeps changing —
-// whatever the join moved goes to its most general form, so the fixpoint
-// terminates. It returns an error when resource or lock state disagrees:
+// widen merges o, a later arrival at a loop head, into s: registers and
+// spilled slots go to their most general form wherever o moved them
+// (widenReg), so the loop converges, and a stack byte stays written where
+// both wrote it. It returns an error when resource or lock state disagrees:
 // the paper's convergence requirement (§3.1).
-func (s *state) merge(o *state, widen bool) (*state, error) {
-	join := regJoin
-	lockMsg := "lock depth mismatch at merge point (%d vs %d)"
-	refsMsg := "kernel resources do not converge at merge point: %s vs %s"
-	if widen {
-		join = widenReg
-		lockMsg = "lock depth mismatch at loop head (%d vs %d)"
-		refsMsg = "loop does not converge for kernel resources: %s vs %s"
-	}
+func (s *state) widen(o *state) (*state, error) {
 	if s.LockDepth != o.LockDepth {
-		return nil, fmt.Errorf(lockMsg, s.LockDepth, o.LockDepth)
+		return nil, fmt.Errorf("lock depth mismatch at loop head (%d vs %d)", s.LockDepth, o.LockDepth)
 	}
 	if !slices.Equal(s.Refs, o.Refs) {
-		return nil, fmt.Errorf(refsMsg, refsString(s.Refs), refsString(o.Refs))
+		return nil, fmt.Errorf("loop does not converge for kernel resources: %s vs %s",
+			refsString(s.Refs), refsString(o.Refs))
 	}
-	out := &state{Stack: mergeStack(&s.Stack, &o.Stack, widen), Refs: s.Refs, LockDepth: s.LockDepth}
+	out := &state{Stack: widenStack(&s.Stack, &o.Stack), Refs: s.Refs, LockDepth: s.LockDepth}
 	for i := range out.Regs {
-		out.Regs[i] = join(s.Regs[i], o.Regs[i])
+		out.Regs[i] = widenReg(s.Regs[i], o.Regs[i])
 	}
 	return out, nil
 }

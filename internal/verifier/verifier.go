@@ -58,7 +58,8 @@ type Config struct {
 // DefaultInsnBudget caps states processed during symbolic execution.
 const DefaultInsnBudget = 400_000
 
-// widenThreshold is how many joins a loop head absorbs before widening.
+// widenThreshold is how many arrivals a loop head sees, over the whole walk,
+// before an unbounded walk widens there.
 const widenThreshold = 3
 
 // Error is a verification failure annotated with the offending instruction.
@@ -80,7 +81,7 @@ func (e *Error) Unwrap() error { return e.Err }
 // Sentinel classification errors (wrapped inside *Error messages where the
 // engine needs to distinguish them).
 var (
-	// ErrUnboundedLoop marks DFS detecting a loop whose termination it
+	// ErrUnboundedLoop marks the walk detecting a loop whose termination it
 	// cannot prove — fatal in eBPF mode, instrumentation trigger in
 	// KFlex mode.
 	ErrUnboundedLoop = errors.New("unbounded loop")
@@ -169,8 +170,8 @@ type Analysis struct {
 	// by Site. The same program and Config give the same tables, rows and
 	// locations every time.
 	ObjTables map[int][]ObjTableEntry
-	// LoopsBounded reports whether every loop was proven terminating
-	// (DFS converged).
+	// LoopsBounded reports whether every loop was proven terminating (the
+	// walk unrolled each to its end).
 	LoopsBounded bool
 	// StatesExplored counts symbolic execution work.
 	StatesExplored int
@@ -184,16 +185,32 @@ type verifier struct {
 	prog  []insn.Instruction
 	g     *cfg.Graph
 	facts []AccessFact
-	// isCP marks the instructions that are cancellation points; tables
-	// holds each one's object table, rows ascending by Site.
-	isCP   []bool
-	tables [][]ObjTableEntry
+	// tables holds the object table of every cancellation point the walk
+	// reached: heap accesses (C2) in tables, retreating-edge tails (C1) in
+	// loopTables, which join them only if a loop proves unbounded.
+	tables, loopTables []cpTable
+	// loop marks the heads and tails of retreating edges.
+	loop   []uint8
 	budget int
 	steps  int
-	// unboundedMode is true in the fixpoint fallback: every retreating
-	// edge is treated as a C1 cancellation point.
-	unboundedMode bool
+	// unbounded is set once the walk has evidence of a loop it cannot
+	// bound; from then on it widens at loop heads.
+	unbounded bool
+	// succ is where step leaves its successors, copied out by the walk
+	// before the next step, so that no step allocates for them.
+	succ [2]succState
 }
+
+// cpTable is one instruction's object table as the walk builds it.
+type cpTable struct {
+	reached bool
+	rows    []ObjTableEntry // ascending by Site
+}
+
+const (
+	loopHead uint8 = 1 << iota
+	loopTail
+)
 
 // Verify analyzes prog under cfg and returns the instrumentation facts.
 func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
@@ -228,80 +245,73 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 	if budget <= 0 {
 		budget = DefaultInsnBudget
 	}
-	v := &verifier{cfg: vc, prog: prog, g: g, budget: budget}
-	v.resetFacts()
-
-	// First attempt: path-sensitive DFS. Success proves every loop
-	// terminates, so no cancellation probes are needed (§3.3).
-	dfsErr := v.runDFS()
-	an := &Analysis{
-		Prog:   prog,
-		Graph:  g,
-		Config: vc,
+	v := &verifier{
+		cfg: vc, prog: prog, g: g, budget: budget,
+		facts:      make([]AccessFact, len(prog)),
+		tables:     make([]cpTable, len(prog)),
+		loopTables: make([]cpTable, len(prog)),
+		loop:       make([]uint8, len(prog)),
 	}
-	if dfsErr == nil {
-		an.LoopsBounded = true
-		v.finish(an)
-		return an, nil
+	edges := g.RetreatingEdges()
+	for _, e := range edges {
+		v.loop[e.Head] |= loopHead
+		v.loop[e.Tail] |= loopTail
 	}
-	var verr *Error
-	loopish := errors.As(dfsErr, &verr) &&
-		(errors.Is(dfsErr, ErrUnboundedLoop) || errors.Is(dfsErr, ErrTooComplex))
-	if vc.Mode == ModeEBPF || !loopish {
-		return nil, dfsErr
-	}
-
-	// KFlex fallback: abstract-interpretation fixpoint with widening.
-	// Loops need not terminate; every retreating edge becomes a C1
-	// cancellation point.
-	v.resetFacts()
-	v.unboundedMode = true
-	if err := v.runFixpoint(); err != nil {
+	if err := v.walk(); err != nil {
 		return nil, err
 	}
-	an.UnboundedEdges = g.RetreatingEdges()
-	v.finish(an)
+	an := &Analysis{
+		Prog:           prog,
+		Graph:          g,
+		Facts:          v.facts,
+		LoopsBounded:   !v.unbounded,
+		StatesExplored: v.steps,
+		ObjTables:      make(map[int][]ObjTableEntry),
+		Config:         vc,
+	}
+	if v.unbounded {
+		// Every retreating edge becomes a C1 cancellation point (§3.3).
+		an.UnboundedEdges = edges
+	}
+	for i := range v.tables {
+		t, lt := &v.tables[i], &v.loopTables[i]
+		if v.unbounded && lt.reached {
+			t.reached = true
+			for _, row := range lt.rows {
+				t.rows = v.addRow(t.rows, row)
+			}
+		}
+		if t.reached {
+			an.ObjTables[i] = t.rows
+		}
+	}
 	return an, nil
 }
 
-func (v *verifier) resetFacts() {
-	v.facts = make([]AccessFact, len(v.prog))
-	v.isCP = make([]bool, len(v.prog))
-	v.tables = make([][]ObjTableEntry, len(v.prog))
-	v.steps = 0
-}
+// --- The walk (eBPF-style path exploration, widening where it must) ----------
 
-func (v *verifier) finish(an *Analysis) {
-	an.Facts = v.facts
-	an.StatesExplored = v.steps
-	an.ObjTables = make(map[int][]ObjTableEntry)
-	for i, cp := range v.isCP {
-		if cp {
-			an.ObjTables[i] = v.tables[i]
-		}
-	}
-}
-
-// --- DFS engine (eBPF-style path exploration) --------------------------------
-
-type dfsFrame struct {
-	idx   int
-	st    *state
-	succs []succState
-	next  int
+// walkFrame is one instruction on the current path: its state until it is
+// stepped, then the successors still to explore.
+type walkFrame struct {
+	idx         int
+	st          *state
+	succs       [2]succState
+	nsucc, next int
 	// visit is this frame's entry in the visited list (merge points
 	// only); it is marked complete when the frame pops.
 	visit *visitedState
 }
 
 // visitedState is a state recorded at a merge point. While its frame is
-// still on the DFS stack (inProgress), a refining revisit means the loop
+// still on the walk's stack (inProgress), a refining revisit means the loop
 // makes no provable progress; once exploration from it has completed
 // without error, refining states can be pruned safely (the kernel's
 // states_equal pruning with in-flight branch accounting).
 type visitedState struct {
 	st         *state
 	inProgress bool
+	// unroll counts the earlier visits of this point on the same path.
+	unroll int
 }
 
 // maxVisited caps the states kept per merge point, in-progress ones
@@ -309,13 +319,17 @@ type visitedState struct {
 // reason: every arrival is compared against the whole list.
 const maxVisited = 24
 
+// maxUnroll is how many times one path may pass a merge point before KFlex
+// mode stops trying to bound the loop that brings it back.
+const maxUnroll = 256
+
 // remember appends vs to a merge point's list, evicting one entry once the
 // list is full: the oldest completed state if there is one, else the
 // oldest ancestor. Losing a completed state only costs a missed prune;
 // losing an ancestor means a loop that returns to it is no longer caught
-// there, and a loop never caught runs into the instruction budget —
-// ErrTooComplex, the same verdict by the slower road. The evicted state is
-// dropped at once (its frame still points at the entry).
+// there, and a loop never caught runs into maxUnroll in KFlex mode or the
+// instruction budget in eBPF mode. The evicted state is dropped at once (its
+// frame still points at the entry).
 func remember(list []*visitedState, vs *visitedState) []*visitedState {
 	if len(list) >= maxVisited {
 		evict := 0
@@ -336,58 +350,78 @@ type succState struct {
 	st  *state
 }
 
-func (v *verifier) runDFS() error {
+// walk explores every path from the entry depth first, pruning a state that
+// refines one already explored from the same point. A revisit refining a
+// state still being explored — a loop that makes no provable progress — is
+// an error in eBPF mode. In KFlex mode it, or one path passing a point
+// maxUnroll times, marks the walk unbounded: the revisit is pruned (the
+// state it refines is still being explored), and from then on a loop head
+// that has seen widenThreshold arrivals merges each new one, widened, into
+// its latest state, so that every loop converges. The walk never restarts.
+func (v *verifier) walk() error {
 	visited := make([][]*visitedState, len(v.prog))
-
-	stack := []*dfsFrame{{idx: 0, st: newEntryState(v.cfg.ScalarR1)}}
+	arrivals := make([]int, len(v.prog))
+	stack := []walkFrame{{idx: 0, st: newEntryState(v.cfg.ScalarR1)}}
 	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		if f.succs == nil {
-			// First processing of this frame: loop/prune checks.
-			pruned := false
-			for _, old := range visited[f.idx] {
-				if !f.st.le(old.st) {
-					continue
+		f := &stack[len(stack)-1]
+		if st := f.st; st != nil {
+			idx := f.idx
+			f.st = nil
+			if v.loop[idx]&loopHead != 0 {
+				arrivals[idx]++
+				if v.unbounded && arrivals[idx] > widenThreshold {
+					latest := visited[idx][len(visited[idx])-1]
+					w, err := latest.st.widen(st)
+					if err != nil {
+						return &Error{Insn: idx, Msg: err.Error()}
+					}
+					st = w
 				}
-				if old.inProgress {
-					return &Error{Insn: f.idx, Err: ErrUnboundedLoop, Msg: fmt.Sprintf(
-						"back edge revisits a covering state; cannot prove termination: %v", ErrUnboundedLoop)}
-				}
-				pruned = true
-				break
 			}
-			if pruned {
+			if old := covering(visited[idx], st); old != nil {
+				if old.inProgress {
+					if v.cfg.Mode == ModeEBPF {
+						return &Error{Insn: idx, Err: ErrUnboundedLoop, Msg: fmt.Sprintf(
+							"back edge revisits a covering state; cannot prove termination: %v", ErrUnboundedLoop)}
+					}
+					v.unbounded = true
+				}
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			if v.isMergePoint(f.idx) {
-				f.visit = &visitedState{st: f.st.clone(), inProgress: true}
-				visited[f.idx] = remember(visited[f.idx], f.visit)
+			if v.isMergePoint(idx) {
+				f.visit = &visitedState{st: st.clone(), inProgress: true}
+				for _, old := range slices.Backward(visited[idx]) {
+					if old.inProgress {
+						f.visit.unroll = old.unroll + 1
+						break
+					}
+				}
+				if f.visit.unroll > maxUnroll && v.cfg.Mode == ModeKFlex {
+					v.unbounded = true
+				}
+				visited[idx] = remember(visited[idx], f.visit)
 			}
 			v.steps++
 			if v.steps > v.budget {
-				return &Error{Insn: f.idx, Err: ErrTooComplex, Msg: fmt.Sprintf(
+				return &Error{Insn: idx, Err: ErrTooComplex, Msg: fmt.Sprintf(
 					"instruction budget exceeded (%d): %v", v.budget, ErrTooComplex)}
 			}
-			// The checks above were the last readers of this frame's
-			// state (later arrivals compare against the visit's clone),
-			// so step may consume it: a frame deep in an unrolled loop
-			// must not keep a state alive.
-			succs, err := v.step(f.idx, f.st)
+			// The checks above were the last readers of this state (later
+			// arrivals compare against the visit's clone), so step may
+			// consume it: a frame deep in an unrolled loop must not keep a
+			// state alive.
+			succs, err := v.step(idx, st)
 			if err != nil {
 				return err
 			}
-			f.st = nil
-			f.succs = succs
-			if len(succs) == 0 {
-				f.succs = []succState{} // exit path complete
-			}
+			f.nsucc = copy(f.succs[:], succs)
 		}
-		if f.next < len(f.succs) {
+		if f.next < f.nsucc {
 			s := f.succs[f.next]
 			f.succs[f.next].st = nil // the child frame owns it now
 			f.next++
-			stack = append(stack, &dfsFrame{idx: s.idx, st: s.st})
+			stack = append(stack, walkFrame{idx: s.idx, st: s.st})
 			continue
 		}
 		if f.visit != nil {
@@ -398,66 +432,21 @@ func (v *verifier) runDFS() error {
 	return nil
 }
 
-// isMergePoint limits prune-state retention to instructions with multiple
-// predecessors, bounding memory; every cycle passes through one.
-func (v *verifier) isMergePoint(idx int) bool {
-	return len(v.g.Pred[idx]) > 1
-}
-
-// --- Fixpoint engine (KFlex abstract interpretation) -------------------------
-
-func (v *verifier) runFixpoint() error {
-	in := make([]*state, len(v.prog))
-	visits := make([]int, len(v.prog))
-	widenPoint := make([]bool, len(v.prog))
-	for i := range v.prog {
-		for _, p := range v.g.Pred[i] {
-			if v.g.Retreating(p, i) {
-				widenPoint[i] = true // target of a retreating edge
-			}
-		}
-	}
-	in[0] = newEntryState(v.cfg.ScalarR1)
-	work := []int{0}
-	inWork := make([]bool, len(v.prog))
-	inWork[0] = true
-
-	for len(work) > 0 {
-		idx := work[0]
-		work = work[1:]
-		inWork[idx] = false
-		v.steps++
-		if v.steps > v.budget {
-			return &Error{Insn: idx, Msg: fmt.Sprintf(
-				"fixpoint budget exceeded (%d): %v", v.budget, ErrTooComplex)}
-		}
-		succs, err := v.step(idx, in[idx].clone())
-		if err != nil {
-			return err
-		}
-		for _, s := range succs {
-			var merged *state
-			if in[s.idx] == nil {
-				merged = s.st
-			} else {
-				var jerr error
-				merged, jerr = in[s.idx].merge(s.st, widenPoint[s.idx] && visits[s.idx] >= widenThreshold)
-				if jerr != nil {
-					return &Error{Insn: s.idx, Msg: jerr.Error()}
-				}
-				if merged.le(in[s.idx]) {
-					continue // no new information
-				}
-			}
-			in[s.idx] = merged
-			visits[s.idx]++
-			if !inWork[s.idx] {
-				work = append(work, s.idx)
-				inWork[s.idx] = true
-			}
+// covering returns the first state in list that st refines, or nil.
+func covering(list []*visitedState, st *state) *visitedState {
+	for _, old := range list {
+		if st.le(old.st) {
+			return old
 		}
 	}
 	return nil
+}
+
+// isMergePoint limits prune-state retention to instructions with multiple
+// predecessors and to loop heads, bounding memory; every cycle passes
+// through a loop head, and only the entry can be one with one predecessor.
+func (v *verifier) isMergePoint(idx int) bool {
+	return len(v.g.Pred[idx]) > 1 || v.loop[idx]&loopHead != 0
 }
 
 // --- Fact and object-table recording ------------------------------------------
@@ -471,35 +460,35 @@ func (v *verifier) recordHeapAccess(idx int, read, guard, formation, manip bool)
 	f.Manip = f.Manip || manip
 }
 
-// recordCP snapshots the object table for a cancellation point at idx.
-func (v *verifier) recordCP(idx int, st *state) error {
-	v.isCP[idx] = true
+// recordCP snapshots the object table for a cancellation point at idx
+// into t.
+func (v *verifier) recordCP(t *cpTable, idx int, st *state) error {
+	t.reached = true
 	for _, r := range st.Refs {
 		locs := findRefLocations(st, r.Site)
 		if len(locs) == 0 {
 			return &Error{Insn: idx, Msg: fmt.Sprintf(
 				"reference to %s acquired at insn %d has no live location", r.Kind, r.Site)}
 		}
-		rows := v.tables[idx]
-		i, found := slices.BinarySearchFunc(rows, r.Site,
-			func(row ObjTableEntry, site int) int { return row.Site - site })
-		if !found {
-			v.tables[idx] = slices.Insert(rows, i, ObjTableEntry{
-				Site:       r.Site,
-				Kind:       r.Kind,
-				Destructor: v.destructorFor(r.Kind),
-				Locs:       locs,
-			})
-			continue
-		}
-		// Union locations; differing location sets across paths are the
-		// §4.3 conflict.
-		if !slices.Equal(rows[i].Locs, locs) {
-			rows[i].Conflict = true
-			rows[i].Locs = unionLocs(rows[i].Locs, locs)
-		}
+		t.rows = v.addRow(t.rows, ObjTableEntry{Site: r.Site, Kind: r.Kind, Locs: locs})
 	}
 	return nil
+}
+
+// addRow folds row into rows, which ascend by Site. Locations of one site
+// are unioned; differing location sets across paths are the §4.3 conflict.
+func (v *verifier) addRow(rows []ObjTableEntry, row ObjTableEntry) []ObjTableEntry {
+	i, found := slices.BinarySearchFunc(rows, row.Site,
+		func(r ObjTableEntry, site int) int { return r.Site - site })
+	if !found {
+		row.Destructor = v.destructorFor(row.Kind)
+		return slices.Insert(rows, i, row)
+	}
+	if row.Conflict || !slices.Equal(rows[i].Locs, row.Locs) {
+		rows[i].Conflict = true
+		rows[i].Locs = unionLocs(rows[i].Locs, row.Locs)
+	}
+	return rows
 }
 
 func (v *verifier) destructorFor(kind kernel.ObjKind) string {
@@ -559,16 +548,11 @@ func (v *verifier) step(idx int, st *state) ([]succState, error) {
 	ins := v.prog[idx]
 	cls := ins.Op.Class()
 
-	// C1 cancellation points: in unbounded (fixpoint) mode every
-	// retreating-edge tail gets an object table.
-	if v.unboundedMode {
-		for _, s := range v.g.Succ[idx] {
-			if v.g.Retreating(idx, s) {
-				if err := v.recordCP(idx, st); err != nil {
-					return nil, err
-				}
-				break
-			}
+	// C1 cancellation points: every retreating-edge tail gets an object
+	// table, kept aside until the walk knows whether a loop is unbounded.
+	if v.loop[idx]&loopTail != 0 {
+		if err := v.recordCP(&v.loopTables[idx], idx, st); err != nil {
+			return nil, err
 		}
 	}
 
@@ -618,7 +602,7 @@ func (v *verifier) step(idx int, st *state) ([]succState, error) {
 		case insn.JmpExit:
 			return nil, v.checkExit(idx, st)
 		case insn.JmpA:
-			return []succState{{idx: idx + 1 + int(ins.Off), st: st}}, nil
+			return v.one(idx+1+int(ins.Off), st), nil
 		default:
 			return v.stepBranch(idx, ins, st)
 		}
@@ -662,7 +646,18 @@ func malformed(ins insn.Instruction, k *kernel.Kernel) string {
 }
 
 func (v *verifier) fallthroughSucc(idx int, st *state) ([]succState, error) {
-	return []succState{{idx: idx + 1, st: st}}, nil
+	return v.one(idx+1, st), nil
+}
+
+// one and two return a step's successors in v.succ.
+func (v *verifier) one(idx int, st *state) []succState {
+	v.succ[0] = succState{idx, st}
+	return v.succ[:1]
+}
+
+func (v *verifier) two(target int, taken *state, idx int, fall *state) []succState {
+	v.succ = [2]succState{{target, taken}, {idx + 1, fall}}
+	return v.succ[:]
 }
 
 func (v *verifier) checkWritable(idx int, r insn.Reg) error {
@@ -940,7 +935,7 @@ func (v *verifier) heapAccess(idx int, ins insn.Instruction, st *state, reg insn
 	guard := formation || !heapWindowSafe(base.DMin, base.DMax, ins.Off, size)
 	manip := base.Type == TypeHeap && base.Adjusted
 	v.recordHeapAccess(idx, read, guard, formation, manip)
-	if err := v.recordCP(idx, st); err != nil { // every heap access is a C2 CP
+	if err := v.recordCP(&v.tables[idx], idx, st); err != nil { // every heap access is a C2 CP
 		return err
 	}
 	if guard {
@@ -1081,9 +1076,9 @@ func (v *verifier) stepBranch(idx int, ins insn.Instruction, st *state) ([]succS
 	if is64 && nullable(dst.Type) && !dst.MaybeNull && src.IsNullConst() &&
 		(op == insn.JmpEq || op == insn.JmpNe) {
 		if op == insn.JmpNe {
-			return []succState{{idx: target, st: st}}, nil
+			return v.one(target, st), nil
 		}
-		return []succState{{idx: idx + 1, st: st}}, nil
+		return v.one(idx+1, st), nil
 	}
 
 	// NULL checks on maybe-null pointers.
@@ -1098,7 +1093,7 @@ func (v *verifier) stepBranch(idx int, ins insn.Instruction, st *state) ([]succS
 		}
 		markNull(nullSt, ins.Dst)
 		markNonNull(ptrSt, ins.Dst)
-		return []succState{{idx: target, st: taken}, {idx: idx + 1, st: fall}}, nil
+		return v.two(target, taken, idx, fall), nil
 	}
 
 	// Pointer/pointer or pointer/scalar equality comparisons: allowed for
@@ -1112,17 +1107,17 @@ func (v *verifier) stepBranch(idx int, ins insn.Instruction, st *state) ([]succS
 			return nil, &Error{Insn: idx, Msg: fmt.Sprintf(
 				"comparison %#x between %s and %s prohibited", op, dst.Type, src.Type)}
 		}
-		return []succState{{idx: target, st: st.clone()}, {idx: idx + 1, st: st}}, nil
+		return v.two(target, st.clone(), idx, st), nil
 	}
 
-	// Constant-foldable branches take a single edge, which is what lets
-	// DFS unroll counted loops to completion.
+	// Constant-foldable branches take a single edge, which is what lets the
+	// walk unroll counted loops to completion.
 	if is64 {
 		if dec, ok := evalConstBranch(op, dst, src); ok {
 			if dec {
-				return []succState{{idx: target, st: st}}, nil
+				return v.one(target, st), nil
 			}
-			return []succState{{idx: idx + 1, st: st}}, nil
+			return v.one(idx+1, st), nil
 		}
 	}
 
@@ -1142,7 +1137,7 @@ func (v *verifier) stepBranch(idx int, ins insn.Instruction, st *state) ([]succS
 			fall.Regs[ins.Src] = fs
 		}
 	}
-	return []succState{{idx: target, st: taken}, {idx: idx + 1, st: fall}}, nil
+	return v.two(target, taken, idx, fall), nil
 }
 
 // evalConstBranch decides a comparison whose outcome is statically known.

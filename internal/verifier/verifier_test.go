@@ -2,6 +2,7 @@ package verifier
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,10 +135,11 @@ func TestStructuralOpcodeCheck(t *testing.T) {
 	}
 }
 
-func TestCountedLoopUnrolls(t *testing.T) {
-	k := kernel.New()
-	prog := asm.New().
-		MovImm(insn.R1, 64).
+// countedLoop sums n, n-1, ..., 1: its counter is a constant on every pass,
+// so the walk unrolls the loop and proves that it ends.
+func countedLoop(n int64) []insn.Instruction {
+	return asm.New().
+		MovImm(insn.R1, n).
 		MovImm(insn.R2, 0).
 		Label("loop").
 		AddReg(insn.R2, insn.R1).
@@ -146,12 +148,82 @@ func TestCountedLoopUnrolls(t *testing.T) {
 		Mov(insn.R0, insn.R2).
 		Exit().
 		MustAssemble()
-	an, err := Verify(prog, ebpfCfg(k))
+}
+
+// ctxBoundLoop is for (i = 0; i < r2; i++) with r2 = ctx->a, masked by mask
+// when it is non-zero and cut to 32 bits when it is zero.
+func ctxBoundLoop(mask int32) []insn.Instruction {
+	b := asm.New().Load(insn.R2, insn.R1, 8, 8)
+	if mask != 0 {
+		b.I(insn.Alu64Imm(insn.AluAnd, insn.R2, mask))
+	} else {
+		b.I(insn.Mov32Reg(insn.R2, insn.R2))
+	}
+	return b.MovImm(insn.R3, 0).
+		Label("loop").
+		JmpReg(insn.JmpGe, insn.R3, insn.R2, "out").
+		I(insn.Alu64Imm(insn.AluAdd, insn.R3, 1)).
+		Ja("loop").
+		Label("out").
+		Ret(0).
+		MustAssemble()
+}
+
+func TestCountedLoopUnrolls(t *testing.T) {
+	k := kernel.New()
+	an, err := Verify(countedLoop(64), ebpfCfg(k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !an.LoopsBounded {
 		t.Error("counted loop should be proven bounded")
+	}
+}
+
+// TestLoopBoundednessParity: in KFlex mode the walk calls a loop unbounded
+// only on evidence — a revisit that refines a state still being explored, or
+// one path passing a point maxUnroll times — so a loop it can unroll to the
+// end gets no probe and no C1 object table. Widening every loop head after a
+// few arrivals would put probes on the n = 8 and n = 64 loops here. The last
+// row is the price of walking once: a loop that needs more than maxUnroll
+// passes is probed, where a walk to the instruction budget would have
+// unrolled it.
+func TestLoopBoundednessParity(t *testing.T) {
+	k := kernel.New()
+	for _, tc := range []struct {
+		name    string
+		prog    []insn.Instruction
+		bounded bool
+	}{
+		{"counted n=3", countedLoop(3), true},
+		{"counted n=8", countedLoop(8), true},
+		{"counted n=64", countedLoop(64), true},
+		{"i < ctx->a & 40", ctxBoundLoop(40), true},
+		{"i < (u32)ctx->a", ctxBoundLoop(0), false},
+		{"counted n=300", countedLoop(300), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			an, err := Verify(tc.prog, kflexCfg(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if an.LoopsBounded != tc.bounded {
+				t.Fatalf("LoopsBounded = %v, want %v", an.LoopsBounded, tc.bounded)
+			}
+			if tc.bounded {
+				if len(an.UnboundedEdges) != 0 || len(an.ObjTables) != 0 {
+					t.Errorf("bounded loop has unbounded edges %v and object tables %v", an.UnboundedEdges, an.ObjTables)
+				}
+				return
+			}
+			edges := an.Graph.RetreatingEdges()
+			if len(edges) != 1 || !slices.Equal(an.UnboundedEdges, edges) {
+				t.Errorf("unbounded edges = %v, want the one retreating edge %v", an.UnboundedEdges, edges)
+			}
+			if _, ok := an.ObjTables[edges[0].Tail]; !ok {
+				t.Errorf("no C1 object table at the tail of %v", edges[0])
+			}
+		})
 	}
 }
 
@@ -1001,12 +1073,13 @@ func nonConvergingLoop() []insn.Instruction {
 		MustAssemble()
 }
 
-// TestNonConvergingLoopFallsBackInBoundedSpace: the DFS unrolls the loop
-// above until the instruction budget, one new ancestor state per iteration.
-// Those used to pile up without limit (every arrival compared against all
-// of them — minutes and hundreds of MB before the fallback ran); now the
-// budget is reached with at most maxVisited states kept per merge point,
-// and the verdicts are the documented ones.
+// TestNonConvergingLoopFallsBackInBoundedSpace: no unrolled iteration of
+// the loop above refines an earlier one. In eBPF mode the walk unrolls it
+// until the instruction budget, with at most maxVisited states kept per merge
+// point (keeping every in-progress state took minutes and hundreds of MB).
+// In KFlex mode the walk calls the loop unbounded once one path has passed a
+// point maxUnroll times and widens from there, in a few hundred steps: a walk
+// that ran to the budget first would fail the step bound below.
 func TestNonConvergingLoopFallsBackInBoundedSpace(t *testing.T) {
 	k := kernel.New()
 	prog := nonConvergingLoop()
@@ -1025,6 +1098,9 @@ func TestNonConvergingLoopFallsBackInBoundedSpace(t *testing.T) {
 	}
 	if len(an.UnboundedEdges) != 1 || an.UnboundedEdges[0] != (cfg.BackEdge{Tail: 4, Head: 5}) {
 		t.Errorf("unbounded edges = %v, want [4->5]", an.UnboundedEdges)
+	}
+	if an.StatesExplored >= 4096 {
+		t.Errorf("KFlex mode took %d steps, want < 4096", an.StatesExplored)
 	}
 }
 
