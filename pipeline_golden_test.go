@@ -22,8 +22,8 @@ import (
 )
 
 // goldenPrograms are the programs the repository ships: the shared KV
-// program under both codecs, the six data-structure offloads, ZADD and the
-// paper's Listing 1.
+// program under both codecs and in its co-designed locked form, the six
+// data-structure offloads, ZADD and the paper's Listing 1.
 func goldenPrograms() []kflex.Spec {
 	specs := []kflex.Spec{}
 	for _, c := range []*offload.Codec{&memcached.Codec, &redis.Codec} {
@@ -31,6 +31,11 @@ func goldenPrograms() []kflex.Spec {
 			Name: "kvprog-" + c.Name, Insns: kvprog.Build(c.Prog), Hook: c.Hook, HeapSize: 1 << 26,
 		})
 	}
+	locked := memcached.Codec.Prog
+	locked.WithLock = true
+	specs = append(specs, kflex.Spec{
+		Name: "kvprog-memcached-locked", Insns: kvprog.Build(locked), Hook: memcached.Codec.Hook, HeapSize: 1 << 26,
+	})
 	for _, kind := range slices.Concat(ds.Kinds, []ds.Kind{ds.KindZAdd}) {
 		specs = append(specs, kflex.Spec{
 			Name: string(kind), Insns: ds.Program(kind), Hook: kflex.HookBench, HeapSize: ds.HeapSize(kind),
@@ -78,6 +83,7 @@ func analysisDigest(an *verifier.Analysis) (rows int, digest uint64) {
 // testdata/analysis_golden.txt holds a digest of what the verifier concluded,
 // recaptured without the step count at 3546a38, while a program with an
 // unbounded loop was still walked twice; the one walk concludes the same.
+// The kvprog-memcached-locked rows of both files were added at dd450ce.
 // A line that differs means the
 // verifier or the instrumentation changed: if that is intended, replace the
 // file with the text the failure prints.
