@@ -1,10 +1,14 @@
 package ds
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"kflex"
+	"kflex/insn"
 )
 
 // loadDS loads the bytecode twin of kind, failing the test on any error.
@@ -335,5 +339,44 @@ func TestZAddNewVsUpdate(t *testing.T) {
 	}
 	if s, ok := z.Score(t, 5); !ok || s != 200 {
 		t.Fatalf("score = %d,%v", s, ok)
+	}
+}
+
+// allKinds is every program this package builds.
+var allKinds = slices.Concat(Kinds, []Kind{KindZAdd})
+
+// TestProgramConcurrent builds every program from four goroutines at once:
+// a build owns all of its state, so each result equals a serial build (and
+// the race detector sees nothing shared).
+func TestProgramConcurrent(t *testing.T) {
+	for _, kind := range allKinds {
+		want := Program(kind)
+		got := make([][]insn.Instruction, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = Program(kind)
+			}()
+		}
+		wg.Wait()
+		for i, prog := range got {
+			if !slices.Equal(prog, want) {
+				t.Errorf("%s: goroutine %d built a different program", kind, i)
+			}
+		}
+	}
+}
+
+// TestProgramSectionsDeterministic: the label table Table 3 reads operation
+// ranges from is the same on every build.
+func TestProgramSectionsDeterministic(t *testing.T) {
+	for _, kind := range allKinds {
+		_, first := ProgramSections(kind)
+		_, second := ProgramSections(kind)
+		if !maps.Equal(first, second) {
+			t.Errorf("%s: two builds returned different label tables (%d and %d labels)", kind, len(first), len(second))
+		}
 	}
 }
