@@ -13,6 +13,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 
 	"kflex/insn"
 )
@@ -21,6 +22,7 @@ import (
 type Builder struct {
 	items  []item
 	labels map[string]int
+	scopes int
 	err    error
 }
 
@@ -48,6 +50,16 @@ func (b *Builder) Label(name string) *Builder {
 	}
 	b.labels[name] = len(b.items)
 	return b
+}
+
+// Scope returns a namer for the labels of one expansion of a fragment that a
+// program emits more than once: it appends a number drawn from this Builder
+// to every base name, so two expansions never collide and two Builders given
+// the same calls name the same labels.
+func (b *Builder) Scope() func(string) string {
+	b.scopes++
+	suffix := "#" + strconv.Itoa(b.scopes)
+	return func(base string) string { return base + suffix }
 }
 
 // I emits a raw instruction.

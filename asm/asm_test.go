@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -146,5 +147,33 @@ func TestLabels(t *testing.T) {
 	labels["mid"] = 99
 	if b.Labels()["mid"] != 1 {
 		t.Fatal("Labels returned live map")
+	}
+}
+
+// TestScope: two expansions of one fragment under the same base names
+// assemble without a duplicate label, each branch reaches its own
+// expansion's label, and two Builders given the same calls name the same
+// labels.
+func TestScope(t *testing.T) {
+	build := func() *Builder {
+		b := New()
+		for range 2 {
+			l := b.Scope()
+			b.JmpImm(insn.JmpEq, insn.R1, 0, l("skip"))
+			b.MovImm(insn.R0, 1)
+			b.Label(l("skip"))
+		}
+		return b.Exit()
+	}
+	b := build()
+	prog, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog[0].Off != 1 || prog[2].Off != 1 {
+		t.Fatalf("branch offsets %d, %d; want 1, 1", prog[0].Off, prog[2].Off)
+	}
+	if got := b.Labels(); len(got) != 2 || !maps.Equal(got, build().Labels()) {
+		t.Fatalf("labels %v differ between two Builders given the same calls", got)
 	}
 }

@@ -92,7 +92,7 @@ func runChaosMemcached(t *testing.T, seed int64, n int) (*memcached.KFlexMC, *fa
 	mc.Ext().Alloc().EnableTracking()
 	plan.Enable()
 	rng := rand.New(rand.NewSource(seed))
-	lockVA := mc.Ext().Heap().ExtBase() + kvprog.GlobLock
+	lockVA := mc.Ext().Heap().ExtBase() + uint64(kvprog.GlobLock)
 	last := uint64(0)
 	for i := 0; i < n; i++ {
 		mc.Serve(0, 0, uint64(i), rng)
@@ -125,7 +125,7 @@ func TestChaosMemcached(t *testing.T) {
 			if mc.Errors >= uint64(n) {
 				t.Fatalf("seed %d: every request failed (%d/%d); rates too hot to test recovery-then-resume", seed, mc.Errors, n)
 			}
-			checkInvariants(t, mc.Ext(), mc.Ext().Heap().ExtBase()+kvprog.GlobLock)
+			checkInvariants(t, mc.Ext(), mc.Ext().Heap().ExtBase()+uint64(kvprog.GlobLock))
 			if mc.Ext().Unloaded() {
 				t.Fatal("a CancelNever run unloaded the extension")
 			}

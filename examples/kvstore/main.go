@@ -52,18 +52,18 @@ func main() {
 	uv, _ := ext.UserView()
 	var prev uint64
 	for key := uint32(1); key <= 3; key++ {
-		nodeUser, err := ext.UserMalloc(listing1.NodeSize)
+		nodeUser, err := ext.UserMalloc(uint64(listing1.NodeSize))
 		if err != nil {
 			log.Fatal(err)
 		}
-		must(uv.Store(nodeUser+listing1.NodeKey, 8, uint64(key)))
-		must(uv.Store(nodeUser+listing1.NodeVal, 8, 0))
-		must(uv.Store(nodeUser+listing1.NodeNext, 8, prev))
-		must(uv.Store(nodeUser+listing1.NodePrev, 8, 0))
+		must(uv.Store(nodeUser+uint64(listing1.NodeKey), 8, uint64(key)))
+		must(uv.Store(nodeUser+uint64(listing1.NodeVal), 8, 0))
+		must(uv.Store(nodeUser+uint64(listing1.NodeNext), 8, prev))
+		must(uv.Store(nodeUser+uint64(listing1.NodePrev), 8, 0))
 		prev = nodeUser
 	}
 	// Head is stored as an extension VA (translate-on-store is off here).
-	must(uv.Store(uv.Base()+listing1.GlobHead, 8, ext.Heap().TranslateToExt(prev)))
+	must(uv.Store(uv.Base()+uint64(listing1.GlobHead), 8, ext.Heap().TranslateToExt(prev)))
 
 	sock := kflex.NewKernelObject("sock", nil)
 	h := ext.Handle(0)

@@ -8,7 +8,9 @@ package kvprog
 
 import (
 	"slices"
+	"unsafe"
 
+	"kflex"
 	"kflex/asm"
 	"kflex/insn"
 	"kflex/internal/kernel"
@@ -21,19 +23,32 @@ const (
 	ValueSize = 64
 	// Buckets is the hash-table bucket count.
 	Buckets = 16 << 10
+)
 
-	// Node layout.
-	NodeKey  = 0
-	NodeLen  = 32
-	NodeNext = 40
-	NodeVal  = 48
-	NodeSize = NodeVal + ValueSize
+// node is one hash-table entry in the extension heap.
+type node struct {
+	Key   [KeySize / 8]uint64
+	Len   uint64 // value length
+	Next  uint64
+	Value [ValueSize / 8]uint64
+}
 
-	// GlobTable is the globals slot holding the bucket array's offset
-	// (relative to kflex.GlobalsOff = 64 within the heap).
-	GlobTable = 64
-	// GlobLock is the globals slot of the shared spin lock (co-design).
-	GlobLock = 72
+// globals is the program's globals area.
+type globals struct {
+	Table uint64 // the bucket array's offset from the heap base
+	Lock  uint64 // the shared spin lock (co-design)
+}
+
+// Heap offsets: node fields within a node, globals from the heap base.
+const (
+	NodeKey  = int16(unsafe.Offsetof(node{}.Key))
+	NodeLen  = int16(unsafe.Offsetof(node{}.Len))
+	NodeNext = int16(unsafe.Offsetof(node{}.Next))
+	NodeVal  = int16(unsafe.Offsetof(node{}.Value))
+	NodeSize = int64(unsafe.Sizeof(node{}))
+
+	GlobTable = kflex.GlobalsOff + int16(unsafe.Offsetof(globals{}.Table))
+	GlobLock  = kflex.GlobalsOff + int16(unsafe.Offsetof(globals{}.Lock))
 )
 
 // Parse-helper return encoding: op | valLen<<8.
@@ -117,22 +132,24 @@ func Build(o Options) []insn.Instruction {
 	b.JmpImm(insn.JmpEq, insn.R1, OpInit, "init")
 	b.JmpImm(insn.JmpEq, insn.R1, OpNone, "pass")
 
+	// lock calls a spin-lock helper on the shared lock when the program is
+	// built WithLock, and emits nothing otherwise.
 	lock := func(helper int32) {
-		b.Mov(insn.R1, insn.R8)
-		b.Add(insn.R1, GlobLock)
-		b.Call(helper)
+		if o.WithLock {
+			b.Mov(insn.R1, insn.R8)
+			b.Add(insn.R1, int32(GlobLock))
+			b.Call(helper)
+		}
 	}
-	if o.WithLock {
-		lock(kernel.HelperKflexSpinLock)
-	}
+	lock(kernel.HelperKflexSpinLock)
 
 	// Hash the four key words, then fold the high bits down (keys differ
 	// at their ends, which sit in the top bytes of the last word).
 	b.Load(insn.R7, insn.R10, fKey, 8)
-	for i := 1; i < 4; i++ {
+	for i := int16(1); i < KeySize/8; i++ {
 		b.I(insn.LoadImm(insn.R0, 0x9E3779B97F4A7C15))
 		b.I(insn.Alu64Reg(insn.AluMul, insn.R7, insn.R0))
-		b.Load(insn.R0, insn.R10, int16(fKey+8*i), 8)
+		b.Load(insn.R0, insn.R10, fKey+8*i, 8)
 		b.I(insn.Alu64Reg(insn.AluXor, insn.R7, insn.R0))
 	}
 	b.Mov(insn.R0, insn.R7)
@@ -153,9 +170,9 @@ func Build(o Options) []insn.Instruction {
 	// Walk the chain comparing all four key words.
 	b.Label("walk")
 	b.JmpImm(insn.JmpEq, insn.R6, 0, "walk-miss")
-	for i := 0; i < 4; i++ {
-		b.Load(insn.R0, insn.R6, int16(NodeKey+8*i), 8)
-		b.Load(insn.R1, insn.R10, int16(fKey+8*i), 8)
+	for i := range int16(KeySize / 8) {
+		b.Load(insn.R0, insn.R6, NodeKey+8*i, 8)
+		b.Load(insn.R1, insn.R10, fKey+8*i, 8)
 		b.JmpReg(insn.JmpNe, insn.R0, insn.R1, "walk-next")
 	}
 	b.Ja("walk-hit")
@@ -169,29 +186,37 @@ func Build(o Options) []insn.Instruction {
 	// GET hit: reply straight from the heap value.
 	b.Mov(insn.R1, insn.R9)
 	b.Mov(insn.R2, insn.R6)
-	b.Add(insn.R2, NodeVal)
+	b.Add(insn.R2, int32(NodeVal))
 	b.Load(insn.R3, insn.R6, NodeLen, 8)
 	b.Call(o.ReplyHelper)
 	b.Ja("out")
 
-	b.Label("set-hit") // overwrite value in place
-	b.Load(insn.R0, insn.R10, fVLen, 8)
-	b.Store(insn.R6, NodeLen, insn.R0, 8)
-	for i := 0; i < ValueSize/8; i++ {
-		b.Load(insn.R0, insn.R10, int16(fVal+8*i), 8)
-		b.Store(insn.R6, int16(NodeVal+8*i), insn.R0, 8)
+	// storeValue copies the parsed value and its length into the node in R6.
+	storeValue := func() {
+		b.Load(insn.R0, insn.R10, fVLen, 8)
+		b.Store(insn.R6, NodeLen, insn.R0, 8)
+		for i := range int16(ValueSize / 8) {
+			b.Load(insn.R0, insn.R10, fVal+8*i, 8)
+			b.Store(insn.R6, NodeVal+8*i, insn.R0, 8)
+		}
 	}
+	// replyEmpty replies through addr 0: a miss, or stored.
+	replyEmpty := func() {
+		b.Mov(insn.R1, insn.R9)
+		b.MovImm(insn.R2, 0)
+		b.MovImm(insn.R3, 0)
+		b.Call(o.ReplyHelper)
+		b.Ja("out")
+	}
+
+	b.Label("set-hit") // overwrite value in place
+	storeValue()
 	b.Ja("reply-stored")
 
 	b.Label("walk-miss")
 	b.Load(insn.R1, insn.R10, fOp, 8)
 	b.JmpImm(insn.JmpEq, insn.R1, OpSet, "set-miss")
-	// GET miss: miss reply (still served at the hook).
-	b.Mov(insn.R1, insn.R9)
-	b.MovImm(insn.R2, 0)
-	b.MovImm(insn.R3, 0)
-	b.Call(o.ReplyHelper)
-	b.Ja("out")
+	replyEmpty() // GET miss: miss reply (still served at the hook)
 
 	b.Label("set-miss") // allocate and insert a node (what eBPF cannot do)
 	b.Store(insn.R10, fBkt, insn.R5, 8)
@@ -199,38 +224,25 @@ func Build(o Options) []insn.Instruction {
 	b.Call(kernel.HelperKflexMalloc)
 	b.JmpImm(insn.JmpEq, insn.R0, 0, "oom")
 	b.Mov(insn.R6, insn.R0)
-	for i := 0; i < 4; i++ {
-		b.Load(insn.R0, insn.R10, int16(fKey+8*i), 8)
-		b.Store(insn.R6, int16(NodeKey+8*i), insn.R0, 8)
+	for i := range int16(KeySize / 8) {
+		b.Load(insn.R0, insn.R10, fKey+8*i, 8)
+		b.Store(insn.R6, NodeKey+8*i, insn.R0, 8)
 	}
-	b.Load(insn.R0, insn.R10, fVLen, 8)
-	b.Store(insn.R6, NodeLen, insn.R0, 8)
-	for i := 0; i < ValueSize/8; i++ {
-		b.Load(insn.R0, insn.R10, int16(fVal+8*i), 8)
-		b.Store(insn.R6, int16(NodeVal+8*i), insn.R0, 8)
-	}
+	storeValue()
 	b.Load(insn.R5, insn.R10, fBkt, 8)
 	b.Load(insn.R0, insn.R5, 0, 8)
 	b.Store(insn.R6, NodeNext, insn.R0, 8) // n->next = head
 	b.Store(insn.R5, 0, insn.R6, 8)        // bucket = n
 
 	b.Label("reply-stored")
-	b.Mov(insn.R1, insn.R9)
-	b.MovImm(insn.R2, 0)
-	b.MovImm(insn.R3, 0)
-	b.Call(o.ReplyHelper)
-	b.Ja("out")
+	replyEmpty()
 
 	b.Label("oom")
-	if o.WithLock {
-		lock(kernel.HelperKflexSpinUnlock)
-	}
+	lock(kernel.HelperKflexSpinUnlock)
 	b.Ret(o.RetErr)
 
 	b.Label("out")
-	if o.WithLock {
-		lock(kernel.HelperKflexSpinUnlock)
-	}
+	lock(kernel.HelperKflexSpinUnlock)
 	b.Ret(o.RetServed)
 
 	// init: allocate the bucket array, store its heap offset.

@@ -8,6 +8,7 @@ package listing1
 
 import (
 	"encoding/binary"
+	"unsafe"
 
 	"kflex"
 	"kflex/asm"
@@ -21,19 +22,23 @@ const (
 	OpDelete = 1
 )
 
-// Node layout in the extension heap (struct elem of Listing 1).
-const (
-	NodeKey  = 0
-	NodeVal  = 8
-	NodeNext = 16
-	NodePrev = 24
-	NodeSize = 32
-)
+// Elem is Listing 1's struct elem, a list node in the extension heap.
+type Elem struct{ Key, Value, Next, Prev uint64 }
 
-// Heap globals: head pointer and the spin lock.
+// Globals is the extension's globals area: the list head and the spin lock.
+type Globals struct{ Head, Lock uint64 }
+
+// The heap offsets the program and user space build nodes by: Elem's fields
+// within a node, the globals from the heap base.
 const (
-	GlobHead = kflex.GlobalsOff
-	GlobLock = kflex.GlobalsOff + 8
+	NodeKey  = int16(unsafe.Offsetof(Elem{}.Key))
+	NodeVal  = int16(unsafe.Offsetof(Elem{}.Value))
+	NodeNext = int16(unsafe.Offsetof(Elem{}.Next))
+	NodePrev = int16(unsafe.Offsetof(Elem{}.Prev))
+	NodeSize = int64(unsafe.Sizeof(Elem{}))
+
+	GlobHead = kflex.GlobalsOff + int16(unsafe.Offsetof(Globals{}.Head))
+	GlobLock = kflex.GlobalsOff + int16(unsafe.Offsetof(Globals{}.Lock))
 )
 
 // Program builds Listing 1. The flow mirrors the paper line by line:
@@ -66,7 +71,7 @@ func Program() []insn.Instruction {
 
 	// kflex_spin_lock(&lock);
 	b.Mov(insn.R1, insn.R8)
-	b.Add(insn.R1, GlobLock)
+	b.Add(insn.R1, int32(GlobLock))
 	b.Call(kflex.HelperKflexSpinLock)
 
 	// struct elem *e = head; while (e != NULL) { ... }
@@ -124,7 +129,7 @@ func Program() []insn.Instruction {
 	// kflex_spin_unlock(&lock); return XDP_DROP;
 	b.Label("miss")
 	b.Mov(insn.R1, insn.R8)
-	b.Add(insn.R1, GlobLock)
+	b.Add(insn.R1, int32(GlobLock))
 	b.Call(kflex.HelperKflexSpinUnlock)
 	b.Ret(kflex.XDPDrop)
 	b.Label("drop")

@@ -128,7 +128,7 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	tableOff, err := uv.Load(uv.Base()+kvprog.GlobTable, 8)
+	tableOff, err := uv.Load(uv.Base()+uint64(kvprog.GlobTable), 8)
 	if err != nil {
 		return 0, err
 	}
@@ -141,7 +141,7 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 		}
 		for ptr != 0 {
 			entries++
-			ptr, err = uv.Load(ptr+kvprog.NodeNext, 8)
+			ptr, err = uv.Load(ptr+uint64(kvprog.NodeNext), 8)
 			if err != nil {
 				return entries, err
 			}

@@ -63,6 +63,36 @@ func prologue(b *asm.Builder) {
 	b.Ret(RetMiss)
 }
 
+// emitMalloc allocates size bytes into R0, jumping to oom when the heap is
+// exhausted.
+func emitMalloc(b *asm.Builder, size int64, oom string) {
+	b.MovImm(insn.R1, size)
+	b.Call(kernel.HelperKflexMalloc)
+	b.JmpImm(insn.JmpEq, insn.R0, 0, oom)
+}
+
+// emitMallocOff is emitMalloc keeping the block's offset from the heap base
+// (a scalar, not a pointer) in the globals word at glob.
+func emitMallocOff(b *asm.Builder, size int64, glob int16, oom string) {
+	emitMalloc(b, size, oom)
+	b.Mov(insn.R1, rHeap)
+	b.I(insn.Alu64Reg(insn.AluSub, insn.R0, insn.R1)) // ptr - base = offset
+	b.Store(rHeap, glob, insn.R0, 8)
+}
+
+// emitWalk follows a chain from rCur to the node whose key word equals rKey,
+// jumping to hit with that node in rCur, or to miss at the NULL that ends
+// the chain. tmp holds each key read.
+func emitWalk(b *asm.Builder, tmp insn.Reg, key, next int16, miss, hit string) {
+	loop := b.Scope()("walk")
+	b.Label(loop)
+	b.JmpImm(insn.JmpEq, rCur, 0, miss)
+	b.Load(tmp, rCur, key, 8)
+	b.JmpReg(insn.JmpEq, tmp, rKey, hit)
+	b.Load(rCur, rCur, next, 8)
+	b.Ja(loop)
+}
+
 func builderFor(kind Kind) *asm.Builder {
 	switch kind {
 	case KindLinkedList:

@@ -1,6 +1,8 @@
 package ds
 
 import (
+	"unsafe"
+
 	"kflex/asm"
 	"kflex/insn"
 	"kflex/internal/kernel"
@@ -8,18 +10,25 @@ import (
 
 // Hash map layout: a bucket array of NumBuckets chain-head pointers
 // allocated from the heap at init, plus chained nodes.
-const (
-	hnKey  = 0
-	hnVal  = 8
-	hnNext = 16
-	hnSize = 24
+type (
+	hashLayout  struct{ Key, Val, Next uint64 }
+	hashGlobals struct {
+		// Buckets holds the bucket array's offset from the heap base.
+		// Storing the offset (a scalar) rather than a pointer documents the
+		// §5.4 case range analysis cannot elide: the bucket index is an
+		// unbounded scalar added to the heap base, so every bucket access
+		// needs a manipulation guard (the paper's hashmap-lookup row).
+		Buckets uint64
+	}
+)
 
-	// hashGlobOff holds the bucket array's offset from the heap base.
-	// Storing the offset (a scalar) rather than a pointer documents the
-	// §5.4 case range analysis cannot elide: the bucket index is an
-	// unbounded scalar added to the heap base, so every bucket access
-	// needs a manipulation guard (the paper's hashmap-lookup row).
-	hashGlobOff = globalsOff
+const (
+	hnKey  = int16(unsafe.Offsetof(hashLayout{}.Key))
+	hnVal  = int16(unsafe.Offsetof(hashLayout{}.Val))
+	hnNext = int16(unsafe.Offsetof(hashLayout{}.Next))
+	hnSize = int64(unsafe.Sizeof(hashLayout{}))
+
+	hashGlobOff = globalsOff + int16(unsafe.Offsetof(hashGlobals{}.Buckets))
 )
 
 // emitBucketAddr computes &buckets[hash(key)] into dst. dst becomes an
@@ -47,12 +56,7 @@ func hashProgram() *asm.Builder {
 	// --- init: allocate the (zeroed) bucket array -----------------------
 	// Fresh heap pages are zero-filled, so no explicit memset is needed.
 	b.Label("init")
-	b.MovImm(insn.R1, NumBuckets*8)
-	b.Call(kernel.HelperKflexMalloc)
-	b.JmpImm(insn.JmpEq, insn.R0, 0, "oom")
-	b.Mov(insn.R1, rHeap)
-	b.I(insn.Alu64Reg(insn.AluSub, insn.R0, insn.R1)) // ptr - base = offset
-	b.Store(rHeap, hashGlobOff, insn.R0, 8)
+	emitMallocOff(b, NumBuckets*8, hashGlobOff, "oom")
 	b.Ret(0)
 	b.Label("oom")
 	b.Ret(RetOOM)
@@ -61,12 +65,8 @@ func hashProgram() *asm.Builder {
 	b.Label("lookup")
 	emitBucketAddr(b, insn.R5)
 	b.Load(rCur, insn.R5, 0, 8) // chain head (manipulation guard)
-	b.Label("hlk-loop")
-	b.JmpImm(insn.JmpEq, rCur, 0, "hlk-miss")
-	b.Load(insn.R0, rCur, hnKey, 8) // formation guard
-	b.JmpReg(insn.JmpEq, insn.R0, rKey, "hlk-hit")
-	b.Load(rCur, rCur, hnNext, 8)
-	b.Ja("hlk-loop")
+	// Each key read takes a formation guard.
+	emitWalk(b, insn.R0, hnKey, hnNext, "hlk-miss", "hlk-hit")
 	b.Label("hlk-hit")
 	b.Load(insn.R0, rCur, hnVal, 8)
 	b.Store(rCtx, ctxOut, insn.R0, 8)
@@ -78,21 +78,14 @@ func hashProgram() *asm.Builder {
 	b.Label("update")
 	emitBucketAddr(b, insn.R5)
 	b.Load(rCur, insn.R5, 0, 8) // manipulation guard; R5 now sanitized
-	b.Label("hup-walk")
-	b.JmpImm(insn.JmpEq, rCur, 0, "hup-insert")
-	b.Load(insn.R0, rCur, hnKey, 8)
-	b.JmpReg(insn.JmpEq, insn.R0, rKey, "hup-overwrite")
-	b.Load(rCur, rCur, hnNext, 8)
-	b.Ja("hup-walk")
+	emitWalk(b, insn.R0, hnKey, hnNext, "hup-insert", "hup-overwrite")
 	b.Label("hup-overwrite")
 	b.Load(insn.R0, rCtx, ctxVal, 8)
 	b.Store(rCur, hnVal, insn.R0, 8)
 	b.Ret(0)
 	b.Label("hup-insert")
 	b.Store(insn.R10, -8, insn.R5, 8) // spill sanitized bucket pointer
-	b.MovImm(insn.R1, hnSize)
-	b.Call(kernel.HelperKflexMalloc)
-	b.JmpImm(insn.JmpEq, insn.R0, 0, "oom")
+	emitMalloc(b, hnSize, "oom")
 	b.Store(insn.R0, hnKey, rKey, 8)
 	b.Load(insn.R2, rCtx, ctxVal, 8)
 	b.Store(insn.R0, hnVal, insn.R2, 8)

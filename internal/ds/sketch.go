@@ -1,6 +1,8 @@
 package ds
 
 import (
+	"unsafe"
+
 	"kflex/asm"
 	"kflex/insn"
 )
@@ -12,9 +14,14 @@ import (
 // all, matching the paper's note that all sketch accesses verify
 // statically (Table 3 caption). The per-row loops are unrolled, so the
 // programs also verify as terminating: no cancellation probes either.
+type sketchGlobals struct {
+	_    [8]uint64
+	Rows [SketchRows][SketchWidth]uint64
+}
+
 const (
-	sketchBase    = globalsOff + 64
-	sketchRowSpan = SketchWidth * 8
+	sketchBase    = globalsOff + int32(unsafe.Offsetof(sketchGlobals{}.Rows))
+	sketchRowSpan = int32(unsafe.Sizeof(sketchGlobals{}.Rows[0]))
 )
 
 // Row-mixing constants shared with the native twin.
@@ -45,24 +52,29 @@ func emitSketchSlot(b *asm.Builder, dst insn.Reg, row int) {
 	b.I(insn.Alu64Imm(insn.AluAnd, dst, SketchWidth-1))
 	b.I(insn.Alu64Imm(insn.AluLsh, dst, 3))
 	// dst = heap + base + row*span + idx*8
-	b.Add(dst, int32(sketchBase+row*sketchRowSpan))
+	b.Add(dst, sketchBase+int32(row)*sketchRowSpan)
 	b.AddReg(dst, rHeap)
 }
 
-// emitSketchSign computes the ±1 sign parity bit (0 = +1, 1 = -1) for row
-// into dst: the parity of key*signMix + row*hashMix, xor-folded. Clobbers R0.
-func emitSketchSign(b *asm.Builder, dst insn.Reg, row int) {
+// emitSketchSign multiplies v by row's ±1 sign for the key: it computes the
+// sign parity bit (0 = +1, 1 = -1) into R4, the parity of key*signMix +
+// row*hashMix, xor-folded, and negates v when it is set. Clobbers R0.
+func emitSketchSign(b *asm.Builder, v insn.Reg, row int) {
 	b.I(insn.LoadImm(insn.R0, sketchSignMix))
-	b.Mov(dst, rKey)
-	b.I(insn.Alu64Reg(insn.AluMul, dst, insn.R0))
+	b.Mov(insn.R4, rKey)
+	b.I(insn.Alu64Reg(insn.AluMul, insn.R4, insn.R0))
 	b.I(insn.LoadImm(insn.R0, uint64(row)*hashMix))
-	b.AddReg(dst, insn.R0)
+	b.AddReg(insn.R4, insn.R0)
 	for _, sh := range []int32{32, 16, 8, 4, 2, 1} {
-		b.Mov(insn.R0, dst)
+		b.Mov(insn.R0, insn.R4)
 		b.I(insn.Alu64Imm(insn.AluRsh, insn.R0, sh))
-		b.I(insn.Alu64Reg(insn.AluXor, dst, insn.R0))
+		b.I(insn.Alu64Reg(insn.AluXor, insn.R4, insn.R0))
 	}
-	b.I(insn.Alu64Imm(insn.AluAnd, dst, 1))
+	b.I(insn.Alu64Imm(insn.AluAnd, insn.R4, 1))
+	pos := b.Scope()("pos")
+	b.JmpImm(insn.JmpEq, insn.R4, 0, pos)
+	b.I(insn.Neg64(v))
+	b.Label(pos)
 }
 
 // sketchProgram builds the count-min (signed=false) or count sketch
@@ -80,11 +92,7 @@ func sketchProgram(signed bool) *asm.Builder {
 	for row := 0; row < SketchRows; row++ {
 		b.Load(insn.R5, rCtx, ctxVal, 8) // val
 		if signed {
-			emitSketchSign(b, insn.R4, row)
-			// delta = parity ? -val : val
-			b.JmpImm(insn.JmpEq, insn.R4, 0, labelN(b, "up-pos", row))
-			b.I(insn.Neg64(insn.R5))
-			b.Label(labelN(b, "up-pos", row))
+			emitSketchSign(b, insn.R5, row) // delta = sign * val
 		}
 		emitSketchSlot(b, insn.R3, row)
 		b.Load(insn.R2, insn.R3, 0, 8)
@@ -101,9 +109,10 @@ func sketchProgram(signed bool) *asm.Builder {
 		for row := 0; row < SketchRows; row++ {
 			emitSketchSlot(b, insn.R3, row)
 			b.Load(insn.R2, insn.R3, 0, 8)
-			b.JmpReg(insn.JmpGe, insn.R2, insn.R5, labelN(b, "lk-skip", row))
+			skip := b.Scope()("skip")
+			b.JmpReg(insn.JmpGe, insn.R2, insn.R5, skip)
 			b.Mov(insn.R5, insn.R2)
-			b.Label(labelN(b, "lk-skip", row))
+			b.Label(skip)
 		}
 	} else {
 		// Count sketch: median (lower middle) of the four signed
@@ -111,10 +120,7 @@ func sketchProgram(signed bool) *asm.Builder {
 		for row := 0; row < SketchRows; row++ {
 			emitSketchSlot(b, insn.R3, row)
 			b.Load(insn.R2, insn.R3, 0, 8)
-			emitSketchSign(b, insn.R4, row)
-			b.JmpImm(insn.JmpEq, insn.R4, 0, labelN(b, "lk-pos", row))
-			b.I(insn.Neg64(insn.R2))
-			b.Label(labelN(b, "lk-pos", row))
+			emitSketchSign(b, insn.R2, row)
 			// Estimates are staged on the stack: fp-8.. fp-32.
 			b.Store(insn.R10, int16(-8*(row+1)), insn.R2, 8)
 		}
@@ -128,8 +134,8 @@ func sketchProgram(signed bool) *asm.Builder {
 			{insn.R2, insn.R4}, {insn.R3, insn.R5},
 			{insn.R3, insn.R4},
 		}
-		for i, p := range pairs {
-			lbl := labelN(b, "sort", i)
+		for _, p := range pairs {
+			lbl := b.Scope()("sort")
 			b.JmpReg(insn.JmpSle, p[0], p[1], lbl)
 			b.Mov(insn.R0, p[0])
 			b.Mov(p[0], p[1])
@@ -154,10 +160,4 @@ func sketchProgram(signed bool) *asm.Builder {
 	b.Ret(RetFound)
 
 	return b
-}
-
-// labelN builds a unique per-row label.
-func labelN(b *asm.Builder, base string, n int) string {
-	_ = b
-	return base + "-" + string(rune('a'+n))
 }

@@ -1,9 +1,10 @@
 package ds
 
 import (
+	"unsafe"
+
 	"kflex/asm"
 	"kflex/insn"
-	"kflex/internal/kernel"
 )
 
 // ZADD (§5.2): Redis implements sorted sets with a hash map from member to
@@ -14,19 +15,23 @@ import (
 //
 // ZADD poses the §5.2 challenge directly: a score update must delete the
 // old skip-list entry and insert a new one, allocating nodes on the fast
-// path — infeasible in eBPF, natural with kflex_malloc.
+// path — infeasible in eBPF, natural with kflex_malloc. The table's offset
+// from the heap base is the skip list's globals' Table word.
 const (
 	// zaddSlots is the member table capacity (power of two).
 	zaddSlots = 1 << 17
 	// zaddMemberBits is how many low bits of the composite key carry the
 	// member ID.
 	zaddMemberBits = 20
+)
 
-	zeMember = 0 // slot layout: member (0 = empty)
-	zeScore  = 8
-	zeSize   = 16
+// zaddSlot is one member-table slot; Member 0 marks it empty.
+type zaddSlot struct{ Member, Score uint64 }
 
-	zaddGlobTable = globalsOff + 32 // member-table offset from heap base
+const (
+	zeMember = int16(unsafe.Offsetof(zaddSlot{}.Member))
+	zeScore  = int16(unsafe.Offsetof(zaddSlot{}.Score))
+	zeSize   = int64(unsafe.Sizeof(zaddSlot{}))
 )
 
 // zaddCompose returns the skip-list key for (member, score).
@@ -45,44 +50,38 @@ func zaddProgram() *asm.Builder {
 	// --- init -------------------------------------------------------------
 	b.Label("init")
 	emitSkipInit(b, "oom")
-	b.MovImm(insn.R1, zaddSlots*zeSize)
-	b.Call(kernel.HelperKflexMalloc)
-	b.JmpImm(insn.JmpEq, insn.R0, 0, "oom")
-	b.Mov(insn.R1, rHeap)
-	b.I(insn.Alu64Reg(insn.AluSub, insn.R0, insn.R1))
-	b.Store(rHeap, zaddGlobTable, insn.R0, 8)
+	emitMallocOff(b, zaddSlots*zeSize, skGlobTable, "oom")
 	b.Ret(0)
 	b.Label("oom")
 	b.Ret(RetOOM)
 
-	// probeSlot: computes &table[idx] into R5 given slot index in R4.
-	probeSlot := func() {
-		b.Load(insn.R5, rHeap, zaddGlobTable, 8)
-		b.Mov(insn.R0, insn.R4)
-		b.I(insn.Alu64Imm(insn.AluLsh, insn.R0, 4)) // ×16
-		b.AddReg(insn.R5, insn.R0)
-		b.AddReg(insn.R5, rHeap)
-	}
-	// hashMember: R4 = mix(member) & (slots-1). Clobbers R0.
-	hashMember := func() {
+	// probe hashes the member (rKey) to a slot index in R4 and probes
+	// linearly from there with R5 = &table[R4], jumping to found at the
+	// member's slot and to empty at the first empty one. Clobbers R0, R3.
+	probe := func(empty, found string) {
+		loop := b.Scope()("probe")
 		b.I(insn.LoadImm(insn.R0, hashMix))
 		b.Mov(insn.R4, rKey)
 		b.I(insn.Alu64Reg(insn.AluMul, insn.R4, insn.R0))
 		b.I(insn.Alu64Imm(insn.AluRsh, insn.R4, 32))
 		b.I(insn.Alu64Imm(insn.AluAnd, insn.R4, zaddSlots-1))
+		b.Label(loop)
+		b.Load(insn.R5, rHeap, skGlobTable, 8)
+		b.Mov(insn.R0, insn.R4)
+		b.I(insn.Alu64Imm(insn.AluLsh, insn.R0, 4)) // ×zeSize
+		b.AddReg(insn.R5, insn.R0)
+		b.AddReg(insn.R5, rHeap)
+		b.Load(insn.R3, insn.R5, zeMember, 8)
+		b.JmpImm(insn.JmpEq, insn.R3, 0, empty)
+		b.JmpReg(insn.JmpEq, insn.R3, rKey, found)
+		b.Add(insn.R4, 1)
+		b.I(insn.Alu64Imm(insn.AluAnd, insn.R4, zaddSlots-1))
+		b.Ja(loop)
 	}
 
 	// --- lookup: member -> score -------------------------------------------
 	b.Label("lookup")
-	hashMember()
-	b.Label("zlk-probe")
-	probeSlot()
-	b.Load(insn.R3, insn.R5, zeMember, 8)
-	b.JmpImm(insn.JmpEq, insn.R3, 0, "zlk-miss")
-	b.JmpReg(insn.JmpEq, insn.R3, rKey, "zlk-hit")
-	b.Add(insn.R4, 1)
-	b.I(insn.Alu64Imm(insn.AluAnd, insn.R4, zaddSlots-1))
-	b.Ja("zlk-probe")
+	probe("zlk-miss", "zlk-hit")
 	b.Label("zlk-hit")
 	b.Load(insn.R0, insn.R5, zeScore, 8)
 	b.Store(rCtx, ctxOut, insn.R0, 8)
@@ -91,30 +90,23 @@ func zaddProgram() *asm.Builder {
 	b.Ret(RetMiss)
 
 	// --- update: ZADD(member, score) ----------------------------------------
-	// Stack: fp-32 = slot pointer, fp-40 = old score, fp-48 = member,
-	// fp-56 = new score. (fp-8..-24 belong to the skip-list emitters.)
+	// Stack: fp-48 = member, fp-56 = the score to compose a key from (the
+	// old one while its entry is deleted). fp-8..-24 belong to the
+	// skip-list emitters.
 	b.Label("update")
 	b.Load(insn.R0, rCtx, ctxVal, 8)
 	b.Store(insn.R10, -56, insn.R0, 8) // new score
 	b.Store(insn.R10, -48, rKey, 8)    // member
-	hashMember()
-	b.Label("zup-probe")
-	probeSlot()
-	b.Load(insn.R3, insn.R5, zeMember, 8)
-	b.JmpImm(insn.JmpEq, insn.R3, 0, "zup-new")
-	b.JmpReg(insn.JmpEq, insn.R3, rKey, "zup-exists")
-	b.Add(insn.R4, 1)
-	b.I(insn.Alu64Imm(insn.AluAnd, insn.R4, zaddSlots-1))
-	b.Ja("zup-probe")
+	probe("zup-new", "zup-exists")
 
 	// New member: claim the slot, insert into the skip list.
 	b.Label("zup-new")
 	b.Store(insn.R5, zeMember, rKey, 8)
 	b.Load(insn.R0, insn.R10, -56, 8)
 	b.Store(insn.R5, zeScore, insn.R0, 8)
-	emitZaddComposite(b, "zup-new-k") // R7 = compose(score fp-56, member fp-48)
+	emitZaddComposite(b) // R7 = compose(score fp-56, member fp-48)
 	b.StoreImm(insn.R10, fpSkipVal, 0, 8)
-	emitSkipInsert(b, "zupi", "zup-added", "oom")
+	emitSkipInsert(b, "zup-added", "oom")
 	b.Label("zup-added")
 	b.Ret(RetFound) // newly added (ZADD returns #added)
 
@@ -126,25 +118,24 @@ func zaddProgram() *asm.Builder {
 	b.Store(insn.R5, zeScore, insn.R0, 8) // table gets the new score
 	// Delete the old composite entry: stage the old score at fp-56.
 	b.Store(insn.R10, -56, insn.R1, 8)
-	emitZaddComposite(b, "zup-old-k")
-	emitSkipDelete(b, "zupd", "zup-deleted")
+	emitZaddComposite(b)
+	emitSkipDelete(b, "zup-deleted")
 	b.Label("zup-deleted")
 	// Insert the new composite entry (restore the new score first).
 	b.Load(insn.R0, rCtx, ctxVal, 8)
 	b.Store(insn.R10, -56, insn.R0, 8)
-	emitZaddComposite(b, "zup-upd-k")
+	emitZaddComposite(b)
 	b.StoreImm(insn.R10, fpSkipVal, 0, 8)
-	emitSkipInsert(b, "zupu", "zup-moved", "oom")
+	emitSkipInsert(b, "zup-moved", "oom")
 	b.Label("zup-moved")
 	b.Ret(RetMiss) // updated, not added
 	b.Label("zup-same")
 	b.Ret(RetMiss)
 
 	// --- delete (ZREM) -------------------------------------------------------
-	// Not part of Figure 6's workload; tombstone-free removal from a
-	// linear-probing table needs backward-shift deletion, so ZREM is
-	// served by marking the member slot empty only when probing ends at
-	// it; unsupported otherwise.
+	// Unsupported: every ZREM misses. It is not part of Figure 6's workload,
+	// and removal from a linear-probing table without tombstones needs
+	// backward-shift deletion.
 	b.Label("delete")
 	b.Ret(RetMiss)
 
@@ -152,8 +143,7 @@ func zaddProgram() *asm.Builder {
 }
 
 // emitZaddComposite sets R7 = compose(*(fp-56), *(fp-48)). Clobbers R0–R2.
-func emitZaddComposite(b *asm.Builder, prefix string) {
-	_ = prefix
+func emitZaddComposite(b *asm.Builder) {
 	b.Load(insn.R0, insn.R10, -56, 8) // score
 	b.I(insn.Alu64Imm(insn.AluLsh, insn.R0, zaddMemberBits))
 	b.Load(insn.R1, insn.R10, -48, 8) // member
