@@ -76,6 +76,7 @@ bench-smoke: build
 	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
 	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8|BenchmarkNullRun' -benchtime 1000x ./internal/vm/
 	$(GO) test -run NONE -bench BenchmarkSupervisorRun -benchtime 1000x -cpu 2 ./internal/supervisor/
+	$(GO) test -run NONE -bench BenchmarkGetHit -benchtime 200000x ./internal/apps/offload/
 	$(GO) test -run NONE -bench BenchmarkColdLoad -benchtime 20x -benchmem ./internal/apps/offload/
 
 # The performance gate (benchmark/, a Go module of its own that root

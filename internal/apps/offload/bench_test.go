@@ -1,9 +1,13 @@
 package offload_test
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/memcached"
 	"kflex/internal/apps/offload"
 	"kflex/internal/supervisor"
@@ -28,5 +32,43 @@ func BenchmarkColdLoad(b *testing.B) {
 		s.Close()
 		runtime.GC()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkGetHit times one offloaded GET hit through a Worker of the bare
+// deployment, its table preloaded with keys entries and the GET frames
+// built beforehand and sent in a seeded random order. At 256 keys every
+// chain is short and the nodes stay in cache; at the workload's 64 Ki keys
+// a bucket holds four nodes on average and the walk misses in cache, so
+// the ratio of the two is the memory-bound share of a GET.
+func BenchmarkGetHit(b *testing.B) {
+	c := &memcached.Codec
+	for _, keys := range []int{256, workload.KeySpace} {
+		k, err := offload.NewKFlex(c, offload.Config{ValueSize: kvprog.ValueSize}, 1, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := k.Worker(0)
+		for i := 0; i < keys; i++ {
+			if reply, _, err := w.Execute(c.AppendSet(nil, key(i), val(i))); err != nil || string(reply) != c.Stored {
+				b.Fatalf("preload SET %d: reply %q err %v", i, reply, err)
+			}
+		}
+		gets := make([][]byte, keys)
+		for j, i := range rand.New(rand.NewSource(1)).Perm(keys) {
+			gets[j] = c.AppendGet(nil, key(i))
+			if reply, _, err := w.Execute(gets[j]); err != nil || !bytes.Equal(reply, c.AppendHit(nil, val(i))) {
+				b.Fatalf("GET %d: reply %q err %v", i, reply, err)
+			}
+		}
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.Execute(gets[i%keys]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		k.Close()
 	}
 }
