@@ -27,6 +27,7 @@ const (
 
 // node is one hash-table entry in the extension heap.
 type node struct {
+	Tag   uint64 // the key's 32-bit hash: the chain walk's first compare
 	Key   [KeySize / 8]uint64
 	Len   uint64 // value length
 	Next  uint64
@@ -41,6 +42,7 @@ type globals struct {
 
 // Heap offsets: node fields within a node, globals from the heap base.
 const (
+	NodeTag  = int16(unsafe.Offsetof(node{}.Tag))
 	NodeKey  = int16(unsafe.Offsetof(node{}.Key))
 	NodeLen  = int16(unsafe.Offsetof(node{}.Len))
 	NodeNext = int16(unsafe.Offsetof(node{}.Next))
@@ -159,17 +161,22 @@ func Build(o Options) []insn.Instruction {
 	b.I(insn.Alu64Reg(insn.AluMul, insn.R7, insn.R0))
 	b.I(insn.Alu64Imm(insn.AluRsh, insn.R7, 32))
 
-	// Bucket pointer: heap + tableOff + (hash & (buckets-1))*8.
+	// Bucket pointer: heap + tableOff + (hash & (buckets-1))*8. The hash
+	// stays in R7 (callee-saved, so it survives kflex_malloc) as the tag.
 	b.Load(insn.R5, insn.R8, GlobTable, 8)
-	b.I(insn.Alu64Imm(insn.AluAnd, insn.R7, Buckets-1))
-	b.I(insn.Alu64Imm(insn.AluLsh, insn.R7, 3))
-	b.AddReg(insn.R5, insn.R7)
+	b.Mov(insn.R0, insn.R7)
+	b.I(insn.Alu64Imm(insn.AluAnd, insn.R0, Buckets-1))
+	b.I(insn.Alu64Imm(insn.AluLsh, insn.R0, 3))
+	b.AddReg(insn.R5, insn.R0)
 	b.AddReg(insn.R5, insn.R8)
 	b.Load(insn.R6, insn.R5, 0, 8) // chain head (manipulation guard)
 
-	// Walk the chain comparing all four key words.
+	// Walk the chain. A node whose tag differs is passed on one compare; a
+	// tag match still compares all four key words, so the tag only filters.
 	b.Label("walk")
 	b.JmpImm(insn.JmpEq, insn.R6, 0, "walk-miss")
+	b.Load(insn.R0, insn.R6, NodeTag, 8)
+	b.JmpReg(insn.JmpNe, insn.R0, insn.R7, "walk-next")
 	for i := range int16(KeySize / 8) {
 		b.Load(insn.R0, insn.R6, NodeKey+8*i, 8)
 		b.Load(insn.R1, insn.R10, fKey+8*i, 8)
@@ -224,6 +231,7 @@ func Build(o Options) []insn.Instruction {
 	b.Call(kernel.HelperKflexMalloc)
 	b.JmpImm(insn.JmpEq, insn.R0, 0, "oom")
 	b.Mov(insn.R6, insn.R0)
+	b.Store(insn.R6, NodeTag, insn.R7, 8)
 	for i := range int16(KeySize / 8) {
 		b.Load(insn.R0, insn.R10, fKey+8*i, 8)
 		b.Store(insn.R6, NodeKey+8*i, insn.R0, 8)
