@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos fuzz vet fmt tcb check bench-smoke benchmark-quick clean
+.PHONY: all build test race chaos fuzz vet fmt tcb check bench-smoke experiments benchmark-quick clean
 
 all: build
 
@@ -64,20 +64,28 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=20s ./internal/durable/
 
 # CI-scale smoke of everything outside benchmark/ that prints a number:
-# kfbench's experiment table and three of its quick model-time experiments
-# (the binary is otherwise never executed in CI), then the verifier's and
-# the hot path's micro-benchmarks at a fixed iteration count. What it prints
-# are not measurements; wall time on the composed path comes from benchmark/
-# alone.
+# kfbench's experiment table and three of its quick model-time experiments,
+# then the handler calibration behind netsim's constants and the verifier's
+# and the hot path's micro-benchmarks, at a fixed iteration count. What it
+# prints are not measurements; wall time on the composed path comes from
+# benchmark/ alone.
 bench-smoke: build
 	$(GO) run ./cmd/kfbench -list
 	$(GO) run ./cmd/kfbench -run tab1,tab3,abl-elision -quick
+	$(GO) test -run NONE -bench BenchmarkHandler -benchtime 200x ./internal/netsim/
 	$(GO) test -run NONE -bench BenchmarkVerify -benchtime 100x ./internal/verifier/
 	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
 	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8|BenchmarkNullRun' -benchtime 1000x ./internal/vm/
 	$(GO) test -run NONE -bench BenchmarkSupervisorRun -benchtime 1000x -cpu 2 ./internal/supervisor/
 	$(GO) test -run NONE -bench BenchmarkGetHit -benchtime 200000x ./internal/apps/offload/
 	$(GO) test -run NONE -bench BenchmarkColdLoad -benchtime 20x -benchmem ./internal/apps/offload/
+
+# The model-time figures at -quick (about a minute), rewritten into their
+# committed golden. Each is a pure function of seeds and counted work, so CI
+# runs this and fails on any diff: a change that moves a figure recaptures
+# the file, and EXPERIMENTS.md's measured columns with it.
+experiments:
+	$(GO) run ./cmd/kfbench -run fig2,fig3,fig4,fig7 -quick > internal/bench/testdata/figures_quick.txt
 
 # The performance gate (benchmark/, a Go module of its own that root
 # `go test ./...` never sees): its oracle/determinism tests, then every

@@ -10,7 +10,6 @@ package kflex_test
 
 import (
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -91,11 +90,10 @@ func runChaosMemcached(t *testing.T, seed int64, n int) (*memcached.KFlexMC, *fa
 	// (page-granular) allocation outside class accounting.
 	mc.Ext().Alloc().EnableTracking()
 	plan.Enable()
-	rng := rand.New(rand.NewSource(seed))
 	lockVA := mc.Ext().Heap().ExtBase() + uint64(kvprog.GlobLock)
 	last := uint64(0)
 	for i := 0; i < n; i++ {
-		mc.Serve(0, 0, uint64(i), rng)
+		mc.Serve(0, 0)
 		// Invariants must hold immediately after every injected fault,
 		// not just at the end of the run.
 		if inj := plan.Injected(); inj != last {
@@ -150,11 +148,10 @@ func TestChaosRedis(t *testing.T) {
 			t.Cleanup(r.Close)
 			r.Ext().Alloc().EnableTracking()
 			plan.Enable()
-			rng := rand.New(rand.NewSource(seed))
 			n := chaosRequests()
 			last := uint64(0)
 			for i := 0; i < n; i++ {
-				r.Serve(0, 0, uint64(i), rng)
+				r.Serve(0, 0)
 				if inj := plan.Injected(); inj != last {
 					last = inj
 					checkInvariants(t, r.Ext())
@@ -209,9 +206,8 @@ func TestChaosDegradation(t *testing.T) {
 	}
 	t.Cleanup(mc.Close)
 	plan.Enable()
-	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 10; i++ {
-		mc.Serve(0, 0, uint64(i), rng)
+		mc.Serve(0, 0)
 	}
 	ext := mc.Ext()
 	if !ext.Unloaded() || ext.Cancels() != cfg.CancelThreshold {

@@ -1,7 +1,8 @@
 // Command kfbench regenerates the paper's evaluation: every table and
 // figure of §5 plus the design-choice ablations DESIGN.md calls out. Its
-// numbers are model time; wall time on the composed serving path is
-// measured by benchmark/ alone.
+// numbers are model time, identical between two runs, except fig5's, which
+// it prints under a "measured (wall clock)" heading; wall time on the
+// composed serving path is measured by benchmark/ alone.
 //
 // Usage:
 //

@@ -13,18 +13,16 @@
 //     garbage-collection thread that scans the table every second under a
 //     shared spin lock (§5.3).
 //
-// All four parse the same wire protocol and serve the same Zipfian
-// workload; the paper's performance differences come from which kernel
-// path stages each avoids and the per-request processing work, both of
-// which are exercised for real here (extensions execute their verified,
-// instrumented bytecode; the user-space server is timed executing native
-// code).
+// All four serve the same Zipfian workload; the paper's performance
+// differences come from which kernel path stages each avoids and the
+// per-request processing work. Both are modelled (internal/netsim):
+// extensions execute their verified, instrumented bytecode and are charged
+// its counted instructions and helper calls; the user-space handler is
+// charged a constant calibrated from a Go benchmark of the real handler.
 package memcached
 
 import (
 	"encoding/binary"
-	"math/rand"
-	"time"
 
 	"kflex"
 	"kflex/internal/apps/kvprog"
@@ -32,7 +30,6 @@ import (
 	"kflex/internal/kernel"
 	"kflex/internal/maps"
 	"kflex/internal/netsim"
-	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
 
@@ -102,16 +99,16 @@ var Codec = offload.Codec{
 	Miss:      "M",
 	Stored:    "S",
 	Err:       "E",
-	PathNs: func(c netsim.PathCosts, set, offloaded bool) float64 {
+	PathNs: func(set, offloaded bool) float64 {
 		switch {
 		case offloaded && set:
-			return c.XDPTCPFast()
+			return netsim.XDPTCPFast
 		case offloaded:
-			return c.XDPUDP()
+			return netsim.XDPUDP
 		case set:
-			return c.UserspaceTCP()
+			return netsim.UserspaceTCP + netsim.McSetNs
 		}
-		return c.UserspaceUDP()
+		return netsim.UserspaceUDP + netsim.McGetNs
 	},
 }
 
@@ -122,41 +119,18 @@ type Config = offload.Config
 
 // DefaultConfig mirrors §5.1 with 64 B values.
 func DefaultConfig(mix workload.Mix) Config {
-	return Config{Mix: mix, ValueSize: ValueSize, Seed: 7, Costs: netsim.DefaultCosts(), Preload: true}
+	return Config{Mix: mix, ValueSize: ValueSize, Seed: 7, Preload: true}
 }
 
 // --- System 1: user space ------------------------------------------------------------
 
-// UserSpace is the baseline server.
-type UserSpace struct {
-	cfg   Config
-	store *offload.Store
-	fac   *offload.ReqFactory
-	reply []byte
-}
+// UserSpace is the baseline server: GETs over UDP and SETs over TCP
+// (BMC's deployment model), each paying the full user-space stack and the
+// handler's calibrated work (netsim.McGetNs, McSetNs).
+type UserSpace = offload.UserSpace
 
-// NewUserSpace builds and optionally preloads the baseline.
-func NewUserSpace(cfg Config) *UserSpace {
-	u := &UserSpace{cfg: cfg, store: offload.NewStore(), fac: Codec.NewReqFactory(cfg), reply: make([]byte, 0, 128)}
-	if cfg.Preload {
-		offload.Preload(u.store, cfg.ValueSize)
-	}
-	return u
-}
-
-// Serve implements sim.System: the handler runs natively and is timed; the
-// path cost is the full user-space stack (GETs over UDP, SETs over TCP,
-// matching BMC's deployment model).
-func (u *UserSpace) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	req, frame := u.fac.Next()
-	t0 := time.Now()
-	u.reply = Codec.Handle(u.store, frame, u.reply)
-	work := float64(time.Since(t0).Nanoseconds())
-	return sim.Service{Ns: work + Codec.PathNs(u.cfg.Costs, req.Op == workload.OpSet, false)}
-}
-
-// Name implements the labeled system.
-func (u *UserSpace) Name() string { return "User space" }
+// NewUserSpace builds the baseline.
+func NewUserSpace(cfg Config) *UserSpace { return offload.NewUserSpace(&Codec, cfg) }
 
 // --- System 2: BMC ---------------------------------------------------------------------
 
@@ -167,7 +141,6 @@ type BMC struct {
 	cache *maps.LRU
 	ext   *kflex.Extension
 	fac   *offload.ReqFactory
-	reply []byte
 	// Hits and Misses count cache outcomes for reporting.
 	Hits, Misses uint64
 	// Errors counts extension invocations that failed outright; the
@@ -197,7 +170,7 @@ func NewBMC(cfg Config, servers int) (*BMC, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &BMC{cfg: cfg, store: offload.NewStore(), cache: cache, ext: ext, fac: Codec.NewReqFactory(cfg), reply: make([]byte, 0, 128)}
+	b := &BMC{cfg: cfg, store: offload.NewStore(), cache: cache, ext: ext, fac: Codec.NewReqFactory(cfg)}
 	if cfg.Preload {
 		offload.Preload(b.store, cfg.ValueSize)
 	}
@@ -207,47 +180,38 @@ func NewBMC(cfg Config, servers int) (*BMC, error) {
 // Serve implements sim.System. GETs run the eBPF program at XDP: hits are
 // served there; misses fall through the full stack to user space, which
 // also fills the cache (BMC's architecture). SETs bypass the cache (BMC
-// cannot offload them) and invalidate the entry.
-func (b *BMC) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
+// cannot offload them) and invalidate the entry. User space touches its
+// store only where the result decides a later hit — a SET's write and a
+// miss's cache fill — and is charged the handler's calibrated cost.
+func (b *BMC) Serve(cpu int, now float64) float64 {
 	req, frame := b.fac.Next()
-	h := b.ext.Handle(cpu)
-	pkt := &netsim.Packet{Data: frame}
-	if req.Op == workload.OpGet {
-		res, err := h.Run(pkt, pkt.XDPCtx(0))
-		if err != nil {
-			// The hook failed outright (e.g. the extension was unloaded):
-			// serve on the user-space path, exactly like a cache miss.
-			b.Errors++
-			b.Misses++
-			t0 := time.Now()
-			b.reply = Codec.Handle(b.store, frame, b.reply)
-			work := float64(time.Since(t0).Nanoseconds())
-			return sim.Service{Ns: work + b.cfg.Costs.UserspaceUDP()}
-		}
-		extNs := netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls)
-		if res.Ret == kernel.XDPTx { // cache hit, served at the hook
-			b.Hits++
-			return sim.Service{Ns: extNs + b.cfg.Costs.XDPUDP()}
-		}
-		// Miss: full user-space path plus the wasted XDP pass, plus
-		// the cache fill.
-		b.Misses++
-		t0 := time.Now()
-		b.reply = Codec.Handle(b.store, frame, b.reply)
-		if len(b.reply) > 1 && b.reply[0] == 'V' {
-			_, key, _ := ParseRequest(frame)
-			b.fillCache(key, b.reply[1:])
-		}
-		work := float64(time.Since(t0).Nanoseconds())
-		return sim.Service{Ns: extNs + work + b.cfg.Costs.UserspaceUDP() + b.cfg.Costs.BMCMissExtra()}
+	_, key, value := ParseRequest(frame)
+	if req.Op == workload.OpSet {
+		b.store.Set(key, value)
+		b.cache.Delete(key)
+		return Codec.PathNs(true, false)
 	}
-	// SET: user space only; invalidate the cached entry.
-	t0 := time.Now()
-	b.reply = Codec.Handle(b.store, frame, b.reply)
-	_, key, _ := ParseRequest(frame)
-	b.cache.Delete(key)
-	work := float64(time.Since(t0).Nanoseconds())
-	return sim.Service{Ns: work + b.cfg.Costs.UserspaceTCP()}
+	pkt := &netsim.Packet{Data: frame}
+	res, err := b.ext.Handle(cpu).Run(pkt, pkt.XDPCtx(0))
+	if err != nil {
+		// The hook failed outright (e.g. the extension was unloaded):
+		// serve on the user-space path, exactly like a cache miss.
+		b.Errors++
+		b.Misses++
+		return Codec.PathNs(false, false)
+	}
+	extNs := netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls)
+	if res.Ret == kernel.XDPTx { // cache hit, served at the hook
+		b.Hits++
+		return extNs + Codec.PathNs(false, true)
+	}
+	// Miss: full user-space path plus the wasted XDP pass, plus the cache
+	// fill.
+	b.Misses++
+	if v := b.store.Get(key); v != nil {
+		b.fillCache(key, v)
+	}
+	return extNs + Codec.PathNs(false, false) + netsim.BMCMissExtra
 }
 
 func (b *BMC) fillCache(key, value []byte) {
@@ -256,9 +220,6 @@ func (b *BMC) fillCache(key, value []byte) {
 	copy(entry[8:], value)
 	_ = b.cache.Update(key, entry)
 }
-
-// Name implements the labeled system.
-func (b *BMC) Name() string { return "BMC" }
 
 // Close releases the extension.
 func (b *BMC) Close() { b.ext.Close() }

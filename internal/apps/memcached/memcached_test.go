@@ -6,6 +6,7 @@ import (
 
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/offload"
+	"kflex/internal/netsim"
 	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
@@ -152,6 +153,37 @@ func TestCoDesignGCWalksSharedTable(t *testing.T) {
 	}
 }
 
+// TestCoDesignGCPause: with a short GCInterval the collector scans during a
+// small run, and each scan's pause — entries × netsim.GCEntryNs with the
+// shared lock held — reaches the latency the clients see.
+func TestCoDesignGCPause(t *testing.T) {
+	cfg := smallCfg(workload.Mix90)
+	c, err := NewCoDesign(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const preset = 2000
+	for k := uint64(1); k <= preset; k++ {
+		frame := EncodeSet(workload.FormatKey(k, KeySize), workload.FormatValue(k, cfg.ValueSize))
+		if _, _, err := c.Execute(0, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.GCInterval = 4e6
+	simCfg := sim.Config{Clients: 16, Servers: 2, RTTNs: 30_000, DurationNs: 2e7, WarmupFrac: 0.1, Seed: 1}
+	r := sim.Run(simCfg, c)
+	if c.GCRuns < 3 {
+		t.Fatalf("GCRuns = %d over a 20 ms run at a 4 ms interval, want ≥ 3", c.GCRuns)
+	}
+	// Every scan visits at least the preset entries, and the request that
+	// wakes the collector waits out the whole pause.
+	const pause = preset * netsim.GCEntryNs
+	if got := r.Latency.Max(); got < int64(simCfg.RTTNs+pause) {
+		t.Fatalf("max latency %d ns, want ≥ RTT + one scan's pause (%d ns)", got, int64(simCfg.RTTNs+pause))
+	}
+}
+
 // TestFig2Shape runs a scaled-down Figure 2 and asserts the paper's
 // ordering: KFlex > BMC > user space on throughput for every mix, with
 // KFlex's margin over BMC growing as SETs increase.
@@ -159,11 +191,8 @@ func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	if raceEnabled {
-		t.Skip("throughput-shape ordering is not meaningful under the race detector")
-	}
 	simCfg := sim.DefaultConfig()
-	simCfg.DurationNs = 3e8
+	simCfg.DurationNs = 1e8 // model time: short enough to stay cheap under -race
 	simCfg.Clients = 256
 
 	type row struct{ user, bmc, kflex float64 }

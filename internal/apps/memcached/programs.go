@@ -1,15 +1,12 @@
 package memcached
 
 import (
-	"math/rand"
-	"time"
-
 	"kflex/asm"
 	"kflex/insn"
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/offload"
 	"kflex/internal/kernel"
-	"kflex/internal/sim"
+	"kflex/internal/netsim"
 	"kflex/internal/supervisor"
 )
 
@@ -83,19 +80,20 @@ func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervis
 // --- System 4: co-design (§5.3) -----------------------------------------------------
 
 // CoDesign wraps the KFlex server with a user-space garbage-collection
-// thread that scans the shared hash table every second while holding the
-// shared spin lock; requests arriving during a scan wait for it.
+// thread that scans the shared hash table every GCInterval while holding
+// the shared spin lock; requests arriving during a scan wait for it.
 type CoDesign struct {
 	*KFlexMC
-	// GCInterval is the paper's 1 s background cadence.
+	// GCInterval is the scan cadence, the paper's 1 s by default. The
+	// first scan falls half an interval into the run, so a run one
+	// interval long holds one.
 	GCInterval float64
-	gcEnd      float64
 	nextGC     float64
-	// GCRuns and GCEntries report the background work performed.
+	gcEnd      float64
+	// GCRuns and GCEntries count the scans performed and the entries they
+	// visited.
 	GCRuns    uint64
 	GCEntries uint64
-	// gcNs is the measured duration of one real scan over the user view.
-	gcNs float64
 }
 
 // NewCoDesign loads the lock-protected extension variant with a shared heap.
@@ -104,19 +102,7 @@ func NewCoDesign(cfg Config, servers int) (*CoDesign, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CoDesign{KFlexMC: k, GCInterval: 1e9}
-	c.nextGC = c.GCInterval
-	// Calibrate: run one real GC pass and time it.
-	t0 := time.Now()
-	n, err := c.RunGC()
-	if err != nil {
-		return nil, err
-	}
-	c.gcNs = float64(time.Since(t0).Nanoseconds())
-	c.GCEntries = 0
-	c.GCRuns = 0
-	_ = n
-	return c, nil
+	return &CoDesign{KFlexMC: k, GCInterval: 1e9}, nil
 }
 
 // RunGC performs one real scan of the shared hash table from user space:
@@ -153,21 +139,26 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 }
 
 // Serve implements sim.System: the fast path matches KFlex, plus the
-// periodic GC pause contending on the shared lock.
-func (c *CoDesign) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	var gcWait float64
+// periodic GC pause contending on the shared lock. Each scan is a real
+// RunGC, and holds the lock for its entries × netsim.GCEntryNs.
+func (c *CoDesign) Serve(cpu int, now float64) float64 {
+	if c.nextGC == 0 {
+		c.nextGC = c.GCInterval / 2
+	}
 	if now >= c.nextGC {
 		// The GC thread wakes up, takes the lock, and scans.
+		entries, err := c.RunGC()
+		if err != nil {
+			// Internal invariant: the table is the extension's own, read
+			// through a mapping NewKFlex set up; a failed load is a bug.
+			panic(err)
+		}
 		c.nextGC = now + c.GCInterval
-		c.gcEnd = now + c.gcNs
+		c.gcEnd = now + float64(entries)*netsim.GCEntryNs
 	}
+	ns := c.KFlexMC.Serve(cpu, now)
 	if now < c.gcEnd {
-		gcWait = c.gcEnd - now // lock held by the collector
+		ns += c.gcEnd - now // lock held by the collector
 	}
-	svc := c.KFlexMC.Serve(cpu, now, seq, rng)
-	svc.Ns += gcWait
-	return svc
+	return ns
 }
-
-// Name implements the labeled system.
-func (c *CoDesign) Name() string { return "KFlex co-designed" }

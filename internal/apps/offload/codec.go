@@ -3,8 +3,9 @@
 // structure and the same offload-miss fallback (§5.1); kvprog builds the
 // one program, and this package owns everything around it: the KV store
 // contract and the sharded in-memory Store, the per-CPU Worker, the bare
-// deployment (KFlex: load, populate, Serve) and the supervised one
-// (Supervised: write-through, dirty set, resync, fallback). An application
+// deployment (KFlex: load, populate, Serve), the supervised one
+// (Supervised: write-through, dirty set, resync, fallback) and the
+// user-space baseline the figures compare them with. An application
 // contributes a Codec — its wire format, helpers, hook and path costs —
 // and nothing else.
 package offload
@@ -52,10 +53,11 @@ type Codec struct {
 	HitHeader         func(dst []byte, n int) []byte
 	HitTrailer        string
 	Miss, Stored, Err string
-	// PathNs is the modeled kernel path cost of one request: which stack
-	// stages a GET or SET pays when served at the hook (offloaded) or by
-	// the user-space server.
-	PathNs func(c netsim.PathCosts, set, offloaded bool) float64
+	// PathNs is the modelled cost of one GET or SET outside the extension,
+	// from netsim's constants: the kernel path stages it pays when served
+	// at the hook (offloaded), or those plus the handler's calibrated work
+	// when the user-space server answers it.
+	PathNs func(set, offloaded bool) float64
 }
 
 // AppendHit appends the GET-hit reply carrying value.

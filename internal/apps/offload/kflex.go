@@ -2,14 +2,12 @@ package offload
 
 import (
 	"errors"
-	"math/rand"
 
 	"kflex"
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/durable"
 	"kflex/internal/faultinject"
 	"kflex/internal/netsim"
-	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
 
@@ -20,7 +18,6 @@ type Config struct {
 	// stream and preload carry (at most kvprog.ValueSize).
 	ValueSize int
 	Seed      int64
-	Costs     netsim.PathCosts
 	// Preload fills every key before measuring.
 	Preload bool
 	// FaultPlan attaches deterministic fault injection to the KFlex
@@ -72,12 +69,17 @@ func (c *Codec) NewReqFactory(cfg Config) *ReqFactory {
 	return &ReqFactory{codec: c, seed: cfg.Seed, mix: cfg.Mix, vsz: cfg.ValueSize}
 }
 
-// Next builds the next request frame (client-side work, not timed).
-func (f *ReqFactory) Next() (workload.Request, []byte) {
+// req draws the next request without building its frame.
+func (f *ReqFactory) req() workload.Request {
 	if f.gen == nil {
 		f.gen = workload.NewGenerator(f.seed, f.mix)
 	}
-	req := f.gen.Next()
+	return f.gen.Next()
+}
+
+// Next draws the next request and builds its frame (client-side work).
+func (f *ReqFactory) Next() (workload.Request, []byte) {
+	req := f.req()
 	key := workload.FormatKey(req.Key, kvprog.KeySize)
 	if req.Op == workload.OpSet {
 		return req, f.codec.AppendSet(nil, key, workload.FormatValue(req.Value, f.vsz))
@@ -159,7 +161,6 @@ func (w *Worker) Execute(frame []byte) ([]byte, float64, error) { return w.execu
 // driven one request at a time; parallel drivers each take a Worker.
 type KFlex struct {
 	executor
-	cfg Config
 	ext *kflex.Extension
 	fac *ReqFactory
 }
@@ -188,7 +189,7 @@ func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &KFlex{executor: c.newExecutor(), cfg: cfg, ext: ext, fac: c.NewReqFactory(cfg)}
+	k := &KFlex{executor: c.newExecutor(), ext: ext, fac: c.NewReqFactory(cfg)}
 	// Set-up traffic runs on a conn of its own, outside k's counters.
 	var preload uint64
 	if cfg.Preload {
@@ -215,17 +216,34 @@ func (k *KFlex) Execute(cpu int, frame []byte) ([]byte, float64, error) {
 // Serve implements sim.System. A failed extension invocation (cancelled
 // mid-request, or refused after degradation) is re-served on the user-space
 // path — the paper's offload-miss handling (§5) — and counted in Errors.
-func (k *KFlex) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
+func (k *KFlex) Serve(cpu int, now float64) float64 {
 	req, frame := k.fac.Next()
 	_, extNs, err := k.Execute(cpu, frame)
-	return sim.Service{Ns: extNs + k.codec.PathNs(k.cfg.Costs, req.Op == workload.OpSet, err == nil)}
+	return extNs + k.codec.PathNs(req.Op == workload.OpSet, err == nil)
 }
-
-// Name implements the labeled system.
-func (k *KFlex) Name() string { return "KFlex" }
 
 // Close releases the extension.
 func (k *KFlex) Close() { k.ext.Close() }
 
 // Ext exposes the loaded extension (report inspection, chaos invariants).
 func (k *KFlex) Ext() *kflex.Extension { return k.ext }
+
+// UserSpace is the codec's user-space server: every request pays the
+// kernel path up to user space and the handler's calibrated work (PathNs,
+// not offloaded). Nothing reads its replies, so it builds no frame and
+// keeps no store; netsim's BenchmarkHandler is where the handler runs.
+type UserSpace struct {
+	codec *Codec
+	fac   *ReqFactory
+}
+
+// NewUserSpace builds the codec's user-space server over cfg's request
+// stream.
+func NewUserSpace(c *Codec, cfg Config) *UserSpace {
+	return &UserSpace{codec: c, fac: c.NewReqFactory(cfg)}
+}
+
+// Serve implements sim.System.
+func (u *UserSpace) Serve(cpu int, now float64) float64 {
+	return u.codec.PathNs(u.fac.req().Op == workload.OpSet, false)
+}

@@ -64,8 +64,7 @@ type deployment struct {
 const probeRuns = 2
 
 func testConfig() offload.Config {
-	return offload.Config{Mix: workload.Mix50, ValueSize: kvprog.ValueSize, Seed: 1,
-		Costs: netsim.DefaultCosts(), Slots: 2, HeapSize: 4 << 20}
+	return offload.Config{Mix: workload.Mix50, ValueSize: kvprog.ValueSize, Seed: 1, Slots: 2, HeapSize: 4 << 20}
 }
 
 // deploy opens a store on dir (a fresh one when nil), lets fill write to it,

@@ -8,21 +8,20 @@ import (
 	"kflex/internal/apps/memcached"
 	"kflex/internal/apps/offload"
 	"kflex/internal/apps/redis"
-	"kflex/internal/supervisor"
 	"kflex/internal/workload"
 )
 
-// TestReqFactoryIsLazy: no deployment builds its request stream until the
-// first draw, and the stream it then draws is the one an eagerly built
-// generator yields, frame for frame.
+// TestReqFactoryIsLazy: no system the simulation drives builds its request
+// stream until the first draw, and the stream it then draws is the one an
+// eagerly built generator yields, frame for frame. (The supervised
+// deployment holds no stream: it is driven through Execute.)
 func TestReqFactoryIsLazy(t *testing.T) {
 	cfg := testConfig()
 	constructors := map[string]func() (any, error){
-		"Supervised": func() (any, error) { return offload.NewSupervised(&memcached.Codec, cfg, 1, supervisor.Tuning{}) },
-		"KFlex":      func() (any, error) { return offload.NewKFlex(&redis.Codec, cfg, 1, false) },
-		"UserSpace":  func() (any, error) { return memcached.NewUserSpace(cfg), nil },
-		"BMC":        func() (any, error) { return memcached.NewBMC(cfg, 1) },
-		"KeyDB":      func() (any, error) { return redis.NewKeyDB(cfg), nil },
+		"KFlex":     func() (any, error) { return offload.NewKFlex(&redis.Codec, cfg, 1, false) },
+		"UserSpace": func() (any, error) { return memcached.NewUserSpace(cfg), nil },
+		"BMC":       func() (any, error) { return memcached.NewBMC(cfg, 1) },
+		"KeyDB":     func() (any, error) { return redis.NewKeyDB(cfg), nil },
 	}
 	for name, build := range constructors {
 		sys, err := build()

@@ -2,7 +2,6 @@ package offload
 
 import (
 	"cmp"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,9 +9,7 @@ import (
 	"kflex"
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/netsim"
-	"kflex/internal/sim"
 	"kflex/internal/supervisor"
-	"kflex/internal/workload"
 )
 
 // Supervised is the offloaded deployment routed through the lifecycle
@@ -31,10 +28,8 @@ import (
 // supervisor itself.
 type Supervised struct {
 	codec *Codec
-	cfg   Config
 	sup   *supervisor.Supervisor
 	store KV
-	fac   *ReqFactory
 	conn  conn
 	reply []byte
 	// dirty tracks keys whose authoritative value may differ from the
@@ -78,8 +73,7 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning) 
 	if cfg.Preload {
 		Preload(store, cfg.ValueSize)
 	}
-	s := &Supervised{codec: c, cfg: cfg, store: store, fac: c.NewReqFactory(cfg), conn: c.newConn(),
-		dirty: make(map[string]struct{})}
+	s := &Supervised{codec: c, store: store, conn: c.newConn(), dirty: make(map[string]struct{})}
 	sup, err := supervisor.New(supervisor.Config{
 		Runtime: rt,
 		Spec: kflex.Spec{
@@ -234,17 +228,6 @@ func (s *Supervised) Execute(cpu int, frame []byte) (reply []byte, extNs float64
 	s.Offloaded++
 	return s.conn.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), true
 }
-
-// Serve implements sim.System with the same path costing as KFlex:
-// offloaded requests pay the hook's path, fallbacks the user-space stack.
-func (s *Supervised) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	req, frame := s.fac.Next()
-	_, extNs, offloaded := s.Execute(cpu, frame)
-	return sim.Service{Ns: extNs + s.codec.PathNs(s.cfg.Costs, req.Op == workload.OpSet, offloaded)}
-}
-
-// Name labels the system.
-func (s *Supervised) Name() string { return "KFlex supervised" }
 
 // Supervisor exposes the lifecycle supervisor (state, trace, audits).
 func (s *Supervised) Supervisor() *supervisor.Supervisor { return s.sup }

@@ -11,7 +11,9 @@
 //     under Redis's global hash-table lock vs. the KFlex extension that
 //     combines a member table with a heap-allocated skip list.
 //
-// Requests use a RESP-style wire encoding parsed for real by both sides.
+// Requests use a RESP-style wire encoding. The extension's parse helper
+// reads it for real; the user-space baselines are charged netsim's
+// constants calibrated from the real handler.
 package redis
 
 import (
@@ -19,8 +21,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-	"sync"
-	"time"
 
 	"kflex"
 	"kflex/internal/apps/kvprog"
@@ -28,7 +28,6 @@ import (
 	"kflex/internal/ds"
 	"kflex/internal/kernel"
 	"kflex/internal/netsim"
-	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
 
@@ -168,11 +167,14 @@ var Codec = offload.Codec{
 	Miss:       "$-1\r\n",
 	Stored:     "+OK\r\n",
 	Err:        "-ERR\r\n",
-	PathNs: func(c netsim.PathCosts, set, offloaded bool) float64 {
-		if offloaded {
-			return c.SkSkbTCP()
+	PathNs: func(set, offloaded bool) float64 {
+		switch {
+		case offloaded:
+			return netsim.SkSkbTCP
+		case set:
+			return netsim.UserspaceTCP + netsim.RedisSetNs
 		}
-		return c.UserspaceTCP()
+		return netsim.UserspaceTCP + netsim.RedisGetNs
 	},
 }
 
@@ -183,37 +185,15 @@ type Config = offload.Config
 
 // DefaultConfig mirrors §5.1.
 func DefaultConfig(mix workload.Mix) Config {
-	return Config{Mix: mix, ValueSize: ValueSize, Seed: 11, Costs: netsim.DefaultCosts(), Preload: true}
+	return Config{Mix: mix, ValueSize: ValueSize, Seed: 11, Preload: true}
 }
 
-// KeyDB is the user-space server: the shared sharded store behind RESP.
-type KeyDB struct {
-	*offload.Store
-	cfg   Config
-	fac   *offload.ReqFactory
-	reply []byte
-}
+// KeyDB is the user-space server: every request pays the full TCP stack
+// and the RESP handler's calibrated work (netsim.RedisGetNs, RedisSetNs).
+type KeyDB = offload.UserSpace
 
-// NewKeyDB builds and optionally preloads the baseline.
-func NewKeyDB(cfg Config) *KeyDB {
-	k := &KeyDB{Store: offload.NewStore(), cfg: cfg, fac: Codec.NewReqFactory(cfg)}
-	if cfg.Preload {
-		offload.Preload(k, cfg.ValueSize)
-	}
-	return k
-}
-
-// Serve implements sim.System.
-func (k *KeyDB) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	_, frame := k.fac.Next()
-	t0 := time.Now()
-	k.reply = Codec.Handle(k, frame, k.reply)
-	work := float64(time.Since(t0).Nanoseconds())
-	return sim.Service{Ns: work + k.cfg.Costs.UserspaceTCP()}
-}
-
-// Name labels the system.
-func (k *KeyDB) Name() string { return "User space (KeyDB)" }
+// NewKeyDB builds the baseline.
+func NewKeyDB(cfg Config) *KeyDB { return offload.NewUserSpace(&Codec, cfg) }
 
 // --- KFlex Redis at sk_skb -----------------------------------------------------------
 
@@ -231,58 +211,21 @@ func NewKFlex(cfg Config, servers int) (*offload.KFlex, error) {
 // --- ZADD (Figure 6) -------------------------------------------------------------------
 
 // ZAddUser is the single-threaded user-space ZADD server: Redis holds a
-// global lock on the hash map for every ZADD (§5.2), so one mutex guards
-// the whole sorted set.
-type ZAddUser struct {
-	cfg   Config
-	mu    sync.Mutex
-	zset  *ds.NativeZSet
-	gen   *workload.Generator
-	r     *rand.Rand
-	reply []byte
-}
-
-// NewZAddUser builds the user-space ZADD system.
-func NewZAddUser(cfg Config) *ZAddUser {
-	return &ZAddUser{
-		cfg:  cfg,
-		zset: ds.NewNativeZSet(),
-		gen:  workload.NewGenerator(cfg.Seed, workload.Mix{GetPct: 0}),
-		r:    rand.New(rand.NewSource(cfg.Seed + 1)),
-	}
-}
+// global lock on the hash map for every ZADD (§5.2), so one thread serves
+// them all. Each pays the full TCP stack and netsim.ZAddNs, the calibrated
+// parse and insert; nothing reads the sorted set, so none is kept.
+type ZAddUser struct{}
 
 // Serve implements sim.System.
-func (z *ZAddUser) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	req := z.gen.Next()
-	score := z.r.Uint64() % (1 << 16)
-	frame := EncodeCommand([]byte("ZADD"), []byte("zset"),
-		[]byte(strconv.FormatUint(score, 10)), workload.FormatKey(req.Key, KeySize))
-	t0 := time.Now()
-	if _, err := ParseCommand(frame); err != nil {
-		// Internal invariant: the frame was built by EncodeCommand two
-		// lines up; a parse failure is a codec bug, not runtime input.
-		panic(err)
-	}
-	z.mu.Lock()
-	z.zset.ZAdd(req.Key, score)
-	z.mu.Unlock()
-	work := float64(time.Since(t0).Nanoseconds())
-	return sim.Service{Ns: work + z.cfg.Costs.UserspaceTCP()}
-}
-
-// Name labels the system.
-func (z *ZAddUser) Name() string { return "Redis (user space)" }
+func (ZAddUser) Serve(cpu int, now float64) float64 { return netsim.UserspaceTCP + netsim.ZAddNs }
 
 // ZAddKFlex is the offloaded ZADD of §5.2.
 type ZAddKFlex struct {
-	cfg  Config
-	off  *ds.Offloaded
-	gen  *workload.Generator
-	r    *rand.Rand
-	zset *ds.NativeZSet // user-space fallback store
-	// Errors counts ZADDs the extension failed to serve; they are
-	// applied to the user-space zset and charged that path instead.
+	off *ds.Offloaded
+	gen *workload.Generator
+	r   *rand.Rand
+	// Errors counts ZADDs the extension failed to serve; they are charged
+	// the user-space path instead.
 	Errors uint64
 }
 
@@ -297,32 +240,23 @@ func NewZAddKFlex(cfg Config) (*ZAddKFlex, error) {
 		return nil, err
 	}
 	return &ZAddKFlex{
-		cfg:  cfg,
-		off:  off,
-		gen:  workload.NewGenerator(cfg.Seed, workload.Mix{GetPct: 0}),
-		r:    rand.New(rand.NewSource(cfg.Seed + 1)),
-		zset: ds.NewNativeZSet(),
+		off: off,
+		gen: workload.NewGenerator(cfg.Seed, workload.Mix{GetPct: 0}),
+		r:   rand.New(rand.NewSource(cfg.Seed + 1)),
 	}, nil
 }
 
 // Serve implements sim.System: ZADDs run over TCP at sk_skb, like the rest
-// of KFlex-Redis. A failed extension invocation applies the ZADD to the
-// user-space sorted set instead and pays that path's cost.
-func (z *ZAddKFlex) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
+// of KFlex-Redis.
+func (z *ZAddKFlex) Serve(cpu int, now float64) float64 {
 	req := z.gen.Next()
-	score := z.r.Uint64() % (1 << 16)
-	res, err := z.off.Op(ds.OpUpdate, req.Key, score)
+	res, err := z.off.Op(ds.OpUpdate, req.Key, z.r.Uint64()%(1<<16))
 	if err != nil {
 		z.Errors++
-		z.zset.ZAdd(req.Key, score)
-		return sim.Service{Ns: z.cfg.Costs.UserspaceTCP()}
+		return ZAddUser{}.Serve(cpu, now)
 	}
-	extNs := netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls)
-	return sim.Service{Ns: extNs + z.cfg.Costs.SkSkbTCP()}
+	return netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls) + netsim.SkSkbTCP
 }
-
-// Name labels the system.
-func (z *ZAddKFlex) Name() string { return "KFlex ZADD" }
 
 // Close releases the extension.
 func (z *ZAddKFlex) Close() { z.off.Close() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"kflex/internal/apps/offload"
 	"kflex/internal/ds"
 	"kflex/internal/sim"
 	"kflex/internal/workload"
@@ -27,9 +28,7 @@ func TestRESPRoundTrip(t *testing.T) {
 }
 
 func TestKeyDBHandle(t *testing.T) {
-	cfg := DefaultConfig(workload.Mix50)
-	cfg.Preload = false
-	k := NewKeyDB(cfg)
+	k := offload.NewStore()
 	key := workload.FormatKey(3, KeySize)
 	val := workload.FormatValue(3, ValueSize)
 	reply := Codec.Handle(k, EncodeCommand([]byte("GET"), key), nil)
@@ -128,9 +127,8 @@ func TestFig6Shape(t *testing.T) {
 	simCfg.DurationNs = 2e8
 	simCfg.Clients = 64
 	simCfg.Servers = 1 // §5.2: a single thread (global ZADD lock)
-	cfg := DefaultConfig(workload.Mix50)
-	user := NewZAddUser(cfg)
-	kf, err := NewZAddKFlex(cfg)
+	var user ZAddUser
+	kf, err := NewZAddKFlex(DefaultConfig(workload.Mix50))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment prints the same rows/series the paper
 // reports; EXPERIMENTS.md records paper-reported vs. measured values.
-// Absolute numbers come from a simulated testbed (see DESIGN.md); the
-// shapes — who wins, by what factor, where the gaps open — are the
-// reproduced result.
+// Absolute numbers come from a simulated testbed priced in model time (see
+// DESIGN.md); every experiment but Figure 5 is a pure function of seeds and
+// counted work. The shapes — who wins, by what factor, where the gaps
+// open — are the reproduced result.
 package bench
 
 import (
@@ -111,6 +112,32 @@ func Tab1(o Options) error {
 	return nil
 }
 
+// simConfig is §5's testbed at the options' scale with the given number of
+// server threads.
+func (o Options) simConfig(servers int) sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Servers = servers
+	cfg.DurationNs = o.duration()
+	cfg.Clients = o.clients()
+	return cfg
+}
+
+// namedSystem is one row of a model-time figure.
+type namedSystem struct {
+	name string
+	sys  sim.System
+}
+
+// runRows simulates each system under cfg and prints its row: prefix (the
+// mix column, or nothing), the name padded to width, Mops/s and p99 (µs).
+func runRows(o Options, cfg sim.Config, prefix string, width int, systems ...namedSystem) {
+	for _, s := range systems {
+		r := sim.Run(cfg, s.sys)
+		fmt.Fprintf(o.Out, "%s%-*s %14.3f %14.1f\n",
+			prefix, width, s.name, r.Throughput/1e6, float64(r.Latency.Quantile(0.99))/1e3)
+	}
+}
+
 // Fig23 reproduces Figures 2 and 3: Memcached throughput and p99 for three
 // GET:SET mixes across user space, BMC, and KFlex, at the given thread
 // count.
@@ -118,14 +145,10 @@ func Fig23(o Options, servers int) error {
 	fmt.Fprintf(o.Out, "Figure %d: Memcached (%d threads), 32B keys/values, Zipf 0.99\n",
 		map[int]int{8: 2, 16: 3}[servers], servers)
 	fmt.Fprintf(o.Out, "%-8s %-14s %14s %14s\n", "GETS:SETS", "system", "Mops/s", "p99 (µs)")
-	simCfg := sim.DefaultConfig()
-	simCfg.Servers = servers
-	simCfg.DurationNs = o.duration()
-	simCfg.Clients = o.clients()
+	simCfg := o.simConfig(servers)
 	for _, mix := range workload.Mixes {
 		cfg := memcached.DefaultConfig(mix)
 		cfg.ValueSize = memcached.ValueSizeBMC // BMC caps values at key size
-		user := memcached.NewUserSpace(cfg)
 		bmc, err := memcached.NewBMC(cfg, servers)
 		if err != nil {
 			return err
@@ -135,14 +158,8 @@ func Fig23(o Options, servers int) error {
 			bmc.Close()
 			return err
 		}
-		for _, s := range []struct {
-			name string
-			sys  sim.System
-		}{{"User space", user}, {"BMC", bmc}, {"KFlex", kf}} {
-			r := sim.Run(simCfg, s.sys)
-			fmt.Fprintf(o.Out, "%-8s %-14s %14.3f %14.1f\n",
-				mix, s.name, r.Throughput/1e6, float64(r.Latency.Quantile(0.99))/1e3)
-		}
+		runRows(o, simCfg, fmt.Sprintf("%-8s ", mix), 14,
+			namedSystem{"User space", memcached.NewUserSpace(cfg)}, namedSystem{"BMC", bmc}, namedSystem{"KFlex", kf})
 		bmc.Close()
 		kf.Close()
 	}
@@ -153,24 +170,15 @@ func Fig23(o Options, servers int) error {
 func Fig4(o Options) error {
 	fmt.Fprintln(o.Out, "Figure 4: Redis, 32B keys / 64B values, Zipf 0.99, 8 threads")
 	fmt.Fprintf(o.Out, "%-8s %-20s %14s %14s\n", "GETS:SETS", "system", "Mops/s", "p99 (µs)")
-	simCfg := sim.DefaultConfig()
-	simCfg.DurationNs = o.duration()
-	simCfg.Clients = o.clients()
+	simCfg := o.simConfig(8)
 	for _, mix := range workload.Mixes {
 		cfg := redis.DefaultConfig(mix)
-		user := redis.NewKeyDB(cfg)
 		kf, err := redis.NewKFlex(cfg, simCfg.Servers)
 		if err != nil {
 			return err
 		}
-		for _, s := range []struct {
-			name string
-			sys  sim.System
-		}{{"User space (KeyDB)", user}, {"KFlex", kf}} {
-			r := sim.Run(simCfg, s.sys)
-			fmt.Fprintf(o.Out, "%-8s %-20s %14.3f %14.1f\n",
-				mix, s.name, r.Throughput/1e6, float64(r.Latency.Quantile(0.99))/1e3)
-		}
+		runRows(o, simCfg, fmt.Sprintf("%-8s ", mix), 20,
+			namedSystem{"User space (KeyDB)", redis.NewKeyDB(cfg)}, namedSystem{"KFlex", kf})
 		kf.Close()
 	}
 	return nil
@@ -183,10 +191,12 @@ var dsOpNames = []string{"update", "lookup", "delete"}
 // five data structures and two sketches under KMod (native), KFlex-PM, and
 // KFlex. Two latency estimates are printed: measured wall clock (this
 // repository's engine is an interpreter) and the JIT cost model used for
-// end-to-end figures (see netsim).
+// end-to-end figures (see netsim). KMod's model column is its wall clock,
+// so Figure 5 is the one experiment whose output varies between runs.
 func Fig5(o Options) error {
 	elems := o.dsElems()
 	ops := o.dsOps()
+	fmt.Fprintln(o.Out, "Measured (wall clock): this experiment alone times Go code, so it varies run to run")
 	fmt.Fprintf(o.Out, "Figure 5: data-structure offloads, %d elements, single thread\n", elems)
 	fmt.Fprintf(o.Out, "%-12s %-8s %-10s %14s %16s\n",
 		"structure", "op", "system", "wall ns/op", "modeled ns/op")
@@ -285,25 +295,14 @@ func runFig5Cell(kind ds.Kind, system string, n uint64, ops int) (map[string]fig
 func Fig6(o Options) error {
 	fmt.Fprintln(o.Out, "Figure 6: Redis ZADD (hashmap + skiplist), 1 server thread")
 	fmt.Fprintf(o.Out, "%-20s %14s %14s\n", "system", "Mops/s", "p99 (µs)")
-	simCfg := sim.DefaultConfig()
-	simCfg.Servers = 1
+	simCfg := o.simConfig(1)
 	simCfg.Clients = 64
-	simCfg.DurationNs = o.duration()
-	cfg := redis.DefaultConfig(workload.Mix50)
-	user := redis.NewZAddUser(cfg)
-	kf, err := redis.NewZAddKFlex(cfg)
+	kf, err := redis.NewZAddKFlex(redis.DefaultConfig(workload.Mix50))
 	if err != nil {
 		return err
 	}
 	defer kf.Close()
-	for _, s := range []struct {
-		name string
-		sys  sim.System
-	}{{"Redis (user space)", user}, {"KFlex", kf}} {
-		r := sim.Run(simCfg, s.sys)
-		fmt.Fprintf(o.Out, "%-20s %14.3f %14.1f\n",
-			s.name, r.Throughput/1e6, float64(r.Latency.Quantile(0.99))/1e3)
-	}
+	runRows(o, simCfg, "", 20, namedSystem{"Redis (user space)", redis.ZAddUser{}}, namedSystem{"KFlex", kf})
 	return nil
 }
 
@@ -312,24 +311,15 @@ func Fig6(o Options) error {
 func Fig7(o Options) error {
 	fmt.Fprintln(o.Out, "Figure 7: co-designed Memcached (user-space GC thread, shared heap)")
 	fmt.Fprintf(o.Out, "%-8s %-20s %14s %14s\n", "GETS:SETS", "system", "Mops/s", "p99 (µs)")
-	simCfg := sim.DefaultConfig()
-	simCfg.DurationNs = o.duration()
-	simCfg.Clients = o.clients()
+	simCfg := o.simConfig(8)
 	for _, mix := range workload.Mixes {
 		cfg := memcached.DefaultConfig(mix)
-		user := memcached.NewUserSpace(cfg)
 		cd, err := memcached.NewCoDesign(cfg, simCfg.Servers)
 		if err != nil {
 			return err
 		}
-		for _, s := range []struct {
-			name string
-			sys  sim.System
-		}{{"User space", user}, {"KFlex co-designed", cd}} {
-			r := sim.Run(simCfg, s.sys)
-			fmt.Fprintf(o.Out, "%-8s %-20s %14.3f %14.1f\n",
-				mix, s.name, r.Throughput/1e6, float64(r.Latency.Quantile(0.99))/1e3)
-		}
+		runRows(o, simCfg, fmt.Sprintf("%-8s ", mix), 20,
+			namedSystem{"User space", memcached.NewUserSpace(cfg)}, namedSystem{"KFlex co-designed", cd})
 		cd.Close()
 	}
 	return nil

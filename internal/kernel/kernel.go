@@ -439,7 +439,7 @@ type Kernel struct {
 
 	mu    sync.RWMutex
 	maps  map[int32]Map
-	clock func() uint64
+	ticks atomic.Uint64
 }
 
 // New returns a kernel with the base helper set registered.
@@ -448,26 +448,13 @@ func New() *Kernel {
 		Helpers: NewRegistry(),
 		maps:    make(map[int32]Map),
 	}
-	var tick atomic.Uint64
-	k.clock = func() uint64 { return tick.Add(1) }
 	registerBaseHelpers(k)
 	return k
 }
 
-// SetClock replaces the ktime source (simulated time in benchmarks).
-func (k *Kernel) SetClock(fn func() uint64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.clock = fn
-}
-
-// Now returns the current kernel time in nanoseconds.
-func (k *Kernel) Now() uint64 {
-	k.mu.RLock()
-	fn := k.clock
-	k.mu.RUnlock()
-	return fn()
-}
+// Now returns the kernel time: a tick counter that advances by one per
+// read, so bpf_ktime_get_ns is monotonic and never reads the wall clock.
+func (k *Kernel) Now() uint64 { return k.ticks.Add(1) }
 
 // AddMap registers a map under id.
 func (k *Kernel) AddMap(id int32, m Map) error {

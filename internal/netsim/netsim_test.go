@@ -7,22 +7,21 @@ import (
 )
 
 func TestPathCompositionOrdering(t *testing.T) {
-	c := DefaultCosts()
 	// The paper's structural claims: XDP handling skips the stack and
 	// the wakeup; sk_skb still pays the TCP stack; the TCP fast path at
 	// XDP is cheaper than the full stack.
-	if !(c.XDPUDP() < c.XDPTCPFast() && c.XDPTCPFast() < c.SkSkbTCP()) {
+	if !(XDPUDP < XDPTCPFast && XDPTCPFast < SkSkbTCP) {
 		t.Fatal("XDP paths not ordered")
 	}
-	if !(c.SkSkbTCP() < c.UserspaceTCP()) {
+	if !(SkSkbTCP < UserspaceTCP) {
 		t.Fatal("sk_skb must beat the user-space TCP path")
 	}
-	if !(c.UserspaceUDP() < c.UserspaceTCP()) {
+	if !(UserspaceUDP < UserspaceTCP) {
 		t.Fatal("UDP must be cheaper than TCP")
 	}
 	// KFlex's Memcached margin over user space lands in the paper's
 	// 2.3–3× band for pure path costs.
-	ratio := c.UserspaceUDP() / c.XDPUDP()
+	ratio := float64(UserspaceUDP) / XDPUDP
 	if ratio < 2 || ratio > 4 {
 		t.Fatalf("UDP path ratio %.2f outside plausible band", ratio)
 	}

@@ -2,9 +2,11 @@
 // simulation of the paper's RFC 2544 testbed (§5) — a closed-loop load
 // generator with a fixed client population driving a multi-threaded server
 // over a network with a constant round-trip time. Each request's service
-// time comes from actually executing the system under test (the extension
-// bytecode or the user-space baseline); the simulator contributes queueing
-// and the network/kernel path costs the systems differ in.
+// time is the system under test's modelled cost (internal/netsim): the
+// kernel path stages it pays plus its counted work — the extension's
+// executed instructions and helper calls, or a user-space handler's
+// calibrated constant. The simulator contributes queueing; a run is a pure
+// function of its seeds.
 //
 // Closed-loop semantics: every client keeps exactly one request
 // outstanding, reissuing as soon as the response arrives, exactly like the
@@ -19,19 +21,11 @@ import (
 	"kflex/internal/hist"
 )
 
-// Service describes one request's execution as reported by the system under
-// test.
-type Service struct {
-	// Ns is the service time in nanoseconds.
-	Ns float64
-}
-
 // System is the server-side system under test. Serve is invoked once per
-// request on the given server thread ("CPU") at simulated time now (ns);
-// implementations execute the real request-processing code and return its
-// cost.
+// request on the given server thread ("CPU") at simulated time now (ns)
+// and returns the request's service time in nanoseconds.
 type System interface {
-	Serve(cpu int, now float64, seq uint64, rng *rand.Rand) Service
+	Serve(cpu int, now float64) float64
 }
 
 // Config parameterizes one run.
@@ -142,13 +136,11 @@ func Run(cfg Config, sys System) Result {
 	}
 	var queue []pending
 	var qHead int
-	var seq, ops uint64
+	var ops uint64
 
 	startService := func(now float64, cpu int, p pending) {
-		svc := sys.Serve(cpu, now, seq, rng)
-		seq++
 		heap.Push(&ev, event{
-			t: now + svc.Ns, kind: evDeparture,
+			t: now + sys.Serve(cpu, now), kind: evDeparture,
 			client: p.client, cpu: cpu, issued: p.issued,
 		})
 	}

@@ -2,16 +2,13 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
 // fixedService returns a constant service time.
 type fixedService struct{ ns float64 }
 
-func (f fixedService) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) Service {
-	return Service{Ns: f.ns}
-}
+func (f fixedService) Serve(cpu int, now float64) float64 { return f.ns }
 
 func TestClosedLoopThroughputBounds(t *testing.T) {
 	// With service S, servers c, clients N, RTT R:
