@@ -56,6 +56,15 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestFig6Quick names the two systems Figure 6 compares; the golden below
+// pins their numbers.
+func TestFig6Quick(t *testing.T) {
+	out := runExperiment(t, "fig6")
+	if !strings.Contains(out, "KFlex") || !strings.Contains(out, "Redis (user space)") {
+		t.Fatalf("fig6 output:\n%s", out)
+	}
+}
+
 // TestModelExperimentsGolden pins the model-time experiments whose output is
 // counts only — Table 3's per-operation guard attribution (read from each
 // program's label table), the four ablations — and Figure 6, whose two
