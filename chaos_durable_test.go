@@ -3,8 +3,9 @@
 // injects deterministic faults (short writes, failed fsyncs, torn tails).
 // The suite crashes the device, reopens it, and checks crash consistency
 // — the recovered store is exactly a prefix of the acknowledged write
-// history — plus the O(delta) warm-resync contract and determinism of the
-// whole recovery under a fixed seed.
+// history, and a fresh deployment on it serves that prefix — plus the
+// O(delta) warm-resync contract and determinism of the whole recovery
+// under a fixed seed.
 package kflex_test
 
 import (
@@ -59,11 +60,16 @@ type durableRun struct {
 	stats     supervisor.Stats
 	offloaded uint64
 	fallbacks uint64
+	// The same counters for the deployment stood up on the recovered
+	// store.
+	stats2                 supervisor.Stats
+	offloaded2, fallbacks2 uint64
 }
 
 // runDurableScenario drives the supervised deployment over an adversarial
 // device through a full degrade/quarantine/reload cycle, then crashes the
-// device and reopens it, checking the oracle-prefix invariant at the end.
+// device and reopens it, checks the oracle-prefix invariant, and serves
+// the recovered store from a new deployment.
 func runDurableScenario(t *testing.T, seed int64) durableRun {
 	t.Helper()
 	storePlan := faultinject.NewPlan(seed).
@@ -162,7 +168,7 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 
 	// Crash the device: everything unsynced is gone. Reopen and check the
 	// recovered store is exactly a prefix of the acknowledged history.
-	liveHash, liveSeq := st.Hash(), st.Seq()
+	liveSeq := st.Seq()
 	dir.Crash()
 	st.Close()
 	re, info, err := durable.Open(dir, durable.Options{SyncEvery: 2, SegmentBytes: 8 << 10})
@@ -178,15 +184,44 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 	if liveSeq != uint64(len(oracle.keys)) {
 		t.Fatalf("live store seq %d, acknowledged %d mutations", liveSeq, len(oracle.keys))
 	}
-	_ = liveHash
+
+	// Stand a fresh supervised deployment up on the recovered store: it
+	// serves the recovered prefix and takes new writes durably.
+	cfg2 := cfg
+	cfg2.FaultPlan = nil
+	cfg2.Durable = re
+	mc2, err := memcached.NewSupervised(cfg2, 1, supervisor.Tuning{JitterSeed: seed + 3, Now: clk.Now})
+	if err != nil {
+		t.Fatalf("deployment on the recovered store: %v", err)
+	}
+	defer mc2.Close()
+	for i := 0; i < keys; i++ {
+		want := re.Get(keyOf(i))
+		if want == nil {
+			continue // the key's SETs were past the recovered prefix
+		}
+		reply, _, _ := mc2.Execute(0, memcached.EncodeGet(keyOf(i)))
+		if len(reply) < 1 || reply[0] != 'V' || !bytes.Equal(reply[1:], want) {
+			t.Fatalf("recovered GET %d: %q, want V%q", i, reply, want)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		reply, _, _ := mc2.Execute(0, memcached.EncodeSet(keyOf(i), valOf(i, 2)))
+		if len(reply) != 1 || reply[0] != 'S' {
+			t.Fatalf("SET %d on the recovered store: %q", i, reply)
+		}
+	}
 
 	return durableRun{
-		hash:      re.Hash(),
-		seq:       re.Seq(),
-		info:      info,
-		stats:     sup.Stats(),
-		offloaded: mc.Offloaded,
-		fallbacks: mc.Fallbacks,
+		hash:       re.Hash(),
+		seq:        re.Seq(),
+		info:       info,
+		stats:      sup.Stats(),
+		offloaded:  mc.Offloaded,
+		fallbacks:  mc.Fallbacks,
+		stats2:     mc2.Supervisor().Stats(),
+		offloaded2: mc2.Offloaded,
+		fallbacks2: mc2.Fallbacks,
 	}
 }
 
@@ -194,6 +229,11 @@ func TestChaosDurableSupervisedCrashRecovery(t *testing.T) {
 	run := runDurableScenario(t, 808)
 	if run.stats.Reloads != 1 {
 		t.Fatalf("reloads = %d, want 1", run.stats.Reloads)
+	}
+	// The deployment on the recovered store loaded it whole, cold, and
+	// served every request on the extension.
+	if init := run.stats2.LastInit; !init.FullResync || init.ResyncOps != run.info.Keys || run.fallbacks2 != 0 {
+		t.Fatalf("recovered deployment: init %+v over %d keys, %d fallbacks", init, run.info.Keys, run.fallbacks2)
 	}
 }
 
@@ -214,6 +254,13 @@ func TestChaosDurableDeterminism(t *testing.T) {
 	if a.offloaded != b.offloaded || a.fallbacks != b.fallbacks {
 		t.Fatalf("outcomes diverged: offloaded %d/%d fallbacks %d/%d",
 			a.offloaded, b.offloaded, a.fallbacks, b.fallbacks)
+	}
+	if a.stats2 != b.stats2 {
+		t.Fatalf("recovered deployment's stats diverged:\n%+v\n%+v", a.stats2, b.stats2)
+	}
+	if a.offloaded2 != b.offloaded2 || a.fallbacks2 != b.fallbacks2 {
+		t.Fatalf("recovered deployment's outcomes diverged: offloaded %d/%d fallbacks %d/%d",
+			a.offloaded2, b.offloaded2, a.fallbacks2, b.fallbacks2)
 	}
 }
 

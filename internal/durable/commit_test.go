@@ -3,132 +3,10 @@ package durable
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"kflex/internal/faultinject"
 )
-
-// tailModel is the tail the ring replaced: append a copy, trim from the
-// front past the bound. RecordsSince must be indistinguishable from it.
-type tailModel struct {
-	recs  [][]byte
-	start uint64 // sequence of recs[0]; seq+1 when empty
-	seq   uint64
-	bound int
-	// evicted counts records trimmed: bound of them is one lap of the ring.
-	evicted int
-}
-
-func (m *tailModel) push(enc []byte) {
-	m.seq++
-	m.recs = append(m.recs, append([]byte(nil), enc...))
-	if over := len(m.recs) - m.bound; over > 0 {
-		m.recs = m.recs[over:]
-		m.start += uint64(over)
-		m.evicted += over
-	}
-}
-
-func (m *tailModel) reset(seq uint64) {
-	m.recs, m.start, m.seq = nil, seq+1, seq
-}
-
-func (m *tailModel) since(from uint64) ([][]byte, bool) {
-	if from >= m.seq {
-		return nil, true
-	}
-	if len(m.recs) == 0 || from+1 < m.start {
-		return nil, false
-	}
-	return m.recs[from+1-m.start:], true
-}
-
-// checkTail compares RecordsSince with the model at every position, and
-// checks that what RecordsSince hands out is the caller's to scribble on.
-func checkTail(t *testing.T, step int, s *Store, m *tailModel) {
-	t.Helper()
-	if s.Seq() != m.seq {
-		t.Fatalf("step %d: seq %d, model %d", step, s.Seq(), m.seq)
-	}
-	for from := uint64(0); from <= m.seq+2; from++ {
-		want, wantOK := m.since(from)
-		for pass := 0; pass < 2; pass++ {
-			got, ok := s.RecordsSince(from)
-			if ok != wantOK || len(got) != len(want) {
-				t.Fatalf("step %d pass %d: RecordsSince(%d) ok=%v n=%d, model ok=%v n=%d",
-					step, pass, from, ok, len(got), wantOK, len(want))
-			}
-			for i := range got {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("step %d pass %d: RecordsSince(%d)[%d] differs from the model", step, pass, from, i)
-				}
-				// Scribble: if this aliased a ring slot, pass 1 (and
-				// every later step) would read the damage back.
-				for j := range got[i] {
-					got[i][j] = 0xAA
-				}
-			}
-		}
-	}
-}
-
-func TestRingTailMatchesModel(t *testing.T) {
-	for _, bound := range []int{1, 2, 16} {
-		t.Run(fmt.Sprintf("TailRecords=%d", bound), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000 + bound)))
-			dir := NewMemDir(nil)
-			s, _ := mustOpen(t, dir, Options{TailRecords: bound, SegmentBytes: 2048})
-			m := &tailModel{bound: bound, start: 1}
-			src := newStore(t)
-			for step := 0; step < 40+8*bound; step++ {
-				k := key(rng.Intn(12))
-				// Values of varying length, so a reused slot both grows
-				// and shrinks.
-				v := bytes.Repeat([]byte{byte('a' + step%26)}, rng.Intn(90))
-				switch op := rng.Intn(20); {
-				case op < 10:
-					m.push(EncodeRecord(nil, Record{Seq: m.seq + 1, Op: OpSet, Key: k, Value: v}))
-					s.Set(k, v)
-				case op < 14:
-					m.push(EncodeRecord(nil, Record{Seq: m.seq + 1, Op: OpDelete, Key: k}))
-					s.Delete(k)
-				case op < 19:
-					enc := EncodeRecord(nil, Record{Seq: m.seq + 1, Op: OpSet, Key: k, Value: v})
-					m.push(enc)
-					if err := s.ApplyReplicated(enc); err != nil {
-						t.Fatalf("step %d: ApplyReplicated: %v", step, err)
-					}
-					// The store must have taken its own copy.
-					for j := range enc {
-						enc[j] = 0x55
-					}
-				default:
-					// A primary is ahead of its follower, never behind.
-					for i := 0; src.Seq() < s.Seq()+3; i++ {
-						src.Set(key(100+i%5), v)
-					}
-					if err := s.CopyFrom(src); err != nil {
-						t.Fatalf("step %d: CopyFrom: %v", step, err)
-					}
-					m.reset(src.Seq())
-				}
-				checkTail(t, step, s, m)
-			}
-			if m.evicted < 3*bound {
-				t.Fatalf("op stream wrapped the ring only %d times", m.evicted/bound)
-			}
-			// The WAL was appended from the ring slots: what recovery
-			// replays must be what the store held.
-			want := s.Hash()
-			s.Close()
-			s2, _ := mustOpen(t, dir, Options{})
-			if s2.Hash() != want {
-				t.Fatal("recovered store differs: the log did not get the bytes the ring slots held")
-			}
-		})
-	}
-}
 
 // TestRollKeepsSegmentUntilSynced is the regression test for a roll that
 // closed a segment whose fsync had failed: the unsynced tail it left
@@ -207,16 +85,6 @@ func benchStore(tb testing.TB) *Store {
 	return s
 }
 
-// fullTailStore returns a benchStore whose tail holds TailRecords
-// records, the steady state of a long-running server.
-func fullTailStore(tb testing.TB, keys [][]byte, val []byte) *Store {
-	s := benchStore(tb)
-	for i := 0; i < s.opts.TailRecords+len(keys); i++ {
-		s.Set(keys[i%len(keys)], val)
-	}
-	return s
-}
-
 func benchKeys() ([][]byte, []byte) {
 	keys := make([][]byte, 1024)
 	for i := range keys {
@@ -225,43 +93,36 @@ func benchKeys() ([][]byte, []byte) {
 	return keys, bytes.Repeat([]byte{'v'}, 64)
 }
 
-// TestSetAllocsTailFull is the deterministic guard that per-SET work does
-// not scale with TailRecords: with the tail full, an overwrite allocates
-// the stored value copy and the map key, nothing for the tail or the log.
-func TestSetAllocsTailFull(t *testing.T) {
+// TestSetAllocs is the deterministic guard on per-SET work: once the
+// keys exist, a Set allocates the stored value copy and the map key,
+// nothing for encoding the record or for the log.
+func TestSetAllocs(t *testing.T) {
 	keys, val := benchKeys()
-	s := fullTailStore(t, keys, val)
+	s := benchStore(t)
+	for _, k := range keys {
+		s.Set(k, val)
+	}
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
 		s.Set(keys[i%len(keys)], val)
 		i++
 	})
 	if allocs > 2 {
-		t.Fatalf("steady-state Set with a full tail: %.0f allocs, want <= 2", allocs)
+		t.Fatalf("Set on a store that holds its key: %.0f allocs, want <= 2", allocs)
 	}
 }
 
 func BenchmarkStoreSet(b *testing.B) {
 	keys, val := benchKeys()
-	b.Run("tail=empty", func(b *testing.B) {
-		b.ReportAllocs()
-		var s *Store
-		for i := 0; i < b.N; i++ {
-			// A fresh store every half tail, so the tail never fills.
-			if i%4096 == 0 {
-				b.StopTimer()
-				s = benchStore(b)
-				b.StartTimer()
-			}
-			s.Set(keys[i%len(keys)], val)
+	b.ReportAllocs()
+	var s *Store
+	for i := 0; i < b.N; i++ {
+		// A fresh store every 4096 SETs bounds the in-memory device.
+		if i%4096 == 0 {
+			b.StopTimer()
+			s = benchStore(b)
+			b.StartTimer()
 		}
-	})
-	b.Run("tail=full", func(b *testing.B) {
-		s := fullTailStore(b, keys, val)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Set(keys[i%len(keys)], val)
-		}
-	})
+		s.Set(keys[i%len(keys)], val)
+	}
 }

@@ -615,68 +615,6 @@ func TestAutoSnapshotEvery(t *testing.T) {
 	}
 }
 
-func TestRecordsSinceAndTailPruning(t *testing.T) {
-	dir := NewMemDir(nil)
-	s, _ := mustOpen(t, dir, Options{TailRecords: 16})
-	for i := 0; i < 10; i++ {
-		s.Set(key(i), value(i))
-	}
-	recs, ok := s.RecordsSince(4)
-	if !ok || len(recs) != 6 {
-		t.Fatalf("RecordsSince(4): ok=%v n=%d, want 6 records", ok, len(recs))
-	}
-	r, _, err := DecodeRecord(recs[0])
-	if err != nil || r.Seq != 5 {
-		t.Fatalf("first shipped record: seq=%d err=%v, want 5", r.Seq, err)
-	}
-	if _, ok := s.RecordsSince(10); !ok {
-		t.Fatal("caught-up consumer reported as pruned")
-	}
-	for i := 10; i < 40; i++ {
-		s.Set(key(i), value(i))
-	}
-	if _, ok := s.RecordsSince(4); ok {
-		t.Fatal("pruned position still served from tail")
-	}
-	if _, ok := s.RecordsSince(30); !ok {
-		t.Fatal("in-tail position refused")
-	}
-}
-
-func TestApplyReplicated(t *testing.T) {
-	primary := newStore(t)
-	follower := newStore(t)
-	for i := 0; i < 20; i++ {
-		primary.Set(key(i), value(i))
-	}
-	recs, ok := primary.RecordsSince(0)
-	if !ok {
-		t.Fatal("primary tail pruned")
-	}
-	for _, enc := range recs {
-		if err := follower.ApplyReplicated(enc); err != nil {
-			t.Fatalf("ApplyReplicated: %v", err)
-		}
-	}
-	if follower.Hash() != primary.Hash() {
-		t.Fatal("follower diverged from primary after full replay")
-	}
-	// Gap detection: skipping a record must be rejected.
-	primary.Set(key(20), value(20))
-	primary.Set(key(21), value(21))
-	recs, _ = primary.RecordsSince(21)
-	if err := follower.ApplyReplicated(recs[0]); err == nil {
-		t.Fatal("replication gap accepted")
-	}
-	// Corrupt frame: must be rejected by CRC, never applied.
-	recs, _ = primary.RecordsSince(20)
-	bad := append([]byte(nil), recs[0]...)
-	bad[len(bad)-1] ^= 0xff
-	if err := follower.ApplyReplicated(bad); err == nil {
-		t.Fatal("corrupt replicated record accepted")
-	}
-}
-
 func TestChaosRecoveryDeterminism(t *testing.T) {
 	// Same seed, same operation sequence → bit-identical recovered store
 	// and identical fault traces.

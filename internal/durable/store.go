@@ -20,11 +20,6 @@ type Options struct {
 	// SnapshotEvery writes a snapshot (and compacts the log) every n
 	// appends; 0 leaves snapshotting to explicit Snapshot calls.
 	SnapshotEvery int
-	// TailRecords bounds the in-memory tail of recent encoded records
-	// kept for incremental resync and replication (default 8192). A
-	// consumer further behind than the tail must fall back to a full
-	// copy.
-	TailRecords int
 }
 
 func (o *Options) defaults() {
@@ -33,9 +28,6 @@ func (o *Options) defaults() {
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 1
-	}
-	if o.TailRecords <= 0 {
-		o.TailRecords = 8192
 	}
 }
 
@@ -97,16 +89,10 @@ type Store struct {
 	dir Dir
 	log *wal
 
-	// tail is a ring of the most recent encoded records for RecordsSince —
-	// the replication feed. It grows one slot at a
-	// time to opts.TailRecords and then wraps: tailHead indexes the oldest
-	// record, whose sequence is tailStart, and a new record overwrites it
-	// in place, reusing the slot's buffer. A slot is also where a record
-	// is encoded and what the WAL appends from, so a mutation is encoded
-	// once and copied once (into the device).
-	tail      [][]byte
-	tailHead  int
-	tailStart uint64
+	// enc is the buffer every mutation is encoded into and the WAL appends
+	// from, reused under mu (the device copies what it is handed), so a
+	// mutation is encoded once and copied once.
+	enc []byte
 
 	// logBroken is set when an append failed: the lost record leaves a
 	// sequence gap, so later appends would be unreachable at replay. The
@@ -168,7 +154,6 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 		return nil, info, err
 	}
 	s.log = log
-	s.tailStart = s.seq + 1
 	return s, info, nil
 }
 
@@ -187,11 +172,10 @@ func (s *Store) mutate(op byte, key, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := Record{Seq: s.seq + 1, Op: op, Key: key, Value: value}
-	slot := s.nextSlot()
-	*slot = EncodeRecord((*slot)[:0], rec)
+	s.enc = EncodeRecord(s.enc[:0], rec)
 	s.seq = rec.Seq
 	s.apply(rec)
-	s.logRecord(*slot, rec.Seq)
+	s.logRecord(s.enc, rec.Seq)
 	if s.opts.SnapshotEvery > 0 {
 		s.sinceSnap++
 		if s.sinceSnap >= uint64(s.opts.SnapshotEvery) {
@@ -236,27 +220,6 @@ func (s *Store) logRecord(enc []byte, seq uint64) {
 		}
 		s.sinceSync = 0
 	}
-}
-
-// nextSlot makes room in the tail ring for the record with sequence
-// seq+1 and returns the slot to encode it into. Until the ring holds
-// TailRecords records it grows by one slot; from then on the oldest
-// record's slot is handed out again, stale bytes and all (the caller
-// overwrites from [:0]), so the steady state allocates nothing. An empty
-// tail always has tailStart == seq+1, which is what makes the first
-// record land at tailStart.
-func (s *Store) nextSlot() *[]byte {
-	if len(s.tail) < s.opts.TailRecords {
-		s.tail = append(s.tail, nil)
-		return &s.tail[len(s.tail)-1]
-	}
-	slot := &s.tail[s.tailHead]
-	s.tailHead++
-	if s.tailHead == len(s.tail) {
-		s.tailHead = 0
-	}
-	s.tailStart++
-	return slot
 }
 
 // Set stores value under key, write-ahead logged.
@@ -312,31 +275,6 @@ func (s *Store) Range(fn func(key, value []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// RecordsSince returns copies of the encoded records with sequence
-// numbers in (from, Seq], oldest first — the log-shipping feed a replica
-// follower tails, its only consumer. ok is false when from has already been
-// pruned from the tail: the follower is too far behind and must take a full
-// copy instead.
-func (s *Store) RecordsSince(from uint64) (recs [][]byte, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if from >= s.seq {
-		return nil, true
-	}
-	if len(s.tail) == 0 || from+1 < s.tailStart {
-		return nil, false
-	}
-	// Copies, not the slots themselves: a slot is overwritten in place
-	// TailRecords mutations later, while the consumer may still be
-	// shipping what it was handed.
-	skip := int(from + 1 - s.tailStart)
-	recs = make([][]byte, 0, len(s.tail)-skip)
-	for i := skip; i < len(s.tail); i++ {
-		recs = append(recs, append([]byte(nil), s.tail[(s.tailHead+i)%len(s.tail)]...))
-	}
-	return recs, true
 }
 
 // Snapshot publishes a snapshot at the current sequence and compacts
@@ -401,8 +339,8 @@ func (s *Store) Metrics() Metrics {
 	return m
 }
 
-// Hash returns a deterministic digest of the full contents and sequence —
-// the bit-identical-convergence check the failover chaos suite asserts.
+// Hash returns a deterministic digest of the full contents — what the
+// determinism suites compare across two runs of one seed.
 func (s *Store) Hash() uint64 {
 	s.mu.Lock()
 	keys := make([]string, 0, len(s.kv))
@@ -426,47 +364,6 @@ func (s *Store) Hash() uint64 {
 	}
 	s.mu.Unlock()
 	return h
-}
-
-// ApplyReplicated applies one shipped, encoded record on a follower: the
-// record is CRC-verified and must be the follower's next sequence number
-// (gap detection); it is then write-ahead logged locally and applied, so
-// a promoted follower has its own durable history.
-func (s *Store) ApplyReplicated(enc []byte) error {
-	rec, _, err := DecodeRecord(enc)
-	if err != nil {
-		return fmt.Errorf("durable: replicated record rejected: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rec.Seq != s.seq+1 {
-		return fmt.Errorf("durable: replication gap: have seq %d, shipped record is %d", s.seq, rec.Seq)
-	}
-	slot := s.nextSlot()
-	*slot = append((*slot)[:0], enc...)
-	s.seq = rec.Seq
-	s.apply(rec)
-	s.logRecord(*slot, rec.Seq)
-	return nil
-}
-
-// CopyFrom replaces this store's contents with a full copy of src at
-// src's sequence — the bootstrap (or too-far-behind) path of a replica
-// follower. The copy is logged as a local snapshot, not as records.
-func (s *Store) CopyFrom(src *Store) error {
-	src.mu.Lock()
-	kv := make(map[string][]byte, len(src.kv))
-	for k, v := range src.kv {
-		kv[k] = append([]byte(nil), v...)
-	}
-	seq := src.seq
-	src.mu.Unlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.kv, s.seq = kv, seq
-	s.tail, s.tailHead, s.tailStart = s.tail[:0], 0, seq+1
-	return s.snapshotLocked()
 }
 
 // Close syncs and closes the log.

@@ -321,9 +321,6 @@ func (s *Supervisor) Route() []int {
 	return append([]int(nil), s.route...)
 }
 
-// Slots returns the extension's physical handle-slot count.
-func (s *Supervisor) Slots() int { return s.slots }
-
 // FreeSlots returns the physical slots no logical CPU currently routes
 // to — the candidate targets for Migrate.
 func (s *Supervisor) FreeSlots() []int {
@@ -340,90 +337,4 @@ func (s *Supervisor) FreeSlots() []int {
 		}
 	}
 	return free
-}
-
-// CPULoad is one logical CPU's cumulative executed-instruction count (the
-// per-CPU work counters PR 5 introduced, aggregated across generations)
-// and its current physical slot.
-type CPULoad struct {
-	CPU   int
-	Slot  int
-	Insns uint64
-}
-
-// Loads returns the per-CPU work counters alongside the live route.
-func (s *Supervisor) Loads() []CPULoad {
-	s.mu.Lock()
-	route := append([]int(nil), s.route...)
-	s.mu.Unlock()
-	out := make([]CPULoad, len(route))
-	for cpu, slot := range route {
-		out[cpu] = CPULoad{CPU: cpu, Slot: slot, Insns: s.cpus[cpu].work.Load()}
-	}
-	return out
-}
-
-// Policy decides whether to migrate, given each CPU's work delta since
-// the previous rebalancer step and the free physical slots. It returns
-// the logical CPU to move and the target slot, or ok=false to stand pat.
-type Policy func(deltas []CPULoad, free []int) (from, to int, ok bool)
-
-// SpreadHottest returns a policy that moves the CPU with the largest work
-// delta onto the first free slot, but only when that delta reaches
-// threshold instructions — a hysteresis floor so an idle or balanced
-// supervisor never churns.
-func SpreadHottest(threshold uint64) Policy {
-	return func(deltas []CPULoad, free []int) (int, int, bool) {
-		if len(free) == 0 {
-			return 0, 0, false
-		}
-		hottest, max := -1, uint64(0)
-		for _, d := range deltas {
-			if d.Insns > max {
-				hottest, max = d.CPU, d.Insns
-			}
-		}
-		if hottest < 0 || max < threshold {
-			return 0, 0, false
-		}
-		return hottest, free[0], true
-	}
-}
-
-// Rebalancer drives migrations from the per-CPU work counters: each Step
-// computes the work delta since the previous step and asks its policy
-// whether (and where) to move a shard. It is the operator-policy hook the
-// issue's supervisor rebalancer describes — deliberately pull-based, like
-// the supervisor's request-driven reloads, so tests and deployments
-// control exactly when rebalancing may happen.
-type Rebalancer struct {
-	sup    *Supervisor
-	policy Policy
-	last   []uint64
-}
-
-// NewRebalancer returns a rebalancer over sup driven by policy.
-func NewRebalancer(sup *Supervisor, policy Policy) *Rebalancer {
-	return &Rebalancer{sup: sup, policy: policy}
-}
-
-// Step takes one rebalancing decision. It returns acted=false when the
-// policy stood pat; otherwise the report and error of the attempted
-// migration (a failed attempt has rolled back — see Migrate).
-func (r *Rebalancer) Step() (rep MigrationReport, acted bool, err error) {
-	loads := r.sup.Loads()
-	if r.last == nil {
-		r.last = make([]uint64, len(loads))
-	}
-	deltas := make([]CPULoad, len(loads))
-	for i, l := range loads {
-		deltas[i] = CPULoad{CPU: l.CPU, Slot: l.Slot, Insns: l.Insns - r.last[i]}
-		r.last[i] = l.Insns
-	}
-	from, to, ok := r.policy(deltas, r.sup.FreeSlots())
-	if !ok {
-		return MigrationReport{}, false, nil
-	}
-	rep, err = r.sup.Migrate(from, to)
-	return rep, true, err
 }

@@ -13,9 +13,6 @@ type ring[T any] struct {
 }
 
 func newRing[T any](capacity int) *ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &ring[T]{buf: make([]T, 0, capacity)}
 }
 

@@ -185,13 +185,15 @@ type Tuning struct {
 	// targets included, over every slot of its handle table, scanning
 	// twice a quantum.
 	WatchdogQuantum time.Duration
-	// TraceDepth bounds the retained transition history (default 256) and
-	// AuditDepth the retained audit reports (default 64); older entries
-	// are evicted oldest-first while Stats keeps lifetime totals, so soak
-	// runs no longer grow without bound.
-	TraceDepth int
-	AuditDepth int
 }
+
+// traceDepth bounds the retained transition history and auditDepth the
+// retained audit reports; older entries are evicted oldest-first while
+// Stats keeps lifetime totals, so soak runs do not grow without bound.
+const (
+	traceDepth = 256
+	auditDepth = 64
+)
 
 // Generation is one loaded instance of the extension: what the supervisor
 // runs on and what it hands the Init callback. It is immutable once built,
@@ -273,7 +275,7 @@ type Stats struct {
 	LastRecovery time.Duration
 	// Transitions and AuditsTotal are lifetime counts of recorded
 	// state-machine edges and quarantine/migration audits; Trace() and
-	// Audits() retain only the newest Tuning.TraceDepth/AuditDepth.
+	// Audits() retain only the newest traceDepth/auditDepth.
 	Transitions uint64
 	AuditsTotal uint64
 	// Migrations counts committed cross-CPU migrations;
@@ -293,9 +295,9 @@ type Supervisor struct {
 	// while state is Healthy. It is stored only under mu, at the statement
 	// that changes state, and loaded by run without any lock.
 	live atomic.Pointer[Generation]
-	// cpus holds each logical CPU's in-flight and work counters, one padded
-	// slot per CPU so the per-invocation writes of different CPUs never
-	// share a cache line.
+	// cpus holds each logical CPU's in-flight counter, one padded slot per
+	// CPU so the per-invocation writes of different CPUs never share a
+	// cache line.
 	cpus []cpuSlot
 
 	// mu guards the bookkeeping below and is never held across
@@ -338,11 +340,8 @@ type cpuSlot struct {
 	// generation" and "invocation returned". Every transition's drain
 	// waits for every slot to read zero.
 	inflight atomic.Int64
-	// work accumulates executed instructions — the PR 5 work counters,
-	// aggregated across generations — feeding the rebalancer's policy hook.
-	work atomic.Uint64
 	// Two lines, not one: adjacent-line prefetch pairs 64-byte lines.
-	_ [128 - 16]byte
+	_ [128 - 8]byte
 }
 
 // New loads the extension and starts it Healthy. The Init callback runs
@@ -379,12 +378,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Tuning.DrainTimeout <= 0 {
 		cfg.Tuning.DrainTimeout = time.Second
 	}
-	if cfg.Tuning.TraceDepth <= 0 {
-		cfg.Tuning.TraceDepth = 256
-	}
-	if cfg.Tuning.AuditDepth <= 0 {
-		cfg.Tuning.AuditDepth = 64
-	}
 	// slots is the extension's physical handle-slot table, defaulted as
 	// Runtime.Load defaults it. Migration needs headroom, so a spec may
 	// declare more slots than the supervisor's logical CPUs — but never
@@ -400,8 +393,8 @@ func New(cfg Config) (*Supervisor, error) {
 		cfg:    cfg,
 		state:  Healthy,
 		rng:    rand.New(rand.NewSource(cfg.Tuning.JitterSeed)),
-		trace:  newRing[Transition](cfg.Tuning.TraceDepth),
-		audits: newRing[AuditReport](cfg.Tuning.AuditDepth),
+		trace:  newRing[Transition](traceDepth),
+		audits: newRing[AuditReport](auditDepth),
 		route:  make([]int, cfg.NumCPUs),
 		slots:  slots,
 		cpus:   make([]cpuSlot, cfg.NumCPUs),
@@ -460,7 +453,6 @@ func (s *Supervisor) run(ctx context.Context, cpu int, event any, hctx []byte) (
 		if g := s.live.Load(); g != nil {
 			h := g.Handles[cpu]
 			res, err := invoke(ctx, h, event, hctx)
-			slot.work.Add(res.Stats.Insns)
 			if retiredOutcome(res, err, h) {
 				// Lowered around the quarantine, which drains these counters
 				// and must not wait on its own caller.
@@ -509,7 +501,6 @@ func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hct
 	slot.inflight.Add(1)
 	s.mu.Unlock()
 	res, err = invoke(ctx, g.Handles[cpu], event, hctx)
-	slot.work.Add(res.Stats.Insns)
 	slot.inflight.Add(-1) // before settling, as in run: a failed probe drains
 	s.settleProbe(g.Gen, res, err)
 	return res, true, err
@@ -638,7 +629,7 @@ func (s *Supervisor) Quarantine(reason string) bool {
 }
 
 // Trace returns a copy of the recorded transition trace — the newest
-// Tuning.TraceDepth entries, oldest-first. Stats().Transitions keeps the
+// traceDepth (256) entries, oldest-first. Stats().Transitions keeps the
 // lifetime count.
 func (s *Supervisor) Trace() []Transition {
 	s.mu.Lock()
@@ -647,7 +638,7 @@ func (s *Supervisor) Trace() []Transition {
 }
 
 // Audits returns a copy of the retained quarantine and migration audit
-// reports — the newest Tuning.AuditDepth entries, oldest-first.
+// reports — the newest auditDepth (64) entries, oldest-first.
 // Stats().AuditsTotal keeps the lifetime count.
 func (s *Supervisor) Audits() []AuditReport {
 	s.mu.Lock()

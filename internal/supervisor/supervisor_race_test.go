@@ -266,7 +266,7 @@ func TestConcurrentAdmitDrain(t *testing.T) {
 	// handle lives on the other slot.
 	var ops, home atomic.Int64
 	home.Store(slotA)
-	var served, insns [cpus]atomic.Uint64
+	var served [cpus]atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for cpu := 0; cpu < cpus; cpu++ {
@@ -283,7 +283,6 @@ func TestConcurrentAdmitDrain(t *testing.T) {
 				}
 				before := ops.Load()
 				res, err := sup.Run(cpu, &probe, ctx)
-				insns[cpu].Add(res.Stats.Insns)
 				switch {
 				case err == nil && res.Cancelled == kflex.CancelNone && res.Ret == kernel.XDPPass:
 					served[cpu].Add(1)
@@ -359,11 +358,6 @@ func TestConcurrentAdmitDrain(t *testing.T) {
 	}
 	if n := sup.InFlight(); n != 0 {
 		t.Fatalf("%d invocations still counted in flight on a quiesced supervisor", n)
-	}
-	for _, l := range sup.Loads() {
-		if want := insns[l.CPU].Load(); l.Insns != want {
-			t.Fatalf("Loads()[%d] = %d instructions, runners were handed back %d", l.CPU, l.Insns, want)
-		}
 	}
 }
 
