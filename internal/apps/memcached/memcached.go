@@ -87,6 +87,7 @@ var Codec = offload.Codec{
 	Prog: kvprog.Options{
 		ParseHelper: helperMcParse,
 		ReplyHelper: helperMcReply,
+		FillHelper:  helperMcFill,
 		RetServed:   kernel.XDPTx,
 		RetPass:     kernel.XDPPass,
 		RetErr:      kernel.XDPDrop,

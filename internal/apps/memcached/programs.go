@@ -10,11 +10,12 @@ import (
 	"kflex/internal/supervisor"
 )
 
-// The IDs the codec's helpers (memcached_parse, memcached_reply) register
-// under, and the BMC cache map ID.
+// The IDs the codec's helpers (memcached_parse, memcached_reply,
+// memcached_fill) register under, and the BMC cache map ID.
 const (
 	helperMcParse int32 = 0x3001
 	helperMcReply int32 = 0x3002
+	helperMcFill  int32 = 0x3003
 	bmcCacheMapID int32 = 40
 )
 

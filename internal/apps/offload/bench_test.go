@@ -10,28 +10,46 @@ import (
 	"kflex/internal/apps/kvprog"
 	"kflex/internal/apps/memcached"
 	"kflex/internal/apps/offload"
+	"kflex/internal/durable"
 	"kflex/internal/supervisor"
 	"kflex/internal/workload"
 )
 
-// BenchmarkColdLoad times bringing up an empty supervised deployment on a
-// fresh runtime with the default 64 MiB heap: the full load pipeline, the
-// heap and the first generation's init. Close and a collection run between
-// iterations, off the clock, so each load starts with its predecessor
-// unreachable.
+// BenchmarkColdLoad times bringing up a supervised deployment on a fresh
+// runtime with the default 64 MiB heap over a durable store of keys pairs:
+// the full load pipeline, the heap and the first generation's init, which
+// populates the heap with every pair. The store is filled off the clock,
+// once per size. Close and a collection run between iterations, off the
+// clock, so each load starts with its predecessor unreachable.
 func BenchmarkColdLoad(b *testing.B) {
-	cfg := memcached.DefaultConfig(workload.Mix90)
-	cfg.Preload = false
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := offload.NewSupervised(&memcached.Codec, cfg, 1, supervisor.Tuning{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		s.Close()
-		runtime.GC()
-		b.StartTimer()
+	for _, keys := range []int{0, 1024, workload.KeySpace} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			st, _, err := durable.Open(durable.NewMemDir(nil), durable.Options{SyncEvery: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			for i := 0; i < keys; i++ {
+				st.Set(key(i), val(i))
+			}
+			cfg := memcached.DefaultConfig(workload.Mix90)
+			cfg.Preload, cfg.Durable = false, st
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := offload.NewSupervised(&memcached.Codec, cfg, 1, supervisor.Tuning{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := s.Supervisor().Stats().LastInit.ResyncOps; got != keys {
+					b.Fatalf("cold load populated %d of %d keys", got, keys)
+				}
+				s.Close()
+				runtime.GC()
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ package offload
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"kflex"
@@ -65,10 +66,11 @@ func (c *Codec) AppendHit(dst, value []byte) []byte {
 	return append(append(c.HitHeader(dst, len(value)), value...), c.HitTrailer...)
 }
 
-// RegisterHelpers installs the codec's two packet helpers on rt: the parse
+// RegisterHelpers installs the codec's three helpers on rt: the parse
 // helper decodes the request frame into the program's stack buffers (the
 // role Listing 1's check/get helpers play), the reply helper builds the
-// response frame from extension memory. Both are ordinary kernel helpers
+// response frame from extension memory, and the fill helper writes one pair
+// of a bulk event straight into a node. All are ordinary kernel helpers
 // with verified contracts.
 func (c *Codec) RegisterHelpers(rt *kflex.Runtime) {
 	r := rt.Kernel().Helpers
@@ -94,6 +96,8 @@ func (c *Codec) RegisterHelpers(rt *kflex.Runtime) {
 				pkt = ev
 			case initEvent:
 				return kvprog.OpInit, nil
+			case *bulkEvent:
+				return kvprog.OpBulk | uint64(ev.n)<<8, nil
 			default:
 				return kvprog.OpNone, nil
 			}
@@ -143,7 +147,28 @@ func (c *Codec) RegisterHelpers(rt *kflex.Runtime) {
 			return 0, nil
 		},
 	})
+	r.MustRegister(&kernel.HelperSpec{
+		ID:   c.Prog.FillHelper,
+		Name: c.Name + "_fill",
+		Args: []kernel.Arg{
+			{Kind: kernel.ArgCtx},
+			{Kind: kernel.ArgHeapAddr}, // node address
+			{Kind: kernel.ArgScalar},   // pair index in the batch
+		},
+		Ret: kernel.Ret{Kind: kernel.RetScalar},
+		Impl: func(hc *kernel.HelperCtx, args [5]uint64) (uint64, error) {
+			ev, ok := hc.Event.(*bulkEvent)
+			if !ok || args[2] >= uint64(ev.n) {
+				return 0, errNoPair
+			}
+			i := int(args[2]) * kvprog.ImageSize
+			return 0, kvprog.WriteImage(hc, args[1], ev.imgs[i:i+kvprog.ImageSize])
+		},
+	})
 }
+
+// errNoPair fails a fill whose event carries no pair at the index asked for.
+var errNoPair = errors.New("offload: fill: no such pair in the batch")
 
 // Handle serves one frame from kv alone, as the user-space baselines do.
 func (c *Codec) Handle(kv KV, frame, reply []byte) []byte {
@@ -173,6 +198,18 @@ func (c *Codec) answer(kv KV, op int, key, reply []byte) []byte {
 // the parse helper answers it with kvprog.OpInit and the program allocates
 // its bucket array. No packet carries it.
 type initEvent struct{}
+
+// bulkBatch is how many pairs one bulk event carries.
+const bulkBatch = 256
+
+// bulkEvent is the event populate runs the hook with to insert n pairs: the
+// parse helper answers it with kvprog.OpBulk | n<<8, and the fill helper
+// copies image i (kvprog.AppendImage) into the node the program allocated
+// for pair i. No packet carries it either.
+type bulkEvent struct {
+	imgs []byte
+	n    int
+}
 
 // conn is one driver's packet and hook context, reused across requests.
 type conn struct {
@@ -205,7 +242,8 @@ func (c *Codec) run(h *kflex.Handle, cn *conn, frame []byte) (kflex.Result, erro
 func (c *Codec) served(res kflex.Result) bool { return res.Ret == uint64(c.Prog.RetServed) }
 
 // push SETs every pair each yields (KV.Range's shape) through h and reports
-// how many the extension stored.
+// how many the extension stored: a warm resync's delta, which may overwrite
+// keys the adopted heap already holds.
 func (c *Codec) push(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (n int, err error) {
 	var frame []byte
 	err = each(func(key, value []byte) error {
@@ -220,10 +258,38 @@ func (c *Codec) push(h *kflex.Handle, cn *conn, each func(func(key, value []byte
 }
 
 // populate brings a fresh heap into service through h: the init event, then
-// every pair of each.
-func (c *Codec) populate(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (int, error) {
+// every pair of each packed bulkBatch at a time into bulk events. The keys
+// must be distinct — the program links every pair as a new node — as a
+// store's Range yields them. It reports how many pairs the extension stored.
+func (c *Codec) populate(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (n int, err error) {
 	if _, err := c.invoke(h, initEvent{}, cn.ctx); err != nil {
 		return 0, err
 	}
-	return c.push(h, cn, each)
+	ev := &bulkEvent{imgs: make([]byte, 0, bulkBatch*kvprog.ImageSize)}
+	flush := func() error {
+		if ev.n == 0 {
+			return nil
+		}
+		if _, err := c.invoke(h, ev, cn.ctx); err != nil {
+			return err
+		}
+		n += ev.n
+		ev.imgs, ev.n = ev.imgs[:0], 0
+		return nil
+	}
+	err = each(func(key, value []byte) error {
+		if len(key) != kvprog.KeySize || len(value) > kvprog.ValueSize {
+			return fmt.Errorf("%s: populate: a %d-byte key with a %d-byte value does not fit a node", c.Name, len(key), len(value))
+		}
+		ev.imgs = kvprog.AppendImage(ev.imgs, key, value)
+		ev.n++
+		if ev.n == bulkBatch {
+			return flush()
+		}
+		return nil
+	})
+	if err != nil {
+		return n, err
+	}
+	return n, flush()
 }

@@ -1,6 +1,30 @@
 package offload
 
-import "reflect"
+import (
+	"reflect"
+
+	"kflex"
+	"kflex/internal/apps/kvprog"
+)
+
+// BulkBatch is how many pairs one bulk event carries.
+const BulkBatch = bulkBatch
+
+// RunInit runs the init event on h, as populate does first.
+func (c *Codec) RunInit(h *kflex.Handle) (kflex.Result, error) {
+	cn := c.newConn()
+	return c.invoke(h, initEvent{}, cn.ctx)
+}
+
+// RunBulk runs one bulk event carrying the pairs (keys[i], values[i]) on h.
+func (c *Codec) RunBulk(h *kflex.Handle, keys, values [][]byte) (kflex.Result, error) {
+	ev := &bulkEvent{n: len(keys)}
+	for i := range keys {
+		ev.imgs = kvprog.AppendImage(ev.imgs, keys[i], values[i])
+	}
+	cn := c.newConn()
+	return c.invoke(h, ev, cn.ctx)
+}
 
 // StreamBuilt reports whether the request factory that sys (a pointer to a
 // deployment struct) holds has built its generator. The factory is found by

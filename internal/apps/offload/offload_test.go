@@ -148,6 +148,11 @@ func TestConformance(t *testing.T) {
 		{"worker-count-insns", workerCountInsns},
 		{"tag-collision", tagCollision},
 		{"chain-walk-cost", chainWalkCost},
+		{"request-insns", requestInsns},
+		{"bulk-equals-push", bulkEqualsPush},
+		{"bulk-insn-bound", bulkInsnBound},
+		{"client-frame-cannot-bulk", clientFrameCannotBulk},
+		{"bulk-cancel", bulkCancel},
 	}
 	for _, c := range codecs {
 		for _, row := range rows {
@@ -765,6 +770,34 @@ func chainWalkCost(t *testing.T, c *offload.Codec) {
 			if got := d.get(t, chain[v], v) - head; got != uint64(passedNode*k) {
 				t.Fatalf("GET at depth %d ran %d more instructions than at the head, want %d (%d per passed node)",
 					k, got, passedNode*k, passedNode)
+			}
+		}
+	})
+}
+
+// requestInsns pins what each request kind executes, guards included, on a
+// key at the head of its chain (its bucket empty for the misses). Control
+// events branch off behind the compare that sends every request down the
+// data path, so a control op that adds a dispatch to the request path
+// fails here.
+func requestInsns(t *testing.T, c *offload.Codec) {
+	eachTier(t, c, func(t *testing.T, d bareKV) {
+		for _, step := range []struct {
+			name  string
+			frame []byte
+			want  uint64
+		}{
+			{"GET miss", c.AppendGet(nil, key(0)), 54},
+			{"SET miss", c.AppendSet(nil, key(0), val(0)), 90},
+			{"SET hit", c.AppendSet(nil, key(0), val(1)), 89},
+			{"GET hit", c.AppendGet(nil, key(0)), 71},
+		} {
+			before := d.WorkStats().Insns
+			if _, _, err := d.Execute(0, step.frame); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			if got := d.WorkStats().Insns - before; got != step.want {
+				t.Errorf("%s ran %d instructions, want %d", step.name, got, step.want)
 			}
 		}
 	})

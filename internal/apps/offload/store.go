@@ -1,7 +1,8 @@
 package offload
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -15,7 +16,8 @@ type KV interface {
 	// Set stores value under key.
 	Set(key, value []byte)
 	// Range visits every key/value pair in sorted key order
-	// (deterministic resync replay).
+	// (deterministic resync replay). The key is handed over in a buffer
+	// reused across calls, so fn copies what it keeps of it.
 	Range(fn func(key, value []byte) error) error
 }
 
@@ -66,23 +68,32 @@ func (s *Store) Set(key, value []byte) {
 // Range visits every key/value pair in sorted key order. Deterministic
 // iteration matters to the supervised deployment: a reload resync replays
 // the store into the fresh heap, and a stable order keeps the
-// fault-injection trace reproducible across runs.
+// fault-injection trace reproducible across runs. It walks a view taken one
+// shard lock at a time and calls fn outside every lock; Set replaces a
+// value, never mutates it, so the view shares them as Get does.
 func (s *Store) Range(fn func(key, value []byte) error) error {
-	keys := make([]string, 0, 1024)
+	type pair struct {
+		key   string
+		value []byte
+	}
+	var pairs []pair
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k := range sh.kv {
-			keys = append(keys, k)
+		pairs = slices.Grow(pairs, len(sh.kv))
+		for k, v := range sh.kv {
+			if v != nil { // an empty value reads as a miss, as with Get
+				pairs = append(pairs, pair{k, v})
+			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if v := s.Get([]byte(k)); v != nil {
-			if err := fn([]byte(k), v); err != nil {
-				return err
-			}
+	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key, b.key) })
+	var key []byte
+	for _, p := range pairs {
+		key = append(key[:0], p.key...)
+		if err := fn(key, p.value); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -37,10 +37,12 @@ const (
 	ValueSize = kvprog.ValueSize
 )
 
-// The IDs the codec's helpers (redis_parse, redis_reply) register under.
+// The IDs the codec's helpers (redis_parse, redis_reply, redis_fill)
+// register under.
 const (
 	helperRespParse int32 = 0x3101
 	helperRespReply int32 = 0x3102
+	helperRespFill  int32 = 0x3103
 )
 
 // --- RESP wire format --------------------------------------------------------------
@@ -153,6 +155,7 @@ var Codec = offload.Codec{
 	Prog: kvprog.Options{
 		ParseHelper: helperRespParse,
 		ReplyHelper: helperRespReply,
+		FillHelper:  helperRespFill,
 		RetServed:   Served,
 		RetPass:     kernel.SkPass,
 		RetErr:      kernel.SkDrop,

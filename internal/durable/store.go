@@ -254,7 +254,8 @@ func (s *Store) Seq() uint64 {
 // reproducible across runs). It iterates over a point-in-time view taken
 // under one lock acquisition and calls fn outside the lock, so fn may
 // call back into the store; stored values are replaced, never mutated,
-// so the view shares them exactly as Get does.
+// so the view shares them exactly as Get does. The key is handed over in
+// a buffer reused across calls: fn copies what it keeps of it.
 func (s *Store) Range(fn func(key, value []byte) error) error {
 	type pair struct {
 		key   string
@@ -269,8 +270,10 @@ func (s *Store) Range(fn func(key, value []byte) error) error {
 	}
 	s.mu.Unlock()
 	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key, b.key) })
+	var key []byte
 	for _, p := range pairs {
-		if err := fn([]byte(p.key), p.value); err != nil {
+		key = append(key[:0], p.key...)
+		if err := fn(key, p.value); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Zipf draws keys in [0, N) with P(k) ∝ 1/(k+1)^s for any s > 0, including
@@ -157,7 +158,8 @@ func FormatKey(key uint64, size int) []byte {
 	for i := range b {
 		b[i] = 'k'
 	}
-	s := fmt.Sprintf("%d", key)
+	var digits [20]byte
+	s := strconv.AppendUint(digits[:0], key, 10)
 	copy(b[size-len(s):], s)
 	return b
 }

@@ -1,9 +1,34 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// TestFormatKeyMatchesFmt: FormatKey renders with strconv and no fmt, and
+// its keys are the bytes the fmt rendering gave — the keys every preload,
+// store and golden figure is built from.
+func TestFormatKeyMatchesFmt(t *testing.T) {
+	const size = 32
+	want := func(key uint64) []byte {
+		b := bytes.Repeat([]byte{'k'}, size)
+		s := fmt.Sprintf("%d", key)
+		copy(b[size-len(s):], s)
+		return b
+	}
+	keys := []uint64{math.MaxUint64}
+	for k := uint64(0); k <= 70_000; k++ {
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		if got := FormatKey(k, size); !bytes.Equal(got, want(k)) {
+			t.Fatalf("FormatKey(%d) = %q, want %q", k, got, want(k))
+		}
+	}
+}
 
 func TestZipfSkew(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
