@@ -220,11 +220,11 @@ func (h *memHandle) Append(p []byte) (int, error) {
 	}
 	if fault.Fire(faultinject.StoreShort, uint64(len(p))) {
 		n := len(p) / 2
-		h.f.data = append(h.f.data, p[:n]...)
+		h.f.data = append(grow(h.f.data, n), p[:n]...)
 		return n, fmt.Errorf("durable: short write %d/%d bytes: %w", n, len(p), faultinject.ErrInjected)
 	}
 	start := len(h.f.data)
-	h.f.data = append(h.f.data, p...)
+	h.f.data = append(grow(h.f.data, len(p)), p...)
 	if fault.Fire(faultinject.StoreCorrupt, uint64(len(p))) {
 		// Silent corruption: flip one bit mid-write; the append still
 		// reports success. Recovery must catch this by CRC.

@@ -38,24 +38,23 @@ func parseSnapName(name string) (uint64, bool) {
 	return seq, err == nil
 }
 
-// writeSnapshot publishes a snapshot of kv at seq and returns its name.
-func writeSnapshot(dir Dir, seq uint64, kv map[string][]byte) (string, error) {
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
+// writeSnapshot publishes a snapshot of the sorted view v at seq and
+// returns its name.
+func writeSnapshot(dir Dir, seq uint64, v view) (string, error) {
+	size := len(snapMagic) + 8 + 8 + 4
+	for i := range v.ents {
+		size += 8 + int(v.ents[i].klen) + len(v.ents[i].value(v.arena))
 	}
-	sort.Strings(keys)
-
-	buf := make([]byte, 0, 24+len(kv)*32)
+	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(keys)))
-	for _, k := range keys {
-		v := kv[k]
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(v.ents)))
+	for i := range v.ents {
+		k, val := v.ents[i].key(v.arena), v.ents[i].value(v.arena)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
 		buf = append(buf, k...)
-		buf = append(buf, v...)
+		buf = append(buf, val...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 
@@ -82,51 +81,51 @@ func writeSnapshot(dir Dir, seq uint64, kv map[string][]byte) (string, error) {
 	return name, nil
 }
 
-// readSnapshot loads and CRC-verifies one snapshot file.
-func readSnapshot(dir Dir, name string) (seq uint64, kv map[string][]byte, err error) {
+// readSnapshot CRC-verifies one snapshot file and hands fn each pair; the
+// slices alias a buffer fn must copy out of.
+func readSnapshot(dir Dir, name string, fn func(key, value []byte)) (seq uint64, err error) {
 	f, err := dir.Open(name)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer f.Close()
 	size, err := f.Size()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if size < int64(len(snapMagic))+8+8+4 {
-		return 0, nil, fmt.Errorf("durable: snapshot %s truncated (%d bytes)", name, size)
+		return 0, fmt.Errorf("durable: snapshot %s truncated (%d bytes)", name, size)
 	}
 	data := make([]byte, size)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return 0, nil, fmt.Errorf("durable: snapshot %s CRC mismatch", name)
+		return 0, fmt.Errorf("durable: snapshot %s CRC mismatch", name)
 	}
 	if string(body[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("durable: snapshot %s bad magic", name)
+		return 0, fmt.Errorf("durable: snapshot %s bad magic", name)
 	}
 	seq = binary.LittleEndian.Uint64(body[8:])
 	count := binary.LittleEndian.Uint64(body[16:])
-	kv = make(map[string][]byte, count)
 	off := uint64(24)
 	for i := uint64(0); i < count; i++ {
 		if off+8 > uint64(len(body)) {
-			return 0, nil, fmt.Errorf("durable: snapshot %s pair header truncated", name)
+			return 0, fmt.Errorf("durable: snapshot %s pair header truncated", name)
 		}
 		klen := binary.LittleEndian.Uint32(body[off:])
 		vlen := binary.LittleEndian.Uint32(body[off+4:])
 		off += 8
 		if klen > maxKeyLen || vlen > maxValueLen || off+uint64(klen)+uint64(vlen) > uint64(len(body)) {
-			return 0, nil, fmt.Errorf("durable: snapshot %s pair out of bounds", name)
+			return 0, fmt.Errorf("durable: snapshot %s pair out of bounds", name)
 		}
 		key := body[off : off+uint64(klen)]
 		val := body[off+uint64(klen) : off+uint64(klen)+uint64(vlen)]
-		kv[string(key)] = append([]byte(nil), val...)
+		fn(key, val)
 		off += uint64(klen) + uint64(vlen)
 	}
-	return seq, kv, nil
+	return seq, nil
 }
 
 // listSnapshots returns snapshot files newest-first.

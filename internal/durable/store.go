@@ -2,9 +2,6 @@ package durable
 
 import (
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -71,8 +68,8 @@ type RecoveryInfo struct {
 	Seq  uint64
 }
 
-// Store is a durable key/value store: an in-memory map backed by a
-// checksummed segmented WAL and snapshots. It is the authoritative store
+// Store is a durable key/value store: an in-memory table (table.go) backed
+// by a checksummed segmented WAL and snapshots. It is the authoritative store
 // behind the supervised memcached/redis front ends — every acknowledged
 // write lands here before the caller sees success, a reloaded extension
 // generation resyncs from here, and a crashed process recovers the full
@@ -82,7 +79,7 @@ type RecoveryInfo struct {
 // match the signatures of the app stores they stand behind.
 type Store struct {
 	mu   sync.Mutex
-	kv   map[string][]byte
+	tab  *table
 	seq  uint64
 	opts Options
 
@@ -109,7 +106,7 @@ type Store struct {
 // discards any torn tail, and binds the WAL for subsequent appends.
 func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 	opts.defaults()
-	s := &Store{kv: make(map[string][]byte), opts: opts, dir: dir}
+	s := &Store{tab: newTable(), opts: opts, dir: dir}
 	var info RecoveryInfo
 
 	// Crash during a snapshot publication leaves the temp file around;
@@ -123,12 +120,13 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 		return nil, info, err
 	}
 	for _, name := range snaps {
-		seq, kv, err := readSnapshot(dir, name)
+		tab := newTable()
+		seq, err := readSnapshot(dir, name, tab.set)
 		if err != nil {
 			info.CorruptSnapshots++
 			continue
 		}
-		s.kv, s.seq = kv, seq
+		s.tab, s.seq = tab, seq
 		info.SnapshotLoaded, info.SnapshotSeq = name, seq
 		break
 	}
@@ -146,7 +144,7 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 	info.Replayed = res.replayed
 	info.TornBytes = res.tornBytes
 	info.DiscardedSegments = res.discarded
-	info.Keys = len(s.kv)
+	info.Keys = s.tab.live
 	info.Seq = s.seq
 
 	log, err := openWAL(dir, opts.SegmentBytes)
@@ -157,13 +155,13 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 	return s, info, nil
 }
 
-// apply mutates the in-memory map with one record (no logging).
+// apply mutates the in-memory table with one record (no logging).
 func (s *Store) apply(r Record) {
 	switch r.Op {
 	case OpSet:
-		s.kv[string(r.Key)] = append([]byte(nil), r.Value...)
+		s.tab.set(r.Key, r.Value)
 	case OpDelete:
-		delete(s.kv, string(r.Key))
+		s.tab.del(r.Key)
 	}
 }
 
@@ -232,14 +230,14 @@ func (s *Store) Delete(key []byte) { s.mutate(OpDelete, key, nil) }
 func (s *Store) Get(key []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.kv[string(key)]
+	return s.tab.get(key)
 }
 
 // Len returns the key count.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.kv)
+	return s.tab.live
 }
 
 // Seq returns the sequence number of the last applied mutation.
@@ -253,31 +251,35 @@ func (s *Store) Seq() uint64 {
 // iteration keeps resync replay — and with it the fault-injection trace —
 // reproducible across runs). It iterates over a point-in-time view taken
 // under one lock acquisition and calls fn outside the lock, so fn may
-// call back into the store; stored values are replaced, never mutated,
-// so the view shares them exactly as Get does. The key is handed over in
-// a buffer reused across calls: fn copies what it keeps of it.
+// call back into the store; stored values are never written over, so the
+// view shares them exactly as Get does. The key is handed over in a buffer
+// reused across calls: fn copies what it keeps of it.
 func (s *Store) Range(fn func(key, value []byte) error) error {
-	type pair struct {
-		key   string
-		value []byte
-	}
-	s.mu.Lock()
-	pairs := make([]pair, 0, len(s.kv))
-	for k, v := range s.kv {
-		if v != nil { // an empty value reads as a miss, as with Get
-			pairs = append(pairs, pair{k, v})
-		}
-	}
-	s.mu.Unlock()
-	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key, b.key) })
+	v := s.sortedView()
 	var key []byte
-	for _, p := range pairs {
-		key = append(key[:0], p.key...)
-		if err := fn(key, p.value); err != nil {
+	for i := range v.ents {
+		e := &v.ents[i]
+		val := e.value(v.arena)
+		if val == nil { // an empty value reads as a miss, as with Get
+			continue
+		}
+		key = append(key[:0], e.key(v.arena)...)
+		if err := fn(key, val); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sortedView is the sorted view Range and Hash walk: the live entries
+// copied under the lock, sorted by key outside it. snapshotLocked sorts its
+// view under the lock it already holds.
+func (s *Store) sortedView() view {
+	s.mu.Lock()
+	v := s.tab.snapshot()
+	s.mu.Unlock()
+	v.sort()
+	return v
 }
 
 // Snapshot publishes a snapshot at the current sequence and compacts
@@ -292,7 +294,9 @@ func (s *Store) snapshotLocked() error {
 	// The snapshot covers every mutation up to seq; sync the log first so
 	// the no-lost-prefix invariant survives a crash between the two.
 	s.log.sync()
-	name, err := writeSnapshot(s.dir, s.seq, s.kv)
+	v := s.tab.snapshot()
+	v.sort()
+	name, err := writeSnapshot(s.dir, s.seq, v)
 	if err != nil {
 		s.metrics.SnapshotErrs++
 		return err
@@ -301,7 +305,7 @@ func (s *Store) snapshotLocked() error {
 	// the device silently corrupted (reported success, flipped bytes)
 	// must not become the only copy of the data. An unreadable snapshot
 	// is removed and the log — still intact — remains authoritative.
-	if _, _, verr := readSnapshot(s.dir, name); verr != nil {
+	if _, verr := readSnapshot(s.dir, name, func(key, value []byte) {}); verr != nil {
 		s.dir.Remove(name)
 		s.dir.SyncDir()
 		s.metrics.SnapshotErrs++
@@ -345,12 +349,7 @@ func (s *Store) Metrics() Metrics {
 // Hash returns a deterministic digest of the full contents — what the
 // determinism suites compare across two runs of one seed.
 func (s *Store) Hash() uint64 {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.kv))
-	for k := range s.kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	v := s.sortedView()
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(b []byte) {
@@ -361,11 +360,10 @@ func (s *Store) Hash() uint64 {
 		h ^= 0xff
 		h *= prime64
 	}
-	for _, k := range keys {
-		mix([]byte(k))
-		mix(s.kv[k])
+	for i := range v.ents {
+		mix(v.ents[i].key(v.arena))
+		mix(v.ents[i].value(v.arena))
 	}
-	s.mu.Unlock()
 	return h
 }
 
