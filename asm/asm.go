@@ -68,14 +68,6 @@ func (b *Builder) I(ins insn.Instruction) *Builder {
 	return b
 }
 
-// Emit emits a sequence of raw instructions.
-func (b *Builder) Emit(list ...insn.Instruction) *Builder {
-	for _, ins := range list {
-		b.I(ins)
-	}
-	return b
-}
-
 // branch emits ins with its Off patched to reach label at assembly time.
 func (b *Builder) branch(ins insn.Instruction, label string) *Builder {
 	b.items = append(b.items, item{ins: ins, target: label})
@@ -187,11 +179,6 @@ func (b *Builder) Assemble() ([]insn.Instruction, error) {
 			ins.Off = int16(off)
 		}
 		prog[i] = ins
-	}
-	for name, idx := range b.labels {
-		if idx > len(b.items) {
-			return nil, fmt.Errorf("asm: label %q past end of program", name)
-		}
 	}
 	return prog, nil
 }

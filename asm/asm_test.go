@@ -2,6 +2,8 @@ package asm
 
 import (
 	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,21 +60,75 @@ func TestErrorLatched(t *testing.T) {
 	}
 }
 
+// TestMovImmSelectsEncoding: MovImm takes the one-slot sign-extended MOV64
+// exactly when the constant fits in an int32, and LDDW otherwise.
 func TestMovImmSelectsEncoding(t *testing.T) {
-	prog := New().
-		MovImm(insn.R1, 5).
-		MovImm(insn.R2, -7).
-		MovImm(insn.R3, 1<<40).
-		Exit().
-		MustAssemble()
-	if prog[0].Op.Class() != insn.ClassALU64 {
-		t.Error("small imm should use MOV64")
+	for _, v := range []int64{0, 5, -7, -1, math.MaxInt32, math.MinInt32} {
+		if got := New().MovImm(insn.R1, v).MustAssemble(); len(got) != 1 || got[0] != insn.Mov64Imm(insn.R1, int32(v)) {
+			t.Errorf("MovImm(%d) = %+v, want MOV64", v, got)
+		}
 	}
-	if prog[1].Op.Class() != insn.ClassALU64 {
-		t.Error("negative small imm should use MOV64")
+	for _, v := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40, 0xdeadbeefcafe} {
+		if got := New().MovImm(insn.R1, v).MustAssemble(); len(got) != 1 || got[0] != insn.LoadImm(insn.R1, uint64(v)) {
+			t.Errorf("MovImm(%#x) = %+v, want LDDW", v, got)
+		}
 	}
-	if !prog[2].IsLoadImm64() || prog[2].Imm64 != 1<<40 {
-		t.Errorf("large imm should use LDDW, got %+v", prog[2])
+}
+
+// TestWireRoundTrip: a Builder's branch offsets count an LDDW as one
+// instruction, and what it assembles survives the wire codec (where LDDW
+// is two slots) unchanged.
+func TestWireRoundTrip(t *testing.T) {
+	progs := map[string]*Builder{
+		"empty": New(),
+		"loop": New().
+			MovImm(insn.R0, 0).
+			MovImm(insn.R1, 10).
+			MovImm(insn.R2, 0xdeadbeefcafe).
+			Label("loop").
+			JmpImm(insn.JmpEq, insn.R1, 0, "out").
+			AddReg(insn.R0, insn.R1).
+			I(insn.Alu64Imm(insn.AluSub, insn.R1, 1)).
+			Store(insn.R10, -8, insn.R0, 8).
+			Load(insn.R3, insn.R10, -8, 8).
+			Ja("loop").
+			Label("out").
+			Call(7).
+			Exit(),
+		"over-lddw": New().
+			Jmp32Reg(insn.JmpEq, insn.R1, insn.R2, "out").
+			MovImm(insn.R2, 0xdeadbeefcafe).
+			Label("out").
+			Exit(),
+		"two-labels": New().
+			Label("a").
+			Label("b").
+			Ja("a").
+			Ja("b"),
+	}
+	wantOff := map[string]map[int]int16{
+		"loop":       {3: 5, 8: -6},
+		"over-lddw":  {0: 1},
+		"two-labels": {0: -1, 1: -2},
+	}
+	for name, b := range progs {
+		prog, err := b.Assemble()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, off := range wantOff[name] {
+			if prog[i].Off != off {
+				t.Errorf("%s: insn %d off = %d, want %d", name, i, prog[i].Off, off)
+			}
+		}
+		raw, err := insn.Encode(prog)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		back, err := insn.Decode(raw)
+		if err != nil || !slices.Equal(back, prog) {
+			t.Errorf("%s: wire round trip = (%v, %v), want\n%s", name, insn.Disassemble(back), err, insn.Disassemble(prog))
+		}
 	}
 }
 
@@ -90,14 +146,18 @@ func TestLabelAtEnd(t *testing.T) {
 	}
 }
 
+// TestConvenienceEmitters: each emitter emits the instruction (Ret: the two)
+// its insn constructor builds, with branch offsets resolved.
 func TestConvenienceEmitters(t *testing.T) {
 	prog := New().
 		Mov(insn.R6, insn.R1).
-		Add(insn.R6, 16).
+		Add(insn.R6, -16).
 		AddReg(insn.R6, insn.R2).
 		Load(insn.R3, insn.R6, 8, 4).
+		Load(insn.R4, insn.R6, 129, 1).
 		Store(insn.R6, 0, insn.R3, 8).
-		StoreImm(insn.R6, 4, 1, 1).
+		Store(insn.R7, -2, insn.R8, 2).
+		StoreImm(insn.R6, 4, -5, 1).
 		Call(9).
 		Jmp32Reg(insn.JmpNe, insn.R1, insn.R2, "out").
 		Jmp32Imm(insn.JmpLt, insn.R1, 10, "out").
@@ -105,14 +165,24 @@ func TestConvenienceEmitters(t *testing.T) {
 		Label("out").
 		Ret(2).
 		MustAssemble()
-	if len(prog) != 12 {
-		t.Fatalf("len = %d, want 12", len(prog))
+	want := []insn.Instruction{
+		insn.Mov64Reg(insn.R6, insn.R1),
+		insn.Alu64Imm(insn.AluAdd, insn.R6, -16),
+		insn.Alu64Reg(insn.AluAdd, insn.R6, insn.R2),
+		insn.LoadMem(insn.R3, insn.R6, 8, 4),
+		insn.LoadMem(insn.R4, insn.R6, 129, 1),
+		insn.StoreMem(insn.R6, 0, insn.R3, 8),
+		insn.StoreMem(insn.R7, -2, insn.R8, 2),
+		insn.StoreImm(insn.R6, 4, -5, 1),
+		insn.Call(9),
+		insn.Jmp32Reg(insn.JmpNe, insn.R1, insn.R2, 2),
+		insn.Jmp32Imm(insn.JmpLt, insn.R1, 10, 1),
+		insn.JmpReg(insn.JmpSge, insn.R1, insn.R2, 0),
+		insn.Mov64Imm(insn.R0, 2),
+		insn.Exit(),
 	}
-	if prog[10].Imm != 2 || !prog[11].IsExit() {
-		t.Error("Ret should emit mov+exit")
-	}
-	if prog[7].Off != 2 || prog[8].Off != 1 || prog[9].Off != 0 {
-		t.Errorf("branch offsets wrong: %d %d %d", prog[7].Off, prog[8].Off, prog[9].Off)
+	if !slices.Equal(prog, want) {
+		t.Fatalf("emitted\n%s\nwant\n%s", insn.Disassemble(prog), insn.Disassemble(want))
 	}
 }
 

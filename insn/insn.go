@@ -242,11 +242,6 @@ func Mov32Reg(dst, src Reg) Instruction {
 	return Instruction{Op: ClassALU | AluMov | SrcX, Dst: dst, Src: src}
 }
 
-// Mov32Imm returns w(dst) = imm, zero-extending the upper half.
-func Mov32Imm(dst Reg, imm int32) Instruction {
-	return Instruction{Op: ClassALU | AluMov | SrcK, Dst: dst, Imm: imm}
-}
-
 // Alu64Reg returns dst = dst <op> src over 64 bits.
 func Alu64Reg(op uint8, dst, src Reg) Instruction {
 	return Instruction{Op: Opcode(ClassALU64 | op | SrcX), Dst: dst, Src: src}

@@ -134,7 +134,7 @@ func TestOpenReplayAllocs(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{})
 	fillWorkload(s, rand.New(rand.NewPCG(1, 1)).Perm(records))
 	s.Close()
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func TestOpenReplayAllocs(t *testing.T) {
 		}
 		s.Close()
 	})
-	// Per segment: its handle, its read buffer and its name parsed twice;
-	// beyond that, the table's and the directory listing's doublings.
+	// Per segment: its handle and its read buffer; beyond that, the
+	// table's and the directory listings' doublings.
 	if max := 16*len(segs) + 64; allocs > float64(max) {
 		t.Fatalf("Open replaying %d records from %d segments: %.0f allocs, want at most %d", records, len(segs), allocs, max)
 	}

@@ -142,7 +142,7 @@ func TestDeviceRollSnapshotAndGarbageTail(t *testing.T) {
 			}
 		}
 		put(0, 120)
-		if segs, err := listSegments(dir); err != nil || len(segs) < 3 {
+		if segs, err := listFiles(dir, segPrefix, segSuffix); err != nil || len(segs) < 3 {
 			t.Fatalf("120 records in 1 KiB segments left %d segments (err %v), want several rolls", len(segs), err)
 		}
 		if err := s.Snapshot(); err != nil {
@@ -165,9 +165,9 @@ func TestDeviceRollSnapshotAndGarbageTail(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 
-		segs, err := listSegments(dir)
+		segs, err := listFiles(dir, segPrefix, segSuffix)
 		if err != nil || len(segs) == 0 {
-			t.Fatalf("listSegments: %v, %d segments", err, len(segs))
+			t.Fatalf("listFiles: %v, %d segments", err, len(segs))
 		}
 		newest := segs[len(segs)-1].name
 		garbage := []byte("not a record: a write the crash cut short")
@@ -294,6 +294,46 @@ func TestEmptySegmentAndEmptyDir(t *testing.T) {
 	}
 }
 
+// TestHeaderlessSegmentNotReused: a crash right after a roll, before the
+// new segment's header was synced, leaves that segment empty. Recovery must
+// not append into it: records written there would have no header in front,
+// and the next recovery would cut them all, synced or not.
+func TestHeaderlessSegmentNotReused(t *testing.T) {
+	dir := NewMemDir(nil)
+	opts := Options{SyncEvery: 2, SegmentBytes: 200}
+	s, _ := mustOpen(t, dir, opts)
+	for i := 0; i < 5; i++ { // four records fill a segment; the fifth rolls
+		s.Set(key(i), value(i))
+	}
+	if segs, err := listFiles(dir, segPrefix, segSuffix); err != nil || len(segs) != 2 {
+		t.Fatalf("after the roll: %d segments (err %v), want 2", len(segs), err)
+	}
+	dir.Crash()
+
+	s, info := mustOpen(t, dir, opts)
+	if info.Replayed != 4 || s.Seq() != 4 {
+		t.Fatalf("first recovery: %+v seq=%d, want the 4 synced records", info, s.Seq())
+	}
+	var o oracle
+	for i := 0; i < 4; i++ {
+		o.set(key(i), value(i))
+	}
+	for i := 10; i < 14; i++ {
+		s.Set(key(i), value(i))
+		o.set(key(i), value(i))
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dir.Crash()
+
+	s, info = mustOpen(t, dir, opts)
+	if info.TornBytes != 0 || s.Seq() != 8 {
+		t.Fatalf("second recovery: %+v seq=%d, want seq 8 and no tear", info, s.Seq())
+	}
+	assertMatchesOracle(t, s, &o)
+}
+
 func TestSnapshotNewerThanLog(t *testing.T) {
 	dir := NewMemDir(nil)
 	s, _ := mustOpen(t, dir, Options{})
@@ -308,7 +348,7 @@ func TestSnapshotNewerThanLog(t *testing.T) {
 	// (empty) log. Recovery must trust the snapshot's sequence.
 	names, _ := dir.List()
 	for _, n := range names {
-		if _, ok := parseSegName(n); ok {
+		if _, ok := parseName(n, segPrefix, segSuffix); ok {
 			dir.Remove(n)
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
-	"strings"
 )
 
 // Snapshot wire format, little-endian:
@@ -27,15 +25,6 @@ const snapMagic = "KFSNAPS1"
 
 func snapName(seq uint64) string {
 	return fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix)
-}
-
-func parseSnapName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-		return 0, false
-	}
-	var seq uint64
-	_, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), "%016x", &seq)
-	return seq, err == nil
 }
 
 // writeSnapshot publishes a snapshot of the sorted view v at seq and
@@ -126,28 +115,4 @@ func readSnapshot(dir Dir, name string, fn func(key, value []byte)) (seq uint64,
 		off += uint64(klen) + uint64(vlen)
 	}
 	return seq, nil
-}
-
-// listSnapshots returns snapshot files newest-first.
-func listSnapshots(dir Dir) ([]string, error) {
-	names, err := dir.List()
-	if err != nil {
-		return nil, err
-	}
-	type snap struct {
-		name string
-		seq  uint64
-	}
-	var snaps []snap
-	for _, name := range names {
-		if seq, ok := parseSnapName(name); ok {
-			snaps = append(snaps, snap{name, seq})
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].seq > snaps[j].seq })
-	out := make([]string, len(snaps))
-	for i, s := range snaps {
-		out[i] = s.name
-	}
-	return out, nil
 }

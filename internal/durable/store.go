@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -115,19 +116,19 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 
 	// Newest valid snapshot wins; corrupt ones fall back to older (and a
 	// longer replay), never to silent acceptance.
-	snaps, err := listSnapshots(dir)
+	snaps, err := listFiles(dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, info, err
 	}
-	for _, name := range snaps {
+	for _, snap := range slices.Backward(snaps) {
 		tab := newTable()
-		seq, err := readSnapshot(dir, name, tab.set)
+		seq, err := readSnapshot(dir, snap.name, tab.set)
 		if err != nil {
 			info.CorruptSnapshots++
 			continue
 		}
 		s.tab, s.seq = tab, seq
-		info.SnapshotLoaded, info.SnapshotSeq = name, seq
+		info.SnapshotLoaded, info.SnapshotSeq = snap.name, seq
 		break
 	}
 
@@ -313,10 +314,10 @@ func (s *Store) snapshotLocked() error {
 	}
 	s.metrics.Snapshots++
 	// Drop older snapshots and covered segments.
-	if snaps, err := listSnapshots(s.dir); err == nil {
-		for _, name := range snaps {
-			if seq, ok := parseSnapName(name); ok && seq < s.seq {
-				s.dir.Remove(name)
+	if snaps, err := listFiles(s.dir, snapPrefix, snapSuffix); err == nil {
+		for _, snap := range snaps {
+			if snap.seq < s.seq {
+				s.dir.Remove(snap.name)
 			}
 		}
 		s.dir.SyncDir()

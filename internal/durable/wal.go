@@ -1,12 +1,13 @@
 package durable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -113,12 +114,39 @@ func segName(firstSeq uint64) string {
 	return fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix)
 }
 
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+// seqFile is one segment or snapshot on a Dir and the sequence number its
+// name carries.
+type seqFile struct {
+	name string
+	seq  uint64
+}
+
+// listFiles returns dir's files named <prefix><seq, hex><suffix> in
+// ascending sequence order.
+func listFiles(dir Dir, prefix, suffix string) ([]seqFile, error) {
+	names, err := dir.List()
+	if err != nil {
+		return nil, err
+	}
+	var files []seqFile
+	for _, name := range names {
+		if seq, ok := parseName(name, prefix, suffix); ok {
+			files = append(files, seqFile{name, seq})
+		}
+	}
+	slices.SortFunc(files, func(a, b seqFile) int { return cmp.Compare(a.seq, b.seq) })
+	return files, nil
+}
+
+func parseName(name, prefix, suffix string) (uint64, bool) {
+	hex, ok := strings.CutPrefix(name, prefix)
+	if !ok {
 		return 0, false
 	}
-	var seq uint64
-	_, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), "%016x", &seq)
+	if hex, ok = strings.CutSuffix(hex, suffix); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(hex, 16, 64)
 	return seq, err == nil
 }
 
@@ -138,21 +166,15 @@ type wal struct {
 }
 
 // openWAL binds to dir's newest segment (or none; the first append
-// creates one).
+// creates one). Recovery has run first, so that segment's header verified.
 func openWAL(dir Dir, segBytes int64) (*wal, error) {
 	w := &wal{dir: dir, segBytes: segBytes}
-	names, err := dir.List()
+	segs, err := listFiles(dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
 	}
-	var newest string
-	var newestSeq uint64
-	for _, name := range names {
-		if seq, ok := parseSegName(name); ok && (newest == "" || seq > newestSeq) {
-			newest, newestSeq = name, seq
-		}
-	}
-	if newest != "" {
+	if len(segs) > 0 {
+		newest := segs[len(segs)-1].name
 		f, err := dir.Open(newest)
 		if err != nil {
 			return nil, err
@@ -252,27 +274,6 @@ func (w *wal) close() {
 	}
 }
 
-// segInfo is one on-device segment, ordered by first sequence number.
-type segInfo struct {
-	name     string
-	firstSeq uint64
-}
-
-func listSegments(dir Dir) ([]segInfo, error) {
-	names, err := dir.List()
-	if err != nil {
-		return nil, err
-	}
-	var segs []segInfo
-	for _, name := range names {
-		if seq, ok := parseSegName(name); ok {
-			segs = append(segs, segInfo{name: name, firstSeq: seq})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-	return segs, nil
-}
-
 // replayResult reports what a log scan found.
 type replayResult struct {
 	replayed  uint64 // records applied
@@ -289,12 +290,12 @@ type replayResult struct {
 // verified prefix and must not be silently replayed).
 func replay(dir Dir, fromSeq uint64, fn func(Record)) (replayResult, error) {
 	res := replayResult{lastSeq: fromSeq}
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, segPrefix, segSuffix)
 	if err != nil {
 		return res, err
 	}
 	for i, seg := range segs {
-		torn, err := replaySegment(dir, seg, &res, fn)
+		torn, err := replaySegment(dir, seg.name, &res, fn)
 		if err != nil {
 			return res, err
 		}
@@ -314,8 +315,8 @@ func replay(dir Dir, fromSeq uint64, fn func(Record)) (replayResult, error) {
 
 // replaySegment scans one segment; it reports torn=true when it hit a
 // tear and cut the tail.
-func replaySegment(dir Dir, seg segInfo, res *replayResult, fn func(Record)) (torn bool, err error) {
-	f, err := dir.Open(seg.name)
+func replaySegment(dir Dir, name string, res *replayResult, fn func(Record)) (torn bool, err error) {
+	f, err := dir.Open(name)
 	if err != nil {
 		return false, err
 	}
@@ -330,10 +331,10 @@ func replaySegment(dir Dir, seg segInfo, res *replayResult, fn func(Record)) (to
 	}
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		// The segment header itself is torn (crash during roll): the
-		// whole file is the tail.
+		// whole file is the tail. Remove it rather than cut it to nothing,
+		// so no append ever lands in a segment without a header.
 		res.tornBytes += int64(len(data))
-		f.Truncate(0)
-		return true, nil
+		return true, dir.Remove(name)
 	}
 	off := len(segMagic)
 	for off < len(data) {
@@ -368,7 +369,7 @@ func replaySegment(dir Dir, seg segInfo, res *replayResult, fn func(Record)) (to
 // segment is removable once the next segment starts at or below
 // snapSeq+1 (every record it holds is then ≤ snapSeq).
 func compact(dir Dir, snapSeq uint64, keep string) (removed int) {
-	segs, err := listSegments(dir)
+	segs, err := listFiles(dir, segPrefix, segSuffix)
 	if err != nil {
 		return 0
 	}
@@ -376,7 +377,7 @@ func compact(dir Dir, snapSeq uint64, keep string) (removed int) {
 		if seg.name == keep {
 			continue
 		}
-		if i+1 < len(segs) && segs[i+1].firstSeq <= snapSeq+1 {
+		if i+1 < len(segs) && segs[i+1].seq <= snapSeq+1 {
 			if dir.Remove(seg.name) == nil {
 				removed++
 			}

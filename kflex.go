@@ -838,16 +838,6 @@ func (e *Extension) UserFree(userAddr uint64) error {
 	return e.alloc.Free(e.NumCPUs(), e.heap.TranslateToExt(userAddr))
 }
 
-// GlobalsBase returns the extension VA of the reserved globals area in the
-// heap's first page (after the terminate word), where extensions keep
-// static state such as list heads and locks.
-func (e *Extension) GlobalsBase() (uint64, error) {
-	if e.heap == nil {
-		return 0, fmt.Errorf("kflex: %s has no heap", e.name)
-	}
-	return e.heap.ExtBase() + GlobalsOff, nil
-}
-
 // GlobalsOff is the heap offset of the extension-globals area; the first
 // page is runtime-reserved (terminate word at offset 0) and allocations
 // start at the next page.
