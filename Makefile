@@ -86,7 +86,7 @@ bench-smoke: build
 	$(GO) test -run NONE -bench BenchmarkHandler -benchtime 200x ./internal/netsim/
 	$(GO) test -run NONE -bench BenchmarkVerify -benchtime 100x ./internal/verifier/
 	$(GO) test -run NONE -bench BenchmarkStoreSet -benchtime 1000x ./internal/durable/
-	$(GO) test -run NONE -bench 'BenchmarkStoreRange|BenchmarkStoreRecover' -benchtime 10x ./internal/durable/
+	$(GO) test -run NONE -bench 'BenchmarkStoreRange|BenchmarkStoreRecover|BenchmarkStoreSnapshot' -benchtime 10x ./internal/durable/
 	$(GO) test -run NONE -bench 'BenchmarkHelperSpan|BenchmarkStackLoad8|BenchmarkNullRun' -benchtime 1000x ./internal/vm/
 	$(GO) test -run NONE -bench BenchmarkSupervisorRun -benchtime 1000x -cpu 2 ./internal/supervisor/
 	$(GO) test -run NONE -bench BenchmarkGetHit -benchtime 200000x ./internal/apps/offload/

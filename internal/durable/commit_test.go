@@ -240,6 +240,28 @@ func BenchmarkStoreRange(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSnapshot is one Snapshot of the mc-* workloads' store image:
+// 64 Ki workload pairs, preloaded and then each overwritten once. It is the
+// stall the SET that crosses the compaction threshold pays under Store.mu.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	const keys = 1 << 16
+	b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+		order := make([]int, keys)
+		for i := range order {
+			order[i] = i
+		}
+		s := benchStore(b)
+		fillWorkload(s, order)
+		fillWorkload(s, order)
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := s.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkStoreRecover is one Open that replays a log of 1 Ki or 64 Ki
 // SETs of the workload's shapes, as a crashed deployment's recovery does.
 func BenchmarkStoreRecover(b *testing.B) {

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -546,6 +547,38 @@ func TestFsyncFailureCountedAndLostAtCrash(t *testing.T) {
 	assertMatchesOracle(t, s2, &o)
 }
 
+// TestSnapshotLogFsyncFailureCounted: the fsync of the log a snapshot
+// issues before it writes is counted in SyncErrs like any other. The
+// snapshot still publishes: it covers the unsynced records itself.
+func TestSnapshotLogFsyncFailureCounted(t *testing.T) {
+	plan := faultinject.NewPlan(17)
+	dir := NewMemDir(plan)
+	s, _ := mustOpen(t, dir, Options{SyncEvery: 4})
+	var o oracle
+	for i := 0; i < 3; i++ { // below SyncEvery: the log is still unsynced
+		s.Set(key(i), value(i))
+		o.set(key(i), value(i))
+	}
+	before := s.Metrics()
+	// The segment is the device's first file; the snapshot's is a new one.
+	plan.FailNth(faultinject.StoreSync, 1, 1)
+	plan.Enable()
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	plan.Disarm()
+	m := s.Metrics()
+	if m.SyncErrs != before.SyncErrs+1 || m.Syncs != before.Syncs || m.Snapshots != 1 {
+		t.Fatalf("after a snapshot whose log fsync failed: %+v, before %+v", m, before)
+	}
+	dir.Crash()
+	s2, info := mustOpen(t, dir, Options{})
+	if info.SnapshotSeq != 3 {
+		t.Fatalf("recovery: %+v, want the snapshot at seq 3", info)
+	}
+	assertMatchesOracle(t, s2, &o)
+}
+
 func TestAppendFailureDegradedButServing(t *testing.T) {
 	plan := faultinject.NewPlan(9)
 	plan.SetRate(faultinject.StoreWrite, 1.0)
@@ -639,20 +672,216 @@ func TestCompactionBoundsReplay(t *testing.T) {
 	}
 }
 
-func TestAutoSnapshotEvery(t *testing.T) {
-	dir := NewMemDir(nil)
-	s, _ := mustOpen(t, dir, Options{SnapshotEvery: 50, SegmentBytes: 1024})
-	for i := 0; i < 120; i++ {
-		s.Set(key(i), value(i))
+// TestAutoSnapshotEvery: a store opened with zero Options compacts by the
+// size rule alone. Overwriting a few hundred keys for four thresholds' worth
+// of log publishes a snapshot exactly at each crossing (the floor binds
+// first, the ratio after), also across a restart, which counts the replayed
+// suffix and the loaded snapshot's size; the device never holds more than a
+// threshold of log beside the last snapshot; a reopen recovers every write.
+func TestAutoSnapshotEvery(t *testing.T) { eachDevice(t, testAutoSnapshotEvery) }
+
+func testAutoSnapshotEvery(t *testing.T, dir Dir) {
+	// 300 keys of 7 KiB values: a snapshot (2.15 MB) times compactRatio
+	// passes minCompact, so the second and later crossings follow the ratio.
+	const keys, valueLen = 300, 7 << 10
+	const snapSize = len(snapMagic) + 8 + 8 + 4 + keys*(8+8+valueLen)
+	const recSize = recHeaderSize + 8 + valueLen
+	var o oracle
+	val := make([]byte, valueLen)
+	threshold, since, snapSeq, snaps := minCompact, 0, uint64(0), uint64(0)
+	// write overwrites keys n times, checking after every write that s
+	// snapshots exactly at each crossing.
+	write := func(s *Store, n int) {
+		published := uint64(0)
+		for range n {
+			i := len(o.ops)
+			binary.LittleEndian.PutUint64(val, uint64(i))
+			s.Set(key(i%keys), val)
+			o.set(key(i%keys), val)
+			since += recSize
+			crossed := since >= threshold
+			if crossed {
+				published, snapSeq, since = published+1, uint64(i+1), 0
+				threshold = max(minCompact, compactRatio*snapSize)
+			}
+			if m := s.Metrics(); m.Snapshots != published || m.SnapshotErrs != 0 {
+				t.Fatalf("after %d writes: %d snapshots (%d failed), want %d", i+1, m.Snapshots, m.SnapshotErrs, published)
+			}
+			if bound := threshold + snapSize + 2*(256<<10); (crossed || i%64 == 0) && deviceBytes(t, dir) >= int64(bound) {
+				t.Fatalf("after %d writes the device holds %d bytes, want below %d", i+1, deviceBytes(t, dir), bound)
+			}
+		}
+		snaps += published
 	}
-	if m := s.Metrics(); m.Snapshots != 2 {
-		t.Fatalf("Snapshots %d, want 2 (at 50 and 100)", m.Snapshots)
+	reopen := func(s *Store) *Store {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, info := mustOpen(t, dir, Options{})
+		if info.SnapshotSeq != snapSeq || info.Replayed != uint64(len(o.ops))-snapSeq {
+			t.Fatalf("recovery after %d writes, last snapshot at %d: %+v", len(o.ops), snapSeq, info)
+		}
+		assertMatchesOracle(t, s, &o)
+		return s
 	}
-	s.Close()
-	_, info := mustOpen(t, dir, Options{})
-	if info.SnapshotSeq != 100 || info.Replayed != 20 {
-		t.Fatalf("auto-snapshot recovery: %+v", info)
+	s, _ := mustOpen(t, dir, Options{})
+	write(s, 7000) // two crossings, then most of a third threshold
+	s = reopen(s)
+	write(s, 3000) // crosses after 124 writes, the replayed suffix counting, then again
+	reopen(s).Close()
+	if snaps < 4 {
+		t.Fatalf("%d snapshots in %d writes, want 4", snaps, len(o.ops))
 	}
+}
+
+// snapFaultDir is a MemDir whose first snapshot meets one device fault at
+// the step fault names: its file's append fails, is short or is silently
+// corrupted, its fsync fails, or the process dies after the rename and
+// before the directory sync that would make it durable.
+type snapFaultDir struct {
+	*MemDir
+	fault string
+	fired bool
+}
+
+func (d *snapFaultDir) Create(name string) (File, error) {
+	f, err := d.MemDir.Create(name)
+	if err != nil || name != snapTmp || d.fired {
+		return f, err
+	}
+	switch d.fault {
+	case "append", "short", "corrupt", "fsync":
+		d.fired = true
+		return &faultyFile{File: f, fault: d.fault}, nil
+	}
+	return f, nil
+}
+
+func (d *snapFaultDir) Rename(oldname, newname string) error {
+	if err := d.MemDir.Rename(oldname, newname); err != nil || d.fired || d.fault != "rename" {
+		return err
+	}
+	d.fired = true
+	d.MemDir.Crash()
+	return faultinject.ErrInjected
+}
+
+// faultyFile is the snapshot file of a snapFaultDir, with MemDir's fault
+// semantics: a short append persists half, a corrupt one flips a bit and
+// reports success, a failed fsync leaves the bytes volatile.
+type faultyFile struct {
+	File
+	fault string
+}
+
+func (f *faultyFile) Append(p []byte) (int, error) {
+	switch f.fault {
+	case "append":
+		return 0, faultinject.ErrInjected
+	case "short":
+		n, _ := f.File.Append(p[:len(p)/2])
+		return n, faultinject.ErrInjected
+	case "corrupt":
+		p = bytes.Clone(p)
+		p[len(p)/2] ^= 0x40
+	}
+	return f.File.Append(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.fault == "fsync" {
+		return faultinject.ErrInjected
+	}
+	return f.File.Sync()
+}
+
+// TestAutoSnapshotDeviceFaults drives a zero-Options store across the
+// compaction threshold with one device fault in the snapshot the crossing
+// triggers — or, for "compacted", a crash right after that snapshot
+// compacted the log. Every synced, acknowledged write survives recovery, a
+// failed attempt is counted, and the next crossing retries and publishes.
+func TestAutoSnapshotDeviceFaults(t *testing.T) {
+	const keys, valueLen = 64, 4 << 10
+	for _, fault := range []string{"append", "short", "corrupt", "fsync", "rename", "compacted"} {
+		t.Run(fault, func(t *testing.T) {
+			dir := &snapFaultDir{MemDir: NewMemDir(nil), fault: fault}
+			s, _ := mustOpen(t, dir, Options{})
+			var o oracle
+			val := make([]byte, valueLen)
+			// setUntil writes until the store has attempted n snapshots.
+			setUntil := func(n uint64) {
+				t.Helper()
+				for m := s.Metrics(); m.Snapshots+m.SnapshotErrs < n; m = s.Metrics() {
+					i := len(o.ops)
+					if i > 4*minCompact/valueLen {
+						t.Fatalf("%d writes and %+v: no snapshot attempt", i, m)
+					}
+					binary.LittleEndian.PutUint64(val, uint64(i))
+					s.Set(key(i%keys), val)
+					o.set(key(i%keys), val)
+				}
+			}
+			// crashAndReopen crashes the device and recovers the store.
+			crashAndReopen := func() RecoveryInfo {
+				t.Helper()
+				dir.Crash()
+				var info RecoveryInfo
+				s, info = mustOpen(t, dir, Options{})
+				if s.Seq() != uint64(len(o.ops)) {
+					t.Fatalf("recovered seq %d of %d synced writes: %+v", s.Seq(), len(o.ops), info)
+				}
+				assertMatchesOracle(t, s, &o)
+				return info
+			}
+
+			setUntil(1)
+			failed := uint64(1)
+			if fault == "compacted" {
+				failed = 0
+			}
+			if m := s.Metrics(); m.SnapshotErrs != failed || m.Snapshots != 1-failed {
+				t.Fatalf("first crossing: %+v", m)
+			}
+			if fault == "rename" || fault == "compacted" {
+				crashAndReopen() // the process died: carry on with the recovered store
+			}
+			before := len(o.ops)
+			setUntil(s.Metrics().SnapshotErrs + 1)
+			if late := len(o.ops) - before - 1; fault == "rename" && late != 0 {
+				// The recovered store replayed a threshold's worth of log.
+				t.Fatalf("after a restart the snapshot came %d writes late", late)
+			}
+			if m := s.Metrics(); m.Snapshots != 1 {
+				t.Fatalf("next crossing did not publish: %+v", m)
+			}
+			if info := crashAndReopen(); info.SnapshotLoaded == "" {
+				t.Fatalf("recovery loaded no snapshot: %+v", info)
+			}
+		})
+	}
+}
+
+// deviceBytes sums the sizes of every file on dir.
+func deviceBytes(t *testing.T, dir Dir) int64 {
+	t.Helper()
+	names, err := dir.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, name := range names {
+		f, err := dir.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += size
+	}
+	return total
 }
 
 func TestChaosRecoveryDeterminism(t *testing.T) {

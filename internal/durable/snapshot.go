@@ -70,49 +70,50 @@ func writeSnapshot(dir Dir, seq uint64, v view) (string, error) {
 	return name, nil
 }
 
-// readSnapshot CRC-verifies one snapshot file and hands fn each pair; the
-// slices alias a buffer fn must copy out of.
-func readSnapshot(dir Dir, name string, fn func(key, value []byte)) (seq uint64, err error) {
+// readSnapshot CRC-verifies one snapshot file, hands fn each pair and
+// returns the file's sequence and size; the slices alias a buffer fn must
+// copy out of.
+func readSnapshot(dir Dir, name string, fn func(key, value []byte)) (seq uint64, size int64, err error) {
 	f, err := dir.Open(name)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
-	size, err := f.Size()
+	size, err = f.Size()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if size < int64(len(snapMagic))+8+8+4 {
-		return 0, fmt.Errorf("durable: snapshot %s truncated (%d bytes)", name, size)
+		return 0, 0, fmt.Errorf("durable: snapshot %s truncated (%d bytes)", name, size)
 	}
 	data := make([]byte, size)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return 0, fmt.Errorf("durable: snapshot %s CRC mismatch", name)
+		return 0, 0, fmt.Errorf("durable: snapshot %s CRC mismatch", name)
 	}
 	if string(body[:len(snapMagic)]) != snapMagic {
-		return 0, fmt.Errorf("durable: snapshot %s bad magic", name)
+		return 0, 0, fmt.Errorf("durable: snapshot %s bad magic", name)
 	}
 	seq = binary.LittleEndian.Uint64(body[8:])
 	count := binary.LittleEndian.Uint64(body[16:])
 	off := uint64(24)
 	for i := uint64(0); i < count; i++ {
 		if off+8 > uint64(len(body)) {
-			return 0, fmt.Errorf("durable: snapshot %s pair header truncated", name)
+			return 0, 0, fmt.Errorf("durable: snapshot %s pair header truncated", name)
 		}
 		klen := binary.LittleEndian.Uint32(body[off:])
 		vlen := binary.LittleEndian.Uint32(body[off+4:])
 		off += 8
 		if klen > maxKeyLen || vlen > maxValueLen || off+uint64(klen)+uint64(vlen) > uint64(len(body)) {
-			return 0, fmt.Errorf("durable: snapshot %s pair out of bounds", name)
+			return 0, 0, fmt.Errorf("durable: snapshot %s pair out of bounds", name)
 		}
 		key := body[off : off+uint64(klen)]
 		val := body[off+uint64(klen) : off+uint64(klen)+uint64(vlen)]
 		fn(key, val)
 		off += uint64(klen) + uint64(vlen)
 	}
-	return seq, nil
+	return seq, size, nil
 }

@@ -15,10 +15,23 @@ type Options struct {
 	// acknowledged write is crash-durable). Larger values trade the
 	// crash-durability window for append throughput.
 	SyncEvery int
-	// SnapshotEvery writes a snapshot (and compacts the log) every n
-	// appends; 0 leaves snapshotting to explicit Snapshot calls.
-	SnapshotEvery int
 }
+
+// Every store snapshots, and so compacts its log, in the mutation whose
+// append brings the log bytes written since the last snapshot attempt to
+// max(minCompact, compactRatio × the last published snapshot's size), as
+// Redis's auto-aof-rewrite-percentage does. The log then holds at most a
+// fixed multiple of the live data, and a snapshot costs O(1) amortized per
+// byte appended.
+const (
+	// minCompact keeps a small store from snapshotting every few writes,
+	// and is above the 7.67 MB of log a 64 Ki-pair preload writes, so no
+	// deployment's set-up compacts.
+	minCompact = 16 << 20
+	// compactRatio bounds the log at 8× the live data: a snapshot rewrites
+	// every live pair, so a larger store waits for proportionally more log.
+	compactRatio = 8
+)
 
 func (o *Options) defaults() {
 	if o.SegmentBytes <= 0 {
@@ -38,7 +51,8 @@ type Metrics struct {
 	Appends, AppendErrs uint64
 	// Syncs counts the fsyncs the flush policy (SyncEvery, Sync, Close)
 	// issued; SyncErrs counts the ones that failed, plus failed fsyncs of
-	// a segment a roll was about to close (which put the roll off).
+	// a segment a roll was about to close (which put the roll off) and of
+	// the log a snapshot syncs before it is written.
 	Syncs, SyncErrs uint64
 	// Snapshots / SnapshotErrs count snapshot publications and failures;
 	// CompactedSegs counts WAL segments removed by compaction.
@@ -98,8 +112,11 @@ type Store struct {
 	logBroken bool
 
 	sinceSync uint64
-	sinceSnap uint64
-	metrics   Metrics
+	// sinceSnap counts the log bytes appended since the last snapshot
+	// attempt (after Open: the suffix it replayed); snapBytes is the size
+	// of the last published snapshot. Together they drive compaction.
+	sinceSnap, snapBytes int64
+	metrics              Metrics
 }
 
 // Open recovers (or initializes) a Store from dir: it loads the newest
@@ -122,12 +139,12 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 	}
 	for _, snap := range slices.Backward(snaps) {
 		tab := newTable()
-		seq, err := readSnapshot(dir, snap.name, tab.set)
+		seq, size, err := readSnapshot(dir, snap.name, tab.set)
 		if err != nil {
 			info.CorruptSnapshots++
 			continue
 		}
-		s.tab, s.seq = tab, seq
+		s.tab, s.seq, s.snapBytes = tab, seq, size
 		info.SnapshotLoaded, info.SnapshotSeq = snap.name, seq
 		break
 	}
@@ -142,6 +159,7 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 	if res.lastSeq > s.seq {
 		s.seq = res.lastSeq
 	}
+	s.sinceSnap = res.bytes
 	info.Replayed = res.replayed
 	info.TornBytes = res.tornBytes
 	info.DiscardedSegments = res.discarded
@@ -175,12 +193,8 @@ func (s *Store) mutate(op byte, key, value []byte) {
 	s.seq = rec.Seq
 	s.apply(rec)
 	s.logRecord(s.enc, rec.Seq)
-	if s.opts.SnapshotEvery > 0 {
-		s.sinceSnap++
-		if s.sinceSnap >= uint64(s.opts.SnapshotEvery) {
-			s.sinceSnap = 0
-			s.snapshotLocked()
-		}
+	if s.sinceSnap >= max(minCompact, compactRatio*s.snapBytes) {
+		s.snapshotLocked()
 	}
 }
 
@@ -211,6 +225,7 @@ func (s *Store) logRecord(enc []byte, seq uint64) {
 		}
 		return
 	}
+	s.sinceSnap += int64(len(enc))
 	s.sinceSync++
 	if s.sinceSync >= uint64(s.opts.SyncEvery) {
 		s.metrics.Syncs++
@@ -292,9 +307,15 @@ func (s *Store) Snapshot() error {
 }
 
 func (s *Store) snapshotLocked() error {
+	// A failed attempt is retried at the next crossing, not on every
+	// append: a device that keeps failing costs no more snapshots than a
+	// healthy one.
+	s.sinceSnap = 0
 	// The snapshot covers every mutation up to seq; sync the log first so
 	// the no-lost-prefix invariant survives a crash between the two.
-	s.log.sync()
+	if err := s.log.sync(); err != nil {
+		s.metrics.SyncErrs++
+	}
 	v := s.tab.snapshot()
 	v.sort()
 	name, err := writeSnapshot(s.dir, s.seq, v)
@@ -306,13 +327,15 @@ func (s *Store) snapshotLocked() error {
 	// the device silently corrupted (reported success, flipped bytes)
 	// must not become the only copy of the data. An unreadable snapshot
 	// is removed and the log — still intact — remains authoritative.
-	if _, verr := readSnapshot(s.dir, name, func(key, value []byte) {}); verr != nil {
+	_, size, verr := readSnapshot(s.dir, name, func(key, value []byte) {})
+	if verr != nil {
 		s.dir.Remove(name)
 		s.dir.SyncDir()
 		s.metrics.SnapshotErrs++
 		return fmt.Errorf("durable: snapshot failed read-back verification: %w", verr)
 	}
 	s.metrics.Snapshots++
+	s.snapBytes = size
 	// Drop older snapshots and covered segments.
 	if snaps, err := listFiles(s.dir, snapPrefix, snapSuffix); err == nil {
 		for _, snap := range snaps {

@@ -278,6 +278,7 @@ func (w *wal) close() {
 type replayResult struct {
 	replayed  uint64 // records applied
 	lastSeq   uint64 // last applied sequence
+	bytes     int64  // encoded size of the records applied
 	tornBytes int64  // bytes discarded at the tear
 	discarded int    // whole later segments discarded after a tear
 }
@@ -354,6 +355,7 @@ func replaySegment(dir Dir, name string, res *replayResult, fn func(Record)) (to
 		case rec.Seq == res.lastSeq+1:
 			fn(rec)
 			res.replayed++
+			res.bytes += int64(n)
 			res.lastSeq = rec.Seq
 		default:
 			res.tornBytes += int64(len(data) - off)
