@@ -12,8 +12,9 @@ import (
 	"kflex/internal/workload"
 )
 
-// The differential harness is the lowering's translation-validation
-// evidence (DESIGN.md §3.5): every corpus program, run on the reference
+// The differential harness is the dynamic half of the lowering's
+// translation validation (DESIGN.md §3.5; compile.Validate, run on every
+// lowering loadPair makes, is the static half): every corpus program, run on the reference
 // interpreter and the lowered tier with identical inputs, must produce
 // byte-identical results, context writes, abort attribution, and work
 // counters — Dispatches and Fused excepted, the two documented
@@ -49,6 +50,9 @@ func loadPair(t *testing.T, spec kflex.Spec) *tierPair {
 		t.Fatalf("load lowered tier: %v", err)
 	}
 	t.Cleanup(func() { ei.Close(); el.Close() })
+	if err := el.ValidateLowering(); err != nil {
+		t.Fatal(err)
+	}
 	if ei.Pipeline().Tier != kflex.TierInterpreter || el.Pipeline().Tier != kflex.TierLowered {
 		t.Fatalf("tiers = %q/%q, want interpreter/lowered",
 			ei.Pipeline().Tier, el.Pipeline().Tier)

@@ -19,14 +19,27 @@ import (
 //
 // Determinism: each tier gets its own Runtime, so the per-kernel helper
 // state (prandom stream, ktime tick counter) replays identically; the
-// instruction quantum bounds unbounded loops the verifier admitted.
+// instruction quantum bounds unbounded loops the verifier admitted. shared
+// maps the heap into user space, so Kie arms translate-on-store before
+// every heap pointer stored into the heap. Every lowering passes
+// compile.Validate.
 func FuzzLoweredEquivalence(f *testing.F) {
 	for _, kind := range ds.Kinds {
 		if raw, err := insn.Encode(ds.Program(kind)); err == nil {
-			f.Add(raw, uint64(1), uint64(2))
+			f.Add(raw, uint64(1), uint64(2), false)
+			if kind == ds.KindSkipList {
+				f.Add(raw, uint64(1), uint64(2), true) // Xlat-armed stores
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, key, val uint64) {
+	for _, prog := range clusterSeeds() {
+		raw, err := insn.Encode(prog)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, uint64(3), uint64(0), false)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, key, val uint64, shared bool) {
 		prog, err := insn.Decode(raw)
 		if err != nil {
 			t.Skip()
@@ -37,6 +50,7 @@ func FuzzLoweredEquivalence(f *testing.F) {
 			Hook:            kflex.HookBench,
 			Mode:            kflex.ModeKFlex,
 			HeapSize:        1 << 16,
+			ShareHeap:       shared,
 			QuantumInsns:    50_000,
 			CancelThreshold: kflex.CancelNever,
 		}
@@ -52,6 +66,9 @@ func FuzzLoweredEquivalence(f *testing.F) {
 		}
 		defer ei.Close()
 		defer el.Close()
+		if err := el.ValidateLowering(); err != nil {
+			t.Fatalf("%v\nprog:\n%s", err, insn.Disassemble(prog))
+		}
 
 		ctxI := make([]byte, kflex.HookBench.CtxSize)
 		ctxL := make([]byte, kflex.HookBench.CtxSize)
@@ -84,6 +101,45 @@ func FuzzLoweredEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// clusterSeeds are small verified programs over the bench context
+// (key at +8, value at +16) holding each cluster kind of the lowering: a
+// load and the branch on it in both compare widths and both operand forms,
+// a folded move, base + displacement + index, and the scaled index.
+func clusterSeeds() [][]insn.Instruction {
+	return [][]insn.Instruction{
+		{
+			insn.Mov64Imm(insn.R0, 0),
+			insn.LoadMem(insn.R2, insn.R1, 8, 8),
+			insn.JmpImm(insn.JmpGt, insn.R2, 2, 1),
+			insn.Mov64Imm(insn.R0, 1),
+			insn.LoadMem(insn.R3, insn.R1, 16, 4),
+			insn.Jmp32Reg(insn.JmpSlt, insn.R3, insn.R2, 1),
+			insn.Alu64Imm(insn.AluAdd, insn.R0, 2),
+			insn.LoadMem(insn.R4, insn.R1, 8, 8),
+			insn.Jmp32Imm(insn.JmpNe, insn.R4, 3, 1),
+			insn.Alu64Imm(insn.AluAdd, insn.R0, 4),
+			insn.Exit(),
+		},
+		{
+			insn.LoadMem(insn.R4, insn.R1, 8, 8),
+			insn.Mov64Reg(insn.R0, insn.R4), // scaled index
+			insn.Alu64Imm(insn.AluAnd, insn.R0, 15),
+			insn.Alu64Imm(insn.AluLsh, insn.R0, 3),
+			insn.Mov64Reg(insn.R2, insn.R4), // base + displacement + index
+			insn.Alu64Imm(insn.AluAdd, insn.R2, 16),
+			insn.Alu64Reg(insn.AluAdd, insn.R2, insn.R0),
+			insn.Mov64Reg(insn.R3, insn.R2), // folded moves, 64 and 32 bits
+			insn.Alu32Imm(insn.AluXor, insn.R3, -1),
+			insn.Mov32Reg(insn.R5, insn.R4),
+			insn.Alu32Imm(insn.AluArsh, insn.R5, 1),
+			insn.Alu64Reg(insn.AluAdd, insn.R0, insn.R2),
+			insn.Alu64Reg(insn.AluXor, insn.R0, insn.R3),
+			insn.Alu64Reg(insn.AluAdd, insn.R0, insn.R5),
+			insn.Exit(),
+		},
+	}
 }
 
 func ctxBytes(v uint64) []byte {

@@ -11,27 +11,35 @@
 // mode is not one of them: Kie never emits the read guards it omits, so the
 // stream arriving here is already the one to run, §3.2/§4.2):
 //
-//   - The dominant instruction pairs Kie emits are fused into
-//     superinstructions executed in one dispatch: guard+load, guard+store
-//     (the SFI sanitize-then-access sequence of §3.2, which the JIT lowers
-//     to adjacent hardware instructions) and probe+branch (the *terminate
-//     probe on an unbounded loop back edge, §3.3).
+//   - Adjacent instructions are clustered into one lowered instruction
+//     executed in one dispatch (§4.2: the JIT lowers a guard to one or two
+//     hardware instructions next to the access it protects). A cluster is
+//     at most three instructions joined pairwise by one of six kinds: a
+//     guard and its load or store (the SFI sanitize-then-access sequence
+//     of §3.2); a probe and its branch (the *terminate probe on an
+//     unbounded loop back edge, §3.3); a load and the conditional branch
+//     on the loaded register (the chain step and the tag or key check); a
+//     register move folded into the ALU-immediate operation on the same
+//     register that follows it (three-address form); an add-immediate and
+//     an add-register on one register (base + displacement + index); and
+//     an and-immediate followed by a left shift on one register (the
+//     scaled index).
 //   - Helper calls are turned into link-time-resolved call sites: the
 //     registry lookup the interpreter performs per call happens once in
 //     Link.
-//
+
 // The output is split into two artifacts so compilation can be cached
 // across extension generations: a Unit is position-independent — it embeds
 // no heap addresses — and may be shared by any number of loads of the same
 // spec; Link binds a Unit to one extension instance (heap base/mask, user
 // mapping base, resolved helper table) without copying or patching code.
 //
-// Translation validation: lowering is a local, structure-preserving map —
-// every architectural instruction either lowers 1:1 or is fused with its
-// unique successor when no control flow can enter between the two. The
-// differential harness at the repository root replays the full test corpus
-// on both tiers and requires byte-identical results and work counters (see
-// DESIGN.md §3.5).
+// Translation validation: lowering is a local, order-preserving map —
+// every architectural instruction lowers 1:1 or into exactly one cluster,
+// and control flow only enters a cluster at its first instruction.
+// Validate checks that of every Unit statically; the differential harness
+// at the repository root replays the test corpus on both tiers and requires
+// identical results and work counters (see DESIGN.md §3.5).
 package compile
 
 import (
@@ -138,23 +146,29 @@ const (
 	OpXlat
 	OpProbe
 
-	// Fused superinstructions: one dispatch retiring two architectural
-	// instructions (§4.2: Kie opcodes lower to one or two hardware
-	// instructions adjacent to the access they protect).
+	// Clusters: one dispatch retiring two or three architectural
+	// instructions. A move folded into an ALU-immediate operation needs no
+	// opcode of its own: those read Src, which equals Dst unless a move
+	// was folded in.
 	OpGuardLoad     // guard src, then dst = *(Size*)(src + Imm)
 	OpGuardRdLoad   // read-guard variant
 	OpGuardStoreReg // guard dst, then *(Size*)(dst + Imm) = src
 	OpGuardStoreImm // guard dst, then *(Size*)(dst + Off) = Imm
 	OpProbeJa       // probe (CP in Off), then pc = Target
-	OpProbeJcc      // probe, then conditional branch (form in Size)
+	OpProbeJcc      // probe, then conditional branch on Dst (operand per Form)
+	OpLoadJcc       // [guard src,] dst = *(Size*)(src + Off), then branch on dst
+	OpAndLsh64      // dst = (src & Imm) << Off
+	OpAdd64Idx      // dst = src + Imm + Idx
 
 	numOps
 )
 
-// OpProbeJcc form flags carried in Insn.Size.
+// Form flags of a clustered branch (OpProbeJcc, OpLoadJcc), in Insn.Form.
 const (
-	FormImm uint8 = 1 << 0 // compare against Imm instead of Src
-	Form32  uint8 = 1 << 1 // 32-bit compare
+	FormImm     uint8 = 1 << 0 // compare against Imm instead of register Idx
+	Form32      uint8 = 1 << 1 // 32-bit compare
+	FormGuard   uint8 = 1 << 2 // OpLoadJcc: a guard of src comes first
+	FormGuardRd uint8 = 1 << 3 // OpLoadJcc: that guard is a read guard
 )
 
 // Insn is one pre-decoded lowered instruction. 32 bytes; the dispatch loop
@@ -164,18 +178,25 @@ type Insn struct {
 	Sub  uint8 // conditional-branch condition bits (insn.Jmp*)
 	Dst  uint8
 	Src  uint8
-	Size uint8 // memory access width in bytes; OpProbeJcc form flags
+	Size uint8 // memory access width in bytes
+	// Idx is a cluster's second source register: the compare register of
+	// a clustered branch, the index of OpAdd64Idx.
+	Idx  uint8
+	Form uint8 // clustered-branch flags (Form*)
+	// N is the number of architectural instructions the dispatch retires:
+	// 1, or the length (2 or 3) of a cluster.
+	N uint8
 
 	// OrigPC is the index in the instrumented stream this lowered
-	// instruction retires (for fused pairs: the instruction faults are
-	// attributed to). Aborts and errors report it, keeping cancellation
-	// PCs identical across tiers.
+	// instruction retires (for a cluster with a memory access, the
+	// access: faults are attributed to it). Aborts and errors report it,
+	// keeping cancellation PCs identical across tiers.
 	OrigPC int32
 	// Target is the absolute lowered PC of a branch, or the call-site
 	// index of an OpCall.
 	Target int32
-	// Off is the memory offset of OpStoreImm/OpAtomic and the
-	// cancellation-point ID of probes.
+	// Off is the memory offset of OpStoreImm/OpAtomic/OpLoadJcc, the
+	// cancellation-point ID of probes, and OpAndLsh64's shift.
 	Off int32
 
 	// Imm is the fully resolved immediate: sign/zero-extended constant,
@@ -187,11 +208,14 @@ type Insn struct {
 // Metrics describes one lowering in the pipeline's terms.
 type Metrics struct {
 	// SrcInsns is the instrumented-stream length, LoweredInsns the
-	// lowered-stream length; the difference is one slot per fused pair.
+	// lowered-stream length; the difference is the number of joins.
 	SrcInsns, LoweredInsns int
-	// FusedGuardLoad/FusedGuardStore/FusedProbeBranch count fused
-	// superinstructions by kind.
+	// The Fused counts are joins by kind: one per adjacent pair a cluster
+	// retires in one dispatch, so a guard+load+branch cluster counts one
+	// FusedGuardLoad and one FusedLoadBranch. FusedThreeAddr counts folded
+	// moves and add-immediate+add-register pairs alike.
 	FusedGuardLoad, FusedGuardStore, FusedProbeBranch int
+	FusedLoadBranch, FusedThreeAddr, FusedScaledIndex int
 }
 
 // Unit is the cacheable, position-independent lowered program: it embeds
@@ -200,7 +224,8 @@ type Metrics struct {
 // the cached Unit against a fresh heap).
 type Unit struct {
 	Code []Insn
-	// PCMap maps lowered PCs back to instrumented-stream PCs.
+	// PCMap maps each lowered PC to the instrumented-stream PC of the
+	// first instruction its cluster retires.
 	PCMap []int32
 	// HelperIDs lists the helper ID of each call site, in Target order.
 	HelperIDs []int32
@@ -251,13 +276,6 @@ func (u *Unit) Link(lk Linkage) (*Linked, error) {
 	}, nil
 }
 
-// Roles of source instructions decided by the fusion pass.
-const (
-	roleNormal uint8 = iota
-	roleFusedHead
-	roleFusedTail
-)
-
 // Lower translates an instrumented program into the lowered ISA. The
 // input must be Kie output over verified bytecode; malformed streams —
 // unknown opcodes, out-of-range branches — are rejected here rather than
@@ -269,7 +287,7 @@ func Lower(rep *kie.Report) (*Unit, error) {
 		return nil, fmt.Errorf("compile: empty program")
 	}
 
-	// Branch-target set over the instrumented stream: fusion must not
+	// Branch-target set over the instrumented stream: a cluster must not
 	// swallow an instruction control flow can enter at.
 	isTarget := make([]bool, n)
 	for i, ins := range src {
@@ -283,70 +301,39 @@ func Lower(rep *kie.Report) (*Unit, error) {
 		isTarget[t] = true
 	}
 
-	// Pass 1: fusion decisions. A pair fuses only when the second
-	// instruction is the unique fall-through successor of the first: not
-	// a branch target, and addressed through the register the guard just
-	// sanitized.
-	role := make([]uint8, n)
-	for i := 0; i < n-1; i++ {
-		if role[i] != roleNormal {
-			continue
-		}
-		ins := src[i]
-		if isTarget[i+1] {
-			continue
-		}
-		next := src[i+1]
-		fuse := false
-		switch ins.Op {
-		case insn.OpGuard:
-			switch {
-			case next.Op.Class() == insn.ClassLDX && next.Src == ins.Dst:
-				fuse = true
-			case next.Op.Class() == insn.ClassSTX && next.Op.Mode() != insn.ModeATOMIC && next.Dst == ins.Dst:
-				fuse = true
-			case next.Op.Class() == insn.ClassST && next.Dst == ins.Dst:
-				fuse = true
-			}
-		case insn.OpGuardRd:
-			fuse = next.Op.Class() == insn.ClassLDX && next.Src == ins.Dst
-		case insn.OpProbe:
-			fuse = next.IsJump()
-		}
-		if fuse {
-			role[i], role[i+1] = roleFusedHead, roleFusedTail
-		}
-	}
-
-	// Pass 2: emit. Branch targets temporarily hold instrumented-stream
-	// indices; pass 3 rewrites them through srcToLow.
+	// Clusters grow greedily to at most three instructions: an
+	// instruction joins the one before it when it is that one's unique
+	// fall-through successor (not a branch target) and the pair is a join
+	// kind. Branch targets temporarily hold instrumented-stream indices;
+	// the last pass rewrites them through srcToLow.
 	u := &Unit{Metrics: Metrics{SrcInsns: n}}
 	srcToLow := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		srcToLow[i] = int32(len(u.Code))
-		if role[i] == roleFusedTail {
-			continue // emitted with its head
+	for i := 0; i < n; {
+		end := i + 1
+		for ; end < n && end-i < 3 && !isTarget[end]; end++ {
+			k := join(src[end-1], src[end])
+			if k == joinNone {
+				break
+			}
+			*u.Metrics.counter(k)++
 		}
-		ins := src[i]
-		var li Insn
-		var err error
-		if role[i] == roleFusedHead {
-			li, err = fusePair(ins, src[i+1], i, &u.Metrics)
-		} else {
-			li, err = lowerOne(ins, i, u)
-		}
+		c := src[i:end]
+		li, err := lowerCluster(c, i, u)
 		if err != nil {
 			return nil, err
 		}
+		li.N = uint8(len(c))
+		for j := i; j < end; j++ {
+			srcToLow[j] = int32(len(u.Code))
+		}
 		u.Code = append(u.Code, li)
-		u.PCMap = append(u.PCMap, li.OrigPC)
+		u.PCMap = append(u.PCMap, int32(i))
+		i = end
 	}
 	srcToLow[n] = int32(len(u.Code))
 
-	// Pass 3: absolutize branch targets.
 	for j := range u.Code {
-		switch u.Code[j].Op {
-		case OpJa, OpJcc64Imm, OpJcc64Reg, OpJcc32Imm, OpJcc32Reg, OpProbeJa, OpProbeJcc:
+		if hasTarget(u.Code[j].Op) {
 			u.Code[j].Target = srcToLow[u.Code[j].Target]
 		}
 	}
@@ -354,66 +341,209 @@ func Lower(rep *kie.Report) (*Unit, error) {
 	return u, nil
 }
 
-// fusePair lowers a (head, tail) superinstruction at instrumented index i.
-func fusePair(head, tail insn.Instruction, i int, m *Metrics) (Insn, error) {
-	switch head.Op {
-	case insn.OpGuard, insn.OpGuardRd:
-		// Faults of the fused access are attributed to the access
-		// instruction, exactly as on the reference interpreter.
-		switch tail.Op.Class() {
-		case insn.ClassLDX:
-			op := OpGuardLoad
-			if head.Op == insn.OpGuardRd {
-				op = OpGuardRdLoad
-			}
-			m.FusedGuardLoad++
-			return Insn{
-				Op: op, Dst: uint8(tail.Dst), Src: uint8(tail.Src),
-				Size: uint8(tail.Op.SizeBytes()), OrigPC: int32(i + 1),
-				Imm: uint64(int64(tail.Off)),
-			}, nil
-		case insn.ClassSTX:
-			m.FusedGuardStore++
-			return Insn{
-				Op: OpGuardStoreReg, Dst: uint8(tail.Dst), Src: uint8(tail.Src),
-				Size: uint8(tail.Op.SizeBytes()), OrigPC: int32(i + 1),
-				Imm: uint64(int64(tail.Off)),
-			}, nil
-		case insn.ClassST:
-			m.FusedGuardStore++
-			return Insn{
-				Op: OpGuardStoreImm, Dst: uint8(tail.Dst),
-				Size: uint8(tail.Op.SizeBytes()), OrigPC: int32(i + 1),
-				Off: int32(tail.Off), Imm: uint64(int64(tail.Imm)),
-			}, nil
+// hasTarget reports whether a lowered opcode's Target is a branch target.
+func hasTarget(op Op) bool {
+	switch op {
+	case OpJa, OpJcc64Imm, OpJcc64Reg, OpJcc32Imm, OpJcc32Reg, OpProbeJa, OpProbeJcc, OpLoadJcc:
+		return true
+	}
+	return false
+}
+
+// joinKind classifies an adjacent pair one cluster may retire.
+type joinKind uint8
+
+const (
+	joinNone joinKind = iota
+	joinGuardLoad
+	joinGuardStore
+	joinProbeBranch
+	joinLoadBranch
+	joinThreeAddr
+	joinScaledIndex
+)
+
+// counter returns the Metrics field that counts joins of kind k.
+func (m *Metrics) counter(k joinKind) *int {
+	switch k {
+	case joinGuardLoad:
+		return &m.FusedGuardLoad
+	case joinGuardStore:
+		return &m.FusedGuardStore
+	case joinProbeBranch:
+		return &m.FusedProbeBranch
+	case joinLoadBranch:
+		return &m.FusedLoadBranch
+	case joinThreeAddr:
+		return &m.FusedThreeAddr
+	}
+	return &m.FusedScaledIndex
+}
+
+// join decides whether b may retire in one dispatch with a, the
+// instruction before it: a guard with the access through the register it
+// sanitized, a probe with its branch, a load with a conditional branch on
+// the loaded register, or one of the ALU idioms on a single register.
+// Atomics and Kie opcodes other than a guard or probe head never join.
+func join(a, b insn.Instruction) joinKind {
+	switch a.Op {
+	case insn.OpGuard:
+		switch {
+		case b.Op.Class() == insn.ClassLDX && b.Src == a.Dst:
+			return joinGuardLoad
+		case b.Op.Class() == insn.ClassSTX && b.Op.Mode() != insn.ModeATOMIC && b.Dst == a.Dst,
+			b.Op.Class() == insn.ClassST && b.Dst == a.Dst:
+			return joinGuardStore
+		}
+	case insn.OpGuardRd:
+		if b.Op.Class() == insn.ClassLDX && b.Src == a.Dst {
+			return joinGuardLoad
 		}
 	case insn.OpProbe:
-		// Aborts at the probe report the probe's PC; the branch half
-		// only retires after the probe passes.
-		m.FusedProbeBranch++
-		target := i + 2 + int(tail.Off)
-		if tail.Op.Class() == insn.ClassJMP && tail.Op.JmpOp() == insn.JmpA {
-			return Insn{Op: OpProbeJa, OrigPC: int32(i), Off: head.Imm, Target: int32(target)}, nil
+		if b.IsJump() {
+			return joinProbeBranch
 		}
-		li := Insn{
-			Op: OpProbeJcc, Sub: tail.Op.JmpOp(), OrigPC: int32(i),
-			Off: head.Imm, Target: int32(target),
-			Dst: uint8(tail.Dst), Src: uint8(tail.Src),
+	case opMov64Reg, opMov32Reg:
+		// A 32-bit move zero-extends, so only a 32-bit operation may read
+		// through it.
+		if aluImm(b) && b.Dst == a.Dst && (a.Op == opMov64Reg || b.Op.Class() == insn.ClassALU) {
+			return joinThreeAddr
 		}
-		if tail.Op.Class() == insn.ClassJMP32 {
-			li.Size |= Form32
+	case opAdd64Imm:
+		if b.Op == opAdd64Reg && b.Dst == a.Dst && b.Src != a.Dst {
+			return joinThreeAddr
 		}
-		if tail.Op.UsesImm() {
-			li.Size |= FormImm
-			if li.Size&Form32 != 0 {
-				li.Imm = uint64(uint32(tail.Imm))
-			} else {
-				li.Imm = uint64(int64(tail.Imm))
-			}
+	case opAnd64Imm:
+		if b.Op == opLsh64Imm && b.Dst == a.Dst {
+			return joinScaledIndex
 		}
-		return li, nil
 	}
-	return Insn{}, fmt.Errorf("compile: insn %d: unfusable pair %#02x/%#02x", i, uint8(head.Op), uint8(tail.Op))
+	if a.Op.Class() == insn.ClassLDX && b.IsCond() && b.Dst == a.Dst {
+		return joinLoadBranch
+	}
+	return joinNone
+}
+
+// The architectural opcodes of the ALU joins.
+const (
+	opMov64Reg = insn.Opcode(insn.ClassALU64 | insn.AluMov | insn.SrcX)
+	opMov32Reg = insn.Opcode(insn.ClassALU | insn.AluMov | insn.SrcX)
+	opAdd64Imm = insn.Opcode(insn.ClassALU64 | insn.AluAdd | insn.SrcK)
+	opAdd64Reg = insn.Opcode(insn.ClassALU64 | insn.AluAdd | insn.SrcX)
+	opAnd64Imm = insn.Opcode(insn.ClassALU64 | insn.AluAnd | insn.SrcK)
+	opLsh64Imm = insn.Opcode(insn.ClassALU64 | insn.AluLsh | insn.SrcK)
+)
+
+// aluImm reports whether ins is an ALU-immediate operation that reads its
+// destination (a move, a negation or a byte swap does not).
+func aluImm(ins insn.Instruction) bool {
+	cls := ins.Op.Class()
+	if cls != insn.ClassALU64 && cls != insn.ClassALU || !ins.Op.UsesImm() || ins.Op.IsInternal() {
+		return false
+	}
+	_, ok := aluOps[ins.Op.AluOp()]
+	return ok && ins.Op.AluOp() != insn.AluMov
+}
+
+// lowerCluster lowers the cluster c that starts at instrumented index i.
+func lowerCluster(c []insn.Instruction, i int, u *Unit) (Insn, error) {
+	head := c[0]
+	switch {
+	case len(c) == 1:
+		return lowerOne(head, i, u)
+	case head.Op == insn.OpProbe:
+		return fuseProbe(head, c[1], i), nil
+	case head.Op == insn.OpGuard || head.Op == insn.OpGuardRd:
+		if len(c) == 3 {
+			li := fuseLoadJcc(c[1], c[2], i+1)
+			li.Form |= FormGuard
+			if head.Op == insn.OpGuardRd {
+				li.Form |= FormGuardRd
+			}
+			return li, nil
+		}
+		return fuseGuard(head, c[1], i), nil
+	case head.Op.Class() == insn.ClassLDX:
+		return fuseLoadJcc(head, c[1], i), nil
+	}
+	// An ALU cluster: an optional folded move, then an ALU-immediate
+	// operation or one of the two-instruction idioms on the same register.
+	srcReg := head.Dst
+	if head.Op.AluOp() == insn.AluMov {
+		srcReg, c = head.Src, c[1:]
+	}
+	li := Insn{OrigPC: int32(i), Dst: uint8(c[0].Dst), Src: uint8(srcReg)}
+	switch {
+	case len(c) == 1:
+		return lowerALU(li, c[0], c[0].Op.Class() == insn.ClassALU64)
+	case c[1].Op.AluOp() == insn.AluLsh:
+		li.Op, li.Imm, li.Off = OpAndLsh64, uint64(int64(c[0].Imm)), c[1].Imm&63
+	default:
+		li.Op, li.Imm, li.Idx = OpAdd64Idx, uint64(int64(c[0].Imm)), uint8(c[1].Src)
+	}
+	return li, nil
+}
+
+// fuseGuard lowers a guard and the access it protects, at instrumented
+// index i. Faults of the access are attributed to the access instruction,
+// exactly as on the reference interpreter.
+func fuseGuard(guard, acc insn.Instruction, i int) Insn {
+	li := Insn{
+		Dst: uint8(acc.Dst), Src: uint8(acc.Src),
+		Size: uint8(acc.Op.SizeBytes()), OrigPC: int32(i + 1),
+		Imm: uint64(int64(acc.Off)),
+	}
+	switch acc.Op.Class() {
+	case insn.ClassLDX:
+		li.Op = OpGuardLoad
+		if guard.Op == insn.OpGuardRd {
+			li.Op = OpGuardRdLoad
+		}
+	case insn.ClassSTX:
+		li.Op = OpGuardStoreReg
+	default:
+		li.Op, li.Src, li.Off, li.Imm = OpGuardStoreImm, 0, int32(acc.Off), uint64(int64(acc.Imm))
+	}
+	return li
+}
+
+// fuseProbe lowers a probe and its branch at instrumented index i. Aborts
+// at the probe report the probe's PC; the branch half only retires after
+// the probe passes.
+func fuseProbe(probe, br insn.Instruction, i int) Insn {
+	target := int32(i + 2 + int(br.Off))
+	if br.Op.Class() == insn.ClassJMP && br.Op.JmpOp() == insn.JmpA {
+		return Insn{Op: OpProbeJa, OrigPC: int32(i), Off: probe.Imm, Target: target}
+	}
+	li := branchForm(br)
+	li.Op, li.OrigPC, li.Off, li.Target = OpProbeJcc, int32(i), probe.Imm, target
+	return li
+}
+
+// fuseLoadJcc lowers a load and the conditional branch on its result; i is
+// the load's instrumented index, which faults are attributed to.
+func fuseLoadJcc(ld, br insn.Instruction, i int) Insn {
+	li := branchForm(br)
+	li.Op, li.OrigPC, li.Target = OpLoadJcc, int32(i), int32(i+2+int(br.Off))
+	li.Src, li.Size, li.Off = uint8(ld.Src), uint8(ld.Op.SizeBytes()), int32(ld.Off)
+	return li
+}
+
+// branchForm lowers the compare of a clustered conditional branch: the
+// condition, its register operands and Form flags, and the immediate.
+func branchForm(br insn.Instruction) Insn {
+	li := Insn{Sub: br.Op.JmpOp(), Dst: uint8(br.Dst), Idx: uint8(br.Src)}
+	if br.Op.Class() == insn.ClassJMP32 {
+		li.Form |= Form32
+	}
+	if br.Op.UsesImm() {
+		li.Form |= FormImm
+		li.Imm = uint64(int64(br.Imm))
+		if li.Form&Form32 != 0 {
+			li.Imm = uint64(uint32(br.Imm))
+		}
+	}
+	return li
 }
 
 // lowerOne lowers a single instruction at instrumented index i. Call sites
@@ -439,10 +569,11 @@ func lowerOne(ins insn.Instruction, i int, u *Unit) (Insn, error) {
 	}
 
 	switch op.Class() {
-	case insn.ClassALU64:
-		return lowerALU(li, ins, true)
-	case insn.ClassALU:
-		return lowerALU(li, ins, false)
+	case insn.ClassALU64, insn.ClassALU:
+		if op.UsesImm() {
+			li.Src = li.Dst // an unfolded ALU-immediate operation reads Dst
+		}
+		return lowerALU(li, ins, op.Class() == insn.ClassALU64)
 
 	case insn.ClassLD:
 		if !ins.IsLoadImm64() {

@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,12 +13,16 @@ import (
 	"kflex/internal/vm"
 )
 
-// lower is a shorthand over a raw instrumented stream.
+// lower is a shorthand over a raw instrumented stream. Every lowering a
+// test makes passes translation validation.
 func lower(t *testing.T, prog []insn.Instruction) *compile.Unit {
 	t.Helper()
 	u, err := compile.Lower(&kie.Report{Prog: prog})
 	if err != nil {
 		t.Fatalf("Lower: %v", err)
+	}
+	if err := compile.Validate(prog, u); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	return u
 }
@@ -30,8 +35,8 @@ func ops(u *compile.Unit) []compile.Op {
 	return out
 }
 
-// TestFusion covers each fused superinstruction and the cases where fusion
-// must be refused.
+// TestFusion covers each cluster kind and the cases where a join must be
+// refused. Every row also runs on both tiers, which must agree.
 func TestFusion(t *testing.T) {
 	cases := []struct {
 		name string
@@ -138,6 +143,173 @@ func TestFusion(t *testing.T) {
 			m:    compile.Metrics{FusedProbeBranch: 1},
 		},
 		{
+			name: "load+branch fuses",
+			prog: []insn.Instruction{
+				insn.LoadMem(insn.R2, insn.R1, 8, 8),
+				insn.JmpImm(insn.JmpEq, insn.R2, 0, 1),
+				insn.Mov64Imm(insn.R0, 1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpLoadJcc, compile.OpMov64Imm, compile.OpExit},
+			m:    compile.Metrics{FusedLoadBranch: 1},
+		},
+		{
+			name: "guard+load+branch fuses and still counts a guard+load",
+			prog: []insn.Instruction{
+				insn.Guard(insn.R1),
+				insn.LoadMem(insn.R2, insn.R1, 0, 8),
+				insn.JmpReg(insn.JmpNe, insn.R2, insn.R3, 1),
+				insn.Mov64Imm(insn.R0, 1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpLoadJcc, compile.OpMov64Imm, compile.OpExit},
+			m:    compile.Metrics{FusedGuardLoad: 1, FusedLoadBranch: 1},
+		},
+		{
+			name: "load+branch fuses with a 32-bit compare",
+			prog: []insn.Instruction{
+				insn.LoadMem(insn.R2, insn.R1, 0, 4),
+				insn.Jmp32Imm(insn.JmpSlt, insn.R2, -1, 1),
+				insn.Mov64Imm(insn.R0, 1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpLoadJcc, compile.OpMov64Imm, compile.OpExit},
+			m:    compile.Metrics{FusedLoadBranch: 1},
+		},
+		{
+			name: "load+branch refused when the branch is a target",
+			prog: []insn.Instruction{
+				insn.JmpImm(insn.JmpEq, insn.R3, 0, 1), // -> the branch
+				insn.LoadMem(insn.R2, insn.R1, 0, 8),
+				insn.JmpImm(insn.JmpEq, insn.R2, 0, 1),
+				insn.Mov64Imm(insn.R0, 1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpJcc64Imm, compile.OpLoad, compile.OpJcc64Imm, compile.OpMov64Imm, compile.OpExit},
+		},
+		{
+			name: "load+branch refused when the branch compares another register",
+			prog: []insn.Instruction{
+				insn.LoadMem(insn.R2, insn.R1, 0, 8),
+				insn.JmpImm(insn.JmpEq, insn.R3, 0, 1),
+				insn.Mov64Imm(insn.R0, 1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpLoad, compile.OpJcc64Imm, compile.OpMov64Imm, compile.OpExit},
+		},
+		{
+			name: "move folds into the alu-immediate op after it",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R0, insn.R1),
+				insn.Alu64Imm(insn.AluXor, insn.R0, 0x55),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpXor64Imm, compile.OpExit},
+			m:    compile.Metrics{FusedThreeAddr: 1},
+		},
+		{
+			name: "64-bit move folds into a 32-bit op",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R0, insn.R1),
+				insn.Alu32Imm(insn.AluAdd, insn.R0, 7),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpAdd32Imm, compile.OpExit},
+			m:    compile.Metrics{FusedThreeAddr: 1},
+		},
+		{
+			name: "32-bit move does not fold into a 64-bit op",
+			prog: []insn.Instruction{
+				insn.Mov32Reg(insn.R0, insn.R1),
+				insn.Alu64Imm(insn.AluAdd, insn.R0, 7),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov32Reg, compile.OpAdd64Imm, compile.OpExit},
+		},
+		{
+			name: "move does not fold into a guard",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Guard(insn.R2),
+				insn.Mov64Imm(insn.R0, 0),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov64Reg, compile.OpGuard, compile.OpMov64Imm, compile.OpExit},
+		},
+		{
+			name: "move fold refused when the op is a target",
+			prog: []insn.Instruction{
+				insn.JmpImm(insn.JmpEq, insn.R3, 0, 1), // -> the add
+				insn.Mov64Reg(insn.R0, insn.R1),
+				insn.Alu64Imm(insn.AluAdd, insn.R0, 1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpJcc64Imm, compile.OpMov64Reg, compile.OpAdd64Imm, compile.OpExit},
+		},
+		{
+			name: "base+displacement+index fuses",
+			prog: []insn.Instruction{
+				insn.Alu64Imm(insn.AluAdd, insn.R0, 16),
+				insn.Alu64Reg(insn.AluAdd, insn.R0, insn.R1),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpAdd64Idx, compile.OpExit},
+			m:    compile.Metrics{FusedThreeAddr: 1},
+		},
+		{
+			name: "base+displacement+index refused when the index is the destination",
+			prog: []insn.Instruction{
+				insn.Alu64Imm(insn.AluAdd, insn.R0, 16),
+				insn.Alu64Reg(insn.AluAdd, insn.R0, insn.R0),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpAdd64Imm, compile.OpAdd64Reg, compile.OpExit},
+		},
+		{
+			name: "and+lsh fuses",
+			prog: []insn.Instruction{
+				insn.Alu64Imm(insn.AluAnd, insn.R0, 15),
+				insn.Alu64Imm(insn.AluLsh, insn.R0, 3),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpAndLsh64, compile.OpExit},
+			m:    compile.Metrics{FusedScaledIndex: 1},
+		},
+		{
+			name: "and+lsh refused on two registers",
+			prog: []insn.Instruction{
+				insn.Alu64Imm(insn.AluAnd, insn.R0, 15),
+				insn.Alu64Imm(insn.AluLsh, insn.R1, 3),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpAnd64Imm, compile.OpLsh64Imm, compile.OpExit},
+		},
+		{
+			name: "and+lsh refused when the shift is a target",
+			prog: []insn.Instruction{
+				insn.JmpImm(insn.JmpEq, insn.R3, 0, 1), // -> the shift
+				insn.Alu64Imm(insn.AluAnd, insn.R0, 15),
+				insn.Alu64Imm(insn.AluLsh, insn.R0, 3),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpJcc64Imm, compile.OpAnd64Imm, compile.OpLsh64Imm, compile.OpExit},
+		},
+		{
+			name: "the skiplist slot address is two dispatches",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R0, insn.R4),
+				insn.Alu64Imm(insn.AluAnd, insn.R0, 15),
+				insn.Alu64Imm(insn.AluLsh, insn.R0, 3),
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu64Imm(insn.AluAdd, insn.R2, 16),
+				insn.Alu64Reg(insn.AluAdd, insn.R2, insn.R0),
+				insn.Mov64Reg(insn.R0, insn.R2),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpAndLsh64, compile.OpAdd64Idx, compile.OpMov64Reg, compile.OpExit},
+			m:    compile.Metrics{FusedThreeAddr: 3, FusedScaledIndex: 1},
+		},
+		{
 			name: "probe followed by a non-jump stays unfused",
 			prog: []insn.Instruction{
 				insn.Probe(0),
@@ -164,6 +336,8 @@ func TestFusion(t *testing.T) {
 			if u.Metrics != tc.m {
 				t.Fatalf("metrics = %+v, want %+v", u.Metrics, tc.m)
 			}
+			interp, lowered := runBoth(t, tc.prog, nil, 1000)
+			assertSameResult(t, interp, lowered)
 		})
 	}
 }
@@ -213,18 +387,15 @@ func TestLowerRejectsOutOfRangeBranch(t *testing.T) {
 // on both tiers (cancelled invocations report through Result).
 func runBoth(t *testing.T, prog []insn.Instruction, cps []kie.CP, quantum uint64) (interp, lowered vm.Result) {
 	t.Helper()
-	run := func(lower bool) vm.Result {
+	run := func(lowered bool) vm.Result {
 		h, err := heap.New(1 << 16)
 		if err != nil {
 			t.Fatalf("heap: %v", err)
 		}
 		rep := &kie.Report{Prog: prog, CPs: cps}
 		opts := vm.Options{Hook: kernel.HookBench, Kernel: kernel.New(), Heap: h, QuantumInsns: quantum}
-		if lower {
-			u, err := compile.Lower(rep)
-			if err != nil {
-				t.Fatalf("Lower: %v", err)
-			}
+		if lowered {
+			u := lower(t, prog)
 			linked, err := u.Link(compile.Linkage{
 				HeapBase: h.ExtBase(), HeapMask: h.Mask(), UserBase: h.UserBase(),
 				Helpers: opts.Kernel.Helpers,
@@ -240,7 +411,7 @@ func runBoth(t *testing.T, prog []insn.Instruction, cps []kie.CP, quantum uint64
 		}
 		res, err := p.NewExec(0).Run(nil, make([]byte, kernel.HookBench.CtxSize))
 		if err != nil {
-			t.Fatalf("Run(lowered=%v): %v", lower, err)
+			t.Fatalf("Run(lowered=%v): %v", lowered, err)
 		}
 		return res
 	}
@@ -267,29 +438,39 @@ func assertSameResult(t *testing.T, interp, lowered vm.Result) {
 	}
 }
 
-// TestFusedFaultMidPair faults the access half of a fused guard+store: the
-// guard sanitizes into the heap, the store lands on an unpopulated page.
-// Both tiers must attribute the abort to the access instruction's PC and
-// agree on the work counters at the point of cancellation.
+// TestFusedFaultMidPair faults the access of a cluster: the guard
+// sanitizes into the heap, the access lands on an unpopulated page. Both
+// tiers must attribute the abort to the access instruction's PC and agree
+// on the work counters at the point of cancellation: the guard and the
+// access retired, a branch after them did not.
 func TestFusedFaultMidPair(t *testing.T) {
-	prog := []insn.Instruction{
-		insn.Mov64Imm(insn.R1, 8192), // an unpopulated heap page
-		insn.Guard(insn.R1),
-		insn.StoreMem(insn.R1, 0, insn.R2, 8), // pc 2: the faulting access
-		insn.Mov64Imm(insn.R0, 7),
-		insn.Exit(),
-	}
-	cps := []kie.CP{{ID: 0, Insn: 2, Kind: kie.CPHeap}}
-	interp, lowered := runBoth(t, prog, cps, 0)
-	assertSameResult(t, interp, lowered)
-	if lowered.Abort == nil || lowered.Abort.PC != 2 {
-		t.Fatalf("abort = %+v, want heap fault at pc 2 (the fused access)", lowered.Abort)
-	}
-	if lowered.Cancelled != vm.CancelFault {
-		t.Fatalf("cancelled = %v, want %v", lowered.Cancelled, vm.CancelFault)
-	}
-	if lowered.Stats.Fused == 0 || lowered.Stats.Dispatches >= lowered.Stats.Insns {
-		t.Fatalf("stats = %+v, want a fused dispatch retiring two insns", lowered.Stats)
+	for _, tc := range []struct {
+		name   string
+		access []insn.Instruction
+	}{
+		{"guard+store", []insn.Instruction{insn.StoreMem(insn.R1, 0, insn.R2, 8)}},
+		{"guard+load+branch", []insn.Instruction{
+			insn.LoadMem(insn.R2, insn.R1, 0, 8),
+			insn.JmpImm(insn.JmpEq, insn.R2, 0, 1),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := []insn.Instruction{
+				insn.Mov64Imm(insn.R1, 8192), // an unpopulated heap page
+				insn.Guard(insn.R1),
+			}
+			prog = append(prog, tc.access...) // pc 2: the faulting access
+			prog = append(prog, insn.Mov64Imm(insn.R0, 7), insn.Exit())
+			cps := []kie.CP{{ID: 0, Insn: 2, Kind: kie.CPHeap}}
+			interp, lowered := runBoth(t, prog, cps, 0)
+			assertSameResult(t, interp, lowered)
+			if lowered.Abort == nil || lowered.Abort.PC != 2 || lowered.Cancelled != vm.CancelFault {
+				t.Fatalf("abort = %+v (%v), want a heap fault at pc 2 (the clustered access)", lowered.Abort, lowered.Cancelled)
+			}
+			if lowered.Stats.Insns != 3 || lowered.Stats.Dispatches != 2 {
+				t.Fatalf("stats = %+v, want 3 insns retired in 2 dispatches", lowered.Stats)
+			}
+		})
 	}
 }
 
@@ -335,5 +516,75 @@ func TestFusedGuardLoadRuns(t *testing.T) {
 	}
 	if lowered.Stats.Fused != 2 {
 		t.Fatalf("stats = %+v, want 2 fused dispatches (guard+store, guard+load)", lowered.Stats)
+	}
+}
+
+// TestValidateRejectsCorruptUnits hand-corrupts a valid Unit that holds
+// every cluster kind, one row per rule of Validate.
+func TestValidateRejectsCorruptUnits(t *testing.T) {
+	prog := []insn.Instruction{
+		insn.Mov64Imm(insn.R1, 0), // 0
+		insn.Guard(insn.R1),       // 1: guard+load+branch -> 10
+		insn.LoadMem(insn.R2, insn.R1, 8, 8),
+		insn.JmpImm(insn.JmpNe, insn.R2, 0, 6),
+		insn.Mov64Reg(insn.R0, insn.R4), // 4: scaled index
+		insn.Alu64Imm(insn.AluAnd, insn.R0, 15),
+		insn.Alu64Imm(insn.AluLsh, insn.R0, 3),
+		insn.Mov64Reg(insn.R3, insn.R1), // 7: base+displacement+index
+		insn.Alu64Imm(insn.AluAdd, insn.R3, 16),
+		insn.Alu64Reg(insn.AluAdd, insn.R3, insn.R0),
+		insn.Guard(insn.R1), // 10: guard+store
+		insn.StoreMem(insn.R1, 0, insn.R3, 8),
+		insn.Guard(insn.R1), // 12: a guard alone before its atomic
+		insn.Atomic(0, insn.R1, 0, insn.R2, 8),
+		insn.Mov64Imm(insn.R0, 0),
+		insn.Exit(),
+	}
+	base := lower(t, prog)
+	// Lowered: 0 mov, 1 guard+load+branch, 2 and+lsh, 3 add-index,
+	// 4 guard+store, 5 guard, 6 atomic, 7 mov, 8 exit.
+	if got := len(base.Code); got != 9 {
+		t.Fatalf("lowered %d insns, want 9: %v", got, ops(base))
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(u *compile.Unit)
+		want   string
+	}{
+		{"coverage: clusters swapped", func(u *compile.Unit) {
+			u.Code[2], u.Code[3] = u.Code[3], u.Code[2]
+			u.PCMap[2], u.PCMap[3] = u.PCMap[3], u.PCMap[2]
+		}, "does not continue coverage"},
+		{"coverage: a member dropped", func(u *compile.Unit) { u.Code[2].N = 2 }, "does not continue coverage"},
+		{"coverage: two clusters merged", func(u *compile.Unit) {
+			u.Code[2].N = 6
+			u.Code = append(u.Code[:3], u.Code[4:]...)
+			u.PCMap = append(u.PCMap[:3], u.PCMap[4:]...)
+		}, "does not continue coverage"},
+		{"coverage: unjoined members", func(u *compile.Unit) {
+			u.Code[6].N = 2 // the atomic and the mov after it
+			u.Code = append(u.Code[:7], u.Code[8:]...)
+			u.PCMap = append(u.PCMap[:7], u.PCMap[8:]...)
+		}, "is not joined"},
+		{"coverage: opcode retires another length", func(u *compile.Unit) { u.Code[1].Form &^= compile.FormGuard | compile.FormGuardRd }, "retires"},
+		{"branch: target moved", func(u *compile.Unit) { u.Code[1].Target++ }, "target"},
+		{"guard: another register", func(u *compile.Unit) { u.Code[4].Dst = uint8(insn.R5) }, "guard of insn 10"},
+		{"guard: dropped", func(u *compile.Unit) { u.Code[5].Op = compile.OpNeg64 }, "guard of insn 12"},
+		{"guard: read guard for a write guard", func(u *compile.Unit) { u.Code[5].Op = compile.OpGuardRd }, "guard of insn 12"},
+		{"pcmap: cluster start moved", func(u *compile.Unit) { u.PCMap[3]++ }, "does not continue coverage"},
+		{"pcmap: fault attributed to the guard", func(u *compile.Unit) { u.Code[1].OrigPC = 1 }, "OrigPC"},
+		{"metrics: a join miscounted", func(u *compile.Unit) { u.Metrics.FusedLoadBranch++ }, "metrics"},
+		{"metrics: lowered length", func(u *compile.Unit) { u.Metrics.LoweredInsns-- }, "metrics"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := *base
+			u.Code = slices.Clone(base.Code)
+			u.PCMap = slices.Clone(base.PCMap)
+			tc.mutate(&u)
+			err := compile.Validate(prog, &u)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

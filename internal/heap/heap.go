@@ -465,8 +465,27 @@ func (v View) Contains(addr uint64) bool {
 	return addr-v.base < v.h.size
 }
 
+// alignedWord reports whether the n-byte access at heap offset off is the
+// dominant one the heads of Load and Store serve with one atomic word op:
+// an aligned word in bounds, on a mapped page of an open heap that carries
+// no fault plan. Anything else takes the general path — a closed heap must
+// fault, and a plan must be offered every access in order.
+func (h *Heap) alignedWord(off uint64, n int) bool {
+	return n == 8 && off&7 == 0 && off < h.size && h.fault == nil && !h.closed.Load() && h.pages[off/PageSize].Load()
+}
+
 // Load reads an n-byte little-endian value at addr (n ∈ {1,2,4,8}).
 func (v View) Load(addr uint64, n int) (uint64, error) {
+	if off := addr - v.base; v.h.alignedWord(off, n) {
+		val := atomic.LoadUint64(&v.h.words[off/8])
+		runtime.KeepAlive(v.h)
+		return val, nil
+	}
+	return v.load(addr, n)
+}
+
+// load is Load's general path.
+func (v View) load(addr uint64, n int) (uint64, error) {
 	off, f := v.h.offsetOf(addr, n, v.base)
 	if f != nil {
 		return 0, f
@@ -478,6 +497,16 @@ func (v View) Load(addr uint64, n int) (uint64, error) {
 
 // Store writes the low n bytes of val at addr.
 func (v View) Store(addr uint64, n int, val uint64) error {
+	if off := addr - v.base; v.h.alignedWord(off, n) {
+		atomic.StoreUint64(&v.h.words[off/8], val)
+		runtime.KeepAlive(v.h)
+		return nil
+	}
+	return v.store(addr, n, val)
+}
+
+// store is Store's general path.
+func (v View) store(addr uint64, n int, val uint64) error {
 	off, f := v.h.offsetOf(addr, n, v.base)
 	if f != nil {
 		return f

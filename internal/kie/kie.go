@@ -19,15 +19,16 @@
 // # Adjacency contract
 //
 // The emitted stream satisfies an adjacency contract that internal/compile
-// relies on to fuse superinstructions: each original instruction becomes
+// relies on to cluster instructions: each original instruction becomes
 // one cluster probe→xlat→guard→original, so a guard is always immediately
 // followed by the access it sanitizes, and a probe planted on a back edge
 // is always immediately followed by the jump ending that edge (back-edge
 // tails are jumps by construction). Branches are retargeted to cluster
 // starts only — control flow can never enter between a guard (or probe)
 // and the instruction it protects. Lowering re-checks this defensively
-// (it never fuses across a branch target), but the contract is what makes
-// the dominant pairs fusable at all.
+// (no cluster spans a branch target, and compile.Validate checks that every
+// guard stays with its access), but the contract is what makes the guard
+// and probe pairs clusterable at all.
 package kie
 
 import (

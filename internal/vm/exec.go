@@ -337,7 +337,7 @@ func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) er
 }
 
 // probeCheck is the terminate-probe sequence of both tiers (a standalone
-// probe, or the probe half of a fused probe+branch): count the probe, then
+// probe, or the probe half of a probe+branch cluster): count the probe, then
 // observe — in order — quantum expiry, a cancel request naming this
 // invocation, an injected terminate fault keyed by the CP id, and finally
 // the terminate word itself, which only Program.Unload invalidates. A

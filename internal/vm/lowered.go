@@ -9,12 +9,14 @@ import (
 
 // loopLowered is the lowered-tier dispatch core: the pre-decoded program
 // produced by internal/compile is executed without re-decoding operands
-// and with fused superinstructions retiring two architectural instructions
-// per dispatch (§4.2).
+// and with clusters retiring two or three architectural instructions per
+// dispatch (§4.2).
 //
 // Semantic contract with loop(): for any instrumented program and input,
 // Result and Stats are identical across the two tiers except for
-// Stats.Dispatches/Stats.Fused (documented in Stats). Abort and fault PCs
+// Stats.Dispatches/Stats.Fused (documented in Stats). A cluster charges
+// each instruction it retires at the point the interpreter would, so a
+// fault or probe abort mid-cluster sees the same counters. Abort and fault PCs
 // refer to the instrumented stream via Insn.OrigPC, so cancellation-point
 // attribution (object tables, chaos traces) is tier-independent.
 func (e *Exec) loopLowered() (uint64, error) {
@@ -35,60 +37,63 @@ func (e *Exec) loopLowered() (uint64, error) {
 		e.stats.Dispatches++
 
 		switch ins.Op {
-		// --- ALU64, immediate form ---
+		// --- ALU64, immediate form: Dst = Src op Imm, where Src is Dst
+		// unless a move was folded in (N = 2) ---
 		case compile.OpMov64Imm:
 			e.stats.Insns++
 			regs[ins.Dst] = ins.Imm
 			pc++
 		case compile.OpAdd64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] += ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] + ins.Imm
 			pc++
 		case compile.OpSub64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] -= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] - ins.Imm
 			pc++
 		case compile.OpMul64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] *= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] * ins.Imm
 			pc++
 		case compile.OpDiv64Imm:
-			e.stats.Insns++
+			e.stats.Insns += uint64(ins.N)
 			if ins.Imm == 0 {
 				regs[ins.Dst] = 0
 			} else {
-				regs[ins.Dst] /= ins.Imm
+				regs[ins.Dst] = regs[ins.Src] / ins.Imm
 			}
 			pc++
 		case compile.OpOr64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] |= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] | ins.Imm
 			pc++
 		case compile.OpAnd64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] &= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] & ins.Imm
 			pc++
 		case compile.OpLsh64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] <<= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] << ins.Imm
 			pc++
 		case compile.OpRsh64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] >>= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] >> ins.Imm
 			pc++
 		case compile.OpMod64Imm:
-			e.stats.Insns++
+			e.stats.Insns += uint64(ins.N)
 			if ins.Imm != 0 {
-				regs[ins.Dst] %= ins.Imm
+				regs[ins.Dst] = regs[ins.Src] % ins.Imm
+			} else {
+				regs[ins.Dst] = regs[ins.Src]
 			}
 			pc++
 		case compile.OpXor64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] ^= ins.Imm
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] ^ ins.Imm
 			pc++
 		case compile.OpArsh64Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(int64(regs[ins.Dst]) >> ins.Imm)
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(int64(regs[ins.Src]) >> ins.Imm)
 			pc++
 
 		// --- ALU64, register form ---
@@ -152,62 +157,62 @@ func (e *Exec) loopLowered() (uint64, error) {
 			regs[ins.Dst] = -regs[ins.Dst]
 			pc++
 
-		// --- ALU32, immediate form (Imm pre-zero-extended) ---
+		// --- ALU32, immediate form (Imm pre-zero-extended; Src as above) ---
 		case compile.OpMov32Imm:
 			e.stats.Insns++
 			regs[ins.Dst] = ins.Imm
 			pc++
 		case compile.OpAdd32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) + uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) + uint32(ins.Imm))
 			pc++
 		case compile.OpSub32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) - uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) - uint32(ins.Imm))
 			pc++
 		case compile.OpMul32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) * uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) * uint32(ins.Imm))
 			pc++
 		case compile.OpDiv32Imm:
-			e.stats.Insns++
+			e.stats.Insns += uint64(ins.N)
 			if ins.Imm == 0 {
 				regs[ins.Dst] = 0
 			} else {
-				regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) / uint32(ins.Imm))
+				regs[ins.Dst] = uint64(uint32(regs[ins.Src]) / uint32(ins.Imm))
 			}
 			pc++
 		case compile.OpOr32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) | uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) | uint32(ins.Imm))
 			pc++
 		case compile.OpAnd32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) & uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) & uint32(ins.Imm))
 			pc++
 		case compile.OpLsh32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) << uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) << uint32(ins.Imm))
 			pc++
 		case compile.OpRsh32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) >> uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) >> uint32(ins.Imm))
 			pc++
 		case compile.OpMod32Imm:
-			e.stats.Insns++
+			e.stats.Insns += uint64(ins.N)
 			if ins.Imm != 0 {
-				regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) % uint32(ins.Imm))
+				regs[ins.Dst] = uint64(uint32(regs[ins.Src]) % uint32(ins.Imm))
 			} else {
-				regs[ins.Dst] = uint64(uint32(regs[ins.Dst]))
+				regs[ins.Dst] = uint64(uint32(regs[ins.Src]))
 			}
 			pc++
 		case compile.OpXor32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(regs[ins.Dst]) ^ uint32(ins.Imm))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(regs[ins.Src]) ^ uint32(ins.Imm))
 			pc++
 		case compile.OpArsh32Imm:
-			e.stats.Insns++
-			regs[ins.Dst] = uint64(uint32(int32(uint32(regs[ins.Dst])) >> uint32(ins.Imm)))
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = uint64(uint32(int32(uint32(regs[ins.Src])) >> uint32(ins.Imm)))
 			pc++
 
 		// --- ALU32, register form ---
@@ -396,7 +401,7 @@ func (e *Exec) loopLowered() (uint64, error) {
 			}
 			pc++
 
-		// --- Fused superinstructions ---
+		// --- Clusters ---
 		case compile.OpGuardLoad, compile.OpGuardRdLoad:
 			// Both architectural instructions are charged up front, as the
 			// interpreter would have by the time the access executes; a
@@ -406,7 +411,6 @@ func (e *Exec) loopLowered() (uint64, error) {
 			if ins.Op == compile.OpGuardRdLoad {
 				e.stats.GuardsRead++
 			}
-			e.stats.Fused++
 			regs[ins.Src] = (regs[ins.Src] & heapMask) + heapBase
 			v, err := e.load(regs[ins.Src]+ins.Imm, int(ins.Size))
 			if err != nil {
@@ -418,7 +422,6 @@ func (e *Exec) loopLowered() (uint64, error) {
 		case compile.OpGuardStoreReg:
 			e.stats.Insns += 2
 			e.stats.Guards++
-			e.stats.Fused++
 			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
 			val := regs[ins.Src]
 			if e.xlatArmed {
@@ -433,7 +436,6 @@ func (e *Exec) loopLowered() (uint64, error) {
 		case compile.OpGuardStoreImm:
 			e.stats.Insns += 2
 			e.stats.Guards++
-			e.stats.Fused++
 			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
 			if err := e.store(regs[ins.Dst]+uint64(int64(ins.Off)), int(ins.Size), ins.Imm); err != nil {
 				return 0, e.fault(int(ins.OrigPC), err)
@@ -449,7 +451,6 @@ func (e *Exec) loopLowered() (uint64, error) {
 				return 0, abort
 			}
 			e.stats.Insns++
-			e.stats.Fused++
 			pc = ins.Target
 
 		case compile.OpProbeJcc:
@@ -458,29 +459,61 @@ func (e *Exec) loopLowered() (uint64, error) {
 				return 0, abort
 			}
 			e.stats.Insns++
-			e.stats.Fused++
-			is64 := ins.Size&compile.Form32 == 0
-			dst := regs[ins.Dst]
-			if !is64 {
-				dst = uint64(uint32(dst))
-			}
-			var src uint64
-			if ins.Size&compile.FormImm != 0 {
-				src = ins.Imm
-			} else {
-				src = regs[ins.Src]
-				if !is64 {
-					src = uint64(uint32(src))
-				}
-			}
-			if jumpTaken(ins.Sub, dst, src, is64) {
+			if clusterTaken(ins, regs) {
 				pc = ins.Target
 			} else {
 				pc++
 			}
 
+		case compile.OpLoadJcc:
+			// Charged as the interpreter charges: the guard and the load
+			// before the access, the branch only once the load succeeded.
+			if ins.Form&compile.FormGuard != 0 {
+				e.stats.Insns++
+				e.stats.Guards++
+				if ins.Form&compile.FormGuardRd != 0 {
+					e.stats.GuardsRead++
+				}
+				regs[ins.Src] = (regs[ins.Src] & heapMask) + heapBase
+			}
+			e.stats.Insns++
+			v, err := e.load(regs[ins.Src]+uint64(int64(ins.Off)), int(ins.Size))
+			if err != nil {
+				return 0, e.fault(int(ins.OrigPC), err)
+			}
+			regs[ins.Dst] = v
+			e.stats.Insns++
+			if clusterTaken(ins, regs) {
+				pc = ins.Target
+			} else {
+				pc++
+			}
+
+		case compile.OpAndLsh64:
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = (regs[ins.Src] & ins.Imm) << uint64(ins.Off)
+			pc++
+
+		case compile.OpAdd64Idx:
+			e.stats.Insns += uint64(ins.N)
+			regs[ins.Dst] = regs[ins.Src] + ins.Imm + regs[ins.Idx]
+			pc++
+
 		default:
 			return 0, fmt.Errorf("vm: lowered pc %d: unknown opcode %d", pc, uint8(ins.Op))
 		}
 	}
+}
+
+// clusterTaken evaluates the conditional branch that ends a cluster: Dst
+// against Imm or register Idx, in the width its Form flags select.
+func clusterTaken(ins *compile.Insn, regs *[insn.NumRegs]uint64) bool {
+	dst, src := regs[ins.Dst], ins.Imm
+	if ins.Form&compile.FormImm == 0 {
+		src = regs[ins.Idx]
+	}
+	if ins.Form&compile.Form32 != 0 {
+		return jumpTaken(ins.Sub, uint64(uint32(dst)), uint64(uint32(src)), false)
+	}
+	return jumpTaken(ins.Sub, dst, src, true)
 }

@@ -82,8 +82,8 @@ func (k CancelKind) String() string {
 // for the same program and input (the differential harness at the repo
 // root enforces this). Dispatches and Fused are the only tier-dependent
 // counters: the interpreter leaves them zero, while the lowered tier
-// counts dispatch-loop iterations — fewer than Insns whenever fused
-// superinstructions retire two architectural instructions per dispatch.
+// counts dispatch-loop iterations — fewer than Insns whenever a cluster
+// retires two or three architectural instructions per dispatch.
 type Stats struct {
 	Insns       uint64
 	Guards      uint64 // guard instructions executed
@@ -95,8 +95,9 @@ type Stats struct {
 	// reference interpreter, where every architectural instruction is
 	// its own dispatch).
 	Dispatches uint64
-	// Fused counts dispatches that retired a fused superinstruction
-	// (guard+load, guard+store, probe+branch).
+	// Fused counts the architectural instructions that retired inside a
+	// cluster without a dispatch of their own: Insns - Dispatches on the
+	// lowered tier.
 	Fused uint64
 }
 
@@ -401,6 +402,7 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 	var err error
 	if p.opts.Lowered != nil {
 		ret, err = e.loopLowered()
+		e.stats.Fused = e.stats.Insns - e.stats.Dispatches
 	} else {
 		ret, err = e.loop()
 	}

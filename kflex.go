@@ -624,8 +624,8 @@ func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, e
 // compile cache was hit, and the execution tier.
 func (e *Extension) Pipeline() PipelineInfo { return e.pipeline }
 
-// LoweredMetrics returns the lowering metrics (stream lengths and fused
-// superinstruction counts); ok is false on the interpreter tier.
+// LoweredMetrics returns the lowering metrics (stream lengths and the
+// clusters' joins by kind); ok is false on the interpreter tier.
 func (e *Extension) LoweredMetrics() (m compile.Metrics, ok bool) {
 	if e.art.unit == nil {
 		return compile.Metrics{}, false
