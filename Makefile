@@ -62,10 +62,10 @@ race:
 chaos:
 	$(GO) test -short -race -run 'TestChaos' -timeout 120s .
 
-# Brief fuzz sessions, six targets: the instruction codec, disassembler,
+# Brief fuzz sessions, seven targets: the instruction codec, disassembler,
 # the verifier (no panic, same verdict twice), interpreter/lowered-tier
-# equivalence, the migration cutover, and the WAL replay path over mutated
-# segment bytes.
+# equivalence, the migration cutover, the WAL replay path over mutated
+# segment bytes, and the growing KV table against a map.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCodecRoundtrip -fuzztime=20s ./insn/
 	$(GO) test -run=NONE -fuzz=FuzzDisasm -fuzztime=20s ./insn/
@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLoweredEquivalence -fuzztime=20s .
 	$(GO) test -run=NONE -fuzz=FuzzMigrateCutover -fuzztime=20s .
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=20s ./internal/durable/
+	$(GO) test -run=NONE -fuzz=FuzzKVGrow -fuzztime=20s ./internal/apps/offload/
 
 # CI-scale smoke of everything outside benchmark/ that prints a number:
 # kfbench's experiment table and three of its quick model-time experiments,

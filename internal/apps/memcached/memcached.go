@@ -149,8 +149,11 @@ type BMC struct {
 	Errors uint64
 }
 
-// BMCCacheEntries sizes the preallocated cache (BMC preallocates; it cannot
-// grow, which is the paper's flexibility point).
+// BMCCacheEntries sizes the preallocated cache. An eBPF map's max_entries is
+// fixed when it is created, so BMC's cache holds this many entries whatever
+// the key space; the KFlex table (kvprog) is sized by the keys it is loaded
+// with and doubles in bytecode as SETs add more — the paper's flexibility
+// point.
 const BMCCacheEntries = 16 << 10
 
 // NewBMC loads the eBPF (ModeEBPF!) extension and builds the fallback path.

@@ -153,6 +153,97 @@ func TestCoDesignGCWalksSharedTable(t *testing.T) {
 	}
 }
 
+// TestCoDesignGCCountsMidDoubling: while the shared table is doubling, the
+// collector counts every entry once — those still in the old array, those
+// moved, and the node a cancelled move left unlinked from its old bucket
+// and not yet linked into its new one (built here through the user mapping,
+// as a cancel right after the unlink store leaves it). A lookup finds that
+// node, and the next SET miss finishes its move.
+func TestCoDesignGCCountsMidDoubling(t *testing.T) {
+	cfg := smallCfg(workload.Mix50)
+	c, err := NewCoDesign(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k := uint64(0)
+	set := func() {
+		k++
+		frame := EncodeSet(workload.FormatKey(k, KeySize), workload.FormatValue(k, cfg.ValueSize))
+		if reply, _, err := c.Execute(0, frame); err != nil || string(reply) != "S" {
+			t.Fatalf("SET %d: reply %q err %v", k, reply, err)
+		}
+	}
+	gc := func(want uint64) {
+		t.Helper()
+		if entries, err := c.RunGC(); err != nil || entries != want {
+			t.Fatalf("GC saw %d entries (err %v), want %d", entries, err, want)
+		}
+	}
+	get := func(key uint64) {
+		t.Helper()
+		reply, _, err := c.Execute(0, EncodeGet(workload.FormatKey(key, KeySize)))
+		if err != nil || !bytes.Equal(reply, append([]byte{'V'}, workload.FormatValue(key, cfg.ValueSize)...)) {
+			t.Fatalf("GET %d: reply %q err %v", key, reply, err)
+		}
+	}
+	for k < kvprog.MinBuckets+1+10 { // a doubling, then ten steps of it
+		set()
+	}
+	uv, err := c.Ext().UserView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(addr uint64) uint64 {
+		w, err := uv.Load(addr, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	glob := func(off int16) uint64 { return uv.Base() + uint64(off) }
+	old, cursor := word(glob(kvprog.GlobOld)), word(glob(kvprog.GlobCursor))
+	if old == 0 || cursor != 10*kvprog.StepBuckets {
+		t.Fatalf("old array %#x, cursor %d: want a doubling ten steps in", old, cursor)
+	}
+	gc(k)
+
+	// Unlink the head of the next non-empty old bucket into Redo.
+	b := cursor
+	for word(uv.Base()+old+8*b) == 0 {
+		b++
+	}
+	slot := uv.Base() + old + 8*b
+	n := word(slot)
+	for _, w := range []struct{ addr, v uint64 }{
+		{glob(kvprog.GlobCursor), b}, {glob(kvprog.GlobRedo), n}, {slot, word(n + uint64(kvprog.NodeNext))},
+	} {
+		if err := uv.Store(w.addr, 8, w.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gc(k)
+	raw := make([]byte, KeySize)
+	if err := uv.ReadInto(n+uint64(kvprog.NodeKey), raw); err != nil {
+		t.Fatal(err)
+	}
+	var limbo uint64
+	for key := uint64(1); key <= k; key++ {
+		if bytes.Equal(workload.FormatKey(key, KeySize), raw) {
+			limbo = key
+		}
+	}
+	get(limbo)
+	set()
+	if redo := word(glob(kvprog.GlobRedo)); redo != 0 {
+		t.Fatalf("the SET miss left Redo at %#x", redo)
+	}
+	gc(k)
+	for key := uint64(1); key <= k; key++ {
+		get(key)
+	}
+}
+
 // TestCoDesignGCPause: with a short GCInterval the collector scans during a
 // small run, and each scan's pause — entries × netsim.GCEntryNs with the
 // shared lock held — reaches the latency the clients see.

@@ -109,30 +109,52 @@ func NewCoDesign(cfg Config, servers int) (*CoDesign, error) {
 // RunGC performs one real scan of the shared hash table from user space:
 // it walks every bucket chain through the user mapping, exactly as §5.3's
 // garbage collector accesses "Memcached's hash table defined in the
-// extension's heap" via shared pointers.
+// extension's heap" via shared pointers. The geometry is read from the
+// heap: the live array, and while a doubling is in flight the old one and
+// the node a cancelled move left in Redo, each entry counted once.
 func (c *CoDesign) RunGC() (entries uint64, err error) {
 	uv, err := c.Ext().UserView()
 	if err != nil {
 		return 0, err
 	}
-	tableOff, err := uv.Load(uv.Base()+uint64(kvprog.GlobTable), 8)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < kvprog.Buckets; i++ {
-		// Bucket entries were stored by the extension with
-		// translate-on-store, so they are valid user VAs already.
-		ptr, err := uv.Load(uv.Base()+tableOff+uint64(i*8), 8)
-		if err != nil {
-			return entries, err
+	glob := func(off int16) (uint64, error) { return uv.Load(uv.Base()+uint64(off), 8) }
+	var g [5]uint64
+	for i, off := range []int16{kvprog.GlobTable, kvprog.GlobMask, kvprog.GlobOld, kvprog.GlobOldMask, kvprog.GlobRedo} {
+		if g[i], err = glob(off); err != nil {
+			return 0, err
 		}
-		for ptr != 0 {
-			entries++
-			ptr, err = uv.Load(ptr+uint64(kvprog.NodeNext), 8)
+	}
+	table, mask, old, oldMask, redo := g[0], g[1], g[2], g[3], g[4]
+	seenRedo := redo == 0
+	// scan walks every chain of the array at offset tab. Bucket entries
+	// were stored by the extension with translate-on-store, so they are
+	// valid user VAs already.
+	scan := func(tab, mask uint64) error {
+		for i := uint64(0); i <= mask; i++ {
+			ptr, err := uv.Load(uv.Base()+tab+i*8, 8)
+			for err == nil && ptr != 0 {
+				entries++
+				seenRedo = seenRedo || ptr == redo
+				ptr, err = uv.Load(ptr+uint64(kvprog.NodeNext), 8)
+			}
 			if err != nil {
-				return entries, err
+				return err
 			}
 		}
+		return nil
+	}
+	if err := scan(table, mask); err != nil {
+		return entries, err
+	}
+	// Old == Table is a doubling a cancel stopped before it installed its
+	// array: the program rolls it back, and its chains are the live ones.
+	if old != 0 && old != table {
+		if err := scan(old, oldMask); err != nil {
+			return entries, err
+		}
+	}
+	if !seenRedo { // claimed, unlinked from the old bucket, not yet linked
+		entries++
 	}
 	c.GCRuns++
 	c.GCEntries += entries

@@ -55,10 +55,11 @@ func BenchmarkColdLoad(b *testing.B) {
 
 // BenchmarkGetHit times one offloaded GET hit through a Worker of the bare
 // deployment, its table preloaded with keys entries and the GET frames
-// built beforehand and sent in a seeded random order. At 256 keys every
-// chain is short and the nodes stay in cache; at the workload's 64 Ki keys
-// a bucket holds four nodes on average and the walk misses in cache, so
-// the ratio of the two is the memory-bound share of a GET.
+// built beforehand and sent in a seeded random order. The SETs grow the
+// table from 1 Ki buckets, so each size runs at load factor ≤ 1: at 256
+// keys the nodes stay in cache; at the workload's 64 Ki keys (64 Ki
+// buckets) the bucket word and the node miss in cache, so the ratio of the
+// two is the memory-bound share of a GET.
 func BenchmarkGetHit(b *testing.B) {
 	c := &memcached.Codec
 	for _, keys := range []int{256, workload.KeySpace} {

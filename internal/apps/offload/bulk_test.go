@@ -136,7 +136,7 @@ func bulkInsnBound(t *testing.T, c *offload.Codec) {
 			t.Fatal(err)
 		}
 		h := ext.Handle(0)
-		if _, err := c.RunInit(h); err != nil {
+		if _, err := c.RunInit(h, offload.BulkBatch); err != nil {
 			t.Fatal(err)
 		}
 		keys, values := make([][]byte, offload.BulkBatch), make([][]byte, offload.BulkBatch)
@@ -227,12 +227,12 @@ func bulkCancel(t *testing.T, c *offload.Codec) {
 		}
 		return w
 	}
-	table := word(uint64(kvprog.GlobTable))
+	table, mask := word(uint64(kvprog.GlobTable)), word(uint64(kvprog.GlobMask))
 	ks, _ := storePairs(t, ref.Store())
 	nodes, slots, prior := make([]uint64, keys), make([]uint64, keys), make([]int, keys)
 	seen := make(map[uint64]int)
 	for p, k := range ks {
-		slots[p] = table + (kvHash(k)&(kvprog.Buckets-1))*8
+		slots[p] = table + (kvHash(k)&mask)*8
 		prior[p] = seen[slots[p]]
 		seen[slots[p]]++
 		for n := word(slots[p]); ; n = word(n - view.Base() + uint64(kvprog.NodeNext)) {
@@ -258,10 +258,11 @@ func bulkCancel(t *testing.T, c *offload.Codec) {
 			fillAt = i
 		}
 	}
-	var probe kie.CP
+	var probe kie.CP // the first probe after the fill call: the loop's back edge
 	for _, cp := range rep.CPs {
 		if cp.Kind == kie.CPLoop && cp.Insn > fillAt {
 			probe = cp
+			break
 		}
 	}
 	head := probe.Insn + 2 + int(rep.Prog[probe.Insn+1].Off)

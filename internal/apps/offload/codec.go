@@ -95,7 +95,7 @@ func (c *Codec) RegisterHelpers(rt *kflex.Runtime) {
 			case *netsim.Packet:
 				pkt = ev
 			case initEvent:
-				return kvprog.OpInit, nil
+				return kvprog.OpInit | uint64(ev.keys)<<8, nil
 			case *bulkEvent:
 				return kvprog.OpBulk | uint64(ev.n)<<8, nil
 			default:
@@ -195,9 +195,10 @@ func (c *Codec) answer(kv KV, op int, key, reply []byte) []byte {
 }
 
 // initEvent is the event a deployment runs a fresh heap's hook with, once:
-// the parse helper answers it with kvprog.OpInit and the program allocates
-// its bucket array. No packet carries it.
-type initEvent struct{}
+// the parse helper answers it with kvprog.OpInit | keys<<8 and the program
+// allocates a bucket array sized for the keys the bulk events after it
+// load. No packet carries it.
+type initEvent struct{ keys int }
 
 // bulkBatch is how many pairs one bulk event carries.
 const bulkBatch = 256
@@ -257,12 +258,15 @@ func (c *Codec) push(h *kflex.Handle, cn *conn, each func(func(key, value []byte
 	return n, err
 }
 
-// populate brings a fresh heap into service through h: the init event, then
-// every pair of each packed bulkBatch at a time into bulk events. The keys
-// must be distinct — the program links every pair as a new node — as a
-// store's Range yields them. It reports how many pairs the extension stored.
-func (c *Codec) populate(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (n int, err error) {
-	if _, err := c.invoke(h, initEvent{}, cn.ctx); err != nil {
+// populate brings a fresh heap into service through h: the init event, which
+// sizes the table for keys pairs, then every pair of each packed bulkBatch
+// at a time into bulk events. keys is a size, not a bound: a store that
+// yields more pairs than it counted leaves the table fuller, and the next
+// SET miss doubles it. The keys must be distinct — the program links every
+// pair as a new node — as a store's Range yields them. It reports how many
+// pairs the extension stored.
+func (c *Codec) populate(h *kflex.Handle, cn *conn, keys int, each func(func(key, value []byte) error) error) (n int, err error) {
+	if _, err := c.invoke(h, initEvent{keys}, cn.ctx); err != nil {
 		return 0, err
 	}
 	ev := &bulkEvent{imgs: make([]byte, 0, bulkBatch*kvprog.ImageSize)}

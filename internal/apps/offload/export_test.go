@@ -10,10 +10,10 @@ import (
 // BulkBatch is how many pairs one bulk event carries.
 const BulkBatch = bulkBatch
 
-// RunInit runs the init event on h, as populate does first.
-func (c *Codec) RunInit(h *kflex.Handle) (kflex.Result, error) {
+// RunInit runs the init event for keys pairs on h, as populate does first.
+func (c *Codec) RunInit(h *kflex.Handle, keys int) (kflex.Result, error) {
 	cn := c.newConn()
-	return c.invoke(h, initEvent{}, cn.ctx)
+	return c.invoke(h, initEvent{keys}, cn.ctx)
 }
 
 // RunBulk runs one bulk event carrying the pairs (keys[i], values[i]) on h.

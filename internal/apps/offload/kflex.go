@@ -196,7 +196,7 @@ func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
 		preload = workload.KeySpace
 	}
 	setup := c.newConn()
-	if _, err := c.populate(ext.Handle(0), &setup, keySpace(preload, cfg.ValueSize)); err != nil {
+	if _, err := c.populate(ext.Handle(0), &setup, int(preload), keySpace(preload, cfg.ValueSize)); err != nil {
 		ext.Close()
 		return nil, err
 	}

@@ -153,6 +153,7 @@ func TestConformance(t *testing.T) {
 		{"bulk-insn-bound", bulkInsnBound},
 		{"client-frame-cannot-bulk", clientFrameCannotBulk},
 		{"bulk-cancel", bulkCancel},
+		{"grow-oracle", growOracle},
 	}
 	for _, c := range codecs {
 		for _, row := range rows {
@@ -703,6 +704,17 @@ func (d bareKV) get(t *testing.T, i, v int) uint64 {
 	return program() - before
 }
 
+// glob reads the globals word at off of the deployment's heap.
+func (d bareKV) glob(t *testing.T, off int16) uint64 {
+	t.Helper()
+	v := d.Ext().Heap().ExtView()
+	w, err := v.Load(v.Base()+uint64(off), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // Per-node costs of the chain walk, in instructions: a node passed on its
 // tag (null check, tag load and compare, next load, jump back), and the
 // four-word key compare a matching tag adds when the key differs in its
@@ -744,23 +756,25 @@ func tagCollision(t *testing.T, c *offload.Codec) {
 
 // chainWalkCost pins what the walk pays per node it passes: keys of one
 // bucket with distinct tags, inserted at the head in turn, so the node at
-// depth k is passed over k others on the tag alone.
+// depth k is passed over k others on the tag alone. The bucket is the
+// fresh table's, its mask read from the heap.
 func chainWalkCost(t *testing.T, c *offload.Codec) {
 	const depth = 5
-	buckets := make(map[uint64][]int)
-	tags := make(map[uint64]bool)
-	var chain []int
-	for i := 0; len(chain) < depth; i++ {
-		h := kvHash(key(i))
-		if tags[h] {
-			continue
-		}
-		tags[h] = true
-		bkt := h & (kvprog.Buckets - 1)
-		buckets[bkt] = append(buckets[bkt], i)
-		chain = buckets[bkt]
-	}
 	eachTier(t, c, func(t *testing.T, d bareKV) {
+		mask := d.glob(t, kvprog.GlobMask)
+		buckets := make(map[uint64][]int)
+		tags := make(map[uint64]bool)
+		var chain []int
+		for i := 0; len(chain) < depth; i++ {
+			h := kvHash(key(i))
+			if tags[h] {
+				continue
+			}
+			tags[h] = true
+			bkt := h & mask
+			buckets[bkt] = append(buckets[bkt], i)
+			chain = buckets[bkt]
+		}
 		for v, i := range chain {
 			d.set(t, i, v)
 		}
@@ -787,10 +801,10 @@ func requestInsns(t *testing.T, c *offload.Codec) {
 			frame []byte
 			want  uint64
 		}{
-			{"GET miss", c.AppendGet(nil, key(0)), 54},
-			{"SET miss", c.AppendSet(nil, key(0), val(0)), 90},
-			{"SET hit", c.AppendSet(nil, key(0), val(1)), 89},
-			{"GET hit", c.AppendGet(nil, key(0)), 71},
+			{"GET miss", c.AppendGet(nil, key(0)), 53},
+			{"SET miss", c.AppendSet(nil, key(0), val(0)), 89},
+			{"SET hit", c.AppendSet(nil, key(0), val(1)), 86},
+			{"GET hit", c.AppendGet(nil, key(0)), 68},
 		} {
 			before := d.WorkStats().Insns
 			if _, _, err := d.Execute(0, step.frame); err != nil {

@@ -15,6 +15,9 @@ type KV interface {
 	Get(key []byte) []byte
 	// Set stores value under key.
 	Set(key, value []byte)
+	// Len counts the keys; a cold resync sizes the table it loads them
+	// into by it.
+	Len() int
 	// Range visits every key/value pair in sorted key order
 	// (deterministic resync replay). The key is handed over in a buffer
 	// reused across calls, so fn copies what it keeps of it.
@@ -63,6 +66,18 @@ func (s *Store) Set(key, value []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.kv[string(key)] = append([]byte(nil), value...)
+}
+
+// Len counts the keys.
+func (s *Store) Len() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += len(sh.kv)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Range visits every key/value pair in sorted key order. Deterministic

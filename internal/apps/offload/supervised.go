@@ -152,7 +152,7 @@ func (s *Supervised) resync(g supervisor.Generation) (rep supervisor.InitReport,
 	clear(s.dirty)
 	s.dirtyN.Store(0)
 	s.mu.Unlock()
-	rep.ResyncOps, err = s.codec.populate(g.Handles[0], &cn, s.store.Range)
+	rep.ResyncOps, err = s.codec.populate(g.Handles[0], &cn, s.store.Len(), s.store.Range)
 	return rep, err
 }
 

@@ -175,15 +175,25 @@ func LoadSpec(rt *kflex.Runtime, kind Kind, edit func(*kflex.Spec)) (*Offloaded,
 	if err != nil {
 		return nil, err
 	}
+	return start(ext, kind)
+}
+
+// start runs the init operation of kind's loaded extension ext. An init
+// that fails — an error, a cancellation, or RetOOM — closes ext, heap and
+// all: the caller gets no Offloaded to close it through.
+func start(ext *kflex.Extension, kind Kind) (*Offloaded, error) {
 	o := &Offloaded{
 		Ext:    ext,
 		handle: ext.Handle(0),
 		ctx:    make([]byte, kflex.HookBench.CtxSize),
 	}
-	if res, err := o.Op(OpInit, 0, 0); err != nil {
+	res, err := o.Op(OpInit, 0, 0)
+	if err == nil && res.Ret == RetOOM {
+		err = fmt.Errorf("ds: %s: init ran out of heap", kind)
+	}
+	if err != nil {
+		ext.Close()
 		return nil, err
-	} else if res.Ret == RetOOM {
-		return nil, fmt.Errorf("ds: %s: init ran out of heap", kind)
 	}
 	return o, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"kflex"
 	"kflex/insn"
+	"kflex/internal/faultinject"
 )
 
 // loadDS loads the bytecode twin of kind, failing the test on any error.
@@ -65,6 +66,44 @@ func runEquivalence(t *testing.T, kind Kind, ops int, seed int64, perf bool) {
 		if gok != wok || (gok && gv != wv) {
 			t.Fatalf("%s final: lookup(%d) = (%d,%v), native (%d,%v)", kind, key, gv, gok, wv, wok)
 		}
+	}
+}
+
+// TestFailedInitClosesExtension: an init whose kflex_malloc fails (a fault
+// plan fails every allocation) is LoadSpec's error, and the extension it
+// loaded is closed, heap and all, since no Offloaded reaches the caller to
+// close it. Every kind whose init allocates, ZADD's among them.
+func TestFailedInitClosesExtension(t *testing.T) {
+	failed := 0
+	for _, kind := range allKinds {
+		plan := faultinject.NewPlan(1).SetRate(faultinject.AllocFail, 1)
+		plan.Enable()
+		rt := kflex.NewRuntime()
+		withPlan := func(s *kflex.Spec) { s.FaultPlan = plan }
+		if o, err := LoadSpec(rt, kind, withPlan); plan.Injected() == 0 {
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			o.Close() // an init that allocates nothing
+			continue
+		} else if err == nil {
+			t.Fatalf("%s: init's allocation failed, and LoadSpec returned no error", kind)
+		}
+		// The same failure, with the extension in hand: LoadSpec is this
+		// load and start.
+		spec := kflex.Spec{Name: string(kind), Insns: Program(kind), Hook: kflex.HookBench, Mode: kflex.ModeKFlex, HeapSize: HeapSize(kind)}
+		withPlan(&spec)
+		ext, err := rt.Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := start(ext, kind); err == nil || !ext.Heap().Closed() {
+			t.Fatalf("%s: start returned %v with the heap closed=%v, want an error and a closed heap", kind, err, ext.Heap().Closed())
+		}
+		failed++
+	}
+	if failed == 0 {
+		t.Fatal("no kind's init allocates")
 	}
 }
 

@@ -228,8 +228,15 @@ func (p *Plan) SetRate(kind Kind, rate float64) *Plan {
 	return p
 }
 
+// AnyKey, as FailNth's key, arms a trigger on a kind's occurrences at every
+// key: the n-th occurrence of the kind while it is armed fires, wherever it
+// falls. A sweep of n cancels at each site a run reaches in turn, without
+// knowing their keys.
+const AnyKey = ^uint64(0)
+
 // FailNth arms a one-shot trigger: the n-th occurrence (1-based) of kind
-// at the given key fires. Multiple triggers may be armed per (kind, key).
+// at the given key (or at any, AnyKey) fires. Multiple triggers may be
+// armed per (kind, key).
 func (p *Plan) FailNth(kind Kind, key uint64, n uint64) *Plan {
 	if n == 0 {
 		n = 1
@@ -287,23 +294,9 @@ func (p *Plan) Fire(kind Kind, key uint64) bool {
 	if p.max != 0 && p.injected >= p.max {
 		return false
 	}
-	k := nthKey{kind, key}
-	p.count[k]++
-	fire := false
-	if pending := p.nth[k]; len(pending) > 0 {
-		kept := pending[:0]
-		for _, n := range pending {
-			if n == p.count[k] {
-				fire = true
-			} else {
-				kept = append(kept, n)
-			}
-		}
-		if len(kept) == 0 {
-			delete(p.nth, k)
-		} else {
-			p.nth[k] = kept
-		}
+	fire := p.countNth(nthKey{kind, key})
+	if wild := (nthKey{kind, AnyKey}); p.nth[wild] != nil && p.countNth(wild) {
+		fire = true
 	}
 	if !fire && p.rate[kind] > 0 && p.rng.Float64() < p.rate[kind] {
 		fire = true
@@ -311,6 +304,31 @@ func (p *Plan) Fire(kind Kind, key uint64) bool {
 	if fire {
 		p.injected++
 		p.events = append(p.events, Event{Seq: p.seq, Kind: kind, Key: key})
+	}
+	return fire
+}
+
+// countNth counts one occurrence at k and reports whether a trigger armed
+// for it fires, disarming that trigger. Caller holds p.mu.
+func (p *Plan) countNth(k nthKey) bool {
+	p.count[k]++
+	pending := p.nth[k]
+	if len(pending) == 0 {
+		return false
+	}
+	fire := false
+	kept := pending[:0]
+	for _, n := range pending {
+		if n == p.count[k] {
+			fire = true
+		} else {
+			kept = append(kept, n)
+		}
+	}
+	if len(kept) == 0 {
+		delete(p.nth, k)
+	} else {
+		p.nth[k] = kept
 	}
 	return fire
 }

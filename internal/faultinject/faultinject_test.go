@@ -48,6 +48,23 @@ func TestFailNthPerKey(t *testing.T) {
 	}
 }
 
+func TestFailNthAnyKey(t *testing.T) {
+	p := NewPlan(7)
+	p.FailNth(HeapGuard, AnyKey, 3)
+	p.Enable()
+	// The 3rd HeapGuard occurrence fires whatever its key; other kinds do
+	// not count towards it.
+	for i, key := range []uint64{10, 20, 30, 10} {
+		p.Fire(AllocFail, key)
+		if got, want := p.Fire(HeapGuard, key), i == 2; got != want {
+			t.Fatalf("occurrence %d at key %d fired=%v, want %v", i+1, key, got, want)
+		}
+	}
+	if ev := p.Events(); len(ev) != 1 || ev[0].Kind != HeapGuard || ev[0].Key != 30 {
+		t.Fatalf("events = %v, want one heap-guard fault at key 30", ev)
+	}
+}
+
 func TestDeterministicTrace(t *testing.T) {
 	run := func() []Event {
 		p := NewPlan(42).SetRate(HeapGuard, 0.3).SetRate(HelperErr, 0.1)
