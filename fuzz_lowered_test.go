@@ -39,6 +39,19 @@ func FuzzLoweredEquivalence(f *testing.F) {
 		}
 		f.Add(raw, uint64(3), uint64(0), false)
 	}
+	// Arithmetic on a guarded pointer returns a value computed from the
+	// heap base, so the tiers agree only because their heaps, one per
+	// Runtime, sit at the one base of their size.
+	raw, err := insn.Encode([]insn.Instruction{
+		insn.LoadMem(insn.R0, insn.R1, 8, 8),
+		insn.StoreImm(insn.R0, 48, 7, 4),
+		insn.Alu64Imm(insn.AluDiv, insn.R0, 3),
+		insn.Exit(),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw, uint64(1), uint64(0), false)
 	f.Fuzz(func(t *testing.T, raw []byte, key, val uint64, shared bool) {
 		prog, err := insn.Decode(raw)
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 
 func newAlloc(t *testing.T, size uint64, cpus int) (*Allocator, *heap.Heap) {
 	t.Helper()
-	h, err := heap.NewInArena(size, heap.NewKernelArena(), heap.NewUserArena())
+	h, err := heap.New(size)
 	if err != nil {
 		t.Fatal(err)
 	}

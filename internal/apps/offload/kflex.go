@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"cmp"
 	"errors"
 
 	"kflex"
@@ -44,9 +45,9 @@ type Config struct {
 	// more leaves free slots as live-migration targets
 	// (supervisor.Migrate).
 	Slots int
-	// HeapSize overrides the supervised deployment's extension heap size
-	// in bytes (default 64 MiB). Migration and fuzz tests shrink it so a
-	// cutover sweep doesn't pay a 64 MiB allocation per instance.
+	// HeapSize overrides the extension heap size in bytes (default 64 MiB).
+	// Migration and fuzz tests shrink it so a cutover sweep doesn't pay a
+	// 64 MiB allocation per instance.
 	HeapSize uint64
 }
 
@@ -179,7 +180,7 @@ func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
 		Insns:           kvprog.Build(prog),
 		Hook:            c.Hook,
 		Mode:            kflex.ModeKFlex,
-		HeapSize:        defaultHeapSize,
+		HeapSize:        cmp.Or(cfg.HeapSize, defaultHeapSize),
 		ShareHeap:       shared,
 		NumCPUs:         servers,
 		FaultPlan:       cfg.FaultPlan,

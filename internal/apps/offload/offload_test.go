@@ -1044,3 +1044,20 @@ func TestConcurrentFallbackSetGate(t *testing.T) {
 		})
 	}
 }
+
+// TestKFlexHeapSize: the bare deployment links the heap its Config declares,
+// and 64 MiB when it declares none, as the supervised one does.
+func TestKFlexHeapSize(t *testing.T) {
+	for _, tc := range []struct{ declared, want uint64 }{{0, 64 << 20}, {4 << 20, 4 << 20}} {
+		cfg := testConfig()
+		cfg.HeapSize = tc.declared
+		k, err := offload.NewKFlex(&memcached.Codec, cfg, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := k.Ext().Heap().Size(); got != tc.want {
+			t.Errorf("HeapSize %#x: heap of %#x bytes, want %#x", tc.declared, got, tc.want)
+		}
+		k.Close()
+	}
+}

@@ -79,61 +79,23 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("heap fault: %s at %#x", f.Kind, f.Addr)
 }
 
-// Arena hands out size-aligned virtual address ranges with guard zones,
-// mimicking the kernel's vmalloc region. Alignment requirements fragment
-// the space (§4.1); Wasted reports the bytes lost to alignment skips.
-type Arena struct {
-	mu     sync.Mutex
-	cursor uint64
-	limit  uint64
-	wasted uint64
-}
-
 // Simulated address-space layout.
 const (
 	// KernelVABase mirrors the x86-64 vmalloc base.
 	KernelVABase = 0xffffc90000000000
-	KernelVASize = 1 << 45
 	// UserVABase is where user-space mappings of heaps are placed.
 	UserVABase = 0x00007f0000000000
-	UserVASize = 1 << 44
 )
 
-// NewArena returns an arena spanning [base, base+size).
-func NewArena(base, size uint64) *Arena {
-	return &Arena{cursor: base, limit: base + size}
-}
-
-// NewKernelArena returns an arena over the simulated vmalloc region.
-func NewKernelArena() *Arena { return NewArena(KernelVABase, KernelVASize) }
-
-// NewUserArena returns an arena over the simulated user mapping region.
-func NewUserArena() *Arena { return NewArena(UserVABase, UserVASize) }
-
-// Reserve allocates a size-aligned range of the given size, keeping a guard
-// zone before and after it. size must be a power of two.
-func (a *Arena) Reserve(size uint64) (uint64, error) {
-	if size == 0 || size&(size-1) != 0 {
-		return 0, fmt.Errorf("heap: arena reservation size %#x is not a power of two", size)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	start := a.cursor + GuardZone
-	base := (start + size - 1) &^ (size - 1)
-	end := base + size + GuardZone
-	if end > a.limit || end < base {
-		return 0, fmt.Errorf("heap: arena exhausted reserving %#x bytes", size)
-	}
-	a.wasted += base - start
-	a.cursor = base + size + GuardZone
-	return base, nil
-}
-
-// Wasted returns the bytes lost to alignment skips so far.
-func (a *Arena) Wasted() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.wasted
+// placement returns the base of every heap of the given size in the region
+// starting at region: the lowest size-aligned address with a guard zone
+// below it inside the region. A heap's address is a function of its size
+// alone, so it needs no reservation, cannot run out and does not depend on
+// the heaps built before it. Heaps of one size share the range: isolation
+// is the guard, which folds any value into the heap it is used against
+// (§3.2), and nothing maps an address back to a heap.
+func placement(region, size uint64) uint64 {
+	return (region + GuardZone + size - 1) &^ (size - 1)
 }
 
 // Heap is one extension heap.
@@ -195,30 +157,12 @@ func (a *AbandonedTickets) Remove(off uint64, ticket uint32) bool {
 	return ok
 }
 
-var (
-	defaultKernelArena = NewKernelArena()
-	defaultUserArena   = NewUserArena()
-)
-
-// New creates a heap of the given power-of-two size in the default simulated
-// address space and maps it at a user-space base as well. No pages are
-// populated: backing memory appears on demand (§3.2).
+// New creates a heap of the given power-of-two size and maps it at a
+// user-space base as well. No pages are populated: backing memory appears
+// on demand (§3.2).
 func New(size uint64) (*Heap, error) {
-	return NewInArena(size, defaultKernelArena, defaultUserArena)
-}
-
-// NewInArena creates a heap with explicit kernel- and user-side arenas.
-func NewInArena(size uint64, kernel, user *Arena) (*Heap, error) {
 	if size < MinSize || size > MaxSize || size&(size-1) != 0 {
 		return nil, fmt.Errorf("heap: size %#x must be a power of two in [%#x, %#x]", size, uint64(MinSize), uint64(MaxSize))
-	}
-	extBase, err := kernel.Reserve(size)
-	if err != nil {
-		return nil, err
-	}
-	userBase, err := user.Reserve(size)
-	if err != nil {
-		return nil, err
 	}
 	var b backing
 	free.Lock()
@@ -229,7 +173,11 @@ func NewInArena(size uint64, kernel, user *Arena) (*Heap, error) {
 	if b.words == nil {
 		b = backing{make([]uint64, size/8), make([]atomic.Bool, size/PageSize)}
 	}
-	h := &Heap{size: size, mask: size - 1, extBase: extBase, userBase: userBase, words: b.words, pages: b.pages}
+	h := &Heap{
+		size: size, mask: size - 1,
+		extBase: placement(KernelVABase, size), userBase: placement(UserVABase, size),
+		words: b.words, pages: b.pages,
+	}
 	runtime.AddCleanup(h, recycle, b)
 	return h, nil
 }

@@ -12,7 +12,7 @@ import (
 
 func newHeap(t *testing.T, size uint64) *Heap {
 	t.Helper()
-	h, err := NewInArena(size, NewKernelArena(), NewUserArena())
+	h, err := New(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,39 +40,28 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestArenaAlignmentAndGuards(t *testing.T) {
-	a := NewArena(0x1000_0000, 1<<40)
-	b1, err := a.Reserve(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := a.Reserve(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1%(1<<30) != 0 || b2%(1<<30) != 0 {
-		t.Errorf("bases not aligned: %#x %#x", b1, b2)
-	}
-	// Guard zones force the second heap past the adjacent aligned chunk
-	// (§4.1 fragmentation).
-	if b2 < b1+(1<<30)+GuardZone {
-		t.Errorf("no guard gap between %#x and %#x", b1, b2)
-	}
-	if a.Wasted() == 0 {
-		t.Error("expected alignment waste with guard zones")
-	}
-}
-
-func TestArenaExhaustion(t *testing.T) {
-	a := NewArena(0, 1<<22)
-	if _, err := a.Reserve(1 << 20); err != nil {
-		t.Fatalf("first reserve failed: %v", err)
-	}
-	if _, err := a.Reserve(1 << 20); err == nil {
-		t.Fatal("second reserve should exhaust arena")
-	}
-	if _, err := a.Reserve(12345); err == nil {
-		t.Fatal("non-power-of-two accepted")
+// TestPlacement: a heap's bases depend on its size alone. Each is aligned
+// to the size, the lowest such address with a guard zone below it inside
+// its region, and two heaps of one size that are live together share them.
+// No MaxSize heap is built (its backing would be 16 GiB): its row checks the
+// placement New uses.
+func TestPlacement(t *testing.T) {
+	for _, size := range []uint64{MinSize, 64 << 10, MaxSize} {
+		for _, region := range []uint64{KernelVABase, UserVABase} {
+			base := placement(region, size)
+			if base%size != 0 || base < region+GuardZone || base-size >= region+GuardZone {
+				t.Errorf("size %#x: base %#x in region %#x is not the lowest aligned one above a guard zone", size, base, region)
+			}
+		}
+		if size == MaxSize {
+			continue
+		}
+		a, b := newHeap(t, size), newHeap(t, size)
+		if a.ExtBase() != placement(KernelVABase, size) || a.UserBase() != placement(UserVABase, size) ||
+			b.ExtBase() != a.ExtBase() || b.UserBase() != a.UserBase() {
+			t.Errorf("size %#x: live heaps at %#x/%#x and %#x/%#x, want both at %#x/%#x", size,
+				a.ExtBase(), a.UserBase(), b.ExtBase(), b.UserBase(), placement(KernelVABase, size), placement(UserVABase, size))
+		}
 	}
 }
 

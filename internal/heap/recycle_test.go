@@ -116,7 +116,7 @@ func TestHeapRecycleRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				size := sizes[(g+i)%len(sizes)]
-				h, err := NewInArena(size, NewKernelArena(), NewUserArena())
+				h, err := New(size)
 				if err != nil {
 					t.Error(err)
 					return

@@ -169,7 +169,7 @@ func registerBaseHelpers(k *Kernel) {
 				return 0, nil
 			}
 			ptr := ObjPtr(obj)
-			hc.Hold(hc.Site, obj, ptr)
+			hc.Hold(obj, ptr)
 			return ptr, nil
 		},
 	})

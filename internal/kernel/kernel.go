@@ -159,7 +159,7 @@ const (
 )
 
 // HelperCtx is the execution environment a helper implementation receives.
-// The VM builds one per execution context and sets Event and Site per call.
+// The VM builds one per execution context and sets Event per invocation.
 type HelperCtx struct {
 	// Kernel is the owning kernel instance.
 	Kernel *Kernel
@@ -174,8 +174,6 @@ type HelperCtx struct {
 	Alloc Allocator
 	// Lock provides the queue spin-lock operations; nil without a heap.
 	Lock Locker
-	// Site is the instruction index of the CALL being executed.
-	Site int
 	// Env is the invocation the helper runs in.
 	Env
 }
@@ -185,10 +183,8 @@ type HelperCtx struct {
 // cancelled. The VM's execution context implements it.
 type Env interface {
 	// Hold records an acquired object so cancellation can release it;
-	// Unhold removes it at explicit release. site is the call site
-	// instruction index (HelperCtx.Site), matching the verifier's
-	// reference IDs.
-	Hold(site int, obj *Object, ptr uint64)
+	// Unhold removes it at explicit release.
+	Hold(obj *Object, ptr uint64)
 	Unhold(ptr uint64) *Object
 	// HoldLock records a spin lock acquired at ext VA addr so cancellation
 	// can release it (the object-table entry for locks, §3.3); ReleaseLock

@@ -180,7 +180,7 @@ func (e *fakeEnv) PinValue(val []byte) uint64 {
 	return addr
 }
 
-func (e *fakeEnv) Hold(site int, obj *Object, ptr uint64) { e.held[ptr] = obj }
+func (e *fakeEnv) Hold(obj *Object, ptr uint64) { e.held[ptr] = obj }
 
 func (e *fakeEnv) Unhold(ptr uint64) *Object {
 	o := e.held[ptr]

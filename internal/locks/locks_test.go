@@ -11,7 +11,7 @@ import (
 
 func lockFixture(t *testing.T) (*Locks, *Locks, uint64, heap.View) {
 	t.Helper()
-	h, err := heap.NewInArena(1<<16, heap.NewKernelArena(), heap.NewUserArena())
+	h, err := heap.New(1 << 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -320,7 +320,6 @@ func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) er
 	if e.inject != nil && e.inject.Fire(faultinject.HelperErr, helperID) {
 		return &ExtensionAbort{Kind: CancelHelper, PC: pc}
 	}
-	e.hc.Site = pc
 	args := [5]uint64{
 		e.regs[insn.R1], e.regs[insn.R2], e.regs[insn.R3],
 		e.regs[insn.R4], e.regs[insn.R5],

@@ -219,9 +219,8 @@ func (p *Program) Cancels() uint64 { return p.cancels.Load() }
 
 // heldRef is a kernel object acquired and not yet released.
 type heldRef struct {
-	site int
-	obj  *kernel.Object
-	ptr  uint64
+	obj *kernel.Object
+	ptr uint64
 }
 
 // Exec is a per-CPU execution context; reuse one per worker and call Run
@@ -298,8 +297,8 @@ func (p *Program) NewExec(cpu int) *Exec {
 }
 
 // Hold implements kernel.Env.
-func (e *Exec) Hold(site int, obj *kernel.Object, ptr uint64) {
-	e.held = append(e.held, heldRef{site: site, obj: obj, ptr: ptr})
+func (e *Exec) Hold(obj *kernel.Object, ptr uint64) {
+	e.held = append(e.held, heldRef{obj: obj, ptr: ptr})
 	e.heldN.Store(int32(len(e.held)))
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"kflex/asm"
 	"kflex/insn"
+	"kflex/internal/heap"
 	"kflex/internal/kernel"
 )
 
@@ -44,6 +45,42 @@ func TestLoadAndRunTrivial(t *testing.T) {
 			t.Errorf("mode %d: res = %+v", mode, res)
 		}
 		ext.Close()
+	}
+}
+
+// TestHeapBaseIsAFunctionOfSize: heaps of one size that are live together,
+// in one Runtime and across two, share their bases, and each extension's
+// view still reaches only its own heap there.
+func TestHeapBaseIsAFunctionOfSize(t *testing.T) {
+	spec := Spec{Name: "placed", Insns: asm.New().Ret(0).MustAssemble(), Hook: HookBench, Mode: ModeKFlex, HeapSize: 1 << 16}
+	rt := NewRuntime()
+	var heaps []*heap.Heap
+	for _, r := range []*Runtime{rt, rt, NewRuntime()} {
+		ext, err := r.Load(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ext.Close()
+		heaps = append(heaps, ext.Heap())
+	}
+	for i, h := range heaps[1:] {
+		if h.ExtBase() != heaps[0].ExtBase() || h.UserBase() != heaps[0].UserBase() {
+			t.Errorf("heap %d at %#x/%#x, heap 0 at %#x/%#x", i+1, h.ExtBase(), h.UserBase(), heaps[0].ExtBase(), heaps[0].UserBase())
+		}
+	}
+	off := spec.HeapSize - heap.PageSize
+	for i, h := range heaps {
+		if err := h.Populate(off, heap.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ExtView().Store(h.ExtBase()+off, 8, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, h := range heaps {
+		if v, err := h.ExtView().Load(h.ExtBase()+off, 8); err != nil || v != uint64(i+1) {
+			t.Errorf("heap %d reads %d, %v at the shared address; want its own %d", i, v, err, i+1)
+		}
 	}
 }
 
