@@ -15,7 +15,7 @@ import (
 	"kflex/internal/ds"
 )
 
-// BenchmarkVMDispatch measures raw interpreter throughput on a counted
+// BenchmarkVMDispatch measures raw dispatch-loop throughput on a counted
 // 1024-iteration arithmetic loop (instructions per second = 3072/op·N).
 func BenchmarkVMDispatch(b *testing.B) {
 	prog := asm.New().

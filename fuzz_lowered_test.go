@@ -3,21 +3,26 @@ package kflex_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"kflex"
 	"kflex/insn"
+	"kflex/internal/compile"
 	"kflex/internal/ds"
+	"kflex/internal/kie"
+	"kflex/internal/refsem"
 	"kflex/internal/verifier"
 )
 
 // FuzzLoweredEquivalence feeds arbitrary byte strings through the decoder
-// and, whenever the verifier accepts the program, runs it on both execution
-// tiers. The two tiers must accept exactly the same programs and produce
-// identical results, context writes, aborts, and (normalized) work
-// counters — the fuzzing arm of the differential harness.
+// and, whenever the verifier accepts the program, runs it on the lowered
+// code and on the reference semantics. Every program the verifier accepts
+// must lower and link, and the two must produce identical results, context
+// writes, aborts, work counters (Dispatches and Fused aside) and heap
+// images — the fuzzing arm of the differential harness.
 //
-// Determinism: each tier gets its own Runtime, so the per-kernel helper
+// Determinism: each side gets its own Runtime, so the per-kernel helper
 // state (prandom stream, ktime tick counter) replays identically; the
 // instruction quantum bounds unbounded loops the verifier admitted. shared
 // maps the heap into user space, so Kie arms translate-on-store before
@@ -40,7 +45,7 @@ func FuzzLoweredEquivalence(f *testing.F) {
 		f.Add(raw, uint64(3), uint64(0), false)
 	}
 	// Arithmetic on a guarded pointer returns a value computed from the
-	// heap base, so the tiers agree only because their heaps, one per
+	// heap base, so the two sides agree only because their heaps, one per
 	// Runtime, sit at the one base of their size.
 	raw, err := insn.Encode([]insn.Instruction{
 		insn.LoadMem(insn.R0, insn.R1, 8, 8),
@@ -52,6 +57,11 @@ func FuzzLoweredEquivalence(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw, uint64(1), uint64(0), false)
+	// The same store through a pointer with the heap's top offset bit set:
+	// folded with the heap's mask it lands on an unpopulated page and
+	// faults, so a fold that drops that bit (and lands on the terminate
+	// word's page) shows.
+	f.Add(raw, uint64(1)<<15, uint64(0), false)
 	f.Fuzz(func(t *testing.T, raw []byte, key, val uint64, shared bool) {
 		prog, err := insn.Decode(raw)
 		if err != nil {
@@ -67,53 +77,59 @@ func FuzzLoweredEquivalence(f *testing.F) {
 			QuantumInsns:    50_000,
 			CancelThreshold: kflex.CancelNever,
 		}
-		spec.Interpret = true
-		ei, errI := kflex.NewRuntime().Load(spec)
-		spec.Interpret = false
-		el, errL := kflex.NewRuntime().Load(spec)
-		if (errI == nil) != (errL == nil) {
-			t.Fatalf("tiers disagree on load: interpreter err=%v, lowered err=%v", errI, errL)
+		el := loadVerified(t, spec)
+		if el == nil {
+			t.Skip() // rejected by the verifier
 		}
-		if errI != nil {
-			t.Skip() // rejected by the verifier on both tiers alike
-		}
-		defer ei.Close()
-		defer el.Close()
 		if err := el.ValidateLowering(); err != nil {
 			t.Fatalf("%v\nprog:\n%s", err, insn.Disassemble(prog))
 		}
+		er, ref, err := loadRef(t, spec)
+		if err != nil {
+			t.Fatalf("second load: %v", err)
+		}
 
-		ctxI := make([]byte, kflex.HookBench.CtxSize)
+		ctxR := make([]byte, kflex.HookBench.CtxSize)
 		ctxL := make([]byte, kflex.HookBench.CtxSize)
 		for i := 0; i < 8; i++ {
-			copy(ctxI[8:16], ctxBytes(key+uint64(i)))
-			copy(ctxI[16:24], ctxBytes(val))
-			copy(ctxL, ctxI)
-			ri, erri := ei.Handle(0).Run(nil, ctxI)
-			rl, errl := el.Handle(0).Run(nil, ctxL)
-			if (erri == nil) != (errl == nil) {
-				t.Fatalf("run %d: errors diverge: interp %v, lowered %v", i, erri, errl)
+			copy(ctxR[8:16], ctxBytes(key+uint64(i)))
+			copy(ctxR[16:24], ctxBytes(val))
+			copy(ctxL, ctxR)
+			rr, errR := ref.Run(nil, ctxR)
+			rl, errL := el.Handle(0).Run(nil, ctxL)
+			what := fmt.Sprintf("run %d of\n%s", i, insn.Disassemble(prog))
+			sameAsRef(t, what, rr, errR, rl, errL)
+			if errL != nil {
+				return // both retired or erred alike
 			}
-			if erri != nil {
-				return // both unloaded/erred identically
+			if !bytes.Equal(ctxR, ctxL) {
+				t.Fatalf("run %d: ctx writes diverge:\nreference: %x\nlowered:   %x", i, ctxR, ctxL)
 			}
-			ri.Stats.Dispatches, ri.Stats.Fused = 0, 0
-			rl.Stats.Dispatches, rl.Stats.Fused = 0, 0
-			if ri.Ret != rl.Ret || ri.Cancelled != rl.Cancelled || ri.Stats != rl.Stats {
-				t.Fatalf("run %d: results diverge:\ninterp:  %+v\nlowered: %+v\nprog:\n%s",
-					i, ri, rl, insn.Disassemble(prog))
-			}
-			switch {
-			case (ri.Abort == nil) != (rl.Abort == nil),
-				ri.Abort != nil && (ri.Abort.Kind != rl.Abort.Kind || ri.Abort.PC != rl.Abort.PC):
-				t.Fatalf("run %d: aborts diverge: %+v vs %+v\nprog:\n%s",
-					i, ri.Abort, rl.Abort, insn.Disassemble(prog))
-			}
-			if !bytes.Equal(ctxI, ctxL) {
-				t.Fatalf("run %d: ctx writes diverge:\ninterp:  %x\nlowered: %x", i, ctxI, ctxL)
+			if err := refsem.DiffHeaps(er.Heap(), el.Heap()); err != nil {
+				t.Fatalf("%s: heap images diverge: %v", what, err)
 			}
 		}
 	})
+}
+
+// loadVerified loads spec on a Runtime of its own, or returns nil when the
+// verifier refuses the program: a Load may fail nowhere else, so every
+// program the verifier accepts lowers and links.
+func loadVerified(t *testing.T, spec kflex.Spec) *kflex.Extension {
+	t.Helper()
+	rt := kflex.NewRuntime()
+	ext, err := rt.Load(spec)
+	if err == nil {
+		t.Cleanup(ext.Close)
+		return ext
+	}
+	if _, verr := verifier.Verify(spec.Insns, verifier.Config{
+		Mode: verifier.ModeKFlex, Hook: spec.Hook, Kernel: rt.Kernel(),
+		HeapSize: spec.HeapSize, ShareHeap: spec.ShareHeap,
+	}); verr == nil {
+		t.Fatalf("a program the verifier accepts failed to load: %v\nprog:\n%s", err, insn.Disassemble(spec.Insns))
+	}
+	return nil
 }
 
 // clusterSeeds are small verified programs over the bench context
@@ -165,10 +181,10 @@ func ctxBytes(v uint64) []byte {
 
 // TestMalformedOpcodeRefusedByBothTiers: a malformed instruction on a branch
 // the verifier's walk folds away — here an LD-class opcode that is not LDDW
-// — used to load on the interpreter (nothing ever looked at it) and be
-// refused by the lowering. The verifier's structural check sees every
-// instruction, so both tiers refuse, with the same *verifier.Error. The
-// program is also a committed FuzzLoweredEquivalence seed.
+// — is refused by both layers that read it. The verifier's structural check
+// sees every instruction, so Load fails with a *verifier.Error at insn 2,
+// and compile.Lower refuses the stream on its own. The program is also a
+// committed FuzzLoweredEquivalence seed.
 func TestMalformedOpcodeRefusedByBothTiers(t *testing.T) {
 	prog := []insn.Instruction{
 		insn.Mov64Imm(insn.R0, 0),
@@ -176,25 +192,24 @@ func TestMalformedOpcodeRefusedByBothTiers(t *testing.T) {
 		{Op: insn.ClassLD | 0x30},
 		insn.Exit(),
 	}
-	var errs [2]*verifier.Error
-	for i, interpret := range []bool{true, false} {
-		_, err := kflex.NewRuntime().Load(kflex.Spec{
-			Name: "malformed", Insns: prog, Hook: kflex.HookBench,
-			Mode: kflex.ModeKFlex, HeapSize: 1 << 16, Interpret: interpret,
-		})
-		if !errors.As(err, &errs[i]) {
-			t.Fatalf("interpret=%v: Load err = %v, want a *verifier.Error", interpret, err)
-		}
+	_, err := kflex.NewRuntime().Load(kflex.Spec{
+		Name: "malformed", Insns: prog, Hook: kflex.HookBench,
+		Mode: kflex.ModeKFlex, HeapSize: 1 << 16,
+	})
+	var verr *verifier.Error
+	if !errors.As(err, &verr) || verr.Insn != 2 {
+		t.Fatalf("Load err = %v, want a *verifier.Error at insn 2", err)
 	}
-	if *errs[0] != *errs[1] || errs[0].Insn != 2 {
-		t.Fatalf("tiers refuse differently: interpreter %v, lowered %v; want insn 2 on both", errs[0], errs[1])
+	if _, err := compile.Lower(&kie.Report{Prog: prog}); err == nil {
+		t.Fatal("compile.Lower accepted a malformed LD opcode")
 	}
 }
 
 // TestTiersAgreeOnLoadForEveryOpcode sweeps all 256 opcode bytes through
 // both positions — stepped by the verifier's walk, and hidden from it behind
-// a folded branch — and requires the tiers to agree on whether the program
-// loads. It is the exhaustive form of the fuzz target's first assertion.
+// a folded branch. Only the verifier may refuse a program: every one it
+// accepts must lower and link, and one run of it must match the reference
+// semantics. It is the exhaustive form of the fuzz target's first assertion.
 func TestTiersAgreeOnLoadForEveryOpcode(t *testing.T) {
 	for op := 0; op < 256; op++ {
 		ins := insn.Instruction{Op: insn.Opcode(op), Dst: insn.R2, Src: insn.R3, Imm: 16}
@@ -204,20 +219,19 @@ func TestTiersAgreeOnLoadForEveryOpcode(t *testing.T) {
 		} {
 			spec := kflex.Spec{
 				Name: "sweep", Insns: prog, Hook: kflex.HookBench,
-				Mode: kflex.ModeKFlex, HeapSize: 1 << 16, Interpret: true,
+				Mode: kflex.ModeKFlex, HeapSize: 1 << 16,
 			}
-			ei, errI := kflex.NewRuntime().Load(spec)
-			spec.Interpret = false
-			el, errL := kflex.NewRuntime().Load(spec)
-			if (errI == nil) != (errL == nil) {
-				t.Errorf("opcode %#02x in a %d-instruction program: interpreter err=%v, lowered err=%v",
-					op, len(prog), errI, errL)
+			el := loadVerified(t, spec)
+			if el == nil {
+				continue
 			}
-			for _, ext := range []*kflex.Extension{ei, el} {
-				if ext != nil {
-					ext.Close()
-				}
+			_, ref, err := loadRef(t, spec)
+			if err != nil {
+				t.Fatal(err)
 			}
+			rr, errR := ref.Run(nil, make([]byte, kflex.HookBench.CtxSize))
+			rl, errL := el.Handle(0).Run(nil, make([]byte, kflex.HookBench.CtxSize))
+			sameAsRef(t, fmt.Sprintf("opcode %#02x in a %d-instruction program", op, len(prog)), rr, errR, rl, errL)
 		}
 	}
 }

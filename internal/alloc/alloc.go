@@ -372,8 +372,9 @@ func (a *Allocator) Free(cpu int, addr uint64) error {
 	class := hdr >> 32 & 0xff
 	c := a.cpuOf(cpu)
 	if class == hugeClass {
-		// Huge blocks are not recycled (bump region); this matches
-		// arenas where large extents return to the OS lazily.
+		// A huge block's free is only counted: its range and its
+		// populated pages stay with the heap for its life, and the huge
+		// bump pointer only moves up (ROADMAP item 21).
 		c.frees.Add(1)
 		return nil
 	}

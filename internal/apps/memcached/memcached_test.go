@@ -144,12 +144,12 @@ func TestCoDesignGCWalksSharedTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := c.RunGC()
+	words, entries, err := c.RunGC()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entries != 100 {
-		t.Fatalf("GC saw %d entries, want 100", entries)
+	if entries != 100 || words != kvprog.MinBuckets {
+		t.Fatalf("GC saw %d entries in %d bucket words, want 100 in %d", entries, words, kvprog.MinBuckets)
 	}
 }
 
@@ -176,7 +176,7 @@ func TestCoDesignGCCountsMidDoubling(t *testing.T) {
 	}
 	gc := func(want uint64) {
 		t.Helper()
-		if entries, err := c.RunGC(); err != nil || entries != want {
+		if _, entries, err := c.RunGC(); err != nil || entries != want {
 			t.Fatalf("GC saw %d entries (err %v), want %d", entries, err, want)
 		}
 	}
@@ -245,8 +245,9 @@ func TestCoDesignGCCountsMidDoubling(t *testing.T) {
 }
 
 // TestCoDesignGCPause: with a short GCInterval the collector scans during a
-// small run, and each scan's pause — entries × netsim.GCEntryNs with the
-// shared lock held — reaches the latency the clients see.
+// small run, and each scan's pause — netsim.GCPauseNs of its bucket words
+// and entries, with the shared lock held — reaches the latency the clients
+// see.
 func TestCoDesignGCPause(t *testing.T) {
 	cfg := smallCfg(workload.Mix90)
 	c, err := NewCoDesign(cfg, 2)
@@ -267,9 +268,10 @@ func TestCoDesignGCPause(t *testing.T) {
 	if c.GCRuns < 3 {
 		t.Fatalf("GCRuns = %d over a 20 ms run at a 4 ms interval, want ≥ 3", c.GCRuns)
 	}
-	// Every scan visits at least the preset entries, and the request that
-	// wakes the collector waits out the whole pause.
-	const pause = preset * netsim.GCEntryNs
+	// Every scan visits at least the preset entries in at least as many
+	// bucket words (the table doubles past one entry per bucket), and the
+	// request that wakes the collector waits out the whole pause.
+	pause := netsim.GCPauseNs(preset, preset)
 	if got := r.Latency.Max(); got < int64(simCfg.RTTNs+pause) {
 		t.Fatalf("max latency %d ns, want ≥ RTT + one scan's pause (%d ns)", got, int64(simCfg.RTTNs+pause))
 	}

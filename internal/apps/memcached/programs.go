@@ -111,17 +111,19 @@ func NewCoDesign(cfg Config, servers int) (*CoDesign, error) {
 // garbage collector accesses "Memcached's hash table defined in the
 // extension's heap" via shared pointers. The geometry is read from the
 // heap: the live array, and while a doubling is in flight the old one and
-// the node a cancelled move left in Redo, each entry counted once.
-func (c *CoDesign) RunGC() (entries uint64, err error) {
+// the node a cancelled move left in Redo, each entry counted once. It
+// returns the bucket words it read and the entries it visited: the two
+// terms the scan's cost is priced by (netsim.GCPauseNs).
+func (c *CoDesign) RunGC() (words, entries uint64, err error) {
 	uv, err := c.Ext().UserView()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	glob := func(off int16) (uint64, error) { return uv.Load(uv.Base()+uint64(off), 8) }
 	var g [5]uint64
 	for i, off := range []int16{kvprog.GlobTable, kvprog.GlobMask, kvprog.GlobOld, kvprog.GlobOldMask, kvprog.GlobRedo} {
 		if g[i], err = glob(off); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	table, mask, old, oldMask, redo := g[0], g[1], g[2], g[3], g[4]
@@ -130,6 +132,7 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 	// were stored by the extension with translate-on-store, so they are
 	// valid user VAs already.
 	scan := func(tab, mask uint64) error {
+		words += mask + 1
 		for i := uint64(0); i <= mask; i++ {
 			ptr, err := uv.Load(uv.Base()+tab+i*8, 8)
 			for err == nil && ptr != 0 {
@@ -144,13 +147,13 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 		return nil
 	}
 	if err := scan(table, mask); err != nil {
-		return entries, err
+		return words, entries, err
 	}
 	// Old == Table is a doubling a cancel stopped before it installed its
 	// array: the program rolls it back, and its chains are the live ones.
 	if old != 0 && old != table {
 		if err := scan(old, oldMask); err != nil {
-			return entries, err
+			return words, entries, err
 		}
 	}
 	if !seenRedo { // claimed, unlinked from the old bucket, not yet linked
@@ -158,26 +161,27 @@ func (c *CoDesign) RunGC() (entries uint64, err error) {
 	}
 	c.GCRuns++
 	c.GCEntries += entries
-	return entries, nil
+	return words, entries, nil
 }
 
 // Serve implements sim.System: the fast path matches KFlex, plus the
 // periodic GC pause contending on the shared lock. Each scan is a real
-// RunGC, and holds the lock for its entries × netsim.GCEntryNs.
+// RunGC, and holds the lock for the pause netsim.GCPauseNs prices from the
+// words and entries it read.
 func (c *CoDesign) Serve(cpu int, now float64) float64 {
 	if c.nextGC == 0 {
 		c.nextGC = c.GCInterval / 2
 	}
 	if now >= c.nextGC {
 		// The GC thread wakes up, takes the lock, and scans.
-		entries, err := c.RunGC()
+		words, entries, err := c.RunGC()
 		if err != nil {
 			// Internal invariant: the table is the extension's own, read
 			// through a mapping NewKFlex set up; a failed load is a bug.
 			panic(err)
 		}
 		c.nextGC = now + c.GCInterval
-		c.gcEnd = now + float64(entries)*netsim.GCEntryNs
+		c.gcEnd = now + netsim.GCPauseNs(words, entries)
 	}
 	ns := c.KFlexMC.Serve(cpu, now)
 	if now < c.gcEnd {

@@ -53,60 +53,57 @@ func carved(t *testing.T, ext *kflex.Extension) []uint64 {
 // path leaves when the same pairs arrive as client SET frames after the
 // init event — the same words over the carved range, the same allocator
 // counts (one node per key, after the bucket array) and the same reply to
-// every GET. Batch edges included, on both tiers.
+// every GET. Batch edges included.
 func bulkEqualsPush(t *testing.T, c *offload.Codec) {
 	const batch = offload.BulkBatch
 	for _, keys := range []int{0, 1, batch - 1, batch, batch + 1, 1000} {
-		for _, interpret := range []bool{false, true} {
-			t.Run(fmt.Sprintf("keys=%d/interpret=%v", keys, interpret), func(t *testing.T) {
-				cfg := testConfig()
-				cfg.Interpret = interpret
-				d := deploy(t, c, nil, cfg, func(st *durable.Store) {
-					for i := 0; i < keys; i++ {
-						st.Set(key(i), val(i))
-					}
-				})
-				if init := d.Supervisor().Stats().LastInit; !init.FullResync || init.ResyncOps != keys {
-					t.Fatalf("cold init = %+v, want a full resync of %d keys", init, keys)
-				}
-				k, err := offload.NewKFlex(c, cfg, 1, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer k.Close()
-				ks, vs := storePairs(t, d.Store())
-				for i := range ks {
-					if reply, _, err := k.Execute(0, c.AppendSet(nil, ks[i], vs[i])); err != nil || string(reply) != c.Stored {
-						t.Fatalf("SET %q: reply %q err %v", ks[i], reply, err)
-					}
-				}
-				bulk, push := d.Supervisor().Extension(), k.Ext()
-				if b, p := bulk.Alloc().Stats(), push.Alloc().Stats(); b != p || b.Allocs != uint64(keys)+1 {
-					t.Fatalf("allocator stats: bulk %+v, per-key %+v, want equal with %d allocations", b, p, keys+1)
-				}
-				if b, p := carved(t, bulk), carved(t, push); !slices.Equal(b, p) {
-					i := 0
-					for i < len(b) && i < len(p) && b[i] == p[i] {
-						i++
-					}
-					t.Fatalf("heaps differ: %d and %d carved words, first difference at offset %#x", len(b), len(p), 8*i)
-				}
-				for i := 0; i <= keys; i++ {
-					get := c.AppendGet(nil, key(i))
-					want := []byte(c.Miss)
-					if i < keys {
-						want = c.AppendHit(nil, val(i))
-					}
-					pushed, _, err := k.Execute(0, get)
-					if err != nil || !bytes.Equal(pushed, want) {
-						t.Fatalf("GET %d per-key: reply %q err %v, want %q", i, pushed, err, want)
-					}
-					if reply, _, off := d.Execute(0, get); !bytes.Equal(reply, want) || !off {
-						t.Fatalf("GET %d bulk: reply %q offloaded=%v, want %q offloaded", i, reply, off, want)
-					}
+		t.Run(fmt.Sprintf("keys=%d", keys), func(t *testing.T) {
+			cfg := testConfig()
+			d := deploy(t, c, nil, cfg, func(st *durable.Store) {
+				for i := 0; i < keys; i++ {
+					st.Set(key(i), val(i))
 				}
 			})
-		}
+			if init := d.Supervisor().Stats().LastInit; !init.FullResync || init.ResyncOps != keys {
+				t.Fatalf("cold init = %+v, want a full resync of %d keys", init, keys)
+			}
+			k, err := offload.NewKFlex(c, cfg, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer k.Close()
+			ks, vs := storePairs(t, d.Store())
+			for i := range ks {
+				if reply, _, err := k.Execute(0, c.AppendSet(nil, ks[i], vs[i])); err != nil || string(reply) != c.Stored {
+					t.Fatalf("SET %q: reply %q err %v", ks[i], reply, err)
+				}
+			}
+			bulk, push := d.Supervisor().Extension(), k.Ext()
+			if b, p := bulk.Alloc().Stats(), push.Alloc().Stats(); b != p || b.Allocs != uint64(keys)+1 {
+				t.Fatalf("allocator stats: bulk %+v, per-key %+v, want equal with %d allocations", b, p, keys+1)
+			}
+			if b, p := carved(t, bulk), carved(t, push); !slices.Equal(b, p) {
+				i := 0
+				for i < len(b) && i < len(p) && b[i] == p[i] {
+					i++
+				}
+				t.Fatalf("heaps differ: %d and %d carved words, first difference at offset %#x", len(b), len(p), 8*i)
+			}
+			for i := 0; i <= keys; i++ {
+				get := c.AppendGet(nil, key(i))
+				want := []byte(c.Miss)
+				if i < keys {
+					want = c.AppendHit(nil, val(i))
+				}
+				pushed, _, err := k.Execute(0, get)
+				if err != nil || !bytes.Equal(pushed, want) {
+					t.Fatalf("GET %d per-key: reply %q err %v, want %q", i, pushed, err, want)
+				}
+				if reply, _, off := d.Execute(0, get); !bytes.Equal(reply, want) || !off {
+					t.Fatalf("GET %d bulk: reply %q offloaded=%v, want %q offloaded", i, reply, off, want)
+				}
+			}
+		})
 	}
 }
 
@@ -120,37 +117,35 @@ const bulkFixedInsns, bulkPairInsns = 24, 45
 // and a probe on every back edge (the last pair leaves through the loop
 // test), and inserts every pair.
 func bulkInsnBound(t *testing.T, c *offload.Codec) {
-	for _, interpret := range []bool{false, true} {
-		rt := kflex.NewRuntime()
-		c.RegisterHelpers(rt)
-		ext, err := rt.Load(kflex.Spec{
-			Name: "bulk", Insns: kvprog.Build(c.Prog), Hook: c.Hook,
-			Mode: kflex.ModeKFlex, HeapSize: 4 << 20, Interpret: interpret,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := ext.Handle(0)
-		if _, err := c.RunInit(h, offload.BulkBatch); err != nil {
-			t.Fatal(err)
-		}
-		keys, values := make([][]byte, offload.BulkBatch), make([][]byte, offload.BulkBatch)
-		for i := range keys {
-			keys[i], values[i] = key(i), val(i)
-		}
-		res, err := c.RunBulk(h, keys, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, n := res.Stats, uint64(offload.BulkBatch)
-		if st.Insns > bulkFixedInsns+bulkPairInsns*n || st.Probes != n-1 || st.HelperCalls != 2*n+2 {
-			t.Fatalf("interpret=%v: a %d-pair batch ran %d insns (bound %d), %d probes, %d helper calls, want %d and %d",
-				interpret, n, st.Insns, bulkFixedInsns+bulkPairInsns*n, st.Probes, st.HelperCalls, n-1, 2*n+2)
-		}
-		if got := ext.Alloc().Stats().Allocs; got != n+1 {
-			t.Fatalf("interpret=%v: %d allocations, want the bucket array and %d nodes", interpret, got, n)
-		}
-		ext.Close()
+	rt := kflex.NewRuntime()
+	c.RegisterHelpers(rt)
+	ext, err := rt.Load(kflex.Spec{
+		Name: "bulk", Insns: kvprog.Build(c.Prog), Hook: c.Hook,
+		Mode: kflex.ModeKFlex, HeapSize: 4 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	h := ext.Handle(0)
+	if _, err := c.RunInit(h, offload.BulkBatch); err != nil {
+		t.Fatal(err)
+	}
+	keys, values := make([][]byte, offload.BulkBatch), make([][]byte, offload.BulkBatch)
+	for i := range keys {
+		keys[i], values[i] = key(i), val(i)
+	}
+	res, err := c.RunBulk(h, keys, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, n := res.Stats, uint64(offload.BulkBatch)
+	if st.Insns > bulkFixedInsns+bulkPairInsns*n || st.Probes != n-1 || st.HelperCalls != 2*n+2 {
+		t.Fatalf("a %d-pair batch ran %d insns (bound %d), %d probes, %d helper calls, want %d and %d",
+			n, st.Insns, bulkFixedInsns+bulkPairInsns*n, st.Probes, st.HelperCalls, n-1, 2*n+2)
+	}
+	if got := ext.Alloc().Stats().Allocs; got != n+1 {
+		t.Fatalf("%d allocations, want the bucket array and %d nodes", got, n)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzKVGrow turns its bytes into SETs and GETs on a table that starts
-// empty, on both tiers, and compares every reply with a Go map's. Each byte
+// empty and compares every reply with a Go map's. Each byte
 // is one op, its top two bits the kind and its low six a key index: a GET or
 // a SET of one of 64 hot keys, a GET of a key a fill stores, or a fill —
 // SETs of the next 128 fresh keys — so nine fill bytes take the table past
@@ -29,29 +29,24 @@ func FuzzKVGrow(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		var tiers []*kflex.Handle
-		for _, interpret := range []bool{false, true} {
-			ext, err := rt.Load(kflex.Spec{
-				Name: "fuzz-kv-grow", Insns: kvprog.Build(c.Prog), Hook: c.Hook, Mode: kflex.ModeKFlex,
-				HeapSize: 4 << 20, Interpret: interpret,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ext.Close()
-			if _, err := c.RunInit(ext.Handle(0), 0); err != nil {
-				t.Fatal(err)
-			}
-			tiers = append(tiers, ext.Handle(0))
+		ext, err := rt.Load(kflex.Spec{
+			Name: "fuzz-kv-grow", Insns: kvprog.Build(c.Prog), Hook: c.Hook, Mode: kflex.ModeKFlex,
+			HeapSize: 4 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ext.Close()
+		h := ext.Handle(0)
+		if _, err := c.RunInit(h, 0); err != nil {
+			t.Fatal(err)
 		}
 		const hot, fill = 64, 128
 		model := make(map[int]int)
 		filled := 0 // fresh keys are hot+0 .. hot+filled-1
 		do := func(i int, frame []byte, want []byte) {
-			for tier, h := range tiers {
-				if _, pkt, err := run(h, c, frame); err != nil || !bytes.Equal(pkt.Reply, want) {
-					t.Fatalf("op %d on tier %d: reply %q err %v, want %q", i, tier, pkt.Reply, err, want)
-				}
+			if _, pkt, err := run(h, c, frame); err != nil || !bytes.Equal(pkt.Reply, want) {
+				t.Fatalf("op %d: reply %q err %v, want %q", i, pkt.Reply, err, want)
 			}
 		}
 		get := func(i, k int) {

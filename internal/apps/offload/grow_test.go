@@ -90,7 +90,7 @@ func tableKeys(t *testing.T, ext *kflex.Extension) map[string]int {
 // array's buckets while a doubling is in flight).
 func growOracle(t *testing.T, c *offload.Codec) {
 	const ops, span = 100_000, 7000
-	eachTier(t, c, func(t *testing.T, d bareKV) {
+	onBare(t, c, func(t *testing.T, d bareKV) {
 		rng := rand.New(rand.NewSource(1))
 		model := make(map[int]int)
 		check := func() {
@@ -194,9 +194,9 @@ func audit(t *testing.T, ext *kflex.Extension) {
 // the SET reaches each of them (a probe loads the terminate word); n is
 // swept from the step's first access until the step is left. Two steps
 // are swept: the first after a doubling, and the one that retires the old
-// array. The lowered tier, as bulk-cancel, and one codec: the step is the
-// same bytecode under both, and each attempt fills a table of MinBuckets
-// keys, which is seconds of -race time per codec.
+// array. One codec, as bulk-cancel: the step is the same bytecode under
+// both, and each attempt fills a table of MinBuckets keys, which is seconds
+// of -race time per codec.
 func TestGrowCancel(t *testing.T) {
 	c := &memcached.Codec
 	const keys = kvprog.MinBuckets // a full table: the next SET miss doubles it

@@ -29,9 +29,6 @@ type Config struct {
 	// takes the user-space fallback path; the supervised deployment
 	// quarantines and reloads it.
 	CancelThreshold uint64
-	// Interpret runs the KFlex extension on the reference interpreter
-	// instead of the lowered tier (differential testing).
-	Interpret bool
 	// Durable, when non-nil, replaces the supervised deployment's
 	// in-memory authoritative store with a WAL-backed durable store:
 	// every acknowledged SET is write-ahead logged, reload resync replays
@@ -185,7 +182,6 @@ func NewKFlex(c *Codec, cfg Config, servers int, shared bool) (*KFlex, error) {
 		NumCPUs:         servers,
 		FaultPlan:       cfg.FaultPlan,
 		CancelThreshold: cfg.CancelThreshold,
-		Interpret:       cfg.Interpret,
 	})
 	if err != nil {
 		return nil, err

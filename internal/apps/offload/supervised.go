@@ -85,7 +85,6 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning) 
 			NumCPUs:         max(cfg.Slots, servers),
 			FaultPlan:       cfg.FaultPlan,
 			CancelThreshold: cfg.CancelThreshold,
-			Interpret:       cfg.Interpret,
 		},
 		NumCPUs: servers,
 		Init:    s.resync,

@@ -25,8 +25,7 @@
 //     an and-immediate followed by a left shift on one register (the
 //     scaled index).
 //   - Helper calls are turned into link-time-resolved call sites: the
-//     registry lookup the interpreter performs per call happens once in
-//     Link.
+//     registry lookup happens once, in Link, not per call.
 
 // The output is split into two artifacts so compilation can be cached
 // across extension generations: a Unit is position-independent — it embeds
@@ -38,8 +37,9 @@
 // every architectural instruction lowers 1:1 or into exactly one cluster,
 // and control flow only enters a cluster at its first instruction.
 // Validate checks that of every Unit statically; the differential harness
-// at the repository root replays the test corpus on both tiers and requires
-// identical results and work counters (see DESIGN.md §3.5).
+// at the repository root replays the test corpus on the lowered code and on
+// the reference semantics (internal/refsem) and requires identical results,
+// work counters and heap images (see DESIGN.md §3.5).
 package compile
 
 import (
@@ -190,7 +190,7 @@ type Insn struct {
 	// OrigPC is the index in the instrumented stream this lowered
 	// instruction retires (for a cluster with a memory access, the
 	// access: faults are attributed to it). Aborts and errors report it,
-	// keeping cancellation PCs identical across tiers.
+	// so cancellation PCs name instrumented instructions.
 	OrigPC int32
 	// Target is the absolute lowered PC of a branch, or the call-site
 	// index of an OpCall.
@@ -486,7 +486,7 @@ func lowerCluster(c []insn.Instruction, i int, u *Unit) (Insn, error) {
 
 // fuseGuard lowers a guard and the access it protects, at instrumented
 // index i. Faults of the access are attributed to the access instruction,
-// exactly as on the reference interpreter.
+// as the instrumented stream's semantics attributes them.
 func fuseGuard(guard, acc insn.Instruction, i int) Insn {
 	li := Insn{
 		Dst: uint8(acc.Dst), Src: uint8(acc.Src),
@@ -637,9 +637,9 @@ func lowerOne(ins insn.Instruction, i int, u *Unit) (Insn, error) {
 
 	case insn.ClassJMP32:
 		li.Sub = op.JmpOp()
-		// The interpreter evaluates every JMP32 sub-op through the
-		// generic predicate; the JA/CALL/EXIT bit patterns are never
-		// taken there, so they keep a valid dummy fall-through target.
+		// Every JMP32 sub-op is evaluated through the generic predicate;
+		// the JA/CALL/EXIT bit patterns are never taken there, so they
+		// keep a valid dummy fall-through target.
 		if ins.IsJump() {
 			li.Target = int32(i + 1 + int(ins.Off))
 		} else {

@@ -10,6 +10,7 @@ import (
 	"kflex/internal/heap"
 	"kflex/internal/kernel"
 	"kflex/internal/kie"
+	"kflex/internal/refsem"
 	"kflex/internal/vm"
 )
 
@@ -36,7 +37,8 @@ func ops(u *compile.Unit) []compile.Op {
 }
 
 // TestFusion covers each cluster kind and the cases where a join must be
-// refused. Every row also runs on both tiers, which must agree.
+// refused. Every row also runs on the lowered code and on the reference
+// semantics, which must agree.
 func TestFusion(t *testing.T) {
 	cases := []struct {
 		name string
@@ -336,14 +338,14 @@ func TestFusion(t *testing.T) {
 			if u.Metrics != tc.m {
 				t.Fatalf("metrics = %+v, want %+v", u.Metrics, tc.m)
 			}
-			interp, lowered := runBoth(t, tc.prog, nil, 1000)
-			assertSameResult(t, interp, lowered)
+			ref, lowered := runBoth(t, tc.prog, 1000)
+			assertSameResult(t, ref, lowered)
 		})
 	}
 }
 
-// TestPreResolvedOperands checks that lowering folds operand work the
-// interpreter redoes per dispatch: masked shifts and the two-slot LDDW.
+// TestPreResolvedOperands checks that lowering folds operand work a
+// decoding loop would redo per dispatch: masked shifts and the two-slot LDDW.
 func TestPreResolvedOperands(t *testing.T) {
 	u := lower(t, []insn.Instruction{
 		insn.Alu64Imm(insn.AluLsh, insn.R1, 67), // 67 & 63 = 3
@@ -382,66 +384,70 @@ func TestLowerRejectsOutOfRangeBranch(t *testing.T) {
 	}
 }
 
-// runBoth executes one instrumented stream on both tiers against identical
-// fresh state and returns both results. The error return of Run must be nil
-// on both tiers (cancelled invocations report through Result).
-func runBoth(t *testing.T, prog []insn.Instruction, cps []kie.CP, quantum uint64) (interp, lowered vm.Result) {
+// runBoth executes one instrumented stream on the lowered code and on the
+// reference semantics, each against identical fresh state, and returns both
+// results. Run's error must be nil on both (cancelled invocations report
+// through Result), and both must leave the same heap image.
+func runBoth(t *testing.T, prog []insn.Instruction, quantum uint64) (ref refsem.Result, lowered vm.Result) {
 	t.Helper()
-	run := func(lowered bool) vm.Result {
+	var hs [2]*heap.Heap
+	for i := range hs {
 		h, err := heap.New(1 << 16)
 		if err != nil {
 			t.Fatalf("heap: %v", err)
 		}
-		rep := &kie.Report{Prog: prog, CPs: cps}
-		opts := vm.Options{Hook: kernel.HookBench, Kernel: kernel.New(), Heap: h, QuantumInsns: quantum}
-		if lowered {
-			u := lower(t, prog)
-			linked, err := u.Link(compile.Linkage{
-				HeapBase: h.ExtBase(), HeapMask: h.Mask(), UserBase: h.UserBase(),
-				Helpers: opts.Kernel.Helpers,
-			})
-			if err != nil {
-				t.Fatalf("Link: %v", err)
-			}
-			opts.Lowered = linked
-		}
-		p, err := vm.New(rep, opts)
-		if err != nil {
-			t.Fatalf("vm.New: %v", err)
-		}
-		res, err := p.NewExec(0).Run(nil, make([]byte, kernel.HookBench.CtxSize))
-		if err != nil {
-			t.Fatalf("Run(lowered=%v): %v", lowered, err)
-		}
-		return res
+		hs[i] = h
 	}
-	return run(false), run(true)
+	k, h := kernel.New(), hs[0]
+	linked, err := lower(t, prog).Link(compile.Linkage{
+		HeapBase: h.ExtBase(), HeapMask: h.Mask(), UserBase: h.UserBase(), Helpers: k.Helpers,
+	})
+	if err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	p, err := vm.New(vm.Options{Hook: kernel.HookBench, Kernel: k, Heap: h, QuantumInsns: quantum, Lowered: linked})
+	if err != nil {
+		t.Fatalf("vm.New: %v", err)
+	}
+	if lowered, err = p.NewExec(0).Run(nil, make([]byte, kernel.HookBench.CtxSize)); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	m, err := refsem.New(refsem.Config{Prog: prog, Hook: kernel.HookBench, Kernel: kernel.New(), Heap: hs[1], Quantum: quantum})
+	if err != nil {
+		t.Fatalf("refsem.New: %v", err)
+	}
+	if ref, err = m.Run(nil, make([]byte, kernel.HookBench.CtxSize)); err != nil {
+		t.Fatalf("refsem Run: %v", err)
+	}
+	if err := refsem.DiffHeaps(hs[1], h); err != nil {
+		t.Fatalf("heap images diverge: %v", err)
+	}
+	return ref, lowered
 }
 
-// normalize zeroes the documented tier-divergent counters.
-func normalize(r vm.Result) vm.Result {
-	r.Stats.Dispatches, r.Stats.Fused = 0, 0
-	return r
+// refOf is the part of a lowered Result the reference semantics defines:
+// all of it but Dispatches and Fused.
+func refOf(r vm.Result) refsem.Result {
+	s := r.Stats
+	out := refsem.Result{Ret: r.Ret, Cancelled: refsem.Cancel(r.Cancelled.String()),
+		Stats: refsem.Stats{Insns: s.Insns, Guards: s.Guards, GuardsRead: s.GuardsRead, Probes: s.Probes, HelperCalls: s.HelperCalls}}
+	if r.Abort != nil {
+		out.PC = r.Abort.PC
+	}
+	return out
 }
 
-func assertSameResult(t *testing.T, interp, lowered vm.Result) {
+func assertSameResult(t *testing.T, ref refsem.Result, lowered vm.Result) {
 	t.Helper()
-	ni, nl := normalize(interp), normalize(lowered)
-	if ni.Ret != nl.Ret || ni.Cancelled != nl.Cancelled || ni.Stats != nl.Stats {
-		t.Fatalf("tiers diverge:\ninterp:  %+v\nlowered: %+v", ni, nl)
-	}
-	switch {
-	case (ni.Abort == nil) != (nl.Abort == nil):
-		t.Fatalf("abort presence diverges: interp %+v, lowered %+v", ni.Abort, nl.Abort)
-	case ni.Abort != nil && (ni.Abort.Kind != nl.Abort.Kind || ni.Abort.PC != nl.Abort.PC):
-		t.Fatalf("abort diverges: interp %+v, lowered %+v", ni.Abort, nl.Abort)
+	if got := refOf(lowered); got != ref {
+		t.Fatalf("lowered code diverges from the reference semantics:\nreference: %+v\nlowered:   %+v", ref, got)
 	}
 }
 
 // TestFusedFaultMidPair faults the access of a cluster: the guard
-// sanitizes into the heap, the access lands on an unpopulated page. Both
-// tiers must attribute the abort to the access instruction's PC and agree
-// on the work counters at the point of cancellation: the guard and the
+// sanitizes into the heap, the access lands on an unpopulated page. The
+// lowered code and the reference semantics must attribute the abort to the
+// access instruction's PC and agree on the work counters at the point of cancellation: the guard and the
 // access retired, a branch after them did not.
 func TestFusedFaultMidPair(t *testing.T) {
 	for _, tc := range []struct {
@@ -461,9 +467,8 @@ func TestFusedFaultMidPair(t *testing.T) {
 			}
 			prog = append(prog, tc.access...) // pc 2: the faulting access
 			prog = append(prog, insn.Mov64Imm(insn.R0, 7), insn.Exit())
-			cps := []kie.CP{{ID: 0, Insn: 2, Kind: kie.CPHeap}}
-			interp, lowered := runBoth(t, prog, cps, 0)
-			assertSameResult(t, interp, lowered)
+			ref, lowered := runBoth(t, prog, 0)
+			assertSameResult(t, ref, lowered)
 			if lowered.Abort == nil || lowered.Abort.PC != 2 || lowered.Cancelled != vm.CancelFault {
 				t.Fatalf("abort = %+v (%v), want a heap fault at pc 2 (the clustered access)", lowered.Abort, lowered.Cancelled)
 			}
@@ -475,17 +480,17 @@ func TestFusedFaultMidPair(t *testing.T) {
 }
 
 // TestFusedProbeQuantum spins a probe+ja self-loop at pc 0 until the
-// instruction quantum trips. The abort must name the probe's PC and the
-// tiers must count identical instructions and probes at cancellation.
+// instruction quantum trips. The abort must name the probe's PC, and the
+// lowered code must count the instructions and probes the reference
+// semantics counts at cancellation.
 func TestFusedProbeQuantum(t *testing.T) {
 	prog := []insn.Instruction{
 		insn.Probe(0), // pc 0: also the branch target
 		insn.Ja(-2),
 		insn.Exit(),
 	}
-	cps := []kie.CP{{ID: 0, Insn: 0, Kind: kie.CPLoop}}
-	interp, lowered := runBoth(t, prog, cps, 100)
-	assertSameResult(t, interp, lowered)
+	ref, lowered := runBoth(t, prog, 100)
+	assertSameResult(t, ref, lowered)
 	if lowered.Abort == nil || lowered.Abort.PC != 0 {
 		t.Fatalf("abort = %+v, want terminate at pc 0 (the probe)", lowered.Abort)
 	}
@@ -509,8 +514,8 @@ func TestFusedGuardLoadRuns(t *testing.T) {
 		insn.LoadMem(insn.R0, insn.R2, 8, 8),
 		insn.Exit(),
 	}
-	interp, lowered := runBoth(t, prog, nil, 0)
-	assertSameResult(t, interp, lowered)
+	ref, lowered := runBoth(t, prog, 0)
+	assertSameResult(t, ref, lowered)
 	if lowered.Ret != 4242 {
 		t.Fatalf("ret = %d, want 4242", lowered.Ret)
 	}

@@ -6,7 +6,8 @@
 //     eliding guards the range analysis proved unnecessary (unless the
 //     §5.4 ablation disables elision) and, in performance mode, not
 //     emitting read-path guards at all (§4.2) — the one place either knob
-//     is resolved, so every execution tier runs the same stream;
+//     is resolved, so the lowering and the reference semantics run one
+//     stream;
 //   - plant *terminate probes at the back edges of loops whose termination
 //     could not be proven, turning them into class-1 cancellation points
 //     (§3.3);

@@ -128,7 +128,7 @@ func TestSharedHeapReadGuardsNotSkippable(t *testing.T) {
 
 // TestPerfModeOmitsReadGuards: performance mode is resolved here and
 // nowhere else — the read guards Instrument counts are not in the stream, so
-// no tier has one to skip. The stream is shorter by exactly ReadGuards, write
+// nothing downstream has one to skip. The stream is shorter by exactly ReadGuards, write
 // guards and probes stay, and every branch still lands on a cluster start.
 // A shared heap has no read guards to omit: its reads re-base user VAs.
 func TestPerfModeOmitsReadGuards(t *testing.T) {

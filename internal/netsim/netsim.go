@@ -85,12 +85,25 @@ const (
 	// ZAddNs is one ZADD: RESP parse, then the insert into the sorted set
 	// under its global lock (1 780 ns measured).
 	ZAddNs = 1_780
-	// GCEntryNs is the co-design collector's scan of the shared hash table
-	// through the user mapping, per entry: a full scan of the preloaded
-	// table divided by its 64 Ki entries (159 ns measured when they sat in
-	// 16 Ki buckets, about 10.4 ms a scan).
+	// GCWordNs and GCEntryNs price the co-design collector's scan of the
+	// shared hash table through the user mapping, per bucket word read and
+	// per entry visited (GCPauseNs). gc-scan times a full scan of the
+	// preloaded 64 Ki entries in 64 Ki buckets and in 16 Ki (the same
+	// chains, four buckets folded into one). Over eight runs the 64 Ki scan
+	// read 150–181 ns per entry (median 163) and the 16 Ki one 161–177: the
+	// two solve for a word cost of -18 to +7 ns, zero within the noise,
+	// since a chain of dependent loads costs more per entry than the
+	// independent ones it replaces. So a word is free and an entry is the
+	// 64 Ki scan's median, rounded.
+	GCWordNs  = 0
 	GCEntryNs = 160
 )
+
+// GCPauseNs is the time the co-design collector holds the shared lock for a
+// scan that read words bucket words and visited entries entries.
+func GCPauseNs(words, entries uint64) float64 {
+	return float64(words)*GCWordNs + float64(entries)*GCEntryNs
+}
 
 // --- Packets -------------------------------------------------------------------
 

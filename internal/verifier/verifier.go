@@ -612,7 +612,7 @@ func (v *verifier) step(idx int, st *state) ([]succState, error) {
 
 // malformed names what makes ins no instruction of the input ISA — an opcode
 // the eBPF encoding leaves unassigned or Kie reserves, a memory mode or jump
-// form no tier executes as the walk models it, a call no helper answers — or
+// form nothing executes as the walk models it, a call no helper answers — or
 // returns "" for a well-formed one.
 func malformed(ins insn.Instruction, k *kernel.Kernel) string {
 	op := ins.Op

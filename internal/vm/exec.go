@@ -11,241 +11,7 @@ import (
 	"kflex/internal/kernel"
 )
 
-// loop is the dispatch core: the equivalent of JITed code. Kie's internal
-// opcodes execute as single dispatch steps, mirroring their lowering to one
-// or two hardware instructions in the paper's JIT (§4.2).
-func (e *Exec) loop() (uint64, error) {
-	p := e.prog
-	prog := p.insns
-	regs := &e.regs
-	var heapBase, heapMask uint64
-	if e.hasHeap {
-		heapBase = p.opts.Heap.ExtBase()
-		heapMask = p.opts.Heap.Mask()
-	}
-	pc := 0
-	for {
-		if pc < 0 || pc >= len(prog) {
-			return 0, fmt.Errorf("vm: pc %d out of program", pc)
-		}
-		ins := prog[pc]
-		e.stats.Insns++
-		op := ins.Op
-
-		// Kie's internal opcodes (ALU64 class with reserved op bits).
-		switch op {
-		case insn.OpGuard:
-			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
-			e.stats.Guards++
-			pc++
-			continue
-		case insn.OpGuardRd:
-			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
-			e.stats.Guards++
-			e.stats.GuardsRead++
-			pc++
-			continue
-		case insn.OpProbe:
-			if abort := e.probeCheck(pc, uint64(uint32(ins.Imm))); abort != nil {
-				return 0, abort
-			}
-			pc++
-			continue
-		case insn.OpXlat:
-			e.xlatVal = (regs[ins.Dst] & heapMask) + p.opts.Heap.UserBase()
-			e.xlatArmed = true
-			pc++
-			continue
-		}
-
-		switch op.Class() {
-		case insn.ClassALU64:
-			var src uint64
-			if op.UsesImm() {
-				src = uint64(int64(ins.Imm))
-			} else {
-				src = regs[ins.Src]
-			}
-			dst := regs[ins.Dst]
-			switch op.AluOp() {
-			case insn.AluAdd:
-				dst += src
-			case insn.AluSub:
-				dst -= src
-			case insn.AluMul:
-				dst *= src
-			case insn.AluDiv:
-				if src == 0 {
-					dst = 0
-				} else {
-					dst /= src
-				}
-			case insn.AluOr:
-				dst |= src
-			case insn.AluAnd:
-				dst &= src
-			case insn.AluLsh:
-				dst <<= src & 63
-			case insn.AluRsh:
-				dst >>= src & 63
-			case insn.AluNeg:
-				dst = -dst
-			case insn.AluMod:
-				if src != 0 {
-					dst %= src
-				}
-			case insn.AluXor:
-				dst ^= src
-			case insn.AluMov:
-				dst = src
-			case insn.AluArsh:
-				dst = uint64(int64(dst) >> (src & 63))
-			case insn.AluEnd:
-				dst = bswap(dst, ins.Imm)
-			default:
-				return 0, fmt.Errorf("vm: insn %d: bad ALU64 op %#x", pc, uint8(op))
-			}
-			regs[ins.Dst] = dst
-			pc++
-
-		case insn.ClassALU:
-			var src uint32
-			if op.UsesImm() {
-				src = uint32(ins.Imm)
-			} else {
-				src = uint32(regs[ins.Src])
-			}
-			dst := uint32(regs[ins.Dst])
-			switch op.AluOp() {
-			case insn.AluAdd:
-				dst += src
-			case insn.AluSub:
-				dst -= src
-			case insn.AluMul:
-				dst *= src
-			case insn.AluDiv:
-				if src == 0 {
-					dst = 0
-				} else {
-					dst /= src
-				}
-			case insn.AluOr:
-				dst |= src
-			case insn.AluAnd:
-				dst &= src
-			case insn.AluLsh:
-				dst <<= src & 31
-			case insn.AluRsh:
-				dst >>= src & 31
-			case insn.AluNeg:
-				dst = -dst
-			case insn.AluMod:
-				if src != 0 {
-					dst %= src
-				}
-			case insn.AluXor:
-				dst ^= src
-			case insn.AluMov:
-				dst = src
-			case insn.AluArsh:
-				dst = uint32(int32(dst) >> (src & 31))
-			case insn.AluEnd:
-				regs[ins.Dst] = bswap(regs[ins.Dst], ins.Imm)
-				pc++
-				continue
-			default:
-				return 0, fmt.Errorf("vm: insn %d: bad ALU32 op %#x", pc, uint8(op))
-			}
-			regs[ins.Dst] = uint64(dst)
-			pc++
-
-		case insn.ClassLD:
-			if !ins.IsLoadImm64() {
-				return 0, fmt.Errorf("vm: insn %d: unsupported LD mode", pc)
-			}
-			regs[ins.Dst] = ins.Imm64
-			pc++
-
-		case insn.ClassLDX:
-			addr := regs[ins.Src] + uint64(int64(ins.Off))
-			v, err := e.load(addr, op.SizeBytes())
-			if err != nil {
-				return 0, e.fault(pc, err)
-			}
-			regs[ins.Dst] = v
-			pc++
-
-		case insn.ClassST:
-			addr := regs[ins.Dst] + uint64(int64(ins.Off))
-			if err := e.store(addr, op.SizeBytes(), uint64(int64(ins.Imm))); err != nil {
-				return 0, e.fault(pc, err)
-			}
-			pc++
-
-		case insn.ClassSTX:
-			addr := regs[ins.Dst] + uint64(int64(ins.Off))
-			size := op.SizeBytes()
-			if op.Mode() == insn.ModeATOMIC {
-				if err := e.atomic(pc, ins, addr, size); err != nil {
-					return 0, err
-				}
-				pc++
-				continue
-			}
-			val := regs[ins.Src]
-			if e.xlatArmed {
-				val = e.xlatVal
-				e.xlatArmed = false
-			}
-			if err := e.store(addr, size, val); err != nil {
-				return 0, e.fault(pc, err)
-			}
-			pc++
-
-		case insn.ClassJMP:
-			switch op.JmpOp() {
-			case insn.JmpCall:
-				if err := e.call(pc, ins); err != nil {
-					return 0, err
-				}
-				pc++
-			case insn.JmpExit:
-				return regs[insn.R0], nil
-			case insn.JmpA:
-				pc += 1 + int(ins.Off)
-			default:
-				var src uint64
-				if op.UsesImm() {
-					src = uint64(int64(ins.Imm))
-				} else {
-					src = regs[ins.Src]
-				}
-				if jumpTaken(op.JmpOp(), regs[ins.Dst], src, true) {
-					pc += 1 + int(ins.Off)
-				} else {
-					pc++
-				}
-			}
-
-		case insn.ClassJMP32:
-			var src uint64
-			if op.UsesImm() {
-				src = uint64(uint32(ins.Imm))
-			} else {
-				src = uint64(uint32(regs[ins.Src]))
-			}
-			if jumpTaken(op.JmpOp(), uint64(uint32(regs[ins.Dst])), src, false) {
-				pc += 1 + int(ins.Off)
-			} else {
-				pc++
-			}
-
-		default:
-			return 0, fmt.Errorf("vm: insn %d: unknown opcode %#02x", pc, uint8(op))
-		}
-	}
-}
-
+// jumpTaken evaluates a conditional branch of either compare width.
 func jumpTaken(op uint8, dst, src uint64, is64 bool) bool {
 	switch op {
 	case insn.JmpEq:
@@ -302,16 +68,6 @@ func bswap(v uint64, width int32) uint64 {
 	}
 }
 
-// call dispatches a helper by ID: the registry lookup the lowered tier did
-// once at link time, then the one call sequence both tiers share.
-func (e *Exec) call(pc int, ins insn.Instruction) error {
-	spec, ok := e.prog.opts.Kernel.Helpers.Lookup(ins.Imm)
-	if !ok {
-		return fmt.Errorf("vm: insn %d: unknown helper %d", pc, ins.Imm)
-	}
-	return e.callResolved(pc, spec, uint64(uint32(ins.Imm)))
-}
-
 // callResolved dispatches a helper through its resolved spec.
 func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) error {
 	e.stats.HelperCalls++
@@ -335,8 +91,8 @@ func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) er
 	return nil
 }
 
-// probeCheck is the terminate-probe sequence of both tiers (a standalone
-// probe, or the probe half of a probe+branch cluster): count the probe, then
+// probeCheck is the terminate-probe sequence (a standalone probe, or the
+// probe half of a probe+branch cluster): count the probe, then
 // observe — in order — quantum expiry, a cancel request naming this
 // invocation, an injected terminate fault keyed by the CP id, and finally
 // the terminate word itself, which only Program.Unload invalidates. A
@@ -415,8 +171,9 @@ func (e *Exec) atomic(pc int, ins insn.Instruction, addr uint64, size int) error
 	case insn.AtomicXchg &^ insn.AtomicFetch:
 		nw = operand
 	case insn.AtomicCmpXchg &^ insn.AtomicFetch:
+		// The comparison is as wide as the access, as in the heap.
 		nw = old
-		if old == e.regs[insn.R0] {
+		if old == e.regs[insn.R0]&(^uint64(0)>>(64-8*size)) {
 			nw = operand
 		}
 		e.regs[insn.R0] = old

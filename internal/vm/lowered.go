@@ -7,18 +7,19 @@ import (
 	"kflex/internal/compile"
 )
 
-// loopLowered is the lowered-tier dispatch core: the pre-decoded program
-// produced by internal/compile is executed without re-decoding operands
-// and with clusters retiring two or three architectural instructions per
-// dispatch (§4.2).
+// loopLowered is the dispatch core, the equivalent of JITed code: the
+// pre-decoded program produced by internal/compile is executed without
+// re-decoding operands and with clusters retiring two or three
+// architectural instructions per dispatch (§4.2).
 //
-// Semantic contract with loop(): for any instrumented program and input,
-// Result and Stats are identical across the two tiers except for
+// Semantic contract with the reference semantics (internal/refsem, which
+// runs the instrumented stream one instruction at a time): for any program
+// and input, Result and Stats are identical except for
 // Stats.Dispatches/Stats.Fused (documented in Stats). A cluster charges
-// each instruction it retires at the point the interpreter would, so a
+// each instruction it retires at the point a one-at-a-time run would, so a
 // fault or probe abort mid-cluster sees the same counters. Abort and fault PCs
 // refer to the instrumented stream via Insn.OrigPC, so cancellation-point
-// attribution (object tables, chaos traces) is tier-independent.
+// attribution (object tables, chaos traces) names instrumented instructions.
 func (e *Exec) loopLowered() (uint64, error) {
 	p := e.prog
 	lp := p.opts.Lowered
@@ -403,8 +404,8 @@ func (e *Exec) loopLowered() (uint64, error) {
 
 		// --- Clusters ---
 		case compile.OpGuardLoad, compile.OpGuardRdLoad:
-			// Both architectural instructions are charged up front, as the
-			// interpreter would have by the time the access executes; a
+			// Both architectural instructions are charged up front, as a
+			// one-at-a-time run has by the time the access executes; a
 			// fault is attributed to the access (OrigPC), not the guard.
 			e.stats.Insns += 2
 			e.stats.Guards++
@@ -444,8 +445,8 @@ func (e *Exec) loopLowered() (uint64, error) {
 
 		case compile.OpProbeJa:
 			// The probe is charged and checked first (quantum expiry is
-			// compared against the probe-time Insns count, as on the
-			// interpreter); the branch half only retires after it passes.
+			// compared against the probe-time Insns count, as for a lone
+			// probe); the branch half only retires after it passes.
 			e.stats.Insns++
 			if abort := e.probeCheck(int(ins.OrigPC), uint64(uint32(ins.Off))); abort != nil {
 				return 0, abort
@@ -466,7 +467,7 @@ func (e *Exec) loopLowered() (uint64, error) {
 			}
 
 		case compile.OpLoadJcc:
-			// Charged as the interpreter charges: the guard and the load
+			// Charged one instruction at a time: the guard and the load
 			// before the access, the branch only once the load succeeded.
 			if ins.Form&compile.FormGuard != 0 {
 				e.stats.Insns++

@@ -25,7 +25,6 @@ import (
 	"kflex/internal/faultinject"
 	"kflex/internal/heap"
 	"kflex/internal/kernel"
-	"kflex/internal/kie"
 )
 
 // Synthetic address-space windows for non-heap memory visible to extensions.
@@ -77,13 +76,13 @@ func (k CancelKind) String() string {
 
 // Stats counts work done by one invocation.
 //
-// Insns counts retired architectural instructions and is tier-independent:
-// the reference interpreter and the lowered tier produce identical values
-// for the same program and input (the differential harness at the repo
-// root enforces this). Dispatches and Fused are the only tier-dependent
-// counters: the interpreter leaves them zero, while the lowered tier
-// counts dispatch-loop iterations — fewer than Insns whenever a cluster
-// retires two or three architectural instructions per dispatch.
+// Insns counts retired architectural instructions of the instrumented
+// stream, charged where each one executes; the reference semantics
+// (internal/refsem) counts the same values for the same program and input,
+// and the differential harness at the repo root enforces this. Dispatches and
+// Fused belong to the lowered code alone: dispatch-loop iterations, fewer
+// than Insns whenever a cluster retires two or three architectural
+// instructions per dispatch.
 type Stats struct {
 	Insns       uint64
 	Guards      uint64 // guard instructions executed
@@ -91,13 +90,10 @@ type Stats struct {
 	Probes      uint64 // terminate probes executed
 	HelperCalls uint64
 
-	// Dispatches counts lowered dispatch-loop iterations (zero on the
-	// reference interpreter, where every architectural instruction is
-	// its own dispatch).
+	// Dispatches counts dispatch-loop iterations.
 	Dispatches uint64
 	// Fused counts the architectural instructions that retired inside a
-	// cluster without a dispatch of their own: Insns - Dispatches on the
-	// lowered tier.
+	// cluster without a dispatch of their own: Insns - Dispatches.
 	Fused uint64
 }
 
@@ -139,7 +135,7 @@ type Options struct {
 	QuantumInsns uint64
 	// Callback optionally adjusts the return code of a cancelled
 	// invocation (§4.3). It must have been verified with ScalarR1 and
-	// without cancellation points.
+	// without cancellation points, and lowered like any program.
 	Callback *Program
 	// CancelThreshold is the completed-cancellation count at which the
 	// program is unloaded on every CPU. 0 and 1 are the paper's policy of
@@ -152,18 +148,15 @@ type Options struct {
 	// points (chaos testing): terminate-probe invalidation keyed by CP
 	// id, and helper-call errors keyed by helper ID.
 	Fault *faultinject.Plan
-	// Lowered, when non-nil, selects the lowered execution tier: Run
-	// dispatches the pre-decoded program instead of re-decoding
-	// insn.Instruction per step. The instrumented stream stays attached
-	// for disassembly and PC attribution. Callback programs always run
-	// on the reference interpreter.
+	// Lowered is the program Run executes: the instrumented stream lowered
+	// and linked by internal/compile (required). Abort PCs still name the
+	// instrumented stream's instructions.
 	Lowered *compile.Linked
 }
 
 // Program is a loaded, instrumented extension ready to run.
 type Program struct {
-	insns []insn.Instruction
-	opts  Options
+	opts Options
 
 	// terminate is the address the probe dereferences. While valid it
 	// points at the heap's reserved word; Unload swaps in an unmapped
@@ -181,12 +174,12 @@ const TerminateWordOff = 0
 // extension on all CPUs and unloads it) or by its owner.
 var ErrUnloaded = errors.New("vm: extension unloaded, serve via user-space fallback")
 
-// New loads an instrumented program.
-func New(rep *kie.Report, opts Options) (*Program, error) {
-	if opts.Kernel == nil || opts.Hook == nil {
-		return nil, fmt.Errorf("vm: Kernel and Hook are required")
+// New loads a lowered program.
+func New(opts Options) (*Program, error) {
+	if opts.Kernel == nil || opts.Hook == nil || opts.Lowered == nil {
+		return nil, fmt.Errorf("vm: Kernel, Hook and Lowered are required")
 	}
-	p := &Program{insns: rep.Prog, opts: opts}
+	p := &Program{opts: opts}
 	if opts.Heap != nil {
 		// Reserve and back the terminate word so probes are valid
 		// loads until cancellation invalidates the address.
@@ -397,14 +390,8 @@ func (e *Exec) Run(event any, ctxBytes []byte) (Result, error) {
 	// then asks it to cancel a quantum later — the right outcome for an
 	// execution context that never came back.
 	e.cur = e.seq.Add(1)
-	var ret uint64
-	var err error
-	if p.opts.Lowered != nil {
-		ret, err = e.loopLowered()
-		e.stats.Fused = e.stats.Insns - e.stats.Dispatches
-	} else {
-		ret, err = e.loop()
-	}
+	ret, err := e.loopLowered()
+	e.stats.Fused = e.stats.Insns - e.stats.Dispatches
 	e.seq.Add(1)
 	if err == nil {
 		if len(e.held) != 0 || len(e.heldLocks) != 0 {
@@ -468,7 +455,7 @@ func (e *Exec) runCallback(code uint64) (uint64, error) {
 	e.stats = Stats{}
 	e.regs[insn.R1] = code
 	e.regs[insn.R10] = stackVABase + StackSize
-	return e.loop()
+	return e.loopLowered()
 }
 
 func (e *Exec) releaseHeld() {

@@ -5,43 +5,21 @@ import (
 
 	"kflex/asm"
 	"kflex/insn"
-	"kflex/internal/heap"
+	"kflex/internal/compile/lowertest"
 	"kflex/internal/kernel"
-	"kflex/internal/kie"
-	"kflex/internal/verifier"
 )
 
-// load runs the real verify+instrument pipeline (the VM's contract is
-// "verified, instrumented bytecode").
+// load runs the real verify+instrument+lower pipeline (the VM's contract is
+// "verified, instrumented, lowered bytecode").
 func load(t testing.TB, prog []insn.Instruction, heapSize uint64, mut func(*Options)) *Program {
 	t.Helper()
 	k := kernel.New()
-	mode := verifier.ModeEBPF
-	if heapSize > 0 {
-		mode = verifier.ModeKFlex
-	}
-	an, err := verifier.Verify(prog, verifier.Config{
-		Mode: mode, Hook: kernel.HookBench, Kernel: k, HeapSize: heapSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := kie.Instrument(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Hook: kernel.HookBench, Kernel: k}
-	if heapSize > 0 {
-		h, err := heap.New(heapSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Heap = h
-	}
+	h, lowered := lowertest.Build(t, k, prog, heapSize)
+	opts := Options{Hook: kernel.HookBench, Kernel: k, Heap: h, Lowered: lowered}
 	if mut != nil {
 		mut(&opts)
 	}
-	p, err := New(rep, opts)
+	p, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

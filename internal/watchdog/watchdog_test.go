@@ -7,39 +7,19 @@ import (
 
 	"kflex/asm"
 	"kflex/insn"
+	"kflex/internal/compile/lowertest"
 	"kflex/internal/faultinject"
-	"kflex/internal/heap"
 	"kflex/internal/kernel"
-	"kflex/internal/kie"
-	"kflex/internal/verifier"
 	"kflex/internal/vm"
 )
 
-// loadProgram runs prog through verify and instrument on kernel k and loads
-// it, over a fresh heap of heapSize bytes (0: an eBPF-mode program, no heap).
+// loadProgram runs prog through verify, instrument and lower on kernel k and
+// loads it, over a fresh heap of heapSize bytes (0: an eBPF-mode program, no
+// heap).
 func loadProgram(t *testing.T, k *kernel.Kernel, prog []insn.Instruction, heapSize uint64) *vm.Program {
 	t.Helper()
-	mode := verifier.ModeEBPF
-	opts := vm.Options{Hook: kernel.HookBench, Kernel: k}
-	if heapSize > 0 {
-		mode = verifier.ModeKFlex
-		h, err := heap.New(heapSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Heap = h
-	}
-	an, err := verifier.Verify(prog, verifier.Config{
-		Mode: mode, Hook: kernel.HookBench, Kernel: k, HeapSize: heapSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := kie.Instrument(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := vm.New(rep, opts)
+	h, lowered := lowertest.Build(t, k, prog, heapSize)
+	p, err := vm.New(vm.Options{Hook: kernel.HookBench, Kernel: k, Heap: h, Lowered: lowered})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,12 +184,6 @@ type Spec struct {
 	// production case — keeps all injection sites on their nil-check
 	// fast path.
 	FaultPlan *faultinject.Plan
-	// Interpret selects the reference interpreter instead of the lowered
-	// execution tier. The interpreter re-decodes every instruction per
-	// dispatch over the same instrumented stream (the historical behaviour);
-	// it exists as the differential-testing baseline the lowered tier is
-	// validated against, not as a production path.
-	Interpret bool
 	// Adopt names a donor — a retired previous generation, or a live one
 	// being migrated away from — whose heap the new extension takes over
 	// instead of allocating a fresh one, together with the allocator that
@@ -203,12 +197,6 @@ type Spec struct {
 	Adopt *Extension
 }
 
-// Execution tier names reported by PipelineInfo.
-const (
-	TierLowered     = "lowered"
-	TierInterpreter = "interpreter"
-)
-
 // Stage describes one pipeline stage of a Load: how long it ran, whether
 // its artifact came from the Runtime's compile cache, and the artifact's
 // size in stage-specific units (instructions for decode/verify/instrument/
@@ -221,15 +209,14 @@ type Stage struct {
 }
 
 // PipelineInfo describes how an extension was built: the staged pipeline
-// decode → verify → instrument → lower → heap → link, the spec fingerprint
-// the compile cache is keyed by, and the execution tier selected.
+// decode → verify → instrument → lower → heap → link and the spec
+// fingerprint the compile cache is keyed by.
 type PipelineInfo struct {
 	SpecHash uint64
 	// CacheHit reports that verify/instrument/lower artifacts were reused
 	// from a previous Load of an identical spec (the supervisor's reload
 	// path: fresh or adopted heap, re-link only).
 	CacheHit bool
-	Tier     string
 	Stages   []Stage
 }
 
@@ -260,10 +247,10 @@ var fromCache time.Time
 
 // compiled is what compile produces and the compile cache holds: every
 // artifact of a spec that does not depend on a heap — the verifier analysis,
-// the Kie instrumentation report, the position-independent lowered unit (nil
-// when the spec selects the reference interpreter) and the instrumented
-// cancellation callback (nil without one). None of them embed heap
-// addresses or helper pointers, so link binds them to any heap unchanged.
+// the Kie instrumentation report, the position-independent lowered unit and
+// the cancellation callback's own analysis, report and unit (nil without
+// one). None of them embed heap addresses or helper pointers, so link binds
+// them to any heap unchanged.
 //
 // from is the part of the spec they were compiled from — what
 // specFingerprint hashes. A cache hit skips the verifier, so it is decided
@@ -272,7 +259,7 @@ type compiled struct {
 	analysis *verifier.Analysis
 	report   *kie.Report
 	unit     *compile.Unit
-	callback *kie.Report
+	callback *compiled
 	from     compileInput
 }
 
@@ -282,14 +269,14 @@ type compileInput struct {
 	insns, callback []insn.Instruction
 	hook            string
 	// heapSize is Spec.HeapSize; flags packs Mode == ModeKFlex, ShareHeap,
-	// PerfMode, DisableElision and Interpret into bits 0-4.
+	// PerfMode and DisableElision into bits 0-3.
 	heapSize, flags uint64
 }
 
 // compileInputOf reads spec, whose Hook Load has checked.
 func compileInputOf(spec Spec) compileInput {
 	in := compileInput{insns: spec.Insns, callback: spec.Callback, hook: spec.Hook.Name, heapSize: spec.HeapSize}
-	for i, set := range []bool{spec.Mode == ModeKFlex, spec.ShareHeap, spec.PerfMode, spec.DisableElision, spec.Interpret} {
+	for i, set := range []bool{spec.Mode == ModeKFlex, spec.ShareHeap, spec.PerfMode, spec.DisableElision} {
 		if set {
 			in.flags |= 1 << i
 		}
@@ -407,8 +394,7 @@ type Extension struct {
 // explicit stage) in two halves. compile runs the first four: decode
 // fingerprints the spec; verify proves kernel-interface compliance; instrument
 // runs the Kie engine; lower pre-decodes the instrumented program into the
-// fused lowered ISA (skipped when Spec.Interpret selects the reference
-// interpreter). Its artifacts depend on no heap and are cached per Runtime
+// fused lowered ISA. Its artifacts depend on no heap and are cached per Runtime
 // keyed by the spec fingerprint, so reloading an unchanged spec — the
 // supervisor's recovery path — compiles nothing. link runs the last two:
 // heap builds the heap, its allocator and lock table (or takes Spec.Adopt's);
@@ -424,10 +410,7 @@ func (r *Runtime) Load(spec Spec) (*Extension, error) {
 	if spec.NumCPUs <= 0 {
 		spec.NumCPUs = DefaultNumCPUs
 	}
-	pl := PipelineInfo{Tier: TierLowered}
-	if spec.Interpret {
-		pl.Tier = TierInterpreter
-	}
+	var pl PipelineInfo
 	art, err := r.compile(spec, &pl)
 	if err != nil {
 		return nil, err
@@ -457,9 +440,7 @@ func (r *Runtime) compile(spec Spec, pl *PipelineInfo) (*compiled, error) {
 		pl.CacheHit = true
 		pl.record("verify", fromCache, len(spec.Insns))
 		pl.record("instrument", fromCache, len(art.report.Prog))
-		if art.unit != nil {
-			pl.record("lower", fromCache, len(art.unit.Code))
-		}
+		pl.record("lower", fromCache, len(art.unit.Code))
 		return art, nil
 	}
 
@@ -498,14 +479,12 @@ func (r *Runtime) compile(spec Spec, pl *PipelineInfo) (*compiled, error) {
 	}
 	pl.record("instrument", start, len(art.report.Prog))
 
-	// Stage: lower (skipped on the interpreter tier).
-	if !spec.Interpret {
-		start = time.Now()
-		if art.unit, err = compile.Lower(art.report); err != nil {
-			return nil, fmt.Errorf("kflex: %s: lower: %w", spec.Name, err)
-		}
-		pl.record("lower", start, len(art.unit.Code))
+	// Stage: lower.
+	start = time.Now()
+	if art.unit, err = compile.Lower(art.report); err != nil {
+		return nil, fmt.Errorf("kflex: %s: lower: %w", spec.Name, err)
 	}
+	pl.record("lower", start, len(art.unit.Code))
 
 	r.cacheMu.Lock()
 	r.cache[pl.SpecHash] = art
@@ -514,19 +493,26 @@ func (r *Runtime) compile(spec Spec, pl *PipelineInfo) (*compiled, error) {
 }
 
 // loadCallback verifies a cancellation callback under its restrictions
-// (§4.3: no cancellation points, no unbounded loops) and instruments it —
-// a formality, since a program with no heap and no unbounded loop gets no
-// guard and no probe. Only compile calls it, on a cache miss.
-func (r *Runtime) loadCallback(spec Spec) (*kie.Report, error) {
-	an, err := verifier.Verify(spec.Callback, verifier.Config{
+// (§4.3: no cancellation points, no unbounded loops), instruments it — a
+// formality, since a program with no heap and no unbounded loop gets no
+// guard and no probe — and lowers it. Only compile calls it, on a cache miss.
+func (r *Runtime) loadCallback(spec Spec) (*compiled, error) {
+	cb := &compiled{}
+	var err error
+	if cb.analysis, err = verifier.Verify(spec.Callback, verifier.Config{
 		Mode:     verifier.ModeEBPF,
 		Kernel:   r.kern,
 		ScalarR1: true,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	return kie.Instrument(an)
+	if cb.report, err = kie.Instrument(cb.analysis); err != nil {
+		return nil, err
+	}
+	if cb.unit, err = compile.Lower(cb.report); err != nil {
+		return nil, err
+	}
+	return cb, nil
 }
 
 // link binds compiled artifacts to one extension instance — everything a
@@ -598,17 +584,19 @@ func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, e
 
 	start = time.Now()
 	var err error
-	if art.unit != nil {
-		if opts.Lowered, err = art.unit.Link(lk); err != nil {
-			return nil, fmt.Errorf("kflex: %s: link: %w", spec.Name, err)
-		}
+	if opts.Lowered, err = art.unit.Link(lk); err != nil {
+		return nil, fmt.Errorf("kflex: %s: link: %w", spec.Name, err)
 	}
 	if art.callback != nil {
-		if opts.Callback, err = vm.New(art.callback, vm.Options{Hook: spec.Hook, Kernel: r.kern}); err != nil {
+		cb := vm.Options{Hook: spec.Hook, Kernel: r.kern}
+		if cb.Lowered, err = art.callback.unit.Link(compile.Linkage{Helpers: r.kern.Helpers}); err == nil {
+			opts.Callback, err = vm.New(cb)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("kflex: %s: callback: %w", spec.Name, err)
 		}
 	}
-	if ext.prog, err = vm.New(art.report, opts); err != nil {
+	if ext.prog, err = vm.New(opts); err != nil {
 		return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
 	}
 	for cpu := range ext.execs {
@@ -620,16 +608,13 @@ func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, e
 }
 
 // Pipeline returns the staged-pipeline record of this extension's Load:
-// per-stage timings and artifact sizes, the spec fingerprint, whether the
-// compile cache was hit, and the execution tier.
+// per-stage timings and artifact sizes, the spec fingerprint and whether the
+// compile cache was hit.
 func (e *Extension) Pipeline() PipelineInfo { return e.pipeline }
 
 // LoweredMetrics returns the lowering metrics (stream lengths and the
-// clusters' joins by kind); ok is false on the interpreter tier.
+// clusters' joins by kind). ok is always true: every extension is lowered.
 func (e *Extension) LoweredMetrics() (m compile.Metrics, ok bool) {
-	if e.art.unit == nil {
-		return compile.Metrics{}, false
-	}
 	return e.art.unit.Metrics, true
 }
 
