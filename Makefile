@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos fuzz vet fmt tcb loc check bench-smoke experiments benchmark-quick clean
+.PHONY: all build test race chaos fuzz vet fmt tcb loc reach check bench-smoke experiments benchmark-quick clean
 
 all: build
 
@@ -48,6 +48,53 @@ loc:
 	@dirs=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		! -path '*/testdata/*' | sed 's|^\./||; s|/[^/]*$$||; s|^[^/]*\.go$$|.|' | sort -u); \
 	w=28; $(COUNT_LINES); printf '%-28s %5d\n' total $$total
+
+# Code no binary links. Every main package and benchmark/ are built with
+# inlining off, so each function a binary reaches keeps a text symbol, and
+# `go tool nm` lists them; a function declared outside _test.go files and
+# benchmark/ that none of them links must be on REACH_LIST, under a heading
+# that says why it is kept. A line that is a bare import path lists a whole
+# package. Fails on an unreached name not listed, on a listed name a binary
+# now links, and on a listed name declared nowhere. Both sides spell a
+# generic type's parameters as [...], and a generic function's not at all.
+REACH_LIST = testdata/unreached.txt
+
+reach:
+	@t=$$(mktemp -d) && trap 'rm -rf "$$t"' EXIT && \
+	$(GO) build -gcflags=all=-l -o $$t/ ./cmd/... ./examples/... && \
+	$(GO) build -C benchmark -gcflags=all=-l -o $$t/benchmark . && \
+	for b in $$t/*; do $(GO) tool nm $$b; done | \
+		sed -nE 's/^ *[0-9a-f]+ [Tt] ((kflex|main)[./].*)$$/\1/p' | \
+		awk '{ s = ""; d = 0; \
+			for (i = 1; i <= length($$0); i++) { c = substr($$0, i, 1); \
+				if (c == "[") { if (d++ == 0) s = s "[...]" } \
+				else if (c == "]") d--; else if (d == 0) s = s c } \
+			sub(/\[\.\.\.\]$$/, "", s); print s }' | sort -u > $$t/reached && \
+	git ls-files '*.go' ':!:*_test.go' ':!:benchmark/*' | xargs awk ' \
+		FNR == 1 { pkg = FILENAME; sub(/\/?[^\/]*$$/, "", pkg); \
+			pkg = pkg == "" ? "kflex" : "kflex/" pkg } \
+		/^package main$$/ { pkg = "main" } \
+		/^func / { s = substr($$0, 6); r = ""; \
+			if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); \
+				s = substr(s, index(s, ")") + 2); \
+				sub(/^[A-Za-z0-9_]+ /, "", r); gsub(/\[[^]]*\]/, "[...]", r); \
+				r = r ~ /^\*/ ? "(" r ")." : r "." } \
+			match(s, /^[A-Za-z0-9_]+/); print pkg "." r substr(s, 1, RLENGTH) }' | \
+		sort -u > $$t/declared && \
+	out=$$(awk 'function pkg(n) { match(n, /^[^.]*/); return substr(n, 1, RLENGTH) } \
+		FILENAME == ARGV[1] { if (!/^(#|$$)/) want[$$0] = 1; next } \
+		FILENAME == ARGV[2] { decl[$$0] = 1; dpkg[pkg($$0)] = 1; next } \
+		{ reach[$$0] = 1 } \
+		END { for (n in decl) { if (n ~ /\.init$$/) continue; \
+				if (n in reach) { if (n in want || pkg(n) in want) \
+					print "reach: " n " is listed, but a binary links it" } \
+				else if (!(n in want) && !(pkg(n) in want)) \
+					print "reach: no binary links " n "; call it, or list it under a heading" } \
+			for (n in want) if (!(n in decl) && !(n in dpkg)) \
+				print "reach: " n " is listed, but declared nowhere" }' \
+		$(REACH_LIST) $$t/declared $$t/reached | sort) && \
+	{ test -z "$$out" || { echo "$$out"; exit 1; }; } && \
+	echo "reach: $$(grep -cv '^\(#\|$$\)' $(REACH_LIST)) listed lines, every unreached name on them"
 
 test:
 	$(GO) test ./...
@@ -111,10 +158,11 @@ benchmark-quick:
 	cd benchmark && $(GO) test ./...
 	$(GO) run -C benchmark . -quick
 
-# The pre-merge gate: gofmt, vet, build, the TCB line budget, the full test
-# suite under the race detector (includes the chaos suite), then the short
-# chaos pass alone to keep its deadline honest.
-check: fmt vet build tcb race chaos
+# The pre-merge gate: gofmt, vet, build, the TCB line budget, the list of
+# code no binary links, the full test suite under the race detector
+# (includes the chaos suite), then the short chaos pass alone to keep its
+# deadline honest.
+check: fmt vet build tcb reach race chaos
 
 clean:
 	$(GO) clean -testcache

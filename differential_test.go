@@ -278,7 +278,12 @@ func TestDifferentialMapAtomics(t *testing.T) {
 	var exts [2]*kflex.Extension
 	for i := range rts {
 		rts[i] = kflex.NewRuntime()
-		if _, err := rts[i].NewArrayMap(1, 16, 8); err != nil {
+		m, err := rts[i].NewLRUMap(1, 16, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An LRU lookup of a missing key misses: store the key first.
+		if err := m.Update([]byte{3, 0, 0, 0}, make([]byte, 8)); err != nil {
 			t.Fatal(err)
 		}
 		ext, err := rts[i].Load(spec)
@@ -397,10 +402,12 @@ func TestPipelineStages(t *testing.T) {
 	})
 
 	p := loadPair(t, spec)
-	pl := p.lowered.Pipeline()
-	if pl.Stage("lower").Out >= pl.Stage("instrument").Out {
-		t.Fatalf("lowering did not shrink the stream: instrument %d -> lower %d",
-			pl.Stage("instrument").Out, pl.Stage("lower").Out)
+	out := make(map[string]int)
+	for _, st := range p.lowered.Pipeline().Stages {
+		out[st.Name] = st.Out
+	}
+	if out["lower"] >= out["instrument"] {
+		t.Fatalf("lowering did not shrink the stream: instrument %d -> lower %d", out["instrument"], out["lower"])
 	}
 	if m, ok := p.lowered.LoweredMetrics(); !ok || m.FusedGuardLoad+m.FusedGuardStore+m.FusedProbeBranch == 0 {
 		t.Fatalf("lowered metrics = %+v ok=%v, want fused superinstructions", m, ok)

@@ -137,9 +137,6 @@ func (e *executor) execute(h *kflex.Handle, frame []byte) ([]byte, float64, erro
 	return e.conn.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), nil
 }
 
-// WorkStats returns the accumulated VM work counters.
-func (e *executor) WorkStats() kflex.Stats { return e.Work }
-
 // Worker is a per-goroutine executor bound to one simulated CPU: it owns
 // its packet buffer, hook context, and work counters, so concurrent
 // workers on distinct CPUs share nothing on the per-op path (§3.3's

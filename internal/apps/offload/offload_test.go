@@ -629,7 +629,7 @@ func workerCountInsns(t *testing.T, c *offload.Codec) {
 		wg.Wait()
 		var sum uint64
 		for _, w := range ws {
-			sum += w.WorkStats().Insns
+			sum += w.Work.Insns
 		}
 		return sum
 	}
@@ -689,7 +689,7 @@ func (d bareKV) get(t *testing.T, i, v int) uint64 {
 	if v >= 0 {
 		want = d.c.AppendHit(nil, val(v))
 	}
-	program := func() uint64 { w := d.WorkStats(); return w.Insns - w.Guards - w.Probes }
+	program := func() uint64 { w := d.Work; return w.Insns - w.Guards - w.Probes }
 	before := program()
 	if reply, _, err := d.Execute(0, d.c.AppendGet(nil, key(i))); err != nil || !bytes.Equal(reply, want) {
 		t.Fatalf("GET %d: reply %q err %v, want %q", i, reply, err, want)
@@ -799,11 +799,11 @@ func requestInsns(t *testing.T, c *offload.Codec) {
 			{"SET hit", c.AppendSet(nil, key(0), val(1)), 86},
 			{"GET hit", c.AppendGet(nil, key(0)), 68},
 		} {
-			before := d.WorkStats().Insns
+			before := d.Work.Insns
 			if _, _, err := d.Execute(0, step.frame); err != nil {
 				t.Fatalf("%s: %v", step.name, err)
 			}
-			if got := d.WorkStats().Insns - before; got != step.want {
+			if got := d.Work.Insns - before; got != step.want {
 				t.Errorf("%s ran %d instructions, want %d", step.name, got, step.want)
 			}
 		}

@@ -263,12 +263,3 @@ func (z *ZAddKFlex) Serve(cpu int, now float64) float64 {
 
 // Close releases the extension.
 func (z *ZAddKFlex) Close() { z.off.Close() }
-
-// Score reads back a member's score (verification helper).
-func (z *ZAddKFlex) Score(member uint64) (uint64, bool, error) {
-	res, err := z.off.Op(ds.OpLookup, member, 0)
-	if err != nil || res.Ret != ds.RetFound {
-		return 0, false, err
-	}
-	return z.off.Out(), true, nil
-}

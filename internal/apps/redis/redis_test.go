@@ -87,9 +87,9 @@ func TestZAddSystems(t *testing.T) {
 	if _, err := z.off.Op(ds.OpUpdate, 42, 777); err != nil {
 		t.Fatal(err)
 	}
-	score, ok, err := z.Score(42)
-	if err != nil || !ok || score != 777 {
-		t.Fatalf("score = %d,%v,%v", score, ok, err)
+	res, err := z.off.Op(ds.OpLookup, 42, 0)
+	if err != nil || res.Ret != ds.RetFound || z.off.Out() != 777 {
+		t.Fatalf("lookup = %+v, score %d, %v", res, z.off.Out(), err)
 	}
 }
 

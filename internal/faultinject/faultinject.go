@@ -187,7 +187,6 @@ type nthKey struct {
 // to serialize the operations that reach Fire, which single-threaded chaos
 // drivers do naturally.
 type Plan struct {
-	seed    int64
 	enabled atomic.Bool
 	// suspended counts the open Suspend brackets; Fire is false while it
 	// is non-zero.
@@ -209,15 +208,11 @@ type Plan struct {
 // (preload, init) is done.
 func NewPlan(seed int64) *Plan {
 	return &Plan{
-		seed:  seed,
 		rng:   rand.New(rand.NewSource(seed)),
 		nth:   make(map[nthKey][]uint64),
 		count: make(map[nthKey]uint64),
 	}
 }
-
-// Seed returns the plan's seed, for reporting.
-func (p *Plan) Seed() int64 { return p.seed }
 
 // SetRate makes a fraction rate (0..1) of kind's occurrences fire,
 // decided by the plan's seeded RNG.

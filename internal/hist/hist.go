@@ -4,11 +4,7 @@
 // latencies with it and reports p99 (§5's tail-latency panels).
 package hist
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // subBucketBits controls resolution: each power-of-two range is split into
 // 2^subBucketBits linear sub-buckets (~1.5% relative error at 6 bits).
@@ -21,17 +17,12 @@ const (
 
 // H is a histogram of non-negative int64 samples (nanoseconds by
 // convention). The zero value is ready to use. H is not safe for
-// concurrent use; Merge combines per-worker histograms.
+// concurrent use.
 type H struct {
 	counts [numBuckets]uint64
 	total  uint64
-	sum    float64
-	min    int64
 	max    int64
 }
-
-// New returns an empty histogram.
-func New() *H { return &H{min: -1} }
 
 func bucketOf(v int64) int {
 	if v < 0 {
@@ -64,32 +55,9 @@ func bucketLow(i int) int64 {
 func (h *H) Record(v int64) {
 	h.counts[bucketOf(v)]++
 	h.total++
-	h.sum += float64(v)
-	if h.min < 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// Count returns the number of recorded samples.
-func (h *H) Count() uint64 { return h.total }
-
-// Mean returns the average sample, or 0 when empty.
-func (h *H) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *H) Min() int64 {
-	if h.min < 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest sample.
@@ -122,32 +90,4 @@ func (h *H) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Merge adds o's samples into h.
-func (h *H) Merge(o *H) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if h.min < 0 || (o.min >= 0 && o.min < h.min) {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
-// Reset clears the histogram.
-func (h *H) Reset() { *h = H{min: -1} }
-
-// String summarizes the distribution.
-func (h *H) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n=%d mean=%.0f p50=%d p99=%d p999=%d max=%d",
-		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Quantile(0.999), h.Max())
-	return sb.String()
 }

@@ -8,18 +8,15 @@ import (
 )
 
 func TestBasics(t *testing.T) {
-	h := New()
-	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Mean() != 0 {
+	var h H
+	if h.total != 0 || h.Quantile(0.99) != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 	for _, v := range []int64{10, 20, 30, 40, 50} {
 		h.Record(v)
 	}
-	if h.Count() != 5 || h.Min() != 10 || h.Max() != 50 {
-		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.Min(), h.Max())
-	}
-	if h.Mean() != 30 {
-		t.Fatalf("mean = %f", h.Mean())
+	if h.total != 5 || h.Max() != 50 {
+		t.Fatalf("total/max = %d/%d", h.total, h.Max())
 	}
 	if q := h.Quantile(0); q != 10 {
 		t.Fatalf("p0 = %d", q)
@@ -34,7 +31,7 @@ func TestBasics(t *testing.T) {
 func TestQuantileAccuracyQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := New()
+		h := new(H)
 		n := 1000 + r.Intn(2000)
 		vals := make([]int64, n)
 		for i := range vals {
@@ -60,29 +57,14 @@ func TestQuantileAccuracyQuick(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	for i := int64(0); i < 100; i++ {
-		a.Record(i)
-		b.Record(i + 1000)
-	}
-	a.Merge(b)
-	if a.Count() != 200 || a.Min() != 0 || a.Max() != 1099 {
-		t.Fatalf("merged: %s", a)
-	}
-	if a.Quantile(0.25) > 100 || a.Quantile(0.75) < 900 {
-		t.Fatalf("merged quantiles wrong: %s", a)
-	}
-}
-
 func TestResetAndNegative(t *testing.T) {
-	h := New()
+	var h H
 	h.Record(-5) // clamped to 0
-	if h.Min() != 0 {
-		t.Fatalf("min = %d", h.Min())
+	if h.total != 1 || h.Quantile(0) != 0 || h.Max() != 0 {
+		t.Fatalf("total=%d p0=%d max=%d", h.total, h.Quantile(0), h.Max())
 	}
-	h.Reset()
-	if h.Count() != 0 {
+	h = H{} // the zero value is the reset state
+	if h.total != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("reset failed")
 	}
 }

@@ -28,11 +28,10 @@ func ObjPtr(o *Object) uint64 { return ObjVABase | o.id<<4 }
 // helpers. Destructors run either at the matching release helper or during
 // extension cancellation via the object table (§3.3).
 type Object struct {
-	kind     ObjKind
-	refs     atomic.Int64
-	released atomic.Int64 // total puts, for test introspection
-	destroy  func()
-	id       uint64
+	kind    ObjKind
+	refs    atomic.Int64
+	destroy func()
+	id      uint64
 }
 
 var objIDs atomic.Uint64
@@ -44,12 +43,6 @@ func NewObject(kind ObjKind, destroy func()) *Object {
 	o.refs.Store(1)
 	return o
 }
-
-// Kind returns the object's class.
-func (o *Object) Kind() ObjKind { return o.kind }
-
-// ID returns a process-unique object identifier.
-func (o *Object) ID() uint64 { return o.id }
 
 // Get takes a reference.
 func (o *Object) Get() *Object {
@@ -64,7 +57,6 @@ func (o *Object) Get() *Object {
 
 // Put drops a reference, running the destructor at zero.
 func (o *Object) Put() {
-	o.released.Add(1)
 	if n := o.refs.Add(-1); n == 0 {
 		if o.destroy != nil {
 			o.destroy()
@@ -78,9 +70,6 @@ func (o *Object) Put() {
 
 // Refs returns the current reference count.
 func (o *Object) Refs() int64 { return o.refs.Load() }
-
-// Puts returns how many times Put has been called (test helper).
-func (o *Object) Puts() int64 { return o.released.Load() }
 
 // --- Helper interface contracts ---------------------------------------------
 

@@ -1,9 +1,8 @@
-// Package maps implements the eBPF map types the evaluation's baselines
-// depend on (§2.2 of the paper: eBPF extensions cannot define data
-// structures and must use kernel-provided maps). BMC's look-aside cache is
-// built from these.
+// Package maps implements the one eBPF map type the evaluation's BMC
+// baseline depends on, an LRU hash (§2.2 of the paper: eBPF extensions
+// cannot define data structures and must use kernel-provided maps).
 //
-// Concurrency model: maps serialize access internally; Lookup returns a
+// Concurrency model: the map serializes access internally; Lookup returns a
 // copy of the value (pinned into the extension's address space for the
 // invocation), so concurrent extensions never race on value memory.
 // Mutations persist through Update, matching a copy-out/copy-in map
@@ -15,164 +14,9 @@ package maps
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
 	"sync"
 )
-
-// Array is the BPF_MAP_TYPE_ARRAY analogue: fixed-size entries indexed by a
-// little-endian u32 key.
-type Array struct {
-	mu        sync.RWMutex
-	valueSize int
-	data      []byte
-	n         int
-}
-
-// NewArray creates an array map with n entries of valueSize bytes.
-func NewArray(n, valueSize int) (*Array, error) {
-	if n <= 0 || valueSize <= 0 {
-		return nil, fmt.Errorf("maps: array needs positive geometry (n=%d value=%d)", n, valueSize)
-	}
-	return &Array{valueSize: valueSize, data: make([]byte, n*valueSize), n: n}, nil
-}
-
-// KeySize returns 4: array keys are u32 indices.
-func (a *Array) KeySize() int { return 4 }
-
-// ValueSize returns the per-entry value size.
-func (a *Array) ValueSize() int { return a.valueSize }
-
-// Len returns the number of entries.
-func (a *Array) Len() int { return a.n }
-
-func (a *Array) index(key []byte) (int, bool) {
-	if len(key) < 4 {
-		return 0, false
-	}
-	idx := int(binary.LittleEndian.Uint32(key))
-	if idx >= a.n {
-		return 0, false
-	}
-	return idx, true
-}
-
-// Lookup returns a copy of the entry, or nil for an out-of-range index.
-func (a *Array) Lookup(key []byte) []byte {
-	idx, ok := a.index(key)
-	if !ok {
-		return nil
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]byte, a.valueSize)
-	copy(out, a.data[idx*a.valueSize:])
-	return out
-}
-
-// Update overwrites the entry.
-func (a *Array) Update(key, value []byte) error {
-	idx, ok := a.index(key)
-	if !ok {
-		return fmt.Errorf("maps: array index out of range")
-	}
-	if len(value) != a.valueSize {
-		return fmt.Errorf("maps: value size %d != %d", len(value), a.valueSize)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	copy(a.data[idx*a.valueSize:], value)
-	return nil
-}
-
-// Delete zeroes the entry (array entries cannot be removed, as in eBPF).
-func (a *Array) Delete(key []byte) bool {
-	idx, ok := a.index(key)
-	if !ok {
-		return false
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := 0; i < a.valueSize; i++ {
-		a.data[idx*a.valueSize+i] = 0
-	}
-	return true
-}
-
-// Hash is the BPF_MAP_TYPE_HASH analogue with a maximum entry count.
-type Hash struct {
-	mu        sync.RWMutex
-	keySize   int
-	valueSize int
-	maxEntr   int
-	kv        map[string][]byte
-}
-
-// NewHash creates a hash map.
-func NewHash(maxEntries, keySize, valueSize int) (*Hash, error) {
-	if maxEntries <= 0 || keySize <= 0 || valueSize <= 0 {
-		return nil, fmt.Errorf("maps: hash needs positive geometry")
-	}
-	return &Hash{
-		keySize:   keySize,
-		valueSize: valueSize,
-		maxEntr:   maxEntries,
-		kv:        make(map[string][]byte, maxEntries),
-	}, nil
-}
-
-// KeySize returns the key size in bytes.
-func (h *Hash) KeySize() int { return h.keySize }
-
-// ValueSize returns the value size in bytes.
-func (h *Hash) ValueSize() int { return h.valueSize }
-
-// Len returns the current entry count.
-func (h *Hash) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.kv)
-}
-
-// Lookup returns a copy of the value, or nil.
-func (h *Hash) Lookup(key []byte) []byte {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	v, ok := h.kv[string(key[:h.keySize])]
-	if !ok {
-		return nil
-	}
-	out := make([]byte, h.valueSize)
-	copy(out, v)
-	return out
-}
-
-// Update inserts or replaces the value; it fails when the map is full.
-func (h *Hash) Update(key, value []byte) error {
-	if len(value) != h.valueSize {
-		return fmt.Errorf("maps: value size %d != %d", len(value), h.valueSize)
-	}
-	k := string(key[:h.keySize])
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, exists := h.kv[k]; !exists && len(h.kv) >= h.maxEntr {
-		return fmt.Errorf("maps: hash map full (%d entries)", h.maxEntr)
-	}
-	h.kv[k] = append([]byte(nil), value...)
-	return nil
-}
-
-// Delete removes the key.
-func (h *Hash) Delete(key []byte) bool {
-	k := string(key[:h.keySize])
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.kv[k]; !ok {
-		return false
-	}
-	delete(h.kv, k)
-	return true
-}
 
 // LRU is the BPF_MAP_TYPE_LRU_HASH analogue: at capacity, the least
 // recently used entry is evicted. BMC-style look-aside caches use this
@@ -185,7 +29,6 @@ type LRU struct {
 	cap       int
 	kv        map[string]*list.Element
 	order     *list.List // front = most recent
-	evictions uint64
 }
 
 type lruEntry struct {
@@ -218,13 +61,6 @@ func (l *LRU) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.kv)
-}
-
-// Evictions returns how many entries have been evicted at capacity.
-func (l *LRU) Evictions() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evictions
 }
 
 // Lookup returns a copy of the value (refreshing recency), or nil.
@@ -260,7 +96,6 @@ func (l *LRU) Update(key, value []byte) error {
 		if back != nil {
 			l.order.Remove(back)
 			delete(l.kv, back.Value.(*lruEntry).key)
-			l.evictions++
 		}
 	}
 	l.kv[k] = l.order.PushFront(&lruEntry{key: k, val: append([]byte(nil), value...)})

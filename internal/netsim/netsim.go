@@ -147,14 +147,6 @@ func (p *Packet) XDPCtx(rxQueue uint32) []byte {
 	return ctx
 }
 
-// SkSkbCtx builds the sk_skb hook context bytes for p.
-func (p *Packet) SkSkbCtx(port uint32) []byte {
-	ctx := make([]byte, kernel.HookSkSkb.CtxSize)
-	binary.LittleEndian.PutUint32(ctx[0:], uint32(len(p.Data)))
-	binary.LittleEndian.PutUint32(ctx[4:], port)
-	return ctx
-}
-
 // --- Extension execution cost model ---------------------------------------------
 
 // The VM is an interpreter; the paper's runtime executes JIT-compiled

@@ -56,10 +56,6 @@ func TestCtxBuilders(t *testing.T) {
 	if len(xdp) != kernel.HookXDP.CtxSize || xdp[0] != 99 || xdp[4] != 3 {
 		t.Fatalf("xdp ctx = %v", xdp)
 	}
-	sk := p.SkSkbCtx(8080)
-	if len(sk) != kernel.HookSkSkb.CtxSize || sk[0] != 99 {
-		t.Fatalf("sk ctx = %v", sk)
-	}
 }
 
 func TestModelMonotonic(t *testing.T) {

@@ -15,7 +15,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 
 	"kflex/internal/hist"
@@ -66,22 +65,6 @@ type Result struct {
 	Latency    *hist.H // per-request latency (ns), warmup excluded
 }
 
-// String renders the figures' two panels: throughput and p99.
-func (r Result) String() string {
-	return fmt.Sprintf("%.3f Mops/s, p50 %s, p99 %s",
-		r.Throughput/1e6, fmtNs(r.Latency.Quantile(0.5)), fmtNs(r.Latency.Quantile(0.99)))
-}
-
-func fmtNs(ns int64) string {
-	switch {
-	case ns >= 1_000_000:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1_000:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	}
-	return fmt.Sprintf("%dns", ns)
-}
-
 // event kinds
 const (
 	evArrival = iota
@@ -112,7 +95,7 @@ func Run(cfg Config, sys System) Result {
 		panic("sim: bad config")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	lat := hist.New()
+	lat := new(hist.H)
 	warmEnd := cfg.DurationNs * cfg.WarmupFrac
 
 	var ev eventHeap

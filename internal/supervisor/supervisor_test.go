@@ -141,12 +141,20 @@ func TestReloadCompileCache(t *testing.T) {
 
 	// Generation 0 is the first Load of this spec on the runtime: a miss
 	// that populates the cache, with every stage actually executed.
+	stages := func(pl kflex.PipelineInfo) map[string]kflex.Stage {
+		m := make(map[string]kflex.Stage)
+		for _, st := range pl.Stages {
+			m[st.Name] = st
+		}
+		return m
+	}
 	pl0 := sup.Extension().Pipeline()
 	if pl0.CacheHit {
 		t.Fatalf("initial generation reported a cache hit: %+v", pl0)
 	}
+	st0 := stages(pl0)
 	for _, name := range []string{"verify", "instrument", "lower"} {
-		if st := pl0.Stage(name); st.Out == 0 || st.Cached {
+		if st := st0[name]; st.Out == 0 || st.Cached {
 			t.Fatalf("initial %s stage = %+v, want executed (not cached)", name, st)
 		}
 	}
@@ -176,16 +184,17 @@ func TestReloadCompileCache(t *testing.T) {
 	if pl1.SpecHash != pl0.SpecHash {
 		t.Fatalf("spec fingerprint changed across reload: %#x -> %#x", pl0.SpecHash, pl1.SpecHash)
 	}
+	st1 := stages(pl1)
 	for _, name := range []string{"verify", "instrument", "lower"} {
-		st := pl1.Stage(name)
+		st := st1[name]
 		if !st.Cached {
 			t.Fatalf("reloaded %s stage = %+v, want cached", name, st)
 		}
-		if st.Out != pl0.Stage(name).Out {
-			t.Fatalf("cached %s artifact size %d != original %d", name, st.Out, pl0.Stage(name).Out)
+		if st.Out != st0[name].Out {
+			t.Fatalf("cached %s artifact size %d != original %d", name, st.Out, st0[name].Out)
 		}
 	}
-	if st := pl1.Stage("link"); st.Cached {
+	if st := st1["link"]; st.Cached {
 		t.Fatalf("link stage marked cached: %+v — linking must run per generation", st)
 	}
 

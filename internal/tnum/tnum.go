@@ -171,19 +171,6 @@ func (t T) Cast(size int) T {
 // Subreg returns the tnum describing the low 32 bits.
 func (t T) Subreg() T { return t.Cast(4) }
 
-// ClearSubreg zeroes knowledge and value of the low 32 bits.
-func (t T) ClearSubreg() T { return t.Lshift(32).Rshift(32).Lshift(32) } // keep high half only
-
-// WithSubreg replaces the low 32 bits of t with those of sub.
-func (t T) WithSubreg(sub T) T {
-	hi := T{Value: t.Value &^ 0xffffffff, Mask: t.Mask &^ 0xffffffff}
-	lo := sub.Subreg()
-	return T{Value: hi.Value | lo.Value, Mask: hi.Mask | lo.Mask}
-}
-
-// ConstSubreg reports whether the low 32 bits are fully known.
-func (t T) ConstSubreg() bool { return t.Mask&0xffffffff == 0 }
-
 // String renders the tnum as the kernel does: a constant prints as hex, a
 // partially known value prints value/mask.
 func (t T) String() string {

@@ -71,17 +71,6 @@ func TestSubregOps(t *testing.T) {
 	if sub.Value != 0xff || sub.Mask != 0xff00 {
 		t.Fatalf("Subreg = %v", sub)
 	}
-	hi := v.ClearSubreg()
-	if hi.Value&0xffffffff != 0 || hi.Mask&0xffffffff != 0 {
-		t.Fatalf("ClearSubreg left low bits: %v", hi)
-	}
-	rejoined := v.WithSubreg(Const(0x1234))
-	if rejoined.Value&0xffffffff != 0x1234 || rejoined.Mask&0xffffffff != 0 {
-		t.Fatalf("WithSubreg = %v", rejoined)
-	}
-	if !Const(5).ConstSubreg() || Unknown.ConstSubreg() {
-		t.Error("ConstSubreg wrong")
-	}
 }
 
 func TestString(t *testing.T) {

@@ -79,20 +79,7 @@ type OpKind int
 const (
 	OpGet OpKind = iota
 	OpSet
-	OpZAdd
 )
-
-func (k OpKind) String() string {
-	switch k {
-	case OpGet:
-		return "GET"
-	case OpSet:
-		return "SET"
-	case OpZAdd:
-		return "ZADD"
-	}
-	return "?"
-}
 
 // Mix is a GET:SET ratio, e.g. 90:10.
 type Mix struct {

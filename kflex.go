@@ -220,16 +220,6 @@ type PipelineInfo struct {
 	Stages   []Stage
 }
 
-// Stage returns the named stage record (zero Stage if absent).
-func (p PipelineInfo) Stage(name string) Stage {
-	for _, s := range p.Stages {
-		if s.Name == name {
-			return s
-		}
-	}
-	return Stage{}
-}
-
 // record appends the Stage named name — the one place a Stage record is
 // made. A stage that ran passes the time it started; one whose artifact came
 // from the compile cache ran nothing, passes the zero time, and is recorded
@@ -333,24 +323,6 @@ func NewRuntime() *Runtime {
 // Kernel exposes the underlying kernel instance (helper registration for
 // hook-specific helpers, map registration, clock control).
 func (r *Runtime) Kernel() *kernel.Kernel { return r.kern }
-
-// NewArrayMap registers an eBPF array map under id.
-func (r *Runtime) NewArrayMap(id int32, entries, valueSize int) (*maps.Array, error) {
-	m, err := maps.NewArray(entries, valueSize)
-	if err != nil {
-		return nil, err
-	}
-	return m, r.kern.AddMap(id, m)
-}
-
-// NewHashMap registers an eBPF hash map under id.
-func (r *Runtime) NewHashMap(id int32, maxEntries, keySize, valueSize int) (*maps.Hash, error) {
-	m, err := maps.NewHash(maxEntries, keySize, valueSize)
-	if err != nil {
-		return nil, err
-	}
-	return m, r.kern.AddMap(id, m)
-}
 
 // NewLRUMap registers an eBPF LRU hash map under id.
 func (r *Runtime) NewLRUMap(id int32, capacity, keySize, valueSize int) (*maps.LRU, error) {

@@ -610,7 +610,8 @@ func TestPerfModeSkipsReadGuards(t *testing.T) {
 
 func TestEBPFCompatWithMaps(t *testing.T) {
 	rt := NewRuntime()
-	if _, err := rt.NewArrayMap(1, 16, 8); err != nil {
+	m, err := rt.NewLRUMap(1, 16, 4, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// prog: read map[ctx->a % 16] and return its first u64.
@@ -635,7 +636,6 @@ func TestEBPFCompatWithMaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ext.Close()
-	m, _ := rt.Kernel().Map(1)
 	key := make([]byte, 4)
 	binary.LittleEndian.PutUint32(key, 5)
 	val := make([]byte, 8)
@@ -652,7 +652,7 @@ func TestEBPFCompatWithMaps(t *testing.T) {
 	}
 	res, err = ext.Handle(0).Run(nil, benchCtx(0, 6, 0))
 	if err != nil || res.Ret != 0 {
-		t.Fatalf("empty entry = %#x, %v", res.Ret, err)
+		t.Fatalf("missing key = %#x, %v", res.Ret, err)
 	}
 }
 
