@@ -7,8 +7,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# benchmark/ is a module of its own that `go vet ./...` never sees; it is
+# vetted here too, so a library API change that breaks it fails the gate.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 # Fails when any file (benchmark/ included) is not gofmt-clean, when a
 # result file is committed at the root (a number comes from a benchmark/
@@ -35,7 +38,7 @@ COUNT_LINES = total=0; for d in $$dirs; do \
 # figure here.
 TCB_PKGS = internal/verifier internal/cfg internal/kie internal/compile \
 	internal/vm internal/heap internal/alloc internal/locks
-TCB_BUDGET = 4780
+TCB_BUDGET = 4766
 
 tcb:
 	@dirs="$(TCB_PKGS)"; w=20; $(COUNT_LINES); \

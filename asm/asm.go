@@ -36,17 +36,13 @@ func New() *Builder {
 	return &Builder{labels: make(map[string]int)}
 }
 
-func (b *Builder) fail(format string, args ...any) *Builder {
-	if b.err == nil {
-		b.err = fmt.Errorf(format, args...)
-	}
-	return b
-}
-
 // Label binds name to the next emitted instruction.
 func (b *Builder) Label(name string) *Builder {
 	if _, dup := b.labels[name]; dup {
-		return b.fail("asm: duplicate label %q", name)
+		if b.err == nil {
+			b.err = fmt.Errorf("asm: duplicate label %q", name)
+		}
+		return b
 	}
 	b.labels[name] = len(b.items)
 	return b

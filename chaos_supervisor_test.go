@@ -134,8 +134,8 @@ func runSupervisorScenario(t *testing.T, seed int64) supervisorRun {
 	if s := sup.State(); s != supervisor.Healthy {
 		t.Fatalf("after phase C: state %v, want healthy", s)
 	}
-	if sup.Reloads() != 1 {
-		t.Fatalf("reloads = %d, want 1", sup.Reloads())
+	if sup.Stats().Reloads != 1 {
+		t.Fatalf("reloads = %d, want 1", sup.Stats().Reloads)
 	}
 	if offloadedC < total*9/10 {
 		t.Fatalf("recovered offload fraction %d/%d, want >= 90%%", offloadedC, total)

@@ -65,7 +65,7 @@ func main() {
 	// Head is stored as an extension VA (translate-on-store is off here).
 	must(uv.Store(uv.Base()+uint64(listing1.GlobHead), 8, ext.Heap().TranslateToExt(prev)))
 
-	sock := kflex.NewKernelObject("sock", nil)
+	sock := kflex.NewKernelObject(nil)
 	h := ext.Handle(0)
 
 	// Update key 2 to value 42.

@@ -38,8 +38,6 @@ const (
 // through their destructors (§3.3).
 type KernelObject = kernel.Object
 
-// NewKernelObject creates a kernel object of the given kind with one
-// reference; destroy (optional) runs when the count reaches zero.
-func NewKernelObject(kind string, destroy func()) *KernelObject {
-	return kernel.NewObject(kernel.ObjKind(kind), destroy)
-}
+// NewKernelObject creates a kernel object with one reference; destroy
+// (optional) runs when the count reaches zero.
+func NewKernelObject(destroy func()) *KernelObject { return kernel.NewObject(destroy) }

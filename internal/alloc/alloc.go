@@ -34,9 +34,8 @@ const (
 	ReservedRegion = heap.PageSize
 	// headerSize precedes every block, recording its size class.
 	headerSize = 16
-	// minClass and maxClass bound the size classes (powers of two).
+	// minClass is the smallest size class; classes double from it.
 	minClass = 16
-	maxClass = 4096
 	// runPages is how many pages a fresh size-class run carves.
 	runPages = 4
 	// cacheCap bounds a per-CPU cache per class; half is flushed to the
@@ -66,7 +65,7 @@ func classFor(size uint64) (int, bool) {
 
 func classSize(class int) uint64 { return minClass << class }
 
-// Allocator manages one extension heap. It implements kernel.Allocator.
+// Allocator manages one extension heap (§4.1).
 type Allocator struct {
 	h    *heap.Heap
 	view heap.View
@@ -79,7 +78,6 @@ type Allocator struct {
 	bump       uint64
 	global     [numClasses][]uint64
 	carved     [numClasses]uint64
-	bumpBytes  uint64
 	hugeAllocs uint64
 
 	cpus []cpuCache
@@ -135,7 +133,6 @@ type cpuCache struct {
 type Stats struct {
 	Allocs, Frees   uint64
 	Refills, Spills uint64
-	BumpBytes       uint64
 	HugeAllocs      uint64
 }
 
@@ -215,7 +212,6 @@ func (a *Allocator) Stats() Stats {
 		s.Spills += c.spills.Load()
 	}
 	a.mu.Lock()
-	s.BumpBytes = a.bumpBytes
 	s.HugeAllocs = a.hugeAllocs
 	s.Allocs += a.hugeAllocs
 	a.mu.Unlock()
@@ -303,7 +299,6 @@ func (a *Allocator) carveLocked(class int) []uint64 {
 		return nil
 	}
 	a.bump += runBytes
-	a.bumpBytes += runBytes
 	var out []uint64
 	for off := start; off+bs <= start+runBytes; off += bs {
 		if err := a.writeHeader(off, uint64(class)); err != nil {
@@ -333,7 +328,6 @@ func (a *Allocator) mallocHuge(size uint64) uint64 {
 		return 0
 	}
 	a.bump += bytes
-	a.bumpBytes += bytes
 	a.hugeAllocs++
 	if err := a.writeHeaderHuge(start, pages); err != nil {
 		return 0

@@ -142,8 +142,6 @@ type BMC struct {
 	cache *maps.LRU
 	ext   *kflex.Extension
 	fac   *offload.ReqFactory
-	// Hits and Misses count cache outcomes for reporting.
-	Hits, Misses uint64
 	// Errors counts extension invocations that failed outright; the
 	// request is then served on the user-space path like a miss.
 	Errors uint64
@@ -201,17 +199,14 @@ func (b *BMC) Serve(cpu int, now float64) float64 {
 		// The hook failed outright (e.g. the extension was unloaded):
 		// serve on the user-space path, exactly like a cache miss.
 		b.Errors++
-		b.Misses++
 		return Codec.PathNs(false, false)
 	}
 	extNs := netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls)
 	if res.Ret == kernel.XDPTx { // cache hit, served at the hook
-		b.Hits++
 		return extNs + Codec.PathNs(false, true)
 	}
 	// Miss: full user-space path plus the wasted XDP pass, plus the cache
 	// fill.
-	b.Misses++
 	if v := b.store.Get(key); v != nil {
 		b.fillCache(key, v)
 	}

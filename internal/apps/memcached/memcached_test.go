@@ -129,6 +129,14 @@ func TestBMCHitAndMiss(t *testing.T) {
 	if res.Ret != 2 { // XDP_PASS
 		t.Fatalf("uncached GET ret = %d", res.Ret)
 	}
+	// Served requests, hits and misses alike, never fail on the hook: a
+	// failed run would be charged the user-space path, as a miss.
+	for i := 0; i < 256; i++ {
+		b.Serve(0, 0)
+	}
+	if b.Errors != 0 {
+		t.Fatalf("BMC hook failed %d of 256 requests", b.Errors)
+	}
 }
 
 func TestCoDesignGCWalksSharedTable(t *testing.T) {
@@ -308,6 +316,9 @@ func TestFig2Shape(t *testing.T) {
 			user:  sim.Run(simCfg, user).Throughput,
 			bmc:   sim.Run(simCfg, bmc).Throughput,
 			kflex: sim.Run(simCfg, kf).Throughput,
+		}
+		if bmc.Errors != 0 {
+			t.Errorf("mix %s: BMC hook failed %d requests", mix, bmc.Errors)
 		}
 		rows[mix.String()] = r
 		bmc.Close()

@@ -91,10 +91,8 @@ type CoDesign struct {
 	GCInterval float64
 	nextGC     float64
 	gcEnd      float64
-	// GCRuns and GCEntries count the scans performed and the entries they
-	// visited.
-	GCRuns    uint64
-	GCEntries uint64
+	// GCRuns counts the scans performed.
+	GCRuns uint64
 }
 
 // NewCoDesign loads the lock-protected extension variant with a shared heap.
@@ -160,7 +158,6 @@ func (c *CoDesign) RunGC() (words, entries uint64, err error) {
 		entries++
 	}
 	c.GCRuns++
-	c.GCEntries += entries
 	return words, entries, nil
 }
 

@@ -91,6 +91,14 @@ func TestZAddSystems(t *testing.T) {
 	if err != nil || res.Ret != ds.RetFound || z.off.Out() != 777 {
 		t.Fatalf("lookup = %+v, score %d, %v", res, z.off.Out(), err)
 	}
+	// Served ZADDs never fail on the hook: a failed one would be charged
+	// the user-space path.
+	for i := 0; i < 256; i++ {
+		z.Serve(0, 0)
+	}
+	if z.Errors != 0 {
+		t.Fatalf("ZADD hook failed %d of 256 requests", z.Errors)
+	}
 }
 
 // TestFig4Shape: KFlex-Redis beats KeyDB but by less than Memcached's

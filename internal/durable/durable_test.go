@@ -437,6 +437,67 @@ func TestCorruptSnapshotFallsBackToLog(t *testing.T) {
 	assertMatchesOracle(t, s2, &o)
 }
 
+// TestCorruptNewestSnapshotFallsBackToOlder: a crash between publishing a
+// snapshot and removing the one before it leaves both on the device. When
+// the newer one is then damaged, recovery counts it corrupt, loads the
+// older one, and replays the log from there.
+func TestCorruptNewestSnapshotFallsBackToOlder(t *testing.T) {
+	dir := NewMemDir(nil)
+	s, _ := mustOpen(t, dir, Options{})
+	var o oracle
+	for i := 0; i < 30; i++ {
+		s.Set(key(i), value(i))
+		o.set(key(i), value(i))
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	older, err := dir.Open(snapName(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := older.Size()
+	saved := make([]byte, size)
+	if _, err := older.ReadAt(saved, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 20; i < 40; i++ {
+		s.Set(key(i), value(i+100))
+		o.set(key(i), value(i+100))
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// Put the older snapshot back, as the crash would have left it, then
+	// cut the newer one in half.
+	f, err := dir.Create(snapName(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Append(saved); err != nil || f.Sync() != nil || dir.SyncDir() != nil {
+		t.Fatalf("restoring the older snapshot: %v", err)
+	}
+	newer, err := dir.Open(snapName(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ = newer.Size()
+	if err := newer.Truncate(size / 2); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, info := mustOpen(t, dir, Options{})
+	if info.CorruptSnapshots != 1 || info.SnapshotLoaded != snapName(30) || info.SnapshotSeq != 30 {
+		t.Fatalf("recovery = %+v, want the seq-30 snapshot after 1 corrupt one", info)
+	}
+	if info.Replayed != 20 || s2.Seq() != 50 {
+		t.Fatalf("replayed %d seq=%d on the older snapshot, want 20/50", info.Replayed, s2.Seq())
+	}
+	assertMatchesOracle(t, s2, &o)
+}
+
 func TestCorruptRecordStopsReplayAtTear(t *testing.T) {
 	plan := faultinject.NewPlan(3)
 	dir := NewMemDir(plan)

@@ -199,7 +199,6 @@ type Plan struct {
 	count    map[nthKey]uint64   // occurrences seen per (kind,key)
 	seq      uint64              // total Fire calls while enabled
 	injected uint64
-	max      uint64 // 0 = unlimited
 	events   []Event
 }
 
@@ -243,14 +242,6 @@ func (p *Plan) FailNth(kind Kind, key uint64, n uint64) *Plan {
 	return p
 }
 
-// Limit caps the total number of injected faults; 0 means unlimited.
-func (p *Plan) Limit(n uint64) *Plan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.max = n
-	return p
-}
-
 // Enable arms the plan. Sites consult it only while enabled, so setup
 // traffic (preloads, control frames) runs fault-free.
 func (p *Plan) Enable() { p.enabled.Store(true) }
@@ -286,9 +277,6 @@ func (p *Plan) Fire(kind Kind, key uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.seq++
-	if p.max != 0 && p.injected >= p.max {
-		return false
-	}
 	fire := p.countNth(nthKey{kind, key})
 	if wild := (nthKey{kind, AnyKey}); p.nth[wild] != nil && p.countNth(wild) {
 		fire = true

@@ -86,20 +86,6 @@ func TestDeterministicTrace(t *testing.T) {
 	}
 }
 
-func TestLimitCapsInjection(t *testing.T) {
-	p := NewPlan(3).SetRate(HeapPage, 1.0).Limit(2)
-	p.Enable()
-	n := 0
-	for i := 0; i < 10; i++ {
-		if p.Fire(HeapPage, 0) {
-			n++
-		}
-	}
-	if n != 2 {
-		t.Fatalf("fired %d times, want 2", n)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k := KindNone; k < numKinds; k++ {
 		if k.String() == "" {

@@ -12,6 +12,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"kflex/internal/alloc"
+	"kflex/internal/heap"
+	"kflex/internal/locks"
 )
 
 // ObjKind names a class of kernel object (e.g. "sock").
@@ -28,7 +32,6 @@ func ObjPtr(o *Object) uint64 { return ObjVABase | o.id<<4 }
 // helpers. Destructors run either at the matching release helper or during
 // extension cancellation via the object table (§3.3).
 type Object struct {
-	kind    ObjKind
 	refs    atomic.Int64
 	destroy func()
 	id      uint64
@@ -36,10 +39,10 @@ type Object struct {
 
 var objIDs atomic.Uint64
 
-// NewObject returns an object of the given kind with one reference held by
-// the kernel itself. destroy (optional) runs when the count drops to zero.
-func NewObject(kind ObjKind, destroy func()) *Object {
-	o := &Object{kind: kind, destroy: destroy, id: objIDs.Add(1)}
+// NewObject returns an object with one reference held by the kernel itself.
+// destroy (optional) runs when the count drops to zero.
+func NewObject(destroy func()) *Object {
+	o := &Object{destroy: destroy, id: objIDs.Add(1)}
 	o.refs.Store(1)
 	return o
 }
@@ -111,8 +114,8 @@ const (
 	// RetHeapPtr returns a pointer into the extension heap (or null),
 	// e.g. kflex_malloc.
 	RetHeapPtr
-	// RetMapValue returns a pointer to a map value (or null) of ValSize
-	// bytes.
+	// RetMapValue returns a pointer to a value (or null) of the map
+	// argument.
 	RetMapValue
 )
 
@@ -132,7 +135,6 @@ type Arg struct {
 type Ret struct {
 	Kind    RetKind
 	ObjKind ObjKind // RetAcquiredObj
-	ValSize int     // RetMapValue (0 = size of the map argument's values)
 	NonNull bool    // RetHeapPtr that can never be NULL (kflex_heap_base)
 }
 
@@ -152,17 +154,18 @@ const (
 type HelperCtx struct {
 	// Kernel is the owning kernel instance.
 	Kernel *Kernel
-	// Heap is the extension view of the program's heap; zero View if the
+	// Heap is the extension view of the program's heap; nil if the
 	// program declared no heap.
-	Heap HeapView
+	Heap *heap.View
 	// CPU is the simulated CPU the extension runs on.
 	CPU int
 	// Event is the hook-specific event payload (e.g. a packet).
 	Event any
-	// Alloc provides kflex_malloc/kflex_free; nil without a heap.
-	Alloc Allocator
-	// Lock provides the queue spin-lock operations; nil without a heap.
-	Lock Locker
+	// Alloc provides kflex_malloc/kflex_free (§4.1); nil without a heap.
+	Alloc *alloc.Allocator
+	// Lock provides the queue spin-lock operations (§3.1); nil without a
+	// heap.
+	Lock *locks.Locks
 	// Env is the invocation the helper runs in.
 	Env
 }
@@ -196,31 +199,6 @@ type Env interface {
 	// Cancelled reports whether the invocation has been cancelled;
 	// spinning helpers poll it (§3.4).
 	Cancelled() bool
-}
-
-// HeapView is the subset of heap.View helpers need; declared as an
-// interface to keep package kernel beneath package heap's consumers.
-type HeapView interface {
-	Base() uint64
-}
-
-// Allocator is the KFlex memory allocator interface (§4.1).
-type Allocator interface {
-	// Malloc returns the extension VA of a block of at least size bytes,
-	// or 0 when the heap is exhausted.
-	Malloc(cpu int, size uint64) uint64
-	// Free returns the block at ext VA addr to the allocator.
-	Free(cpu int, addr uint64) error
-}
-
-// Locker provides queue-based spin locks on heap words (§3.1).
-type Locker interface {
-	// Lock acquires the lock at ext VA addr. It returns false if the
-	// acquisition was abandoned because inv — the invocation spinning, an
-	// Env — was cancelled meanwhile.
-	Lock(addr uint64, inv interface{ Cancelled() bool }) bool
-	// Unlock releases the lock at ext VA addr.
-	Unlock(addr uint64) error
 }
 
 // HelperImpl executes a helper. args holds R1–R5.

@@ -1,15 +1,16 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
 
 func TestObjectRefcount(t *testing.T) {
 	destroyed := false
-	o := NewObject("sock", func() { destroyed = true })
-	if o.kind != "sock" || o.Refs() != 1 {
-		t.Fatalf("new object: kind=%q refs=%d", o.kind, o.Refs())
+	o := NewObject(func() { destroyed = true })
+	if o.Refs() != 1 {
+		t.Fatalf("new object: refs=%d", o.Refs())
 	}
 	o.Get()
 	if o.Refs() != 2 {
@@ -26,7 +27,7 @@ func TestObjectRefcount(t *testing.T) {
 }
 
 func TestObjectUnderflowPanics(t *testing.T) {
-	o := NewObject("sock", nil)
+	o := NewObject(nil)
 	o.Put()
 	defer func() {
 		if recover() == nil {
@@ -37,7 +38,7 @@ func TestObjectUnderflowPanics(t *testing.T) {
 }
 
 func TestObjPtrUnique(t *testing.T) {
-	a, b := NewObject("sock", nil), NewObject("sock", nil)
+	a, b := NewObject(nil), NewObject(nil)
 	if ObjPtr(a) == ObjPtr(b) {
 		t.Fatal("object pointers collide")
 	}
@@ -244,10 +245,24 @@ func (e *fakeEvent) LookupUDP(tuple []byte) *Object {
 	return nil
 }
 
+// TestRuntimeHelpersWithoutHeap: a program that declared no heap gets a
+// HelperCtx whose Heap, Alloc and Lock are nil, and every KFlex runtime
+// helper that needs one of them fails with ErrNoHeap.
+func TestRuntimeHelpersWithoutHeap(t *testing.T) {
+	k := New()
+	hc, _ := helperEnv(k)
+	for _, id := range []int32{HelperKflexMalloc, HelperKflexFree, HelperKflexSpinLock, HelperKflexSpinUnlock, HelperKflexHeapBase} {
+		spec, _ := k.Helpers.Lookup(id)
+		if _, err := spec.Impl(hc, [5]uint64{64}); !errors.Is(err, ErrNoHeap) {
+			t.Errorf("%s without a heap: err = %v, want ErrNoHeap", spec.Name, err)
+		}
+	}
+}
+
 func TestSkLookupAndRelease(t *testing.T) {
 	k := New()
 	hc, mem := helperEnv(k)
-	sock := NewObject("sock", nil)
+	sock := NewObject(nil)
 	hc.Event = &fakeEvent{sock: sock}
 	mem[0x300] = make([]byte, 12)
 

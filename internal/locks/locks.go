@@ -20,11 +20,8 @@ import (
 	"kflex/internal/heap"
 )
 
-// LockSize is the bytes a lock occupies in the heap (8-byte aligned).
-const LockSize = 8
-
-// Locks provides spin-lock operations over one heap mapping. It implements
-// kernel.Locker when constructed over the extension view.
+// Locks provides queue-based spin locks on the words of one heap mapping
+// (§3.1); the spin-lock helpers use the one over the extension view.
 type Locks struct {
 	view heap.View
 
@@ -175,9 +172,6 @@ func (l *Locks) lockOff(addr uint64) uint64 {
 
 // --- Time-slice extension (§3.4, §4.4) ---------------------------------------
 
-// DefaultGrace is the paper's 50 µs time-slice extension.
-const DefaultGrace = 50 * time.Microsecond
-
 // RSeq models the rseq-region critical-section counter (§4.4): user-space
 // lock acquire/release increment and decrement it, correctly accounting for
 // nested locks.
@@ -211,8 +205,8 @@ func (r *RSeq) Preempted() bool { return r.preempted.Load() }
 // RequestPreempt simulates the scheduler wanting to preempt the thread: if
 // it is inside a critical section it receives up to grace extra time; if the
 // section has not completed by then, the thread is forcibly preempted
-// (§4.4) and true is returned. poll is invoked while waiting (nil = sleep).
-func (r *RSeq) RequestPreempt(grace time.Duration, poll func()) (forced bool) {
+// (§4.4) and true is returned.
+func (r *RSeq) RequestPreempt(grace time.Duration) (forced bool) {
 	if !r.InCS() {
 		return false
 	}
@@ -222,11 +216,7 @@ func (r *RSeq) RequestPreempt(grace time.Duration, poll func()) (forced bool) {
 		if !r.InCS() {
 			return false // cooperative: finished within the extension
 		}
-		if poll != nil {
-			poll()
-		} else {
-			time.Sleep(grace / 16)
-		}
+		time.Sleep(grace / 16)
 	}
 	if r.InCS() {
 		r.Expired.Add(1)

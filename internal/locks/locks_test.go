@@ -240,7 +240,7 @@ func TestAbandonedTicketsPerHeap(t *testing.T) {
 func TestRSeqTimeSlice(t *testing.T) {
 	var r RSeq
 	// Not in a critical section: no grace needed.
-	if r.RequestPreempt(time.Millisecond, nil) {
+	if r.RequestPreempt(time.Millisecond) {
 		t.Fatal("preempted an idle thread")
 	}
 	// Cooperative: leaves the critical section within the grace.
@@ -249,7 +249,7 @@ func TestRSeqTimeSlice(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		r.Leave()
 	}()
-	if r.RequestPreempt(200*time.Millisecond, nil) {
+	if r.RequestPreempt(200 * time.Millisecond) {
 		t.Fatal("cooperative thread was force-preempted")
 	}
 	if r.Granted.Load() != 1 || r.Expired.Load() != 0 {
@@ -263,7 +263,7 @@ func TestRSeqTimeSlice(t *testing.T) {
 		t.Fatal("nested CS lost")
 	}
 	// Non-cooperative: grace expires, forced preemption.
-	if !r.RequestPreempt(2*time.Millisecond, nil) {
+	if !r.RequestPreempt(2 * time.Millisecond) {
 		t.Fatal("non-cooperative thread not preempted")
 	}
 	if !r.Preempted() || r.Expired.Load() != 1 {

@@ -28,7 +28,7 @@ func TestPathCompositionOrdering(t *testing.T) {
 }
 
 func TestPacketInterfaces(t *testing.T) {
-	sock := kernel.NewObject("sock", nil)
+	sock := kernel.NewObject(nil)
 	p := &Packet{Data: []byte("hello"), Sock: sock}
 	copy(p.Tuple[:], "tuple-bytes!")
 	if string(p.PacketData()) != "hello" {

@@ -30,8 +30,10 @@ import (
 	"math/bits"
 
 	"kflex/insn"
+	"kflex/internal/alloc"
 	"kflex/internal/heap"
 	"kflex/internal/kernel"
+	"kflex/internal/locks"
 )
 
 // The extension-visible address windows outside the heap. Programs see
@@ -84,8 +86,8 @@ type Config struct {
 	// Heap is nil for an eBPF-mode program; Alloc and Lock back the
 	// allocator and spin-lock helpers over it.
 	Heap  *heap.Heap
-	Alloc kernel.Allocator
-	Lock  kernel.Locker
+	Alloc *alloc.Allocator
+	Lock  *locks.Locks
 	CPU   int
 	// Quantum bounds an invocation's instructions (0: unbounded);
 	// Threshold is the cancellation count that retires the extension.
@@ -135,7 +137,7 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.view = h.ExtView()
-		m.hc.Heap, m.hc.Alloc, m.hc.Lock = m.view, cfg.Alloc, cfg.Lock
+		m.hc.Heap, m.hc.Alloc, m.hc.Lock = &m.view, cfg.Alloc, cfg.Lock
 	}
 	if cfg.Callback != nil {
 		m.cb = &Machine{cfg: Config{Prog: cfg.Callback, Hook: cfg.Hook, Kernel: cfg.Kernel, CPU: cfg.CPU}}

@@ -457,7 +457,7 @@ func (s *Supervisor) run(ctx context.Context, cpu int, event any, hctx []byte) (
 				// Lowered around the quarantine, which drains these counters
 				// and must not wait on its own caller.
 				slot.inflight.Add(-1)
-				s.quarantineOn(g.Gen, "cancel threshold")
+				s.quarantineOn(g.Gen)
 				slot.inflight.Add(1)
 			}
 			slot.inflight.Add(-1)
@@ -518,18 +518,18 @@ func retiredOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
 	return res.Cancelled != kflex.CancelNone && h.Extension().Unloaded()
 }
 
-// quarantineOn quarantines generation gen if it is still the live,
-// Healthy generation; stale outcomes from a previous generation are
-// ignored so an in-flight run on an old heap can't re-open a circuit the
-// supervisor already cycled.
-func (s *Supervisor) quarantineOn(gen uint64, reason string) {
+// quarantineOn quarantines generation gen, which reached its cancel
+// threshold, if it is still the live, Healthy generation; stale outcomes
+// from a previous generation are ignored so an in-flight run on an old heap
+// can't re-open a circuit the supervisor already cycled.
+func (s *Supervisor) quarantineOn(gen uint64) {
 	s.mu.Lock()
 	if gen != s.cur.Gen || s.state != Healthy {
 		s.mu.Unlock()
 		return
 	}
-	s.record(Healthy, Degraded, reason)
-	s.quarantineUnlock("heap quarantined after " + reason)
+	s.record(Healthy, Degraded, "cancel threshold")
+	s.quarantineUnlock("heap quarantined after cancel threshold")
 }
 
 // settleProbe accounts the outcome of one half-open probe.
@@ -595,13 +595,6 @@ func (s *Supervisor) Gen() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cur.Gen
-}
-
-// Reloads returns how many successful reloads have happened.
-func (s *Supervisor) Reloads() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.Reloads
 }
 
 // Stats returns a copy of the cumulative lifecycle counters.

@@ -80,7 +80,7 @@ func TestParallelRunDuringLifecycle(t *testing.T) {
 		Label("nosock").
 		Ret(0).
 		MustAssemble()
-	sock := kernel.NewObject("sock", nil)
+	sock := kernel.NewObject(nil)
 	sup, err := supervisor.New(supervisor.Config{
 		Runtime: rt,
 		Spec:    spec,
@@ -182,7 +182,7 @@ func TestParallelRunDuringLifecycle(t *testing.T) {
 
 	// The lifecycle must have actually cycled under load: at least one
 	// reload (quarantine → probe), with a coherent trace and audits.
-	if sup.Reloads() == 0 {
+	if sup.Stats().Reloads == 0 {
 		t.Fatalf("no reloads occurred; trace = %+v", sup.Trace())
 	}
 	if len(sup.Audits()) == 0 {
@@ -471,7 +471,7 @@ func TestConcurrentQuarantineDrainsBeforeAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sup.Close)
-	sock := kernel.NewObject("sock", nil)
+	sock := kernel.NewObject(nil)
 	ctx := [2][]byte{make([]byte, kflex.HookXDP.CtxSize), make([]byte, kflex.HookXDP.CtxSize)}
 
 	park.Store(true)

@@ -83,8 +83,8 @@ func TestHealthyRun(t *testing.T) {
 	if s := sup.State(); s != supervisor.Healthy {
 		t.Fatalf("state = %v, want healthy", s)
 	}
-	if sup.Gen() != 0 || sup.Reloads() != 0 || len(sup.Trace()) != 0 {
-		t.Fatalf("fresh supervisor gen=%d reloads=%d trace=%d", sup.Gen(), sup.Reloads(), len(sup.Trace()))
+	if sup.Gen() != 0 || sup.Stats().Reloads != 0 || len(sup.Trace()) != 0 {
+		t.Fatalf("fresh supervisor gen=%d reloads=%d trace=%d", sup.Gen(), sup.Stats().Reloads, len(sup.Trace()))
 	}
 	st := sup.Stats()
 	if st.Reloads != 0 || st.Quarantines != 0 || st.WarmReloads != 0 {
@@ -168,8 +168,8 @@ func TestReloadCompileCache(t *testing.T) {
 	if _, err := sup.Run(0, nil, ctx); err != nil {
 		t.Fatalf("probe run after reload: %v", err)
 	}
-	if sup.Gen() != 1 || sup.Reloads() != 1 {
-		t.Fatalf("after reload: gen=%d reloads=%d, want 1/1", sup.Gen(), sup.Reloads())
+	if sup.Gen() != 1 || sup.Stats().Reloads != 1 {
+		t.Fatalf("after reload: gen=%d reloads=%d, want 1/1", sup.Gen(), sup.Stats().Reloads)
 	}
 	if inits != 2 {
 		t.Fatalf("Init ran %d times, want 2 (durable replay must run on reload too)", inits)
@@ -262,8 +262,8 @@ func TestRequarantineOnProbeFailure(t *testing.T) {
 		if s := sup.State(); s != supervisor.Quarantined {
 			t.Fatalf("state after failed probe %d = %v, want quarantined", attempt, s)
 		}
-		if sup.Reloads() != uint64(attempt) || sup.Gen() != uint64(attempt) {
-			t.Fatalf("after probe %d: reloads=%d gen=%d", attempt, sup.Reloads(), sup.Gen())
+		if sup.Stats().Reloads != uint64(attempt) || sup.Gen() != uint64(attempt) {
+			t.Fatalf("after probe %d: reloads=%d gen=%d", attempt, sup.Stats().Reloads, sup.Gen())
 		}
 	}
 	// The trace must show escalating backoff tiers on each re-quarantine.

@@ -175,8 +175,8 @@ func TestCloseIsTerminal(t *testing.T) {
 	if s := sup.State(); s != supervisor.Quarantined {
 		t.Errorf("state after Close = %v, want quarantined", s)
 	}
-	if sup.Reloads() != 0 || sup.Gen() != 0 || inits != 1 {
-		t.Errorf("reloads=%d gen=%d inits=%d after Close, want 0/0/1: a closed supervisor must not resurrect itself", sup.Reloads(), sup.Gen(), inits)
+	if sup.Stats().Reloads != 0 || sup.Gen() != 0 || inits != 1 {
+		t.Errorf("reloads=%d gen=%d inits=%d after Close, want 0/0/1: a closed supervisor must not resurrect itself", sup.Stats().Reloads, sup.Gen(), inits)
 	}
 	if sup.Quarantine("again") {
 		t.Error("Quarantine acted on a closed supervisor")

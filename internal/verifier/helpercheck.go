@@ -192,15 +192,11 @@ func (v *verifier) stepCall(idx int, ins insn.Instruction, st *state) error {
 	case kernel.RetHeapPtr:
 		st.Regs[insn.R0] = RegState{Type: TypeHeap, MaybeNull: !spec.Ret.NonNull}
 	case kernel.RetMapValue:
-		size := int64(spec.Ret.ValSize)
-		if size == 0 {
-			if m == nil {
-				return &Error{Insn: idx, Msg: fmt.Sprintf(
-					"%s returns a map value but takes no map", spec.Name)}
-			}
-			size = int64(m.ValueSize())
+		if m == nil {
+			return &Error{Insn: idx, Msg: fmt.Sprintf(
+				"%s returns a map value but takes no map", spec.Name)}
 		}
-		st.Regs[insn.R0] = RegState{Type: TypeMapValue, ValSize: size, MaybeNull: true}
+		st.Regs[insn.R0] = RegState{Type: TypeMapValue, ValSize: int64(m.ValueSize()), MaybeNull: true}
 	default:
 		st.Regs[insn.R0] = unknownScalar()
 	}

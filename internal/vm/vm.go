@@ -21,10 +21,12 @@ import (
 	"sync/atomic"
 
 	"kflex/insn"
+	"kflex/internal/alloc"
 	"kflex/internal/compile"
 	"kflex/internal/faultinject"
 	"kflex/internal/heap"
 	"kflex/internal/kernel"
+	"kflex/internal/locks"
 )
 
 // Synthetic address-space windows for non-heap memory visible to extensions.
@@ -125,9 +127,9 @@ type Options struct {
 	// Heap is the extension heap; nil for eBPF-compat programs.
 	Heap *heap.Heap
 	// Alloc backs kflex_malloc/kflex_free.
-	Alloc kernel.Allocator
+	Alloc *alloc.Allocator
 	// Lock backs the spin-lock helpers.
-	Lock kernel.Locker
+	Lock *locks.Locks
 	// QuantumInsns bounds one invocation's instruction count; exceeding
 	// it makes the next terminate probe fault. Zero disables the
 	// deterministic quantum (the wall-clock watchdog remains available

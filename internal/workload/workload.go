@@ -133,12 +133,6 @@ func (g *Generator) Next() Request {
 	return req
 }
 
-// Sizes carries the key/value byte sizes of the experiment (§5: 32 B keys;
-// 64 B values by default, 32 B when comparing against BMC).
-type Sizes struct {
-	Key, Value int
-}
-
 // FormatKey renders key as a fixed-width ASCII key of the given size.
 func FormatKey(key uint64, size int) []byte {
 	b := make([]byte, size)

@@ -254,7 +254,7 @@ func TestCancellationReleasesKernelObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ext.Close()
-	sock := kernel.NewObject("sock", nil)
+	sock := kernel.NewObject(nil)
 	res, err := ext.Handle(0).Run(&sockEvent{sock: sock}, make([]byte, HookXDP.CtxSize))
 	if err != nil {
 		t.Fatal(err)

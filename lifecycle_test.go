@@ -88,7 +88,7 @@ func TestRunContextDeadlineMidRun(t *testing.T) {
 	}
 	defer ext.Close()
 	h := ext.Handle(0)
-	sock := kernel.NewObject("sock", nil)
+	sock := kernel.NewObject(nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

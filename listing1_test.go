@@ -66,7 +66,7 @@ func TestListing1EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sock := kflex.NewKernelObject("sock", nil)
+	sock := kflex.NewKernelObject(nil)
 	h := ext.Handle(0)
 
 	// Update key 1 -> 42; the socket is acquired and released.
