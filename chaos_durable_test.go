@@ -54,12 +54,15 @@ func (o *durableOracle) checkPrefix(t *testing.T, st *durable.Store) {
 }
 
 type durableRun struct {
-	hash      uint64
-	seq       uint64
-	info      durable.RecoveryInfo
-	stats     supervisor.Stats
-	offloaded uint64
-	fallbacks uint64
+	hash uint64
+	seq  uint64
+	// recoveredSeq is the store's sequence right after recovery, before
+	// the second deployment writes to it.
+	recoveredSeq uint64
+	info         durable.RecoveryInfo
+	stats        supervisor.Stats
+	offloaded    uint64
+	fallbacks    uint64
 	// The same counters for the deployment stood up on the recovered
 	// store.
 	stats2                 supervisor.Stats
@@ -176,6 +179,7 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer re.Close()
+	recoveredSeq := re.Seq()
 	oracle.checkPrefix(t, re)
 	if re.Seq() == 0 {
 		t.Fatal("crash recovery lost the entire history")
@@ -213,15 +217,16 @@ func runDurableScenario(t *testing.T, seed int64) durableRun {
 	}
 
 	return durableRun{
-		hash:       re.Hash(),
-		seq:        re.Seq(),
-		info:       info,
-		stats:      sup.Stats(),
-		offloaded:  mc.Offloaded,
-		fallbacks:  mc.Fallbacks,
-		stats2:     mc2.Supervisor().Stats(),
-		offloaded2: mc2.Offloaded,
-		fallbacks2: mc2.Fallbacks,
+		hash:         re.Hash(),
+		seq:          re.Seq(),
+		recoveredSeq: recoveredSeq,
+		info:         info,
+		stats:        sup.Stats(),
+		offloaded:    mc.Offloaded,
+		fallbacks:    mc.Fallbacks,
+		stats2:       mc2.Supervisor().Stats(),
+		offloaded2:   mc2.Offloaded,
+		fallbacks2:   mc2.Fallbacks,
 	}
 }
 
@@ -245,8 +250,8 @@ func TestChaosDurableDeterminism(t *testing.T) {
 	if a.hash != b.hash || a.seq != b.seq {
 		t.Fatalf("recovered stores diverged: %#x/%d vs %#x/%d", a.hash, a.seq, b.hash, b.seq)
 	}
-	if a.info != b.info {
-		t.Fatalf("recovery info diverged:\n%+v\n%+v", a.info, b.info)
+	if a.info != b.info || a.recoveredSeq != b.recoveredSeq {
+		t.Fatalf("recovery diverged:\n%+v seq %d\n%+v seq %d", a.info, a.recoveredSeq, b.info, b.recoveredSeq)
 	}
 	if a.stats != b.stats {
 		t.Fatalf("lifecycle stats diverged:\n%+v\n%+v", a.stats, b.stats)

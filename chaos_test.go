@@ -39,7 +39,7 @@ func chaosPlan(seed int64) *faultinject.Plan {
 // checkInvariants asserts the post-recovery state the paper guarantees.
 func checkInvariants(t *testing.T, ext *kflex.Extension, lockAddrs ...uint64) {
 	t.Helper()
-	// No leaked heap pages: page 0 holds the terminate word; every other
+	// No leaked heap pages: page 0 holds the globals; every other
 	// populated page was handed out by the allocator's bump region.
 	want := ext.Alloc().ExpectedPopulatedPages()
 	if got := ext.Heap().PopulatedPages(); got != want {

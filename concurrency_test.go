@@ -128,10 +128,10 @@ func TestHandleStableAcrossLookups(t *testing.T) {
 
 // TestWatchdogCancelsEachStalledCPU: a stall on any CPU is cancelled, and by
 // the watchdog — each run must have outlived its quantum — without touching
-// the next CPU's run (the first firing used to poison the program's
-// terminate word, and the runs on cpus 1 and 2 "passed" by faulting at their
-// first probe). The handles are first resolved after StartWatchdog, which
-// once left them unmonitored; every context exists from Load now.
+// the next CPU's run (the first firing used to stop the whole program, and
+// the runs on cpus 1 and 2 "passed" by cancelling at their first probe).
+// The handles are first resolved after StartWatchdog, which once left them
+// unmonitored; every context exists from Load now.
 func TestWatchdogCancelsEachStalledCPU(t *testing.T) {
 	const quantum = 20 * time.Millisecond
 	rt := NewRuntime()
@@ -415,5 +415,104 @@ func TestConcurrentCancelLeavesNoLock(t *testing.T) {
 		if refs, held := ext.AuditHeld(); refs != 0 || held != 0 {
 			t.Fatalf("round %d: audit = %d refs, %d locks, want 0, 0", round, refs, held)
 		}
+	}
+}
+
+// TestLockSpinCancel: CPU 0 takes the lock at GlobalsOff+64 and waits in
+// the arrival helper holding it; CPU 1 queues behind it in kflex_spin_lock.
+// Either stop a lock spin polls — CPU 1's caller context ending, as at a
+// deadline, or retirement — ends CPU 1's wait with a lock-spin
+// cancellation. CPU 0, let go, then unwinds at a probe and releases the
+// lock; nothing is left held.
+func TestLockSpinCancel(t *testing.T) {
+	rt := NewRuntime()
+	var arrived atomic.Uint64
+	var hold chan struct{}
+	rt.Kernel().Helpers.MustRegister(&kernel.HelperSpec{
+		ID:   helperArrive,
+		Name: "test_arrive",
+		Ret:  kernel.Ret{Kind: kernel.RetScalar},
+		Impl: func(*kernel.HelperCtx, [5]uint64) (uint64, error) {
+			arrived.Add(1)
+			<-hold
+			return 0, nil
+		},
+	})
+	for _, unload := range []bool{false, true} {
+		name := map[bool]string{false: "deadline", true: "unload"}[unload]
+		t.Run(name, func(t *testing.T) {
+			arrived.Store(0)
+			hold = make(chan struct{})
+			ext, err := rt.Load(Spec{
+				Name:            "lock-spin-" + name,
+				Insns:           lockAndSpin(),
+				Hook:            HookBench,
+				Mode:            ModeKFlex,
+				HeapSize:        1 << 16,
+				NumCPUs:         2,
+				CancelThreshold: CancelNever,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ext.Close()
+			results := make([]chan Result, 2)
+			start := func(cpu int, ctx context.Context) {
+				results[cpu] = make(chan Result, 1)
+				go func() {
+					// ctx.a = 0 on both CPUs: one lock.
+					res, err := ext.Handle(cpu).RunContext(ctx, nil, make([]byte, HookBench.CtxSize))
+					if err != nil {
+						t.Errorf("cpu %d: %v", cpu, err)
+					}
+					results[cpu] <- res
+				}()
+			}
+			ctx0, cancel0 := context.WithCancel(context.Background())
+			defer cancel0()
+			ctx1, cancel1 := context.WithCancel(context.Background())
+			defer cancel1()
+			start(0, ctx0)
+			for arrived.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			start(1, ctx1)
+			lock := ext.Heap().ExtBase() + GlobalsOff + 64
+			view := ext.Heap().ExtView()
+			for {
+				next, err := view.AtomicLoad(lock+4, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next == 2 {
+					break // CPU 1 holds ticket 1 and spins
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if unload {
+				ext.Unload()
+			} else {
+				cancel1()
+			}
+			if res := <-results[1]; res.Cancelled != CancelLock {
+				t.Fatalf("cpu 1: cancelled = %v, want lock-spin", res.Cancelled)
+			}
+			close(hold)
+			if !unload {
+				cancel0()
+			}
+			if res := <-results[0]; res.Cancelled != CancelTerminate {
+				t.Fatalf("cpu 0: cancelled = %v, want terminate-probe", res.Cancelled)
+			}
+			if n := arrived.Load(); n != 1 {
+				t.Fatalf("%d invocations took the lock, want cpu 0 alone", n)
+			}
+			if ext.ExtLocks().Held(lock) {
+				t.Fatal("lock still held after both invocations unwound")
+			}
+			if refs, held := ext.AuditHeld(); refs != 0 || held != 0 {
+				t.Fatalf("audit = %d refs, %d locks, want 0, 0", refs, held)
+			}
+		})
 	}
 }

@@ -252,6 +252,43 @@ func TestDifferentialQuantumCancel(t *testing.T) {
 	}
 }
 
+// TestDifferentialClosedHeap runs a loop bounded by ctx.a, so the verifier
+// cannot bound it and every iteration crosses a probe, followed by the
+// program's first heap access, with both heaps closed before the run. A
+// probe reads the stop rule, not the heap, so both tiers pass the probes and
+// report a heap fault at the access.
+func TestDifferentialClosedHeap(t *testing.T) {
+	prog := asm.New().
+		Load(insn.R4, insn.R1, 8, 8).
+		Label("loop").
+		Add(insn.R4, -1).
+		JmpImm(insn.JmpNe, insn.R4, 0, "loop").
+		Call(kernel.HelperKflexHeapBase).
+		Load(insn.R0, insn.R0, 64, 8).
+		Exit().
+		MustAssemble()
+	p := loadPair(t, kflex.Spec{
+		Name: "closed-heap", Insns: prog, Hook: kflex.HookBench, Mode: kflex.ModeKFlex,
+		HeapSize: 1 << 16, CancelThreshold: kflex.CancelNever,
+	})
+	access := -1
+	for pc, ins := range p.lowered.Report().Prog {
+		if want := insn.LoadMem(insn.R0, insn.R0, 64, 8); ins.Op == want.Op && ins.Off == want.Off {
+			access = pc
+		}
+	}
+	p.lowered.Heap().Close()
+	p.refExt.Heap().Close()
+	binary.LittleEndian.PutUint64(p.ctxR[8:], 10)
+	binary.LittleEndian.PutUint64(p.ctxL[8:], 10)
+	rr, errR := p.ref.Run(nil, p.ctxR)
+	rl, errL := p.hl.Run(nil, p.ctxL)
+	sameAsRef(t, "closed heap", rr, errR, rl, errL)
+	if errL != nil || rl.Cancelled != kflex.CancelFault || rl.Abort.PC != access || rl.Stats.Probes == 0 {
+		t.Fatalf("closed heap: (%+v, %v), want heap-fault at insn %d after the probes", rl, errL, access)
+	}
+}
+
 // TestDifferentialMapAtomics runs a 4-byte compare-and-exchange on a map
 // value whose expected value in R0 has its upper half set: the comparison is
 // as wide as the access, so it succeeds, on a map value as in the heap.

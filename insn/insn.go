@@ -135,9 +135,10 @@ const (
 	// OpGuardRd is the read-access variant of OpGuard; Kie does not emit it
 	// for a program loaded in performance mode (§3.2).
 	OpGuardRd Opcode = ClassALU64 | 0xe0 | SrcX
-	// OpProbe performs the *terminate heap access inserted at the back
-	// edge of unbounded loops (§3.3). Imm carries the cancellation-point
-	// ID so a fault can be attributed to its object table.
+	// OpProbe is the *terminate probe inserted at the back edge of
+	// unbounded loops (§3.3): the VM checks the invocation's stop rule.
+	// Imm carries the cancellation-point ID so a fault can be attributed to
+	// its object table.
 	OpProbe Opcode = ClassALU64 | 0xf0 | SrcK
 	// OpXlat translates the extension-VA heap pointer in Dst into the
 	// user-space mapping's VA prior to a store (translate-on-store, §3.4).
@@ -334,7 +335,7 @@ func Guard(r Reg) Instruction { return Instruction{Op: OpGuard, Dst: r} }
 // GuardRd returns Kie's read-path sanitization of register r.
 func GuardRd(r Reg) Instruction { return Instruction{Op: OpGuardRd, Dst: r} }
 
-// Probe returns the terminate-word access for cancellation point cp.
+// Probe returns the terminate probe for cancellation point cp.
 func Probe(cp int32) Instruction { return Instruction{Op: OpProbe, Imm: cp} }
 
 // Xlat returns translate-on-store of the heap pointer in r.

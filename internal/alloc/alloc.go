@@ -30,7 +30,7 @@ import (
 
 const (
 	// ReservedRegion is the start of allocatable space: the first page
-	// holds the terminate word and extension globals.
+	// holds the extension globals.
 	ReservedRegion = heap.PageSize
 	// headerSize precedes every block, recording its size class.
 	headerSize = 16

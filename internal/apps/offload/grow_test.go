@@ -191,7 +191,7 @@ func audit(t *testing.T, ext *kflex.Extension) {
 // unlink, link and Redo stores among them — leaves every key findable in
 // exactly one node, and the next invocation is served and leaves a heap the
 // supervisor's audit passes. A heap-guard fault at the n-th heap access of
-// the SET reaches each of them (a probe loads the terminate word); n is
+// the SET reaches each of them (a probe draws one at heap offset 0); n is
 // swept from the step's first access until the step is left. Two steps
 // are swept: the first after a doubling, and the one that retires the old
 // array. One codec, as bulk-cancel: the step is the same bytecode under

@@ -506,7 +506,7 @@ func TestFusedProbeQuantum(t *testing.T) {
 // store then load back through guarded heap pointers.
 func TestFusedGuardLoadRuns(t *testing.T) {
 	prog := []insn.Instruction{
-		insn.Mov64Imm(insn.R1, 0), // terminate word page is populated
+		insn.Mov64Imm(insn.R1, 0), // page 0 is populated at load
 		insn.Guard(insn.R1),
 		insn.StoreImm(insn.R1, 8, 4242, 8),
 		insn.Mov64Imm(insn.R2, 0),

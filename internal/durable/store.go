@@ -78,9 +78,9 @@ type RecoveryInfo struct {
 	// tear.
 	TornBytes         int64
 	DiscardedSegments int
-	// Keys is the recovered key count; Seq the recovered sequence.
+	// Keys is the recovered key count (Store.Seq is the recovered
+	// sequence).
 	Keys int
-	Seq  uint64
 }
 
 // Store is a durable key/value store: an in-memory table (table.go) backed
@@ -164,7 +164,6 @@ func Open(dir Dir, opts Options) (*Store, RecoveryInfo, error) {
 	info.TornBytes = res.tornBytes
 	info.DiscardedSegments = res.discarded
 	info.Keys = s.tab.live
-	info.Seq = s.seq
 
 	log, err := openWAL(dir, opts.SegmentBytes)
 	if err != nil {

@@ -9,7 +9,7 @@
 // A Plan is attached per runtime (kflex.Spec.FaultPlan) and threaded to
 // every failure-prone layer: extension heaps (forced guard-zone faults,
 // demand-paging failures), the memory allocator (per-size-class allocation
-// failures), the VM (helper-call errors, terminate-word invalidation at
+// failures), the VM (helper-call errors, terminate-probe cancellations at
 // chosen cancellation points), spin locks (contention delays, abandoned
 // acquisitions), and the watchdog (forced firings).
 //
@@ -48,8 +48,9 @@ const (
 	// interface can reject extension requests at runtime). The fire key
 	// is the helper ID.
 	HelperErr
-	// Terminate simulates terminate-word invalidation observed at a
-	// cancellation point (§3.3). The fire key is the CP identifier.
+	// Terminate cancels the invocation at a terminate probe, as a
+	// retirement observed there would (§3.3). The fire key is the CP
+	// identifier.
 	Terminate
 	// LockDelay inserts extra contention delay while spinning on a queue
 	// lock (§3.4: waiters behind preempted user threads stall).

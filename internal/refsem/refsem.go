@@ -11,8 +11,8 @@
 //     heap, touches a page PageMapped reports unpopulated, or the heap is
 //     closed (class-2 cancellation points, §3.3);
 //   - a terminate probe counts itself, then fails once the invocation has
-//     retired more instructions than its quantum, or the terminate word is
-//     gone (no heap, or a closed one: class-1 points, §3.3);
+//     retired more instructions than its quantum (class-1 points, §3.3);
+//     lock spins poll the same rule;
 //   - a cancellation releases spin locks, then kernel objects, last first,
 //     counts itself, retires the extension at the threshold, and returns
 //     the hook's default code as the callback adjusts it (§3.3, §4.3);
@@ -127,8 +127,8 @@ type abort struct {
 
 func (a *abort) Error() string { return fmt.Sprintf("refsem: %s at insn %d", a.kind, a.pc) }
 
-// New loads cfg. With a heap it maps the page of the terminate word, heap
-// offset 0, as the runtime does at load (§3.3).
+// New loads cfg. With a heap it maps page 0, which holds the globals, as
+// the runtime does at load.
 func New(cfg Config) (*Machine, error) {
 	m := &Machine{cfg: cfg}
 	m.hc = kernel.HelperCtx{Kernel: cfg.Kernel, CPU: cfg.CPU, Env: m}
@@ -287,8 +287,7 @@ func (m *Machine) guard(v uint64, user bool) uint64 {
 // probe is a terminate probe at pc.
 func (m *Machine) probe(pc int) error {
 	m.stats.Probes++
-	q := m.cfg.Quantum
-	if q > 0 && m.stats.Insns > q || m.cfg.Heap == nil || m.cfg.Heap.Closed() {
+	if m.Cancelled() {
 		return &abort{Terminate, pc}
 	}
 	return nil
@@ -602,11 +601,10 @@ func (m *Machine) PinValue(val []byte) uint64 {
 	return pinVA + uint64(len(m.pins)-1)*pinStride
 }
 
-// Cancelled implements kernel.Env: what a probe would observe now, save
-// that a closed heap is a probe's concern alone.
+// Cancelled implements kernel.Env: the stop rule of probes and lock spins.
 func (m *Machine) Cancelled() bool {
 	q := m.cfg.Quantum
-	return m.cfg.Heap == nil || q > 0 && m.stats.Insns > q
+	return q > 0 && m.stats.Insns > q
 }
 
 // Read implements kernel.Env. A heap span copies its accessible prefix and

@@ -510,7 +510,7 @@ func (s *Supervisor) runUnpublished(ctx context.Context, cpu int, event any, hct
 // generation's extension is retired, whatever policy retired it: the runtime
 // already returns the fallback error, or this run was cancelled and the
 // extension is unloaded (its own cancellation reached the threshold, or a
-// sibling's did and the terminate word reached this one).
+// sibling's did and its retirement reached this one).
 func retiredOutcome(res kflex.Result, err error, h *kflex.Handle) bool {
 	if err != nil {
 		return errors.Is(err, kflex.ErrFallback)

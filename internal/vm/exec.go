@@ -92,26 +92,17 @@ func (e *Exec) callResolved(pc int, spec *kernel.HelperSpec, helperID uint64) er
 }
 
 // probeCheck is the terminate-probe sequence (a standalone probe, or the
-// probe half of a probe+branch cluster): count the probe, then
-// observe — in order — quantum expiry, a cancel request naming this
-// invocation, an injected terminate fault keyed by the CP id, and finally
-// the terminate word itself, which only Program.Unload invalidates. A
-// non-nil return is the abort, attributed to the probe's instrumented PC.
+// probe half of a probe+branch cluster): count the probe, then abort if
+// Cancelled. A fault plan then draws Terminate at the CP id and HeapGuard at
+// TerminateWordOff, in that order: the draws a load of a terminate word
+// would make. They stay so seeded fault traces keep their shape and a
+// HeapGuard sweep over a loop's accesses (TestGrowCancel) still lands on
+// probes. A non-nil return is the abort, attributed to the probe's
+// instrumented PC.
 func (e *Exec) probeCheck(pc int, cpID uint64) *ExtensionAbort {
-	p := e.prog
 	e.stats.Probes++
-	term := p.terminate.Load()
-	quantum := p.opts.QuantumInsns
-	if quantum > 0 && e.stats.Insns > quantum {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
-	}
-	if e.cancelReq.Load() == e.cur {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
-	}
-	if e.inject != nil && e.inject.Fire(faultinject.Terminate, cpID) {
-		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
-	}
-	if _, err := e.extView.Load(term, 8); err != nil {
+	if e.Cancelled() || e.inject != nil &&
+		(e.inject.Fire(faultinject.Terminate, cpID) || e.inject.Fire(faultinject.HeapGuard, TerminateWordOff)) {
 		return &ExtensionAbort{Kind: CancelTerminate, PC: pc}
 	}
 	return nil

@@ -8,10 +8,11 @@
 //
 // Cancellation has one scope rule and one policy number. A cancel request
 // always names one invocation of one Exec (RequestCancel, by sequence word):
-// the watchdog's stall firing and a caller's deadline are both that. The
-// program-wide *terminate word is invalidated only by retirement
-// (Program.Unload), which stops every CPU for good. Options.CancelThreshold
-// decides when a completed cancellation retires the program.
+// the watchdog's stall firing and a caller's deadline are both that.
+// Retirement (Program.Unload) is the one program-wide stop: a flag every
+// probe and lock spin reads, which stops every CPU for good.
+// Options.CancelThreshold decides when a completed cancellation retires the
+// program.
 package vm
 
 import (
@@ -46,8 +47,9 @@ type CancelKind int
 const (
 	// CancelNone: the invocation completed normally.
 	CancelNone CancelKind = iota
-	// CancelTerminate: a *terminate probe faulted (quantum expiry, a
-	// cancel request for this invocation, or retirement; class-1, §3.3).
+	// CancelTerminate: a *terminate probe stopped the invocation (quantum
+	// expiry, a cancel request for this invocation, or retirement; class-1,
+	// §3.3).
 	CancelTerminate
 	// CancelFault: a heap access faulted (unmapped page, guard zone, or
 	// a performance-mode wild read; class-2, §3.3/§4.2).
@@ -131,7 +133,7 @@ type Options struct {
 	// Lock backs the spin-lock helpers.
 	Lock *locks.Locks
 	// QuantumInsns bounds one invocation's instruction count; exceeding
-	// it makes the next terminate probe fault. Zero disables the
+	// it makes the next terminate probe cancel. Zero disables the
 	// deterministic quantum (the wall-clock watchdog remains available
 	// via Exec.RequestCancel).
 	QuantumInsns uint64
@@ -147,7 +149,7 @@ type Options struct {
 	// unloads.
 	CancelThreshold uint64
 	// Fault, when non-nil, injects faults at the VM's cancellation
-	// points (chaos testing): terminate-probe invalidation keyed by CP
+	// points (chaos testing): terminate-probe cancellations keyed by CP
 	// id, and helper-call errors keyed by helper ID.
 	Fault *faultinject.Plan
 	// Lowered is the program Run executes: the instrumented stream lowered
@@ -160,15 +162,12 @@ type Options struct {
 type Program struct {
 	opts Options
 
-	// terminate is the address the probe dereferences. While valid it
-	// points at the heap's reserved word; Unload swaps in an unmapped
-	// address so the next probe on every CPU faults (§3.3).
-	terminate atomic.Uint64
-	unloaded  atomic.Bool
-	cancels   atomic.Uint64
+	unloaded atomic.Bool
+	cancels  atomic.Uint64
 }
 
-// TerminateWordOff is the heap offset reserved for the terminate word.
+// TerminateWordOff is the heap word New reserves, on the page that holds
+// the globals, and the key a probe's HeapGuard draw is injected at.
 const TerminateWordOff = 0
 
 // ErrUnloaded is returned when running a program that was unloaded — by
@@ -183,27 +182,22 @@ func New(opts Options) (*Program, error) {
 	}
 	p := &Program{opts: opts}
 	if opts.Heap != nil {
-		// Reserve and back the terminate word so probes are valid
-		// loads until cancellation invalidates the address.
 		if err := opts.Heap.Populate(TerminateWordOff, 8); err != nil {
 			return nil, err
 		}
-		p.terminate.Store(opts.Heap.ExtBase() + TerminateWordOff)
 	}
 	return p, nil
 }
 
 // Unload retires the program: future invocations fail with ErrUnloaded, and
-// in-flight ones on every CPU fault at their next probe — the only writer
-// of the terminate word. doCancel calls it when the cancellation count
-// reaches Options.CancelThreshold; owners call it to retire an extension.
-// Unload is idempotent and safe to call concurrently with Run; it reports
-// whether this call performed the transition (false when the program was
-// already unloaded).
+// in-flight ones on every CPU cancel at their next probe or lock spin.
+// doCancel calls it when the cancellation count reaches
+// Options.CancelThreshold; owners call it to retire an extension. Unload is
+// idempotent and safe to call concurrently with Run; it reports whether this
+// call performed the transition (false when the program was already
+// unloaded).
 func (p *Program) Unload() bool {
-	first := p.unloaded.CompareAndSwap(false, true)
-	p.terminate.Store(0)
-	return first
+	return p.unloaded.CompareAndSwap(false, true)
 }
 
 // Unloaded reports whether the program has been retired.
@@ -262,10 +256,10 @@ type Exec struct {
 	// cancelReq is the sequence word of the invocation asked to cancel
 	// (watchdog stall, caller deadline: §4.3's cooperative termination).
 	// Probes and lock spins compare it with cur and unwind on a match,
-	// exactly as on a terminate-word fault. Sequence words never repeat and
-	// the zero value is even, so a request that lands late — after its
-	// invocation returned, or for a Run that never started — matches
-	// nothing and needs no clearing.
+	// exactly as on retirement. Sequence words never repeat and the zero
+	// value is even, so a request that lands late — after its invocation
+	// returned, or for a Run that never started — matches nothing and
+	// needs no clearing.
 	cancelReq atomic.Uint64
 
 	stats Stats
@@ -333,12 +327,12 @@ func (e *Exec) PinValue(val []byte) uint64 {
 	return pinVABase + uint64(len(e.pins)-1)*pinStride
 }
 
-// Cancelled implements kernel.Env: what a probe would observe, for a helper
-// that spins between probes.
+// Cancelled is the stop rule of probes and lock spins alike (it implements
+// kernel.Env): the invocation has retired more instructions than its
+// quantum, a cancel request names it, or the program is retired.
 func (e *Exec) Cancelled() bool {
-	p := e.prog
-	return p.terminate.Load() == 0 || e.cancelReq.Load() == e.cur ||
-		(p.opts.QuantumInsns > 0 && e.stats.Insns > p.opts.QuantumInsns)
+	q := e.prog.opts.QuantumInsns
+	return q > 0 && e.stats.Insns > q || e.cancelReq.Load() == e.cur || e.prog.unloaded.Load()
 }
 
 // ErrExtensionAbort is the sentinel every typed extension abort matches

@@ -5,7 +5,9 @@ import (
 
 	"kflex/asm"
 	"kflex/insn"
+	"kflex/internal/compile"
 	"kflex/internal/compile/lowertest"
+	"kflex/internal/faultinject"
 	"kflex/internal/kernel"
 )
 
@@ -174,8 +176,8 @@ func TestCancelAcrossExecs(t *testing.T) {
 }
 
 func TestProbeCostIsOneLoad(t *testing.T) {
-	// §3.3: for correct extensions the only cancellation overhead is the
-	// *terminate access per loop iteration.
+	// §3.3: for correct extensions the only cancellation overhead is one
+	// probe per loop iteration, a read of the stop rule (Exec.Cancelled).
 	prog := asm.New().
 		Call(kernel.HelperKflexHeapBase).
 		Mov(insn.R6, insn.R0).
@@ -194,6 +196,59 @@ func TestProbeCostIsOneLoad(t *testing.T) {
 	}
 	if res.Cancelled != CancelNone {
 		t.Fatalf("correct program cancelled: %v", res.Cancelled)
+	}
+}
+
+// TestProbeInjectionDraws pins what a fault plan sees of a probe: a
+// Terminate draw at its CP id, then a HeapGuard draw at TerminateWordOff.
+// Either firing cancels the invocation at the probe's PC, and a HeapGuard
+// sweep over a loop's accesses (TestGrowCancel) lands on probes through
+// the second.
+func TestProbeInjectionDraws(t *testing.T) {
+	prog := asm.New().
+		Call(kernel.HelperKflexHeapBase).
+		Mov(insn.R6, insn.R0).
+		Label("spin").
+		Load(insn.R2, insn.R6, 64, 8).
+		Ja("spin").
+		MustAssemble()
+	var probePC int
+	var cpID uint64
+	probes := 0
+	for _, ins := range load(t, prog, 1<<16, nil).opts.Lowered.Code {
+		switch ins.Op {
+		case compile.OpProbe, compile.OpProbeJa, compile.OpProbeJcc:
+			probePC, cpID = int(ins.OrigPC), uint64(uint32(ins.Off))
+			probes++
+		}
+	}
+	if probes != 1 {
+		t.Fatalf("%d probes lowered, want 1", probes)
+	}
+	fire := func(kind faultinject.Kind, key uint64) faultinject.Event {
+		t.Helper()
+		plan := faultinject.NewPlan(1).FailNth(kind, key, 1)
+		p := load(t, prog, 1<<16, func(o *Options) {
+			o.Fault = plan
+			o.Heap.SetFaultPlan(plan)
+			o.QuantumInsns = 1000 // a draw that never fires ends here
+		})
+		plan.Enable()
+		res := run(t, p)
+		if res.Cancelled != CancelTerminate || res.Abort.PC != probePC || res.Stats.Probes != 1 {
+			t.Fatalf("%s: cancelled = %v at %v after %d probes, want terminate-probe at insn %d after 1",
+				kind, res.Cancelled, res.Abort, res.Stats.Probes, probePC)
+		}
+		ev := plan.Events()
+		if len(ev) != 1 {
+			t.Fatalf("%s: events = %v, want one", kind, ev)
+		}
+		return ev[0]
+	}
+	term := fire(faultinject.Terminate, cpID)
+	guard := fire(faultinject.HeapGuard, TerminateWordOff)
+	if guard.Seq != term.Seq+1 {
+		t.Fatalf("terminate draw %v, heap-guard draw %v: want the heap-guard draw next", term, guard)
 	}
 }
 

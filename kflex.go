@@ -637,9 +637,10 @@ func (h *Handle) Run(event any, ctx []byte) (Result, error) {
 // RunContext is Run with caller deadline propagation (§4.3): when ctx is
 // cancelled or its deadline expires mid-run, this invocation — and no
 // other — is asked to cancel, exactly as the watchdog asks a stalled one:
-// it faults at its next terminate probe, releases held kernel objects via
-// its object table, and unwinds instead of blocking the caller. The
-// completed cancellation counts toward Spec.CancelThreshold like any other.
+// it stops at its next terminate probe or lock spin, releases held kernel
+// objects via its object table, and unwinds instead of blocking the caller.
+// The completed cancellation counts toward Spec.CancelThreshold like any
+// other.
 //
 // An already-expired ctx returns ctx.Err() without executing. A mid-run
 // expiry surfaces as a cancelled Result (Cancelled == CancelTerminate) with
@@ -679,8 +680,8 @@ func (e *Extension) Alloc() *alloc.Allocator { return e.alloc }
 func (e *Extension) Unloaded() bool { return e.prog.Unloaded() }
 
 // Unload retires the extension: subsequent Runs return a *DegradedError,
-// and the terminate word is invalidated so in-flight invocations on every
-// CPU unwind at their next cancellation point. Idempotent and race-free:
+// and in-flight invocations on every CPU unwind at their next probe or lock
+// spin, which read the retirement flag. Idempotent and race-free:
 // concurrent calls — including the threshold's unload racing a manual one,
 // or Unload during Run — retire the extension exactly once; Unload reports
 // whether this call performed the transition.
@@ -796,6 +797,7 @@ func (e *Extension) UserFree(userAddr uint64) error {
 }
 
 // GlobalsOff is the heap offset of the extension-globals area; the first
-// page is runtime-reserved (terminate word at offset 0) and allocations
-// start at the next page.
+// page is runtime-reserved (populated at load; its first word is
+// vm.TerminateWordOff, which nothing stores to) and allocations start at the
+// next page.
 const GlobalsOff = 64

@@ -181,7 +181,7 @@ func TestUnloadIdempotent(t *testing.T) {
 }
 
 // TestUnloadDuringRun: unloading while an invocation is in flight must
-// cancel it cooperatively (terminate-word invalidation), not race it.
+// cancel it cooperatively (its probes read the retirement flag), not race it.
 func TestUnloadDuringRun(t *testing.T) {
 	rt := NewRuntime()
 	ext, err := rt.Load(Spec{
