@@ -21,7 +21,8 @@ vet:
 fmt:
 	test -z "$$(gofmt -l .)"
 	test -z "$$(git ls-files 'BENCH_*.json')"
-	test "$$(wc -c < DESIGN.md)" -le 36864
+	@n=$$(wc -c < DESIGN.md); test $$n -le 36864 || \
+		{ echo "fmt: DESIGN.md is $$n bytes, over its 36864-byte cap"; exit 1; }
 
 # One line count for `make tcb` and `make loc`: non-blank, non-comment,
 # non-test Go lines of each package directory in $$dirs, printed one per
@@ -38,7 +39,7 @@ COUNT_LINES = total=0; for d in $$dirs; do \
 # figure here.
 TCB_PKGS = internal/verifier internal/cfg internal/kie internal/compile \
 	internal/vm internal/heap internal/alloc internal/locks
-TCB_BUDGET = 4750
+TCB_BUDGET = 4746
 
 tcb:
 	@dirs="$(TCB_PKGS)"; w=20; $(COUNT_LINES); \

@@ -271,7 +271,7 @@ func TestChaosDurableDeterminism(t *testing.T) {
 
 // TestChaosDurableResyncDelta pins the O(delta) resync contract: after a
 // quarantine with K fallback writes, the warm reload pushes exactly K
-// keys into the adopted heap — not the whole store.
+// keys into the kept heap — not the whole store.
 func TestChaosDurableResyncDelta(t *testing.T) {
 	const preload = 64
 	const delta = 5
@@ -327,7 +327,7 @@ func TestChaosDurableResyncDelta(t *testing.T) {
 		t.Fatalf("resync ops = %d, want exactly the %d dirty keys (O(delta) contract)",
 			st.LastInit.ResyncOps, delta)
 	}
-	// The updated values are served from the adopted heap on the offload path.
+	// The updated values are served from the kept heap on the offload path.
 	for i := 0; i < delta; i++ {
 		reply, _, offloaded := mc.Execute(0, memcached.EncodeGet(keyOf(i)))
 		want := workload.FormatValue(uint64(i+1)*7, cfg.ValueSize)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,6 @@ func migrateFireKey(from, to int) uint64 { return uint64(from)<<8 | uint64(to) }
 var migratePhaseKinds = []faultinject.Kind{
 	faultinject.MigrateDrain,
 	faultinject.MigrateAudit,
-	faultinject.MigrateRelink,
 	faultinject.MigrateAdopt,
 	faultinject.MigratePublish,
 }
@@ -50,7 +50,7 @@ type migrateRun struct {
 
 // runMigrateScenario walks the fault staircase single-threaded: with
 // FailNth armed once per migrate kind, attempt k fails in phase k
-// (drain, audit, relink, adopt, publish) and attempt 6 commits. After
+// (drain, audit, adopt, publish) and the attempt after the last commits. After
 // every attempt the mutation oracle runs: each acknowledged SET's value
 // must come back from a GET — served by the un-moved source after a
 // rollback, by the migrated target after the commit.
@@ -106,7 +106,7 @@ func runMigrateScenario(t *testing.T, seed int64) migrateRun {
 	plan.Enable()
 
 	var reports []supervisor.MigrationReport
-	// Attempts 1..5: each fails in its phase and rolls back completely.
+	// One attempt per kind: each fails in its phase and rolls back completely.
 	for attempt, kind := range migratePhaseKinds {
 		rep, err := sup.Migrate(0, 1)
 		var me *supervisor.MigrateError
@@ -144,7 +144,7 @@ func runMigrateScenario(t *testing.T, seed int64) migrateRun {
 		mc.FallbackSet(keyOf(i), valOf(i, gens[i]))
 	}
 
-	// Attempt 6: every one-shot fault is consumed; the cutover commits.
+	// The last attempt: every one-shot fault is consumed; the cutover commits.
 	rep, err := sup.Migrate(0, 1)
 	if err != nil || rep.RolledBack {
 		t.Fatalf("final attempt = (%+v, %v), want commit", rep, err)
@@ -198,20 +198,23 @@ func TestChaosMigrateStaircase(t *testing.T) {
 			rollbacks++
 		}
 	}
-	if freezes != 6 || rollbacks != 5 || commits != 1 {
-		t.Fatalf("trace freezes=%d rollbacks=%d commits=%d, want 6/5/1: %+v",
-			freezes, rollbacks, commits, run.trace)
+	// One rollback per injected kind, then the commit; each attempt froze.
+	faults := len(migratePhaseKinds)
+	if freezes != faults+1 || rollbacks != faults || commits != 1 {
+		t.Fatalf("trace freezes=%d rollbacks=%d commits=%d, want %d/%d/1: %+v",
+			freezes, rollbacks, commits, faults+1, faults, run.trace)
 	}
 	// One clean pre-move audit per attempt that reached the audit phase
-	// and passed it (attempts 3..6: drain and audit injections fire before
-	// the real audit runs).
+	// and passed it: the drain and audit injections fire before the real
+	// audit runs, so every kind after MigrateAudit, and the commit, audits.
 	for _, a := range run.audits {
 		if !a.Clean {
 			t.Fatalf("pre-move audit not clean: %+v", a)
 		}
 	}
-	if len(run.audits) != 4 {
-		t.Fatalf("audits = %d, want 4 (relink/adopt/publish rollbacks + commit)", len(run.audits))
+	audited := faults - slices.Index(migratePhaseKinds, faultinject.MigrateAudit)
+	if len(run.audits) != audited {
+		t.Fatalf("audits = %d, want %d (a rollback after the audit phase, or the commit)", len(run.audits), audited)
 	}
 	// The fault trace shows exactly the five injected phase failures.
 	if len(run.events) != len(migratePhaseKinds) {

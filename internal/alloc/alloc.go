@@ -398,11 +398,10 @@ func (a *Allocator) Free(cpu int, addr uint64) error {
 }
 
 // RetireCPU spills cpu's private per-class magazines back to the global
-// depot. Call it when the handle slot for cpu is being retired — a
-// cross-CPU heap migration moving the shard off the slot, or a successor
-// generation adopting the allocator with a smaller CPU table —
-// so cached blocks are not stranded on a dead CPU where no Malloc will
-// ever pop them again. The caller must guarantee the goroutine that owned
+// depot. Call it when no handle routes to cpu's slot any more — a
+// cross-CPU migration moved the shard off it, or one rolled back after its
+// resync ran there — so cached blocks are not stranded on a dead CPU where
+// no Malloc will ever pop them again. The caller must guarantee the goroutine that owned
 // the slot has quiesced: the magazines are single-writer and RetireCPU
 // becomes that writer.
 func (a *Allocator) RetireCPU(cpu int) {
@@ -432,20 +431,6 @@ func (a *Allocator) RetireCPU(cpu int) {
 	a.mu.Unlock()
 	if moved {
 		c.spills.Add(1)
-	}
-}
-
-// RetireCPUsFrom retires every per-CPU cache at index n and above — the
-// slots a successor generation with a smaller CPU table can no longer
-// reach (Spec.Adopt with a reduced Spec.NumCPUs). Without the spill,
-// every block parked in those magazines would leak for the lifetime of the
-// heap.
-func (a *Allocator) RetireCPUsFrom(n int) {
-	if n < 0 {
-		n = 0
-	}
-	for cpu := n; cpu < len(a.cpus); cpu++ {
-		a.RetireCPU(cpu)
 	}
 }
 

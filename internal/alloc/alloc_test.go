@@ -321,34 +321,7 @@ func TestRetireCPUSpillsMagazines(t *testing.T) {
 	if addr := a.Malloc(0, 64); addr == 0 {
 		t.Fatal("depot blocks unreachable after retirement")
 	}
-}
-
-// TestRetireCPUsFromSpillsTail retires every slot a shrunken successor
-// table can no longer reach and proves the depot absorbs all their blocks.
-func TestRetireCPUsFromSpillsTail(t *testing.T) {
-	a, _ := newAlloc(t, 1<<20, 8)
-	a.EnableTracking()
-	for cpu := 4; cpu < 8; cpu++ {
-		addr := a.Malloc(cpu, 128)
-		if addr == 0 {
-			t.Fatal("exhausted")
-		}
-		if err := a.Free(cpu, addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.RetireCPUsFrom(4)
-	class, _ := classFor(128)
-	for cpu := 4; cpu < 8; cpu++ {
-		if n := a.cpus[cpu].free[class].n.Load(); n != 0 {
-			t.Fatalf("cpu %d magazine still holds %d blocks", cpu, n)
-		}
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatalf("accounting broken after tail retirement: %v", err)
-	}
 	// Out-of-range retirement is a no-op, not a panic.
 	a.RetireCPU(-1)
 	a.RetireCPU(99)
-	a.RetireCPUsFrom(-3)
 }

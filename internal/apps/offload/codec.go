@@ -244,7 +244,7 @@ func (c *Codec) served(res kflex.Result) bool { return res.Ret == uint64(c.Prog.
 
 // push SETs every pair each yields (KV.Range's shape) through h and reports
 // how many the extension stored: a warm resync's delta, which may overwrite
-// keys the adopted heap already holds.
+// keys the kept heap already holds.
 func (c *Codec) push(h *kflex.Handle, cn *conn, each func(func(key, value []byte) error) error) (n int, err error) {
 	var frame []byte
 	err = each(func(key, value []byte) error {

@@ -173,7 +173,7 @@ func run(h *kflex.Handle, c *offload.Codec, frame []byte) (kflex.Result, *netsim
 }
 
 // audit makes the checks the supervisor's audit makes of a heap before a
-// warm reload adopts it: no held object or lock, every populated page
+// warm reload revives it: no held object or lock, every populated page
 // mapped and expected by the allocator, and the allocator consistent.
 func audit(t *testing.T, ext *kflex.Extension) {
 	t.Helper()

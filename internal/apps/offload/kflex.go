@@ -34,8 +34,8 @@ type Config struct {
 	// every acknowledged SET is write-ahead logged, reload resync replays
 	// from it, and a process restart recovers the full store from disk.
 	Durable *durable.Store
-	// ColdReload disables warm heap adoption across supervisor reloads:
-	// every reload links a fresh heap and re-pushes the full store.
+	// ColdReload disables warm reloads: every supervisor reload loads a
+	// fresh extension and heap and re-pushes the full store.
 	ColdReload bool
 	// Slots sizes the extension's physical handle-slot table for the
 	// supervised deployment. It defaults to the server count; declaring

@@ -89,7 +89,7 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning) 
 		NumCPUs: servers,
 		Init:    s.resync,
 		// resync honours Generation.Warm — it replays only the dirty set —
-		// so a heap that drained and audited clean is adopted.
+		// so an extension that drained and audited clean is revived.
 		WarmReload: !cfg.ColdReload,
 		Tuning:     tuning,
 	})
@@ -103,14 +103,15 @@ func NewSupervised(c *Codec, cfg Config, servers int, tuning supervisor.Tuning) 
 // resync initialises a generation's heap from the authoritative store, in
 // sorted key order so the replay is deterministic. A cold generation
 // (fresh heap) is initialised and receives every key; a warm generation
-// adopted the previous heap, so only the dirty set — keys acknowledged on
-// the fallback path while the heap was out of service — is replayed.
+// runs on the previous generation's extension and heap, so only the dirty
+// set — keys acknowledged on the fallback path while the heap was out of
+// service — is replayed.
 func (s *Supervised) resync(g supervisor.Generation) (rep supervisor.InitReport, err error) {
 	// One packet and ctx for the whole replay. They are the resync's own: a
 	// migration resyncs beside a serving Execute.
 	cn := s.codec.newConn()
 	if g.Warm {
-		// The adopted heap already holds every key the old generation
+		// The kept heap already holds every key the old generation
 		// served; push only the delta, sorted for determinism. Snapshot
 		// keys and their authoritative values and unmark them under the
 		// lock, then replay outside it: during a live migration Execute

@@ -101,11 +101,8 @@ const (
 	// MigrateAudit fails the pre-move heap audit: the frozen heap reports
 	// an inconsistency and must not be moved.
 	MigrateAudit
-	// MigrateRelink fails re-linking the cached position-independent Unit
-	// for the target generation.
-	MigrateRelink
-	// MigrateAdopt fails the target's adoption resync (the Init replay of
-	// the dirty set into the moved heap).
+	// MigrateAdopt fails the target generation's resync (the Init replay
+	// of the dirty set through the handles on the new route).
 	MigrateAdopt
 	// MigratePublish makes the cutover lose its publish race: the new
 	// handle cannot be installed and the source must be restored.
@@ -147,8 +144,6 @@ func (k Kind) String() string {
 		return "migrate-drain"
 	case MigrateAudit:
 		return "migrate-audit"
-	case MigrateRelink:
-		return "migrate-relink"
 	case MigrateAdopt:
 		return "migrate-adopt"
 	case MigratePublish:

@@ -4,31 +4,21 @@ package supervisor
 // allocator magazines that carve it — can be moved from the physical
 // handle slot serving one logical CPU to a free slot while traffic keeps
 // flowing, without losing or duplicating a single acknowledged operation.
-// The cutover leans on machinery the runtime already proves out elsewhere:
+// Nothing is copied and nothing is loaded:
 //
-//   - adoption (Spec.Adopt) moves the heap, and the allocator that carved
-//     it, between generations without copying it;
-//   - the per-Runtime compile cache makes the target generation a
-//     decode+relink of the cached position-independent Unit, never a
-//     recompile;
-//   - every per-CPU context of the target exists, stall-monitored, from
-//     its Load, so routing a CPU to a free slot builds nothing;
+//   - every per-CPU context of the extension exists, stall-monitored, from
+//     its Load, so the target generation is the same extension with the
+//     moved CPU's handle taken from its new slot;
 //   - the supervisor's fallback path absorbs mid-migration traffic into
 //     the caller's dirty set, so the target resyncs O(delta), exactly like
 //     a warm reload.
 //
-// The protocol is the third sequence of transition.go's five functions —
-// admit → drain → audit → relink (load) → adopt (init) → publish (install),
-// then discard the source — and every phase after admit is covered by a
-// dedicated fault-injection kind (faultinject.Migrate*). Any failure,
-// injected or organic, rolls back: the source extension was never unloaded
-// or detached, so rollback is "discard the half-built target and republish
-// the source" — a half-moved heap cannot exist.
-//
-// An invariant worth stating: the source is not torn down until after the
-// publish commits. The target generation is built while the source still
-// owns the heap (safe because the drain phase froze all traffic), so
-// every abnormal exit leaves the source exactly as the drain found it.
+// The protocol is the third sequence of transition.go — admit → drain →
+// audit → adopt (init) → publish (install) — and every phase after admit is
+// covered by a dedicated fault-injection kind (faultinject.Migrate*). Any
+// failure, injected or organic, rolls back: the extension was never unloaded,
+// and the source generation still holds the old route, so rollback is
+// "republish the source" — a half-moved heap cannot exist.
 
 import (
 	"fmt"
@@ -52,11 +42,8 @@ const (
 	// PhaseAudit runs the teardown invariant checks on the frozen heap; a
 	// heap that fails its audit is never moved.
 	PhaseAudit
-	// PhaseRelink loads the target generation: a compile-cache hit that
-	// re-links the cached Unit against the adopted heap.
-	PhaseRelink
-	// PhaseAdopt replays the dirty-set delta into the target generation
-	// (the Init callback with Generation.Warm).
+	// PhaseAdopt replays the dirty-set delta through the target
+	// generation's handles (the Init callback with Generation.Warm).
 	PhaseAdopt
 	// PhasePublish installs the target handle table and rewrites the
 	// route under the supervisor lock.
@@ -71,8 +58,6 @@ func (p MigratePhase) String() string {
 		return "drain"
 	case PhaseAudit:
 		return "audit"
-	case PhaseRelink:
-		return "relink"
 	case PhaseAdopt:
 		return "adopt"
 	case PhasePublish:
@@ -127,11 +112,12 @@ type MigrationReport struct {
 // live: traffic observed between the freeze and the publish is served on
 // the caller's user-space fallback (and lands in its dirty set, which the
 // target replays O(delta) during adoption). On success the supervisor is
-// Healthy with a new generation whose handle for cpu from lives at slot
-// to, and the route survives subsequent quarantine/reload cycles. On any
-// failure the attempt rolls back — the source generation keeps serving
-// from its original slot with its heap untouched — and a *MigrateError
-// reports the failing phase.
+// Healthy with a new generation over the same extension whose handle for
+// cpu from lives at slot to, and the route survives subsequent
+// quarantine/reload cycles. On any failure the attempt rolls back — the
+// source generation keeps serving from its original slot — and a
+// *MigrateError reports the failing phase. An extension without a heap has
+// nothing to migrate and fails in admit.
 //
 // Migrate is admitted only from Healthy and serializes against itself:
 // a concurrent attempt fails in admit.
@@ -166,11 +152,11 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	// Phase: drain. Wait for in-flight invocations to settle.
 	rep.Phase = PhaseDrain
 	if plan.Fire(faultinject.MigrateDrain, key) {
-		return s.rollbackMigration(rep, start, nil,
+		return s.rollbackMigration(rep, start, false,
 			fmt.Errorf("drain timeout with %d invocations in flight: %w", s.inflight(), faultinject.ErrInjected))
 	}
 	if !s.drain() {
-		return s.rollbackMigration(rep, start, nil,
+		return s.rollbackMigration(rep, start, false,
 			fmt.Errorf("drain timeout with %d invocations in flight", s.inflight()))
 	}
 
@@ -181,49 +167,33 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	// the audit itself reporting an inconsistency.
 	rep.Phase = PhaseAudit
 	if plan.Fire(faultinject.MigrateAudit, key) {
-		return s.rollbackMigration(rep, start, nil,
+		return s.rollbackMigration(rep, start, false,
 			fmt.Errorf("pre-move audit failed: %w", faultinject.ErrInjected))
 	}
 	s.mu.Lock()
 	audit := s.auditLocked(fmt.Sprintf("migration cpu %d: slot %d -> %d", from, rep.FromSlot, to))
 	s.mu.Unlock()
 	if !audit.Clean {
-		return s.rollbackMigration(rep, start, nil,
+		return s.rollbackMigration(rep, start, false,
 			fmt.Errorf("pre-move audit failed: consistency=%q refs=%d locks=%d pages=%d/%d/%d",
 				audit.ConsistencyErr, audit.HeldRefs, audit.HeldLocks,
 				audit.PopulatedPages, audit.MappedPages, audit.ExpectedPages))
 	}
 
-	// Phase: relink. Build the target generation, on the rewritten route,
-	// around the source's heap and allocator while the source still owns
-	// them — adoption mutates nothing the source depends on, so a failure
-	// here (or later) leaves the source exactly as the drain found it.
-	rep.Phase = PhaseRelink
-	if plan.Fire(faultinject.MigrateRelink, key) {
-		return s.rollbackMigration(rep, start, nil,
-			fmt.Errorf("relink failed: %w", faultinject.ErrInjected))
-	}
-	if src.Ext.Heap() == nil {
-		return s.rollbackMigration(rep, start, nil, fmt.Errorf("extension has no heap to migrate"))
-	}
-	target, err := s.load(src.Gen+1, route, src.Ext)
-	if err != nil {
-		return s.rollbackMigration(rep, start, nil, fmt.Errorf("relink: %w", err))
-	}
-
-	// Phase: adopt. Replay the dirty-set delta into the moved heap
-	// through the target's handles — the warm-reload resync contract.
-	// A partial replay is rollback-safe: it pushes authoritative store
-	// values into a heap the source also serves, so the values are
-	// correct either way.
+	// Phase: adopt. The target generation is the source's extension with
+	// the moved CPU's handle at its new slot. Replay the dirty-set delta
+	// through its handles — the warm-reload resync contract. A partial
+	// replay is rollback-safe: it pushes authoritative store values into the
+	// heap the source serves, so the values are correct either way.
 	rep.Phase = PhaseAdopt
 	if plan.Fire(faultinject.MigrateAdopt, key) {
-		return s.rollbackMigration(rep, start, target,
+		return s.rollbackMigration(rep, start, false,
 			fmt.Errorf("target adoption failed: %w", faultinject.ErrInjected))
 	}
+	target := &Generation{Ext: src.Ext, Handles: handlesOf(src.Ext, route), Gen: src.Gen + 1, Warm: true}
 	initRep, err := s.init(target)
 	if err != nil {
-		return s.rollbackMigration(rep, start, target, fmt.Errorf("target adoption: %w", err))
+		return s.rollbackMigration(rep, start, true, fmt.Errorf("target adoption: %w", err))
 	}
 	rep.ResyncOps = initRep.ResyncOps
 
@@ -234,7 +204,7 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	s.mu.Lock()
 	if plan.Fire(faultinject.MigratePublish, key) {
 		s.mu.Unlock()
-		return s.rollbackMigration(rep, start, target,
+		return s.rollbackMigration(rep, start, true,
 			fmt.Errorf("publish lost: %w", faultinject.ErrInjected))
 	}
 	s.installLocked(target, initRep)
@@ -249,13 +219,10 @@ func (s *Supervisor) Migrate(from, to int) (MigrationReport, error) {
 	s.live.Store(target)
 	s.mu.Unlock()
 
-	// Retire the source only now that the publish has committed: nothing is
-	// in flight on it — the drain proved that — and its heap and allocator
-	// live on in the target.
-	s.discard(src, true)
 	// The vacated slot's private magazines would be stranded — no handle
 	// routes to it, so no Malloc can ever pop them again. Spill them back
-	// to the depot where any CPU can refill from them.
+	// to the depot where any CPU can refill from them. Nothing runs there:
+	// the drain emptied it and no handle of the target names it.
 	target.Ext.Alloc().RetireCPU(rep.FromSlot)
 	return rep, nil
 }
@@ -282,24 +249,25 @@ func (s *Supervisor) admitMigrationLocked(rep *MigrationReport, from, to int) er
 			return fail(fmt.Errorf("slot %d already serves cpu %d", to, cpu))
 		}
 	}
+	if s.cur.Ext.Heap() == nil {
+		return fail(fmt.Errorf("extension has no heap to migrate"))
+	}
 	rep.FromSlot = s.route[from]
 	return nil
 }
 
-// rollbackMigration abandons an attempt: the half-built target (if any)
-// is retired without touching the shared heap, the circuit reopens on the
-// un-moved source, and the typed error reports the failing phase. The
-// source generation was never unpublished, so there is nothing to
-// restore — rollback is discard-and-resume.
-func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, target *Generation, cause error) (MigrationReport, error) {
-	if target != nil {
-		s.discard(target, true) // the source still owns the heap
-		// The adoption resync may have populated magazines at the target
-		// slot; nothing routes there after rollback, so spill them back to
-		// the depot.
-		target.Ext.Alloc().RetireCPU(rep.To)
-	}
+// rollbackMigration abandons an attempt: the circuit closes again on the
+// source generation, whose extension was never unloaded and whose handles
+// still follow the old route, and the typed error reports the failing phase.
+// resynced says that Init ran through the target slot's handle.
+func (s *Supervisor) rollbackMigration(rep MigrationReport, start time.Time, resynced bool, cause error) (MigrationReport, error) {
 	s.mu.Lock()
+	if resynced {
+		// The resync may have populated magazines at the target slot;
+		// nothing routes there after rollback, so spill them back to the
+		// depot.
+		s.cur.Ext.Alloc().RetireCPU(rep.To)
+	}
 	rep.RolledBack = true
 	rep.Err = cause.Error()
 	rep.Gen = s.cur.Gen

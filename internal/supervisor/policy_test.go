@@ -182,3 +182,59 @@ func TestCancelPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmReloadRevivesCancelCount: a revived extension starts its
+// cancellation count over. With CancelThreshold 2 the extension is retired
+// at its second cancellation, warm-reloaded, and then survives one new
+// cancellation and is retired at the next — not at the first, as a count
+// carried over from before the retirement would make it.
+func TestWarmReloadRevivesCancelCount(t *testing.T) {
+	spec := countedSpec()
+	spec.QuantumInsns, spec.CancelThreshold = 2000, 2
+	clk := &clock{now: time.Unix(0, 0)}
+	sup, err := supervisor.New(supervisor.Config{
+		Runtime: kflex.NewRuntime(), Spec: spec, WarmReload: true,
+		Tuning: supervisor.Tuning{
+			BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond, ProbeRuns: 1, Now: clk.Now,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sup.Close)
+	ext := sup.Extension()
+	run := func(n uint64) (kflex.Result, error) {
+		hctx := make([]byte, kflex.HookBench.CtxSize)
+		binary.LittleEndian.PutUint64(hctx[8:], n)
+		return sup.Run(0, nil, hctx)
+	}
+	// stall makes one quantum-cancelled run and reports the state after it.
+	stall := func(when string) supervisor.State {
+		t.Helper()
+		if res, err := run(0); err != nil || res.Cancelled != kflex.CancelTerminate {
+			t.Fatalf("%s: stalled run = (%+v, %v), want a terminate cancellation", when, res, err)
+		}
+		return sup.State()
+	}
+
+	if s := stall("cancellation 1"); s != supervisor.Healthy {
+		t.Fatalf("state after cancellation 1 = %v, want healthy", s)
+	}
+	if s := stall("cancellation 2"); s != supervisor.Quarantined || !ext.Unloaded() {
+		t.Fatalf("state after cancellation 2 = %v (unloaded=%v), want quarantined", s, ext.Unloaded())
+	}
+	clk.Advance(5 * time.Millisecond)
+	if res, err := run(10); err != nil || res.Cancelled != kflex.CancelNone {
+		t.Fatalf("probe after the reload = (%+v, %v)", res, err)
+	}
+	if st := sup.Stats(); st.WarmReloads != 1 || sup.Extension() != ext || ext.Cancels() != 0 || sup.State() != supervisor.Healthy {
+		t.Fatalf("after the reload: stats=%+v same extension=%v cancels=%d state=%v, want one warm reload of the same extension with its count cleared",
+			st, sup.Extension() == ext, ext.Cancels(), sup.State())
+	}
+	if s := stall("cancellation 1 after the revival"); s != supervisor.Healthy || ext.Unloaded() {
+		t.Fatalf("state after the revived extension's first cancellation = %v (unloaded=%v), want healthy", s, ext.Unloaded())
+	}
+	if s := stall("cancellation 2 after the revival"); s != supervisor.Quarantined || !ext.Unloaded() {
+		t.Fatalf("state after the revived extension's second cancellation = %v (unloaded=%v), want quarantined", s, ext.Unloaded())
+	}
+}

@@ -9,7 +9,7 @@
 //	Healthy ─────retired──────▶ Degraded ──audit+teardown──▶ Quarantined
 //	   ▲                                                            │
 //	   │ probe successes                                            │ backoff
-//	   └──────────────── Probing ◀──reload (fresh heap + Kie)───────┘
+//	   └──────────────── Probing ◀──reload (cold or warm)───────────┘
 //	                        │
 //	                        └──probe failure──▶ Quarantined (next tier)
 //
@@ -17,11 +17,12 @@
 // (allocator accounting vs. populated pages, dangling object-table
 // entries, held locks) runs with fault injection suspended and its report
 // is retained for post-mortem, then the heap's pages are detached (§3.2
-// teardown). A reload is scheduled with capped exponential backoff plus
-// deterministic jitter; the reload goes back through the runtime's staged
-// compile pipeline, where an unchanged spec hits the compile cache —
-// verification, Kie instrumentation, and lowering artifacts are reused and
-// only a fresh heap is linked. Traffic re-admission goes through
+// teardown), unless a warm reload keeps it. A reload is scheduled with capped
+// exponential backoff plus deterministic jitter. A cold reload goes back
+// through the runtime's staged compile pipeline, where an unchanged spec hits
+// the compile cache — verification, Kie instrumentation, and lowering
+// artifacts are reused and only a fresh heap is linked; a warm one revives
+// the kept extension. Traffic re-admission goes through
 // a half-open circuit breaker: a bounded number of probe Runs execute on
 // the reloaded extension while the rest of the traffic stays on the
 // user-space fallback; enough successes close the circuit, any failure
@@ -35,7 +36,7 @@
 // the supervisor's mutex released, so sibling CPUs keep getting their
 // fallback answer for as long as the resync takes. Every transition —
 // initial load, cold reload, warm reload, migration — is a sequence of the
-// same five functions; see transition.go.
+// same few functions; see transition.go.
 package supervisor
 
 import (
@@ -181,9 +182,9 @@ type Tuning struct {
 	// a fake clock must not turn a healthy drain into a spurious timeout.
 	DrainTimeout time.Duration
 	// WatchdogQuantum, when positive, makes the supervisor arm a
-	// wall-clock stall watchdog on every generation it loads, migration
-	// targets included, over every slot of its handle table, scanning
-	// twice a quantum.
+	// wall-clock stall watchdog on every extension it loads, over every
+	// slot of its handle table, scanning twice a quantum. A warm reload and
+	// a migration keep the extension, and with it its watchdog.
 	WatchdogQuantum time.Duration
 }
 
@@ -205,11 +206,11 @@ type Generation struct {
 	// Gen is 0 for the initial load and grows by one per successful reload
 	// or committed migration.
 	Gen uint64
-	// Warm reports that this generation was loaded onto a donor's heap — the
-	// previous generation's (Config.WarmReload and a clean quarantine audit)
-	// or a migration source's: the data the donor accumulated is already in
-	// place, so Init should replay only the delta its store tracked as
-	// dirty — not re-push every key.
+	// Warm reports that this generation runs on the previous generation's
+	// extension — revived by a warm reload (Config.WarmReload and a clean
+	// quarantine audit) or kept live by a migration: the data it
+	// accumulated is already in its heap, so Init should replay only the
+	// delta its store tracked as dirty — not re-push every key.
 	Warm bool
 }
 
@@ -229,7 +230,7 @@ type InitReport struct {
 type Config struct {
 	// Runtime loads each generation of the extension.
 	Runtime *kflex.Runtime
-	// Spec is reloaded verbatim on every recovery. Because the spec is
+	// Spec is reloaded verbatim on every cold recovery. Because the spec is
 	// unchanged, the runtime's compile cache serves the verify/instrument/
 	// lower artifacts and the reload only links a fresh heap.
 	Spec kflex.Spec
@@ -241,18 +242,19 @@ type Config struct {
 	// Init re-initialises a freshly loaded generation (e.g. replaying a
 	// durable store into the new heap) before it takes traffic. An Init
 	// failure counts as a failed probe: the generation is discarded and
-	// the quarantine moves to the next backoff tier (a warm generation
-	// first falls back to a cold load, since adopted state is the prime
-	// suspect).
+	// the quarantine moves to the next backoff tier (a warm reload first
+	// discards the kept extension and falls back to a cold load, since its
+	// state is the prime suspect; a migration rolls back).
 	Init func(g Generation) (InitReport, error)
-	// WarmReload keeps the quarantined generation's heap and allocator
-	// alive when its teardown audit comes back clean, and hands them to
-	// the next generation via Spec.Adopt (see Generation.Warm). A
-	// dirty audit always falls back to a cold load — a heap that failed
-	// its consistency audit is exactly the state a reload exists to shed —
-	// and so does a quarantine whose drain timed out (Tuning.DrainTimeout):
-	// an invocation that may still touch the heap rules out handing it on.
-	// Off by default: Init must then honour Generation.Warm.
+	// WarmReload keeps the quarantined generation's extension — heap,
+	// allocator, handles and watchdog — when its teardown audit comes back
+	// clean, and revives it as the next generation (Extension.Revive; see
+	// Generation.Warm). A dirty audit always falls back to a cold load — a
+	// heap that failed its consistency audit is exactly the state a reload
+	// exists to shed — and so do a quarantine whose drain timed out
+	// (Tuning.DrainTimeout), since an invocation that may still touch the
+	// heap rules out reviving it, and an extension without a heap. Off by
+	// default: Init must then honour Generation.Warm.
 	WarmReload bool
 	// Tuning sets circuit-breaker parameters.
 	Tuning Tuning
@@ -264,7 +266,7 @@ type Stats struct {
 	// attempts whose load or init failed; Quarantines counts entries into
 	// Quarantined.
 	Reloads, ReloadFailures, Quarantines uint64
-	// WarmReloads counts reloads that adopted the previous heap.
+	// WarmReloads counts reloads that revived the previous extension.
 	WarmReloads uint64
 	// ResyncOps accumulates the InitReports of every generation.
 	ResyncOps uint64
@@ -402,7 +404,7 @@ func New(cfg Config) (*Supervisor, error) {
 	for cpu := range s.route {
 		s.route[cpu] = cpu
 	}
-	g, rep, err := s.build(0, nil)
+	g, rep, err := s.build(0)
 	if err != nil {
 		return nil, err
 	}
@@ -660,5 +662,5 @@ func (s *Supervisor) Close() {
 		s.record(s.state, Quarantined, "closed")
 		s.state = Quarantined
 	}
-	s.discard(s.cur, false)
+	s.discard(s.cur)
 }

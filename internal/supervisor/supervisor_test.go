@@ -285,9 +285,10 @@ func TestRequarantineOnProbeFailure(t *testing.T) {
 }
 
 // TestWarmReloadAdoptsHeap forces a quarantine with a clean audit and
-// checks the next generation adopts the previous heap: the Init callback
-// sees Warm=true, the heap object is pointer-identical across the reload,
-// and the stats record the warm reload and accumulate InitReports.
+// checks the next generation revives the previous extension: the Init
+// callback sees Warm=true, the extension and its heap are pointer-identical
+// across the reload, and the stats record the warm reload and accumulate
+// InitReports.
 func TestWarmReloadAdoptsHeap(t *testing.T) {
 	clk := &clock{now: time.Unix(0, 0)}
 	var warms []bool
@@ -312,7 +313,8 @@ func TestWarmReloadAdoptsHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sup.Close)
-	h0 := sup.Extension().Heap()
+	ext0 := sup.Extension()
+	h0 := ext0.Heap()
 
 	if !sup.Quarantine("maintenance") {
 		t.Fatal("Quarantine on a healthy supervisor returned false")
@@ -332,8 +334,8 @@ func TestWarmReloadAdoptsHeap(t *testing.T) {
 	if len(warms) != 2 || warms[0] || !warms[1] {
 		t.Fatalf("Init warm flags = %v, want [false true]", warms)
 	}
-	if h1 := sup.Extension().Heap(); h1 != h0 {
-		t.Fatal("warm reload did not adopt the previous generation's heap")
+	if ext1 := sup.Extension(); ext1 != ext0 || ext1.Heap() != h0 || ext1.Unloaded() {
+		t.Fatal("warm reload did not revive the previous generation's extension")
 	}
 	st := sup.Stats()
 	if st.Reloads != 1 || st.WarmReloads != 1 || st.Quarantines != 1 {

@@ -2,19 +2,21 @@ package supervisor
 
 // Generation transitions. Every way the loaded generation changes — the
 // initial load, a cold reload, a warm reload, a migration — is a sequence of
-// the five functions below, and differs from the others only in where the
-// new generation's heap comes from, which route it is built on, and whether
-// the old generation is retired before the new one exists:
+// the functions below, and differs from the others only in which extension
+// generation N+1 runs on, where its handles come from, and whether N is
+// retired before N+1 exists:
 //
-//	                heap          route                  order
-//	New / cold      fresh         current                (retire N) → build N+1 → install
-//	warm reload     N's, retained current                retire N, keep heap → build N+1 → install
-//	migrate         N's, live     current, from → to     build N+1 → install → retire N
+//	                extension            handles               order
+//	New / cold      new (Runtime.Load)   current route         (retire N) → load N+1 → init → install
+//	warm reload     N's, revived         N's                   unload N, keep it → revive → init N+1 → install
+//	migrate         N's, live            route with from → to  init N+1 → install
 //
-// A quarantine cannot roll back — the generation it retires is the one that
-// failed — so N is gone before N+1 exists and a failed build leaves the
-// circuit open. A migration retires N only after N+1 is installed, which is
-// why its rollback is "discard N+1 and resume on N".
+// Only a cold generation is loaded. A generation that keeps its heap keeps its
+// extension — heap, allocator, per-CPU contexts and watchdog — and is a new
+// Generation over it. A quarantine cannot roll back — the generation it
+// retires is the one that failed — so N is unloaded before N+1 exists and a
+// failed build leaves the circuit open. A migration never unloads N, which is
+// why its rollback is "republish N".
 //
 // One locking rule: mu is held for bookkeeping only. Runtime.Load, Config.Init
 // and every drain run with mu released; the transition holds the busy mark
@@ -34,16 +36,13 @@ import (
 	"kflex"
 )
 
-// load builds generation gen with one handle per logical CPU at its routed
-// physical slot, so a migrated CPU keeps its migrated home across reloads.
-// Given a donor the generation is Warm: it adopts the donor's heap and
-// allocator (Spec.Adopt, validated by Runtime.Load) instead of building a
-// fresh heap. With an unchanged spec the compiled artifacts come from the
-// compile cache, so the cost is the heap and link stages, not a recompile.
-func (s *Supervisor) load(gen uint64, route []int, donor *kflex.Extension) (*Generation, error) {
-	spec := s.cfg.Spec
-	spec.Adopt = donor
-	ext, err := s.cfg.Runtime.Load(spec)
+// load builds generation gen on a new extension, with one handle per logical
+// CPU at its routed physical slot, so a migrated CPU keeps its migrated home
+// across reloads. With an unchanged spec the compiled artifacts come from
+// the compile cache, so the cost is the heap and link stages, not a
+// recompile.
+func (s *Supervisor) load(gen uint64) (*Generation, error) {
+	ext, err := s.cfg.Runtime.Load(s.cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -51,15 +50,20 @@ func (s *Supervisor) load(gen uint64, route []int, donor *kflex.Extension) (*Gen
 		// Covers every slot of the extension, routed to or not.
 		ext.StartWatchdog(q, q/2)
 	}
+	return &Generation{Ext: ext, Handles: handlesOf(ext, s.route), Gen: gen}, nil
+}
+
+// handlesOf resolves each logical CPU's handle at its routed physical slot.
+func handlesOf(ext *kflex.Extension, route []int) []*kflex.Handle {
 	handles := make([]*kflex.Handle, len(route))
 	for cpu, slot := range route {
 		handles[cpu] = ext.Handle(slot)
 	}
-	return &Generation{Ext: ext, Handles: handles, Gen: gen, Warm: donor != nil}, nil
+	return handles
 }
 
-// init runs Config.Init on g; g.Warm tells it that g adopted a populated
-// heap and only the delta needs replaying.
+// init runs Config.Init on g; g.Warm tells it that g's heap is populated and
+// only the delta needs replaying.
 func (s *Supervisor) init(g *Generation) (InitReport, error) {
 	if s.cfg.Init == nil {
 		return InitReport{}, nil
@@ -67,18 +71,11 @@ func (s *Supervisor) init(g *Generation) (InitReport, error) {
 	return s.cfg.Init(*g)
 }
 
-// discard retires g. A generation that owns its heap closes it (detaching
-// its pages, §3.2 teardown). One whose heap lives on in another generation —
-// a migration's source after the publish, its half-built target on rollback,
-// a quarantined generation whose heap the next one will adopt — only stops
-// its own watchdog: the heap and its allocator belong to the survivor.
-func (s *Supervisor) discard(g *Generation, heapLivesOn bool) {
+// discard retires g's extension for good: it is unloaded and closed, which
+// stops its watchdog and detaches its heap's pages (§3.2 teardown).
+func (s *Supervisor) discard(g *Generation) {
 	g.Ext.Unload()
-	if heapLivesOn {
-		g.Ext.StopWatchdog()
-	} else {
-		g.Ext.Close()
-	}
+	g.Ext.Close()
 }
 
 // installLocked makes g the current generation and accounts its InitReport.
@@ -140,17 +137,29 @@ func (s *Supervisor) auditLocked(reason string) AuditReport {
 	return rep
 }
 
-// build is load + init for a generation that owns its heap (fresh, or
-// adopted from a donor already retired): an Init failure discards it, heap
-// included.
-func (s *Supervisor) build(gen uint64, donor *kflex.Extension) (*Generation, InitReport, error) {
-	g, err := s.load(gen, s.route, donor)
+// build is load + init for a cold generation: an Init failure discards it.
+func (s *Supervisor) build(gen uint64) (*Generation, InitReport, error) {
+	g, err := s.load(gen)
 	if err != nil {
 		return nil, InitReport{}, fmt.Errorf("supervisor: reload: %w", err)
 	}
+	return s.initOrDiscard(g)
+}
+
+// revive returns the extension a quarantine kept to service as a warm
+// generation over the same handles. Nothing is in flight on it — its
+// quarantine drained — so clearing its retirement races with no probe.
+func (s *Supervisor) revive(kept *Generation) (*Generation, InitReport, error) {
+	kept.Ext.Revive()
+	return s.initOrDiscard(&Generation{Ext: kept.Ext, Handles: kept.Handles, Gen: kept.Gen + 1, Warm: true})
+}
+
+// initOrDiscard runs Init on g and discards g's extension, heap included, if
+// it fails.
+func (s *Supervisor) initOrDiscard(g *Generation) (*Generation, InitReport, error) {
 	rep, err := s.init(g)
 	if err != nil {
-		s.discard(g, false)
+		s.discard(g)
 		return nil, rep, fmt.Errorf("supervisor: init: %w", err)
 	}
 	return g, rep, nil
@@ -162,8 +171,8 @@ func (s *Supervisor) build(gen uint64, donor *kflex.Extension) (*Generation, Ini
 // no new invocation starts and running ones unwind, the circuit opens and the
 // reload deadline is set by capped exponential backoff with deterministic
 // jitter. Then, mu released and busy set, the in-flight invocations are
-// drained; only then is the heap audited and kept for adoption
-// (Config.WarmReload, drained, clean) or closed.
+// drained; only then is the heap audited, and the extension kept for a warm
+// reload (Config.WarmReload, drained, clean, with a heap) or discarded.
 func (s *Supervisor) quarantineUnlock(reason string) {
 	// Unpublish first: a run that loaded the generation a moment ago finds
 	// it unloaded and takes the fallback.
@@ -182,13 +191,15 @@ func (s *Supervisor) quarantineUnlock(reason string) {
 	drained := s.drain()
 
 	s.mu.Lock()
-	// A heap that proved itself consistent with nothing running on it stays
-	// open in g (with the allocator that owns its carving) for the next
-	// generation to adopt, so recovery replays only the delta. One that
-	// failed its invariants is exactly what a reload must shed, and one an
-	// invocation may still touch cannot be handed on.
+	// An extension whose heap proved itself consistent with nothing running
+	// on it is kept as it is — unloaded, its heap, allocator and watchdog
+	// intact — for the next generation to revive, so recovery replays only
+	// the delta. A heap that failed its invariants is exactly what a reload
+	// must shed, and one an invocation may still touch cannot be revived.
 	audit := s.auditLocked(reason)
-	s.discard(g, s.cfg.WarmReload && drained && audit.Clean)
+	if !s.cfg.WarmReload || !drained || !audit.Clean || g.Ext.Heap() == nil {
+		s.discard(g)
+	}
 	s.busy = false
 	s.mu.Unlock()
 }
@@ -197,25 +208,28 @@ func (s *Supervisor) quarantineUnlock(reason string) {
 // failure re-quarantines at the next backoff tier. mu is held on entry and on
 // return but released, with busy set, while the generation is built, so
 // siblings keep falling back for as long as Init takes. A quarantined
-// generation's heap is either closed or was kept for adoption, so an open one
-// is adopted; if that generation fails to load or initialise, the inherited
-// state is the prime suspect: the heap is closed and the build retried cold
-// before giving up.
+// extension was either discarded, closing its heap, or kept, so one with an
+// open heap is revived; if its Init fails, the kept state is the prime
+// suspect: the extension is discarded and the reload goes cold before giving
+// up.
 func (s *Supervisor) reloadLocked() {
 	start := s.cfg.Tuning.Now()
 	gen := s.cur.Gen + 1
-	var donor *kflex.Extension
-	if h := s.cur.Ext.Heap(); h != nil && !h.Closed() {
-		donor = s.cur.Ext // its quarantine kept the heap: drained and clean
+	kept := s.cur
+	if h := kept.Ext.Heap(); h == nil || h.Closed() {
+		kept = nil // its quarantine discarded it
 	}
 	s.busy = true
 	s.mu.Unlock()
 
-	g, rep, err := s.build(gen, donor)
-	if err != nil && donor != nil {
-		donor.Heap().Close()
-		donor = nil
-		g, rep, err = s.build(gen, nil)
+	var g *Generation
+	var rep InitReport
+	var err error
+	if kept != nil {
+		g, rep, err = s.revive(kept)
+	}
+	if kept == nil || err != nil {
+		g, rep, err = s.build(gen)
 	}
 
 	s.mu.Lock()
@@ -228,7 +242,7 @@ func (s *Supervisor) reloadLocked() {
 	}
 	s.installLocked(g, rep)
 	s.stats.Reloads++
-	if donor != nil {
+	if g.Warm {
 		s.stats.WarmReloads++
 	}
 	s.stats.LastRecovery = s.cfg.Tuning.Now().Sub(start)

@@ -24,14 +24,16 @@ func settledGoroutines(base int) int {
 }
 
 // TestDiscardDispositions drives each transition into an Init failure and
-// checks what became of the generation that was being built: one that owned
-// its heap closed it, one that borrowed a live heap left it alone — and in
-// every case its watchdog stopped with it.
+// checks what became of the extension the failed generation ran on: a cold
+// one and a revived one are discarded, heap closed; a migration's is the
+// live source's and stays open — and whatever is discarded takes its
+// watchdog with it.
 func TestDiscardDispositions(t *testing.T) {
 	ctx := make([]byte, kflex.HookXDP.CtxSize)
 	type env struct {
 		sup    *supervisor.Supervisor
 		clk    *clock
+		base   int        // the goroutine count before New
 		failed *heap.Heap // the heap of the generation whose Init failed
 		h0     *heap.Heap // generation 0's heap
 	}
@@ -42,15 +44,18 @@ func TestDiscardDispositions(t *testing.T) {
 		_, err := e.sup.Run(0, nil, ctx)
 		return err
 	}
+	heapless := trivialSpec()
+	heapless.Mode, heapless.HeapSize = kflex.ModeEBPF, 0
 	rows := []struct {
 		name    string
+		spec    kflex.Spec
 		warm    bool                                   // Config.WarmReload
 		fail    func(g supervisor.Generation) bool     // the one Init to fail
 		attempt func(t *testing.T, e *env)             // runs the transition, checks its outcome
 		closed  func(e *env) (h *heap.Heap, want bool) // heap to inspect afterwards
 	}{
 		{
-			name: "cold", warm: false,
+			name: "cold", spec: trivialSpec(), warm: false,
 			fail: func(g supervisor.Generation) bool { return g.Gen == 1 },
 			attempt: func(t *testing.T, e *env) {
 				if err := reload(e); !errors.Is(err, kflex.ErrFallback) {
@@ -63,7 +68,7 @@ func TestDiscardDispositions(t *testing.T) {
 			closed: func(e *env) (*heap.Heap, bool) { return e.failed, true },
 		},
 		{
-			name: "warm", warm: true,
+			name: "warm", spec: trivialSpec(), warm: true,
 			fail: func(g supervisor.Generation) bool { return g.Warm },
 			attempt: func(t *testing.T, e *env) {
 				if err := reload(e); err != nil {
@@ -74,13 +79,34 @@ func TestDiscardDispositions(t *testing.T) {
 					t.Fatalf("stats = %+v, want one reload that went cold within the same attempt", st)
 				}
 				if e.failed != e.h0 || e.sup.Extension().Heap() == e.h0 {
-					t.Fatal("the warm attempt did not adopt generation 0's heap, or the retry reused it")
+					t.Fatal("the warm attempt did not revive generation 0's heap, or the retry reused it")
 				}
 			},
 			closed: func(e *env) (*heap.Heap, bool) { return e.h0, true },
 		},
 		{
-			name: "migrate", warm: false,
+			// A quarantine keeps only an extension that has a heap: this
+			// one is discarded at once, its watchdog with it, and the
+			// reload is cold.
+			name: "heapless", spec: heapless, warm: true,
+			fail: func(g supervisor.Generation) bool { return g.Gen == 1 },
+			attempt: func(t *testing.T, e *env) {
+				e.sup.Quarantine("maintenance")
+				if n := settledGoroutines(e.base); n > e.base {
+					t.Errorf("goroutines = %d after the quarantine, want %d: the heapless extension was kept", n, e.base)
+				}
+				e.clk.Advance(time.Hour)
+				if _, err := e.sup.Run(0, nil, ctx); !errors.Is(err, kflex.ErrFallback) {
+					t.Fatalf("Run across the failed reload = %v, want a fallback", err)
+				}
+				if st := e.sup.Stats(); st.ReloadFailures != 1 || st.WarmReloads != 0 {
+					t.Fatalf("stats = %+v, want one failed cold reload", st)
+				}
+			},
+			closed: func(e *env) (*heap.Heap, bool) { return nil, false },
+		},
+		{
+			name: "migrate", spec: trivialSpec(), warm: false,
 			fail: func(g supervisor.Generation) bool { return g.Warm },
 			attempt: func(t *testing.T, e *env) {
 				rep, err := e.sup.Migrate(0, 3)
@@ -101,10 +127,10 @@ func TestDiscardDispositions(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			e := &env{clk: &clock{now: time.Unix(0, 0)}}
+			e := &env{clk: &clock{now: time.Unix(0, 0)}, base: base}
 			failedOnce := false
 			sup, err := supervisor.New(supervisor.Config{
-				Runtime: kflex.NewRuntime(), Spec: trivialSpec(), NumCPUs: 2, WarmReload: row.warm,
+				Runtime: kflex.NewRuntime(), Spec: row.spec, NumCPUs: 2, WarmReload: row.warm,
 				Init: func(g supervisor.Generation) (supervisor.InitReport, error) {
 					if !failedOnce && row.fail(g) {
 						failedOnce, e.failed = true, g.Ext.Heap()
@@ -125,7 +151,7 @@ func TestDiscardDispositions(t *testing.T) {
 			if !failedOnce {
 				t.Fatal("the Init failure was never reached")
 			}
-			if h, want := row.closed(e); h.Closed() != want {
+			if h, want := row.closed(e); h != nil && h.Closed() != want {
 				t.Errorf("heap closed = %v after the failed attempt, want %v", h.Closed(), want)
 			}
 			// At most one generation is loaded now; the discarded one must

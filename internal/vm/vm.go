@@ -10,7 +10,8 @@
 // always names one invocation of one Exec (RequestCancel, by sequence word):
 // the watchdog's stall firing and a caller's deadline are both that.
 // Retirement (Program.Unload) is the one program-wide stop: a flag every
-// probe and lock spin reads, which stops every CPU for good.
+// probe and lock spin reads, which stops every CPU until the owner revives
+// the program (Program.Revive) with nothing in flight.
 // Options.CancelThreshold decides when a completed cancellation retires the
 // program.
 package vm
@@ -202,6 +203,16 @@ func (p *Program) Unload() bool {
 
 // Unloaded reports whether the program has been retired.
 func (p *Program) Unloaded() bool { return p.unloaded.Load() }
+
+// Revive undoes a retirement: the cancellation count restarts at zero and
+// invocations run again. The owner calls it only once every invocation that
+// was in flight at the Unload has returned, so no probe can read the flag
+// mid-change. The count is cleared first: an invocation that starts the
+// moment the flag drops already counts towards a fresh threshold.
+func (p *Program) Revive() {
+	p.cancels.Store(0)
+	p.unloaded.Store(false)
+}
 
 // Cancels returns the number of cancellations that occurred.
 func (p *Program) Cancels() uint64 { return p.cancels.Load() }

@@ -184,17 +184,6 @@ type Spec struct {
 	// production case — keeps all injection sites on their nil-check
 	// fast path.
 	FaultPlan *faultinject.Plan
-	// Adopt names a donor — a retired previous generation, or a live one
-	// being migrated away from — whose heap the new extension takes over
-	// instead of allocating a fresh one, together with the allocator that
-	// owns the heap's live allocations (re-carving a populated heap would
-	// corrupt them). The donor's heap must be open and HeapSize bytes; the
-	// donor must run nothing on it once the new extension takes traffic.
-	// Adoption is the supervisor's warm-reload and migration path: the data
-	// a healthy extension accumulated survives the generation swap, so
-	// recovery replays only the delta. It binds at link, like FaultPlan: it
-	// does not participate in the compile-cache fingerprint.
-	Adopt *Extension
 }
 
 // Stage describes one pipeline stage of a Load: how long it ran, whether
@@ -214,8 +203,8 @@ type Stage struct {
 type PipelineInfo struct {
 	SpecHash uint64
 	// CacheHit reports that verify/instrument/lower artifacts were reused
-	// from a previous Load of an identical spec (the supervisor's reload
-	// path: fresh or adopted heap, re-link only).
+	// from a previous Load of an identical spec (the supervisor's cold
+	// reload path: fresh heap, re-link only).
 	CacheHit bool
 	Stages   []Stage
 }
@@ -282,7 +271,7 @@ func (a compileInput) equal(b compileInput) bool {
 // specFingerprint hashes everything the compiled artifacts depend on: the
 // program and callback text plus every spec knob that changes verification,
 // instrumentation, or lowering. The knobs that bind at link (QuantumInsns,
-// NumCPUs, CancelThreshold, FaultPlan, Adopt) are deliberately excluded —
+// NumCPUs, CancelThreshold, FaultPlan) are deliberately excluded —
 // they must not defeat the cache.
 func specFingerprint(in compileInput) uint64 {
 	const prime64 = 1099511628211
@@ -368,10 +357,10 @@ type Extension struct {
 // runs the Kie engine; lower pre-decodes the instrumented program into the
 // fused lowered ISA. Its artifacts depend on no heap and are cached per Runtime
 // keyed by the spec fingerprint, so reloading an unchanged spec — the
-// supervisor's recovery path — compiles nothing. link runs the last two:
-// heap builds the heap, its allocator and lock table (or takes Spec.Adopt's);
-// link binds the artifacts to them and to the resolved helper table and
-// builds every per-CPU execution context.
+// supervisor's cold reload — compiles nothing. link runs the last two:
+// heap builds the heap, its allocator and lock table; link binds the
+// artifacts to them and to the resolved helper table and builds every per-CPU
+// execution context.
 func (r *Runtime) Load(spec Spec) (*Extension, error) {
 	if spec.Hook == nil {
 		return nil, fmt.Errorf("kflex: %s: Spec.Hook is required", spec.Name)
@@ -489,10 +478,10 @@ func (r *Runtime) loadCallback(spec Spec) (*compiled, error) {
 
 // link binds compiled artifacts to one extension instance — everything a
 // Spec says that the compile cache is not keyed by — and records the heap and
-// link stages. Stage heap: the heap (fresh, or Spec.Adopt's with the
-// allocator that carved it), the allocator and the lock table. Stage link:
-// the lowered unit resolved against the heap constants and the helper table,
-// the VM program with its callback, and every per-CPU execution context.
+// link stages. Stage heap: the heap, its allocator and the lock table. Stage
+// link: the lowered unit resolved against the heap constants and the helper
+// table, the VM program with its callback, and every per-CPU execution
+// context.
 func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, error) {
 	ext := &Extension{
 		name:  spec.Name,
@@ -511,27 +500,7 @@ func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, e
 	lk := compile.Linkage{Helpers: r.kern.Helpers}
 
 	start := time.Now()
-	if donor := spec.Adopt; donor != nil {
-		// Inherit the donor's heap and the allocator that carved it. The
-		// donor is validated, not trusted — a size mismatch would break SFI
-		// masking and a closed heap would fault on first touch.
-		switch {
-		case donor.heap == nil:
-			return nil, fmt.Errorf("kflex: %s: adopted extension %q has no heap", spec.Name, donor.name)
-		case donor.heap.Size() != spec.HeapSize:
-			return nil, fmt.Errorf("kflex: %s: adopted heap is %d bytes, spec declares %d",
-				spec.Name, donor.heap.Size(), spec.HeapSize)
-		case donor.heap.Closed():
-			return nil, fmt.Errorf("kflex: %s: adopted heap is closed", spec.Name)
-		}
-		ext.heap, ext.alloc = donor.heap, donor.alloc
-		// The adopting generation may declare fewer CPUs than the
-		// allocator was built for; magazines of slots beyond the new
-		// table (plus its user-space slot at index NumCPUs) would be
-		// stranded — no Malloc can ever pop them again — so spill them
-		// back to the depot before the new generation takes traffic.
-		ext.alloc.RetireCPUsFrom(spec.NumCPUs + 1)
-	} else if spec.HeapSize > 0 {
+	if spec.HeapSize > 0 {
 		h, err := heap.New(spec.HeapSize)
 		if err != nil {
 			return nil, fmt.Errorf("kflex: %s: %w", spec.Name, err)
@@ -539,8 +508,6 @@ func (r *Runtime) link(art *compiled, spec Spec, pl PipelineInfo) (*Extension, e
 		// One extra allocator CPU slot serves user-space allocations
 		// for co-designed applications (§5.3).
 		ext.heap, ext.alloc = h, alloc.New(h, spec.NumCPUs+1)
-	}
-	if h := ext.heap; h != nil {
 		h.SetFaultPlan(spec.FaultPlan)
 		ext.alloc.SetFaultPlan(spec.FaultPlan)
 		ext.extLocks = locks.New(h.ExtView())
@@ -679,6 +646,13 @@ func (e *Extension) Alloc() *alloc.Allocator { return e.alloc }
 // cancellation policy or by Unload.
 func (e *Extension) Unloaded() bool { return e.prog.Unloaded() }
 
+// Revive returns a retired extension to service with its heap, allocator and
+// handles as they are, and its cancellation count back at zero. The caller
+// must know that no invocation is in flight — every Run that was running at
+// the retirement has returned — and that the heap is consistent; the
+// supervisor's warm reload calls it after a drained, clean audit.
+func (e *Extension) Revive() { e.prog.Revive() }
+
 // Unload retires the extension: subsequent Runs return a *DegradedError,
 // and in-flight invocations on every CPU unwind at their next probe or lock
 // spin, which read the retirement flag. Idempotent and race-free:
@@ -731,9 +705,7 @@ func (e *Extension) StartWatchdog(quantum, poll time.Duration) {
 	}
 }
 
-// StopWatchdog halts stall monitoring. It is all a generation whose heap
-// lives on in a successor (Spec.Adopt) has to release: the heap and its
-// allocator belong to the survivor, which closes them.
+// StopWatchdog halts stall monitoring; Close calls it.
 func (e *Extension) StopWatchdog() {
 	if wd := e.wd.Swap(nil); wd != nil {
 		wd.Stop()

@@ -6,13 +6,11 @@ package kflex
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kflex/asm"
-	"kflex/insn"
 	"kflex/internal/kernel"
 )
 
@@ -231,99 +229,3 @@ func TestUnloadDuringRun(t *testing.T) {
 
 // runningProbe reports whether the handle's invocation is in flight.
 func runningProbe(h *Handle) (uint64, bool) { return h.exec.Invocation() }
-
-// TestAdopt reaches Runtime.Load's adoption validation directly: a donor is
-// refused when it has no heap, a heap of another size, or a closed one; an
-// accepted donor's heap and allocator carry on in the adopter — what the
-// donor wrote the adopter reads — and when the adopter declares fewer CPUs
-// the magazines it can no longer reach are spilled back to the depot.
-func TestAdopt(t *testing.T) {
-	// ctx.op != 0 stores ctx.a in the globals area; every run returns the
-	// stored word.
-	prog := asm.New().
-		Mov(insn.R7, insn.R1).
-		Call(kernel.HelperKflexHeapBase).
-		Mov(insn.R6, insn.R0).
-		Load(insn.R2, insn.R7, 0, 8).
-		JmpImm(insn.JmpEq, insn.R2, 0, "read").
-		Load(insn.R3, insn.R7, 8, 8).
-		Store(insn.R6, GlobalsOff, insn.R3, 8).
-		Label("read").
-		Load(insn.R0, insn.R6, GlobalsOff, 8).
-		Exit().
-		MustAssemble()
-	rt := NewRuntime()
-	spec := Spec{Name: "adopt", Insns: prog, Hook: HookBench, Mode: ModeKFlex, HeapSize: 1 << 16, NumCPUs: 4}
-	load := func(mut func(*Spec)) (*Extension, error) {
-		s := spec
-		if mut != nil {
-			mut(&s)
-		}
-		return rt.Load(s)
-	}
-	donor := func(mut func(*Spec)) *Extension {
-		t.Helper()
-		d, err := load(mut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(d.Close)
-		return d
-	}
-
-	closed := donor(nil)
-	closed.Close()
-	heapless := donor(func(s *Spec) {
-		s.Insns, s.Mode, s.HeapSize = asm.New().Ret(0).MustAssemble(), ModeEBPF, 0
-	})
-	for _, tc := range []struct {
-		name    string
-		donor   *Extension
-		size    uint64
-		wantErr string
-	}{
-		{"size mismatch", donor(nil), 1 << 17, "adopted heap is 65536 bytes, spec declares 131072"},
-		{"closed heap", closed, 1 << 16, "adopted heap is closed"},
-		{"heapless donor", heapless, 1 << 16, "has no heap"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := load(func(s *Spec) { s.Adopt, s.HeapSize = tc.donor, tc.size })
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Load err = %v, want %q", err, tc.wantErr)
-			}
-		})
-	}
-
-	t.Run("adopted", func(t *testing.T) {
-		d := donor(nil)
-		if res, err := d.Handle(0).Run(nil, benchCtx(1, 0xfeed, 0)); err != nil || res.Ret != 0xfeed {
-			t.Fatalf("donor store: ret=%#x err=%v", res.Ret, err)
-		}
-		// Park a block in the magazine of CPU 3, a slot the adopter's
-		// two-CPU table (plus its user slot, 2) cannot reach.
-		a := d.Alloc()
-		if err := a.Free(3, a.Malloc(3, 64)); err != nil {
-			t.Fatal(err)
-		}
-		if n := a.Stats().Spills; n != 0 {
-			t.Fatalf("%d spills before adoption", n)
-		}
-		d.Unload()
-		ext, err := load(func(s *Spec) { s.Adopt, s.NumCPUs = d, 2 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ext.Heap() != d.Heap() || ext.Alloc() != a {
-			t.Fatal("adopter did not take over the donor's heap and allocator")
-		}
-		if res, err := ext.Handle(1).Run(nil, benchCtx(0, 0, 0)); err != nil || res.Ret != 0xfeed {
-			t.Fatalf("adopter read: ret=%#x err=%v, want the donor's 0xfeed", res.Ret, err)
-		}
-		if n := a.Stats().Spills; n != 1 {
-			t.Fatalf("%d spills after adoption by a 2-CPU generation, want 1 (CPU 3's magazine)", n)
-		}
-		if err := a.CheckConsistency(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
